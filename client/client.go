@@ -121,6 +121,12 @@ type Conn struct {
 	// pinned to it until the stream is drained or closed.
 	stream *connRows
 
+	// frame is the buffer every ROWS frame of every stream on this
+	// connection is read into: it grows to the largest chunk received
+	// and stays. held is this connection's share of gStreamBuffered.
+	frame []byte
+	held  int64
+
 	// broken marks a connection whose stream died mid-frame: the
 	// socket position is undefined, so every later operation fails
 	// (retryably — AutoReconnect redials) instead of desynchronizing.
@@ -297,9 +303,20 @@ func retryable(err error) bool {
 
 // Close says goodbye and closes the socket.
 func (c *Conn) Close() error {
+	gStreamBuffered.Add(-c.held)
+	c.held = 0
 	_ = wire.WriteFrame(c.w, wire.MsgClose, nil)
 	_ = c.w.Flush()
 	return c.c.Close()
+}
+
+// account sets what the connection buffers for result streaming: its
+// frame buffer plus the decoded chunk of an open stream, counted at its
+// encoded size.
+func (c *Conn) account(chunkBytes int) {
+	held := int64(cap(c.frame) + chunkBytes)
+	gStreamBuffered.Add(held - c.held)
+	c.held = held
 }
 
 // Label returns the client's view of the process label.

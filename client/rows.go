@@ -97,7 +97,8 @@ func (r *connRows) Next() bool {
 // terminal condition (error; the Done frame with no rows also yields
 // false via the caller's loop).
 func (r *connRows) fetch() bool {
-	typ, payload, err := wire.ReadFrame(r.c.r)
+	typ, payload, buf, err := wire.ReadFrameInto(r.c.r, r.c.frame)
+	r.c.frame = buf
 	if err != nil {
 		r.transportFail(err)
 		return false
@@ -112,6 +113,7 @@ func (r *connRows) fetch() bool {
 		return false
 	}
 	r.chunk = ch
+	r.c.account(len(payload))
 	if ch.First && r.cols == nil {
 		r.cols = ch.Cols
 	}
@@ -150,6 +152,7 @@ func (r *connRows) release() {
 		return
 	}
 	r.closed = true
+	r.c.account(0)
 	if r.stopWatch != nil {
 		r.stopWatch()
 	}

@@ -13,6 +13,7 @@ import (
 
 	"ifdb"
 	"ifdb/client"
+	"ifdb/internal/obs"
 	"ifdb/internal/wire"
 )
 
@@ -40,29 +41,35 @@ func millionRowServer(t *testing.T) (*ifdb.DB, string) {
 			t.Fatal(err)
 		}
 		go srv.Serve(ln)
-		sess := db.AdminSession()
-		if _, err := sess.Exec(`CREATE TABLE mil (k BIGINT PRIMARY KEY)`); err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < milRows; lo += 2000 {
-			var b strings.Builder
-			b.WriteString(`INSERT INTO mil VALUES `)
-			for k := lo; k < lo+2000; k++ {
-				if k > lo {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "(%d)", k)
-			}
-			if _, err := sess.Exec(b.String()); err != nil {
-				t.Fatal(err)
-			}
-		}
+		seedMil(t, db, milRows)
 		milDB, milAddr = db, ln.Addr().String()
 	})
 	if milDB == nil {
 		t.Fatal("million-row fixture failed to build")
 	}
 	return milDB, milAddr
+}
+
+// seedMil creates table mil on db with keys 0..rows-1.
+func seedMil(t *testing.T, db *ifdb.DB, rows int) {
+	t.Helper()
+	sess := db.AdminSession()
+	if _, err := sess.Exec(`CREATE TABLE mil (k BIGINT PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < rows; lo += 2000 {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO mil VALUES `)
+		for k := lo; k < lo+2000; k++ {
+			if k > lo {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "(%d)", k)
+		}
+		if _, err := sess.Exec(b.String()); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // liveBytes returns the live heap. Two forced collections: one is not
@@ -77,32 +84,38 @@ func liveBytes() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestStreamBoundedHeap is the tentpole's acceptance claim: a keyless
-// SELECT over a million rows streams end-to-end — the server never
-// materializes the result, the client consumes chunk by chunk — so the
-// process's live heap stays flat while a result far bigger than any
-// buffer flows through it. (Server and client share this process, so
-// the bound covers both halves at once.)
-func TestStreamBoundedHeap(t *testing.T) {
-	_, addr := millionRowServer(t)
+// streamBuffered is what result streaming holds in this process right
+// now, as the two ends account for it: the server's encode buffers and
+// the rows its open cursors hold, the clients' frame buffers and the
+// chunks their open streams iterate.
+func streamBuffered() int64 {
+	return obs.NewGauge("ifdb_wire_stream_buffered_bytes", "").Value() +
+		obs.NewGauge("ifdb_client_stream_buffered_bytes", "").Value()
+}
+
+// drainWatching streams `SELECT k FROM mil` from addr to the end and
+// returns the most the stream ever had buffered, sampled every thousand
+// rows, and the most the live heap grew, sampled every 200 000.
+func drainWatching(t *testing.T, addr string, wantRows int) (buffered int64, heapGrowth uint64) {
+	t.Helper()
 	conn, err := client.Dial(addr, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-
-	base := liveBytes()
+	held, base := streamBuffered(), liveBytes()
 	rows, err := conn.Query(`SELECT k FROM mil`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n int
-	var peak uint64
+	n := 0
 	for rows.Next() {
-		n++
+		if n++; n%1000 == 0 {
+			buffered = max(buffered, streamBuffered()-held)
+		}
 		if n%200_000 == 0 {
-			if lb := liveBytes(); lb > peak {
-				peak = lb
+			if lb := liveBytes(); lb > base {
+				heapGrowth = max(heapGrowth, lb-base)
 			}
 		}
 	}
@@ -110,16 +123,60 @@ func TestStreamBoundedHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows.Close()
-	if n != milRows {
-		t.Fatalf("streamed %d rows, want %d", n, milRows)
+	if n != wantRows {
+		t.Fatalf("streamed %d rows, want %d", n, wantRows)
 	}
-	// A materialized result would hold ≥40MB of row values on the server
-	// alone (plus the client copy). Mid-stream live growth must stay far
-	// below that: the stream's working set is a few chunks.
-	const bound = 32 << 20
-	if peak > base+bound {
-		t.Fatalf("live heap grew %d bytes mid-stream (base %d, peak %d); result is being materialized",
-			peak-base, base, peak)
+	return buffered, heapGrowth
+}
+
+// streamBound is far above what a stream buffers (one encoded chunk at
+// each end, two if a row's worth of slack is counted: a few KB here)
+// and far below any result worth streaming.
+const streamBound = 256 << 10
+
+// TestStreamBoundedHeap is the streaming executor's acceptance claim: a
+// keyless SELECT over a million rows streams end-to-end — the server
+// never materializes the result, the client consumes chunk by chunk —
+// so what the stream buffers stays at a few chunks while a result far
+// bigger flows through. The bound is on the buffers the two ends own
+// and account for, which does not move with the collector's phase; the
+// process's live heap (server and client share it) is a loose backstop
+// against something unaccounted holding the result.
+func TestStreamBoundedHeap(t *testing.T) {
+	_, addr := millionRowServer(t)
+	buffered, heapGrowth := drainWatching(t, addr, milRows)
+	t.Logf("%d rows: stream buffered at most %d bytes, live heap grew at most %d", milRows, buffered, heapGrowth)
+	if buffered <= 0 {
+		t.Fatal("the stream accounted for no buffered bytes mid-stream")
+	}
+	if buffered > streamBound {
+		t.Fatalf("stream buffered %d bytes, bound %d; result is being materialized", buffered, streamBound)
+	}
+	// A materialized million rows is ≥40 MB on the server alone.
+	if heapGrowth > 128<<20 {
+		t.Fatalf("live heap grew %d bytes mid-stream", heapGrowth)
+	}
+}
+
+// TestStreamBoundCatchesMaterialized runs the same query and the same
+// measurement against a server that materializes (Config.LegacyExec),
+// over a fifth of the rows: the bound must not hold there, or it proves
+// nothing above.
+func TestStreamBoundCatchesMaterialized(t *testing.T) {
+	const rows = milRows / 5
+	db := ifdb.MustOpen(ifdb.Config{IFC: true, LegacyExec: true})
+	srv := wire.NewServer(db.Engine(), "")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	seedMil(t, db, rows)
+	buffered, heapGrowth := drainWatching(t, ln.Addr().String(), rows)
+	t.Logf("%d rows, materialized: stream buffered at most %d bytes, live heap grew at most %d", rows, buffered, heapGrowth)
+	if buffered <= streamBound {
+		t.Fatalf("a materialized result of %d rows buffered %d bytes, within the bound %d", rows, buffered, streamBound)
 	}
 }
 

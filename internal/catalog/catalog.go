@@ -82,6 +82,12 @@ type Table struct {
 	LabelConstraints []LabelConstraint
 	Checks           []CheckConstraint
 	Triggers         []*Trigger
+
+	// UniqueMu serializes uniqueness-check-plus-insert critical
+	// sections on this table, standing in for PostgreSQL's index-level
+	// locking. Without it, two concurrent transactions could each miss
+	// the other's in-flight insert of the same key.
+	UniqueMu sync.Mutex
 }
 
 // ColIndex resolves a column name to its ordinal.

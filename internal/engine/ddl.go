@@ -180,7 +180,7 @@ func (s *Session) executeCreateTable(ct *sql.CreateTableStmt) error {
 		// Recovery reopens USING DISK heap files that already hold
 		// flushed versions; their index entries must be rebuilt here —
 		// WAL replay only indexes versions it places itself.
-		t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+		err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
 			for _, ix := range t.Indexes {
 				key := make([]types.Value, len(ix.Cols))
 				for i, c := range ix.Cols {
@@ -190,6 +190,9 @@ func (s *Session) executeCreateTable(ct *sql.CreateTableStmt) error {
 			}
 			return true
 		})
+		if err != nil {
+			return fmt.Errorf("engine: rebuild indexes of %q: %w", t.Name, err)
+		}
 	}
 	s.eng.invalidatePlans()
 	return s.eng.cat.AddTable(t)
@@ -219,7 +222,7 @@ func (s *Session) executeCreateIndex(ci *sql.CreateIndexStmt) error {
 		cols[i] = c
 	}
 	ix := &catalog.Index{Name: ci.Name, Cols: cols, Unique: ci.Unique, Tree: index.New()}
-	t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+	err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
 		key := make([]types.Value, len(cols))
 		for i, c := range cols {
 			key[i] = tv.Row[c]
@@ -227,6 +230,9 @@ func (s *Session) executeCreateIndex(ci *sql.CreateIndexStmt) error {
 		ix.Tree.Insert(key, tid)
 		return true
 	})
+	if err != nil {
+		return fmt.Errorf("engine: backfill index %q: %w", ci.Name, err)
+	}
 	t.Indexes = append(t.Indexes, ix)
 	s.eng.invalidatePlans()
 	return nil

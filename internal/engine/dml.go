@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"ifdb/internal/catalog"
 	"ifdb/internal/exec"
@@ -13,20 +12,6 @@ import (
 	"ifdb/internal/txn"
 	"ifdb/internal/types"
 )
-
-// uniqueLocks serializes uniqueness-check-plus-insert critical
-// sections per table, standing in for PostgreSQL's index-level
-// locking. Without it, two concurrent transactions could each miss
-// the other's in-flight insert of the same key.
-var uniqueLocks sync.Map // *catalog.Table -> *sync.Mutex
-
-func tableLock(t *catalog.Table) *sync.Mutex {
-	if v, ok := uniqueLocks.Load(t); ok {
-		return v.(*sync.Mutex)
-	}
-	v, _ := uniqueLocks.LoadOrStore(t, &sync.Mutex{})
-	return v.(*sync.Mutex)
-}
 
 // target is one existing tuple selected for UPDATE/DELETE.
 type target struct {
@@ -85,8 +70,8 @@ func (s *Session) collectTargets(t *catalog.Table, where sql.Expr, qc *qctx) ([]
 			}
 			return true
 		})
-	} else {
-		t.Heap.Scan(consider)
+	} else if err := t.Heap.Scan(consider); err != nil {
+		return nil, err
 	}
 	if evalErr != nil {
 		return nil, evalErr
@@ -244,7 +229,7 @@ func (s *Session) insertRow(t *catalog.Table, row []types.Value, declTags label.
 
 	// Uniqueness + insert under the table lock so concurrent inserters
 	// cannot slip identical keys past each other.
-	lk := tableLock(t)
+	lk := &t.UniqueMu
 	lk.Lock()
 	if err := s.checkUnique(t, row, lw, storage.InvalidTID); err != nil {
 		lk.Unlock()
@@ -461,9 +446,12 @@ func (s *Session) checkForeignKeyInsert(t *catalog.Table, fk *catalog.ForeignKey
 	}
 
 	var candidates []storage.TupleVersion
-	s.lookupByCols(ref, fk.RefCols, key, func(tv *storage.TupleVersion) {
+	err := s.lookupByCols(ref, fk.RefCols, key, func(tv *storage.TupleVersion) {
 		candidates = append(candidates, *tv)
 	})
+	if err != nil {
+		return err
+	}
 	if len(candidates) == 0 {
 		return fmt.Errorf("%w: %q: no row in %q matches", ErrForeignKey, fk.Name, fk.RefTable)
 	}
@@ -497,46 +485,8 @@ func (s *Session) checkForeignKeyInsert(t *catalog.Table, fk *catalog.ForeignKey
 // lookupByCols finds MVCC-visible versions of ref with the given
 // column values, bypassing label confinement (callers are the
 // constraint internals whose channels are vouched for explicitly).
-func (s *Session) lookupByCols(ref *catalog.Table, cols []int, key []types.Value, fn func(tv *storage.TupleVersion)) {
-	tx := s.stmtTx
-	consider := func(tv *storage.TupleVersion) {
-		if !tx.Visible(tv.Xmin, tv.Xmax) {
-			return
-		}
-		for i, c := range cols {
-			if !tv.Row[c].Equal(key[i]) {
-				return
-			}
-		}
-		fn(tv)
-	}
-	// Prefer an index whose prefix covers cols in order.
-	for _, ix := range ref.Indexes {
-		if len(ix.Cols) < len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if ix.Cols[i] != c {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		ix.Tree.AscendPrefix(key, func(_ index.Key, tid storage.TID) bool {
-			if tv, ok := ref.Heap.Get(tid); ok {
-				consider(&tv)
-			}
-			return true
-		})
-		return
-	}
-	ref.Heap.Scan(func(_ storage.TID, tv *storage.TupleVersion) bool {
-		consider(tv)
-		return true
-	})
+func (s *Session) lookupByCols(ref *catalog.Table, cols []int, key []types.Value, fn func(tv *storage.TupleVersion)) error {
+	return s.lookupByColsTID(ref, cols, key, func(_ storage.TID, tv *storage.TupleVersion) { fn(tv) })
 }
 
 // ---------------------------------------------------------------------------
@@ -624,7 +574,7 @@ func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
 			return n, err
 		}
 
-		lk := tableLock(t)
+		lk := &t.UniqueMu
 		lk.Lock()
 		if err := s.checkUnique(t, newRow, lw, tg.tid); err != nil {
 			lk.Unlock()
@@ -702,7 +652,9 @@ func (s *Session) checkReferencersOnKeyChange(t *catalog.Table, oldRow, newRow [
 			key[i] = oldRow[c]
 		}
 		found := false
-		s.lookupByCols(rf.Table, rf.FK.Cols, key, func(*storage.TupleVersion) { found = true })
+		if err := s.lookupByCols(rf.Table, rf.FK.Cols, key, func(*storage.TupleVersion) { found = true }); err != nil {
+			return err
+		}
 		if found {
 			return fmt.Errorf("%w: %q still referenced by %q", ErrForeignKey, t.Name, rf.Table.Name)
 		}
@@ -767,14 +719,19 @@ func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
 		// Another (polyinstantiated) version of this key may remain;
 		// if so, referencing rows are still satisfied.
 		remaining := 0
-		s.lookupByCols(t, rf.FK.RefCols, key, func(tv *storage.TupleVersion) { remaining++ })
+		if err := s.lookupByCols(t, rf.FK.RefCols, key, func(tv *storage.TupleVersion) { remaining++ }); err != nil {
+			return err
+		}
 		if remaining > 1 {
 			continue
 		}
 		var refs []target
-		s.lookupByColsTID(rf.Table, rf.FK.Cols, key, func(tid storage.TID, tv *storage.TupleVersion) {
+		err := s.lookupByColsTID(rf.Table, rf.FK.Cols, key, func(tid storage.TID, tv *storage.TupleVersion) {
 			refs = append(refs, target{tid: tid, tv: *tv})
 		})
+		if err != nil {
+			return err
+		}
 		if len(refs) == 0 {
 			continue
 		}
@@ -803,7 +760,7 @@ func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
 }
 
 // lookupByColsTID is lookupByCols but also yields TIDs.
-func (s *Session) lookupByColsTID(ref *catalog.Table, cols []int, key []types.Value, fn func(tid storage.TID, tv *storage.TupleVersion)) {
+func (s *Session) lookupByColsTID(ref *catalog.Table, cols []int, key []types.Value, fn func(tid storage.TID, tv *storage.TupleVersion)) error {
 	tx := s.stmtTx
 	consider := func(tid storage.TID, tv *storage.TupleVersion) {
 		if !tx.Visible(tv.Xmin, tv.Xmax) {
@@ -816,6 +773,7 @@ func (s *Session) lookupByColsTID(ref *catalog.Table, cols []int, key []types.Va
 		}
 		fn(tid, tv)
 	}
+	// Prefer an index whose prefix covers cols in order.
 	for _, ix := range ref.Indexes {
 		if len(ix.Cols) < len(cols) {
 			continue
@@ -836,9 +794,9 @@ func (s *Session) lookupByColsTID(ref *catalog.Table, cols []int, key []types.Va
 			}
 			return true
 		})
-		return
+		return nil
 	}
-	ref.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+	return ref.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
 		consider(tid, tv)
 		return true
 	})

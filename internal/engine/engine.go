@@ -503,12 +503,17 @@ func (e *Engine) Vacuum() int {
 			row []types.Value
 		}
 		var victims []victim
-		t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+		err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
 			if dead(tv) {
 				victims = append(victims, victim{tid, tv.Row})
 			}
 			return true
 		})
+		if err != nil {
+			// Part of the heap is unreadable: vacuuming the rest would
+			// tombstone versions whose index entries were not pruned.
+			continue
+		}
 		for _, v := range victims {
 			for _, ix := range t.Indexes {
 				key := make([]types.Value, len(ix.Cols))

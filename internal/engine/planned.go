@@ -61,18 +61,24 @@ func (s *Session) planFor(sel *sql.SelectStmt, strip label.Label) (*plan.Plan, e
 // label state, parameters, and cancellation flag.
 func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
 	tx := s.stmtTx
-	return &plan.Runtime{
+	rt := &plan.Runtime{
 		Params: qc.params,
 		Funcs:  sessionFuncs{s},
 		SubqFor: func(strip label.Label) exec.SubqueryRunner {
 			return subqRunner{s, &qctx{params: qc.params, strip: strip}}
 		},
-		Visible:      tx.Visible,
-		TupleVisible: s.tupleVisible,
-		EffLabel:     s.effectiveTupleLabel,
-		Check:        s.checkCanceled,
-		OnScanned:    mRowsScanned.Add,
+		Visible:  tx.Visible,
+		EffLabel: s.effectiveTupleLabel,
+		Check:    s.checkCanceled,
+		OnScanned: func(visited, denied int64) {
+			mRowsScanned.Add(visited)
+			mLabelDenials.Add(denied)
+		},
 	}
+	if s.eng.cfg.IFC {
+		rt.LabelOK = s.labelsOK
+	}
+	return rt
 }
 
 // executeSelect runs a SELECT to a materialized relation, dispatching

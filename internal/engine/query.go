@@ -343,7 +343,7 @@ func (s *Session) scanTable(t *catalog.Table, alias string, filter sql.Expr, qc 
 		return rel, scanErr
 	}
 
-	t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+	err = t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
 		if scanErr = s.checkCanceled(); scanErr != nil {
 			return false
 		}
@@ -351,6 +351,9 @@ func (s *Session) scanTable(t *catalog.Table, alias string, filter sql.Expr, qc 
 		return true
 	})
 	mRowsScanned.Add(scanned)
+	if scanErr == nil {
+		scanErr = err
+	}
 	return rel, scanErr
 }
 

@@ -390,7 +390,7 @@ func (e *Engine) reconcile(seen map[storage.XID]bool) error {
 			xid storage.XID
 		}
 		var clears []stale
-		t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+		err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
 			if _, ok := e.txns.Committed(tv.Xmin); !ok && !e.txns.Aborted(tv.Xmin) {
 				e.txns.RestoreAborted(tv.Xmin)
 			}
@@ -404,6 +404,9 @@ func (e *Engine) reconcile(seen map[storage.XID]bool) error {
 			}
 			return true
 		})
+		if err != nil {
+			return fmt.Errorf("engine: reconcile %q: %w", t.Name, err)
+		}
 		for _, c := range clears {
 			rh.ForceXmax(c.tid, storage.InvalidXID)
 		}
@@ -644,7 +647,7 @@ func (e *Engine) captureSnapshot(covered wal.LSN) ([]byte, error) {
 	for _, t := range tables {
 		mt := memTable{name: t.Name}
 		isMem := !t.OnDisk
-		t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+		err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
 			refXIDs[tv.Xmin] = true
 			if tv.Xmax != storage.InvalidXID {
 				refXIDs[tv.Xmax] = true
@@ -659,6 +662,9 @@ func (e *Engine) captureSnapshot(covered wal.LSN) ([]byte, error) {
 			}
 			return true
 		})
+		if err != nil {
+			return nil, fmt.Errorf("engine: snapshot %q: %w", t.Name, err)
+		}
 		if isMem {
 			memTables = append(memTables, mt)
 		}

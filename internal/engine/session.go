@@ -448,38 +448,37 @@ func (s *Session) withStmt(fn func(t *txn.Txn) error) error {
 // ---------------------------------------------------------------------------
 // Label visibility plumbing
 
-// labelVisible reports whether a tuple labeled lt is visible to the
-// session given an extra strip set (from declassifying views): tags
-// covered by strip are removed from lt before the confinement check.
+// labelsOK is Query by Label for one tuple: its secrecy label lt,
+// less the tags a declassifying view's strip covers, must flow to the
+// process label (Label Confinement), and its integrity label it must
+// cover the process's — a process claiming integrity I refuses to
+// observe data below I. It judges and counts nothing, so a scan may
+// remember its verdict per distinct label.
+func (s *Session) labelsOK(lt, it, strip label.Label) bool {
+	return s.secrecyOK(lt, strip) && (len(s.pilabel) == 0 || s.eng.hier.Flows(s.pilabel, it))
+}
+
+func (s *Session) secrecyOK(lt, strip label.Label) bool {
+	return s.eng.hier.Flows(s.effectiveTupleLabel(lt, strip), s.plabel)
+}
+
+// countDenial counts a tuple one of the label checks hid.
+func countDenial(ok bool) bool {
+	if !ok {
+		mLabelDenials.Inc()
+	}
+	return ok
+}
+
+// labelVisible is the secrecy half of Query by Label for the paths
+// that check tuple by tuple, counting a refusal.
 func (s *Session) labelVisible(lt label.Label, strip label.Label) bool {
-	if !s.eng.cfg.IFC {
-		return true
-	}
-	eff := s.effectiveTupleLabel(lt, strip)
-	if !s.eng.hier.Flows(eff, s.plabel) {
-		mLabelDenials.Inc()
-		return false
-	}
-	return true
+	return !s.eng.cfg.IFC || countDenial(s.secrecyOK(lt, strip))
 }
 
-// integrityVisible applies the integrity half of Query by Label: a
-// tuple is visible only if its integrity label covers the process's —
-// a process claiming integrity I refuses to observe data below I.
-func (s *Session) integrityVisible(it label.Label) bool {
-	if !s.eng.cfg.IFC || len(s.pilabel) == 0 {
-		return true
-	}
-	if !s.eng.hier.Flows(s.pilabel, it) {
-		mLabelDenials.Inc()
-		return false
-	}
-	return true
-}
-
-// tupleVisible combines both label filters.
+// tupleVisible combines both label filters, counting a refusal.
 func (s *Session) tupleVisible(tv *storage.TupleVersion, strip label.Label) bool {
-	return s.labelVisible(tv.Label, strip) && s.integrityVisible(tv.ILabel)
+	return !s.eng.cfg.IFC || countDenial(s.labelsOK(tv.Label, tv.ILabel, strip))
 }
 
 // effectiveTupleLabel strips from lt every tag covered by the strip

@@ -32,6 +32,8 @@ type Cursor struct {
 
 	// Streaming state (nil it → materialized fallback).
 	it       plan.Iter
+	rows     [][]types.Value // the batch NextBatch last returned, reused
+	labels   []label.Label
 	stmtTx   *txn.Txn // transaction the cursor runs under
 	auto     bool     // stmtTx is a cursor-owned autocommit transaction
 	explicit bool     // stmtTx is the session's explicit transaction
@@ -156,8 +158,10 @@ func (c *Cursor) Streaming() bool { return c.it != nil }
 // statement's transaction has been resolved; an error means the
 // statement failed and its transaction was aborted (discarding any
 // rows pulled in the failing batch, as a materialized statement
-// would). Returned rows share the engine's tuple storage and are valid
-// until the session's next statement.
+// would). The two returned slices are the cursor's and are overwritten
+// by its next NextBatch; the rows in them ([]types.Value) share the
+// engine's tuple storage, are valid until the session's next statement
+// and must not be modified.
 func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
 	if c.done {
 		return nil, nil, c.err
@@ -181,9 +185,8 @@ func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
 		}
 		return rows, labels, nil
 	}
-	var rows [][]types.Value
-	var labels []label.Label
-	for len(rows) < max {
+	c.rows, c.labels = c.rows[:0], c.labels[:0]
+	for len(c.rows) < max {
 		r, err := c.it.Next()
 		if err != nil {
 			c.fail(err)
@@ -195,12 +198,25 @@ func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
 			}
 			break
 		}
-		rows = append(rows, r.Vals)
+		c.rows = append(c.rows, r.Vals)
 		if c.ifc {
-			labels = append(labels, r.Lbl)
+			c.labels = append(c.labels, r.Lbl)
 		}
 	}
-	return rows, labels, nil
+	if !c.ifc {
+		return c.rows, nil, nil
+	}
+	return c.rows, c.labels, nil
+}
+
+// Buffered returns how many result rows the cursor holds in memory: the
+// batch it last returned when it streams, the whole result when it
+// serves a materialized one.
+func (c *Cursor) Buffered() int {
+	if c.res != nil {
+		return len(c.res.Rows)
+	}
+	return len(c.rows)
 }
 
 // finish resolves a cleanly-exhausted stream: close the iterator,

@@ -181,7 +181,8 @@ func NewBufferPool(store PageStore, capacity int) *BufferPool {
 	}
 }
 
-// load pins the page into a frame, evicting if needed. Caller holds mu.
+// load pins the page into a frame, evicting if needed; the new page
+// is read into the evicted frame's buffer. Caller holds mu.
 func (bp *BufferPool) load(id PageID) (*frame, error) {
 	if fr, ok := bp.frames[id]; ok {
 		bp.lru.MoveToFront(fr.elem)
@@ -189,6 +190,7 @@ func (bp *BufferPool) load(id PageID) (*frame, error) {
 		return fr, nil
 	}
 	bp.Misses++
+	var fr *frame
 	for len(bp.frames) >= bp.capacity {
 		// Evict least recently used.
 		tail := bp.lru.Back()
@@ -203,8 +205,12 @@ func (bp *BufferPool) load(id PageID) (*frame, error) {
 		}
 		bp.lru.Remove(tail)
 		delete(bp.frames, victim.id)
+		fr = victim
 	}
-	fr := &frame{id: id, data: make(page, PageSize)}
+	if fr == nil {
+		fr = &frame{data: make(page, PageSize)}
+	}
+	fr.id, fr.dirty = id, false
 	if err := bp.store.ReadPage(id, fr.data); err != nil {
 		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 	}

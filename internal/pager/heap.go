@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 
 	"ifdb/internal/label"
@@ -225,86 +226,79 @@ func (h *PagedHeap) ClearXmax(tid storage.TID, xid storage.XID) {
 	})
 }
 
-// Scan visits every version in TID order.
-//
-// To keep lock scopes small and avoid holding buffer frames across the
-// callback, each page's live records are decoded into a batch first.
-func (h *PagedHeap) Scan(fn func(tid storage.TID, tv *storage.TupleVersion) bool) {
-	h.mu.RLock()
-	n := h.nPages
-	h.mu.RUnlock()
-	type item struct {
-		tid storage.TID
-		tv  storage.TupleVersion
+// decodeVisible is decodeRecord behind vis: the MVCC stamps and the
+// labels are read from the record header (§8.3 keeps them there) and
+// judged first, and the row is decoded, into vis.Scan's arena, only
+// when the version passes (§7.1: both filters sit below the executor).
+func decodeVisible(rec []byte, vis storage.Visibility, tv *storage.TupleVersion) (bool, error) {
+	if len(rec) < 18 {
+		return false, fmt.Errorf("pager: truncated record (%d bytes)", len(rec))
 	}
-	for pid := PageID(0); int(pid) < n; pid++ {
-		var batch []item
-		_ = h.pool.WithPage(pid, func(p page) error {
-			for s := 0; s < p.nSlots(); s++ {
-				rec := p.record(s)
-				if rec == nil {
-					continue
-				}
-				tv, err := decodeRecord(rec)
-				if err != nil {
-					return err
-				}
-				batch = append(batch, item{packTID(pid, s), tv})
-			}
-			return nil
-		})
-		for i := range batch {
-			if !fn(batch[i].tid, &batch[i].tv) {
-				return
-			}
-		}
+	xmin := storage.XID(binary.LittleEndian.Uint64(rec[0:]))
+	xmax := storage.XID(binary.LittleEndian.Uint64(rec[8:]))
+	l, il, n, ok, err := vis.SeesStored(xmin, xmax, rec[16:])
+	if err != nil || !ok {
+		return false, err
 	}
+	row, _, err := types.DecodeRowArena(&vis.Scan.Rows, rec[16+n:])
+	if err != nil {
+		return false, err
+	}
+	*tv = storage.TupleVersion{Row: row, Label: l, ILabel: il, Xmin: xmin, Xmax: xmax}
+	return true, nil
 }
 
-// ScanFrom implements storage.BatchScanner: a resumable Scan that
-// returns after max visits, rounded up to a whole page so the resume
-// position is always a page boundary (start's slot bits are ignored
-// past the first call because batches end at page edges).
-func (h *PagedHeap) ScanFrom(start storage.TID, max int, fn func(tid storage.TID, tv *storage.TupleVersion) bool) (next storage.TID, more bool) {
-	h.mu.RLock()
-	n := h.nPages
-	h.mu.RUnlock()
-	pid, slot0 := unpackTID(start)
-	type item struct {
-		tid storage.TID
-		tv  storage.TupleVersion
+// Scan visits every version in TID order: ScanFrom run to the end with
+// nothing hidden.
+func (h *PagedHeap) Scan(fn func(tid storage.TID, tv *storage.TupleVersion) bool) error {
+	_, _, err := h.ScanFrom(0, math.MaxInt, storage.Visibility{}, fn)
+	return err
+}
+
+// scratchPages holds the page-sized buffers scans copy pages into.
+var scratchPages = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+// ScanFrom is the resumable scan of storage.Heap: it
+// returns after max versions examined, rounded up to a whole page so
+// the resume position is a page boundary unless fn stopped it.
+//
+// Each page is copied out of its buffer frame into one scratch buffer
+// and examined there, so neither the pool's lock nor a frame is held
+// across vis or fn, and a version vis rejects costs a header read.
+func (h *PagedHeap) ScanFrom(start storage.TID, max int, vis storage.Visibility, fn func(tid storage.TID, tv *storage.TupleVersion) bool) (next storage.TID, more bool, err error) {
+	n := h.NPages()
+	if vis.Scan == nil {
+		vis.Scan = new(storage.ScanState)
 	}
-	visited := 0
-	for ; int(pid) < n; pid++ {
-		var batch []item
-		_ = h.pool.WithPage(pid, func(p page) error {
-			for s := 0; s < p.nSlots(); s++ {
-				if pid == PageID(start>>16) && s < slot0 {
-					continue
-				}
-				rec := p.record(s)
-				if rec == nil {
-					continue
-				}
-				tv, err := decodeRecord(rec)
-				if err != nil {
-					return err
-				}
-				batch = append(batch, item{packTID(pid, s), tv})
+	buf := scratchPages.Get().(*[PageSize]byte)
+	defer scratchPages.Put(buf)
+	p := page(buf[:])
+	copyOut := func(frame page) error { copy(p, frame); return nil }
+	var tv storage.TupleVersion
+	pid, slot := unpackTID(start)
+	for visited := 0; int(pid) < n; pid, slot = pid+1, 0 {
+		if err := h.pool.WithPage(pid, copyOut); err != nil {
+			return packTID(pid, slot), true, err
+		}
+		for s := slot; s < p.nSlots(); s++ {
+			rec := p.record(s)
+			if rec == nil {
+				continue
 			}
-			return nil
-		})
-		for i := range batch {
 			visited++
-			if !fn(batch[i].tid, &batch[i].tv) {
-				return batch[i].tid + 1, true
+			ok, err := decodeVisible(rec, vis, &tv)
+			if err != nil {
+				return packTID(pid, s), true, fmt.Errorf("pager: page %d slot %d: %w", pid, s, err)
+			}
+			if ok && !fn(packTID(pid, s), &tv) {
+				return packTID(pid, s) + 1, true, nil
 			}
 		}
 		if visited >= max {
-			return packTID(pid+1, 0), int(pid+1) < n
+			return packTID(pid+1, 0), int(pid+1) < n, nil
 		}
 	}
-	return packTID(PageID(n), 0), false
+	return packTID(PageID(n), 0), false, nil
 }
 
 // Vacuum tombstones dead versions and compacts touched pages.

@@ -262,6 +262,7 @@ func (lv *level) assemble() (Node, error) {
 	} else {
 		p := &ProjectNode{Child: input, Items: lv.items, OrderExprs: lv.orderExprs, Strip: lv.strip}
 		p.schema = outputSchema(lv.items)
+		p.compile()
 		out = p
 	}
 

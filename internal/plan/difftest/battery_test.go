@@ -1,6 +1,8 @@
 package difftest
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ifdb/internal/types"
@@ -145,3 +147,70 @@ func name(i int64) string {
 }
 
 func args(vs ...types.Value) []types.Value { return vs }
+
+// TestDiskScanBufferReuse diffs the shapes that hold rows while the
+// scan underneath moves on — sort, DISTINCT, hash and index join,
+// GROUP BY, LIMIT/OFFSET, and the cursor's batches — over USING DISK
+// tables of more than two scan batches behind a 4-page pool, so every
+// page is evicted and its scratch copy overwritten many times within a
+// statement. Ten tenant labels interleave in runs of 100 rows; the
+// reader's label admits six of them and the public rows.
+func TestDiskScanBufferReuse(t *testing.T) {
+	const rows, run, tenants = 2600, 100, 10
+	p := newPairPool(t, 4)
+	p.setup("admin", `CREATE TABLE big (k BIGINT PRIMARY KEY, grp BIGINT, v BIGINT, pad TEXT) USING DISK`)
+	p.setup("admin", `CREATE TABLE dim (id BIGINT, dname TEXT) USING DISK`)
+	p.setup("admin", `CREATE TABLE dimk (id BIGINT PRIMARY KEY, dname TEXT) USING DISK`)
+	for i := int64(0); i < 13; i++ {
+		p.setup("admin", `INSERT INTO dim VALUES ($1, $2)`, types.NewInt(i), types.NewText(name(i)))
+		p.setup("admin", `INSERT INTO dimk VALUES ($1, $2)`, types.NewInt(i), types.NewText(name(i)))
+	}
+	writers := []string{"admin"}
+	var readerTags []string
+	for i := 0; i < tenants; i++ {
+		u, tag := fmt.Sprintf("w%d", i), fmt.Sprintf("t_%d", i)
+		p.addUser(u, tag)
+		writers = append(writers, u)
+		if i < 6 {
+			readerTags = append(readerTags, tag)
+		}
+	}
+	p.addUser("reader", readerTags...)
+	p.addUser("outsider")
+	for lo := 0; lo < rows; lo += run {
+		var b strings.Builder
+		b.WriteString(`INSERT INTO big VALUES `)
+		for k := lo; k < lo+run; k++ {
+			if k > lo {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "(%d,%d,%d,'%s')", k, k%13, k*7919%1000, name(int64(k%40)))
+		}
+		p.setup(writers[lo/run%len(writers)], b.String())
+	}
+
+	for _, q := range []string{
+		`SELECT k, grp, v, pad FROM big`,
+		`SELECT pad, k FROM big`,
+		`SELECT k, pad, _label FROM big WHERE grp = 3`,
+		`SELECT k, pad FROM big ORDER BY v DESC, k`,
+		`SELECT DISTINCT grp, pad FROM big`,
+		`SELECT b.k, d.dname FROM big b JOIN dim d ON b.grp = d.id WHERE b.v > 500 ORDER BY b.k`,
+		`SELECT b.k, d.dname FROM big b JOIN dimk d ON b.grp = d.id WHERE b.v < 300 ORDER BY b.k`,
+		`SELECT d.dname, b.k FROM dim d LEFT JOIN big b ON d.id = b.grp AND b.v = 7 ORDER BY d.dname, b.k`,
+		`SELECT grp, COUNT(*), SUM(v), MIN(pad), MAX(pad) FROM big GROUP BY grp ORDER BY grp`,
+		`SELECT k, pad FROM big ORDER BY k LIMIT 50 OFFSET 1200`,
+		`SELECT k, pad FROM big LIMIT 30 OFFSET 1100`,
+		`SELECT COUNT(*) FROM big`,
+	} {
+		for _, user := range []string{"reader", "outsider", "w7"} {
+			p.exec(user, q)
+			p.execPrepared(user, q)
+			p.execStream(user, q, 100)
+			p.execStream(user, q, 1000)
+		}
+	}
+	if res, _ := p.exec("reader", `SELECT COUNT(*) FROM big`); res.Rows[0][0].Int() != 1800 {
+		t.Fatalf("reader sees %v rows, want the 1800 its label admits", res.Rows[0][0])
+	}
+}

@@ -36,10 +36,14 @@ type pair struct {
 	stream *side // plan-based executor under test
 }
 
-func newPair(t *testing.T) *pair {
+func newPair(t *testing.T) *pair { return newPairPool(t, 0) }
+
+// newPairPool is newPair with USING DISK tables behind a buffer pool of
+// poolPages pages (0: the engine's default).
+func newPairPool(t *testing.T, poolPages int) *pair {
 	t.Helper()
 	mk := func(name string, legacyExec bool) *side {
-		e := engine.MustNew(engine.Config{IFC: true, LegacyExec: legacyExec})
+		e := engine.MustNew(engine.Config{IFC: true, LegacyExec: legacyExec, BufferPoolPages: poolPages})
 		return &side{
 			name:     name,
 			e:        e,

@@ -60,23 +60,28 @@ type scanIter struct {
 
 	key []types.Value // index probe prefix (index mode)
 
+	// vis is handed to the heap, which applies it before decoding a
+	// row; st is what the scan keeps between refills and reports.
+	vis storage.Visibility
+	st  storage.ScanState
+	out types.Arena // pruned rows
+
 	buf []Row
 	pos int
 
-	batch storage.BatchScanner // heap mode; nil → one-shot fallback
-	next  storage.TID
+	next storage.TID // heap mode resume position
 
 	lastKey index.Key // index mode resume position
 	lastTID storage.TID
 
 	done     bool
 	err      error
-	scanned  int64
 	reported bool
 }
 
 func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 	it := &scanIter{n: n, rt: rt, env: rt.env(n.fullSchema, n.Strip)}
+	it.vis = rt.visibility(n.Strip, &it.st)
 	if len(n.Eq) > 0 {
 		// Bind the filter's constants. Evaluation (and its errors —
 		// e.g. a missing parameter) happens here, before any tuple is
@@ -96,26 +101,15 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 			}
 		}
 	}
-	if n.Index == nil {
-		if bs, ok := n.Table.Heap.(storage.BatchScanner); ok {
-			it.batch = bs
-		}
-	}
 	return it, nil
 }
 
-// accept applies, in order: MVCC visibility, the Label Confinement
-// Rule, and only then any pushed predicates — a pushed predicate can
-// never touch a tuple the process label does not cover. Accepted rows
-// are buffered, pruned to the scan's output columns.
+// accept buffers a tuple the heap's visibility filter admitted: by
+// then MVCC visibility and the Label Confinement Rule have passed, in
+// that order, and only now do pushed predicates run — a pushed
+// predicate can never touch a tuple the process label does not cover.
+// Accepted rows are pruned to the scan's output columns.
 func (it *scanIter) accept(tv *storage.TupleVersion) error {
-	it.scanned++
-	if !it.rt.Visible(tv.Xmin, tv.Xmax) {
-		return nil
-	}
-	if !it.rt.TupleVisible(tv, it.n.Strip) {
-		return nil
-	}
 	lbl := it.rt.EffLabel(tv.Label, it.n.Strip)
 	if len(it.n.Pushed) > 0 {
 		it.env.Row = tv.Row
@@ -133,7 +127,7 @@ func (it *scanIter) accept(tv *storage.TupleVersion) error {
 	}
 	vals := tv.Row
 	if it.n.Out != nil {
-		vals = make([]types.Value, len(it.n.Out))
+		vals = it.out.Take(len(it.n.Out))
 		for i, c := range it.n.Out {
 			vals[i] = tv.Row[c]
 		}
@@ -142,42 +136,26 @@ func (it *scanIter) accept(tv *storage.TupleVersion) error {
 	return nil
 }
 
+// refillHeap pulls one batch through the heap's filtered scan.
+// Cancellation is polled per batch and per admitted tuple: a scan the
+// label hides entirely still stops within one batch.
 func (it *scanIter) refillHeap() error {
-	var cbErr error
-	next, more := it.batch.ScanFrom(it.next, scanBatch, func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if cbErr = it.rt.check(); cbErr != nil {
-			return false
+	cbErr := it.rt.check()
+	if cbErr != nil {
+		return cbErr
+	}
+	next, more, err := it.n.Table.Heap.ScanFrom(it.next, scanBatch, it.vis, func(tid storage.TID, tv *storage.TupleVersion) bool {
+		if cbErr = it.rt.check(); cbErr == nil {
+			cbErr = it.accept(tv)
 		}
-		if cbErr = it.accept(tv); cbErr != nil {
-			return false
-		}
-		return true
+		return cbErr == nil
 	})
 	it.next = next
 	if cbErr != nil {
 		return cbErr
 	}
-	if !more {
-		it.done = true
-	}
-	return nil
-}
-
-// materializeHeap is the fallback for heaps without BatchScanner: one
-// locked pass, everything buffered (legacy behaviour).
-func (it *scanIter) materializeHeap() error {
-	var cbErr error
-	it.n.Table.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if cbErr = it.rt.check(); cbErr != nil {
-			return false
-		}
-		if cbErr = it.accept(tv); cbErr != nil {
-			return false
-		}
-		return true
-	})
-	it.done = true
-	return cbErr
+	it.done = !more
+	return err
 }
 
 func (it *scanIter) refillIndex() error {
@@ -187,12 +165,10 @@ func (it *scanIter) refillIndex() error {
 			if cbErr = it.rt.check(); cbErr != nil {
 				return false
 			}
-			if tv, ok := it.n.Table.Heap.Get(tid); ok {
-				if cbErr = it.accept(&tv); cbErr != nil {
-					return false
-				}
+			if tv, ok := it.n.Table.Heap.Get(tid); ok && it.vis.Sees(&tv) {
+				cbErr = it.accept(&tv)
 			}
-			return true
+			return cbErr == nil
 		})
 	if cbErr != nil {
 		return cbErr
@@ -217,13 +193,10 @@ func (it *scanIter) Next() (*Row, error) {
 		it.buf = it.buf[:0]
 		it.pos = 0
 		var err error
-		switch {
-		case it.n.Index != nil:
+		if it.n.Index != nil {
 			err = it.refillIndex()
-		case it.batch != nil:
+		} else {
 			err = it.refillHeap()
-		default:
-			err = it.materializeHeap()
 		}
 		if err != nil {
 			it.err = err
@@ -239,7 +212,7 @@ func (it *scanIter) Next() (*Row, error) {
 func (it *scanIter) finish() {
 	if !it.reported {
 		it.reported = true
-		it.rt.onScanned(it.scanned)
+		it.rt.report(&it.st)
 	}
 }
 
@@ -489,6 +462,9 @@ func (it *indexJoinIter) drain() error {
 	}
 	env := rt.env(n.schema, n.Strip)
 	nullsRight := make([]types.Value, len(n.rightSchema))
+	var st storage.ScanState
+	vis := rt.visibility(n.Strip, &st)
+	defer rt.report(&st)
 
 	for _, lr := range leftRows {
 		key := make([]types.Value, n.Prefix)
@@ -502,7 +478,7 @@ func (it *indexJoinIter) drain() error {
 			if !ok {
 				return true
 			}
-			if !rt.Visible(tv.Xmin, tv.Xmax) || !rt.TupleVisible(&tv, n.Strip) {
+			if !vis.Sees(&tv) {
 				return true
 			}
 			combined := append(append([]types.Value{}, lr.Vals...), tv.Row...)
@@ -540,12 +516,14 @@ type projectIter struct {
 	n     *ProjectNode
 	child Iter
 	env   *exec.Env
+	vals  types.Arena
+	row   Row // the row Next returns
 }
 
 func (n *ProjectNode) open(rt *Runtime) (Iter, error) {
 	child, err := n.Child.open(rt)
-	if err != nil {
-		return nil, err
+	if err != nil || n.identity {
+		return child, err // the child's rows are already the output
 	}
 	return &projectIter{n: n, child: child, env: rt.env(n.Child.Schema(), n.Strip)}, nil
 }
@@ -555,27 +533,37 @@ func (it *projectIter) Next() (*Row, error) {
 	if err != nil || r == nil {
 		return nil, err
 	}
-	it.env.Row, it.env.RowLabel, it.env.RowILabel = r.Vals, r.Lbl, r.ILbl
-	vals := make([]types.Value, len(it.n.Items))
-	for i, item := range it.n.Items {
-		v, err := exec.Eval(item.Expr, it.env)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
+	n := it.n
+	vals := it.vals.Take(len(n.Items))
 	var keys []types.Value
-	if len(it.n.OrderExprs) > 0 {
-		keys = make([]types.Value, len(it.n.OrderExprs))
-		for i, oe := range it.n.OrderExprs {
-			v, err := exec.Eval(oe, it.env)
-			if err != nil {
+	if n.cols != nil {
+		for i, c := range n.cols {
+			vals[i] = r.Vals[c]
+		}
+		if len(n.sortCols) > 0 {
+			keys = it.vals.Take(len(n.sortCols))
+			for i, c := range n.sortCols {
+				keys[i] = r.Vals[c]
+			}
+		}
+	} else {
+		it.env.Row, it.env.RowLabel, it.env.RowILabel = r.Vals, r.Lbl, r.ILbl
+		for i, item := range n.Items {
+			if vals[i], err = exec.Eval(item.Expr, it.env); err != nil {
 				return nil, err
 			}
-			keys[i] = v
+		}
+		if len(n.OrderExprs) > 0 {
+			keys = it.vals.Take(len(n.OrderExprs))
+			for i, oe := range n.OrderExprs {
+				if keys[i], err = exec.Eval(oe, it.env); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
-	return &Row{Vals: vals, Lbl: r.Lbl, ILbl: r.ILbl, Sort: keys}, nil
+	it.row = Row{Vals: vals, Lbl: r.Lbl, ILbl: r.ILbl, Sort: keys}
+	return &it.row, nil
 }
 
 func (it *projectIter) Close() { it.child.Close() }

@@ -134,9 +134,52 @@ type ProjectNode struct {
 	Strip      label.Label
 
 	schema exec.Schema
+
+	// Set by compile when every item and ORDER BY key is a plain
+	// reference to a child column: the projection is then a copy by
+	// ordinal, and when it copies every child column in order and
+	// sorts by nothing the child's rows pass through untouched.
+	cols     []int
+	sortCols []int
+	identity bool
 }
 
 func (n *ProjectNode) Schema() exec.Schema { return n.schema }
+
+// compile resolves a projection of plain column references once, at
+// plan time, instead of by name for every row. A reference that does
+// not resolve leaves the projection to exec.Eval, which reports it
+// where the legacy executor did: on the first row, and never on an
+// empty input.
+func (n *ProjectNode) compile() {
+	in := n.Child.Schema()
+	resolve := func(e sql.Expr) int {
+		cr, ok := e.(*sql.ColumnRef)
+		if !ok || cr.Column == "_label" || cr.Column == "_ilabel" {
+			return -1
+		}
+		i, err := in.Resolve(cr.Table, cr.Column)
+		if err != nil {
+			return -1
+		}
+		return i
+	}
+	cols := make([]int, len(n.Items))
+	sortCols := make([]int, len(n.OrderExprs))
+	identity := len(cols) == len(in) && len(sortCols) == 0
+	for i, item := range n.Items {
+		if cols[i] = resolve(item.Expr); cols[i] < 0 {
+			return
+		}
+		identity = identity && cols[i] == i
+	}
+	for i, oe := range n.OrderExprs {
+		if sortCols[i] = resolve(oe); sortCols[i] < 0 {
+			return
+		}
+	}
+	n.cols, n.sortCols, n.identity = cols, sortCols, identity
+}
 
 // AggregateNode groups and folds its input. Blocking by nature.
 type AggregateNode struct {

@@ -57,6 +57,13 @@ type Row struct {
 // Iter is a volcano-style iterator: Next returns the next row, or
 // (nil, nil) when the input is exhausted. Close releases resources and
 // flushes scan accounting; it is idempotent.
+//
+// The *Row belongs to the iterator and is valid until its next Next or
+// Close: a consumer that keeps a row past that copies the struct
+// (drainIter does, and with it sort, join, aggregate). What the row's
+// fields point to — Vals, Sort, the labels — is never overwritten, so
+// a copied Row, or Vals alone (DISTINCT, the engine's cursor), stays
+// good for the life of the statement. Nobody may modify them.
 type Iter interface {
 	Next() (*Row, error)
 	Close()
@@ -79,15 +86,18 @@ type Runtime struct {
 	// Visible is the MVCC snapshot predicate of the statement's
 	// transaction.
 	Visible func(xmin, xmax storage.XID) bool
-	// TupleVisible applies the Label Confinement and integrity rules.
-	TupleVisible func(tv *storage.TupleVersion, strip label.Label) bool
+	// LabelOK applies the Label Confinement and integrity rules to a
+	// tuple's labels under strip; nil when IFC is off. It only judges:
+	// the scan counts its refusals and reports them through OnScanned.
+	LabelOK func(l, il, strip label.Label) bool
 	// EffLabel strips declassified tags from a tuple label.
 	EffLabel func(l, strip label.Label) label.Label
 	// Check polls for statement cancellation; scans call it per tuple.
 	Check func() error
-	// OnScanned receives each scan's visited-tuple count once, when the
-	// scan finishes or is closed.
-	OnScanned func(int64)
+	// OnScanned receives each scan's counts once, when the scan
+	// finishes or is closed: tuples examined, and of those how many
+	// Label Confinement hid.
+	OnScanned func(visited, denied int64)
 }
 
 func (rt *Runtime) check() error {
@@ -97,9 +107,21 @@ func (rt *Runtime) check() error {
 	return rt.Check()
 }
 
-func (rt *Runtime) onScanned(n int64) {
+// visibility is the storage-level filter of one scan under strip: the
+// statement's snapshot, then Label Confinement, both applied by the
+// heap before it decodes a row. st is the scan's state.
+func (rt *Runtime) visibility(strip label.Label, st *storage.ScanState) storage.Visibility {
+	vis := storage.Visibility{See: rt.Visible, Scan: st}
+	if rt.LabelOK != nil {
+		vis.LabelOK = func(l, il label.Label) bool { return rt.LabelOK(l, il, strip) }
+	}
+	return vis
+}
+
+// report hands a finished scan's counts to OnScanned.
+func (rt *Runtime) report(st *storage.ScanState) {
 	if rt.OnScanned != nil {
-		rt.OnScanned(n)
+		rt.OnScanned(st.Visited, st.Denied)
 	}
 }
 

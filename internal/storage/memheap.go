@@ -88,7 +88,7 @@ func (h *MemHeap) ClearXmax(tid TID, xid XID) {
 // The heap holds its read lock across the callback. Callbacks must not
 // re-enter heap mutation methods (the executor buffers mutations and
 // applies them after the scan, as real executors do).
-func (h *MemHeap) Scan(fn func(tid TID, tv *TupleVersion) bool) {
+func (h *MemHeap) Scan(fn func(tid TID, tv *TupleVersion) bool) error {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	for i, tv := range h.versions {
@@ -96,36 +96,37 @@ func (h *MemHeap) Scan(fn func(tid TID, tv *TupleVersion) bool) {
 			continue
 		}
 		if !fn(TID(i), tv) {
-			return
+			break
 		}
 	}
+	return nil
 }
 
-// ScanFrom implements BatchScanner: it visits live versions with
-// TID >= start in TID order, stopping after max visits. The read lock
+// ScanFrom examines live versions with
+// TID >= start in TID order, stopping after max of them. The read lock
 // is released between batches, so a pull-based iterator can hold a
 // scan position without pinning the heap; versions inserted between
 // batches may or may not be visited, which is sound because a
 // statement's MVCC snapshot cannot see them anyway.
-func (h *MemHeap) ScanFrom(start TID, max int, fn func(tid TID, tv *TupleVersion) bool) (next TID, more bool) {
+func (h *MemHeap) ScanFrom(start TID, max int, vis Visibility, fn func(tid TID, tv *TupleVersion) bool) (next TID, more bool, err error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	i := int(start)
 	visited := 0
 	for ; i < len(h.versions); i++ {
 		if visited >= max {
-			return TID(i), true
+			return TID(i), true, nil
 		}
 		tv := h.versions[i]
 		if tv == nil {
 			continue
 		}
 		visited++
-		if !fn(TID(i), tv) {
-			return TID(i + 1), true
+		if vis.Sees(tv) && !fn(TID(i), tv) {
+			return TID(i + 1), true, nil
 		}
 	}
-	return TID(i), false
+	return TID(i), false, nil
 }
 
 // RestoreAt implements RecoverableHeap: it places tv at exactly tid,

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -121,22 +122,111 @@ func TestMemHeapBytesAccounting(t *testing.T) {
 }
 
 func TestVisibilityPredicate(t *testing.T) {
+	var st ScanState
 	vis := Visibility{
 		See:     func(xmin, xmax XID) bool { return xmin == 1 && xmax == 0 },
-		LabelOK: func(l label.Label) bool { return l.IsEmpty() },
+		LabelOK: func(l, il label.Label) bool { return l.IsEmpty() && il.Has(9) },
+		Scan:    &st,
 	}
-	if !vis.Sees(&TupleVersion{Xmin: 1}) {
+	if !vis.Sees(&TupleVersion{Xmin: 1, ILabel: label.New(9)}) {
 		t.Fatal("visible version rejected")
 	}
-	if vis.Sees(&TupleVersion{Xmin: 2}) {
+	if vis.Sees(&TupleVersion{Xmin: 2, ILabel: label.New(9)}) {
 		t.Fatal("invisible xmin accepted")
 	}
-	if vis.Sees(&TupleVersion{Xmin: 1, Label: label.New(5)}) {
+	if vis.Sees(&TupleVersion{Xmin: 1, Label: label.New(5), ILabel: label.New(9)}) {
 		t.Fatal("labeled version accepted")
+	}
+	if vis.Sees(&TupleVersion{Xmin: 1}) {
+		t.Fatal("version below the integrity label accepted")
+	}
+	// A version the snapshot hides is not a label denial.
+	if st.Visited != 4 || st.Denied != 2 {
+		t.Fatalf("visited %d denied %d, want 4 and 2", st.Visited, st.Denied)
 	}
 	// Nil predicates are exempt.
 	if !(Visibility{}).Sees(&TupleVersion{Xmin: 77, Label: label.New(1)}) {
 		t.Fatal("exempt visibility rejected")
+	}
+}
+
+// TestSeesStored: the stored-form check gives Sees's answers, decodes
+// and judges each distinct label pair once, and still counts every
+// version.
+func TestSeesStored(t *testing.T) {
+	enc := func(l, il label.Label) []byte {
+		b, _ := label.AppendEncode(nil, l)
+		b, _ = label.AppendEncode(b, il)
+		return append(b, 0xEE, 0xEE) // the row follows the labels
+	}
+	calls := 0
+	var st ScanState
+	vis := Visibility{
+		See:     func(xmin, xmax XID) bool { return xmax == 0 },
+		LabelOK: func(l, il label.Label) bool { calls++; return !l.Has(7) },
+		Scan:    &st,
+	}
+	open, secret := enc(label.New(1, 2), label.New(3)), enc(label.New(7), nil)
+	for i := 0; i < 100; i++ {
+		rec, want := open, true
+		if i%2 == 1 {
+			rec, want = secret, false
+		}
+		l, il, n, ok, err := vis.SeesStored(1, 0, rec)
+		if err != nil || ok != want || n != len(rec)-2 {
+			t.Fatalf("version %d: ok=%v n=%d err=%v", i, ok, n, err)
+		}
+		if want && (!l.Equal(label.New(1, 2)) || !il.Equal(label.New(3))) {
+			t.Fatalf("version %d decoded as %v / %v", i, l, il)
+		}
+	}
+	if _, _, _, ok, _ := vis.SeesStored(1, 5, secret); ok {
+		t.Fatal("deleted version accepted")
+	}
+	if calls != 2 {
+		t.Fatalf("LabelOK ran %d times for 2 distinct labels", calls)
+	}
+	if st.Visited != 101 || st.Denied != 50 {
+		t.Fatalf("visited %d denied %d, want 101 and 50", st.Visited, st.Denied)
+	}
+	for _, bad := range [][]byte{nil, {1}, {0}, {1, 0, 0, 0, 0}, {0, 2, 0, 0, 0, 0}} {
+		if _, _, _, _, err := vis.SeesStored(1, 0, bad); err == nil {
+			t.Fatalf("truncated labels %v accepted", bad)
+		}
+	}
+}
+
+// TestMemHeapScanFrom: batches resume where they stopped, hidden
+// versions never reach fn, and every live version is counted once.
+func TestMemHeapScanFrom(t *testing.T) {
+	h := NewMemHeap()
+	for i := 0; i < 10; i++ {
+		tv := TupleVersion{Row: row(int64(i)), Xmin: 1}
+		if i%2 == 1 {
+			tv.Label = label.New(7)
+		}
+		h.Insert(tv)
+	}
+	h.Vacuum(func(tv *TupleVersion) bool { return tv.Row[0].Int() == 4 })
+	var st ScanState
+	vis := Visibility{LabelOK: func(l, il label.Label) bool { return l.IsEmpty() }, Scan: &st}
+	var got []int64
+	next, more := TID(0), true
+	for batches := 0; more; batches++ {
+		var err error
+		next, more, err = h.ScanFrom(next, 3, vis, func(_ TID, tv *TupleVersion) bool {
+			got = append(got, tv.Row[0].Int())
+			return true
+		})
+		if err != nil || batches > 4 {
+			t.Fatalf("batch %d: err %v", batches, err)
+		}
+	}
+	if fmt.Sprint(got) != "[0 2 6 8]" {
+		t.Fatalf("scan saw %v", got)
+	}
+	if st.Visited != 9 || st.Denied != 5 {
+		t.Fatalf("visited %d denied %d, want 9 and 5", st.Visited, st.Denied)
 	}
 }
 

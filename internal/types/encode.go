@@ -108,7 +108,11 @@ func EncodeRow(buf []byte, row []Value) ([]byte, error) {
 
 // DecodeRow decodes a row encoded by EncodeRow, returning the values
 // and bytes consumed.
-func DecodeRow(buf []byte) ([]Value, int, error) {
+func DecodeRow(buf []byte) ([]Value, int, error) { return DecodeRowArena(nil, buf) }
+
+// DecodeRowArena is DecodeRow with the row carved from a (see
+// Arena.Take).
+func DecodeRowArena(a *Arena, buf []byte) ([]Value, int, error) {
 	n, sz := binary.Uvarint(buf)
 	// Each value encodes to at least one byte: a count the remaining
 	// buffer cannot hold is corruption, caught before the allocation
@@ -117,16 +121,54 @@ func DecodeRow(buf []byte) ([]Value, int, error) {
 		return nil, 0, fmt.Errorf("types: bad row header")
 	}
 	off := sz
-	row := make([]Value, 0, n)
-	for i := uint64(0); i < n; i++ {
+	row := a.Take(int(n))
+	for i := range row {
 		v, used, err := DecodeValue(buf[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("types: row col %d: %w", i, err)
 		}
-		row = append(row, v)
+		row[i] = v
 		off += used
 	}
 	return row, off, nil
+}
+
+// Arena hands out rows carved from shared backing arrays, so a producer
+// of many rows (a heap scan, a projection) allocates once per block of
+// rows instead of once per row. Rows are never handed out twice: a row
+// stays valid for as long as its holder keeps it, at the price of
+// pinning its block. Blocks start at one row and quadruple up to
+// arenaMaxRows, so a one-row statement pays for one row. The zero
+// Arena is ready to use; a nil *Arena allocates every row on its own.
+type Arena struct {
+	free []Value
+	rows int // rows in the current block
+}
+
+const arenaMaxRows = 256
+
+// Reserve makes room for rows more rows of n values in one block, for
+// a producer that knows how many are coming.
+func (a *Arena) Reserve(rows, n int) {
+	if len(a.free) < rows*n {
+		a.free = make([]Value, rows*n)
+		a.rows = min(max(rows, 1), arenaMaxRows)
+	}
+}
+
+// Take returns a zeroed row of n values whose capacity is n, so an
+// append by the holder cannot run into a neighbouring row.
+func (a *Arena) Take(n int) []Value {
+	if a == nil {
+		return make([]Value, n)
+	}
+	if len(a.free) < n {
+		a.rows = min(max(4*a.rows, 1), arenaMaxRows)
+		a.free = make([]Value, a.rows*n)
+	}
+	row := a.free[:n:n]
+	a.free = a.free[n:]
+	return row
 }
 
 // Float64FromBits is a helper for tests exercising float edge cases.

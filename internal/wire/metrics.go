@@ -13,6 +13,8 @@ var (
 		"Protocol frames written to clients (results, chunks, control replies).")
 	mRowsBytes = obs.NewCounter("ifdb_wire_rows_bytes_total",
 		"Encoded payload bytes of ROWS frames written to clients — the bytes-on-wire cost of result streaming (partial-aggregate pushdown shrinks it).")
+	gStreamBuffered = obs.NewGauge("ifdb_wire_stream_buffered_bytes",
+		"Bytes result streaming holds: every connection's chunk encode buffer, plus the result rows open cursors hold at their encoded size (one chunk of a streamed result, all of a materialized one).")
 	mSlowQueries = obs.NewCounter("ifdb_server_slow_queries_total",
 		"Statements whose total server-side time exceeded the slow-query threshold.")
 	mStmtSeconds = obs.NewDurationHistogram("ifdb_server_stmt_seconds",

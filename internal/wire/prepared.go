@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"ifdb/internal/label"
 	"ifdb/internal/types"
@@ -274,8 +275,47 @@ const (
 	chunkShardMap = 1 << 3
 )
 
-// Encode marshals c.
+// Encode marshals c into a buffer of exactly its encoded size.
 func (c *RowsChunk) Encode() ([]byte, error) {
+	return c.AppendEncode(make([]byte, 0, c.encodedSize()))
+}
+
+// encodedSize returns len(c.AppendEncode(nil)).
+func (c *RowsChunk) encodedSize() int {
+	n := 1 + uvarintLen(len(c.Rows))
+	if c.First {
+		n += uvarintLen(len(c.Cols))
+		for _, col := range c.Cols {
+			n += uvarintLen(len(col)) + len(col)
+		}
+	}
+	for _, row := range c.Rows {
+		n += uvarintLen(len(row))
+		for _, v := range row {
+			n += types.EncodedSize(v)
+		}
+	}
+	for _, l := range c.RowLabels {
+		n += labelSize(l)
+	}
+	if c.Done {
+		n += uvarintLen(len(c.Err)) + len(c.Err) + 8 + 16
+		n += labelSize(c.Label) + labelSize(c.ILabel)
+		if c.ShardMap != nil {
+			n += len(c.ShardMap.Encode())
+		}
+	}
+	return n
+}
+
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// labelSize returns len(appendLabel(nil, l)).
+func labelSize(l label.Label) int { return uvarintLen(len(l)) + 8*len(l) }
+
+// AppendEncode appends c's encoding to buf, which a sender reuses from
+// chunk to chunk.
+func (c *RowsChunk) AppendEncode(buf []byte) ([]byte, error) {
 	var flags byte
 	if c.First {
 		flags |= chunkFirst
@@ -289,7 +329,7 @@ func (c *RowsChunk) Encode() ([]byte, error) {
 	if c.Done && c.ShardMap != nil {
 		flags |= chunkShardMap
 	}
-	buf := []byte{flags}
+	buf = append(buf, flags)
 	if c.First {
 		buf = binary.AppendUvarint(buf, uint64(len(c.Cols)))
 		for _, col := range c.Cols {
@@ -356,8 +396,15 @@ func DecodeRowsChunk(buf []byte) (*RowsChunk, error) {
 	}
 	buf = buf[sz:]
 	c.Rows = make([][]types.Value, nrows)
+	// One block holds the chunk's values when its rows are as wide as
+	// the first (a value takes at least a byte, so a count the payload
+	// cannot hold reserves no more than the payload is long).
+	var vals types.Arena
+	if ncols, sz := binary.Uvarint(buf); sz > 0 && ncols <= uint64(len(buf)) && nrows*ncols <= uint64(len(buf)) {
+		vals.Reserve(int(nrows), int(ncols))
+	}
 	for i := range c.Rows {
-		row, n, err := types.DecodeRow(buf)
+		row, n, err := types.DecodeRowArena(&vals, buf)
 		if err != nil {
 			return nil, err
 		}
@@ -366,11 +413,23 @@ func DecodeRowsChunk(buf []byte) (*RowsChunk, error) {
 	}
 	if hasLabels {
 		c.RowLabels = make([]label.Label, nrows)
+		// The row labels share one array, sized when it runs out to
+		// every tag the rest of the payload could still carry.
+		var tags []label.Tag
 		for i := range c.RowLabels {
-			c.RowLabels[i], buf, err = readLabel(buf)
-			if err != nil {
+			var n int
+			if n, buf, err = readLabelLen(buf); err != nil {
 				return nil, err
 			}
+			if n == 0 {
+				continue
+			}
+			if cap(tags)-len(tags) < n {
+				tags = make([]label.Tag, 0, len(buf)/8)
+			}
+			end := len(tags) + n
+			c.RowLabels[i], buf = fillLabel(label.Label(tags[len(tags):end:end]), buf)
+			tags = tags[:end]
 		}
 	}
 	if c.Done {

@@ -67,21 +67,32 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame.
+// ReadFrame reads one frame into a payload of its own.
 func ReadFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
+	typ, payload, _, err = ReadFrameInto(r, nil)
+	return typ, payload, err
+}
+
+// ReadFrameInto reads one frame into buf, growing it when the frame
+// does not fit, and returns the buffer for the caller's next read. The
+// payload aliases it: decode before reading the next frame.
+func ReadFrameInto(r *bufio.Reader, buf []byte) (typ byte, payload, grown []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n == 0 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("wire: bad frame length %d", n)
+		return 0, nil, buf, fmt.Errorf("wire: bad frame length %d", n)
 	}
-	buf := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
-	return buf[0], buf[1:], nil
+	return buf[0], buf[1:], buf, nil
 }
 
 // --- payload encoding helpers -------------------------------------------
@@ -119,24 +130,36 @@ func appendLabel(buf []byte, l label.Label) []byte {
 }
 
 func readLabel(buf []byte) (label.Label, []byte, error) {
+	n, buf, err := readLabelLen(buf)
+	if err != nil || n == 0 {
+		return nil, buf, err
+	}
+	l, buf := fillLabel(make(label.Label, n), buf)
+	return l, buf, nil
+}
+
+// readLabelLen reads a label's tag count, which the rest of buf is
+// long enough to hold.
+func readLabelLen(buf []byte) (int, []byte, error) {
 	n, sz := binary.Uvarint(buf)
 	// Each tag takes 8 bytes: a count the remaining payload cannot
 	// hold is corruption, caught before the allocation sized by it.
 	if sz <= 0 || n > uint64(len(buf)-sz)/8 {
-		return nil, nil, fmt.Errorf("wire: bad label")
+		return 0, nil, fmt.Errorf("wire: bad label")
 	}
-	buf = buf[sz:]
-	tags := make([]label.Tag, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var v uint64
-		var err error
-		v, buf, err = readU64(buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		tags = append(tags, label.Tag(v))
+	return int(n), buf[sz:], nil
+}
+
+// fillLabel reads len(l) tags from buf into l and normalizes it.
+func fillLabel(l label.Label, buf []byte) (label.Label, []byte) {
+	for i := range l {
+		l[i] = label.Tag(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
-	return label.New(tags...), buf, nil
+	buf = buf[8*len(l):]
+	if !l.Normalized() {
+		l = label.New(l...)
+	}
+	return l, buf
 }
 
 // --- Hello ---------------------------------------------------------------

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -218,6 +219,8 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
+	rows := &rowsWriter{w: w}
+	defer rows.release()
 
 	typ, payload, err := ReadFrame(r)
 	if err != nil {
@@ -346,7 +349,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			sess.SetTraceID(e.TraceID)
 			t0 := time.Now()
-			if err := s.runExecute(sess, stmts, e, w); err != nil {
+			if err := s.runExecute(sess, stmts, e, rows); err != nil {
 				return
 			}
 			if err := w.Flush(); err != nil {
@@ -542,7 +545,7 @@ func (s *Server) runQuery(sess *engine.Session, q *Query) *Result {
 // by MaxFrame — with the statement trailer on the final chunk. A
 // returned error means the connection is broken; statement failures
 // travel inside the stream.
-func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepared, e *Execute, w *bufio.Writer) error {
+func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepared, e *Execute, w *rowsWriter) error {
 	// A cancel can only be meant for the statement that was running
 	// when it was sent; don't let a late one kill this fresh statement
 	// before it starts.
@@ -566,14 +569,14 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 			msg := fmt.Sprintf("%s: statement routed under version %d, server at version %d", StaleShardMapErr, e.ShardVer, m.Version)
 			c := trailer(msg, m)
 			c.First = true
-			return writeChunk(w, c)
+			return w.writeChunk(c)
 		}
 	}
 	if e.WaitLSN > 0 {
 		if err := s.waitApplied(e.WaitLSN); err != nil {
 			c := trailer(err.Error(), nil)
 			c.First = true
-			return writeChunk(w, c)
+			return w.writeChunk(c)
 		}
 	}
 	planNs := time.Since(planT0).Nanoseconds()
@@ -593,7 +596,7 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 	if err != nil {
 		c := trailer(err.Error(), nil)
 		c.First = true
-		return writeChunk(w, c)
+		return w.writeChunk(c)
 	}
 	streamT0 := time.Now()
 	serr := s.streamCursor(sess, w, cur, e.ChunkRows, trailer)
@@ -612,8 +615,9 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 // CANCEL lands within one batch — the cursor aborts the statement's
 // transaction and the stream terminates with an ErrCanceled trailer
 // instead of scanning (or shipping) the rest of the result.
-func (s *Server) streamCursor(sess *engine.Session, w *bufio.Writer, cur *engine.Cursor, chunkRows uint32, trailer func(string, *ShardMap) *RowsChunk) error {
+func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.Cursor, chunkRows uint32, trailer func(string, *ShardMap) *RowsChunk) error {
 	defer cur.Close()
+	defer w.account(0)
 	chunk := int(chunkRows)
 	if chunk <= 0 || chunk > 1<<20 {
 		chunk = DefaultChunkRows
@@ -627,13 +631,13 @@ func (s *Server) streamCursor(sess *engine.Session, w *bufio.Writer, cur *engine
 			}
 			t := trailer(engine.ErrCanceled.Error(), nil)
 			t.First = false
-			return writeChunk(w, t)
+			return w.writeChunk(t)
 		}
 		rows, labels, err := cur.NextBatch(chunk)
 		if err != nil {
 			t := trailer(err.Error(), nil)
 			t.First = first
-			return writeChunk(w, t)
+			return w.writeChunk(t)
 		}
 		if len(rows) == 0 {
 			break
@@ -644,11 +648,22 @@ func (s *Server) streamCursor(sess *engine.Session, w *bufio.Writer, cur *engine
 			c.Cols = cur.Cols()
 			first = false
 		}
-		if err := writeChunk(w, c); err != nil {
+		if err := w.writeChunk(c); err != nil {
 			return err
 		}
-		if err := w.Flush(); err != nil {
+		// The rows the cursor holds, at this chunk's encoded size a row.
+		w.account(cur.Buffered() * len(w.buf) / len(rows))
+		if err := w.w.Flush(); err != nil {
 			return err
+		}
+		// A statement that streams never blocks, and on a host of few
+		// processors that can leave no thread polling the network: the
+		// client would then sit on these first rows, and an out-of-band
+		// CANCEL on its accept, until the runtime's monitor polls (up to
+		// 10 ms, or the whole drain). Yielding once wakes a poller; a
+		// short first chunk is the whole result and needs none.
+		if c.First && len(rows) == chunk {
+			runtime.Gosched()
 		}
 	}
 	t := trailer("", nil)
@@ -657,21 +672,46 @@ func (s *Server) streamCursor(sess *engine.Session, w *bufio.Writer, cur *engine
 	if first {
 		t.Cols = cur.Cols()
 	}
-	return writeChunk(w, t)
+	return w.writeChunk(t)
+}
+
+// rowsWriter sends one connection's ROWS frames. Every chunk is encoded
+// into the one buffer, which grows to the largest chunk the connection
+// has sent and stays with it, so a stream allocates no frame of its
+// own.
+type rowsWriter struct {
+	w    *bufio.Writer
+	buf  []byte // the last chunk encoded
+	held int64  // this connection's share of gStreamBuffered
+}
+
+// account sets what the connection buffers for result streaming: its
+// encode buffer plus resultBytes of rows an open cursor holds.
+func (rw *rowsWriter) account(resultBytes int) {
+	held := int64(cap(rw.buf) + resultBytes)
+	gStreamBuffered.Add(held - rw.held)
+	rw.held = held
+}
+
+// release gives the connection's share back when it closes.
+func (rw *rowsWriter) release() {
+	gStreamBuffered.Add(-rw.held)
+	rw.held = 0
 }
 
 // writeChunk encodes and sends one ROWS frame, splitting the chunk in
 // half (recursively) when the encoding would exceed the frame limit —
 // only a single unencodable row gives up.
-func writeChunk(w *bufio.Writer, c *RowsChunk) error {
-	enc, err := c.Encode()
+func (rw *rowsWriter) writeChunk(c *RowsChunk) error {
+	enc, err := c.AppendEncode(rw.buf[:0])
 	if err != nil {
 		return err
 	}
+	rw.buf = enc
 	if len(enc)+1 <= MaxFrame {
 		mFramesOut.Inc()
 		mRowsBytes.Add(int64(len(enc)))
-		return WriteFrame(w, MsgRows, enc)
+		return WriteFrame(rw.w, MsgRows, enc)
 	}
 	if len(c.Rows) <= 1 {
 		return fmt.Errorf("wire: single row exceeds the %d-byte frame limit", MaxFrame)
@@ -688,10 +728,10 @@ func writeChunk(w *bufio.Writer, c *RowsChunk) error {
 		left.RowLabels = c.RowLabels[:half]
 		right.RowLabels = c.RowLabels[half:]
 	}
-	if err := writeChunk(w, left); err != nil {
+	if err := rw.writeChunk(left); err != nil {
 		return err
 	}
-	return writeChunk(w, right)
+	return rw.writeChunk(right)
 }
 
 func (s *Server) runControl(sess *engine.Session, c *Control) *CtrlRes {
