@@ -6,16 +6,15 @@
 // statements pin their plan in the handle): the real SQL parser
 // produces a stmtPlan carrying the routing classification — read-only
 // / transaction control / DDL / side effects — and the shard-key
-// derivation (shardkey.go). Unparsable input falls back to the
-// conservative text heuristics that predate the parser path
-// (router.go's old prefix scans, shard.go's text extraction), so a
-// statement the server's dialect knows but the client parser does not
-// still routes safely.
+// derivation (shardkey.go). Client and server call the same parser
+// (sql.ParseAll), so text the client cannot parse the server cannot
+// either: such a batch is a non-read-only statement with no shard key.
+// Unsharded it goes to the primary, which answers with the parser's
+// error; sharded the Router refuses it with that error.
 
 package client
 
 import (
-	"strings"
 	"sync"
 
 	"ifdb/internal/sql"
@@ -24,7 +23,7 @@ import (
 // stmtPlan is one statement batch's analysis. Immutable once built;
 // shared freely across goroutines and prepared handles.
 type stmtPlan struct {
-	parsed bool // AST analysis succeeded; false → text fallback
+	parseErr error // the text does not parse; every field below is zero
 
 	txnControl bool // any BEGIN/COMMIT/ROLLBACK
 	ddl        bool // any CREATE/DROP
@@ -40,8 +39,6 @@ type stmtPlan struct {
 	eqPairs    []eqPair  // WHERE top-level conjunct equalities / IN lists
 	setCols    []string  // UPDATE SET columns (key reassignment check)
 	derivable  bool      // the shapes above may confine the statement
-
-	sqlText string // original text (fallback paths re-scan it)
 }
 
 // sideEffectFuncs are the SELECT-invocable functions that mutate
@@ -93,22 +90,16 @@ func planFor(sqlText string) *stmtPlan {
 	return p
 }
 
-// analyzeStmt builds a stmtPlan from the parsed AST, or a text-
-// fallback plan when parsing fails.
+// analyzeStmt builds a stmtPlan from the parsed AST.
 func analyzeStmt(sqlText string) *stmtPlan {
-	p := &stmtPlan{sqlText: sqlText}
+	p := &stmtPlan{}
 	stmts, err := sql.ParseAll(sqlText)
-	if err != nil || len(stmts) == 0 {
-		// The server may understand a dialect the client parser does
-		// not: classify by the conservative text scans instead.
-		p.readOnly = isReadOnlyText(sqlText)
-		p.txnControl = isTxnControlText(sqlText)
-		p.ddl = isDDLText(sqlText)
+	if err != nil {
+		p.parseErr = err
 		return p
 	}
-	p.parsed = true
 
-	allSelect := true
+	allSelect := len(stmts) > 0 // an empty batch is nothing to load-balance
 	ddlCount := 0
 	for _, st := range stmts {
 		switch st.(type) {
@@ -148,39 +139,4 @@ func analyzeStmt(sqlText string) *stmtPlan {
 		p.deriveShardShape(stmts[0])
 	}
 	return p
-}
-
-// --------------------------------------------------------------------------
-// Text fallback classification (the pre-parser heuristics, kept for
-// input the client-side parser cannot handle).
-
-// isReadOnlyText is the conservative prefix/substring scan: plain
-// SELECTs without side-effectful function names.
-func isReadOnlyText(sqlText string) bool {
-	s := strings.TrimSpace(sqlText)
-	up := strings.ToUpper(s)
-	if !strings.HasPrefix(up, "SELECT") {
-		return false
-	}
-	for _, fn := range []string{
-		"ADDSECRECY", "DECLASSIFY", "ENDORSE", "DROPINTEGRITY",
-		"NEXTVAL", "CREATE_SEQUENCE", "CALL",
-	} {
-		if strings.Contains(up, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// isTxnControlText reports BEGIN/COMMIT/ROLLBACK by prefix.
-func isTxnControlText(sqlText string) bool {
-	up := strings.ToUpper(strings.TrimSpace(sqlText))
-	return strings.HasPrefix(up, "BEGIN") || strings.HasPrefix(up, "COMMIT") || strings.HasPrefix(up, "ROLLBACK")
-}
-
-// isDDLText reports schema statements by prefix.
-func isDDLText(sqlText string) bool {
-	up := strings.ToUpper(strings.TrimSpace(sqlText))
-	return strings.HasPrefix(up, "CREATE") || strings.HasPrefix(up, "DROP") || strings.HasPrefix(up, "ALTER")
 }

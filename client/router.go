@@ -870,6 +870,9 @@ func (r *Router) execSharded(ctx context.Context, rs routedStmt, params []Value)
 		return r.fanoutRead(ctx, rs, params)
 	}
 	if !ok {
+		if rs.plan.parseErr != nil {
+			return nil, fmt.Errorf("client: statement is not routable in a sharded cluster: %w", rs.plan.parseErr)
+		}
 		if table == "" {
 			// Label, sequence, and procedure statements (SELECT
 			// addsecrecy(...), nextval, CALL) have no table to route

@@ -2,13 +2,13 @@
 // subsystem (internal/distplan). A keyless read over a sharded
 // cluster is split at the shard boundary into a per-shard fragment —
 // scan, pushed predicates, projection, and *partial* aggregation —
-// and a gateway merge over the fragments' streams: k-way ordered
-// merge, SUM-of-COUNTs / AVG recomposition, re-applied HAVING, top-K
-// LIMIT. Statements the gateway cannot finalize exactly (declassify,
-// engine-resident functions, subqueries, joins, views) are never
-// split; they fall back to the bounded-concurrency union of the
-// per-shard streams, which replaced the old one-shard-at-a-time
-// drain.
+// and a gateway merge over the fragments' streams: a tree of the
+// engine's own operators (internal/plan) — ordered merge, aggregate
+// with SUM-of-COUNTs / AVG recomposition, re-applied HAVING, sort,
+// DISTINCT, LIMIT. Statements the gateway cannot finalize exactly
+// (declassify, engine-resident functions, subqueries, joins, views)
+// are never split; they fall back to the bounded-concurrency union of
+// the per-shard streams.
 //
 // Every shard stream opens through readShardedStream, so the split
 // path keeps the Router's whole read discipline: pooled connections,

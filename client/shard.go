@@ -3,31 +3,18 @@
 //
 // A shard map — fetched from any node's SHARDMAP frame, or supplied
 // in RouterConfig — assigns the keyspace to shards, each an ordinary
-// epoch-fenced replication group. The Router extracts the shard key
-// from single-table statements (this file), hashes it, and routes the
-// statement to the owning shard's primary (writes) or replicas
-// (reads, with that shard's read-your-writes token). Reads whose key
-// cannot be derived fan out to every shard and merge; writes without
-// a derivable key are refused — the Router will not guess where a
-// write belongs.
-//
-// Key extraction here is the conservative, text-level scan — since
-// API v2 it is only the FALLBACK for statements the client-side SQL
-// parser cannot handle; the primary path derives keys from the AST
-// (shardkey.go), which additionally understands IN (...) lists,
-// quoted identifiers, and key equalities alongside OR-bearing sibling
-// conjuncts. When in doubt either path reports "not derivable" and
-// the safe route (fan-out read, refused write) is taken. The server's
-// shard-ownership guard backstops any residual misrouting.
+// epoch-fenced replication group. The Router derives the shard key
+// from a single-table statement's AST (shardkey.go), hashes it, and
+// routes the statement to the owning shard's primary (writes) or
+// replicas (reads, with that shard's read-your-writes token). Reads
+// whose key cannot be derived fan out to every shard and merge; writes
+// without a derivable key are refused — the Router will not guess
+// where a write belongs. The server's shard-ownership guard backstops
+// any residual misrouting.
 
 package client
 
-import (
-	"strconv"
-	"strings"
-
-	"ifdb/internal/wire"
-)
+import "ifdb/internal/wire"
 
 // ShardMap re-exports the wire-level shard map (see wire.ShardMap for
 // the invariants: version-stamped, shard ids 0..n-1, keys hash by
@@ -41,317 +28,3 @@ type Shard = wire.Shard
 // ParseShardMap reads the operator-facing shard map text format (the
 // -shard-map file of ifdb-server).
 var ParseShardMap = wire.ParseShardMap
-
-// shardTarget extracts the table a single-table statement addresses
-// and the canonical shard-key string confining it, when derivable:
-//
-//   - INSERT INTO t (cols) VALUES (...): the value at the shard-key
-//     column; with no column list, the shard key is assumed to be the
-//     FIRST column (sharded tables should lead with their key, or
-//     inserts should name columns). Multi-row and INSERT..SELECT are
-//     not derivable.
-//   - UPDATE t / DELETE FROM t / SELECT .. FROM t with a WHERE clause
-//     containing `key = <literal|$n>` and no OR (an OR could reach
-//     rows beyond that key's shard).
-//
-// ok=false means the statement is not confined to one shard: reads
-// fan out, writes are refused.
-func shardTarget(m *ShardMap, sqlText string, params []Value) (table, key string, ok bool) {
-	s := strings.TrimSpace(sqlText)
-	up := strings.ToUpper(s)
-	switch {
-	case strings.HasPrefix(up, "INSERT"):
-		return insertTarget(m, s, up, params)
-	case strings.HasPrefix(up, "UPDATE"):
-		table = firstWord(s[len("UPDATE"):])
-	case strings.HasPrefix(up, "DELETE"):
-		rest := strings.TrimSpace(s[len("DELETE"):])
-		if !strings.HasPrefix(strings.ToUpper(rest), "FROM") {
-			return "", "", false
-		}
-		table = firstWord(rest[len("FROM"):])
-	case strings.HasPrefix(up, "SELECT"):
-		i := strings.Index(up, " FROM ")
-		if i < 0 {
-			return "", "", false
-		}
-		table = firstWord(s[i+len(" FROM "):])
-	default:
-		return "", "", false
-	}
-	if table == "" || !singleTable(up, table) {
-		return table, "", false
-	}
-	keyCol := m.KeyColumn(table)
-	if keyCol == "" {
-		return table, "", false
-	}
-	key, ok = whereKey(s, up, keyCol, params)
-	return table, key, ok
-}
-
-// insertTarget handles the INSERT shapes.
-func insertTarget(m *ShardMap, s, up string, params []Value) (table, key string, ok bool) {
-	rest := strings.TrimSpace(s[len("INSERT"):])
-	if !strings.HasPrefix(strings.ToUpper(rest), "INTO") {
-		return "", "", false
-	}
-	rest = strings.TrimSpace(rest[len("INTO"):])
-	table = firstWord(rest)
-	if table == "" {
-		return "", "", false
-	}
-	keyCol := m.KeyColumn(table)
-	if keyCol == "" {
-		return table, "", false
-	}
-	rest = strings.TrimSpace(rest[len(table):])
-
-	// Optional explicit column list fixes the key position; otherwise
-	// the shard key is assumed first.
-	keyPos := 0
-	if strings.HasPrefix(rest, "(") {
-		cols, after, cok := parenList(rest)
-		if !cok {
-			return table, "", false
-		}
-		keyPos = -1
-		for i, c := range cols {
-			if strings.EqualFold(strings.TrimSpace(c), keyCol) {
-				keyPos = i
-				break
-			}
-		}
-		if keyPos < 0 {
-			return table, "", false // key column not inserted: not routable
-		}
-		rest = strings.TrimSpace(after)
-	}
-	upRest := strings.ToUpper(rest)
-	if !strings.HasPrefix(upRest, "VALUES") {
-		return table, "", false // INSERT ... SELECT and friends
-	}
-	rest = strings.TrimSpace(rest[len("VALUES"):])
-	vals, after, vok := parenList(rest)
-	if !vok || keyPos >= len(vals) {
-		return table, "", false
-	}
-	if strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(after), ";")) != "" {
-		return table, "", false // multi-row VALUES (...),(...) or trailing clauses
-	}
-	key, ok = canonicalValue(strings.TrimSpace(vals[keyPos]), params)
-	return table, key, ok
-}
-
-// singleTable reports whether the statement plausibly addresses only
-// the named table: no JOIN and no comma-separated FROM list right
-// after it.
-func singleTable(up, table string) bool {
-	if strings.Contains(up, " JOIN ") {
-		return false
-	}
-	i := strings.Index(up, strings.ToUpper(table))
-	if i < 0 {
-		return false
-	}
-	after := strings.TrimSpace(up[i+len(table):])
-	return !strings.HasPrefix(after, ",")
-}
-
-// whereKey scans the WHERE clause for `keyCol = <value>` under a
-// conjunction-only clause. The scan runs over a copy with string
-// literals blanked out (length-preserving), so neither the key column
-// nor an OR hiding inside a quoted value can fool it; the value
-// itself is read from the original clause at the matched offset.
-func whereKey(s, up, keyCol string, params []Value) (string, bool) {
-	wi := strings.Index(up, " WHERE ")
-	if wi < 0 {
-		return "", false
-	}
-	clause := s[wi+len(" WHERE "):]
-	upBlank := strings.ToUpper(blankQuotes(clause))
-	if hasWord(upBlank, "OR") || hasWord(upBlank, "NOT") {
-		// A disjunct can reach other shards, and a negation turns a
-		// key equality into its complement — either way `key = v` no
-		// longer confines the statement.
-		return "", false
-	}
-	upKey := strings.ToUpper(keyCol)
-	for from := 0; ; {
-		i := strings.Index(upBlank[from:], upKey)
-		if i < 0 {
-			return "", false
-		}
-		i += from
-		from = i + len(upKey)
-		// Word boundaries: `k` must not match inside `pk` or `key2`.
-		if i > 0 && isIdentChar(upBlank[i-1]) {
-			continue
-		}
-		rest := strings.TrimSpace(clause[i+len(keyCol):])
-		if len(rest) > 0 && isIdentChar(rest[0]) {
-			continue
-		}
-		if !strings.HasPrefix(rest, "=") {
-			continue
-		}
-		return canonicalValue(strings.TrimSpace(rest[1:]), params)
-	}
-}
-
-// blankQuotes replaces every character inside '...' string literals
-// (including the quotes) with spaces, preserving length so offsets in
-// the result index into the original.
-func blankQuotes(s string) string {
-	b := []byte(s)
-	in := false
-	for i := 0; i < len(b); i++ {
-		if b[i] == '\'' {
-			in = !in
-			b[i] = ' '
-			continue
-		}
-		if in {
-			b[i] = ' '
-		}
-	}
-	return string(b)
-}
-
-// hasWord reports a standalone occurrence of word (any whitespace or
-// punctuation boundary — " OR ", "\nOR(", ...) in an upper-cased,
-// quote-blanked clause. Substrings inside identifiers (ORDER, KNOT)
-// do not match.
-func hasWord(upBlank, word string) bool {
-	for from := 0; ; {
-		i := strings.Index(upBlank[from:], word)
-		if i < 0 {
-			return false
-		}
-		i += from
-		from = i + len(word)
-		if i > 0 && isIdentChar(upBlank[i-1]) {
-			continue
-		}
-		if i+len(word) < len(upBlank) && isIdentChar(upBlank[i+len(word)]) {
-			continue
-		}
-		return true
-	}
-}
-
-// parenList parses a leading parenthesized list, splitting top-level
-// commas (quotes respected), returning the items and the remainder
-// after the closing parenthesis.
-func parenList(s string) (items []string, after string, ok bool) {
-	if !strings.HasPrefix(s, "(") {
-		return nil, "", false
-	}
-	depth, start, inQuote := 0, 1, false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inQuote {
-			if c == '\'' {
-				inQuote = false
-			}
-			continue
-		}
-		switch c {
-		case '\'':
-			inQuote = true
-		case '(':
-			depth++
-		case ')':
-			depth--
-			if depth == 0 {
-				items = append(items, s[start:i])
-				return items, s[i+1:], true
-			}
-		case ',':
-			if depth == 1 {
-				items = append(items, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return nil, "", false
-}
-
-// canonicalValue renders one SQL value token — a $n parameter, a
-// numeric literal, or a 'string' literal — in the canonical form the
-// server hashes (types.Value.String()).
-func canonicalValue(tok string, params []Value) (string, bool) {
-	if tok == "" {
-		return "", false
-	}
-	switch {
-	case tok[0] == '$':
-		end := 1
-		for end < len(tok) && tok[end] >= '0' && tok[end] <= '9' {
-			end++
-		}
-		n, err := strconv.Atoi(tok[1:end])
-		if err != nil || n < 1 || n > len(params) || trailingJunk(tok[end:]) {
-			return "", false
-		}
-		return params[n-1].String(), true
-	case tok[0] == '\'':
-		var b strings.Builder
-		i := 1
-		for i < len(tok) {
-			if tok[i] == '\'' {
-				if i+1 < len(tok) && tok[i+1] == '\'' {
-					b.WriteByte('\'')
-					i += 2
-					continue
-				}
-				if trailingJunk(tok[i+1:]) {
-					return "", false
-				}
-				return b.String(), true
-			}
-			b.WriteByte(tok[i])
-			i++
-		}
-		return "", false // unterminated
-	case tok[0] == '-' || (tok[0] >= '0' && tok[0] <= '9'):
-		end := 1
-		for end < len(tok) && strings.ContainsRune("0123456789.eE+-", rune(tok[end])) {
-			end++
-		}
-		lit := tok[:end]
-		if trailingJunk(tok[end:]) {
-			return "", false
-		}
-		if i, err := strconv.ParseInt(lit, 10, 64); err == nil {
-			return strconv.FormatInt(i, 10), true
-		}
-		if f, err := strconv.ParseFloat(lit, 64); err == nil {
-			return strconv.FormatFloat(f, 'g', -1, 64), true
-		}
-		return "", false
-	}
-	return "", false
-}
-
-// trailingJunk reports whether anything but whitespace (or a closing
-// semicolon) follows a value token — e.g. `k = 5 + 1` must not route
-// by "5".
-func trailingJunk(s string) bool {
-	t := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(s), ";"))
-	return t != "" && !strings.HasPrefix(strings.ToUpper(t), "AND ") && t != "AND"
-}
-
-func firstWord(s string) string {
-	s = strings.TrimSpace(s)
-	for i := 0; i < len(s); i++ {
-		if !isIdentChar(s[i]) {
-			return s[:i]
-		}
-	}
-	return s
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
-}

@@ -4,23 +4,19 @@
 // handles), then evaluated per execution against the parameters and
 // the Router's current map.
 //
-// Compared with the text scan it replaces (shard.go, kept as the
-// fallback for unparsable input), the parser path additionally
-// derives:
+// Beyond a plain `key = v` it derives:
 //
 //   - `key IN (a, b, c)` lists, routable when every member hashes to
 //     the same shard under the current map;
-//   - quoted identifiers ("k" = 5), which the text scan cannot match
-//     against the map's column names safely;
+//   - quoted identifiers ("k" = 5);
 //   - key equalities buried under other AND conjuncts that contain
 //     ORs or NOTs of their own (`k = 5 AND (a OR b)`) — a top-level
 //     conjunct `k = v` confines the statement no matter what its
 //     siblings do;
-//   - UPDATEs that reassign the shard-key column, which must NOT be
-//     routed (the row would migrate shards): the parser path refuses
-//     them, where the text scan could be fooled.
 //
-// When in doubt it still reports "not derivable" and the safe path
+// and it refuses UPDATEs that reassign the shard-key column (the row
+// would migrate shards). When in doubt it reports "not derivable" and
+// the safe path
 // (fan-out read, refused write) is taken; the server's shard-
 // ownership guard backstops any residual misrouting.
 
@@ -211,14 +207,6 @@ func conjunctPairs(where sql.Expr) []eqPair {
 // refused. table is reported even when ok=false (it distinguishes
 // "unroutable table statement" from "no table at all").
 func (p *stmtPlan) shardKeys(m *ShardMap, params []Value) (table string, keys []string, ok bool) {
-	if !p.parsed {
-		// Text fallback: the conservative scan derives at most one key.
-		t, key, tok := shardTarget(m, p.sqlText, params)
-		if !tok {
-			return t, nil, false
-		}
-		return t, []string{key}, true
-	}
 	if p.table == "" || !p.derivable {
 		return p.table, nil, false
 	}

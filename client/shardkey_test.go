@@ -1,6 +1,7 @@
 package client
 
 import (
+	"strings"
 	"testing"
 
 	"ifdb/internal/types"
@@ -113,11 +114,12 @@ func TestClassifier(t *testing.T) {
 		{`SELECT addsecrecy(3)`, false, false, false},
 		{`SELECT nextval('s')`, false, false, false},
 		{`SELECT declassify(1)`, false, false, false},
-		// ...even buried in expressions the text scan can't see
-		// through reliably.
+		// ...even buried in expressions.
 		{`SELECT 1 + nextval('s') FROM kv WHERE k = 1`, false, false, false},
-		// Unparsable input falls back to the text scan.
-		{`ALTER TABLE t ADD c BIGINT`, false, false, true},
+		// Unparsable text is none of the three, whatever it starts with:
+		// unsharded it goes to the primary, which reports the error.
+		{`ALTER TABLE t ADD c BIGINT`, false, false, false},
+		{`SELECT FROM WHERE`, false, false, false},
 		// Pure-DDL batches fan out; a batch MIXING DDL with DML must
 		// not (its DML would run on shards that don't own the rows) —
 		// it is not ddl, and the sharded write path refuses it.
@@ -131,25 +133,16 @@ func TestClassifier(t *testing.T) {
 				c.sql, p.readOnly, p.txnControl, p.ddl, c.readOnly, c.txnCtl, c.ddl)
 		}
 	}
-}
 
-// TestParserFallbackAgrees: on the statements both paths can handle,
-// the parser derivation matches the text scan — the fallback never
-// contradicts the primary path.
-func TestParserFallbackAgrees(t *testing.T) {
-	m := testMap()
-	for _, sqlText := range []string{
-		`INSERT INTO kv VALUES (7, 'x')`,
-		`SELECT v FROM kv WHERE k = 5`,
-		`DELETE FROM kv WHERE k = 12`,
-	} {
-		_, textKey, textOK := shardTarget(m, sqlText, nil)
-		_, keys, ok := analyzeStmt(sqlText).shardKeys(m, nil)
-		if !textOK || !ok {
-			t.Fatalf("%q: text ok=%v parser ok=%v", sqlText, textOK, ok)
-		}
-		if keys[0] != textKey {
-			t.Errorf("%q: parser key %q, text key %q", sqlText, keys[0], textKey)
-		}
+	// Sharded, unparsable text has no key and no table, and the Router
+	// refuses it with the parser's error rather than guessing a route.
+	p := analyzeStmt(`SELECT v FROM kv WHERE k = `)
+	if _, _, ok := p.shardKeys(testMap(), nil); ok || p.parseErr == nil {
+		t.Errorf("unparsable text: shard key ok=%v, parseErr=%v", ok, p.parseErr)
+	}
+	r := &Router{smap: testMap()}
+	_, err := r.Exec(`SELECT v FROM kv WHERE k = `)
+	if err == nil || !strings.Contains(err.Error(), p.parseErr.Error()) {
+		t.Errorf("sharded Router on unparsable text: %v, want the parse error %q", err, p.parseErr)
 	}
 }

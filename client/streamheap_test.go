@@ -93,12 +93,60 @@ func streamBuffered() int64 {
 		obs.NewGauge("ifdb_client_stream_buffered_bytes", "").Value()
 }
 
-// drainWatching streams `SELECT k FROM mil` from addr to the end and
-// returns the most the stream ever had buffered, sampled every thousand
-// rows, and the most the live heap grew, sampled every 200 000.
-func drainWatching(t *testing.T, addr string, wantRows int) (buffered int64, heapGrowth uint64) {
+// stallListener hands the server connections whose writes stop after
+// stallAfter bytes until the test lets them go. Without it the server
+// can park a whole 2 MB result in the loopback socket's buffers and
+// give its share of the gauge back before the client has looked: with
+// the other packages' tests competing for two CPUs that happened one
+// run in four, and the materialized result then read as the two ends'
+// idle buffers.
+type stallListener struct {
+	net.Listener
+	stalled chan struct{} // closed when a write first reaches the limit
+	release chan struct{} // closed by the test
+	once    sync.Once
+}
+
+const stallAfter = 64 << 10
+
+func (l *stallListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &stallConn{Conn: c, l: l}, nil
+}
+
+type stallConn struct {
+	net.Conn
+	l       *stallListener
+	written int
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	if c.written += len(p); c.written > stallAfter {
+		c.l.once.Do(func() { close(c.l.stalled) })
+		<-c.l.release
+	}
+	return c.Conn.Write(p)
+}
+
+// drainWatching serves db on a connection of its own and streams
+// `SELECT k FROM mil` to the end. It returns the most the stream ever
+// had buffered — sampled once with the server stopped mid-result, its
+// cursor open, and then every thousand rows — and the most the live
+// heap grew, sampled every 200 000.
+func drainWatching(t *testing.T, db *ifdb.DB, wantRows int) (buffered int64, heapGrowth uint64) {
 	t.Helper()
-	conn, err := client.Dial(addr, "", 0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := &stallListener{Listener: ln, stalled: make(chan struct{}), release: make(chan struct{})}
+	srv := wire.NewServer(db.Engine(), "")
+	go srv.Serve(sl)
+	defer srv.Close()
+	conn, err := client.Dial(ln.Addr().String(), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +156,9 @@ func drainWatching(t *testing.T, addr string, wantRows int) (buffered int64, hea
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-sl.stalled
+	buffered = streamBuffered() - held
+	close(sl.release)
 	n := 0
 	for rows.Next() {
 		if n++; n%1000 == 0 {
@@ -143,8 +194,8 @@ const streamBound = 256 << 10
 // process's live heap (server and client share it) is a loose backstop
 // against something unaccounted holding the result.
 func TestStreamBoundedHeap(t *testing.T) {
-	_, addr := millionRowServer(t)
-	buffered, heapGrowth := drainWatching(t, addr, milRows)
+	db, _ := millionRowServer(t)
+	buffered, heapGrowth := drainWatching(t, db, milRows)
 	t.Logf("%d rows: stream buffered at most %d bytes, live heap grew at most %d", milRows, buffered, heapGrowth)
 	if buffered <= 0 {
 		t.Fatal("the stream accounted for no buffered bytes mid-stream")
@@ -165,15 +216,8 @@ func TestStreamBoundedHeap(t *testing.T) {
 func TestStreamBoundCatchesMaterialized(t *testing.T) {
 	const rows = milRows / 5
 	db := ifdb.MustOpen(ifdb.Config{IFC: true, LegacyExec: true})
-	srv := wire.NewServer(db.Engine(), "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
 	seedMil(t, db, rows)
-	buffered, heapGrowth := drainWatching(t, ln.Addr().String(), rows)
+	buffered, heapGrowth := drainWatching(t, db, rows)
 	t.Logf("%d rows, materialized: stream buffered at most %d bytes, live heap grew at most %d", rows, buffered, heapGrowth)
 	if buffered <= streamBound {
 		t.Fatalf("a materialized result of %d rows buffered %d bytes, within the bound %d", rows, buffered, streamBound)

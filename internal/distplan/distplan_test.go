@@ -458,3 +458,91 @@ func TestDescribe(t *testing.T) {
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Shutdown: feeds and OnClose, in every gateway mode
+
+// watched lets a test wait for the feed goroutine to let go of a shard
+// stream: the feed closes its stream on every way out.
+type watched struct {
+	*fakeStream
+	released chan struct{}
+}
+
+func (w *watched) Close() error {
+	close(w.released)
+	return w.fakeStream.Close()
+}
+
+// TestGatewayReleasesFeeds: whether a shard fails after its first row
+// or the consumer walks away after one, every feed goroutine exits —
+// including those blocked on a full channel — and OnClose fires once.
+func TestGatewayReleasesFeeds(t *testing.T) {
+	const perShard = feedDepth * 4
+	modes := []struct {
+		name string
+		sql  string
+		opts Options
+		row  func(i int64) feedRow
+	}{
+		{"ordered", "SELECT a FROM t ORDER BY a", Options{}, func(i int64) feedRow { return row(vi(i)) }},
+		{"partial", "SELECT g, count(*) FROM t GROUP BY g", Options{}, func(i int64) feedRow { return row(vi(i), vi(1)) }},
+		{"gather", "SELECT g, count(*) FROM t GROUP BY g", Options{NoPartial: true}, func(i int64) feedRow { return row(vi(i)) }},
+	}
+	for _, m := range modes {
+		for _, shardFails := range []bool{true, false} {
+			sp := Split(m.sql, m.opts)
+			if sp == nil {
+				t.Fatalf("%s: no split", m.name)
+			}
+			streams := make([]*watched, 3)
+			for s := range streams {
+				fs := &fakeStream{}
+				for i := int64(0); i < perShard; i++ {
+					fs.rows = append(fs.rows, m.row(i))
+				}
+				if shardFails && s == 1 {
+					fs.rows, fs.err = fs.rows[:1], errors.New("boom")
+				}
+				streams[s] = &watched{fakeStream: fs, released: make(chan struct{})}
+			}
+			var onClose atomic.Int32
+			st, err := sp.Gateway(Config{
+				Shards:  len(streams),
+				Open:    func(i int) (Stream, error) { return streams[i], nil },
+				Wrap:    func(shard int, err error) error { return fmt.Errorf("shard %d: %w", shard, err) },
+				OnClose: func() { onClose.Add(1) },
+			})
+			if err == nil {
+				// Ordered merges report from Next; aggregate merges have
+				// already run and hand out a finished result.
+				if !st.Next() {
+					t.Fatalf("%s: no first row: %v", m.name, st.Err())
+				}
+				if shardFails {
+					for st.Next() {
+					}
+					err = st.Err()
+				}
+				st.Close()
+				st.Close()
+			}
+			if shardFails && (err == nil || err.Error() != "shard 1: boom") {
+				t.Errorf("%s: err = %v, want shard 1's", m.name, err)
+			}
+			if !shardFails && err != nil {
+				t.Errorf("%s: %v", m.name, err)
+			}
+			for s, w := range streams {
+				select {
+				case <-w.released:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("%s (shard fails=%v): feed %d still holds its stream", m.name, shardFails, s)
+				}
+			}
+			if n := onClose.Load(); n != 1 {
+				t.Errorf("%s (shard fails=%v): OnClose ran %d times", m.name, shardFails, n)
+			}
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package distplan
 
 import (
-	"strings"
-
 	"ifdb/internal/label"
 	"ifdb/internal/types"
 )
@@ -83,33 +81,41 @@ type feed struct {
 // producer from merge stalls without buffering unbounded rows.
 const feedDepth = 64
 
-func startFeed(cfg *Config, shard int, stop <-chan struct{}) *feed {
-	f := &feed{shard: shard, ready: make(chan struct{}), ch: make(chan feedRow, feedDepth)}
-	go func() {
-		defer close(f.ch)
-		s, err := cfg.Open(shard)
-		if err != nil {
-			f.err = cfg.wrap(shard, err)
-			close(f.ready)
+// run opens the shard's stream and pumps it until it ends or stop
+// closes; it is the feed's goroutine.
+func (f *feed) run(cfg *Config, stop <-chan struct{}) {
+	defer close(f.ch)
+	s, err := cfg.Open(f.shard)
+	if err != nil {
+		f.err = cfg.wrap(f.shard, err)
+		close(f.ready)
+		return
+	}
+	f.cols = s.Columns()
+	close(f.ready)
+	for s.Next() {
+		select {
+		case f.ch <- feedRow{s.Row(), s.RowLabel()}:
+		case <-stop:
+			s.Close()
 			return
 		}
-		f.cols = s.Columns()
-		close(f.ready)
-		for s.Next() {
-			select {
-			case f.ch <- feedRow{s.Row(), s.RowLabel()}:
-			case <-stop:
-				s.Close()
-				return
-			}
-		}
-		err = s.Err()
-		s.Close()
-		if err != nil {
-			f.err = cfg.wrap(shard, err)
-		}
-	}()
-	return f
+	}
+	err = s.Err()
+	s.Close()
+	if err != nil {
+		f.err = cfg.wrap(f.shard, err)
+	}
+}
+
+// next returns the shard's next row; ok=false with err=nil is clean
+// exhaustion.
+func (f *feed) next() (feedRow, bool, error) {
+	r, ok := <-f.ch
+	if !ok {
+		return feedRow{}, false, f.err
+	}
+	return r, true, nil
 }
 
 // gather consumes shards strictly in shard order — deterministic
@@ -125,14 +131,25 @@ type gather struct {
 	stopped bool
 }
 
+// newGather lays out the feeds without touching a shard; start does.
 func newGather(cfg *Config) *gather {
 	g := &gather{cfg: cfg, stop: make(chan struct{}), feeds: make([]*feed, cfg.Shards)}
-	w := cfg.window()
-	for g.started < w {
-		g.feeds[g.started] = startFeed(cfg, g.started, g.stop)
-		g.started++
+	for i := range g.feeds {
+		g.feeds[i] = &feed{shard: i, ready: make(chan struct{}), ch: make(chan feedRow, feedDepth)}
 	}
 	return g
+}
+
+// start launches the first window of feeds.
+func (g *gather) start() {
+	for w := g.cfg.window(); g.started < w; {
+		g.launch()
+	}
+}
+
+func (g *gather) launch() {
+	go g.feeds[g.started].run(g.cfg, g.stop)
+	g.started++
 }
 
 // head blocks until shard 0's stream reports its header (or fails).
@@ -149,18 +166,12 @@ func (g *gather) head() ([]string, error) {
 // clean exhaustion.
 func (g *gather) next() (feedRow, bool, error) {
 	for g.cur < len(g.feeds) {
-		f := g.feeds[g.cur]
-		r, ok := <-f.ch
-		if ok {
-			return r, true, nil
-		}
-		if f.err != nil {
-			return feedRow{}, false, f.err
+		if r, ok, err := g.feeds[g.cur].next(); ok || err != nil {
+			return r, ok, err
 		}
 		g.cur++
 		if g.started < len(g.feeds) {
-			g.feeds[g.started] = startFeed(g.cfg, g.started, g.stop)
-			g.started++
+			g.launch()
 		}
 	}
 	return feedRow{}, false, nil
@@ -185,6 +196,7 @@ func (g *gather) shutdown() {
 // errors surface from the first Next, like the sequential path did.
 func Union(cfg Config) Stream {
 	u := &unionStream{g: newGather(&cfg)}
+	u.g.start()
 	u.cols, u.err = u.g.head()
 	return u
 }
@@ -226,17 +238,4 @@ func (u *unionStream) Close() error {
 	u.done = true
 	u.g.shutdown()
 	return nil
-}
-
-// rowKey is the engine's canonical grouping/dedup key over a value
-// tuple (kind byte, string form, NUL), byte-compatible with the
-// executors' group and DISTINCT maps.
-func rowKey(vals []types.Value) string {
-	var b strings.Builder
-	for _, v := range vals {
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
-	}
-	return b.String()
 }

@@ -2,16 +2,28 @@ package distplan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ifdb/internal/exec"
 	"ifdb/internal/label"
+	"ifdb/internal/plan"
 	"ifdb/internal/sql"
 	"ifdb/internal/types"
 )
 
-// Gateway builds the merged output stream for a split statement.
+// Gateway builds the merged output stream for a split statement: a
+// plan tree of the engine's own operators over leaves whose rows are
+// the shards' fragment streams.
+//
+//	ordered:   Limit ← Offset ← Distinct ← Merge ← one Source per shard
+//	aggregate: Limit ← Offset ← Distinct ← Sort ← Aggregate ← one Source
+//	           over the shard-order gather
+//
+// The tree's Runtime carries the parameters and nothing else — no
+// function resolver (Split admits only builtins exec.Eval computes on
+// its own) and no label hook: Label Confinement already ran on every
+// shard, and all the gateway may do with labels is union them, which
+// the aggregate operator does.
 //
 // Ordered merges stream: rows flow as shards produce them, and an
 // error surfaces from Next like any rows stream. Aggregate merges are
@@ -20,220 +32,164 @@ import (
 // evaluation) is returned directly, which the Router surfaces from
 // Query the same way a single node surfaces an aggregation error.
 func (sp *Spec) Gateway(cfg Config) (Stream, error) {
-	switch sp.Mode {
-	case ModeOrdered:
-		return sp.orderedGateway(&cfg)
-	case ModePartialAgg, ModeGatherAgg:
-		return sp.aggGateway(&cfg)
+	if sp.Mode == ModeOrdered {
+		// Every shard's head row is needed before the first output row.
+		cfg.Window = cfg.Shards
 	}
-	return nil, fmt.Errorf("distplan: unknown mode %d", sp.Mode)
-}
-
-// evalBound mirrors the engine's LIMIT/OFFSET evaluation, including
-// its error text.
-func evalBound(e sql.Expr, params []types.Value) (int64, bool, error) {
-	if e == nil {
-		return 0, false, nil
+	g := newGather(&cfg)
+	st := &gatewayStream{g: g}
+	root, err := sp.gatewayPlan(g)
+	if err == nil {
+		// Opening the tree evaluates LIMIT and OFFSET. The shards start
+		// only after it, so a refused bound leaves no fragment running
+		// to cancel.
+		st.it, err = (&plan.Plan{Root: root}).Open(&plan.Runtime{Params: cfg.Params})
 	}
-	v, err := exec.Eval(e, &exec.Env{Params: params})
+	if err == nil {
+		g.start()
+		st.cols, err = sp.columns(g)
+	}
 	if err != nil {
-		return 0, false, err
-	}
-	if v.Kind() != types.KindInt || v.Int() < 0 {
-		return 0, false, fmt.Errorf("engine: LIMIT/OFFSET must be a non-negative integer")
-	}
-	return v.Int(), true, nil
-}
-
-// ---------------------------------------------------------------------------
-// Ordered k-way merge
-
-type shardHead struct {
-	row   feedRow
-	keys  []types.Value
-	alive bool
-}
-
-type orderedStream struct {
-	sp      *Spec
-	g       *gather
-	cols    []string
-	visible int
-	keyOrds []int
-	heads   []shardHead
-	primed  bool
-
-	seen       map[string]bool // DISTINCT on visible columns
-	skip, take int64
-	hasTake    bool
-	row        feedRow
-	err        error
-	done       bool
-}
-
-func (sp *Spec) orderedGateway(cfg *Config) (Stream, error) {
-	// Every shard's head row is needed before the first output row, so
-	// the window is the full shard count here.
-	full := *cfg
-	full.Window = cfg.Shards
-	st := &orderedStream{sp: sp, g: newGather(&full)}
-	var err error
-	if st.skip, _, err = evalBound(sp.offset, cfg.Params); err != nil {
-		st.g.shutdown()
+		g.shutdown()
 		return nil, err
 	}
-	if st.take, st.hasTake, err = evalBound(sp.limit, cfg.Params); err != nil {
-		st.g.shutdown()
-		return nil, err
-	}
-	if sp.distinct {
-		st.seen = map[string]bool{}
-	}
-	cols, err := st.g.head()
-	if err != nil {
-		// Shard 0 failed to open; report like the sequential fan-out
-		// did, from the stream, after Query returned it.
-		st.err = err
-		st.done = true
-		st.g.shutdown()
-		return st, nil
-	}
-	st.visible = len(cols) - sp.hidden
-	if st.visible < 0 {
-		st.visible = 0
-	}
-	st.cols = cols[:st.visible]
-	st.keyOrds = make([]int, len(sp.keyItems))
-	for i, ki := range sp.keyItems {
-		if ki >= 0 {
-			st.keyOrds[i] = ki
-		} else {
-			st.keyOrds[i] = st.visible + (-1 - ki)
+	if sp.Mode != ModeOrdered {
+		if st.Next(); st.err != nil {
+			return nil, st.err
 		}
+		st.primed = true
 	}
 	return st, nil
 }
 
-func (st *orderedStream) Columns() []string     { return st.cols }
-func (st *orderedStream) Row() []types.Value    { return st.row.vals }
-func (st *orderedStream) RowLabel() label.Label { return st.row.lbl }
-func (st *orderedStream) Err() error            { return st.err }
-
-func (st *orderedStream) Close() error {
-	st.done = true
-	st.g.shutdown()
-	return nil
+func (sp *Spec) gatewayPlan(g *gather) (plan.Node, error) {
+	var root plan.Node
+	switch sp.Mode {
+	case ModeOrdered:
+		merge := &plan.MergeNode{Desc: sp.desc}
+		for _, f := range g.feeds {
+			merge.Children = append(merge.Children, &plan.SourceNode{Rows: &shardRows{sp: sp, next: f.next}})
+		}
+		root = merge
+	case ModePartialAgg, ModeGatherAgg:
+		root = &plan.AggregateNode{
+			Child: &plan.SourceNode{Cols: sp.fragCols, Rows: &shardRows{sp: sp, next: g.next}},
+			Items: sp.items, GroupBy: sp.groupBy, Having: sp.having,
+			OrderExprs: sp.orderGlue, NewAcc: sp.newAcc,
+		}
+		if len(sp.orderGlue) > 0 {
+			root = &plan.SortNode{Child: root, Exprs: sp.orderGlue, Desc: sp.orderDesc}
+		}
+	default:
+		return nil, fmt.Errorf("distplan: unknown mode %d", sp.Mode)
+	}
+	if sp.distinct {
+		root = &plan.DistinctNode{Child: root}
+	}
+	if sp.offset != nil {
+		root = &plan.OffsetNode{Child: root, Expr: sp.offset}
+	}
+	if sp.limit != nil {
+		// Pure: gateway glue calls nothing that changes state, so a
+		// satisfied LIMIT stops pulling and the shards are cancelled.
+		root = &plan.LimitNode{Child: root, Expr: sp.limit, Pure: true}
+	}
+	return root, nil
 }
 
-// advance pulls the next row from one shard's feed into its head slot.
-func (st *orderedStream) advance(shard int) error {
-	f := st.g.feeds[shard]
-	r, ok := <-f.ch
+// columns names the merged stream's columns. An aggregate's are its
+// items'; an ordered merge's are shard 0's header less the hidden sort
+// columns (a star in the statement expands on the shard), and a shard
+// 0 that fails to open fails the query before a stream is handed out.
+func (sp *Spec) columns(g *gather) ([]string, error) {
+	if sp.Mode != ModeOrdered {
+		cols := make([]string, len(sp.items))
+		for i, it := range sp.items {
+			cols[i] = it.Alias
+		}
+		return cols, nil
+	}
+	cols, err := g.head()
+	return cols[:max(len(cols)-sp.hidden, 0)], err
+}
+
+// shardRows is the plan leaf over shard streams: one shard's feed under
+// the ordered merge, the whole shard-order gather under the aggregate.
+// It hides the fragment's trailing sort columns from Vals and hands
+// the sort keys to the merge as Row.Sort.
+type shardRows struct {
+	sp   *Spec
+	next func() (feedRow, bool, error)
+	keys types.Arena
+	row  plan.Row
+}
+
+func (s *shardRows) Next() (*plan.Row, error) {
+	r, ok, err := s.next()
 	if !ok {
-		st.heads[shard].alive = false
-		return f.err
+		return nil, err
 	}
-	h := &st.heads[shard]
-	h.row, h.alive = r, true
-	if len(h.keys) != len(st.keyOrds) {
-		h.keys = make([]types.Value, len(st.keyOrds))
-	}
-	for i, ord := range st.keyOrds {
-		if ord < len(r.vals) {
-			h.keys[i] = r.vals[ord]
-		} else {
-			h.keys[i] = types.Null
-		}
-	}
-	return nil
-}
-
-// less orders two heads by the sort keys (types.Value.Compare, like
-// the engine's sort); the caller's shard-order scan breaks ties toward
-// the lower shard, which also preserves each shard's own stable order.
-func (st *orderedStream) less(a, b *shardHead) bool {
-	for k := range st.keyOrds {
-		c := a.keys[k].Compare(b.keys[k])
-		if c != 0 {
-			if st.sp.desc[k] {
-				return c > 0
+	visible := len(r.vals) - s.sp.hidden
+	s.row = plan.Row{Vals: r.vals[:visible], Lbl: r.lbl}
+	if len(s.sp.keyItems) > 0 {
+		s.row.Sort = s.keys.Take(len(s.sp.keyItems))
+		for i, ki := range s.sp.keyItems {
+			if ki < 0 {
+				ki = visible - 1 - ki // hidden column -1-ki
 			}
-			return c < 0
+			s.row.Sort[i] = r.vals[ki]
 		}
 	}
-	return false
+	return &s.row, nil
 }
 
-func (st *orderedStream) Next() bool {
-	if st.done || st.err != nil {
+// Close does nothing: the feeds belong to the gather, which the
+// gateway stream shuts down.
+func (s *shardRows) Close() {}
+
+// gatewayStream adapts the gateway's plan tree to Stream and owns the
+// gather under it.
+type gatewayStream struct {
+	g    *gather
+	it   plan.Iter
+	cols []string
+	row  plan.Row
+	// primed: Gateway already ran the first Next (aggregate merges), so
+	// row or done holds its outcome for the consumer's first call.
+	primed bool
+	err    error
+	done   bool
+}
+
+func (s *gatewayStream) Columns() []string     { return s.cols }
+func (s *gatewayStream) Row() []types.Value    { return s.row.Vals }
+func (s *gatewayStream) RowLabel() label.Label { return s.row.Lbl }
+func (s *gatewayStream) Err() error            { return s.err }
+
+func (s *gatewayStream) Next() bool {
+	if s.primed {
+		s.primed = false
+		return !s.done
+	}
+	if s.done {
 		return false
 	}
-	if !st.primed {
-		st.primed = true
-		st.heads = make([]shardHead, st.g.cfg.Shards)
-		for s := range st.heads {
-			if err := st.advance(s); err != nil {
-				st.fail(err)
-				return false
-			}
-		}
+	r, err := s.it.Next()
+	if err != nil || r == nil {
+		s.err = err
+		s.Close()
+		return false
 	}
-	for {
-		if st.hasTake && st.take == 0 {
-			st.finish()
-			return false
-		}
-		min := -1
-		for s := range st.heads {
-			if !st.heads[s].alive {
-				continue
-			}
-			if min < 0 || st.less(&st.heads[s], &st.heads[min]) {
-				min = s
-			}
-		}
-		if min < 0 {
-			st.finish()
-			return false
-		}
-		out := st.heads[min].row
-		if err := st.advance(min); err != nil {
-			st.fail(err)
-			return false
-		}
-		out.vals = out.vals[:st.visible]
-		if st.seen != nil {
-			k := rowKey(out.vals)
-			if st.seen[k] {
-				continue
-			}
-			st.seen[k] = true
-		}
-		if st.skip > 0 {
-			st.skip--
-			continue
-		}
-		if st.hasTake {
-			st.take--
-		}
-		st.row = out
-		return true
-	}
+	s.row = *r
+	return true
 }
 
-func (st *orderedStream) fail(err error) {
-	st.err = err
-	st.done = true
-	st.g.shutdown()
+func (s *gatewayStream) Close() error {
+	s.done = true
+	s.it.Close()
+	s.g.shutdown()
+	return nil
 }
-
-func (st *orderedStream) finish() {
-	st.done = true
-	st.g.shutdown()
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate merge (partial finalization and full gather)
 
 // mergeAcc folds one aggregate across shards.
 //
@@ -244,298 +200,67 @@ func (st *orderedStream) finish() {
 // the engine's own accumulator over the shipped argument values — the
 // only composition that is correct for DISTINCT aggregates.
 type mergeAcc struct {
-	spec *aggSpec
-	cnt  int64          // partial count / avg denominator
-	sum  *exec.AggState // partial sum folding (sum, avg numerator)
-	mm   *exec.AggState // partial min/max folding
-	full *exec.AggState // gather mode: the real accumulator
+	spec   *aggSpec
+	gather bool
+	cnt    int64          // partial count / avg denominator
+	fold   *exec.AggState // gather: the real accumulator; partial: sum, min or max of partials
 }
 
-func newMergeAcc(a *aggSpec, gatherMode bool) *mergeAcc {
-	m := &mergeAcc{spec: a}
-	if gatherMode {
-		m.full = exec.NewAggState(a.call)
-		return m
+// newAcc is the gateway's plan.AggregateNode.NewAcc.
+func (sp *Spec) newAcc(fc *sql.FuncCall) plan.Accumulator {
+	m := &mergeAcc{gather: sp.Mode == ModeGatherAgg}
+	for i := range sp.aggs {
+		if sp.aggs[i].call == fc {
+			m.spec = &sp.aggs[i]
+		}
 	}
-	switch a.fn {
-	case "sum", "avg":
-		m.sum = exec.NewAggState(&sql.FuncCall{Name: "sum"})
-	case "min", "max":
-		m.mm = exec.NewAggState(&sql.FuncCall{Name: a.fn})
+	switch {
+	case m.gather:
+		m.fold = exec.NewAggState(fc)
+	case m.spec.fn == "avg":
+		m.fold = exec.NewAggState(&sql.FuncCall{Name: "sum"})
+	case m.spec.fn != "count":
+		m.fold = exec.NewAggState(&sql.FuncCall{Name: m.spec.fn})
 	}
 	return m
 }
 
-// add folds this aggregate's slice of one shard row (partial mode) or
-// one shipped row (gather mode).
-func (m *mergeAcc) add(vals []types.Value, at int) error {
-	if m.full != nil {
-		if m.spec.star {
-			return m.full.Add(types.Null)
-		}
-		return m.full.Add(vals[at])
-	}
-	switch m.spec.fn {
-	case "count":
+// Add folds this aggregate's columns of one shard row (partial mode)
+// or one shipped row (gather mode).
+func (m *mergeAcc) Add(env *exec.Env) error {
+	vals, at := env.Row, m.spec.at
+	switch {
+	case m.gather && m.spec.star:
+		return m.fold.Add(types.Null)
+	case m.gather:
+		return m.fold.Add(vals[at])
+	case m.spec.fn == "count":
 		m.cnt += vals[at].Int()
-	case "sum":
-		return m.sum.Add(vals[at])
-	case "avg":
-		if err := m.sum.Add(vals[at]); err != nil {
-			return err
-		}
+		return nil
+	case m.spec.fn == "avg":
 		m.cnt += vals[at+1].Int()
-	case "min", "max":
-		return m.mm.Add(vals[at])
 	}
-	return nil
+	return m.fold.Add(vals[at])
 }
 
-func (m *mergeAcc) result() types.Value {
-	if m.full != nil {
-		return m.full.Result()
-	}
-	switch m.spec.fn {
-	case "count":
+func (m *mergeAcc) Result() types.Value {
+	switch {
+	case m.gather:
+		return m.fold.Result()
+	case m.spec.fn == "count":
 		return types.NewInt(m.cnt)
-	case "sum":
-		return m.sum.Result()
-	case "avg":
+	case m.spec.fn == "avg":
 		if m.cnt == 0 {
 			return types.Null
 		}
-		s := m.sum.Result()
+		s := m.fold.Result()
 		num := s.Float()
 		if s.Kind() == types.KindInt {
 			num = float64(s.Int())
 		}
 		return types.NewFloat(num / float64(m.cnt))
-	case "min", "max":
-		return m.mm.Result()
 	}
-	return types.Null
-}
-
-type aggGroup struct {
-	keyVals []types.Value
-	accs    []*mergeAcc
-	lbl     label.Label
-}
-
-// bufferedStream replays finalized rows.
-type bufferedStream struct {
-	cols  []string
-	rows  []feedRow
-	pos   int
-	onEnd func()
-	ended bool
-}
-
-func (b *bufferedStream) Columns() []string     { return b.cols }
-func (b *bufferedStream) Err() error            { return nil }
-func (b *bufferedStream) Row() []types.Value    { return b.rows[b.pos-1].vals }
-func (b *bufferedStream) RowLabel() label.Label { return b.rows[b.pos-1].lbl }
-
-func (b *bufferedStream) Next() bool {
-	if b.pos < len(b.rows) {
-		b.pos++
-		return true
-	}
-	b.end()
-	return false
-}
-
-func (b *bufferedStream) Close() error {
-	b.pos = len(b.rows)
-	b.end()
-	return nil
-}
-
-func (b *bufferedStream) end() {
-	if !b.ended {
-		b.ended = true
-		if b.onEnd != nil {
-			b.onEnd()
-		}
-	}
-}
-
-func (sp *Spec) aggGateway(cfg *Config) (Stream, error) {
-	gatherMode := sp.Mode == ModeGatherAgg
-	g := newGather(cfg)
-	fail := func(err error) (Stream, error) {
-		g.shutdown()
-		return nil, err
-	}
-
-	groups := map[string]*aggGroup{}
-	var order []*aggGroup
-	for {
-		r, ok, err := g.next()
-		if err != nil {
-			return fail(err)
-		}
-		if !ok {
-			break
-		}
-		key := rowKey(r.vals[:min(sp.groupN, len(r.vals))])
-		grp := groups[key]
-		if grp == nil {
-			grp = &aggGroup{accs: make([]*mergeAcc, len(sp.aggs))}
-			grp.keyVals = append([]types.Value{}, r.vals[:min(sp.groupN, len(r.vals))]...)
-			for i := range sp.aggs {
-				grp.accs[i] = newMergeAcc(&sp.aggs[i], gatherMode)
-			}
-			groups[key] = grp
-			order = append(order, grp)
-		}
-		// The shard already applied Label Confinement, so the row's
-		// reported label covers everything that fed it there; the
-		// global group label is the union across shards, exactly the
-		// union the single node would have computed.
-		grp.lbl = grp.lbl.Union(r.lbl)
-		at := sp.groupN
-		for i := range sp.aggs {
-			if err := grp.accs[i].add(r.vals, at); err != nil {
-				return fail(err)
-			}
-			at += sp.aggs[i].width
-		}
-	}
-	g.shutdown()
-
-	// With no GROUP BY an empty input still yields one default group
-	// (shards ship theirs in partial mode; gather mode synthesizes it
-	// here, like the engine does over an empty relation).
-	if sp.groupN == 0 && len(order) == 0 {
-		grp := &aggGroup{accs: make([]*mergeAcc, len(sp.aggs))}
-		for i := range sp.aggs {
-			grp.accs[i] = newMergeAcc(&sp.aggs[i], gatherMode)
-		}
-		order = append(order, grp)
-	}
-
-	return sp.finalize(order, cfg)
-}
-
-// finalize evaluates HAVING, the output items, and the sort keys for
-// each merged group — aggregate calls substituted as placeholder
-// parameters allocated after the user's, exactly like the engine —
-// then sorts, de-duplicates, and bounds the result.
-func (sp *Spec) finalize(order []*aggGroup, cfg *Config) (Stream, error) {
-	base := len(cfg.Params)
-	mapping := make(map[*sql.FuncCall]int, len(sp.aggs))
-	for i := range sp.aggs {
-		mapping[sp.aggs[i].call] = base + i + 1
-	}
-	subItems := make([]sql.Expr, len(sp.items))
-	for i, e := range sp.items {
-		subItems[i] = exec.ReplaceAggs(e, mapping)
-	}
-	subHaving := exec.ReplaceAggs(sp.having, mapping)
-	subOrder := make([]sql.Expr, len(sp.orderGlue))
-	for i, e := range sp.orderGlue {
-		subOrder[i] = exec.ReplaceAggs(e, mapping)
-	}
-
-	schema := make(exec.Schema, sp.groupN)
-	for k := range schema {
-		schema[k] = exec.ColMeta{Name: fmt.Sprintf("__ifdb_g%d", k)}
-	}
-
-	type outRow struct {
-		feedRow
-		sort []types.Value
-	}
-	var out []outRow
-	for _, grp := range order {
-		params := make([]types.Value, base+len(sp.aggs))
-		copy(params, cfg.Params)
-		for i, acc := range grp.accs {
-			params[base+i] = acc.result()
-		}
-		row := grp.keyVals
-		if row == nil {
-			row = make([]types.Value, sp.groupN)
-		}
-		genv := &exec.Env{Schema: schema, Row: row, RowLabel: grp.lbl, Params: params}
-		if subHaving != nil {
-			hv, err := exec.Eval(subHaving, genv)
-			if err != nil {
-				return nil, err
-			}
-			if !hv.Truthy() {
-				continue
-			}
-		}
-		vals := make([]types.Value, len(subItems))
-		for i, ie := range subItems {
-			v, err := exec.Eval(ie, genv)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		var keys []types.Value
-		if len(subOrder) > 0 {
-			keys = make([]types.Value, len(subOrder))
-			for i, oe := range subOrder {
-				v, err := exec.Eval(oe, genv)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
-			}
-		}
-		out = append(out, outRow{feedRow{vals, grp.lbl}, keys})
-	}
-
-	if len(subOrder) > 0 {
-		sort.SliceStable(out, func(i, j int) bool {
-			a, b := out[i].sort, out[j].sort
-			for k := range subOrder {
-				c := a[k].Compare(b[k])
-				if c != 0 {
-					if sp.orderDesc[k] {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
-	}
-
-	rows := make([]feedRow, 0, len(out))
-	var seen map[string]bool
-	if sp.distinct {
-		seen = map[string]bool{}
-	}
-	for i := range out {
-		if seen != nil {
-			k := rowKey(out[i].vals)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		rows = append(rows, out[i].feedRow)
-	}
-
-	if skip, _, err := evalBound(sp.offset, cfg.Params); err != nil {
-		return nil, err
-	} else if skip > 0 {
-		if skip > int64(len(rows)) {
-			skip = int64(len(rows))
-		}
-		rows = rows[skip:]
-	}
-	if take, has, err := evalBound(sp.limit, cfg.Params); err != nil {
-		return nil, err
-	} else if has && take < int64(len(rows)) {
-		rows = rows[:take]
-	}
-	return &bufferedStream{cols: sp.names, rows: rows}, nil
+	return m.fold.Result()
 }
 
 // Describe renders the distributed plan for EXPLAIN and the docs
@@ -578,7 +303,7 @@ func (sp *Spec) Describe(shards, window int) []string {
 			}
 		}
 		d := fmt.Sprintf("├─ Gateway: %s finalize [groups=%d aggs=[%s]]",
-			sp.Mode, sp.groupN, strings.Join(aggDesc, " "))
+			sp.Mode, len(sp.groupBy), strings.Join(aggDesc, " "))
 		if sp.having != nil {
 			d += " having"
 		}

@@ -1,9 +1,13 @@
 // Package distplan splits a keyless SELECT at the shard boundary into
 // a per-shard fragment (scan + pushed predicates + projection +
 // partial aggregation, rendered back to wire-executable SQL) and a
-// gateway merge plan that finalizes the fragments' streams into the
-// single-node answer: k-way ordered merge, SUM-of-COUNTs / AVG
-// recomposition, re-applied HAVING, top-K LIMIT.
+// gateway merge that finalizes the fragments' streams into the
+// single-node answer. The gateway is a tree of internal/plan's own
+// operators — ordered merge, aggregate, sort, DISTINCT, OFFSET, LIMIT
+// — over leaves fed by the shards. What lives here is what is
+// distributed: the split rule, fragment rendering, the algebra that
+// composes partial aggregates (SUM of COUNTs, AVG = SUM ÷ COUNT), and
+// the bounded fan-out feeds.
 //
 // The split never weakens the paper's label semantics (Query by Label,
 // §7.1): each fragment executes on its shard under the session's full
@@ -22,6 +26,7 @@ import (
 	"fmt"
 
 	"ifdb/internal/exec"
+	"ifdb/internal/plan"
 	"ifdb/internal/sql"
 	"ifdb/internal/types"
 )
@@ -30,8 +35,8 @@ import (
 type Mode int
 
 const (
-	// ModeOrdered streams the per-shard sorted fragments through a
-	// k-way ordered merge (also used, with zero sort keys, for plain
+	// ModeOrdered streams the per-shard sorted fragments through
+	// plan.MergeNode (also used, with zero sort keys, for plain
 	// LIMIT/OFFSET/DISTINCT shipping).
 	ModeOrdered Mode = iota + 1
 	// ModePartialAgg ships per-shard partial aggregates and finalizes
@@ -70,10 +75,10 @@ type aggSpec struct {
 	fn       string
 	star     bool
 	distinct bool
-	// width is the number of fragment columns the aggregate occupies
-	// after the group columns: partial AVG ships sum+count (2); a
-	// gathered COUNT(*) ships nothing (0); everything else ships 1.
-	width int
+	// at is the aggregate's first fragment column. It occupies two
+	// when a partial AVG ships sum+count, none for a gathered COUNT(*),
+	// one otherwise.
+	at int
 }
 
 // Spec is a split statement: the fragment text to run on every shard
@@ -91,14 +96,14 @@ type Spec struct {
 	distinct    bool
 	pushedLimit bool // fragment carries LIMIT limit+offset
 
-	// Aggregate modes. Glue expressions reference group values as
-	// __ifdb_g<k> columns and keep aggregate calls in place; the
-	// gateway substitutes finalized values the same way the engine
-	// substitutes placeholder parameters.
-	groupN    int
+	// Aggregate modes: the inputs of the gateway's plan.AggregateNode
+	// over the fragment's columns. Glue expressions reference group
+	// values as __ifdb_g<k> columns and keep aggregate calls in place
+	// (by identity, which is how newAcc finds a call's aggSpec).
+	fragCols  exec.Schema // the fragment's projection
+	groupBy   []sql.Expr  // __ifdb_g<k> references, one per GROUP BY key
 	aggs      []aggSpec
-	items     []sql.Expr
-	names     []string // output column names (engine naming rules)
+	items     []sql.SelectItem // glue, aliased to the engine's output names
 	having    sql.Expr
 	orderGlue []sql.Expr
 	orderDesc []bool
@@ -163,7 +168,7 @@ func splitSelect(sel *sql.SelectStmt, opts Options) *Spec {
 // splitOrdered handles non-aggregated SELECTs. The fragment is the
 // statement itself (each shard sorts and, when safe, pre-truncates its
 // own rows), possibly with hidden trailing sort-key columns so the
-// gateway can run the k-way merge; the gateway re-applies DISTINCT,
+// gateway can run the ordered merge; the gateway re-applies DISTINCT,
 // OFFSET, and LIMIT exactly.
 func splitOrdered(sel *sql.SelectStmt) *Spec {
 	if len(sel.OrderBy) == 0 && sel.Limit == nil && sel.Offset == nil && !sel.Distinct {
@@ -353,9 +358,9 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	}
 
 	ok := true
-	items := make([]sql.Expr, len(sel.Items))
-	for i, it := range sel.Items {
-		items[i] = rewriteGlue(it.Expr, groupTxt, &ok)
+	items := make([]sql.SelectItem, len(sel.Items))
+	for i, name := range plan.OutputSchema(sel.Items) {
+		items[i] = sql.SelectItem{Expr: rewriteGlue(sel.Items[i].Expr, groupTxt, &ok), Alias: name.Name}
 	}
 	having := rewriteGlue(sel.Having, groupTxt, &ok)
 	orderGlue := make([]sql.Expr, len(orderExprs))
@@ -371,32 +376,32 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	// into SUM + COUNT); gather mode ships the raw argument values and
 	// leaves all folding to the gateway.
 	var fragItems []sql.SelectItem
+	groupBy := make([]sql.Expr, len(sel.GroupBy))
 	for k, ge := range sel.GroupBy {
-		fragItems = append(fragItems, sql.SelectItem{Expr: ge, Alias: fmt.Sprintf("__ifdb_g%d", k)})
+		name := fmt.Sprintf("__ifdb_g%d", k)
+		fragItems = append(fragItems, sql.SelectItem{Expr: ge, Alias: name})
+		groupBy[k] = &sql.ColumnRef{Column: name}
 	}
 	for i := range specAggs {
 		a := &specAggs[i]
+		a.at = len(fragItems)
 		switch {
 		case mode == ModePartialAgg && a.fn == "avg":
 			fragItems = append(fragItems,
 				sql.SelectItem{Expr: &sql.FuncCall{Name: "sum", Args: a.call.Args}, Alias: fmt.Sprintf("__ifdb_a%ds", i)},
 				sql.SelectItem{Expr: &sql.FuncCall{Name: "count", Args: a.call.Args}, Alias: fmt.Sprintf("__ifdb_a%dc", i)})
-			a.width = 2
 		case mode == ModePartialAgg && a.fn == "count":
 			fragItems = append(fragItems, sql.SelectItem{
 				Expr:  &sql.FuncCall{Name: "count", Star: a.star, Args: a.call.Args},
 				Alias: fmt.Sprintf("__ifdb_a%d", i)})
-			a.width = 1
 		case mode == ModePartialAgg:
 			fragItems = append(fragItems, sql.SelectItem{
 				Expr:  &sql.FuncCall{Name: a.fn, Args: a.call.Args},
 				Alias: fmt.Sprintf("__ifdb_a%d", i)})
-			a.width = 1
 		case a.star:
-			a.width = 0 // gathered COUNT(*) just counts shipped rows
+			// gathered COUNT(*) just counts shipped rows
 		default:
 			fragItems = append(fragItems, sql.SelectItem{Expr: a.call.Args[0], Alias: fmt.Sprintf("__ifdb_a%d", i)})
-			a.width = 1
 		}
 	}
 	if len(fragItems) == 0 {
@@ -414,31 +419,15 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 		return nil
 	}
 
-	// Output column names follow the engine's rules: explicit alias,
-	// else the bare column name, else positional.
-	names := make([]string, len(sel.Items))
-	for i, it := range sel.Items {
-		name := it.Alias
-		if name == "" {
-			if cr, ok := it.Expr.(*sql.ColumnRef); ok {
-				name = cr.Column
-			}
-		}
-		if name == "" {
-			name = fmt.Sprintf("column%d", i+1)
-		}
-		names[i] = name
-	}
-
 	return &Spec{
 		Table:     sel.From.Name,
 		Fragment:  text,
 		Mode:      mode,
 		distinct:  sel.Distinct,
-		groupN:    len(sel.GroupBy),
+		fragCols:  plan.OutputSchema(fragItems),
+		groupBy:   groupBy,
 		aggs:      specAggs,
 		items:     items,
-		names:     names,
 		having:    having,
 		orderGlue: orderGlue,
 		orderDesc: orderDesc,

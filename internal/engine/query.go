@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -645,12 +646,20 @@ func equiJoinKeys(on sql.Expr, left, right exec.Schema) (lk, rk []int, pure bool
 func hashKey(vals []types.Value, cols []int, _ int, _ bool) string {
 	var b strings.Builder
 	for _, c := range cols {
-		v := vals[c]
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		writeKey(&b, vals[c])
 	}
 	return b.String()
+}
+
+// writeKey appends one value to a tuple key: kind, length, string
+// form. Length-prefixed, because a text value may contain any byte a
+// terminator could be. Kept byte for byte the same as plan's.
+func writeKey(b *strings.Builder, v types.Value) {
+	s := v.String()
+	var n [binary.MaxVarintLen64]byte
+	b.WriteByte(byte(v.Kind()))
+	b.Write(n[:binary.PutUvarint(n[:], uint64(len(s)))])
+	b.WriteString(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -803,9 +812,7 @@ func evalIntConst(e sql.Expr, env *exec.Env) (int64, error) {
 func rowKey(vals []types.Value) string {
 	var b strings.Builder
 	for _, v := range vals {
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		writeKey(&b, v)
 	}
 	return b.String()
 }

@@ -130,8 +130,9 @@ func (s *Session) openCursor(sel *sql.SelectStmt, params []types.Value) (*Cursor
 		return nil, err
 	}
 	c.it = it
-	c.cols = make([]string, len(p.Schema()))
-	for i, cm := range p.Schema() {
+	schema := p.Schema()
+	c.cols = make([]string, len(schema))
+	for i, cm := range schema {
 		c.cols[i] = cm.Name
 	}
 	return c, nil

@@ -9,17 +9,45 @@ import (
 	"ifdb/internal/types"
 )
 
-// This file ports the legacy engine's aggregation verbatim onto the
-// iterator model. Aggregation is inherently blocking, so the iterator
-// drains its child and then replays the legacy algorithm: aggregate
-// calls are rewritten to placeholder parameters allocated after the
-// user's parameters, groups accumulate in first-seen order, and each
-// output row's secrecy label is the union (integrity label the
-// intersection) of its inputs — derived data carries the contamination
-// of everything that fed it (Information Flow Rule).
+// Aggregation is inherently blocking, so the iterator drains its child
+// and then runs the legacy engine's algorithm: aggregate calls are
+// rewritten to placeholder parameters allocated after the user's
+// parameters, groups accumulate in first-seen order, and each output
+// row's secrecy label is the union (integrity label the intersection)
+// of its inputs — derived data carries the contamination of everything
+// that fed it (Information Flow Rule).
 //
-// The accumulator itself (exec.AggState) is shared with the legacy
-// executor and the distributed gateway merge.
+// aggIter is the only aggregate iterator: the engine runs it over
+// scans with EvalAcc, the Router's gateway over shard streams with the
+// partial-aggregate algebra of internal/distplan. The fold itself
+// (exec.AggState) is shared with the legacy executor.
+
+// EvalAcc is the engine's accumulator: the call's argument evaluated
+// against each input row, folded by exec.AggState.
+func EvalAcc(fc *sql.FuncCall) Accumulator {
+	return &evalAcc{fc: fc, st: exec.NewAggState(fc)}
+}
+
+type evalAcc struct {
+	fc *sql.FuncCall
+	st *exec.AggState
+}
+
+func (a *evalAcc) Add(env *exec.Env) error {
+	if a.fc.Star {
+		return a.st.Add(types.Null)
+	}
+	if len(a.fc.Args) != 1 {
+		return fmt.Errorf("engine: aggregate %s takes one argument", a.fc.Name)
+	}
+	v, err := exec.Eval(a.fc.Args[0], env)
+	if err != nil {
+		return err
+	}
+	return a.st.Add(v)
+}
+
+func (a *evalAcc) Result() types.Value { return a.st.Result() }
 
 type aggIter struct {
 	n       *AggregateNode
@@ -92,7 +120,7 @@ func (it *aggIter) drain() error {
 
 	type group struct {
 		rep    Row // representative row (first of group)
-		states []*exec.AggState
+		states []Accumulator
 		lbl    label.Label
 		ilbl   label.Label
 		first  bool
@@ -116,9 +144,9 @@ func (it *aggIter) drain() error {
 		}
 		g, ok := groups[key]
 		if !ok {
-			g = &group{rep: r, states: make([]*exec.AggState, len(aggs)), first: true, ilbl: r.ILbl}
+			g = &group{rep: r, states: make([]Accumulator, len(aggs)), first: true, ilbl: r.ILbl}
 			for i, fc := range aggs {
-				g.states[i] = exec.NewAggState(fc)
+				g.states[i] = n.NewAcc(fc)
 			}
 			groups[key] = g
 			order = append(order, key)
@@ -129,21 +157,8 @@ func (it *aggIter) drain() error {
 		} else {
 			g.ilbl = g.ilbl.Intersect(r.ILbl)
 		}
-		for i, fc := range aggs {
-			if fc.Star {
-				if err := g.states[i].Add(types.Null); err != nil {
-					return err
-				}
-				continue
-			}
-			if len(fc.Args) != 1 {
-				return fmt.Errorf("engine: aggregate %s takes one argument", fc.Name)
-			}
-			v, err := exec.Eval(fc.Args[0], env)
-			if err != nil {
-				return err
-			}
-			if err := g.states[i].Add(v); err != nil {
+		for _, st := range g.states {
+			if err := st.Add(env); err != nil {
 				return err
 			}
 		}
@@ -151,9 +166,9 @@ func (it *aggIter) drain() error {
 
 	// With no GROUP BY, an empty input still yields one group.
 	if len(n.GroupBy) == 0 && len(groups) == 0 {
-		g := &group{rep: Row{Vals: make([]types.Value, len(inSchema))}, states: make([]*exec.AggState, len(aggs))}
+		g := &group{rep: Row{Vals: make([]types.Value, len(inSchema))}, states: make([]Accumulator, len(aggs))}
 		for i, fc := range aggs {
-			g.states[i] = exec.NewAggState(fc)
+			g.states[i] = n.NewAcc(fc)
 		}
 		groups[""] = g
 		order = append(order, "")

@@ -252,16 +252,14 @@ func (lv *level) assemble() (Node, error) {
 
 	var out Node
 	if lv.aggregated {
-		a := &AggregateNode{
+		out = &AggregateNode{
 			Child: input, Items: lv.items,
 			GroupBy: lv.sel.GroupBy, Having: lv.sel.Having,
-			OrderExprs: lv.orderExprs, Strip: lv.strip,
+			OrderExprs: lv.orderExprs, NewAcc: EvalAcc, Strip: lv.strip,
 		}
-		a.schema = outputSchema(lv.items)
-		out = a
 	} else {
 		p := &ProjectNode{Child: input, Items: lv.items, OrderExprs: lv.orderExprs, Strip: lv.strip}
-		p.schema = outputSchema(lv.items)
+		p.schema = OutputSchema(lv.items)
 		p.compile()
 		out = p
 	}

@@ -124,6 +124,26 @@ func TestStatementBattery(t *testing.T) {
 		p.execPrepared(tc.user, tc.sql, tc.args...)
 	}
 
+	// Tuple keys keep column boundaries: these two rows are distinct,
+	// though a key of kind ‖ string ‖ NUL per column renders both the
+	// same (3 is the kind byte of TEXT). Both executors once agreed on
+	// the wrong answer, so the row counts are asserted, not only diffed.
+	p.setup("admin", `CREATE TABLE pairs (a TEXT, b TEXT)`)
+	p.setup("admin", `INSERT INTO pairs VALUES ($1, $2)`, types.NewText("a\x00\x03b"), types.NewText("c"))
+	p.setup("admin", `INSERT INTO pairs VALUES ($1, $2)`, types.NewText("a"), types.NewText("b\x00\x03c"))
+	for _, q := range []string{
+		`SELECT DISTINCT a, b FROM pairs`,
+		`SELECT a, b, COUNT(*) FROM pairs GROUP BY a, b`,
+		`SELECT x.a, y.b FROM pairs x JOIN pairs y ON x.a = y.a AND x.b = y.b`,
+	} {
+		if res, err := p.exec("admin", q); err != nil {
+			t.Errorf("%s: %v", q, err)
+		} else if len(res.Rows) != 2 {
+			t.Errorf("%s: %d rows, want the 2 distinct rows", q, len(res.Rows))
+		}
+		p.execStream("admin", q, 1)
+	}
+
 	// DDL invalidates cached plans: re-run a cached statement after an
 	// index appears and after the table is dropped.
 	p.exec("admin", `SELECT id FROM emp WHERE salary = 1370 ORDER BY id`)

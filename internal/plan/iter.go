@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -49,6 +50,8 @@ func (it *valuesIter) Next() (*Row, error) {
 }
 
 func (it *valuesIter) Close() {}
+
+func (n *SourceNode) open(rt *Runtime) (Iter, error) { return n.Rows, nil }
 
 // ---------------------------------------------------------------------------
 // Scan
@@ -595,20 +598,7 @@ func (it *sortIter) Next() (*Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		desc := it.n.Desc
-		sort.SliceStable(rows, func(i, j int) bool {
-			a, b := rows[i].Sort, rows[j].Sort
-			for k := range a {
-				c := a[k].Compare(b[k])
-				if c != 0 {
-					if desc[k] {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			return false
-		})
+		sort.SliceStable(rows, func(i, j int) bool { return sortLess(&rows[i], &rows[j], it.n.Desc) })
 		it.rows = rows
 	}
 	if it.pos >= len(it.rows) {
@@ -620,6 +610,101 @@ func (it *sortIter) Next() (*Row, error) {
 }
 
 func (it *sortIter) Close() { it.child.Close() }
+
+// sortLess orders two rows by their Sort keys (types.Value.Compare),
+// each key ascending unless its desc flag is set.
+func sortLess(a, b *Row, desc []bool) bool {
+	for k := range desc {
+		if c := a.Sort[k].Compare(b.Sort[k]); c != 0 {
+			return (c < 0) != desc[k]
+		}
+	}
+	return false
+}
+
+// ---------------------------------------------------------------------------
+// Ordered merge
+
+// mergeIter holds the next row of every live child and emits the
+// smallest by a linear scan in child order: children are few (one per
+// shard), and scanning in order is what sends ties to the lower child.
+type mergeIter struct {
+	desc     []bool
+	children []Iter
+	heads    []Row
+	live     []bool
+	primed   bool
+	out      Row
+	err      error
+}
+
+func (n *MergeNode) open(rt *Runtime) (Iter, error) {
+	it := &mergeIter{desc: n.Desc}
+	for _, c := range n.Children {
+		ci, err := c.open(rt)
+		if err != nil {
+			it.Close()
+			return nil, err
+		}
+		it.children = append(it.children, ci)
+	}
+	it.heads = make([]Row, len(it.children))
+	it.live = make([]bool, len(it.children))
+	return it, nil
+}
+
+// advance pulls child c's next row into its head slot. The row is
+// copied, so the head outlives the child's next Next.
+func (it *mergeIter) advance(c int) error {
+	r, err := it.children[c].Next()
+	it.live[c] = r != nil
+	if r != nil {
+		it.heads[c] = *r
+	}
+	return err
+}
+
+func (it *mergeIter) Next() (*Row, error) {
+	if it.err != nil {
+		return nil, it.err
+	}
+	if !it.primed {
+		it.primed = true
+		for c := range it.children {
+			if err := it.advance(c); err != nil {
+				return nil, it.fail(err)
+			}
+		}
+	}
+	min := -1
+	for c := range it.heads {
+		if it.live[c] && (min < 0 || sortLess(&it.heads[c], &it.heads[min], it.desc)) {
+			min = c
+		}
+	}
+	if min < 0 {
+		return nil, nil
+	}
+	it.out = it.heads[min]
+	if err := it.advance(min); err != nil {
+		return nil, it.fail(err)
+	}
+	return &it.out, nil
+}
+
+// fail makes err sticky and closes every child: the others are still
+// mid-stream and nobody will pull them again.
+func (it *mergeIter) fail(err error) error {
+	it.err = err
+	it.Close()
+	return err
+}
+
+func (it *mergeIter) Close() {
+	for _, c := range it.children {
+		c.Close()
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Distinct
@@ -751,15 +836,24 @@ func evalIntConst(e sql.Expr, env *exec.Env) (int64, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Key helpers (byte-compatible with the legacy executor)
+// Group, DISTINCT and hash-join keys (byte-compatible with the legacy
+// executor)
+
+// writeKey appends one value to a tuple key: kind, length, string
+// form. The length prefix is what keeps column boundaries apart — a
+// terminator would not, since a text value may contain any byte.
+func writeKey(b *strings.Builder, v types.Value) {
+	s := v.String()
+	var n [binary.MaxVarintLen64]byte
+	b.WriteByte(byte(v.Kind()))
+	b.Write(n[:binary.PutUvarint(n[:], uint64(len(s)))])
+	b.WriteString(s)
+}
 
 func hashKey(vals []types.Value, cols []int) string {
 	var b strings.Builder
 	for _, c := range cols {
-		v := vals[c]
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		writeKey(&b, vals[c])
 	}
 	return b.String()
 }
@@ -767,9 +861,7 @@ func hashKey(vals []types.Value, cols []int) string {
 func rowKey(vals []types.Value) string {
 	var b strings.Builder
 	for _, v := range vals {
-		b.WriteByte(byte(v.Kind()))
-		b.WriteString(v.String())
-		b.WriteByte(0)
+		writeKey(&b, v)
 	}
 	return b.String()
 }

@@ -8,6 +8,7 @@ import (
 	"ifdb/internal/exec"
 	"ifdb/internal/label"
 	"ifdb/internal/sql"
+	"ifdb/internal/types"
 )
 
 // EqConst is one "col = const" conjunct harvested from the WHERE
@@ -49,6 +50,34 @@ func (n *ScanNode) Schema() exec.Schema { return n.schema }
 type ValuesNode struct{}
 
 func (n *ValuesNode) Schema() exec.Schema { return nil }
+
+// SourceNode is a leaf whose rows are produced outside the package:
+// the Router's gateway (internal/distplan) feeds shard streams through
+// it. It holds a live iterator, so a tree over it runs once. Cols is
+// for operators above that resolve names; under those that resolve
+// none (the ordered merge, whose header only shard 0 knows) it is nil.
+type SourceNode struct {
+	Cols exec.Schema
+	Rows Iter
+}
+
+func (n *SourceNode) Schema() exec.Schema { return n.Cols }
+
+// MergeNode merges children that each arrive ordered by their rows'
+// Sort keys into one ordered stream. Equal keys go to the lower child,
+// which also keeps every child's own order; with no keys the children
+// are simply concatenated.
+type MergeNode struct {
+	Children []Node
+	Desc     []bool
+}
+
+func (n *MergeNode) Schema() exec.Schema {
+	if len(n.Children) == 0 {
+		return nil
+	}
+	return n.Children[0].Schema()
+}
 
 // RenameNode re-tables its child's output under an alias. It covers
 // both derived tables (FROM (SELECT ...) AS a) and views; for views it
@@ -181,19 +210,28 @@ func (n *ProjectNode) compile() {
 	n.cols, n.sortCols, n.identity = cols, sortCols, identity
 }
 
-// AggregateNode groups and folds its input. Blocking by nature.
+// Accumulator folds one aggregate call over the rows of one group.
+// Add sees each input row as env.Row with its labels.
+type Accumulator interface {
+	Add(env *exec.Env) error
+	Result() types.Value
+}
+
+// AggregateNode groups and folds its input. Blocking by nature. NewAcc
+// says what folding a call means over this input: the engine evaluates
+// the call's argument per row (EvalAcc), the Router's gateway composes
+// per-shard partial results.
 type AggregateNode struct {
 	Child      Node
 	Items      []sql.SelectItem
 	GroupBy    []sql.Expr
 	Having     sql.Expr
 	OrderExprs []sql.Expr
+	NewAcc     func(fc *sql.FuncCall) Accumulator
 	Strip      label.Label
-
-	schema exec.Schema
 }
 
-func (n *AggregateNode) Schema() exec.Schema { return n.schema }
+func (n *AggregateNode) Schema() exec.Schema { return OutputSchema(n.Items) }
 
 // SortNode orders its input by the Sort keys the projection attached.
 type SortNode struct {
@@ -247,10 +285,10 @@ func tableSchema(t *catalog.Table, alias string) exec.Schema {
 	return schema
 }
 
-// outputSchema names the columns a projection produces, mirroring the
+// OutputSchema names the columns a projection produces, mirroring the
 // legacy executor's rules: explicit alias, else the bare column name,
 // else a positional "columnN".
-func outputSchema(items []sql.SelectItem) exec.Schema {
+func OutputSchema(items []sql.SelectItem) exec.Schema {
 	schema := make(exec.Schema, len(items))
 	for i, it := range items {
 		name := it.Alias

@@ -150,6 +150,16 @@ var scatterBattery = []struct {
 	{`SELECT g, v FROM kv ORDER BY g, v`, true, false},
 	{`SELECT sum(v) FROM kv WHERE g = 'zz'`, false, false},
 	{`SELECT v FROM kv WHERE k < 0 ORDER BY v`, true, false},
+	// Bounds and glue evaluated at the gateway, in both merge shapes:
+	// the single node's answer or its error text.
+	{`SELECT v FROM kv ORDER BY v LIMIT -1`, true, false},
+	{`SELECT v FROM kv ORDER BY v LIMIT 3 OFFSET 1.5`, true, false},
+	{`SELECT v FROM kv ORDER BY v OFFSET 1000`, true, false},
+	{`SELECT g, count(*) FROM kv GROUP BY g ORDER BY g LIMIT -1`, true, false},
+	{`SELECT g, count(*) FROM kv GROUP BY g ORDER BY g LIMIT 3 OFFSET 1.5`, true, false},
+	{`SELECT g, count(*) FROM kv GROUP BY g ORDER BY g OFFSET 1000`, true, false},
+	// HAVING glue that fails only at the gateway: arithmetic on TEXT.
+	{`SELECT g, count(*) FROM kv GROUP BY g HAVING g + 1 > 0`, false, false},
 	{`SELECT sum(g) FROM kv`, false, false}, // type error: both sides must refuse identically
 }
 
@@ -326,6 +336,50 @@ func scatterEquivalenceSeed(t *testing.T, seed int64) {
 	}
 	if len(res.Rows) == 0 || strings.HasPrefix(res.Rows[0][0].Text(), "Scatter") {
 		t.Fatalf("keyed EXPLAIN should be the owning shard's engine plan: %v", res.Rows)
+	}
+}
+
+// TestScatterTupleKeyBoundaries: two rows that differ only in where the
+// column boundary falls — a key of kind ‖ string ‖ NUL per column
+// renders both the same, 3 being the kind byte of TEXT — live on
+// different shards, so only the gateway's DISTINCT and GROUP BY can
+// tell them apart. Pushdown on (partial aggregates) and off (gather).
+func TestScatterTupleKeyBoundaries(t *testing.T) {
+	smap := &wire.ShardMap{Version: 1, Keys: map[string]string{"pairs": "k"}}
+	mapFn := func() *wire.ShardMap { return smap }
+	addr0, _, _ := startShard(t, mapFn, 0)
+	addr1, _, _ := startShard(t, mapFn, 1)
+	smap.Shards = []wire.Shard{{ID: 0, Primary: addr0}, {ID: 1, Primary: addr1}}
+
+	for _, noPush := range []bool{false, true} {
+		r, err := client.OpenRouter(client.RouterConfig{Addrs: []string{addr0, addr1}, DisableAggPushdown: noPush})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if !noPush {
+			if _, err := r.Exec(`CREATE TABLE pairs (k BIGINT PRIMARY KEY, a TEXT, b TEXT)`); err != nil {
+				t.Fatal(err)
+			}
+			for sid, ab := range [][2]string{{"a\x00\x03b", "c"}, {"a", "b\x00\x03c"}} {
+				if _, err := r.Exec(`INSERT INTO pairs VALUES ($1, $2, $3)`,
+					ifdb.Int(keyForShard(smap, uint32(sid))), ifdb.Text(ab[0]), ifdb.Text(ab[1])); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, q := range []string{
+			`SELECT DISTINCT a, b FROM pairs`,
+			`SELECT a, b, count(*) FROM pairs GROUP BY a, b`,
+		} {
+			res, err := r.Exec(q)
+			if err != nil {
+				t.Fatalf("pushdown off=%v: %s: %v", noPush, q, err)
+			}
+			if len(res.Rows) != 2 {
+				t.Errorf("pushdown off=%v: %s: %d rows %v, want the 2 distinct rows", noPush, q, len(res.Rows), res.Rows)
+			}
+		}
 	}
 }
 
