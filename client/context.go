@@ -118,18 +118,24 @@ func (c *Conn) startExecCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer u
 
 // watchCancel arms a goroutine that, when ctx ends before stop is
 // called, sends the out-of-band CANCEL and — if the server does not
-// answer within cancelGrace — severs the statement's socket.
+// answer within cancelGrace — severs the statement's socket. stop
+// returns once the goroutine has exited, so a CANCEL it sent has
+// reached the server before the connection carries another statement:
+// the server drops a pending cancel as a statement arrives, but one
+// landing after that would kill the wrong statement — and a Router
+// cancels shard streams every time a LIMIT is met.
 func (c *Conn) watchCancel(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
-	done := make(chan struct{})
+	done, exited := make(chan struct{}), make(chan struct{})
 	// Capture everything the goroutine needs: the Conn's fields are
 	// single-threaded state the watcher must not touch.
 	addr, sid, key := c.cfg.Addr, c.sessID, c.cancelKey
 	dialTimeout := c.cfg.DialTimeout
 	nc := c.c
 	go func() {
+		defer close(exited)
 		select {
 		case <-done:
 		case <-ctx.Done():
@@ -141,12 +147,13 @@ func (c *Conn) watchCancel(ctx context.Context) (stop func()) {
 			}
 		}
 	}()
-	return func() { close(done) }
+	return func() { close(done); <-exited }
 }
 
-// sendCancelTo opens a fresh connection and fires a CANCEL frame for
-// the (session, key) pair — best-effort: a cancel that cannot be
-// delivered degrades to the grace-period socket cut.
+// sendCancelTo opens a fresh connection, fires a CANCEL frame for the
+// (session, key) pair and waits for the server to hang up, which it
+// does once the cancel is applied — best-effort: a cancel that cannot
+// be delivered degrades to the grace-period socket cut.
 func sendCancelTo(addr string, sessID, cancelKey uint64, dialTimeout time.Duration) {
 	if sessID == 0 {
 		return // v1 server: no cancellation support
@@ -164,7 +171,11 @@ func sendCancelTo(addr string, sessID, cancelKey uint64, dialTimeout time.Durati
 	if err := wire.WriteFrame(w, wire.MsgCancel, frame); err != nil {
 		return
 	}
-	_ = w.Flush()
+	if err := w.Flush(); err != nil {
+		return
+	}
+	_ = nc.SetReadDeadline(time.Now().Add(dialTimeout))
+	_, _ = nc.Read(make([]byte, 1)) // EOF: the server applied the cancel
 }
 
 // ctxErr returns ctx's error, tolerating a nil context.

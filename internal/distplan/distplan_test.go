@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ifdb/internal/label"
+	"ifdb/internal/plan"
 	"ifdb/internal/types"
 )
 
@@ -420,6 +421,31 @@ func TestAggHavingOrderLimit(t *testing.T) {
 	}
 }
 
+// TestGatewaySortBound: the gateway's tail is the engine's, so its sort
+// over an aggregate's groups is bounded by LIMIT + OFFSET, and not when
+// DISTINCT stands between them.
+func TestGatewaySortBound(t *testing.T) {
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT g, count(*) AS c FROM t GROUP BY g ORDER BY c DESC LIMIT 2 OFFSET 1", "sort [count(*) DESC] top 3\n"},
+		{"SELECT g, count(*) AS c FROM t GROUP BY g ORDER BY c DESC LIMIT $1", "sort [count(*) DESC] top $1\n"},
+		{"SELECT DISTINCT g, count(*) AS c FROM t GROUP BY g ORDER BY c DESC LIMIT 2", "sort [count(*) DESC]\n"},
+		{"SELECT g, count(*) AS c FROM t GROUP BY g ORDER BY c DESC", "sort [count(*) DESC]\n"},
+	} {
+		sp := Split(tc.sql, Options{})
+		if sp == nil {
+			t.Fatalf("%s: no split", tc.sql)
+		}
+		cfg, _ := cfgFor([][]feedRow{nil}, nil)
+		root, err := sp.gatewayPlan(newGather(&cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree := (&plan.Plan{Root: root}).Explain(); !strings.Contains(tree, tc.want) {
+			t.Errorf("%s: gateway tree lacks %q:\n%s", tc.sql, tc.want, tree)
+		}
+	}
+}
+
 func TestAggEmptyInputDefaultGroup(t *testing.T) {
 	for _, opts := range []Options{{}, {NoPartial: true}} {
 		sp := Split("SELECT count(*), sum(v) FROM t", opts)
@@ -488,6 +514,9 @@ func TestGatewayReleasesFeeds(t *testing.T) {
 		{"ordered", "SELECT a FROM t ORDER BY a", Options{}, func(i int64) feedRow { return row(vi(i)) }},
 		{"partial", "SELECT g, count(*) FROM t GROUP BY g", Options{}, func(i int64) feedRow { return row(vi(i), vi(1)) }},
 		{"gather", "SELECT g, count(*) FROM t GROUP BY g", Options{NoPartial: true}, func(i int64) feedRow { return row(vi(i)) }},
+		// The streaming fold under the bounded sort: both let go of the
+		// gather on a shard's error as on their own exhaustion.
+		{"partial-top", "SELECT g, count(*) AS c FROM t GROUP BY g ORDER BY c DESC, g LIMIT 2", Options{}, func(i int64) feedRow { return row(vi(i), vi(1)) }},
 	}
 	for _, m := range modes {
 		for _, shardFails := range []bool{true, false} {

@@ -64,6 +64,10 @@ func (sp *Spec) Gateway(cfg Config) (Stream, error) {
 
 func (sp *Spec) gatewayPlan(g *gather) (plan.Node, error) {
 	var root plan.Node
+	// Pure: gateway glue calls nothing that changes state, so a
+	// satisfied LIMIT stops pulling and the shards are cancelled. The
+	// merge arrives ordered; only an aggregate's groups need the sort.
+	tail := plan.Tail{Distinct: sp.distinct, Offset: sp.offset, Limit: sp.limit, Pure: true}
 	switch sp.Mode {
 	case ModeOrdered:
 		merge := &plan.MergeNode{Desc: sp.desc}
@@ -77,24 +81,11 @@ func (sp *Spec) gatewayPlan(g *gather) (plan.Node, error) {
 			Items: sp.items, GroupBy: sp.groupBy, Having: sp.having,
 			OrderExprs: sp.orderGlue, NewAcc: sp.newAcc,
 		}
-		if len(sp.orderGlue) > 0 {
-			root = &plan.SortNode{Child: root, Exprs: sp.orderGlue, Desc: sp.orderDesc}
-		}
+		tail.OrderExprs, tail.Desc = sp.orderGlue, sp.orderDesc
 	default:
 		return nil, fmt.Errorf("distplan: unknown mode %d", sp.Mode)
 	}
-	if sp.distinct {
-		root = &plan.DistinctNode{Child: root}
-	}
-	if sp.offset != nil {
-		root = &plan.OffsetNode{Child: root, Expr: sp.offset}
-	}
-	if sp.limit != nil {
-		// Pure: gateway glue calls nothing that changes state, so a
-		// satisfied LIMIT stops pulling and the shards are cancelled.
-		root = &plan.LimitNode{Child: root, Expr: sp.limit, Pure: true}
-	}
-	return root, nil
+	return tail.Over(root), nil
 }
 
 // columns names the merged stream's columns. An aggregate's are its

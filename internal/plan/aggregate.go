@@ -9,13 +9,15 @@ import (
 	"ifdb/internal/types"
 )
 
-// Aggregation is inherently blocking, so the iterator drains its child
-// and then runs the legacy engine's algorithm: aggregate calls are
-// rewritten to placeholder parameters allocated after the user's
-// parameters, groups accumulate in first-seen order, and each output
-// row's secrecy label is the union (integrity label the intersection)
-// of its inputs — derived data carries the contamination of everything
-// that fed it (Information Flow Rule).
+// Aggregation is inherently blocking — no group is final before the
+// last input row — but what it holds is its groups, not its input: the
+// iterator folds each row as its child produces it, by the legacy
+// engine's algorithm. Aggregate calls are rewritten to placeholder
+// parameters allocated after the user's parameters, groups accumulate
+// in first-seen order, and each output row's secrecy label is the
+// union (integrity label the intersection) of its inputs — derived
+// data carries the contamination of everything that fed it
+// (Information Flow Rule).
 //
 // aggIter is the only aggregate iterator: the engine runs it over
 // scans with EvalAcc, the Router's gateway over shard streams with the
@@ -50,12 +52,11 @@ func (a *evalAcc) Add(env *exec.Env) error {
 func (a *evalAcc) Result() types.Value { return a.st.Result() }
 
 type aggIter struct {
-	n       *AggregateNode
-	rt      *Runtime
-	child   Iter
-	started bool
-	out     []Row
-	pos     int
+	n     *AggregateNode
+	rt    *Runtime
+	child Iter // nil once folded or closed
+	out   []Row
+	pos   int
 }
 
 func (n *AggregateNode) open(rt *Runtime) (Iter, error) {
@@ -67,9 +68,8 @@ func (n *AggregateNode) open(rt *Runtime) (Iter, error) {
 }
 
 func (it *aggIter) Next() (*Row, error) {
-	if !it.started {
-		it.started = true
-		if err := it.drain(); err != nil {
+	if it.child != nil {
+		if err := it.fold(); err != nil {
 			return nil, err
 		}
 	}
@@ -81,13 +81,11 @@ func (it *aggIter) Next() (*Row, error) {
 	return r, nil
 }
 
-func (it *aggIter) drain() error {
+// fold consumes the child row by row and leaves the groups' output
+// rows in it.out. The child is closed on every way out.
+func (it *aggIter) fold() error {
+	defer it.Close()
 	n, rt := it.n, it.rt
-	input, err := drainIter(it.child)
-	it.child.Close()
-	if err != nil {
-		return err
-	}
 	inSchema := n.Child.Schema()
 	env := rt.env(inSchema, n.Strip)
 
@@ -123,39 +121,49 @@ func (it *aggIter) drain() error {
 		states []Accumulator
 		lbl    label.Label
 		ilbl   label.Label
-		first  bool
 	}
 	groups := make(map[string]*group)
-	var order []string
+	var order []*group
+	newGroup := func(key string, rep Row) *group {
+		g := &group{rep: rep, states: make([]Accumulator, len(aggs)), lbl: rep.Lbl, ilbl: rep.ILbl}
+		for i, fc := range aggs {
+			g.states[i] = n.NewAcc(fc)
+		}
+		groups[key] = g
+		order = append(order, g)
+		return g
+	}
 
-	for _, r := range input {
+	var key []byte // reused: only a group's first row allocates its key
+	for {
+		r, err := it.child.Next()
+		if err != nil {
+			return err
+		}
+		if r == nil {
+			break
+		}
 		env.Row, env.RowLabel, env.RowILabel = r.Vals, r.Lbl, r.ILbl
-		var key string
-		if len(n.GroupBy) > 0 {
-			kv := make([]types.Value, len(n.GroupBy))
-			for i, ge := range n.GroupBy {
-				v, err := exec.Eval(ge, env)
-				if err != nil {
-					return err
-				}
-				kv[i] = v
+		key = key[:0]
+		for _, ge := range n.GroupBy {
+			v, err := exec.Eval(ge, env)
+			if err != nil {
+				return err
 			}
-			key = rowKey(kv)
+			key = appendKey(key, v)
 		}
-		g, ok := groups[key]
+		g, ok := groups[string(key)]
 		if !ok {
-			g = &group{rep: r, states: make([]Accumulator, len(aggs)), first: true, ilbl: r.ILbl}
-			for i, fc := range aggs {
-				g.states[i] = n.NewAcc(fc)
-			}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.lbl = g.lbl.Union(r.Lbl)
-		if g.first {
-			g.first = false
+			g = newGroup(string(key), *r)
 		} else {
-			g.ilbl = g.ilbl.Intersect(r.ILbl)
+			// Most rows of a group carry a label it has seen: the union
+			// (intersection) is then the group's own, and is not rebuilt.
+			if !r.Lbl.SubsetOf(g.lbl) {
+				g.lbl = g.lbl.Union(r.Lbl)
+			}
+			if !g.ilbl.SubsetOf(r.ILbl) {
+				g.ilbl = g.ilbl.Intersect(r.ILbl)
+			}
 		}
 		for _, st := range g.states {
 			if err := st.Add(env); err != nil {
@@ -165,17 +173,11 @@ func (it *aggIter) drain() error {
 	}
 
 	// With no GROUP BY, an empty input still yields one group.
-	if len(n.GroupBy) == 0 && len(groups) == 0 {
-		g := &group{rep: Row{Vals: make([]types.Value, len(inSchema))}, states: make([]Accumulator, len(aggs))}
-		for i, fc := range aggs {
-			g.states[i] = n.NewAcc(fc)
-		}
-		groups[""] = g
-		order = append(order, "")
+	if len(n.GroupBy) == 0 && len(order) == 0 {
+		newGroup("", Row{Vals: make([]types.Value, len(inSchema))})
 	}
 
-	for _, key := range order {
-		g := groups[key]
+	for _, g := range order {
 		params := make([]types.Value, base+len(aggs))
 		copy(params, env.Params)
 		for i, st := range g.states {
@@ -223,4 +225,9 @@ func (it *aggIter) drain() error {
 	return nil
 }
 
-func (it *aggIter) Close() { it.child.Close() }
+func (it *aggIter) Close() {
+	if it.child != nil {
+		it.child.Close()
+		it.child = nil
+	}
+}

@@ -234,8 +234,8 @@ func (lv *level) prepareExprs() error {
 
 // assemble wires the analyzed level into its operator pipeline,
 // mirroring the legacy executeSelect stage order: sources+joins →
-// residual filter → aggregate/project → sort → distinct → offset →
-// limit.
+// residual filter → aggregate/project → Tail (sort → distinct → offset
+// → limit).
 func (lv *level) assemble() (Node, error) {
 	var input Node
 	if lv.sel.From == nil {
@@ -264,23 +264,18 @@ func (lv *level) assemble() (Node, error) {
 		out = p
 	}
 
-	if len(lv.sel.OrderBy) > 0 {
-		desc := make([]bool, len(lv.sel.OrderBy))
-		for i, ob := range lv.sel.OrderBy {
-			desc[i] = ob.Desc
-		}
-		out = &SortNode{Child: out, Exprs: lv.orderExprs, Desc: desc}
+	tail := Tail{
+		OrderExprs: lv.orderExprs, Desc: make([]bool, len(lv.sel.OrderBy)),
+		Distinct: lv.sel.Distinct, Offset: lv.sel.Offset, Limit: lv.sel.Limit,
+		Strip: lv.strip,
 	}
-	if lv.sel.Distinct {
-		out = &DistinctNode{Child: out}
+	for i, ob := range lv.sel.OrderBy {
+		tail.Desc[i] = ob.Desc
 	}
-	if lv.sel.Offset != nil {
-		out = &OffsetNode{Child: out, Expr: lv.sel.Offset, Strip: lv.strip}
+	if tail.Limit != nil {
+		tail.Pure = selectPure(lv.cat, lv.sel, nil)
 	}
-	if lv.sel.Limit != nil {
-		out = &LimitNode{Child: out, Expr: lv.sel.Limit, Pure: selectPure(lv.cat, lv.sel, nil), Strip: lv.strip}
-	}
-	return out, nil
+	return tail.Over(out), nil
 }
 
 // finalNode materializes a source's operator, applying any pruning the

@@ -144,6 +144,64 @@ func TestStatementBattery(t *testing.T) {
 		p.execStream("admin", q, 1)
 	}
 
+	// The sort under LIMIT keeps only the rows LIMIT + OFFSET can reach,
+	// and the aggregate folds rows as they arrive: both must still
+	// answer as the legacy sort-everything, buffer-everything stages do.
+	// Few distinct keys and NULLs in both, so nearly every comparison is
+	// a tie and only arrival order decides.
+	p.setup("admin", `CREATE TABLE ties (id BIGINT PRIMARY KEY, a BIGINT, b BIGINT)`)
+	for i := int64(0); i < 30; i++ {
+		a, b := types.NewInt(i*7%4), types.NewInt(i*5%3)
+		if i%4 == 1 {
+			a = types.Null
+		}
+		if i%5 == 2 {
+			b = types.Null
+		}
+		p.setup("admin", `INSERT INTO ties VALUES ($1, $2, $3)`, types.NewInt(i), a, b)
+	}
+	p.setup("admin", `SELECT create_sequence('tieseq')`)
+	for _, tc := range []struct {
+		sql  string
+		args []types.Value
+	}{
+		{`SELECT id, a FROM ties ORDER BY a LIMIT 7`, nil},
+		{`SELECT id FROM ties ORDER BY a DESC, b LIMIT 9`, nil},
+		{`SELECT id FROM ties ORDER BY b, a DESC LIMIT 4 OFFSET 6`, nil},
+		{`SELECT id FROM ties ORDER BY a LIMIT 0`, nil},
+		{`SELECT id FROM ties ORDER BY a DESC LIMIT 1000`, nil},
+		{`SELECT id FROM ties ORDER BY b DESC LIMIT 3 OFFSET 29`, nil},
+		{`SELECT id FROM ties ORDER BY a LIMIT $1`, args(types.NewInt(5))},
+		{`SELECT id FROM ties ORDER BY a, b DESC LIMIT $1 OFFSET $2`, args(types.NewInt(5), types.NewInt(2))},
+		{`SELECT id FROM ties ORDER BY a LIMIT $1`, args(types.NewInt(-1))},
+		// DISTINCT between the sort and the LIMIT: the first two rows of
+		// the order are both NULL, so a bounded sort would answer one row.
+		{`SELECT DISTINCT a FROM ties ORDER BY a LIMIT 2`, nil},
+		{`SELECT DISTINCT a, b FROM ties ORDER BY b DESC, a LIMIT 3 OFFSET 1`, nil},
+		// Side effects in the select list run once per input row, kept or
+		// not: the sequence hands out 30 values per statement.
+		{`SELECT nextval('tieseq'), id FROM ties ORDER BY a DESC, id LIMIT 3`, nil},
+		// Aggregates: sorted by an aggregate under LIMIT, NULL group
+		// keys, and empty input with and without GROUP BY.
+		{`SELECT a, COUNT(*) FROM ties GROUP BY a ORDER BY COUNT(*) DESC, a LIMIT 2`, nil},
+		{`SELECT a, b, SUM(id) AS s FROM ties GROUP BY a, b ORDER BY s DESC LIMIT 4 OFFSET 1`, nil},
+		{`SELECT b, MIN(a), MAX(a), AVG(id) FROM ties GROUP BY b`, nil},
+		{`SELECT COUNT(*), SUM(b), MIN(a) FROM ties WHERE id < 0`, nil},
+		{`SELECT a, COUNT(*) FROM ties WHERE id < 0 GROUP BY a`, nil},
+		{`SELECT a, COUNT(*) FROM ties WHERE id < 0 GROUP BY a ORDER BY a LIMIT 1`, nil},
+	} {
+		if _, err := p.exec("admin", tc.sql, tc.args...); err != nil {
+			continue
+		}
+		p.execStream("admin", tc.sql, 2, tc.args...)
+		p.execPrepared("admin", tc.sql, tc.args...)
+	}
+	// exec + stream + prepared ran the nextval statement on each side
+	// three times over 30 rows.
+	if res, err := p.exec("admin", `SELECT nextval('tieseq')`); err != nil || res.Rows[0][0].Int() != 91 {
+		t.Errorf("nextval under ORDER BY LIMIT: sequence now at %v (err %v), want 91", res, err)
+	}
+
 	// DDL invalidates cached plans: re-run a cached statement after an
 	// index appears and after the table is dropped.
 	p.exec("admin", `SELECT id FROM emp WHERE salary = 1370 ORDER BY id`)

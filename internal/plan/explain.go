@@ -13,7 +13,8 @@ import (
 // operator per line, leaves (scans) at the bottom. The rendering is
 // deterministic — it is golden-tested — and shows every analysis
 // decision: chosen index and bound prefix, pushed predicates, pruned
-// column sets, join strategy, and whether LIMIT may early-exit.
+// column sets, join strategy, a sort's bound, and whether LIMIT may
+// early-exit.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
 	renderNode(p.Root, &sb, "", true, true)
@@ -145,7 +146,11 @@ func describe(n Node) (string, []Node) {
 				parts[i] += " DESC"
 			}
 		}
-		return "sort [" + strings.Join(parts, ", ") + "]", []Node{x.Child}
+		s := "sort [" + strings.Join(parts, ", ") + "]"
+		if x.Limit != nil {
+			s += " top " + formatBound(x.Limit, x.Offset)
+		}
+		return s, []Node{x.Child}
 	case *DistinctNode:
 		return "distinct", []Node{x.Child}
 	case *OffsetNode:
@@ -158,6 +163,20 @@ func describe(n Node) (string, []Node) {
 		return s, []Node{x.Child}
 	}
 	return fmt.Sprintf("<%T>", n), nil
+}
+
+// formatBound renders how many rows a bounded sort keeps: the sum when
+// both parts are written out, else the parts.
+func formatBound(limit, offset sql.Expr) string {
+	if offset == nil {
+		return formatExpr(limit)
+	}
+	l, lok := limit.(*sql.Literal)
+	o, ook := offset.(*sql.Literal)
+	if lok && ook && l.Value.Kind() == types.KindInt && o.Value.Kind() == types.KindInt {
+		return strconv.FormatInt(l.Value.Int()+o.Value.Int(), 10)
+	}
+	return formatExpr(limit) + " + " + formatExpr(offset)
 }
 
 func formatItems(items []sql.SelectItem) string {

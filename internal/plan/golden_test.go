@@ -77,6 +77,11 @@ var explainCases = []struct{ name, sql string }{
 	{"aggregate", `SELECT dept, COUNT(*), AVG(salary) FROM emp GROUP BY dept HAVING COUNT(*) > 7`},
 	{"distinct_sort", `SELECT DISTINCT dept FROM emp ORDER BY dept DESC`},
 	{"limit_offset", `SELECT id FROM emp ORDER BY salary DESC LIMIT 5 OFFSET 2`},
+	// A sort under LIMIT keeps only the rows LIMIT + OFFSET can reach,
+	// unless DISTINCT stands between them.
+	{"sort_bounded", `SELECT id FROM emp ORDER BY salary DESC, id LIMIT 3`},
+	{"sort_bounded_param", `SELECT dept, COUNT(*) AS c FROM emp GROUP BY dept ORDER BY c DESC LIMIT $1 OFFSET 2`},
+	{"sort_distinct_unbounded", `SELECT DISTINCT dept FROM emp ORDER BY dept LIMIT 3`},
 	// LIMIT purity: a pure streaming pipeline early-exits; an impure
 	// projection must drain for its side effects.
 	{"limit_early_exit", `SELECT id FROM emp WHERE dept = 1 LIMIT 3`},

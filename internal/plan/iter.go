@@ -3,8 +3,8 @@ package plan
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"strings"
+	"math"
+	"slices"
 
 	"ifdb/internal/exec"
 	"ifdb/internal/index"
@@ -19,7 +19,8 @@ import (
 const scanBatch = 1024
 
 // drainIter pulls it to exhaustion. Row structs are copied out of the
-// iterator's internal buffer, so the result is stable.
+// iterator's internal buffer, so the result is stable. Only the joins
+// buffer a whole input this way.
 func drainIter(it Iter) ([]Row, error) {
 	var out []Row
 	for {
@@ -373,14 +374,15 @@ func (it *joinIter) drain() error {
 
 	if n.Strategy == JoinHash {
 		ht := make(map[string][]int, len(rightRows))
+		var key []byte
 		for ri := range rightRows {
-			k := hashKey(rightRows[ri].Vals, n.RightKeys)
-			ht[k] = append(ht[k], ri)
+			key = appendColsKey(key[:0], rightRows[ri].Vals, n.RightKeys)
+			ht[string(key)] = append(ht[string(key)], ri)
 		}
 		for _, lr := range leftRows {
-			k := hashKey(lr.Vals, n.LeftKeys)
+			key = appendColsKey(key[:0], lr.Vals, n.LeftKeys)
 			matched := false
-			for _, ri := range ht[k] {
+			for _, ri := range ht[string(key)] {
 				switch err := emit(lr, &rightRows[ri]); err {
 				case nil:
 					matched = true
@@ -574,52 +576,153 @@ func (it *projectIter) Close() { it.child.Close() }
 // ---------------------------------------------------------------------------
 // Sort
 
+// sortRow is a buffered row and its arrival number, which decides
+// between equal keys.
+type sortRow struct {
+	Row
+	seq int
+}
+
+// sortIter is the one sort. Without a bound it buffers its input and
+// sorts it stably. With one it keeps the bound's worth of rows in a
+// max-heap whose root is the last of them in the stable order — equal
+// keys ordered by arrival — so what comes out is, row for row, the
+// first rows the stable sort of the whole input would have produced.
 type sortIter struct {
-	n       *SortNode
-	child   Iter
-	started bool
-	rows    []Row
-	pos     int
+	n     *SortNode
+	child Iter  // nil once drained or closed
+	bound int64 // rows to keep; negative keeps all
+	rows  []sortRow
+	pos   int
 }
 
 func (n *SortNode) open(rt *Runtime) (Iter, error) {
+	bound := int64(-1)
+	if n.Limit != nil {
+		env := &exec.Env{Params: rt.Params}
+		limit, err := evalIntConst(n.Limit, env)
+		if err != nil {
+			return nil, err
+		}
+		var offset int64
+		if n.Offset != nil {
+			if offset, err = evalIntConst(n.Offset, env); err != nil {
+				return nil, err
+			}
+		}
+		if offset <= math.MaxInt64-limit {
+			bound = limit + offset
+		}
+	}
 	child, err := n.Child.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	return &sortIter{n: n, child: child}, nil
+	return &sortIter{n: n, child: child, bound: bound}, nil
 }
 
 func (it *sortIter) Next() (*Row, error) {
-	if !it.started {
-		it.started = true
-		rows, err := drainIter(it.child)
-		it.child.Close()
-		if err != nil {
+	if it.child != nil {
+		if err := it.fill(); err != nil {
 			return nil, err
 		}
-		sort.SliceStable(rows, func(i, j int) bool { return sortLess(&rows[i], &rows[j], it.n.Desc) })
-		it.rows = rows
 	}
 	if it.pos >= len(it.rows) {
 		return nil, nil
 	}
-	r := &it.rows[it.pos]
+	r := &it.rows[it.pos].Row
 	it.pos++
 	return r, nil
 }
 
-func (it *sortIter) Close() { it.child.Close() }
-
-// sortLess orders two rows by their Sort keys (types.Value.Compare),
-// each key ascending unless its desc flag is set.
-func sortLess(a, b *Row, desc []bool) bool {
-	for k := range desc {
-		if c := a.Sort[k].Compare(b.Sort[k]); c != 0 {
-			return (c < 0) != desc[k]
+// fill pulls the child to the end — also under a bound, so a select
+// list with side effects still runs once per input row — and leaves
+// the rows to emit in order. The child is closed on every way out.
+func (it *sortIter) fill() error {
+	defer it.Close()
+	desc, k := it.n.Desc, it.bound
+	heaped := false
+	for seq := 0; ; seq++ {
+		r, err := it.child.Next()
+		if err != nil {
+			it.rows = nil
+			return err
+		}
+		if r == nil {
+			break
+		}
+		switch {
+		case k < 0 || int64(len(it.rows)) < k:
+			it.rows = append(it.rows, sortRow{*r, seq})
+			if int64(len(it.rows)) == k {
+				for i := len(it.rows)/2 - 1; i >= 0; i-- {
+					siftDown(it.rows, i, desc)
+				}
+				heaped = true
+			}
+		case k > 0 && sortCmp(r, &it.rows[0].Row, desc) < 0:
+			// r arrived after the root, so it displaces it only when its
+			// keys sort strictly before.
+			it.rows[0] = sortRow{*r, seq}
+			siftDown(it.rows, 0, desc)
 		}
 	}
-	return false
+	if !heaped {
+		slices.SortStableFunc(it.rows, func(a, b sortRow) int { return sortCmp(&a.Row, &b.Row, desc) })
+		return nil
+	}
+	for end := len(it.rows) - 1; end > 0; end-- {
+		it.rows[0], it.rows[end] = it.rows[end], it.rows[0]
+		siftDown(it.rows[:end], 0, desc)
+	}
+	return nil
+}
+
+func (it *sortIter) Close() {
+	if it.child != nil {
+		it.child.Close()
+		it.child = nil
+	}
+}
+
+// siftDown restores the heap order below h[i]: every parent sorts
+// after its children.
+func siftDown(h []sortRow, i int, desc []bool) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && sortsAfter(&h[c+1], &h[c], desc) {
+			c++
+		}
+		if !sortsAfter(&h[c], &h[i], desc) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sortsAfter is the stable order: by keys, and between equal keys by
+// arrival.
+func sortsAfter(a, b *sortRow, desc []bool) bool {
+	c := sortCmp(&a.Row, &b.Row, desc)
+	return c > 0 || c == 0 && a.seq > b.seq
+}
+
+// sortCmp orders two rows by their Sort keys (types.Value.Compare),
+// each key ascending unless its desc flag is set.
+func sortCmp(a, b *Row, desc []bool) int {
+	for k := range desc {
+		if c := a.Sort[k].Compare(b.Sort[k]); c != 0 {
+			if desc[k] {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 // ---------------------------------------------------------------------------
@@ -678,7 +781,7 @@ func (it *mergeIter) Next() (*Row, error) {
 	}
 	min := -1
 	for c := range it.heads {
-		if it.live[c] && (min < 0 || sortLess(&it.heads[c], &it.heads[min], it.desc)) {
+		if it.live[c] && (min < 0 || sortCmp(&it.heads[c], &it.heads[min], it.desc) < 0) {
 			min = c
 		}
 	}
@@ -712,6 +815,7 @@ func (it *mergeIter) Close() {
 type distinctIter struct {
 	child Iter
 	seen  map[string]bool
+	key   []byte
 }
 
 func (n *DistinctNode) open(rt *Runtime) (Iter, error) {
@@ -728,9 +832,9 @@ func (it *distinctIter) Next() (*Row, error) {
 		if err != nil || r == nil {
 			return nil, err
 		}
-		k := rowKey(r.Vals)
-		if !it.seen[k] {
-			it.seen[k] = true
+		it.key = appendRowKey(it.key[:0], r.Vals)
+		if !it.seen[string(it.key)] {
+			it.seen[string(it.key)] = true
 			return r, nil
 		}
 	}
@@ -836,32 +940,59 @@ func evalIntConst(e sql.Expr, env *exec.Env) (int64, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Group, DISTINCT and hash-join keys (byte-compatible with the legacy
-// executor)
+// Group, DISTINCT and hash-join keys
 
-// writeKey appends one value to a tuple key: kind, length, string
-// form. The length prefix is what keeps column boundaries apart — a
-// terminator would not, since a text value may contain any byte.
-func writeKey(b *strings.Builder, v types.Value) {
-	s := v.String()
-	var n [binary.MaxVarintLen64]byte
-	b.WriteByte(byte(v.Kind()))
-	b.Write(n[:binary.PutUvarint(n[:], uint64(len(s)))])
-	b.WriteString(s)
+// appendKey appends one value to a tuple key: its kind, then the
+// payload at the kind's fixed width, or length-prefixed where it has
+// none. The prefix is what keeps column boundaries apart — a
+// terminator would not, since a text value may contain any byte. Two
+// values append the same bytes exactly when they are of one kind and
+// print alike (the legacy executor's key is kind, length, string form),
+// so 1 and 1.0 stay two groups. Callers append into a buffer they
+// reuse and look a map up by string(key), which does not allocate.
+func appendKey(b []byte, v types.Value) []byte {
+	b = append(b, byte(v.Kind()))
+	var n uint64
+	switch v.Kind() {
+	case types.KindNull:
+		return b
+	case types.KindText:
+		b = binary.AppendUvarint(b, uint64(len(v.Text())))
+		return append(b, v.Text()...)
+	case types.KindLabel:
+		b = binary.AppendUvarint(b, uint64(len(v.Label())))
+		for _, t := range v.Label() {
+			b = binary.LittleEndian.AppendUint64(b, uint64(t))
+		}
+		return b
+	case types.KindInt:
+		n = uint64(v.Int())
+	case types.KindBool:
+		if v.Bool() {
+			n = 1
+		}
+	case types.KindTime:
+		n = uint64(v.Time().UnixMicro())
+	case types.KindFloat:
+		f := v.Float()
+		if f != f {
+			f = math.NaN() // every NaN prints alike
+		}
+		n = math.Float64bits(f)
+	}
+	return binary.LittleEndian.AppendUint64(b, n)
 }
 
-func hashKey(vals []types.Value, cols []int) string {
-	var b strings.Builder
+func appendColsKey(b []byte, vals []types.Value, cols []int) []byte {
 	for _, c := range cols {
-		writeKey(&b, vals[c])
+		b = appendKey(b, vals[c])
 	}
-	return b.String()
+	return b
 }
 
-func rowKey(vals []types.Value) string {
-	var b strings.Builder
+func appendRowKey(b []byte, vals []types.Value) []byte {
 	for _, v := range vals {
-		writeKey(&b, v)
+		b = appendKey(b, v)
 	}
-	return b.String()
+	return b
 }

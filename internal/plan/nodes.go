@@ -240,6 +240,12 @@ type SortNode struct {
 	// EXPLAIN); Desc holds each key's direction.
 	Exprs []sql.Expr
 	Desc  []bool
+	// Limit, when set, bounds the sort: the operators above consume at
+	// most Limit + Offset rows (Offset may be nil), so the sort keeps
+	// only that many. Both are evaluated when the sort opens, the way
+	// LimitNode and OffsetNode evaluate theirs. Set by Tail.Over.
+	Limit  sql.Expr
+	Offset sql.Expr
 }
 
 func (n *SortNode) Schema() exec.Schema { return n.Child.Schema() }
@@ -275,6 +281,59 @@ type LimitNode struct {
 }
 
 func (n *LimitNode) Schema() exec.Schema { return n.Child.Schema() }
+
+// Tail is what a SELECT level does with the rows its projection or
+// aggregate produced: ORDER BY, DISTINCT, OFFSET and LIMIT, in the
+// legacy executor's stage order. The engine's levels and the Router's
+// gateway both end in one.
+type Tail struct {
+	// OrderExprs and Desc describe the sort; the rows below carry the
+	// key values as Row.Sort. Empty when the rows need no sorting.
+	OrderExprs []sql.Expr
+	Desc       []bool
+	Distinct   bool
+	Offset     sql.Expr
+	Limit      sql.Expr
+	Pure       bool // LimitNode.Pure
+	Strip      label.Label
+}
+
+// Over stacks sort ← distinct ← offset ← limit over child, leaving out
+// what the level does not ask for.
+func (t Tail) Over(child Node) Node {
+	out := child
+	if len(t.Desc) > 0 {
+		s := &SortNode{Child: out, Exprs: t.OrderExprs, Desc: t.Desc}
+		// Under a LIMIT only the first limit + offset rows of the order
+		// reach the output, so the sort need keep no more — unless a
+		// DISTINCT stands between, which may drop any number of them. The
+		// sort evaluates the bound a second time, so it takes only what
+		// evaluates alike every time and changes nothing.
+		if t.Limit != nil && !t.Distinct && fixedAtOpen(t.Limit) && fixedAtOpen(t.Offset) {
+			s.Limit, s.Offset = t.Limit, t.Offset
+		}
+		out = s
+	}
+	if t.Distinct {
+		out = &DistinctNode{Child: out}
+	}
+	if t.Offset != nil {
+		out = &OffsetNode{Child: out, Expr: t.Offset, Strip: t.Strip}
+	}
+	if t.Limit != nil {
+		out = &LimitNode{Child: out, Expr: t.Limit, Pure: t.Pure, Strip: t.Strip}
+	}
+	return out
+}
+
+// fixedAtOpen reports whether e is a literal, a parameter or absent.
+func fixedAtOpen(e sql.Expr) bool {
+	switch e.(type) {
+	case nil, *sql.Literal, *sql.Param:
+		return true
+	}
+	return false
+}
 
 // tableSchema builds the exec schema of a table under an alias.
 func tableSchema(t *catalog.Table, alias string) exec.Schema {

@@ -59,8 +59,9 @@ type Row struct {
 // flushes scan accounting; it is idempotent.
 //
 // The *Row belongs to the iterator and is valid until its next Next or
-// Close: a consumer that keeps a row past that copies the struct
-// (drainIter does, and with it sort, join, aggregate). What the row's
+// Close: a consumer that keeps a row past that copies the struct (the
+// joins' drainIter does, the sort for the rows it keeps, the aggregate
+// for each group's first). What the row's
 // fields point to — Vals, Sort, the labels — is never overwritten, so
 // a copied Row, or Vals alone (DISTINCT, the engine's cursor), stays
 // good for the life of the statement. Nobody may modify them.
@@ -147,7 +148,8 @@ type Node interface {
 type Plan struct {
 	Root Node
 
-	// blocking reports whether any operator materializes its input
+	// blocking reports whether any operator must see its whole input
+	// before its first output row, or remembers rows it has passed on
 	// (sort, aggregate, join, distinct): when false, the plan streams
 	// with O(batch) memory regardless of result size.
 	blocking bool

@@ -161,6 +161,37 @@ var scatterBattery = []struct {
 	// HAVING glue that fails only at the gateway: arithmetic on TEXT.
 	{`SELECT g, count(*) FROM kv GROUP BY g HAVING g + 1 > 0`, false, false},
 	{`SELECT sum(g) FROM kv`, false, false}, // type error: both sides must refuse identically
+	// The sort under LIMIT keeps limit + offset rows — on the shards
+	// (pushed literal bounds) and at the gateway (over an aggregate's
+	// groups) — and must answer as the single node's does: mixed
+	// directions over NULL groups, bounds of nothing, past the end and
+	// from a parameter (scatterArgs), and DISTINCT, which takes the
+	// bound away.
+	{`SELECT g, v FROM kv ORDER BY g DESC, v LIMIT 7`, true, false},
+	{`SELECT g, v FROM kv ORDER BY g, v DESC LIMIT 5 OFFSET 4`, true, false},
+	{`SELECT v FROM kv ORDER BY v LIMIT 0`, true, false},
+	{`SELECT v FROM kv ORDER BY v DESC LIMIT 1000`, true, false},
+	{`SELECT v FROM kv ORDER BY v DESC LIMIT $1`, true, false},
+	{`SELECT v FROM kv ORDER BY v LIMIT $1 OFFSET $2`, true, false},
+	// Ties only: which rows fill the LIMIT is arrival order's choice, but
+	// every candidate shows the same value.
+	{`SELECT g FROM kv ORDER BY g LIMIT 9`, true, true},
+	{`SELECT DISTINCT g FROM kv ORDER BY g LIMIT 2`, true, true},
+	{`SELECT DISTINCT g FROM kv ORDER BY g DESC LIMIT 2 OFFSET 1`, true, true},
+	{`SELECT g, count(*) AS c FROM kv GROUP BY g ORDER BY c DESC, g LIMIT 2`, true, false},
+	{`SELECT g, sum(v) FROM kv GROUP BY g ORDER BY sum(v) DESC LIMIT $1 OFFSET $2`, true, false},
+	{`SELECT g, min(v) FROM kv GROUP BY g ORDER BY min(v) LIMIT 0`, true, false},
+	{`SELECT count(*), sum(v), min(g) FROM kv WHERE k < 0`, false, false},
+	{`SELECT g, count(*) FROM kv WHERE k < 0 GROUP BY g`, false, false},
+	{`SELECT g, count(*) FROM kv WHERE k < 0 GROUP BY g ORDER BY g LIMIT 3`, true, false},
+}
+
+// scatterArgs holds the parameters of the battery's parameterized
+// statements.
+var scatterArgs = map[string][]client.Value{
+	`SELECT v FROM kv ORDER BY v DESC LIMIT $1`:                                   {ifdb.Int(4)},
+	`SELECT v FROM kv ORDER BY v LIMIT $1 OFFSET $2`:                              {ifdb.Int(3), ifdb.Int(2)},
+	`SELECT g, sum(v) FROM kv GROUP BY g ORDER BY sum(v) DESC LIMIT $1 OFFSET $2`: {ifdb.Int(2), ifdb.Int(1)},
 }
 
 // TestScatterEquivalence runs the battery over a 3-shard IFC cluster
@@ -242,8 +273,8 @@ func scatterEquivalenceSeed(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 
-	// Seeded data: unique v (deterministic ties), small group space,
-	// every tenth-ish row written under the secrecy tag.
+	// Seeded data: unique v (deterministic ties), small group space with
+	// a NULL group, every tenth-ish row written under the secrecy tag.
 	rng := rand.New(rand.NewSource(seed))
 	groups := []string{"red", "green", "blue", "cyan", "plum"}
 	const n = 60
@@ -252,6 +283,9 @@ func scatterEquivalenceSeed(t *testing.T, seed int64) {
 		g := groups[rng.Intn(len(groups))]
 		v := int64(perm[i]*3 + 1)
 		params := []client.Value{ifdb.Int(int64(i)), ifdb.Text(g), ifdb.Int(v)}
+		if i%13 == 5 {
+			params[1] = ifdb.Null
+		}
 		secret := i%10 == 7
 		var rerr, oerr error
 		if secret {
@@ -269,8 +303,8 @@ func scatterEquivalenceSeed(t *testing.T, seed int64) {
 	oracleFor := map[string]*client.Conn{"public": connPub, "secrecy": connSec, "shiprows": connSec}
 	for name, router := range routers {
 		for _, bc := range scatterBattery {
-			got, gerr := router.Exec(bc.sql)
-			want, werr := oracleFor[name].Exec(bc.sql)
+			got, gerr := router.Exec(bc.sql, scatterArgs[bc.sql]...)
+			want, werr := oracleFor[name].Exec(bc.sql, scatterArgs[bc.sql]...)
 			if (gerr != nil) != (werr != nil) {
 				t.Fatalf("[%s] %s: cluster err %v, oracle err %v", name, bc.sql, gerr, werr)
 			}
