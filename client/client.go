@@ -408,7 +408,7 @@ func (c *Conn) execOnce(waitLSN, shardVer uint64, sql string, params []Value) (*
 	if err != nil {
 		return nil, err
 	}
-	return rows.drain()
+	return drain(rows)
 }
 
 // startExec sends one EXECUTE frame — a prepared handle (stmtID != 0)

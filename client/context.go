@@ -65,7 +65,7 @@ func (c *Conn) execCtxOnce(ctx context.Context, stmt *Stmt, waitLSN, shardVer ui
 	if err != nil {
 		return nil, err
 	}
-	res, err := rows.drain()
+	res, err := drain(rows)
 	return res, ctxErrOr(ctx, err)
 }
 

@@ -113,12 +113,6 @@ func (s *Stmt) QueryContext(ctx context.Context, params ...Value) (Rows, error) 
 	return s.c.queryCtx(ctx, s, 0, 0, "", params, nil)
 }
 
-// execShard runs the prepared statement with the Router's routing
-// envelope (read-your-writes token and shard-map version).
-func (s *Stmt) execShard(waitLSN, shardVer uint64, params []Value) (*Result, error) {
-	return s.c.execCtx(context.Background(), s, waitLSN, shardVer, "", params)
-}
-
 // Close drops the server-side handle. Fire-and-forget (no reply
 // frame); safe to call twice. Statements owned by the conn's cache
 // ignore Close — the next borrower reuses them.

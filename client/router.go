@@ -16,6 +16,17 @@
 // reads monotone with respect to what *this* Router observed, it
 // cannot resurrect commits the failover discarded.
 //
+// Structure: every statement runs against one replication *group* —
+// the whole cluster when unsharded, one shard of the map otherwise —
+// and each mechanism is written once, over a group: primaryOf (the
+// election), replicasOf (read candidates), read (the candidate loop),
+// write (the deadline loop), sessTokens.note (the token update) and
+// open (borrow a connection, start the statement, return the
+// connection when its stream ends). Everything is a stream: a buffered
+// read is its stream drained (rows.go: drain), a write is a one-chunk
+// stream drained, a fan-out read (scatter.go) is read once per shard
+// under a gateway merge.
+//
 // Label discipline: the Router multiplexes statements from many
 // goroutines over pooled connections, so it only suits workloads whose
 // process label stays empty (the common case for web-style read
@@ -121,12 +132,14 @@ type Router struct {
 	// carry: cfg.Secrecy's tags, or empty.
 	baseLabel Label
 
-	mu      sync.Mutex
-	nodes   map[string]*routerNode
-	primary string // addr of the current primary ("" = unknown)
-	epoch   uint64 // highest epoch observed across the cluster
-	smap    *ShardMap
-	closed  bool
+	mu    sync.Mutex
+	nodes map[string]*routerNode
+	// order lists every node address in registration order (configured
+	// addresses, then members adopted maps named). Replaced on growth,
+	// never mutated: a returned slice is a stable snapshot.
+	order  []string
+	smap   *ShardMap
+	closed bool
 
 	rr        atomic.Uint64 // read round-robin cursor
 	lastProbe atomic.Int64  // unix nanos of the last Reprobe (rate limit)
@@ -136,76 +149,124 @@ type Router struct {
 	toks *sessTokens
 }
 
+// group is one replication group as the routing loops see it: the
+// member addresses a statement may run on, the shard-map version it is
+// stamped with, and the slot its read-your-writes token lives in. An
+// unsharded cluster is the group of every node; shard sid is
+// m.Shards[sid]. Election, replica selection, the read loop, the write
+// loop and the token update are each written once, over a group.
+type group struct {
+	members []string // a shard's map-assigned primary first
+	ver     uint64   // 0 = unsharded: servers never version-fence it
+	slot    int      // the shard id, or wholeCluster
+}
+
+// wholeCluster is the token slot (and identity) of the unsharded group.
+const wholeCluster = -1
+
+func (g group) String() string {
+	if g.slot == wholeCluster {
+		return "the cluster"
+	}
+	return "shard " + strconv.Itoa(g.slot)
+}
+
+// routed counts one statement sent to a shard's member.
+func (g group) routed() {
+	if g.slot != wholeCluster {
+		mShardRouted.With(strconv.Itoa(g.slot)).Inc()
+	}
+}
+
+// shardGroup cuts shard sid's group out of m.
+func shardGroup(m *ShardMap, sid uint32) group {
+	sh := m.Shards[sid]
+	return group{members: append([]string{sh.Primary}, sh.Replicas...), ver: m.Version, slot: int(sid)}
+}
+
+// target derives the group a statement addresses from the map an
+// attempt holds (nil when unsharded). Every retry re-derives: a
+// stale-map refusal's adopted map may have a different shard count, so
+// a key may hash elsewhere, an IN list that spanned one shard may span
+// several, and a shard id may be gone — which fails the statement
+// rather than splitting or guessing.
+type target func(m *ShardMap) (group, error)
+
+// cluster is the unsharded cluster as a group: every node.
+func (r *Router) cluster() group {
+	return group{members: r.addrs(), slot: wholeCluster}
+}
+
+// anyNode targets the unsharded cluster.
+func (r *Router) anyNode(*ShardMap) (group, error) { return r.cluster(), nil }
+
+// keyTarget targets the one shard owning keys.
+func keyTarget(keys []string) target {
+	return func(m *ShardMap) (group, error) {
+		sid, single := singleShardOf(m, keys)
+		if !single {
+			return group{}, fmt.Errorf("client: the statement's keys no longer map to one shard under map version %d", m.Version)
+		}
+		return shardGroup(m, sid), nil
+	}
+}
+
+// shardTarget targets a shard by id (DDL fan-out, scatter fragments).
+func shardTarget(sid uint32) target {
+	return func(m *ShardMap) (group, error) {
+		if int(sid) >= len(m.Shards) {
+			return group{}, fmt.Errorf("client: shard %d no longer exists (map version %d)", sid, m.Version)
+		}
+		return shardGroup(m, sid), nil
+	}
+}
+
 // rwTok is the read-your-writes token: the primary WAL position of the
-// Router's last acknowledged write, with the epoch that position lives
-// in.
+// last acknowledged write to one group, with the epoch that position
+// lives in.
 type rwTok struct {
 	epoch uint64
 	lsn   uint64
 }
 
 // sessTokens is one read-your-writes scope: the freshest acknowledged
-// write position, global (unsharded mode) and per shard — each shard
-// is its own replication group with its own epoch chain and LSN
-// space, so one global token would be incomparable across shards.
-// The Router's default scope is shared by every caller: any caller's
+// write position per group slot — each group is its own epoch chain
+// and LSN space, so positions are incomparable across shards. The
+// Router's default scope is shared by every caller: any caller's
 // write advances the token every other caller's reads wait on.
 // Session() carves out private scopes so one session's writes don't
 // make unrelated sessions pay its replication-lag wait.
 type sessTokens struct {
-	token atomic.Pointer[rwTok]
-	mu    sync.Mutex
-	stoks map[uint32]rwTok
+	mu   sync.Mutex
+	toks map[int]rwTok
 }
 
 func newSessTokens() *sessTokens {
-	return &sessTokens{stoks: make(map[uint32]rwTok)}
+	return &sessTokens{toks: make(map[int]rwTok)}
 }
 
-func (t *sessTokens) global() *rwTok { return t.token.Load() }
-
-func (t *sessTokens) shard(sid uint32) *rwTok {
+func (t *sessTokens) get(slot int) *rwTok {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if tok, ok := t.stoks[sid]; ok {
+	if tok, ok := t.toks[slot]; ok {
 		return &tok
 	}
 	return nil
 }
 
-// noteWrite advances the global token to the result of a primary
-// write (forward within an epoch, re-based on the first write of a
-// newer epoch).
-func (t *sessTokens) noteWrite(res *Result) {
+// note advances slot's token to the result of a primary write: forward
+// within an epoch, re-based on the first write of a newer epoch.
+func (t *sessTokens) note(slot int, res *Result) {
 	if res.LSN == 0 {
 		return // in-memory primary: no LSN space, nothing to wait on
 	}
-	for {
-		cur := t.token.Load()
-		if cur != nil && cur.epoch == res.Epoch && cur.lsn >= res.LSN {
-			return
-		}
-		if cur != nil && cur.epoch > res.Epoch {
-			return
-		}
-		if t.token.CompareAndSwap(cur, &rwTok{epoch: res.Epoch, lsn: res.LSN}) {
-			return
-		}
-	}
-}
-
-// noteShardWrite advances shard sid's token under the same rules.
-func (t *sessTokens) noteShardWrite(sid uint32, res *Result) {
-	if res.LSN == 0 {
-		return // in-memory shard: no LSN space, nothing to wait on
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur, ok := t.stoks[sid]
+	cur, ok := t.toks[slot]
 	if ok && (cur.epoch > res.Epoch || (cur.epoch == res.Epoch && cur.lsn >= res.LSN)) {
 		return
 	}
-	t.stoks[sid] = rwTok{epoch: res.Epoch, lsn: res.LSN}
+	t.toks[slot] = rwTok{epoch: res.Epoch, lsn: res.LSN}
 }
 
 // toksFor resolves a statement's read-your-writes scope.
@@ -253,6 +314,8 @@ func (s *RouterSession) QueryContext(ctx context.Context, sqlText string, params
 	return s.r.query(ctx, routedStmt{sqlText: sqlText, plan: planFor(sqlText), toks: s.toks}, params)
 }
 
+// routerNode is one node's pool and its classification by the last
+// probe that reached it.
 type routerNode struct {
 	addr string
 
@@ -285,9 +348,7 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 	for _, t := range cfg.Secrecy {
 		r.baseLabel = r.baseLabel.Add(t)
 	}
-	for _, addr := range cfg.Addrs {
-		r.nodes[addr] = &routerNode{addr: addr}
-	}
+	r.register(cfg.Addrs...)
 	if cfg.ShardMap != nil {
 		if err := cfg.ShardMap.Validate(); err != nil {
 			return nil, err
@@ -300,6 +361,18 @@ func OpenRouter(cfg RouterConfig) (*Router, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// register adds the addresses the node table hasn't seen. A fresh
+// node is unclassified — not a replica, epoch 0, not down — until a
+// probe reaches it. Callers hold r.mu (or own r exclusively).
+func (r *Router) register(addrs ...string) {
+	for _, addr := range addrs {
+		if _, ok := r.nodes[addr]; !ok {
+			r.nodes[addr] = &routerNode{addr: addr}
+			r.order = append(r.order[:len(r.order):len(r.order)], addr)
+		}
+	}
 }
 
 // discoverShardMap asks each configured address for its shard map and
@@ -330,11 +403,8 @@ func (r *Router) adoptMap(m *ShardMap) {
 	}
 	r.smap = m
 	for _, sh := range m.Shards {
-		for _, addr := range append([]string{sh.Primary}, sh.Replicas...) {
-			if _, ok := r.nodes[addr]; !ok {
-				r.nodes[addr] = &routerNode{addr: addr}
-			}
-		}
+		r.register(sh.Primary)
+		r.register(sh.Replicas...)
 	}
 }
 
@@ -361,9 +431,11 @@ func (r *Router) maybeReprobe() {
 	}
 }
 
-// Reprobe re-discovers every node's role and the current primary.
-// Called automatically when a write can't reach the primary; callers
-// may also invoke it after known topology changes.
+// Reprobe re-classifies every node — role, epoch, reachability — from
+// its STATUS. It elects nothing: each group's primary is derived from
+// the classification on demand (primaryOf). Called automatically when
+// a write can't reach the primary; callers may also invoke it after
+// known topology changes.
 func (r *Router) Reprobe() error {
 	r.lastProbe.Store(time.Now().UnixNano())
 	// Probe concurrently: a black-holed host costs one DialTimeout for
@@ -380,80 +452,111 @@ func (r *Router) Reprobe() error {
 		go func(addr string) {
 			conn, err := r.dial(addr)
 			if err != nil {
-				r.setDown(addr)
-				mShardErrors.Inc()
-				results <- probe{addr: addr, err: fmt.Errorf("probe %s: %w", addr, err)}
+				results <- probe{addr: addr, err: err}
 				return
 			}
 			st, err := conn.Status()
 			conn.Close()
-			if err != nil {
-				r.setDown(addr)
-				mShardErrors.Inc()
-				results <- probe{addr: addr, err: fmt.Errorf("probe %s: %w", addr, err)}
-				return
-			}
-			results <- probe{addr: addr, st: st}
+			results <- probe{addr: addr, st: st, err: err}
 		}(addr)
 	}
 	// Keep every failed probe's error: a sweep that finds no primary
 	// must say *why each node* was unusable, not silently report the
 	// aggregate as "unreachable".
-	var probes []probe
+	reached := 0
 	var probeErrs []error
 	for range addrs {
 		p := <-results
-		if p.st != nil {
-			probes = append(probes, p)
-		} else if p.err != nil {
-			probeErrs = append(probeErrs, p.err)
+		if p.err != nil {
+			r.setDown(p.addr)
+			mShardErrors.Inc()
+			probeErrs = append(probeErrs, fmt.Errorf("probe %s: %w", p.addr, p.err))
+			continue
 		}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.primary = ""
-	for _, p := range probes {
-		n := r.nodes[p.addr]
+		reached++
 		// A replica whose stream died fatally keeps answering probes
 		// with a frozen applied position; treating it as down keeps
 		// read-your-writes reads from stalling on it until its
 		// operator restarts it.
 		dead := p.st.Replica && p.st.Err != ""
+		n := r.node(p.addr)
 		n.mu.Lock()
 		n.replica, n.epoch, n.down = p.st.Replica, p.st.Epoch, dead
 		n.mu.Unlock()
-		if p.st.Epoch > r.epoch {
-			r.epoch = p.st.Epoch
-		}
 	}
-	// The primary is the non-replica at the highest epoch: after a
-	// failover a fenced stale primary may still answer probes, but its
-	// epoch gives it away.
-	for _, p := range probes {
-		if !p.st.Replica && p.st.Epoch == r.epoch {
-			r.primary = p.addr
+	perr := errors.Join(probeErrs...)
+	if r.shardMap() != nil {
+		// Sharded mode has no single primary, and a shard mid-failover
+		// must not fail the whole sweep. A sweep that reached nobody
+		// still fails — OpenRouter against a dead or misaddressed
+		// cluster should say so immediately, not spin out a
+		// FailoverTimeout on the first statement.
+		if reached == 0 {
+			return fmt.Errorf("client: no reachable nodes among %v: %w", r.cfg.Addrs, perr)
 		}
+		return nil
 	}
-	if r.primary == "" {
-		perr := errors.Join(probeErrs...)
-		if r.smap != nil {
-			// Sharded mode has no single primary: per-shard primaries
-			// are derived from the freshly-probed roles on demand, and a
-			// shard mid-failover must not fail the whole sweep. A sweep
-			// that reached nobody still fails — OpenRouter against a
-			// dead or misaddressed cluster should say so immediately,
-			// not spin out a FailoverTimeout on the first statement.
-			if len(probes) == 0 {
-				return fmt.Errorf("client: no reachable nodes among %v: %w", r.cfg.Addrs, perr)
-			}
-			return nil
-		}
+	if r.Primary() == "" {
 		if perr != nil {
 			return fmt.Errorf("client: no reachable primary among %v: %w", r.cfg.Addrs, perr)
 		}
 		return fmt.Errorf("client: no reachable primary among %v", r.cfg.Addrs)
 	}
 	return nil
+}
+
+// primaryOf elects g's primary from the last probe's classification:
+// the live non-replica member at the highest epoch any member has
+// reported — after a failover a fenced stale primary may still answer
+// probes, but its epoch gives it away. When only members at an older
+// epoch are electable (the promoted node is down, or the sweep has not
+// located it yet) there is no primary: a write waits out the failover
+// rather than landing in a history the group has already abandoned.
+// Before any probe has classified the members every node looks alike
+// and the first wins, which for a shard is the map's assignment.
+func (r *Router) primaryOf(g group) string {
+	best, bestEpoch, top := "", uint64(0), uint64(0)
+	for _, addr := range g.members {
+		n := r.node(addr)
+		if n == nil {
+			continue
+		}
+		n.mu.Lock()
+		epoch, electable := n.epoch, !n.down && !n.replica
+		n.mu.Unlock()
+		top = max(top, epoch)
+		if electable && (best == "" || epoch > bestEpoch) {
+			best, bestEpoch = addr, epoch
+		}
+	}
+	if bestEpoch < top {
+		return ""
+	}
+	return best
+}
+
+// replicasOf orders g's readable replicas round-robin: live replica
+// members, epoch-matched to the token when one is in play (a token
+// from another epoch is incomparable with the replica's LSN space).
+func (r *Router) replicasOf(g group, tok *rwTok) []string {
+	var out []string
+	for _, addr := range g.members {
+		n := r.node(addr)
+		if n == nil {
+			continue
+		}
+		n.mu.Lock()
+		ok := !n.down && n.replica && (tok == nil || n.epoch == tok.epoch)
+		n.mu.Unlock()
+		if ok {
+			out = append(out, addr)
+		}
+	}
+	if len(out) > 1 {
+		rot := int(r.rr.Add(1)) % len(out)
+		out = append(out[rot:], out[:rot]...)
+	}
+	return out
 }
 
 // dial opens one configured connection to addr (probes, pool refills,
@@ -474,36 +577,29 @@ func (r *Router) dial(addr string) (*Conn, error) {
 	return c, nil
 }
 
+// addrs snapshots every node address, in registration order.
 func (r *Router) addrs() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.nodes))
-	for a := range r.nodes {
-		out = append(out, a)
-	}
-	return out
+	return r.order
+}
+
+func (r *Router) node(addr string) *routerNode {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.nodes[addr]
 }
 
 func (r *Router) setDown(addr string) {
-	r.mu.Lock()
-	n := r.nodes[addr]
-	r.mu.Unlock()
-	if n != nil {
+	if n := r.node(addr); n != nil {
 		n.mu.Lock()
 		n.down = true
 		n.mu.Unlock()
 	}
 }
 
-// flushPool closes every idle connection to addr (they went stale
-// together: a restarted server orphans the whole pool at once).
-func (r *Router) flushPool(addr string) {
-	r.mu.Lock()
-	n := r.nodes[addr]
-	r.mu.Unlock()
-	if n == nil {
-		return
-	}
+// drainPool empties n's idle pool, closing every connection.
+func drainPool(n *routerNode) {
 	n.mu.Lock()
 	free := n.free
 	n.free = nil
@@ -518,26 +614,21 @@ func (r *Router) flushPool(addr string) {
 // pool discipline (e.g. that a canceled statement's connection was
 // retired rather than repooled).
 func (r *Router) IdleConns() map[string]int {
-	r.mu.Lock()
-	nodes := make([]*routerNode, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		nodes = append(nodes, n)
-	}
-	r.mu.Unlock()
-	out := make(map[string]int, len(nodes))
-	for _, n := range nodes {
+	out := make(map[string]int)
+	for _, addr := range r.addrs() {
+		n := r.node(addr)
 		n.mu.Lock()
-		out[n.addr] = len(n.free)
+		out[addr] = len(n.free)
 		n.mu.Unlock()
 	}
 	return out
 }
 
-// Primary returns the address writes currently route to.
+// Primary returns the address unsharded writes currently route to:
+// the election over every node. (A sharded Router has one primary per
+// shard; this names the one at the cluster's newest epoch.)
 func (r *Router) Primary() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.primary
+	return r.primaryOf(r.cluster())
 }
 
 // Close closes every pooled connection and marks the Router unusable:
@@ -546,19 +637,9 @@ func (r *Router) Primary() string {
 func (r *Router) Close() error {
 	r.mu.Lock()
 	r.closed = true
-	nodes := make([]*routerNode, 0, len(r.nodes))
-	for _, n := range r.nodes {
-		nodes = append(nodes, n)
-	}
 	r.mu.Unlock()
-	for _, n := range nodes {
-		n.mu.Lock()
-		free := n.free
-		n.free = nil
-		n.mu.Unlock()
-		for _, c := range free {
-			c.Close()
-		}
+	for _, addr := range r.addrs() {
+		drainPool(r.node(addr))
 	}
 	return nil
 }
@@ -617,11 +698,69 @@ func (r *Router) checkin(addr string, c *Conn) {
 	c.Close()
 }
 
-// Statement classification — read-only (replica-balanced), DDL,
-// transaction control, side-effecting — lives in classify.go: one
-// parser-backed classifier shared by the text path, the prepared
-// path, and shard routing, with the old prefix scans kept only as
-// the fallback for unparsable input.
+// release ends a borrowed connection's statement; err is how it ended.
+func (r *Router) release(addr string, c *Conn, err error) {
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// Not repooled even when the server answered cleanly: the
+		// out-of-band CANCEL may still be in flight and could land after
+		// the session moves on, killing the next borrower's statement.
+		// Closing the conn ends the session, so a late CANCEL targets
+		// nothing.
+		c.Close()
+	case err == nil || !retryable(err):
+		// Finished, or a server-reported error: the connection is
+		// healthy (and its label state already re-synced).
+		r.checkin(addr, c)
+	default:
+		c.Close() // transport-level failure: the connection is broken
+	}
+}
+
+// open is the one way a routed statement reaches a node: borrow a
+// connection to addr, start rs on it — through the conn's cached
+// prepared handle when the statement asked for it, else as one-shot
+// text — and tie the stream's end to release, so every statement,
+// drained at once by a write or iterated lazily by a read, returns its
+// connection the same way. A statement failure (including a stale-map
+// refusal) arrives on the stream's first frame and so surfaces here,
+// before any row is handed out.
+func (r *Router) open(ctx context.Context, rs routedStmt, addr string, waitLSN, shardVer uint64, params []Value) (Rows, error) {
+	start := func(c *Conn) (Rows, error) {
+		done := func(err error) { r.release(addr, c, err) }
+		var st *Stmt
+		if rs.prepared {
+			var err error
+			if st, err = c.preparedFor(rs.sqlText); err != nil {
+				done(err)
+				return nil, err
+			}
+		}
+		return c.queryCtx(ctx, st, waitLSN, shardVer, rs.sqlText, params, done)
+	}
+	c, pooled, err := r.checkout(addr)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := start(c)
+	if err != nil && retryable(err) && pooled && !ctxDone(ctx) {
+		// The pooled connection likely went stale while idle (server
+		// restart, dropped keepalive) — and if one did, its poolmates
+		// did too: flush them all and retry once on a genuinely fresh
+		// dial. At-least-once caveat as in write(): the stale conn
+		// died *sending*, not mid-commit, in the overwhelmingly common
+		// case.
+		if n := r.node(addr); n != nil {
+			drainPool(n)
+		}
+		mRouterRetries.Inc()
+		if c, err = r.dial(addr); err != nil {
+			return nil, err
+		}
+		rows, err = start(c)
+	}
+	return rows, err
+}
 
 // Exec routes one statement: reads to replicas (with the
 // read-your-writes token), everything else to the primary. On primary
@@ -638,237 +777,71 @@ func (r *Router) ExecContext(ctx context.Context, sql string, params ...Value) (
 	return r.exec(ctx, routedStmt{sqlText: sql, plan: planFor(sql)}, params)
 }
 
+var errTxnControl = errors.New("client: the Router routes statements independently and cannot carry explicit transactions; dial a Conn to the primary instead (or use the ifdb database/sql driver, whose Tx pins one connection)")
+
+// exec buffers a routed statement's result. A read is a drained query
+// — exactly what Conn.Exec is to Conn.Query on the wire.
 func (r *Router) exec(ctx context.Context, rs routedStmt, params []Value) (*Result, error) {
 	if rs.plan.txnControl {
-		return nil, errors.New("client: the Router routes statements independently and cannot carry explicit transactions; dial a Conn to the primary instead (or use the ifdb database/sql driver, whose Tx pins one connection)")
+		return nil, errTxnControl
 	}
-	if r.shardMap() != nil {
-		return r.execSharded(ctx, rs, params)
+	if !rs.plan.readOnly {
+		return r.routeWrite(ctx, rs, params)
+	}
+	rows, err := r.routeRead(ctx, rs, params)
+	if err != nil {
+		return nil, err
+	}
+	return drain(rows)
+}
+
+// query streams a routed statement's result; a non-read has nothing
+// to stream, so its buffered result is replayed through Rows.
+func (r *Router) query(ctx context.Context, rs routedStmt, params []Value) (Rows, error) {
+	if rs.plan.txnControl {
+		return nil, errTxnControl
 	}
 	if rs.plan.readOnly {
-		return r.read(ctx, rs, params)
+		return r.routeRead(ctx, rs, params)
 	}
-	return r.write(ctx, rs, params)
-}
-
-// write executes on the primary, following promotions: a connection
-// failure or an ErrReadOnlyReplica answer (the node we thought primary
-// was demoted-by-comparison: a promotion happened elsewhere) triggers
-// a reprobe and a retry against the new primary. Failover retries are
-// at-least-once — a break between the old primary's commit and the
-// Result frame re-executes the statement — so route non-idempotent
-// writes through idempotent SQL (keyed inserts, absolute updates)
-// when double-apply matters.
-func (r *Router) write(ctx context.Context, rs routedStmt, params []Value) (*Result, error) {
-	deadline := time.Now().Add(r.cfg.FailoverTimeout)
-	var lastErr error
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		addr := r.Primary()
-		if addr != "" {
-			res, err := r.execOn(ctx, rs, addr, 0, params)
-			if err == nil {
-				r.toksFor(rs).noteWrite(res)
-				return res, nil
-			}
-			lastErr = err
-			if !retryable(err) && !isReadOnlyReplicaErr(err) && !isFencedErr(err) {
-				return nil, err // real SQL error: routing can't help
-			}
-		} else if lastErr == nil {
-			lastErr = errors.New("client: no known primary")
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("client: write failed over for %v: %w", r.cfg.FailoverTimeout, lastErr)
-		}
-		// Follow the promotion; rate-limited so a herd of blocked
-		// writers shares one probe sweep instead of each serially
-		// dialing every node per retry.
-		mRouterRetries.Inc()
-		r.maybeReprobe()
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-// read load-balances across replicas whose epoch matches the token
-// (stale-epoch tokens would be incomparable), falling back to the
-// primary when no replica qualifies or every candidate fails.
-func (r *Router) read(ctx context.Context, rs routedStmt, params []Value) (*Result, error) {
-	var tok *rwTok
-	if !r.cfg.AllowStaleReads {
-		tok = r.toksFor(rs).global()
-	}
-	candidates := r.readCandidates(tok)
-	if len(candidates) == 0 {
-		// No usable replica (all down, or all epoch-stale after a
-		// failover): heal the pool for future reads while this one
-		// falls through to the primary.
-		r.maybeReprobe()
-		candidates = r.readCandidates(tok)
-	}
-	var lastErr error
-	for _, addr := range candidates {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		wait := uint64(0)
-		if tok != nil {
-			wait = tok.lsn
-		}
-		res, err := r.execOn(ctx, rs, addr, wait, params)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			if isReadOnlyReplicaErr(err) {
-				// Misclassified mutator (e.g. a stored procedure that
-				// writes, invoked as SELECT proc(...)): the primary
-				// below can execute it.
-				continue
-			}
-			if !isWaitTimeoutErr(err) {
-				return nil, err // genuine SQL error: every node agrees
-			}
-			// The replica is too far behind (or its stream died with
-			// its applied position frozen): take it out of the pool —
-			// the next reprobe restores it if it was merely lagging —
-			// and let the primary below answer without any wait.
-			r.setDown(addr)
-			continue
-		}
-		r.setDown(addr)
-		r.maybeReprobe()
-	}
-	// Last resort: the primary answers reads without any wait.
-	if addr := r.Primary(); addr != "" {
-		res, err := r.execOn(ctx, rs, addr, 0, params)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("client: no nodes available")
-	}
-	return nil, lastErr
-}
-
-// readCandidates orders replica addresses round-robin, skipping down
-// nodes and epoch-mismatched replicas when a token is in play.
-func (r *Router) readCandidates(tok *rwTok) []string {
-	r.mu.Lock()
-	var reps []*routerNode
-	for _, n := range r.nodes {
-		if n.addr != r.primary {
-			reps = append(reps, n)
-		}
-	}
-	r.mu.Unlock()
-	var out []string
-	for _, n := range reps {
-		n.mu.Lock()
-		ok := !n.down && n.replica && (tok == nil || n.epoch == tok.epoch)
-		n.mu.Unlock()
-		if ok {
-			out = append(out, n.addr)
-		}
-	}
-	if len(out) > 1 {
-		rot := int(r.rr.Add(1)) % len(out)
-		out = append(out[rot:], out[:rot]...)
-	}
-	return out
-}
-
-func (r *Router) execOn(ctx context.Context, rs routedStmt, addr string, waitLSN uint64, params []Value) (*Result, error) {
-	return r.execOnShard(ctx, rs, addr, waitLSN, 0, params)
-}
-
-// execOnConn runs one statement on a borrowed connection — through
-// the conn's cached prepared handle when the routed statement asked
-// for it, else as one-shot text. Either way it is the v2 streaming
-// path under the hood.
-func execOnConn(ctx context.Context, c *Conn, rs routedStmt, waitLSN, shardVer uint64, params []Value) (*Result, error) {
-	if rs.prepared {
-		st, err := c.preparedFor(rs.sqlText)
-		if err != nil {
-			return nil, err
-		}
-		return c.execCtx(ctx, st, waitLSN, shardVer, "", params)
-	}
-	return c.execCtx(ctx, nil, waitLSN, shardVer, rs.sqlText, params)
-}
-
-func (r *Router) execOnShard(ctx context.Context, rs routedStmt, addr string, waitLSN, shardVer uint64, params []Value) (*Result, error) {
-	c, pooled, err := r.checkout(addr)
+	res, err := r.routeWrite(ctx, rs, params)
 	if err != nil {
 		return nil, err
 	}
-	res, err := execOnConn(ctx, c, rs, waitLSN, shardVer, params)
-	if err != nil && retryable(err) && pooled && !ctxDone(ctx) {
-		// The pooled connection likely went stale while idle (server
-		// restart, dropped keepalive) — and if one did, its poolmates
-		// did too: flush them all and retry once on a genuinely fresh
-		// dial. At-least-once caveat as in write(): the stale conn
-		// died *sending*, not mid-commit, in the overwhelmingly common
-		// case.
-		c.Close()
-		r.flushPool(addr)
-		mRouterRetries.Inc()
-		if c, err = r.dial(addr); err != nil {
-			return nil, err
-		}
-		res, err = execOnConn(ctx, c, rs, waitLSN, shardVer, params)
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Canceled cleanly, but the out-of-band CANCEL may still be
-			// in flight; repooling would let it land on the next
-			// borrower's statement. Retire the session instead.
-			c.Close()
-		} else if retryable(err) {
-			// Transport-level failure: the connection is broken.
-			c.Close()
-		} else {
-			// Server-reported error: the connection is healthy (and
-			// its label state already re-synced); keep it pooled.
-			r.checkin(addr, c)
-		}
-		return nil, err
-	}
-	r.checkin(addr, c)
-	return res, nil
+	return &bufferedRows{res: res, i: -1}, nil
 }
 
-// ---------------------------------------------------------------------------
-// Sharded routing (see shard.go for key extraction and the package
-// comment of client/shard.go for the routing rules).
-
-// execSharded routes one statement across the shard map: DDL fans out
-// to every shard primary (each shard holds the full schema), a
-// statement confined to one key — or to an IN (...) list whose keys
-// all hash to one shard — routes to its owning shard, reads without a
-// derivable key fan out and merge, and writes without one are refused
-// — the Router will not guess where a write belongs.
-func (r *Router) execSharded(ctx context.Context, rs routedStmt, params []Value) (*Result, error) {
-	if rs.plan.ddl {
-		return r.ddlFanout(ctx, rs, params)
-	}
+// routeRead picks a read's group: the whole cluster when unsharded,
+// the owning shard for a statement confined to one key (or to an
+// IN (...) list whose keys all hash to one shard); reads without a
+// derivable key fan out and merge (scatter.go).
+func (r *Router) routeRead(ctx context.Context, rs routedStmt, params []Value) (Rows, error) {
 	m := r.shardMap()
-	table, keys, ok := rs.plan.shardKeys(m, params)
-	if rs.plan.readOnly {
-		if ok {
-			if _, single := singleShardOf(m, keys); single {
-				return r.readSharded(ctx, rs, func(m *ShardMap) (uint32, bool) {
-					return singleShardOf(m, keys)
-				}, params)
-			}
-		}
-		return r.fanoutRead(ctx, rs, params)
+	if m == nil {
+		return r.read(ctx, rs, r.anyNode, params)
 	}
+	if _, keys, ok := rs.plan.shardKeys(m, params); ok {
+		if _, single := singleShardOf(m, keys); single {
+			return r.read(ctx, rs, keyTarget(keys), params)
+		}
+	}
+	return r.scatterRows(ctx, rs, params)
+}
+
+// routeWrite picks a non-read's group: the whole cluster when
+// unsharded; sharded, DDL fans out to every shard primary (each shard
+// holds the full schema), a statement confined to one shard's keys
+// routes there, and a write without a derivable key is refused — the
+// Router will not guess where a write belongs.
+func (r *Router) routeWrite(ctx context.Context, rs routedStmt, params []Value) (*Result, error) {
+	m := r.shardMap()
+	if m == nil {
+		return r.write(ctx, rs, r.anyNode, params)
+	}
+	if rs.plan.ddl {
+		return r.ddlFanout(ctx, rs, m, params)
+	}
+	table, keys, ok := rs.plan.shardKeys(m, params)
 	if !ok {
 		if rs.plan.parseErr != nil {
 			return nil, fmt.Errorf("client: statement is not routable in a sharded cluster: %w", rs.plan.parseErr)
@@ -883,52 +856,64 @@ func (r *Router) execSharded(ctx context.Context, rs routedStmt, params []Value)
 		}
 		return nil, fmt.Errorf("client: cannot derive a shard key: a sharded write must be confined to one shard (single-row INSERT, or key equality / single-shard IN list in WHERE with no OR)")
 	}
-	return r.writeKeys(ctx, rs, keys, params)
+	return r.write(ctx, rs, keyTarget(keys), params)
 }
 
-// writeKeys writes the statement to the shard owning keys, re-hashing
-// under whatever map each retry holds (a stale-map refusal's adopted
-// map may have a different shard count; an IN list that spanned one
-// shard under the old map may span several under the new one, which
-// refuses the write rather than splitting it).
-func (r *Router) writeKeys(ctx context.Context, rs routedStmt, keys []string, params []Value) (*Result, error) {
-	return r.writeSharded(ctx, rs, func(m *ShardMap) (uint32, error) {
-		sid, single := singleShardOf(m, keys)
-		if !single {
-			return 0, fmt.Errorf("client: the statement's keys no longer map to one shard under map version %d", m.Version)
+// ddlFanout applies a schema statement to every shard primary in
+// shard order: rows are what shards partition; the schema (and the
+// authority state it depends on) must exist everywhere.
+func (r *Router) ddlFanout(ctx context.Context, rs routedStmt, m *ShardMap, params []Value) (*Result, error) {
+	var last *Result
+	for sid := range m.Shards {
+		res, err := r.write(ctx, rs, shardTarget(uint32(sid)), params)
+		if err != nil {
+			return nil, fmt.Errorf("client: DDL on shard %d: %w", sid, err)
 		}
-		return sid, nil
-	}, params)
+		last = res
+	}
+	return last, nil
 }
 
-// writeSharded executes a write on the shard that target derives from
-// the current map, following both failovers (per-shard promotion,
-// discovered by reprobe) and shard-map reconfiguration (a stale-map
-// refusal carries the new map, which is adopted and the target
-// re-derived).
-func (r *Router) writeSharded(ctx context.Context, rs routedStmt, target func(m *ShardMap) (uint32, error), params []Value) (*Result, error) {
+// write executes on the target group's primary within FailoverTimeout,
+// following both promotions and shard-map reconfiguration: a
+// connection failure, an ErrReadOnlyReplica answer or a write-fence
+// rejection (the node we thought primary was demoted-by-comparison: a
+// promotion happened elsewhere) triggers a reprobe and a retry against
+// the newly elected primary; a stale-map refusal carries the new map,
+// which is adopted and the target re-derived. Failover retries are
+// at-least-once — a break between the old primary's commit and the
+// Result frame re-executes the statement — so route non-idempotent
+// writes through idempotent SQL (keyed inserts, absolute updates)
+// when double-apply matters.
+func (r *Router) write(ctx context.Context, rs routedStmt, to target, params []Value) (*Result, error) {
 	deadline := time.Now().Add(r.cfg.FailoverTimeout)
 	var lastErr error
 	for {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		m := r.shardMap()
-		sid, err := target(m)
+		g, err := to(r.shardMap())
 		if err != nil {
 			return nil, err
 		}
-		if addr := r.shardPrimary(m, sid); addr != "" {
-			mShardRouted.With(strconv.FormatUint(uint64(sid), 10)).Inc()
-			res, err := r.execOnShard(ctx, rs, addr, 0, m.Version, params)
+		if addr := r.primaryOf(g); addr != "" {
+			g.routed()
+			var res *Result
+			rows, err := r.open(ctx, rs, addr, 0, g.ver, params)
 			if err == nil {
-				r.toksFor(rs).noteShardWrite(sid, res)
+				res, err = drain(rows)
+			}
+			if err == nil {
+				r.toksFor(rs).note(g.slot, res)
 				return res, nil
+			}
+			if ctxDone(ctx) {
+				return nil, err
 			}
 			lastErr = err
 			if nm := StaleShardMap(err); nm != nil {
 				mStaleMapRefusals.Inc()
-				if nm.Version > m.Version {
+				if nm.Version > g.ver {
 					r.adoptMap(nm)
 					mRouterRetries.Inc()
 					continue // re-route immediately under the new map
@@ -939,252 +924,111 @@ func (r *Router) writeSharded(ctx context.Context, rs routedStmt, target func(m 
 				return nil, err // real SQL error: routing can't help
 			}
 		} else if lastErr == nil {
-			lastErr = fmt.Errorf("client: no known primary for shard %d", sid)
+			lastErr = fmt.Errorf("client: no known primary for %s", g)
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("client: shard write failed over for %v: %w", r.cfg.FailoverTimeout, lastErr)
+			return nil, fmt.Errorf("client: write to %s failed over for %v: %w", g, r.cfg.FailoverTimeout, lastErr)
 		}
+		// Follow the promotion; rate-limited so a herd of blocked
+		// writers shares one probe sweep instead of each serially
+		// dialing every node per retry.
 		mRouterRetries.Inc()
 		r.maybeReprobe()
 		time.Sleep(100 * time.Millisecond)
 	}
 }
 
-// readSharded reads from the shard that target derives from the
-// current map: its replicas first (carrying the shard's
-// read-your-writes token), its primary as the fallback — the
-// single-group read path scoped to the shard's members. A stale-map
-// refusal carrying a newer map is adopted and the read re-routed
-// once, with the target re-derived (the new map's shard count may
-// differ). target returning false skips the attempt (the shard is
-// gone from the adopted map).
-func (r *Router) readSharded(ctx context.Context, rs routedStmt, target func(m *ShardMap) (uint32, bool), params []Value) (*Result, error) {
+// read opens a read stream on the target group: its replicas first,
+// round-robin, each carrying the group's read-your-writes token as
+// WaitLSN; its primary, which answers without any wait, as the last
+// resort. Routing failures are retried here, before the stream is
+// handed out; once rows flow, failures surface through the Rows. A
+// stale-map refusal carrying a newer map is adopted and the read
+// re-routed once, with the target re-derived.
+func (r *Router) read(ctx context.Context, rs routedStmt, to target, params []Value) (Rows, error) {
+	var g group
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		m := r.shardMap()
-		sid, ok := target(m)
-		if !ok {
-			break
+		var err error
+		if g, err = to(r.shardMap()); err != nil {
+			return nil, err
 		}
 		var tok *rwTok
 		if !r.cfg.AllowStaleReads {
-			tok = r.toksFor(rs).shard(sid)
+			tok = r.toksFor(rs).get(g.slot)
+		}
+		replicas := r.replicasOf(g, tok)
+		if len(replicas) == 0 && (len(g.members) > 1 || r.primaryOf(g) == "") {
+			// A group that should offer a node to read from offers
+			// none (replicas all down, or all epoch-stale after a
+			// failover; or not even a primary): heal the node table
+			// for future reads while this one falls through to the
+			// primary. A lone healthy primary has nothing to heal.
+			r.maybeReprobe()
+			replicas = r.replicasOf(g, tok)
 		}
 		adopted := false
-		candidates := append(r.shardReadCandidates(m, sid, tok), "")
-		for _, addr := range candidates {
+		for _, addr := range append(replicas, "") {
 			if err := ctxErr(ctx); err != nil {
 				return nil, err
 			}
-			wait := uint64(0)
-			if tok != nil && addr != "" {
-				wait = tok.lsn
-			}
-			if addr == "" {
-				// Last resort: the shard primary answers without a wait.
-				if addr = r.shardPrimary(m, sid); addr == "" {
+			wait, lastResort := uint64(0), addr == ""
+			if lastResort {
+				if addr = r.primaryOf(g); addr == "" {
 					continue
 				}
+			} else if tok != nil {
+				wait = tok.lsn
 			}
-			mShardRouted.With(strconv.FormatUint(uint64(sid), 10)).Inc()
-			res, err := r.execOnShard(ctx, rs, addr, wait, m.Version, params)
+			g.routed()
+			rows, err := r.open(ctx, rs, addr, wait, g.ver, params)
 			if err == nil {
-				return res, nil
+				return rows, nil
+			}
+			if ctxDone(ctx) {
+				return nil, err // the caller gave up: that says nothing about the node
 			}
 			lastErr = err
 			if nm := StaleShardMap(err); nm != nil {
 				mStaleMapRefusals.Inc()
-				if nm.Version > m.Version {
+				if nm.Version > g.ver {
 					r.adoptMap(nm)
-					adopted = true
 					mRouterRetries.Inc()
+					adopted = true
 					break // second attempt under the new map
 				}
 				continue // node behind our map: try another
 			}
-			if !retryable(err) {
-				if isReadOnlyReplicaErr(err) || isWaitTimeoutErr(err) {
-					if isWaitTimeoutErr(err) {
-						r.setDown(addr)
-					}
-					continue // the shard primary fallback can answer
-				}
-				return nil, err
+			if isReadOnlyReplicaErr(err) {
+				// Misclassified mutator (e.g. a stored procedure that
+				// writes, invoked as SELECT proc(...)): the primary
+				// can execute it.
+				continue
 			}
-			r.setDown(addr)
-			r.maybeReprobe()
+			if !retryable(err) && !isWaitTimeoutErr(err) {
+				return nil, err // genuine SQL error: every node agrees
+			}
+			// Unreachable, or a replica too far behind (or its stream
+			// died with its applied position frozen): take the replica
+			// out of the rotation — the next reprobe restores it if it
+			// was merely lagging — and try the next. The primary is the
+			// last resort and has no stand-in, so only a probe that
+			// cannot reach it retires it.
+			if !lastResort {
+				r.setDown(addr)
+			}
+			if retryable(err) {
+				r.maybeReprobe()
+			}
 		}
 		if !adopted {
 			break
 		}
 	}
 	if lastErr == nil {
-		lastErr = errors.New("client: no nodes available for the target shard")
+		lastErr = fmt.Errorf("client: no nodes available in %s", g)
 	}
 	return nil, lastErr
-}
-
-// fanoutRead runs a shard-agnostic read on every shard and merges the
-// results. Statements the distplan layer can split — keyless
-// aggregates, ORDER BY + LIMIT, and EXPLAINs of either — take the
-// scatter-gather path (scatter.go) and return the *distributed*
-// answer: COUNT/SUM/GROUP BY finalize across shards exactly as a
-// single node would compute them. Everything else keeps the plain
-// union merge below: rows concatenate, Affected sums.
-func (r *Router) fanoutRead(ctx context.Context, rs routedStmt, params []Value) (*Result, error) {
-	m := r.shardMap()
-	if rs.plan.explain || r.splitSpec(rs.sqlText, m) != nil {
-		rows, err := r.scatterRows(ctx, rs, params)
-		if err != nil {
-			return nil, err
-		}
-		return drainRows(rows)
-	}
-	mFanoutWidth.Observe(int64(len(m.Shards)))
-	type out struct {
-		res *Result
-		err error
-	}
-	results := make([]out, len(m.Shards))
-	var wg sync.WaitGroup
-	for i := range m.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := r.readSharded(ctx, rs, func(m *ShardMap) (uint32, bool) {
-				return uint32(i), i < len(m.Shards)
-			}, params)
-			results[i] = out{res, err}
-		}(i)
-	}
-	wg.Wait()
-	// Report *every* failed shard, not just the first: a fan-out that
-	// lost two shards to different causes (one down, one fenced) needs
-	// both visible to be diagnosable.
-	var errs []error
-	for sid, o := range results {
-		if o.err != nil {
-			mShardErrors.Inc()
-			errs = append(errs, fmt.Errorf("shard %d: %w", sid, o.err))
-		}
-	}
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("client: fan-out read: %w", errors.Join(errs...))
-	}
-	merged := &Result{}
-	anyLabels := false
-	for _, o := range results {
-		if merged.Cols == nil {
-			merged.Cols = o.res.Cols
-		}
-		if o.res.RowLabels != nil {
-			anyLabels = true
-		}
-	}
-	for _, o := range results {
-		if anyLabels {
-			labels := o.res.RowLabels
-			if labels == nil {
-				labels = make([]Label, len(o.res.Rows))
-			}
-			merged.RowLabels = append(merged.RowLabels, labels...)
-		}
-		merged.Rows = append(merged.Rows, o.res.Rows...)
-		merged.Affected += o.res.Affected
-	}
-	return merged, nil
-}
-
-// ddlFanout applies a schema statement to every shard primary in
-// shard order: rows are what shards partition; the schema (and the
-// authority state it depends on) must exist everywhere.
-func (r *Router) ddlFanout(ctx context.Context, rs routedStmt, params []Value) (*Result, error) {
-	m := r.shardMap()
-	var last *Result
-	for sid := range m.Shards {
-		res, err := r.writeToShard(ctx, rs, uint32(sid), params)
-		if err != nil {
-			return nil, fmt.Errorf("client: DDL on shard %d: %w", sid, err)
-		}
-		last = res
-	}
-	return last, nil
-}
-
-// writeToShard is writeSharded for statements addressed to a shard id
-// directly (DDL fan-out).
-func (r *Router) writeToShard(ctx context.Context, rs routedStmt, sid uint32, params []Value) (*Result, error) {
-	return r.writeSharded(ctx, rs, func(m *ShardMap) (uint32, error) {
-		if int(sid) >= len(m.Shards) {
-			return 0, fmt.Errorf("client: shard %d no longer exists (map version %d)", sid, m.Version)
-		}
-		return sid, nil
-	}, params)
-}
-
-// shardPrimary derives shard sid's current primary from the last
-// probe: the non-replica member at the highest epoch (each shard is
-// its own epoch chain — after a failover the promoted member's bumped
-// epoch gives it away, exactly like unsharded discovery). Before any
-// probe has classified the members, the map's static assignment wins.
-func (r *Router) shardPrimary(m *ShardMap, sid uint32) string {
-	if m == nil || int(sid) >= len(m.Shards) {
-		return ""
-	}
-	sh := m.Shards[sid]
-	best, bestEpoch := "", uint64(0)
-	for _, addr := range append([]string{sh.Primary}, sh.Replicas...) {
-		r.mu.Lock()
-		n := r.nodes[addr]
-		r.mu.Unlock()
-		if n == nil {
-			continue
-		}
-		n.mu.Lock()
-		ok := !n.down && !n.replica
-		epoch := n.epoch
-		n.mu.Unlock()
-		if ok && (best == "" || epoch > bestEpoch) {
-			best, bestEpoch = addr, epoch
-		}
-	}
-	if best == "" {
-		return sh.Primary
-	}
-	return best
-}
-
-// shardReadCandidates orders shard sid's replica members round-robin,
-// skipping down nodes and (token in play) epoch-mismatched replicas.
-func (r *Router) shardReadCandidates(m *ShardMap, sid uint32, tok *rwTok) []string {
-	if m == nil || int(sid) >= len(m.Shards) {
-		return nil
-	}
-	primary := r.shardPrimary(m, sid)
-	sh := m.Shards[sid]
-	var out []string
-	for _, addr := range append([]string{sh.Primary}, sh.Replicas...) {
-		if addr == primary {
-			continue
-		}
-		r.mu.Lock()
-		n := r.nodes[addr]
-		r.mu.Unlock()
-		if n == nil {
-			continue
-		}
-		n.mu.Lock()
-		ok := !n.down && n.replica && (tok == nil || n.epoch == tok.epoch)
-		n.mu.Unlock()
-		if ok {
-			out = append(out, addr)
-		}
-	}
-	if len(out) > 1 {
-		rot := int(r.rr.Add(1)) % len(out)
-		out = append(out[rot:], out[:rot]...)
-	}
-	return out
 }
 
 // isReadOnlyReplicaErr matches the server-reported rejection a demoted

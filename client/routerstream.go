@@ -1,11 +1,13 @@
 // Router streaming and prepared statements: the Router half of API
-// v2. Reads stream — a fan-out read runs through the distplan
-// scatter-gather layer (scatter.go): split statements push work to
-// the shards and merge at the gateway, everything else concatenates
-// the per-shard streams in shard order with a bounded in-flight
-// window — and prepared statements route off the shard-key derivation
-// computed once at prepare time by the SQL parser (classify.go /
-// shardkey.go), executing through per-connection prepared handles.
+// v2. Reads stream (router.go: routeRead picks the group, read opens
+// the stream; Exec of a read is the same stream drained) — a fan-out
+// read runs through the distplan scatter-gather layer (scatter.go):
+// split statements push work to the shards and merge at the gateway,
+// everything else concatenates the per-shard streams in shard order
+// with a bounded in-flight window — and prepared statements route off
+// the shard-key derivation computed once at prepare time by the SQL
+// parser (classify.go / shardkey.go), executing through
+// per-connection prepared handles.
 
 package client
 
@@ -26,198 +28,6 @@ func (r *Router) Query(sqlText string, params ...Value) (Rows, error) {
 // through the Rows interface.
 func (r *Router) QueryContext(ctx context.Context, sqlText string, params ...Value) (Rows, error) {
 	return r.query(ctx, routedStmt{sqlText: sqlText, plan: planFor(sqlText)}, params)
-}
-
-func (r *Router) query(ctx context.Context, rs routedStmt, params []Value) (Rows, error) {
-	if rs.plan.txnControl {
-		return nil, errors.New("client: the Router routes statements independently and cannot carry explicit transactions; dial a Conn to the primary instead (or use the ifdb database/sql driver, whose Tx pins one connection)")
-	}
-	if !rs.plan.readOnly {
-		res, err := r.exec(ctx, rs, params)
-		if err != nil {
-			return nil, err
-		}
-		return &bufferedRows{res: res, i: -1}, nil
-	}
-	if m := r.shardMap(); m != nil {
-		if _, keys, ok := rs.plan.shardKeys(m, params); ok {
-			if _, single := singleShardOf(m, keys); single {
-				return r.readShardedStream(ctx, rs, func(m *ShardMap) (uint32, bool) {
-					return singleShardOf(m, keys)
-				}, params)
-			}
-		}
-		return r.scatterRows(ctx, rs, params)
-	}
-	return r.queryRead(ctx, rs, params)
-}
-
-// queryRead is read() in streaming form: replicas first (with the
-// read-your-writes token), the primary as the fallback. Routing
-// failures are retried before the stream is handed out; once rows
-// flow, failures surface through the Rows.
-func (r *Router) queryRead(ctx context.Context, rs routedStmt, params []Value) (Rows, error) {
-	var tok *rwTok
-	if !r.cfg.AllowStaleReads {
-		tok = r.toksFor(rs).global()
-	}
-	candidates := r.readCandidates(tok)
-	if len(candidates) == 0 {
-		r.maybeReprobe()
-		candidates = r.readCandidates(tok)
-	}
-	var lastErr error
-	for _, addr := range candidates {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		wait := uint64(0)
-		if tok != nil {
-			wait = tok.lsn
-		}
-		rows, err := r.queryOnShard(ctx, rs, addr, wait, 0, params)
-		if err == nil {
-			return rows, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			if isReadOnlyReplicaErr(err) {
-				continue
-			}
-			if !isWaitTimeoutErr(err) {
-				return nil, err
-			}
-			r.setDown(addr)
-			continue
-		}
-		r.setDown(addr)
-		r.maybeReprobe()
-	}
-	if addr := r.Primary(); addr != "" {
-		rows, err := r.queryOnShard(ctx, rs, addr, 0, 0, params)
-		if err == nil {
-			return rows, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("client: no nodes available")
-	}
-	return nil, lastErr
-}
-
-// openStream borrows nothing: it runs the statement on an
-// already-checked-out connection and wires the stream's end to the
-// pool — a cleanly finished (or server-failed) stream checks the conn
-// back in, a transport failure closes it.
-func (r *Router) openStream(ctx context.Context, c *Conn, rs routedStmt, addr string, waitLSN, shardVer uint64, params []Value) (Rows, error) {
-	onClose := func(err error) {
-		// A canceled statement's connection is not repooled even when
-		// the server answered cleanly: the out-of-band CANCEL may still
-		// be in flight and could land after the session moves on,
-		// killing the next borrower's statement. Closing the conn ends
-		// the session, so a late CANCEL targets nothing.
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			c.Close()
-		} else if err == nil || !retryable(err) {
-			r.checkin(addr, c)
-		} else {
-			c.Close()
-		}
-	}
-	if rs.prepared {
-		st, err := c.preparedFor(rs.sqlText)
-		if err != nil {
-			onClose(err)
-			return nil, err
-		}
-		return c.queryCtx(ctx, st, waitLSN, shardVer, "", params, onClose)
-	}
-	return c.queryCtx(ctx, nil, waitLSN, shardVer, rs.sqlText, params, onClose)
-}
-
-// queryOnShard opens one node's stream with the pool discipline of
-// execOnShard (including the stale-pooled-conn fresh-dial retry).
-func (r *Router) queryOnShard(ctx context.Context, rs routedStmt, addr string, waitLSN, shardVer uint64, params []Value) (Rows, error) {
-	c, pooled, err := r.checkout(addr)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := r.openStream(ctx, c, rs, addr, waitLSN, shardVer, params)
-	if err != nil && retryable(err) && pooled && !ctxDone(ctx) {
-		r.flushPool(addr)
-		if c, err = r.dial(addr); err != nil {
-			return nil, err
-		}
-		rows, err = r.openStream(ctx, c, rs, addr, waitLSN, shardVer, params)
-	}
-	return rows, err
-}
-
-// readShardedStream is readSharded in streaming form, with the same
-// stale-map discipline: a refusal (which arrives on the stream's
-// FIRST frame, before any rows are surfaced) carries the new map,
-// which is adopted and the target re-derived for a second attempt.
-func (r *Router) readShardedStream(ctx context.Context, rs routedStmt, target func(m *ShardMap) (uint32, bool), params []Value) (Rows, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		m := r.shardMap()
-		sid, ok := target(m)
-		if !ok {
-			break
-		}
-		var tok *rwTok
-		if !r.cfg.AllowStaleReads {
-			tok = r.toksFor(rs).shard(sid)
-		}
-		adopted := false
-		candidates := append(r.shardReadCandidates(m, sid, tok), "")
-		for _, addr := range candidates {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-			wait := uint64(0)
-			if tok != nil && addr != "" {
-				wait = tok.lsn
-			}
-			if addr == "" {
-				if addr = r.shardPrimary(m, sid); addr == "" {
-					continue
-				}
-			}
-			rows, err := r.queryOnShard(ctx, rs, addr, wait, m.Version, params)
-			if err == nil {
-				return rows, nil
-			}
-			lastErr = err
-			if nm := StaleShardMap(err); nm != nil {
-				if nm.Version > m.Version {
-					r.adoptMap(nm)
-					adopted = true
-					break
-				}
-				continue
-			}
-			if !retryable(err) {
-				if isReadOnlyReplicaErr(err) || isWaitTimeoutErr(err) {
-					if isWaitTimeoutErr(err) {
-						r.setDown(addr)
-					}
-					continue
-				}
-				return nil, err
-			}
-			r.setDown(addr)
-			r.maybeReprobe()
-		}
-		if !adopted {
-			break
-		}
-	}
-	if lastErr == nil {
-		lastErr = errors.New("client: no nodes available for the target shard")
-	}
-	return nil, lastErr
 }
 
 // ---------------------------------------------------------------------------
@@ -288,20 +98,14 @@ func (r *Router) Prepare(sqlText string) (*RouterStmt, error) {
 	// Best-effort eager validation on the primary (or shard 0's): a
 	// server-side parse error fails Prepare; an unreachable node does
 	// not — the statement will prepare lazily when the cluster heals.
-	addr := r.Primary()
-	if addr == "" {
-		if m := r.shardMap(); m != nil {
-			addr = r.shardPrimary(m, 0)
-		}
+	g := r.cluster()
+	if m := r.shardMap(); m != nil {
+		g = shardGroup(m, 0)
 	}
-	if addr != "" {
+	if addr := r.primaryOf(g); addr != "" {
 		if c, _, err := r.checkout(addr); err == nil {
 			_, perr := c.preparedFor(sqlText)
-			if perr != nil && retryable(perr) {
-				c.Close()
-			} else {
-				r.checkin(addr, c)
-			}
+			r.release(addr, c, perr)
 			if perr != nil && !retryable(perr) {
 				return nil, perr
 			}

@@ -195,22 +195,41 @@ func (r *connRows) Close() error {
 	return r.err
 }
 
-// drain consumes the whole stream into a buffered Result — the v1
-// shim. The trailer's commit token rides along.
-func (r *connRows) drain() (*Result, error) {
-	res := &Result{Cols: r.cols}
-	for r.Next() {
-		res.Rows = append(res.Rows, r.Row())
-		if rl := r.RowLabel(); rl != nil || r.chunk.RowLabels != nil {
-			res.RowLabels = append(res.RowLabels, rl)
+// drain consumes a stream into a buffered Result: every Exec — on a
+// Conn or through the Router, from one node or a gateway merge — is a
+// drained Query. RowLabels follows one rule everywhere: nil unless some
+// row carried a non-empty label, else one entry per row. A
+// connection's stream also delivers the statement's trailer (rows
+// affected and the commit token); merged streams have none, matching
+// the engine's buffered SELECT results.
+func drain(rows Rows) (*Result, error) {
+	defer rows.Close()
+	cr, _ := rows.(*connRows)
+	res := &Result{}
+	for rows.Next() {
+		row := rows.Row()
+		if cr == nil {
+			// Row is only valid until the next Next; a connection's
+			// chunk, though, is decoded afresh per frame and never
+			// reused, so its rows can be kept as they are.
+			row = append([]Value(nil), row...)
+		}
+		res.Rows = append(res.Rows, row)
+		if lbl := rows.RowLabel(); lbl != nil || res.RowLabels != nil {
+			if res.RowLabels == nil {
+				// First label of the set: the rows before it had none.
+				res.RowLabels = make([]Label, len(res.Rows)-1, len(res.Rows))
+			}
+			res.RowLabels = append(res.RowLabels, lbl)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := rows.Err(); err != nil {
+		return nil, err
 	}
-	res.Cols = r.cols // the first chunk may arrive only during Next
-	res.Affected = r.affected
-	res.Epoch, res.LSN = r.epoch, r.lsn
+	res.Cols = rows.Columns()
+	if cr != nil {
+		res.Affected, res.Epoch, res.LSN = cr.affected, cr.epoch, cr.lsn
+	}
 	return res, nil
 }
 

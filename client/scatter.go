@@ -10,12 +10,14 @@
 // are never split; they fall back to the bounded-concurrency union of
 // the per-shard streams.
 //
-// Every shard stream opens through readShardedStream, so the split
-// path keeps the Router's whole read discipline: pooled connections,
-// per-shard read-your-writes waits, and the mid-merge stale-map
-// adopt-and-retry. Closing the merged stream cancels the fan-out
-// context, which crosses the wire as CANCEL to every shard stream
-// still open.
+// Every shard stream opens through the Router's one read loop
+// (router.go: read, targeted at the shard's group), so a fan-out keeps
+// the whole read discipline — pooled connections, per-shard
+// read-your-writes waits, the routing counters, and the mid-merge
+// stale-map adopt-and-retry — and Exec of a keyless read is this same
+// stream drained, window and all. Closing the merged stream cancels
+// the fan-out context, which crosses the wire as CANCEL to every shard
+// stream still open.
 
 package client
 
@@ -101,20 +103,14 @@ func (s *streamRows) Close() error {
 }
 
 // scatterConfig wires a gateway merge (or union) to the cluster. Each
-// shard's fragment stream opens through readShardedStream under a
-// fan-out context; the merge's close cancels it, propagating CANCEL
-// to every shard stream still open.
+// shard's fragment stream opens through read under a fan-out context;
+// the merge's close cancels it, propagating CANCEL to every shard
+// stream still open.
 func (r *Router) scatterConfig(ctx context.Context, frag routedStmt, m *ShardMap, params []Value) distplan.Config {
 	gctx, cancel := context.WithCancel(ctx)
 	return distplan.Config{
 		Open: func(shard int) (distplan.Stream, error) {
-			rows, err := r.readShardedStream(gctx, frag, func(mm *ShardMap) (uint32, bool) {
-				return uint32(shard), shard < len(mm.Shards)
-			}, params)
-			if err != nil {
-				return nil, err
-			}
-			return rows, nil
+			return r.read(gctx, frag, shardTarget(uint32(shard)), params)
 		},
 		Shards: len(m.Shards),
 		Window: r.cfg.MaxFanout,
@@ -157,32 +153,6 @@ func (r *Router) scatterRows(ctx context.Context, rs routedStmt, params []Value)
 	return &streamRows{st: st}, nil
 }
 
-// scatterResult drains a scatter read for Exec-style callers.
-// Affected stays 0, matching the engine's buffered SELECT results.
-// RowLabels are attached when any merged row carried a label.
-func drainRows(rows Rows) (*Result, error) {
-	defer rows.Close()
-	res := &Result{}
-	var labels []Label
-	saw := false
-	for rows.Next() {
-		res.Rows = append(res.Rows, append([]Value(nil), rows.Row()...))
-		lbl := rows.RowLabel()
-		labels = append(labels, lbl)
-		if lbl != nil {
-			saw = true
-		}
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	res.Cols = rows.Columns()
-	if saw {
-		res.RowLabels = labels
-	}
-	return res, nil
-}
-
 // scatterExplain synthesizes the distributed plan for a keyless
 // EXPLAIN over a splittable SELECT: the gateway merge recipe, then
 // shard 0's plan for the fragment indented beneath it. done=false
@@ -215,9 +185,7 @@ func (r *Router) scatterExplain(ctx context.Context, rs routedStmt, m *ShardMap,
 	lines := sp.Describe(len(m.Shards), r.cfg.MaxFanout)
 	fragText := "EXPLAIN " + sp.Fragment
 	frag := routedStmt{sqlText: fragText, plan: planFor(fragText), toks: rs.toks}
-	rows, err := r.readShardedStream(ctx, frag, func(mm *ShardMap) (uint32, bool) {
-		return 0, len(mm.Shards) > 0
-	}, params)
+	rows, err := r.read(ctx, frag, shardTarget(0), params)
 	if err != nil {
 		return nil, true, fmt.Errorf("client: fan-out read on shard 0: %w", err)
 	}

@@ -136,6 +136,15 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	}
 	rywProperty(0)
 
+	// Exec of a read is the drained Query, unsharded too: same rows,
+	// and one RowLabels rule (IFC is on and every row is public).
+	const allRows = `SELECT id, v FROM t ORDER BY id`
+	all, err := router.Exec(allRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execIsDrainedQuery(t, allRows, all, func() (client.Rows, error) { return router.Query(allRows) }, true, true)
+
 	// Sanity: reads really were served by the replica's state (it
 	// converged), and the write epoch is 1.
 	st := probeStatus(t, replAddr, token)

@@ -102,6 +102,40 @@ func renderResult(res *client.Result, ordered, withLabels bool) string {
 	return strings.Join(res.Cols, ",") + "\n" + strings.Join(rows, "\n")
 }
 
+// execIsDrainedQuery is the Exec ≡ Query column of the routing
+// batteries: it streams the statement through query, buffers the
+// stream by hand, and requires Exec's result to be exactly that —
+// columns, rows (as a multiset unless ordered) and, when withLabels,
+// row labels — under the one RowLabels rule: nil unless some row
+// carried a non-empty label, else one entry per row.
+func execIsDrainedQuery(t *testing.T, what string, exec *client.Result, query func() (client.Rows, error), ordered, withLabels bool) {
+	t.Helper()
+	rows, err := query()
+	if err != nil {
+		t.Fatalf("%s: Exec succeeded, Query failed: %v", what, err)
+	}
+	drained := &client.Result{}
+	labeled := false
+	for rows.Next() {
+		drained.Rows = append(drained.Rows, append([]client.Value(nil), rows.Row()...))
+		drained.RowLabels = append(drained.RowLabels, rows.RowLabel())
+		labeled = labeled || len(rows.RowLabel()) > 0
+	}
+	if err := rows.Close(); err != nil {
+		t.Fatalf("%s: Exec succeeded, the drained Query failed: %v", what, err)
+	}
+	drained.Cols = rows.Columns()
+	if g, w := renderResult(exec, ordered, withLabels), renderResult(drained, ordered, withLabels); g != w {
+		t.Fatalf("%s: Exec is not the drained Query\nExec:\n%s\nQuery:\n%s", what, g, w)
+	}
+	switch {
+	case !labeled && exec.RowLabels != nil:
+		t.Fatalf("%s: no row is labeled, yet Exec's RowLabels is %v, want nil", what, exec.RowLabels)
+	case labeled && len(exec.RowLabels) != len(exec.Rows):
+		t.Fatalf("%s: %d rows, some labeled, but %d RowLabels", what, len(exec.Rows), len(exec.RowLabels))
+	}
+}
+
 // scatterSeeds parses IFDB_SCATTER_SEEDS (default one seed).
 func scatterSeeds(t *testing.T) []int64 {
 	env := os.Getenv("IFDB_SCATTER_SEEDS")
@@ -184,6 +218,11 @@ var scatterBattery = []struct {
 	{`SELECT count(*), sum(v), min(g) FROM kv WHERE k < 0`, false, false},
 	{`SELECT g, count(*) FROM kv WHERE k < 0 GROUP BY g`, false, false},
 	{`SELECT g, count(*) FROM kv WHERE k < 0 GROUP BY g ORDER BY g LIMIT 3`, true, false},
+	// Unsplittable keyless reads — nothing for the gateway to merge, so
+	// the shards' streams are concatenated (distplan.Union) — one of
+	// them with labeled rows in the answer under the secrecy Routers.
+	{`SELECT k, g, v FROM kv`, false, false},
+	{`SELECT k, v FROM kv WHERE v > 100`, false, false},
 }
 
 // scatterArgs holds the parameters of the battery's parameterized
@@ -318,6 +357,9 @@ func scatterEquivalenceSeed(t *testing.T, seed int64) {
 			if g, w := renderResult(got, bc.ordered, !bc.repLabels), renderResult(want, bc.ordered, !bc.repLabels); g != w {
 				t.Fatalf("[%s] %s: results diverged\ncluster:\n%s\noracle:\n%s", name, bc.sql, g, w)
 			}
+			execIsDrainedQuery(t, "["+name+"] "+bc.sql, got, func() (client.Rows, error) {
+				return router.Query(bc.sql, scatterArgs[bc.sql]...)
+			}, bc.ordered, !bc.repLabels)
 		}
 	}
 
