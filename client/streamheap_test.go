@@ -132,11 +132,11 @@ func (c *stallConn) Write(p []byte) (int, error) {
 }
 
 // drainWatching serves db on a connection of its own and streams
-// `SELECT k FROM mil` to the end. It returns the most the stream ever
+// query, which reads `SELECT k FROM mil`, to the end. It returns the most the stream ever
 // had buffered — sampled once with the server stopped mid-result, its
 // cursor open, and then every thousand rows — and the most the live
 // heap grew, sampled every 200 000.
-func drainWatching(t *testing.T, db *ifdb.DB, wantRows int) (buffered int64, heapGrowth uint64) {
+func drainWatching(t *testing.T, db *ifdb.DB, query string, wantRows int) (buffered int64, heapGrowth uint64) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -152,7 +152,7 @@ func drainWatching(t *testing.T, db *ifdb.DB, wantRows int) (buffered int64, hea
 	}
 	defer conn.Close()
 	held, base := streamBuffered(), liveBytes()
-	rows, err := conn.Query(`SELECT k FROM mil`)
+	rows, err := conn.Query(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ const streamBound = 256 << 10
 // against something unaccounted holding the result.
 func TestStreamBoundedHeap(t *testing.T) {
 	db, _ := millionRowServer(t)
-	buffered, heapGrowth := drainWatching(t, db, milRows)
+	buffered, heapGrowth := drainWatching(t, db, `SELECT k FROM mil`, milRows)
 	t.Logf("%d rows: stream buffered at most %d bytes, live heap grew at most %d", milRows, buffered, heapGrowth)
 	if buffered <= 0 {
 		t.Fatal("the stream accounted for no buffered bytes mid-stream")
@@ -209,15 +209,16 @@ func TestStreamBoundedHeap(t *testing.T) {
 	}
 }
 
-// TestStreamBoundCatchesMaterialized runs the same query and the same
-// measurement against a server that materializes (Config.LegacyExec),
-// over a fifth of the rows: the bound must not hold there, or it proves
-// nothing above.
+// TestStreamBoundCatchesMaterialized runs the same scan and the same
+// measurement as the second statement of a batch — which the engine
+// runs to the end and serves from a materialized cursor — over a fifth
+// of the rows: the bound must not hold there, or it proves nothing
+// above.
 func TestStreamBoundCatchesMaterialized(t *testing.T) {
 	const rows = milRows / 5
-	db := ifdb.MustOpen(ifdb.Config{IFC: true, LegacyExec: true})
+	db := ifdb.MustOpen(ifdb.Config{IFC: true})
 	seedMil(t, db, rows)
-	buffered, heapGrowth := drainWatching(t, db, rows)
+	buffered, heapGrowth := drainWatching(t, db, `SELECT 1; SELECT k FROM mil`, rows)
 	t.Logf("%d rows, materialized: stream buffered at most %d bytes, live heap grew at most %d", rows, buffered, heapGrowth)
 	if buffered <= streamBound {
 		t.Fatalf("a materialized result of %d rows buffered %d bytes, within the bound %d", rows, buffered, streamBound)
@@ -225,12 +226,11 @@ func TestStreamBoundCatchesMaterialized(t *testing.T) {
 }
 
 // TestConnCancelMillionRowScan: cancel latency against a live
-// million-row scan. Under the legacy executor the statement scanned
-// all million rows before the first chunk left the server, so a cancel
-// sent after the first rows arrived had nothing left to save. Under
-// the streaming executor the scan is still running when the cancel
-// lands, the engine stops within one iterator batch, and the stream
-// dies promptly — asserted with a wall-clock bound and a
+// million-row scan. A statement that scanned all million rows before
+// the first chunk left the server would leave a cancel sent after the
+// first rows arrived nothing to save; the scan is still running when
+// the cancel lands, the engine stops within one iterator batch, and
+// the stream dies promptly — asserted with a wall-clock bound and a
 // far-from-complete row count.
 func TestConnCancelMillionRowScan(t *testing.T) {
 	_, addr := millionRowServer(t)

@@ -16,7 +16,6 @@
 //	ifdb-bench -exp shard-write  # write scale-out across sharded primaries
 //	ifdb-bench -exp prepared     # prepared-vs-reparsed statement throughput
 //	ifdb-bench -exp mixed-tenant # labeled tenant cohorts on one sharded cluster
-//	ifdb-bench -exp large-result # streaming vs materializing executor drain
 //	ifdb-bench -exp scatter-agg  # partial-aggregate pushdown vs ship-all-rows
 //	ifdb-bench -all          # everything (EXPERIMENTS.md source)
 //
@@ -81,7 +80,7 @@ import (
 
 var (
 	figFlag      = flag.Int("fig", 0, "figure to regenerate (3, 4, 5, 6)")
-	expFlag      = flag.String("exp", "", "comma-separated experiments: sensor, space, trustedbase, replica-read, shard-write, prepared, mixed-tenant, large-result, scatter-agg")
+	expFlag      = flag.String("exp", "", "comma-separated experiments: sensor, space, trustedbase, replica-read, shard-write, prepared, mixed-tenant, scatter-agg")
 	jsonFlag     = flag.String("json", "", "write a schema-versioned perf report covering the sim experiments to this file (e.g. BENCH_7.json)")
 	allFlag      = flag.Bool("all", false, "run everything")
 	durFlag      = flag.Duration("duration", 3*time.Second, "measurement duration per cell")
@@ -121,7 +120,7 @@ func main() {
 			continue
 		}
 		switch name {
-		case "sensor", "space", "trustedbase", "large-result", "scatter-agg":
+		case "sensor", "space", "trustedbase", "scatter-agg":
 		default:
 			if !simExperiments[name] {
 				fmt.Fprintf(os.Stderr, "ifdb-bench: unknown experiment %q\n", name)
@@ -176,10 +175,6 @@ func main() {
 	}
 	if want("mixed-tenant") {
 		expMixedTenant()
-		ran = true
-	}
-	if want("large-result") {
-		expLargeResult()
 		ran = true
 	}
 	if want("scatter-agg") {

@@ -110,11 +110,6 @@ type Config struct {
 	// IFC enables information flow control (the whole point). False
 	// yields the plain baseline DBMS used for comparison benchmarks.
 	IFC bool
-	// LegacyExec routes SELECTs through the pre-planner materializing
-	// executor instead of the plan-based streaming one. It exists as
-	// the differential-testing oracle and the benchmark baseline for
-	// the planner; production configurations leave it false.
-	LegacyExec bool
 	// DataDir makes the database durable: `USING DISK` tables store
 	// heap files there, every mutation is written ahead to
 	// DataDir/wal.log, and Open replays the log (crash recovery)
@@ -188,7 +183,6 @@ func Open(cfg Config) (*DB, error) {
 	}
 	eng, err := engine.New(engine.Config{
 		IFC:              cfg.IFC,
-		LegacyExec:       cfg.LegacyExec,
 		DataDir:          cfg.DataDir,
 		BufferPoolPages:  cfg.BufferPoolPages,
 		SyncMode:         cfg.SyncMode,

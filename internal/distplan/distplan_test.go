@@ -100,6 +100,10 @@ func TestSplitRefusals(t *testing.T) {
 		"SELECT declassify(a, 't'), count(*) FROM t GROUP BY declassify(a, 't')", // never split declassify
 		"SELECT count(*) FROM t LIMIT count(*)",
 		"SELECT a FROM t ORDER BY count(*)",
+		"SELECT a FROM t ORDER BY 2",              // a position outside the list: the engine's error to word
+		"SELECT a, count(*) FROM t GROUP BY 3",    // likewise
+		"SELECT * FROM t ORDER BY 2",              // only a shard can count to a position under a star
+		"SELECT a, count(*) FROM t GROUP BY 1, 0", // position 0
 	}
 	for _, src := range cases {
 		if sp := Split(src, Options{}); sp != nil {
@@ -156,6 +160,23 @@ func TestSplitFragments(t *testing.T) {
 		t.Fatalf("ordered split: %+v", sp)
 	}
 	if want := `SELECT "a", "b" AS "__ifdb_s0" FROM "t" ORDER BY "b" DESC LIMIT 5`; sp.Fragment != want {
+		t.Errorf("fragment:\n got %s\nwant %s", sp.Fragment, want)
+	}
+
+	// A position is the select item it names: no hidden constant
+	// column to merge on, and the fragment groups by the expression.
+	sp = Split("SELECT a, b FROM t ORDER BY 2 DESC, 1", Options{})
+	if sp == nil || len(sp.keyItems) != 2 || sp.keyItems[0] != 1 || sp.keyItems[1] != 0 || sp.hidden != 0 {
+		t.Fatalf("positional ORDER BY: %+v", sp)
+	}
+	if want := `SELECT "a", "b" FROM "t" ORDER BY 2 DESC, 1`; sp.Fragment != want {
+		t.Errorf("fragment:\n got %s\nwant %s", sp.Fragment, want)
+	}
+	sp = Split("SELECT v, count(*) FROM t GROUP BY 1", Options{})
+	if sp == nil {
+		t.Fatal("no split")
+	}
+	if want := `SELECT "v" AS "__ifdb_g0", count(*) AS "__ifdb_a0" FROM "t" GROUP BY "v"`; sp.Fragment != want {
 		t.Errorf("fragment:\n got %s\nwant %s", sp.Fragment, want)
 	}
 

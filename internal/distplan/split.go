@@ -213,8 +213,13 @@ func splitOrdered(sel *sql.SelectStmt) *Spec {
 			return nil // ORDER BY count(*) without aggregation: let the engine reject it
 		}
 		sp.desc = append(sp.desc, ob.Desc)
-		ord := -1
-		if !hasStar {
+		ord, err := plan.Position(ob.Expr, len(sel.Items), "ORDER BY")
+		if err != nil || (ord >= 0 && hasStar) {
+			// Out of range is the engine's error to word; under a star
+			// only a shard can count to the position.
+			return nil
+		}
+		if ord < 0 && !hasStar {
 			if cr, ok := ob.Expr.(*sql.ColumnRef); ok && cr.Table == "" {
 				if i, ok := aliasOrd[cr.Column]; ok {
 					ord = i
@@ -290,8 +295,20 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 		}
 	}
 
-	// The engine substitutes output aliases into ORDER BY before
-	// collecting aggregates; mirror that (last alias wins).
+	// The engine resolves positions in GROUP BY and ORDER BY, and
+	// substitutes output aliases into ORDER BY (last alias wins), before
+	// collecting aggregates; mirror that.
+	groupExprs := make([]sql.Expr, len(sel.GroupBy))
+	for k, ge := range sel.GroupBy {
+		ord, err := plan.Position(ge, len(sel.Items), "GROUP BY")
+		if err != nil {
+			return nil // the engine's error to word
+		}
+		if ord >= 0 {
+			ge = sel.Items[ord].Expr
+		}
+		groupExprs[k] = ge
+	}
 	aliasMap := map[string]sql.Expr{}
 	for _, it := range sel.Items {
 		if it.Alias != "" {
@@ -302,7 +319,11 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	orderDesc := make([]bool, len(sel.OrderBy))
 	for i, ob := range sel.OrderBy {
 		e := ob.Expr
-		if cr, ok := e.(*sql.ColumnRef); ok && cr.Table == "" {
+		if ord, err := plan.Position(e, len(sel.Items), "ORDER BY"); err != nil {
+			return nil
+		} else if ord >= 0 {
+			e = sel.Items[ord].Expr
+		} else if cr, ok := e.(*sql.ColumnRef); ok && cr.Table == "" {
 			if repl, ok := aliasMap[cr.Column]; ok {
 				e = repl
 			}
@@ -347,7 +368,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 
 	// Group expressions by rendered text, for glue substitution.
 	groupTxt := map[string]int{}
-	for k, ge := range sel.GroupBy {
+	for k, ge := range groupExprs {
 		txt, err := sql.FormatExpr(ge)
 		if err != nil {
 			return nil
@@ -376,8 +397,8 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	// into SUM + COUNT); gather mode ships the raw argument values and
 	// leaves all folding to the gateway.
 	var fragItems []sql.SelectItem
-	groupBy := make([]sql.Expr, len(sel.GroupBy))
-	for k, ge := range sel.GroupBy {
+	groupBy := make([]sql.Expr, len(groupExprs))
+	for k, ge := range groupExprs {
 		name := fmt.Sprintf("__ifdb_g%d", k)
 		fragItems = append(fragItems, sql.SelectItem{Expr: ge, Alias: name})
 		groupBy[k] = &sql.ColumnRef{Column: name}
@@ -412,7 +433,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 
 	frag := &sql.SelectStmt{Items: fragItems, From: sel.From, Where: sel.Where}
 	if mode == ModePartialAgg {
-		frag.GroupBy = sel.GroupBy
+		frag.GroupBy = groupExprs
 	}
 	text, err := sql.FormatSelect(frag)
 	if err != nil {

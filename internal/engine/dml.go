@@ -115,13 +115,11 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 
 	var rows [][]types.Value
 	if ins.Select != nil {
-		rel, err := s.executeSelect(ins.Select, qc)
+		res, err := s.executeSelect(ins.Select, qc)
 		if err != nil {
 			return 0, err
 		}
-		for _, r := range rel.rows {
-			rows = append(rows, r.vals)
-		}
+		rows = res.Rows
 	} else {
 		env := s.newEnv(nil, qc)
 		for _, exprRow := range ins.Rows {

@@ -124,13 +124,6 @@ type Config struct {
 	// follower, which must keep the directory locked across engine
 	// restarts during bootstrap).
 	DisableLock bool
-
-	// LegacyExec routes SELECT execution through the old materializing
-	// tree-walking executor instead of the plan-based streaming one. It
-	// exists as the oracle of the differential executor harness
-	// (internal/plan/difftest) and will be removed once the streaming
-	// executor has soaked for a release.
-	LegacyExec bool
 }
 
 // Engine is one IFDB database instance.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ifdb/internal/label"
 	"ifdb/internal/sql"
 	"ifdb/internal/txn"
 	"ifdb/internal/types"
@@ -112,12 +111,9 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 		qc := &qctx{params: params}
 		switch x := st.(type) {
 		case *sql.SelectStmt:
-			rel, err := s.executeSelect(x, qc)
-			if err != nil {
-				return err
-			}
-			res = relationToResult(rel, s.eng.cfg.IFC)
-			return nil
+			var err error
+			res, err = s.executeSelect(x, qc)
+			return err
 		case *sql.ExplainStmt:
 			sel, ok := x.Stmt.(*sql.SelectStmt)
 			if !ok {
@@ -192,24 +188,4 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 		return nil, err
 	}
 	return res, nil
-}
-
-func relationToResult(rel *relation, ifc bool) *Result {
-	res := &Result{
-		Cols: make([]string, len(rel.schema)),
-		Rows: make([][]types.Value, len(rel.rows)),
-	}
-	for i, c := range rel.schema {
-		res.Cols[i] = c.Name
-	}
-	if ifc {
-		res.RowLabels = make([]label.Label, len(rel.rows))
-	}
-	for i, r := range rel.rows {
-		res.Rows[i] = r.vals
-		if ifc {
-			res.RowLabels[i] = r.lbl
-		}
-	}
-	return res
 }

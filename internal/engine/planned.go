@@ -81,14 +81,10 @@ func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
 	return rt
 }
 
-// executeSelect runs a SELECT to a materialized relation, dispatching
-// between the streaming executor and the legacy oracle. Subqueries and
-// nested view bodies re-enter here, so one Config.LegacyExec flag
-// switches the whole recursive execution.
-func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*relation, error) {
-	if s.eng.cfg.LegacyExec {
-		return s.executeSelectLegacy(sel, qc)
-	}
+// executeSelect runs a SELECT to a buffered Result. Subqueries and the
+// source of INSERT … SELECT come through here too, under the strip of
+// the view they sit in.
+func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*Result, error) {
 	p, err := s.planFor(sel, qc.strip)
 	if err != nil {
 		return nil, err
@@ -98,17 +94,34 @@ func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*relation, error
 		return nil, err
 	}
 	defer it.Close()
-	rel := &relation{schema: p.Schema()}
+	res := &Result{Cols: colNames(p), Rows: [][]types.Value{}}
+	ifc := s.eng.cfg.IFC
+	if ifc {
+		res.RowLabels = []label.Label{}
+	}
 	for {
 		r, err := it.Next()
 		if err != nil {
 			return nil, err
 		}
 		if r == nil {
-			return rel, nil
+			return res, nil
 		}
-		rel.rows = append(rel.rows, qrow{vals: r.Vals, lbl: r.Lbl, ilbl: r.ILbl})
+		res.Rows = append(res.Rows, r.Vals)
+		if ifc {
+			res.RowLabels = append(res.RowLabels, r.Lbl)
+		}
 	}
+}
+
+// colNames are the column names of p's result.
+func colNames(p *plan.Plan) []string {
+	schema := p.Schema()
+	names := make([]string, len(schema))
+	for i, c := range schema {
+		names[i] = c.Name
+	}
+	return names
 }
 
 // openSelect opens a SELECT as a live iterator (the streaming path the

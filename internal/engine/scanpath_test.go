@@ -33,41 +33,39 @@ func seedDisk(t *testing.T, s *Session, n int) {
 }
 
 // TestSelectFailsOnCorruptPage: a heap page that fails its checksum
-// fails the statement that scans it, on both executors. Before the scan
-// returned an error the page read as empty and the count came back
+// fails the statement that scans it, buffered or streamed. Before the
+// scan returned an error the page read as empty and the count came back
 // short.
 func TestSelectFailsOnCorruptPage(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		dir := t.TempDir()
-		e, err := New(Config{DataDir: dir, BufferPoolPages: 2, LegacyExec: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := e.NewSession(e.Admin())
-		seedDisk(t, s, 2000)
-		if err := e.Checkpoint(); err != nil { // every page on disk; the pool keeps the last two
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "d.heap")
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[4096] ^= 0xFF // the middle of page 0
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Exec(`SELECT count(*) FROM d`)
-		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Fatalf("legacy=%v: count over a corrupt page returned %v, err %v; want checksum mismatch", legacy, res, err)
-		}
-		c, err := s.ExecStream(`SELECT k FROM d`)
-		if err == nil {
-			_, _, err = c.NextBatch(100)
-		}
-		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-			t.Fatalf("legacy=%v: stream over a corrupt page: err %v; want checksum mismatch", legacy, err)
-		}
+	dir := t.TempDir()
+	e, err := New(Config{DataDir: dir, BufferPoolPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.NewSession(e.Admin())
+	seedDisk(t, s, 2000)
+	if err := e.Checkpoint(); err != nil { // every page on disk; the pool keeps the last two
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "d.heap")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[4096] ^= 0xFF // the middle of page 0
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Exec(`SELECT count(*) FROM d`)
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("count over a corrupt page returned %v, err %v; want checksum mismatch", res, err)
+	}
+	c, err := s.ExecStream(`SELECT k FROM d`)
+	if err == nil {
+		_, _, err = c.NextBatch(100)
+	}
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("stream over a corrupt page: err %v; want checksum mismatch", err)
 	}
 }
 

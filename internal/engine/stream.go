@@ -11,12 +11,12 @@ import (
 )
 
 // Cursor is an incrementally-consumed statement result: the engine
-// half of end-to-end streaming. For a single SELECT on the plan-based
-// executor it holds a live iterator — the statement's transaction stays
-// open while the caller pulls batches, and neither the engine nor the
-// caller ever materializes the result. Everything else (DML, DDL,
-// multi-statement batches, the legacy executor) falls back to a
-// materialized Result served through the same interface.
+// half of end-to-end streaming. For a single SELECT it holds a live
+// iterator — the statement's transaction stays open while the caller
+// pulls batches, and neither the engine nor the caller ever
+// materializes the result. Everything else (DML, DDL, multi-statement
+// batches) falls back to a materialized Result served through the same
+// interface.
 //
 // A Cursor is part of its session's statement lifecycle: while open it
 // owns the session's statement transaction, and NextBatch/Close resolve
@@ -70,7 +70,7 @@ func (s *Session) ExecStream(query string, params ...types.Value) (*Cursor, erro
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := streamableStmts(stmts); ok && !s.eng.cfg.LegacyExec {
+	if sel, ok := streamableStmts(stmts); ok {
 		return s.openCursor(sel, params)
 	}
 	res, err := s.Exec(query, params...)
@@ -87,7 +87,7 @@ func (s *Session) ExecPreparedStream(p *Prepared, params ...types.Value) (*Curso
 	if p.stmts == nil {
 		return s.ExecStream(p.Text, params...)
 	}
-	if sel, ok := streamableStmts(p.stmts); ok && !s.eng.cfg.LegacyExec {
+	if sel, ok := streamableStmts(p.stmts); ok {
 		s.beginStmtStats(p.Text)
 		return s.openCursor(sel, params)
 	}
@@ -130,11 +130,7 @@ func (s *Session) openCursor(sel *sql.SelectStmt, params []types.Value) (*Cursor
 		return nil, err
 	}
 	c.it = it
-	schema := p.Schema()
-	c.cols = make([]string, len(schema))
-	for i, cm := range schema {
-		c.cols[i] = cm.Name
-	}
+	c.cols = colNames(p)
 	return c, nil
 }
 

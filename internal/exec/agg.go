@@ -7,10 +7,10 @@ import (
 	"ifdb/internal/types"
 )
 
-// Aggregate accumulation, shared by the legacy engine executor, the
-// streaming plan executor, and the distributed gateway merge. The
-// three consumers must fold values identically — any drift shows up as
-// a differential-test failure — so the state machine lives here once.
+// Aggregate accumulation, shared by the plan executor's engine
+// accumulator and the distributed gateway merge. The two must fold
+// values identically — the suite's Router backends are held to the
+// single node's answers — so the state machine lives here once.
 //
 // Error texts keep the "engine:" prefix: they surface to clients as
 // engine errors regardless of which executor hit them.

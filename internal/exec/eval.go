@@ -62,8 +62,11 @@ type SubqueryRunner interface {
 	// ScalarSubquery runs sub and returns its single value (NULL if no
 	// rows; an error if more than one row or column).
 	ScalarSubquery(sub *sql.SelectStmt) (types.Value, error)
-	// InSubquery reports whether v appears in sub's single-column result.
-	InSubquery(sub *sql.SelectStmt, v types.Value) (bool, error)
+	// InSubquery evaluates v IN (sub) over sub's single-column result,
+	// three-valued as the list form is: TRUE on a match; else NULL when
+	// a comparison was with a NULL (v's own, or one in the set); else
+	// FALSE — so against the empty set even a NULL v is FALSE.
+	InSubquery(sub *sql.SelectStmt, v types.Value) (types.Value, error)
 	// ExistsSubquery reports whether sub returns any row.
 	ExistsSubquery(sub *sql.SelectStmt) (bool, error)
 }
@@ -222,14 +225,11 @@ func Eval(e sql.Expr, env *Env) (types.Value, error) {
 			if env.Subq == nil {
 				return types.Null, fmt.Errorf("exec: subquery not supported in this context")
 			}
-			ok, err := env.Subq.InSubquery(x.Sub, v)
-			if err != nil {
-				return types.Null, err
+			in, err := env.Subq.InSubquery(x.Sub, v)
+			if err != nil || in.IsNull() || !x.Not {
+				return in, err
 			}
-			if x.Not {
-				ok = !ok
-			}
-			return types.NewBool(ok), nil
+			return types.NewBool(!in.Bool()), nil
 		}
 		if v.IsNull() {
 			return types.Null, nil

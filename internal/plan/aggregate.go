@@ -11,8 +11,8 @@ import (
 
 // Aggregation is inherently blocking — no group is final before the
 // last input row — but what it holds is its groups, not its input: the
-// iterator folds each row as its child produces it, by the legacy
-// engine's algorithm. Aggregate calls are rewritten to placeholder
+// iterator folds each row as its child produces it. Aggregate calls
+// are rewritten to placeholder
 // parameters allocated after the user's parameters, groups accumulate
 // in first-seen order, and each output row's secrecy label is the
 // union (integrity label the intersection) of its inputs — derived
@@ -21,8 +21,7 @@ import (
 //
 // aggIter is the only aggregate iterator: the engine runs it over
 // scans with EvalAcc, the Router's gateway over shard streams with the
-// partial-aggregate algebra of internal/distplan. The fold itself
-// (exec.AggState) is shared with the legacy executor.
+// partial-aggregate algebra of internal/distplan.
 
 // EvalAcc is the engine's accumulator: the call's argument evaluated
 // against each input row, folded by exec.AggState.

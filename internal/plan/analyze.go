@@ -20,10 +20,10 @@ var rules = []struct {
 }
 
 // resolveColumns attributes every column reference in the level to its
-// source. The legacy executor resolves names lazily per row, so this
-// rule never fails — an unresolvable or ambiguous reference simply
-// disables pruning and surfaces the legacy executor's own error at
-// evaluation time, in the same place it always did.
+// source. Names resolve lazily, per row, in exec.Eval, so this rule
+// never fails — an unresolvable or ambiguous reference simply disables
+// pruning, and the error surfaces at evaluation time: a statement that
+// never evaluates the bad reference (an empty input) does not fail.
 func resolveColumns(lv *level) error {
 	lv.canPrune = len(lv.sources) > 0
 	offsets := make([]int, len(lv.sources))
@@ -60,7 +60,7 @@ func resolveColumns(lv *level) error {
 			mark(src.jc.On)
 		}
 	}
-	for _, e := range lv.sel.GroupBy {
+	for _, e := range lv.groupBy {
 		mark(e)
 	}
 	mark(lv.sel.Having)
@@ -76,20 +76,21 @@ func resolveColumns(lv *level) error {
 // they run per tuple right after MVCC and label visibility instead of
 // after the whole input materializes.
 //
-// Equivalence with the legacy executor constrains the rule hard:
+// Answers and errors must be those of filtering after the whole input,
+// which constrains the rule hard:
 //
 //   - The entire WHERE tree (and, when joins are present, every ON
 //     clause) must be infallible: built only from shapes exec.Eval can
 //     never fail on. Otherwise splitting the conjunction could
-//     suppress or reorder an error the legacy all-rows-then-filter
-//     pipeline reported. (Parameters are treated as infallible: a
-//     missing parameter fails in the pushed position exactly when it
-//     fails in the legacy position — on the first visible row.)
+//     suppress or reorder an error. (Parameters are treated as
+//     infallible: a missing parameter fails in the pushed position
+//     exactly when it fails in the residual one — on the first visible
+//     row.)
 //   - A pushed conjunct must resolve entirely in the FROM scan's
 //     schema; conjuncts touching joined tables stay in the residual.
 //   - _label/_ilabel conjuncts are pushed only for single-table
-//     queries: under a join the legacy WHERE saw the combined row
-//     label (left ∪ right), which the scan cannot know. For a single
+//     queries: under a join the WHERE sees the combined row label
+//     (left ∪ right), which the scan cannot know. For a single
 //     table the scan's strip-adjusted tuple label is byte-identical to
 //     what the WHERE evaluated.
 //
@@ -134,9 +135,8 @@ func pushdownPredicates(lv *level) error {
 
 // selectIndexes mines the FROM scan's filter for column = constant
 // conjuncts and picks the index with the longest fully-bound leading
-// prefix, exactly like the legacy scan did per execution. The constant
-// expressions are kept unevaluated: parameters are bound when the scan
-// opens.
+// prefix. The constant expressions are kept unevaluated: parameters are
+// bound when the scan opens.
 func selectIndexes(lv *level) error {
 	if len(lv.sources) == 0 {
 		return nil
@@ -199,8 +199,8 @@ func isConst(e sql.Expr) bool {
 // wide tables stream narrow rows. It only runs when every column
 // reference resolved unambiguously — removing a column may otherwise
 // turn an "ambiguous column" error into a silent resolution.
-// Index-probed join tables are exempt: their full rows enter the
-// combined schema, as in the legacy executor.
+// Index-probed join tables are exempt: the probe hands back whole heap
+// rows, and those enter the combined schema.
 func pruneProjections(lv *level) error {
 	if !lv.canPrune {
 		return nil

@@ -15,10 +15,9 @@ import (
 // building the body of a declassifying view). The AST is treated as
 // read-only, so a plan may be cached and shared across sessions.
 //
-// Build mirrors the legacy executor's structure level by level: any
-// error the legacy executor raised while assembling a relation (no
-// such table, view column mismatch, star matching nothing) surfaces
-// here, with the identical message.
+// Errors in the statement's shape (no such table, view column
+// mismatch, star matching nothing, a position outside the select list)
+// surface here, before any row is read.
 func Build(cat *catalog.Catalog, sel *sql.SelectStmt, strip label.Label) (*Plan, error) {
 	root, err := buildSelect(cat, sel, strip)
 	if err != nil {
@@ -62,13 +61,13 @@ type level struct {
 	// sources[0] is the FROM item; sources[1+i] belongs to Joins[i].
 	sources []*source
 	// full is the concatenated, unpruned schema of all sources — the
-	// scope column references resolve in, exactly what the legacy
-	// executor's combined relation schema was.
+	// scope column references resolve in.
 	full exec.Schema
 
 	items      []sql.SelectItem // star-expanded select items
 	aggregated bool
-	orderExprs []sql.Expr // ORDER BY with output aliases substituted
+	groupBy    []sql.Expr // GROUP BY with positions resolved
+	orderExprs []sql.Expr // ORDER BY with positions resolved and output aliases substituted
 
 	residual sql.Expr // WHERE conjuncts not pushed into the FROM scan
 
@@ -108,9 +107,8 @@ func (lv *level) addSource(tr *sql.TableRef, filter sql.Expr, jc *sql.JoinClause
 }
 
 // addJoinSource adds one joined source, first checking index-join
-// eligibility against the level schema accumulated so far — the same
-// inputs the legacy executor inspected per join at run time, so the
-// decision is identical, just made once.
+// eligibility against the level schema accumulated so far: the
+// decision needs nothing a row could tell it, so it is made once.
 func (lv *level) addJoinSource(jc *sql.JoinClause) error {
 	if jc.Table.Sub == nil {
 		if t, ok := lv.cat.Table(jc.Table.Name); ok {
@@ -131,7 +129,7 @@ func (lv *level) addJoinSource(jc *sql.JoinClause) error {
 }
 
 // buildTableRef compiles one table reference: derived table, base
-// table, or view — checked in the legacy executor's order.
+// table, or view, in that order — a table shadows a view of its name.
 func (lv *level) buildTableRef(tr *sql.TableRef, filter sql.Expr) (*source, error) {
 	if tr.Sub != nil {
 		child, err := buildSelect(lv.cat, tr.Sub, lv.strip)
@@ -203,8 +201,9 @@ func aliasSchema(s exec.Schema, alias string) exec.Schema {
 	return out
 }
 
-// prepareExprs expands stars, detects aggregation, and substitutes
-// output aliases into ORDER BY, all against the full level schema.
+// prepareExprs expands stars, detects aggregation, resolves positions
+// in GROUP BY and ORDER BY, and substitutes output aliases into ORDER
+// BY, all against the full level schema.
 func (lv *level) prepareExprs() error {
 	items, err := expandStars(lv.sel.Items, lv.full)
 	if err != nil {
@@ -225,17 +224,35 @@ func (lv *level) prepareExprs() error {
 			aliasMap[it.Alias] = it.Expr
 		}
 	}
+	lv.groupBy = make([]sql.Expr, len(lv.sel.GroupBy))
+	for i, ge := range lv.sel.GroupBy {
+		ord, err := Position(ge, len(items), "GROUP BY")
+		if err != nil {
+			return err
+		}
+		if ord >= 0 {
+			ge = items[ord].Expr
+		}
+		lv.groupBy[i] = ge
+	}
 	lv.orderExprs = make([]sql.Expr, len(lv.sel.OrderBy))
 	for i, ob := range lv.sel.OrderBy {
-		lv.orderExprs[i] = substituteAliases(ob.Expr, aliasMap)
+		ord, err := Position(ob.Expr, len(items), "ORDER BY")
+		if err != nil {
+			return err
+		}
+		if ord >= 0 {
+			lv.orderExprs[i] = items[ord].Expr
+		} else {
+			lv.orderExprs[i] = substituteAliases(ob.Expr, aliasMap)
+		}
 	}
 	return nil
 }
 
-// assemble wires the analyzed level into its operator pipeline,
-// mirroring the legacy executeSelect stage order: sources+joins →
-// residual filter → aggregate/project → Tail (sort → distinct → offset
-// → limit).
+// assemble wires the analyzed level into its operator pipeline, in
+// SQL's stage order: sources+joins → residual filter →
+// aggregate/project → Tail (sort → distinct → offset → limit).
 func (lv *level) assemble() (Node, error) {
 	var input Node
 	if lv.sel.From == nil {
@@ -254,7 +271,7 @@ func (lv *level) assemble() (Node, error) {
 	if lv.aggregated {
 		out = &AggregateNode{
 			Child: input, Items: lv.items,
-			GroupBy: lv.sel.GroupBy, Having: lv.sel.Having,
+			GroupBy: lv.groupBy, Having: lv.sel.Having,
 			OrderExprs: lv.orderExprs, NewAcc: EvalAcc, Strip: lv.strip,
 		}
 	} else {
@@ -297,8 +314,8 @@ func (src *source) finalNode() Node {
 }
 
 // buildJoinNode attaches one joined source to the pipeline built so
-// far, picking the same strategy the legacy executor would: index
-// probe, then hash for pure equi-joins, then nested loop.
+// far, picking the cheapest strategy that fits: index probe, then hash
+// for pure equi-joins, then nested loop.
 func (lv *level) buildJoinNode(left Node, src *source) Node {
 	jc := src.jc
 	if src.isIndexJoin {
@@ -374,8 +391,7 @@ func indexJoinProbe(t *catalog.Table, on sql.Expr, left, right exec.Schema) (ix 
 }
 
 // equiJoinKeys decomposes an ON clause into column-ordinal pairs when
-// it is a pure conjunction of cross-side column equalities. Ported
-// verbatim from the legacy executor.
+// it is a pure conjunction of cross-side column equalities.
 func equiJoinKeys(on sql.Expr, left, right exec.Schema) (lk, rk []int, pure bool) {
 	var walk func(e sql.Expr) bool
 	walk = func(e sql.Expr) bool {
@@ -421,9 +437,9 @@ func equiJoinKeys(on sql.Expr, left, right exec.Schema) (lk, rk []int, pure bool
 
 // pureScalarFuncs are the scalar functions that neither mutate state
 // nor observe anything a skipped evaluation would change. LIMIT may
-// stop pulling early only when every function below it is in this set
-// — the legacy executor materialized everything before slicing, so
-// state-changing calls (nextval, addsecrecy, ...) must keep running
+// stop pulling early only when every function below it is in this set:
+// LIMIT slices a result, it does not decide how much of the statement
+// runs, so state-changing calls (nextval, addsecrecy, ...) keep running
 // for every row even past the limit.
 var pureScalarFuncs = map[string]bool{
 	"lower": true, "upper": true, "length": true, "abs": true,

@@ -89,7 +89,7 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 	if len(n.Eq) > 0 {
 		// Bind the filter's constants. Evaluation (and its errors —
 		// e.g. a missing parameter) happens here, before any tuple is
-		// visited, exactly where the legacy scan evaluated them.
+		// visited: an empty table does not hide a missing parameter.
 		eq := make(map[int]types.Value, len(n.Eq))
 		for _, e := range n.Eq {
 			v, err := exec.Eval(e.Expr, &exec.Env{Params: rt.Params})
@@ -239,7 +239,7 @@ func (n *RenameNode) open(rt *Runtime) (Iter, error) {
 	return &viewIter{name: n.ViewName, child: child}, nil
 }
 
-// viewIter wraps body errors in the legacy view envelope.
+// viewIter wraps body errors in the view envelope.
 type viewIter struct {
 	name  string
 	child Iter
@@ -292,8 +292,8 @@ func (it *filterIter) Next() (*Row, error) {
 func (it *filterIter) Close() { it.child.Close() }
 
 // ---------------------------------------------------------------------------
-// Joins (blocking: the legacy join algorithms run verbatim over the
-// materialized inputs, preserving row order, label math, and errors)
+// Joins (blocking: both inputs are materialized before the first
+// output row)
 
 type joinIter struct {
 	n       *JoinNode
@@ -334,9 +334,8 @@ func (it *joinIter) drain() error {
 	if err != nil {
 		return err
 	}
-	// The right side opens only after the left finished, keeping the
-	// legacy error order: left-input errors surface before any
-	// right-side error.
+	// The right side opens only after the left finished: left-input
+	// errors surface before any right-side error.
 	right, err := n.Right.open(rt)
 	if err != nil {
 		return err
@@ -902,9 +901,9 @@ func (it *limitIter) Next() (*Row, error) {
 		it.done = true
 		if !it.pure {
 			// The subtree may call state-changing functions (nextval,
-			// addsecrecy, ...); the legacy executor evaluated them for
-			// every row before slicing, so keep pulling — discarding
-			// rows — until the input runs dry.
+			// addsecrecy, ...), which run for every row whatever the
+			// limit: keep pulling — discarding rows — until the input
+			// runs dry.
 			for {
 				r, err := it.child.Next()
 				if err != nil {
@@ -947,8 +946,8 @@ func evalIntConst(e sql.Expr, env *exec.Env) (int64, error) {
 // none. The prefix is what keeps column boundaries apart — a
 // terminator would not, since a text value may contain any byte. Two
 // values append the same bytes exactly when they are of one kind and
-// print alike (the legacy executor's key is kind, length, string form),
-// so 1 and 1.0 stay two groups. Callers append into a buffer they
+// print alike (TestKeyMatchesLegacyKey holds it to the key it replaced:
+// kind, length, string form), so 1 and 1.0 stay two groups. Callers append into a buffer they
 // reuse and look a map up by string(key), which does not allocate.
 func appendKey(b []byte, v types.Value) []byte {
 	b = append(b, byte(v.Kind()))

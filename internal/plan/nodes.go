@@ -13,8 +13,8 @@ import (
 
 // EqConst is one "col = const" conjunct harvested from the WHERE
 // clause for index selection, in AND-walk order. The constant side is
-// a Literal or Param, evaluated once when the scan opens (last
-// assignment to a column wins, like the legacy extractor's map).
+// a Literal or Param, evaluated once when the scan opens (the last
+// conjunct on a column wins).
 type EqConst struct {
 	Col  int // ordinal in the table's full column list
 	Expr sql.Expr
@@ -45,8 +45,7 @@ type ScanNode struct {
 
 func (n *ScanNode) Schema() exec.Schema { return n.schema }
 
-// ValuesNode is the FROM-less source: exactly one empty row, like the
-// legacy executor's single empty qrow.
+// ValuesNode is the FROM-less source: exactly one empty row.
 type ValuesNode struct{}
 
 func (n *ValuesNode) Schema() exec.Schema { return nil }
@@ -82,7 +81,8 @@ func (n *MergeNode) Schema() exec.Schema {
 // RenameNode re-tables its child's output under an alias. It covers
 // both derived tables (FROM (SELECT ...) AS a) and views; for views it
 // also applies the view's declared column names and wraps runtime
-// errors in the legacy "engine: view %q: %w" envelope.
+// errors in an "engine: view %q: %w" envelope, so the text names the
+// view a failing body belongs to.
 type RenameNode struct {
 	Child    Node
 	Alias    string
@@ -104,9 +104,9 @@ type FilterNode struct {
 
 func (n *FilterNode) Schema() exec.Schema { return n.Child.Schema() }
 
-// Join strategies. The choice is static: analysis sees the same
-// operands the legacy executor inspected at run time, so the decision
-// is identical — it is just made once and recorded for EXPLAIN.
+// Join strategies. The choice is static — it depends on the ON clause
+// and the catalog, not on rows — so it is made once and recorded for
+// EXPLAIN.
 const (
 	JoinLoop  = "loop"  // nested loop, right side buffered
 	JoinHash  = "hash"  // equi-join via hash table over the right side
@@ -114,9 +114,10 @@ const (
 )
 
 // JoinNode is a hash or nested-loop join. It is a blocking operator:
-// the legacy join algorithm runs verbatim over the materialized
-// inputs, which keeps row order, label combination, and error order
-// identical to the oracle. (Streaming joins are future work.)
+// both inputs are materialized, left first, and output follows left
+// order then right order; a joined row's secrecy label is the union of
+// its sides', its integrity label their intersection. (Streaming joins
+// are future work.)
 type JoinNode struct {
 	Left      Node
 	Right     Node
@@ -134,7 +135,7 @@ func (n *JoinNode) Schema() exec.Schema { return n.schema }
 
 // IndexJoinNode probes a right-table index once per left row instead
 // of materializing the right side. The right table's full rows enter
-// the combined schema, exactly like the legacy index join.
+// the combined schema: a probe reads whole heap tuples.
 type IndexJoinNode struct {
 	Left   Node
 	Table  *catalog.Table
@@ -177,9 +178,8 @@ func (n *ProjectNode) Schema() exec.Schema { return n.schema }
 
 // compile resolves a projection of plain column references once, at
 // plan time, instead of by name for every row. A reference that does
-// not resolve leaves the projection to exec.Eval, which reports it
-// where the legacy executor did: on the first row, and never on an
-// empty input.
+// not resolve leaves the projection to exec.Eval, which reports it on
+// the first row, and never on an empty input.
 func (n *ProjectNode) compile() {
 	in := n.Child.Schema()
 	resolve := func(e sql.Expr) int {
@@ -251,8 +251,8 @@ type SortNode struct {
 func (n *SortNode) Schema() exec.Schema { return n.Child.Schema() }
 
 // DistinctNode drops rows whose full value tuple was already seen,
-// keeping the first occurrence (matching the legacy executor, which
-// applies DISTINCT after ORDER BY).
+// keeping the first occurrence. It sits above the sort, so the first
+// occurrence is the first in the statement's order.
 type DistinctNode struct {
 	Child Node
 }
@@ -271,8 +271,8 @@ func (n *OffsetNode) Schema() exec.Schema { return n.Child.Schema() }
 // LimitNode truncates the output to N rows. When the subtree below is
 // provably free of state-changing function calls, the iterator stops
 // pulling as soon as the limit is reached; otherwise it drains its
-// child completely (matching the legacy executor's materialize-then-
-// slice behaviour, whose side effects must be preserved).
+// child completely: LIMIT slices the result, it does not cut short the
+// side effects of producing it.
 type LimitNode struct {
 	Child Node
 	Expr  sql.Expr
@@ -283,9 +283,8 @@ type LimitNode struct {
 func (n *LimitNode) Schema() exec.Schema { return n.Child.Schema() }
 
 // Tail is what a SELECT level does with the rows its projection or
-// aggregate produced: ORDER BY, DISTINCT, OFFSET and LIMIT, in the
-// legacy executor's stage order. The engine's levels and the Router's
-// gateway both end in one.
+// aggregate produced: ORDER BY, DISTINCT, OFFSET and LIMIT, in that
+// order. The engine's levels and the Router's gateway both end in one.
 type Tail struct {
 	// OrderExprs and Desc describe the sort; the rows below carry the
 	// key values as Row.Sort. Empty when the rows need no sorting.
@@ -344,9 +343,8 @@ func tableSchema(t *catalog.Table, alias string) exec.Schema {
 	return schema
 }
 
-// OutputSchema names the columns a projection produces, mirroring the
-// legacy executor's rules: explicit alias, else the bare column name,
-// else a positional "columnN".
+// OutputSchema names the columns a projection produces: explicit
+// alias, else the bare column name, else a positional "columnN".
 func OutputSchema(items []sql.SelectItem) exec.Schema {
 	schema := make(exec.Schema, len(items))
 	for i, it := range items {
@@ -365,7 +363,7 @@ func OutputSchema(items []sql.SelectItem) exec.Schema {
 }
 
 // expandStars replaces * and table.* items with explicit column
-// references against schema, mirroring the legacy expansion.
+// references against schema.
 func expandStars(items []sql.SelectItem, schema exec.Schema) ([]sql.SelectItem, error) {
 	out := make([]sql.SelectItem, 0, len(items))
 	for _, it := range items {
@@ -400,4 +398,20 @@ func substituteAliases(e sql.Expr, aliases map[string]sql.Expr) sql.Expr {
 		}
 	}
 	return e
+}
+
+// Position reads an ORDER BY or GROUP BY key that is a bare integer
+// literal as SQL does — the select item at that position, 1-based,
+// stars expanded — and returns the item's index, or -1 for any other
+// key. Out of range is an error naming the clause and the position.
+func Position(key sql.Expr, items int, clause string) (int, error) {
+	lit, ok := key.(*sql.Literal)
+	if !ok || lit.Value.Kind() != types.KindInt {
+		return -1, nil
+	}
+	n := lit.Value.Int()
+	if n < 1 || n > int64(items) {
+		return -1, fmt.Errorf("engine: %s position %d is not in the select list", clause, n)
+	}
+	return int(n - 1), nil
 }

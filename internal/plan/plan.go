@@ -5,36 +5,39 @@
 // Next() produces one row at a time, so a large result streams to the
 // wire instead of materializing.
 //
-// The package is a drop-in replacement for the engine's legacy
-// tree-walking executor, which remains available behind
-// engine.Config.LegacyExec as the oracle of the differential test
-// harness (plan/difftest). Equivalence with the legacy executor is the
-// design constraint everything here bends around:
+// It is the only SELECT executor: the engine runs every SELECT —
+// top-level, subquery, view body, INSERT … SELECT — through it, and
+// the Router's gateway merge is a tree of its operators over shard
+// streams. What it answers is pinned by internal/suite, whose recorded
+// cases every backend must reproduce to the byte, error text included.
+// The rules the operators keep:
 //
-//   - Error strings are byte-identical, including the "engine:" prefix
-//     on messages the legacy executor owned. That is deliberate: the
-//     differential harness compares error text.
-//   - Predicate pushdown only happens when the whole WHERE tree is
-//     infallible (no expression shape that exec.Eval can fail on), so
-//     splitting the conjunction between the scan and the residual
-//     filter can never reorder or suppress an error the legacy
-//     all-rows-then-filter pipeline would have reported.
+//   - A statement's stages run in SQL's order — sources and joins,
+//     WHERE, aggregate or projection, ORDER BY, DISTINCT, OFFSET, LIMIT
+//     — and an analysis rule may move work only where no answer and no
+//     error can change. Predicate pushdown therefore happens only when
+//     the whole WHERE tree is infallible (no expression shape exec.Eval
+//     can fail on): splitting a conjunction between the scan and the
+//     residual filter then cannot reorder or suppress an error.
 //   - Pushed predicates are evaluated only after MVCC visibility and
 //     the Label Confinement Rule have admitted the tuple — a pushed
 //     predicate can never observe (or leak through a side channel of)
 //     a row the process label does not cover. This keeps the paper's
 //     §7.1 property: information flow is enforced below the executor,
 //     so planner bugs cannot bypass it.
-//
-// Known, documented divergences from the legacy executor (all outside
-// what the differential harness generates): LIMIT/OFFSET expressions
-// are evaluated against an empty row at iterator open rather than
-// whatever row the legacy executor's shared env last held; when a
-// statement contains several independent runtime faults, pipelining
-// may surface a different one than the legacy stage order did; and
-// LIMIT stops pulling early when the subtree is provably free of
-// state-changing functions, so evaluation counts (not results) can
-// differ under LIMIT.
+//   - Error messages raised while assembling or running a SELECT carry
+//     the "engine:" prefix: they are the engine's, whichever package
+//     words them, and clients match on the text.
+//   - LIMIT and OFFSET are evaluated once, when the iterator opens,
+//     against an empty row: a bound may be a literal or a parameter,
+//     never a column.
+//   - When a statement holds several independent runtime faults, the
+//     one that surfaces is the one the pipeline reaches first, pulling
+//     row by row.
+//   - A LIMIT stops pulling its child as soon as it is satisfied when
+//     the subtree is provably free of state-changing functions, and
+//     drains it otherwise: evaluation counts can differ under LIMIT,
+//     side effects and results cannot.
 package plan
 
 import (

@@ -42,18 +42,16 @@ cmp -s "$workdir/p1/prepared.trace" "$workdir/p2/prepared.trace" || {
   echo "bench_smoke: poisson trace is not deterministic" >&2; exit 1; }
 
 # --- 2. Replay the recorded traces and emit the schema-2 JSON report.
-# large-result and scatter-agg ride along: neither is schedule-driven
-# (no trace), but their groups and notes — executor time-to-first-row,
-# distributed-aggregate bytes-on-wire — must land in the same report
-# the diff tool consumes.
-"$BENCH" -exp "$EXPS,large-result,scatter-agg" -duration 1s -replay "$workdir/t1" \
+# scatter-agg rides along: it is not schedule-driven (no trace), but
+# its groups and notes — distributed-aggregate bytes-on-wire — must land
+# in the same report the diff tool consumes.
+"$BENCH" -exp "$EXPS,scatter-agg" -duration 1s -replay "$workdir/t1" \
   -json "$workdir/BENCH_smoke.json" >/dev/null
 
 grep -q '"schema": 2' "$workdir/BENCH_smoke.json" || {
   echo "bench_smoke: report missing schema 2 marker" >&2; exit 1; }
 for needle in '"experiments"' '"groups"' '"registry"' '"p99_us"' \
               'mixed-tenant' 'ifdb_router_shard_routed_total' \
-              'large-result' 'stream_ttfr_p50_us' 'streaming executor' \
               'scatter-agg' 'rows_bytes_4shards_partial-agg' \
               'ifdb_wire_rows_bytes_total'; do
   grep -q "$needle" "$workdir/BENCH_smoke.json" || {
@@ -71,9 +69,9 @@ grep -q "0 regressions" "$workdir/selfdiff.out" || {
 }
 
 # --- 3. Diff against the committed baselines: the legacy schema-1
-# file must load and compare cleanly, and the current baseline
-# (BENCH_8.json, which includes large-result) must share groups with
-# the fresh report (exit 0; the verdict is for humans).
+# file must load and compare cleanly, and the later baselines
+# (BENCH_8.json, BENCH_10.json) must share groups with the fresh report
+# (exit 0; the verdict is for humans).
 "$BENCH" -diff BENCH_6.json "$workdir/BENCH_smoke.json" > "$workdir/diff.out"
 grep -q "compared metrics" "$workdir/diff.out" || {
   echo "bench_smoke: legacy baseline diff produced no comparison summary" >&2
@@ -83,11 +81,6 @@ grep -q "compared metrics" "$workdir/diff.out" || {
 "$BENCH" -diff BENCH_8.json "$workdir/BENCH_smoke.json" > "$workdir/diff8.out"
 grep -q "compared metrics" "$workdir/diff8.out" || {
   echo "bench_smoke: BENCH_8 baseline diff produced no comparison summary" >&2
-  cat "$workdir/diff8.out" >&2
-  exit 1
-}
-grep -q "large-result" "$workdir/diff8.out" || {
-  echo "bench_smoke: BENCH_8 diff did not compare the large-result groups" >&2
   cat "$workdir/diff8.out" >&2
   exit 1
 }
