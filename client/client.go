@@ -107,8 +107,7 @@ type Conn struct {
 	dirty     bool // label/principal changed since last sync
 
 	// Cancellation identity from the HelloOK handshake: the session id
-	// and the key that authorizes an out-of-band CANCEL for it (zero =
-	// v1 server, no cancellation).
+	// and the key that authorizes an out-of-band CANCEL for it.
 	sessID    uint64
 	cancelKey uint64
 

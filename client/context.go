@@ -48,7 +48,7 @@ func (c *Conn) QueryContext(ctx context.Context, sqlText string, params ...Value
 }
 
 // execCtx is the shared buffered-execution path (text or prepared),
-// with the AutoReconnect retry of the v1 API.
+// with the AutoReconnect retry.
 func (c *Conn) execCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer uint64, sqlText string, params []Value) (*Result, error) {
 	res, err := c.execCtxOnce(ctx, stmt, waitLSN, shardVer, sqlText, params)
 	if err == nil || !c.cfg.AutoReconnect || !retryable(err) || ctxDone(ctx) {
@@ -155,9 +155,6 @@ func (c *Conn) watchCancel(ctx context.Context) (stop func()) {
 // does once the cancel is applied — best-effort: a cancel that cannot
 // be delivered degrades to the grace-period socket cut.
 func sendCancelTo(addr string, sessID, cancelKey uint64, dialTimeout time.Duration) {
-	if sessID == 0 {
-		return // v1 server: no cancellation support
-	}
 	if dialTimeout <= 0 {
 		dialTimeout = 2 * time.Second
 	}

@@ -7,6 +7,7 @@ import (
 	"ifdb/internal/exec"
 	"ifdb/internal/index"
 	"ifdb/internal/label"
+	"ifdb/internal/plan"
 	"ifdb/internal/sql"
 	"ifdb/internal/storage"
 	"ifdb/internal/txn"
@@ -19,64 +20,47 @@ type target struct {
 	tv  storage.TupleVersion
 }
 
-// collectTargets finds the tuples a DML statement affects, applying
-// MVCC and label confinement exactly like reads do (§4.2: tuples with
-// other labels "are invisible to the update and are unaffected").
-func (s *Session) collectTargets(t *catalog.Table, where sql.Expr, qc *qctx) ([]target, error) {
-	schema := make(exec.Schema, len(t.Columns))
-	for i, c := range t.Columns {
-		schema[i] = exec.ColMeta{Table: t.Name, Name: c.Name}
-	}
-	env := s.newEnv(schema, qc)
-	var out []target
-	var evalErr error
-
-	eq, err := s.extractEqConsts(where, schema, qc)
+// targets are the tuples an UPDATE or DELETE affects: the rows of the
+// statement's target plan, SELECT * FROM t WHERE p (selectOf), so a
+// write finds its rows exactly as a read would — MVCC, then Label
+// Confinement (§4.2: tuples with other labels "are invisible to the
+// update and are unaffected"), then the WHERE, by the planner's choice
+// of index, polling for cancellation and counted as scanned. The scan
+// is drained and closed before the caller writes anything: one that
+// resumed after the statement had inserted new versions would meet its
+// own output. The plan is returned for its schema, the table's.
+func (s *Session) targets(st sql.Statement, qc *qctx) (*plan.Plan, []target, error) {
+	p, err := s.planFor(st, qc.strip)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	tx := s.stmtTx
+	it, err := p.Open(s.planRuntime(qc))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer it.Close()
+	var out []target
+	for {
+		r, err := it.Next()
+		if err != nil {
+			return nil, nil, err
+		}
+		if r == nil {
+			return p, out, nil
+		}
+		out = append(out, target{tid: r.TID, tv: storage.TupleVersion{Row: r.Vals, Label: r.Lbl, ILabel: r.ILbl}})
+	}
+}
 
-	consider := func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if !tx.Visible(tv.Xmin, tv.Xmax) {
-			return true
-		}
-		if !s.tupleVisible(tv, nil) {
-			return true
-		}
-		if where != nil {
-			env.Row, env.RowLabel, env.RowILabel = tv.Row, tv.Label, tv.ILabel
-			v, err := exec.Eval(where, env)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !v.Truthy() {
-				return true
-			}
-		}
-		out = append(out, target{tid: tid, tv: *tv})
-		return true
+// writableTable resolves the table a write names; a view is refused.
+func (s *Session) writableTable(name string) (*catalog.Table, error) {
+	if t, ok := s.eng.cat.Table(name); ok {
+		return t, nil
 	}
-
-	if ix, n := t.BestIndexForCols(eqColSet(eq)); ix != nil && n > 0 {
-		key := make([]types.Value, n)
-		for i := 0; i < n; i++ {
-			key[i] = eq[ix.Cols[i]]
-		}
-		ix.Tree.AscendPrefix(key, func(_ index.Key, tid storage.TID) bool {
-			if tv, ok := t.Heap.Get(tid); ok {
-				return consider(tid, &tv)
-			}
-			return true
-		})
-	} else if err := t.Heap.Scan(consider); err != nil {
-		return nil, err
+	if _, isView := s.eng.cat.View(name); isView {
+		return nil, ErrReadOnlyView
 	}
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
+	return nil, fmt.Errorf("engine: no table %q", name)
 }
 
 // ---------------------------------------------------------------------------
@@ -84,12 +68,9 @@ func (s *Session) collectTargets(t *catalog.Table, where sql.Expr, qc *qctx) ([]
 
 // executeInsert handles INSERT ... VALUES and INSERT ... SELECT.
 func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
-	t, ok := s.eng.cat.Table(ins.Table)
-	if !ok {
-		if _, isView := s.eng.cat.View(ins.Table); isView {
-			return 0, ErrReadOnlyView
-		}
-		return 0, fmt.Errorf("engine: no table %q", ins.Table)
+	t, err := s.writableTable(ins.Table)
+	if err != nil {
+		return 0, err
 	}
 
 	declTags, err := s.resolveDeclassifying(ins.Declassifying)
@@ -291,7 +272,7 @@ func (s *Session) checkUnique(t *catalog.Table, row []types.Value, lw label.Labe
 				return true
 			}
 			// Polyinstantiation: only *visible* tuples conflict.
-			if !s.labelVisible(tv.Label, nil) {
+			if !s.labelVisible(tv.Label) {
 				return true
 			}
 			// If the conflicting version belongs to a still-running
@@ -494,12 +475,9 @@ func (s *Session) lookupByCols(ref *catalog.Table, cols []int, key []types.Value
 // every affected tuple must carry exactly the process label; a visible
 // tuple with a lower label fails the statement.
 func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
-	t, ok := s.eng.cat.Table(up.Table)
-	if !ok {
-		if _, isView := s.eng.cat.View(up.Table); isView {
-			return 0, ErrReadOnlyView
-		}
-		return 0, fmt.Errorf("engine: no table %q", up.Table)
+	t, err := s.writableTable(up.Table)
+	if err != nil {
+		return 0, err
 	}
 	declTags, err := s.resolveDeclassifying(up.Declassifying)
 	if err != nil {
@@ -515,16 +493,12 @@ func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
 		setIdx[i] = ci
 	}
 
-	targets, err := s.collectTargets(t, up.Where, qc)
+	p, targets, err := s.targets(up, qc)
 	if err != nil {
 		return 0, err
 	}
 
-	schema := make(exec.Schema, len(t.Columns))
-	for i, c := range t.Columns {
-		schema[i] = exec.ColMeta{Table: t.Name, Name: c.Name}
-	}
-	env := s.newEnv(schema, qc)
+	env := s.newEnv(p.Schema(), qc)
 	lw := s.writeLabel()
 	liw := s.writeILabel()
 
@@ -668,14 +642,11 @@ func (s *Session) checkReferencersOnKeyChange(t *catalog.Table, oldRow, newRow [
 // the channel having been vouched for by the Foreign Key Rule at
 // insert time (§5.2.2).
 func (s *Session) executeDelete(del *sql.DeleteStmt, qc *qctx) (int, error) {
-	t, ok := s.eng.cat.Table(del.Table)
-	if !ok {
-		if _, isView := s.eng.cat.View(del.Table); isView {
-			return 0, ErrReadOnlyView
-		}
-		return 0, fmt.Errorf("engine: no table %q", del.Table)
+	t, err := s.writableTable(del.Table)
+	if err != nil {
+		return 0, err
 	}
-	targets, err := s.collectTargets(t, del.Where, qc)
+	_, targets, err := s.targets(del, qc)
 	if err != nil {
 		return 0, err
 	}

@@ -115,16 +115,9 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 			res, err = s.executeSelect(x, qc)
 			return err
 		case *sql.ExplainStmt:
-			sel, ok := x.Stmt.(*sql.SelectStmt)
-			if !ok {
-				return fmt.Errorf("engine: EXPLAIN supports only SELECT")
-			}
-			r, err := s.explainSelect(sel)
-			if err != nil {
-				return err
-			}
-			res = r
-			return nil
+			var err error
+			res, err = s.explain(x.Stmt)
+			return err
 		case *sql.InsertStmt:
 			n, err := s.executeInsert(x, qc)
 			if err != nil {

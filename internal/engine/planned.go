@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 
 	"ifdb/internal/exec"
@@ -10,10 +11,11 @@ import (
 	"ifdb/internal/types"
 )
 
-// The plan-based SELECT path: build (or fetch) an analyzed plan for
-// the statement, open its iterator tree against this session's
-// transaction and label state, and pull. Session-free analysis lives
-// in internal/plan; everything here binds it to a session.
+// The plan-based path of SELECT, and of UPDATE's and DELETE's target
+// selection: build (or fetch) an analyzed plan for the statement, open
+// its iterator tree against this session's transaction and label
+// state, and pull. Session-free analysis lives in internal/plan;
+// everything here binds it to a session.
 
 // planEntry is one cached plan with the epoch it was built under.
 type planEntry struct {
@@ -28,33 +30,57 @@ func (e *Engine) invalidatePlans() {
 	e.planEpoch.Add(1)
 }
 
-// planFor returns the analyzed plan for sel, consulting the plan
-// cache. Plans are cached only for an empty strip set: a declassifying
-// view's strip is baked into its scan nodes, and the same AST can be
-// reached with different strips through different view nestings.
-func (s *Session) planFor(sel *sql.SelectStmt, strip label.Label) (*plan.Plan, error) {
+// planFor returns the analyzed plan for st — a SELECT, or an UPDATE or
+// DELETE, whose plan is that of its targets (selectOf) — consulting the
+// plan cache under the statement's AST node. Plans are cached only for
+// an empty strip set: a declassifying view's strip is baked into its
+// scan nodes, and the same AST can be reached with different strips
+// through different view nestings.
+func (s *Session) planFor(st sql.Statement, strip label.Label) (*plan.Plan, error) {
 	e := s.eng
 	epoch := e.planEpoch.Load()
 	cacheable := len(strip) == 0
 	if cacheable {
-		if v, ok := e.planCache.Load(sel); ok {
+		if v, ok := e.planCache.Load(st); ok {
 			ent := v.(*planEntry)
 			if ent.epoch == epoch {
 				mPlanCacheHits.Inc()
 				return ent.p, nil
 			}
-			e.planCache.Delete(sel)
+			e.planCache.Delete(st)
 		}
 	}
-	p, err := plan.Build(e.cat, sel, strip)
+	p, err := plan.Build(e.cat, selectOf(st), strip)
 	if err != nil {
 		return nil, err
 	}
 	mPlans.Inc()
 	if cacheable {
-		e.planCache.Store(sel, &planEntry{p: p, epoch: epoch})
+		e.planCache.Store(st, &planEntry{p: p, epoch: epoch})
 	}
 	return p, nil
+}
+
+// selectOf is the SELECT whose plan serves st: st itself, or for
+// UPDATE t … WHERE p and DELETE FROM t WHERE p the statement that reads
+// their targets, SELECT * FROM t WHERE p. The identity projection opens
+// as the bare filtered scan, whose rows carry their TID.
+func selectOf(st sql.Statement) *sql.SelectStmt {
+	var table string
+	var where sql.Expr
+	switch x := st.(type) {
+	case *sql.SelectStmt:
+		return x
+	case *sql.UpdateStmt:
+		table, where = x.Table, x.Where
+	case *sql.DeleteStmt:
+		table, where = x.Table, x.Where
+	}
+	return &sql.SelectStmt{
+		Items: []sql.SelectItem{{Star: true}},
+		From:  &sql.TableRef{Name: table},
+		Where: where,
+	}
 }
 
 // planRuntime binds a plan to this session's statement transaction,
@@ -140,14 +166,32 @@ func (s *Session) openSelect(sel *sql.SelectStmt, params []types.Value) (*plan.P
 	return p, it, nil
 }
 
-// explainSelect renders the analyzed plan of sel as a one-column
-// result, one operator per row.
-func (s *Session) explainSelect(sel *sql.SelectStmt) (*Result, error) {
-	p, err := s.planFor(sel, nil)
+// explain renders the analyzed plan of st as a one-column result, one
+// operator per row; an UPDATE or DELETE shows its target plan under a
+// line naming the write. Nothing is executed.
+func (s *Session) explain(st sql.Statement) (*Result, error) {
+	var write, table string
+	switch x := st.(type) {
+	case *sql.SelectStmt:
+	case *sql.UpdateStmt:
+		write, table = "Update ", x.Table
+	case *sql.DeleteStmt:
+		write, table = "Delete ", x.Table
+	default:
+		return nil, fmt.Errorf("engine: EXPLAIN supports only SELECT, UPDATE and DELETE")
+	}
+	var lines []string
+	if write != "" {
+		if _, err := s.writableTable(table); err != nil {
+			return nil, err
+		}
+		lines = append(lines, write+table)
+	}
+	p, err := s.planFor(st, nil)
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(strings.TrimRight(p.Explain(), "\n"), "\n")
+	lines = append(lines, strings.Split(strings.TrimRight(p.Explain(), "\n"), "\n")...)
 	res := &Result{Cols: []string{"plan"}}
 	for _, ln := range lines {
 		res.Rows = append(res.Rows, []types.Value{types.NewText(ln)})

@@ -210,65 +210,3 @@ func (s *Session) newEnv(schema exec.Schema, qc *qctx) *exec.Env {
 		Subq:   subqRunner{s, qc},
 	}
 }
-
-// extractEqConsts walks the AND-tree of filter collecting
-// column-ordinal → constant bindings usable for index scans. Only
-// literals and parameters count as constants (no side effects).
-func (s *Session) extractEqConsts(filter sql.Expr, schema exec.Schema, qc *qctx) (map[int]types.Value, error) {
-	out := make(map[int]types.Value)
-	var walk func(e sql.Expr) error
-	walk = func(e sql.Expr) error {
-		b, ok := e.(*sql.BinaryExpr)
-		if !ok {
-			return nil
-		}
-		switch b.Op {
-		case "AND":
-			if err := walk(b.Left); err != nil {
-				return err
-			}
-			return walk(b.Right)
-		case "=":
-			col, cexpr := b.Left, b.Right
-			if !isConst(cexpr) {
-				col, cexpr = b.Right, b.Left
-			}
-			cr, ok := col.(*sql.ColumnRef)
-			if !ok || !isConst(cexpr) || cr.Column == "_label" {
-				return nil
-			}
-			i, err := schema.Resolve(cr.Table, cr.Column)
-			if err != nil {
-				return nil // column from another table in a join filter
-			}
-			v, err := exec.Eval(cexpr, &exec.Env{Params: qc.params})
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		return nil
-	}
-	if filter != nil {
-		if err := walk(filter); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func isConst(e sql.Expr) bool {
-	switch e.(type) {
-	case *sql.Literal, *sql.Param:
-		return true
-	}
-	return false
-}
-
-func eqColSet(eq map[int]types.Value) map[int]bool {
-	out := make(map[int]bool, len(eq))
-	for c := range eq {
-		out[c] = true
-	}
-	return out
-}

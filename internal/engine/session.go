@@ -7,7 +7,6 @@ import (
 	"ifdb/internal/authority"
 	"ifdb/internal/label"
 	"ifdb/internal/obs"
-	"ifdb/internal/storage"
 	"ifdb/internal/txn"
 	"ifdb/internal/types"
 	"ifdb/internal/wal"
@@ -462,23 +461,14 @@ func (s *Session) secrecyOK(lt, strip label.Label) bool {
 	return s.eng.hier.Flows(s.effectiveTupleLabel(lt, strip), s.plabel)
 }
 
-// countDenial counts a tuple one of the label checks hid.
-func countDenial(ok bool) bool {
-	if !ok {
-		mLabelDenials.Inc()
+// labelVisible is the secrecy half of Query by Label for the one path
+// that checks tuple by tuple (the uniqueness probe), counting a refusal.
+func (s *Session) labelVisible(lt label.Label) bool {
+	if !s.eng.cfg.IFC || s.secrecyOK(lt, nil) {
+		return true
 	}
-	return ok
-}
-
-// labelVisible is the secrecy half of Query by Label for the paths
-// that check tuple by tuple, counting a refusal.
-func (s *Session) labelVisible(lt label.Label, strip label.Label) bool {
-	return !s.eng.cfg.IFC || countDenial(s.secrecyOK(lt, strip))
-}
-
-// tupleVisible combines both label filters, counting a refusal.
-func (s *Session) tupleVisible(tv *storage.TupleVersion, strip label.Label) bool {
-	return !s.eng.cfg.IFC || countDenial(s.labelsOK(tv.Label, tv.ILabel, strip))
+	mLabelDenials.Inc()
+	return false
 }
 
 // effectiveTupleLabel strips from lt every tag covered by the strip

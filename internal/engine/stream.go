@@ -48,9 +48,10 @@ type Cursor struct {
 }
 
 // streamableStmts reports whether a parsed batch can run as a live
-// cursor: exactly one SELECT (the plan path handles only SELECT, and a
-// multi-statement batch returns the last result only after running the
-// others to completion).
+// cursor: exactly one SELECT (only a SELECT's plan yields the rows the
+// client reads — an UPDATE's or DELETE's yields targets, drained before
+// the first write — and a multi-statement batch returns the last result
+// only after running the others to completion).
 func streamableStmts(stmts []sql.Statement) (*sql.SelectStmt, bool) {
 	if len(stmts) != 1 {
 		return nil, false

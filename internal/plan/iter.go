@@ -112,8 +112,9 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 // then MVCC visibility and the Label Confinement Rule have passed, in
 // that order, and only now do pushed predicates run — a pushed
 // predicate can never touch a tuple the process label does not cover.
-// Accepted rows are pruned to the scan's output columns.
-func (it *scanIter) accept(tv *storage.TupleVersion) error {
+// Accepted rows are pruned to the scan's output columns and carry the
+// TID of the version they were read from.
+func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 	lbl := it.rt.EffLabel(tv.Label, it.n.Strip)
 	if len(it.n.Pushed) > 0 {
 		it.env.Row = tv.Row
@@ -136,7 +137,7 @@ func (it *scanIter) accept(tv *storage.TupleVersion) error {
 			vals[i] = tv.Row[c]
 		}
 	}
-	it.buf = append(it.buf, Row{Vals: vals, Lbl: lbl, ILbl: tv.ILabel})
+	it.buf = append(it.buf, Row{Vals: vals, Lbl: lbl, ILbl: tv.ILabel, TID: tid})
 	return nil
 }
 
@@ -150,7 +151,7 @@ func (it *scanIter) refillHeap() error {
 	}
 	next, more, err := it.n.Table.Heap.ScanFrom(it.next, scanBatch, it.vis, func(tid storage.TID, tv *storage.TupleVersion) bool {
 		if cbErr = it.rt.check(); cbErr == nil {
-			cbErr = it.accept(tv)
+			cbErr = it.accept(tid, tv)
 		}
 		return cbErr == nil
 	})
@@ -170,7 +171,7 @@ func (it *scanIter) refillIndex() error {
 				return false
 			}
 			if tv, ok := it.n.Table.Heap.Get(tid); ok && it.vis.Sees(&tv) {
-				cbErr = it.accept(&tv)
+				cbErr = it.accept(tid, &tv)
 			}
 			return cbErr == nil
 		})

@@ -8,8 +8,10 @@
 // It is the only SELECT executor: the engine runs every SELECT —
 // top-level, subquery, view body, INSERT … SELECT — through it, and
 // the Router's gateway merge is a tree of its operators over shard
-// streams. What it answers is pinned by internal/suite, whose recorded
-// cases every backend must reproduce to the byte, error text included.
+// streams. UPDATE and DELETE find their targets with it too: the rows
+// of SELECT * FROM t WHERE p, each carrying its TID. What it answers is
+// pinned by internal/suite, whose recorded cases every backend must
+// reproduce to the byte, error text included.
 // The rules the operators keep:
 //
 //   - A statement's stages run in SQL's order — sources and joins,
@@ -50,11 +52,18 @@ import (
 // Row is one tuple flowing through a plan: values, the tuple's
 // (strip-adjusted) secrecy label, its integrity label, and — between
 // the projection and sort operators — the ORDER BY keys.
+//
+// TID is the tuple version a table scan read the row from, and means
+// something only on a row that reached the consumer from a scan through
+// nothing but filters — the shape of SELECT * FROM t WHERE p, whose rows
+// the engine's UPDATE and DELETE write through. An operator that builds
+// rows of its own does not set it.
 type Row struct {
 	Vals []types.Value
 	Lbl  label.Label
 	ILbl label.Label
 	Sort []types.Value
+	TID  storage.TID
 }
 
 // Iter is a volcano-style iterator: Next returns the next row, or

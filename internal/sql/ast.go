@@ -147,7 +147,8 @@ type SelectStmt struct {
 func (*SelectStmt) stmt() {}
 
 // ExplainStmt renders the analyzed plan of the wrapped statement
-// instead of executing it. Only SELECT is explainable today; the
+// instead of executing it: a SELECT's plan, or under a line naming the
+// write the plan that selects an UPDATE's or DELETE's targets. The
 // parser accepts any statement and the engine rejects the rest.
 type ExplainStmt struct {
 	Stmt Statement

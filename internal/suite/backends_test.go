@@ -214,6 +214,7 @@ func openInProcess(cursor bool) func(testing.TB, *scenario) db {
 	return func(t testing.TB, sc *scenario) db {
 		e := engine.MustNew(engine.Config{IFC: true, BufferPoolPages: poolPages})
 		t.Cleanup(func() { e.Close() })
+		sequentialIDs(e)
 		principals, tags, tn := provision(sc,
 			func(name string) uint64 { return uint64(e.CreatePrincipal(name)) },
 			func(owner uint64, name string) label.Tag {

@@ -116,7 +116,7 @@ func name(i int64) string {
 // scenarios is the case list: the hand-written scenarios, then the two
 // seeded ones once per seed.
 func scenarios(seeds []int64) []scenario {
-	out := []scenario{battery(), big(), probes(), fixes()}
+	out := []scenario{battery(), big(), probes(), fixes(), dml()}
 	for _, seed := range seeds {
 		out = append(out, simMix(seed), scatter(seed))
 	}
@@ -430,6 +430,149 @@ func fixes() scenario {
 	sc.add("admin", `SELECT k, v NOT IN (10, NULL), v IN (10, NULL) FROM a ORDER BY k`)
 	// Against the empty set even a NULL operand has a definite answer.
 	sc.add("admin", `SELECT k, v IN (SELECT v FROM nn WHERE v < 0), v NOT IN (SELECT v FROM nn WHERE v < 0) FROM a ORDER BY k`).on(oneNode)
+	return sc
+}
+
+// dml is UPDATE and DELETE target selection: which rows a WHERE picks
+// for a write — by index, by index prefix plus residual, by a
+// contradiction, past a predicate that would fail on a row the session
+// cannot see, by label, by subquery on the table being written — and
+// what the write half then does with them (Write Rule, cascade, two
+// writes of one key in a transaction). Recorded at the last commit
+// whose engine selected DML targets with a scan of its own.
+//
+// Two tables hold the same rows: acct takes only statements that name
+// their row's key, which a Router can place; led takes the rest.
+func dml() scenario {
+	sc := scenario{
+		name:     "dml",
+		users:    []user{{name: "admin"}, {name: "alice", tags: []string{"t_alice"}}},
+		shardKey: map[string]string{"acct": "id", "led": "id", "hollow": "k", "ord": "id", "line": "ord", "inv": "ord"},
+	}
+	for _, tbl := range []string{"acct", "led"} {
+		sc.setup("admin", `CREATE TABLE `+tbl+` (id BIGINT PRIMARY KEY, grp BIGINT, v BIGINT, note TEXT)`)
+		sc.setup("admin", `CREATE INDEX `+tbl+`_gv ON `+tbl+` (grp, v)`)
+		for i := int64(1); i <= 12; i++ {
+			sc.setup("admin", `INSERT INTO `+tbl+` VALUES ($1, $2, $3, NULL)`, ints(i, i%3, i*10)...)
+		}
+		// alice's rows sit above admin's label; 101 is the table's only
+		// v = 0.
+		for i := int64(101); i <= 104; i++ {
+			sc.setup("alice", `INSERT INTO `+tbl+` VALUES ($1, $2, $3, NULL)`, ints(i, i%3, (i-101)*10)...)
+		}
+	}
+	acct := func(u string) { sc.add(u, `SELECT id, grp, v, note FROM acct ORDER BY id`) }
+	led := func(u string) { sc.add(u, `SELECT id, grp, v, note FROM led ORDER BY id`).on(oneNode) }
+
+	// Indexed equality: literal, parameter, prepared handle, no match.
+	sc.add("admin", `UPDATE acct SET v = v + 1 WHERE id = 3`)
+	sc.add("admin", `UPDATE acct SET note = $2 WHERE id = $1`, types.NewInt(4), types.NewText("four"))
+	sc.add("admin", `UPDATE acct SET note = $2 WHERE id = $1`, types.NewInt(5), types.NewText("five")).viaHandle()
+	sc.add("admin", `UPDATE acct SET note = $2 WHERE id = $1`, types.NewInt(6), types.NewText("six")).viaHandle()
+	sc.add("admin", `UPDATE acct SET note = 'none' WHERE id = 99`)
+	sc.add("admin", `DELETE FROM acct WHERE id = 12`)
+	sc.add("admin", `DELETE FROM acct WHERE id = 12`)
+	// A write moves its row in a secondary index; the next finds it there.
+	sc.add("admin", `UPDATE acct SET grp = 7 WHERE id = 9`)
+	sc.add("admin", `SELECT id FROM acct WHERE grp = 7`)
+	sc.add("admin", `UPDATE acct SET note = 'seven' WHERE grp = 7 AND id = 9`)
+	sc.add("admin", `UPDATE acct SET note = 'g2v80' WHERE grp = 2 AND v = 80 AND note IS NULL AND id = 8`)
+	// A contradiction binds the same column twice.
+	sc.add("admin", `UPDATE acct SET note = 'both' WHERE id = 1 AND id = 2`)
+	sc.add("admin", `DELETE FROM acct WHERE id = 1 AND id = 2`)
+	// A predicate that fails on v = 0: the only such row is alice's, so
+	// admin's statement never evaluates it; alice's does.
+	sc.add("admin", `UPDATE acct SET note = 'div101' WHERE id = 101 AND 100 / v > 5`)
+	sc.add("admin", `DELETE FROM acct WHERE id = 101 AND 100 / v > 5`)
+	sc.add("alice", `UPDATE acct SET note = 'div101' WHERE id = 101 AND 100 / v > 5`)
+	sc.add("alice", `DELETE FROM acct WHERE 100 / v > 5 AND id = 101`)
+	// The label in the WHERE.
+	sc.add("alice", `UPDATE acct SET note = 'mine102' WHERE id = 102 AND label_size(_label) = 1`)
+	sc.add("alice", `UPDATE acct SET note = 'public?' WHERE id = 102 AND label_size(_label) = 0`)
+	sc.add("alice", `DELETE FROM acct WHERE _label = getlabel() AND id = 104`)
+	sc.add("admin", `DELETE FROM acct WHERE _label = getlabel() AND id = 103`)
+	// The Write Rule: alice sees admin's rows and may not write them.
+	sc.add("alice", `UPDATE acct SET note = 'w' WHERE id = 3`)
+	sc.add("alice", `DELETE FROM acct WHERE id = 3`)
+	sc.add("alice", `UPDATE acct SET note = 'w' WHERE id = 103`)
+	// Statement shape errors.
+	sc.add("admin", `UPDATE acct SET nosuch = 0 WHERE id = 1`)
+	sc.add("admin", `UPDATE acct SET v = 0 WHERE nosuch = 1 AND id = 1`)
+	sc.add("admin", `DELETE FROM acct WHERE nosuch = 1 AND id = 1`)
+	sc.add("admin", `UPDATE acct SET v = 'text' WHERE id = 1`)
+	acct("admin")
+	acct("alice")
+	// Two writes of one key in one transaction: the second sees the first.
+	sc.add("admin", `BEGIN`).on(txnBlock)
+	sc.add("admin", `UPDATE acct SET v = v + 1 WHERE id = 5`).on(txnBlock)
+	sc.add("admin", `UPDATE acct SET v = v * 2 WHERE id = 5`).on(txnBlock)
+	sc.add("admin", `SELECT v FROM acct WHERE id = 5`).on(txnBlock)
+	sc.add("admin", `DELETE FROM acct WHERE id = 6`).on(txnBlock)
+	sc.add("admin", `UPDATE acct SET v = 0 WHERE id = 6`).on(txnBlock)
+	sc.add("admin", `COMMIT`).on(txnBlock)
+	sc.add("admin", `SELECT id, v FROM acct WHERE id = 5 OR id = 6 ORDER BY id`).on(txnBlock)
+	// A missing parameter fails though the table holds no row to test,
+	// where the parameter is one the scan is opened with.
+	sc.setup("admin", `CREATE TABLE hollow (k BIGINT PRIMARY KEY, v BIGINT)`)
+	sc.add("admin", `UPDATE hollow SET v = 1 WHERE k = $1 AND v = $2`, ints(1)...)
+	sc.add("admin", `DELETE FROM hollow WHERE k = $1 AND v = $2`, ints(1)...)
+	sc.add("admin", `UPDATE hollow SET v = 1 WHERE k = $1 AND v > $2`, ints(1)...)
+	// ON DELETE CASCADE, and a reference that refuses the delete.
+	sc.setup("admin", `CREATE TABLE ord (id BIGINT PRIMARY KEY, c BIGINT)`)
+	sc.setup("admin", `CREATE TABLE line (
+		id BIGINT PRIMARY KEY, ord BIGINT, q BIGINT,
+		FOREIGN KEY (ord) REFERENCES ord (id) ON DELETE CASCADE)`)
+	sc.setup("admin", `CREATE TABLE inv (
+		id BIGINT PRIMARY KEY, ord BIGINT,
+		FOREIGN KEY (ord) REFERENCES ord (id))`)
+	for i := int64(1); i <= 4; i++ {
+		sc.setup("admin", `INSERT INTO ord (id, c) VALUES ($1, $2)`, ints(i, i%2)...)
+		for j := int64(0); j < i; j++ {
+			sc.setup("admin", `INSERT INTO line (id, ord, q) VALUES ($1, $2, $3)`, ints(i*10+j, i, j)...)
+		}
+	}
+	sc.setup("admin", `INSERT INTO inv (id, ord) VALUES (4, 4)`)
+	sc.add("admin", `DELETE FROM ord WHERE id = 3`)
+	sc.add("admin", `DELETE FROM ord WHERE id = 4`)
+	sc.add("admin", `SELECT id, c FROM ord ORDER BY id`)
+	sc.add("admin", `SELECT id, ord, q FROM line ORDER BY id`)
+	sc.add("admin", `DELETE FROM ord WHERE c = 1`).on(oneNode)
+	sc.add("admin", `SELECT id, ord, q FROM line ORDER BY id`).on(oneNode)
+
+	// A composite index bound by its prefix, the rest a residual; then
+	// bound whole. The first statement's new versions land in the index
+	// range it is reading.
+	sc.add("admin", `UPDATE led SET v = v + 1 WHERE grp = 1`).on(oneNode)
+	sc.add("admin", `UPDATE led SET note = 'g1' WHERE grp = 1 AND v > 40`).on(oneNode)
+	sc.add("admin", `UPDATE led SET note = 'g2v80' WHERE grp = 2 AND v = 80 AND note IS NULL`).on(oneNode)
+	sc.add("admin", `DELETE FROM led WHERE grp = 0 AND grp = 1`).on(oneNode)
+	led("admin")
+	sc.add("admin", `UPDATE led SET note = 'div' WHERE 100 / v > 5`).on(oneNode)
+	sc.add("alice", `DELETE FROM led WHERE 100 / v > 5`).on(oneNode)
+	sc.add("alice", `UPDATE led SET note = 'mine' WHERE label_size(_label) = 1`).on(oneNode)
+	led("alice")
+	// Subqueries over the table being written see it as it was.
+	sc.add("admin", `UPDATE led SET v = v + 1000 WHERE id IN (SELECT id FROM led WHERE grp = 2)`).on(oneNode)
+	sc.add("admin", `UPDATE led SET note = 'max' WHERE v = (SELECT MAX(v) FROM led)`).on(oneNode)
+	sc.add("admin", `DELETE FROM led WHERE v = (SELECT MIN(b.v) FROM led b WHERE b.grp = led.grp)`).on(oneNode)
+	sc.add("admin", `DELETE FROM led WHERE id IN (SELECT id FROM led WHERE v > 1050)`).on(oneNode)
+	led("admin")
+	// The Write Rule over several rows: alice's own row 102 (grp 0, the
+	// lowest v) is reached first and written, then admin's row 3 fails
+	// the statement as a whole: 102 reads as it did before.
+	sc.add("alice", `UPDATE led SET note = 'w' WHERE grp = 0 AND v < 40`).on(oneNode)
+	sc.add("alice", `DELETE FROM led WHERE grp = 0 AND v < 40`).on(oneNode)
+	led("alice")
+	sc.setup("admin", `CREATE VIEW rich AS SELECT id, v FROM led WHERE v > 50`).on(oneNode)
+	sc.add("admin", `UPDATE rich SET v = 0 WHERE id = 1`).on(oneNode)
+	sc.add("admin", `DELETE FROM rich WHERE id = 1`).on(oneNode)
+	sc.add("admin", `UPDATE nosuch SET v = 0 WHERE id = 1`).on(oneNode)
+	// No WHERE at all.
+	sc.add("alice", `DELETE FROM led`).on(oneNode)
+	sc.add("admin", `UPDATE led SET note = 'all'`).on(oneNode)
+	led("admin")
+	sc.add("admin", `DELETE FROM led`).on(oneNode)
+	sc.add("alice", `SELECT COUNT(*) FROM led`).on(oneNode)
 	return sc
 }
 

@@ -46,41 +46,3 @@ func TestReplEpochRoundTrip(t *testing.T) {
 		t.Fatalf("recs: %+v %v", grr, err)
 	}
 }
-
-// TestQueryWaitLSNRoundTrip: the read-your-writes token rides the
-// query frame, with and without a label sync.
-func TestQueryWaitLSNRoundTrip(t *testing.T) {
-	for _, q := range []*Query{
-		{SQL: "SELECT 1", WaitLSN: 4242},
-		{SQL: "SELECT 2", WaitLSN: 17, SyncLabel: true, Principal: 9},
-		{SQL: "SELECT 3"},
-	} {
-		payload, err := q.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeQuery(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.SQL != q.SQL || got.WaitLSN != q.WaitLSN || got.SyncLabel != q.SyncLabel || got.Principal != q.Principal {
-			t.Fatalf("round trip: got %+v, want %+v", got, q)
-		}
-	}
-}
-
-// TestResultTokenRoundTrip: results carry the (epoch, LSN) pair.
-func TestResultTokenRoundTrip(t *testing.T) {
-	r := &Result{Affected: 3, Epoch: 2, LSN: 1 << 40}
-	payload, err := r.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeResult(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 2 || got.LSN != 1<<40 || got.Affected != 3 {
-		t.Fatalf("round trip: %+v", got)
-	}
-}

@@ -21,9 +21,8 @@ import (
 // so a following EXECUTE cannot observe the closed handle).
 //
 // EXECUTE with statement id 0 carries the SQL text inline: the
-// one-shot form the v1 text API is shimmed over. Either form streams,
-// so a result larger than MaxFrame — which the v1 Result frame simply
-// cannot carry — crosses the wire in bounded chunks.
+// one-shot form behind the client's text API. Either form streams, so a
+// result larger than MaxFrame crosses the wire in bounded chunks.
 //
 // CANCEL is out-of-band, Postgres-style: the HelloOK handshake reply
 // hands the client a session id and a random cancel key; a CANCEL
@@ -46,8 +45,7 @@ const (
 
 // HelloOK is the handshake reply payload. SessionID names the session
 // for out-of-band cancellation and CancelKey authorizes it (§ CANCEL
-// above). A v1 server sends an empty payload; both fields decode as
-// zero and the client treats cancellation as unsupported.
+// above).
 type HelloOK struct {
 	SessionID uint64
 	CancelKey uint64
@@ -59,13 +57,9 @@ func (h *HelloOK) Encode() []byte {
 	return appendU64(buf, h.CancelKey)
 }
 
-// DecodeHelloOK unmarshals a HelloOK payload (empty = v1 server, no
-// cancellation support).
+// DecodeHelloOK unmarshals a HelloOK payload.
 func DecodeHelloOK(buf []byte) (*HelloOK, error) {
 	var h HelloOK
-	if len(buf) == 0 {
-		return &h, nil
-	}
 	var err error
 	h.SessionID, buf, err = readU64(buf)
 	if err != nil {
@@ -135,19 +129,34 @@ func DecodePrepareRes(buf []byte) (*PrepareRes, error) {
 }
 
 // Execute runs a prepared statement (StmtID from PrepareRes) or, with
-// StmtID 0, the inline SQL — the one-shot form. The label-sync,
-// WaitLSN, and ShardVer fields carry exactly the Query (v1) meanings.
+// StmtID 0, the inline SQL — the one-shot form — and carries the
+// client's current view of the process label and principal (sent only
+// when changed since the last message — lazy coalescing, §7.1).
 type Execute struct {
 	StmtID uint64
 	SQL    string // used only when StmtID == 0
 	Params []types.Value
 
-	SyncLabel bool
+	SyncLabel bool // Label/ILabel/Principal fields are meaningful
 	Label     label.Label
-	ILabel    label.Label
+	ILabel    label.Label // integrity label
 	Principal uint64
 
-	WaitLSN  uint64
+	// WaitLSN, when non-zero on a replica server, delays execution
+	// until the replica has applied the primary's log through that LSN
+	// — the read-your-writes token flow: a routing client stamps reads
+	// with the commit LSN of its last primary write, so a replica can
+	// never answer with state older than what the client already saw
+	// acknowledged. Ignored on a primary (its own log trivially covers
+	// its own commits).
+	WaitLSN uint64
+
+	// ShardVer, when non-zero, is the shard-map version the client
+	// routed this statement under. A sharded server holding a newer map
+	// refuses the statement and attaches its current map to the trailer
+	// (version fencing, see shard.go). Zero marks a shard-unaware
+	// client: the statement is accepted and only the per-row shard-
+	// ownership guard protects misdirected writes.
 	ShardVer uint64
 
 	// ChunkRows asks the server to bound each ROWS frame to that many
@@ -155,8 +164,10 @@ type Execute struct {
 	// frames are also bounded by MaxFrame — but never larger ones.
 	ChunkRows uint32
 
-	// TraceID is the client-generated statement trace ID (see
-	// Query.TraceID). Optional trailing field; zero means untraced.
+	// TraceID is the client-generated statement trace ID, stamped into
+	// the server's slow-query/audit log lines and \stats timing
+	// breakdowns so one statement can be followed across tiers. Optional
+	// trailing field; zero means untraced.
 	TraceID uint64
 }
 
@@ -257,13 +268,31 @@ type RowsChunk struct {
 	Rows      [][]types.Value
 	RowLabels []label.Label // nil when IFC off; else len == len(Rows)
 
-	// Trailer, meaningful when Done:
+	// Trailer, meaningful when Done. Label and ILabel are the server's
+	// view of the process labels after the statement (it may have
+	// changed them, e.g. via addsecrecy()).
 	Err      string
 	Affected int64
 	Label    label.Label
 	ILabel   label.Label
-	Epoch    uint64
-	LSN      uint64
+
+	// Epoch is the server's promotion generation; LSN is the session's
+	// commit token: the smallest replication barrier proving its most
+	// recent logged commit (or DDL) applied, 0 if the session never
+	// logged anything (reads, in-memory servers). Deliberately *not*
+	// the WAL append edge — the edge includes other sessions' open
+	// transactions, which a replica's applied barrier cannot pass, so a
+	// token built from it would stall every replica read behind
+	// whichever unrelated transaction happens to be open. The routing
+	// client keeps the pair from its last write as the read-your-writes
+	// token; LSN spaces are only comparable within one epoch.
+	Epoch uint64
+	LSN   uint64
+
+	// ShardMap rides along when the server refused the statement for a
+	// stale shard-map version (Err starts with StaleShardMapErr): the
+	// client adopts it and re-routes without an extra round trip. Nil
+	// otherwise.
 	ShardMap *ShardMap
 }
 

@@ -16,9 +16,8 @@ func TestPreparedFrameRoundTrips(t *testing.T) {
 	if err != nil || *h2 != *h {
 		t.Fatalf("HelloOK: %+v %v", h2, err)
 	}
-	// v1 servers send an empty payload: both fields zero, no error.
-	if h3, err := DecodeHelloOK(nil); err != nil || h3.SessionID != 0 || h3.CancelKey != 0 {
-		t.Fatalf("empty HelloOK: %+v %v", h3, err)
+	if _, err := DecodeHelloOK(nil); err == nil {
+		t.Fatal("empty HelloOK decoded")
 	}
 
 	p := &Prepare{SQL: "SELECT * FROM kv WHERE k = $1"}

@@ -1,6 +1,6 @@
 // Package wire implements IFDB's client/server protocol: a
 // length-prefixed binary framing over TCP, with the process label and
-// acting principal piggybacked lazily on queries and results — the
+// acting principal piggybacked lazily on statements and results — the
 // paper's design for keeping the platform's and the DBMS's view of the
 // process label synchronized without extra round trips (§7.1–7.2).
 //
@@ -14,14 +14,14 @@
 //     primary and its followers, epoch-stamped on every batch;
 //   - SHARDMAP frames (shard.go): the version-stamped shard map, plus
 //     version fencing — a statement routed under a stale map version
-//     is refused with the current map attached to the Result;
+//     is refused with the current map attached to the reply;
 //   - API v2 frames (prepared.go): PREPARE/EXECUTE statement handles
 //     that pin the parsed AST server-side, chunked ROWS streaming,
 //     and out-of-band CANCEL keyed by the HelloOK handshake;
-//   - read-your-writes plumbing: Query.WaitLSN delays a replica read
-//     until the replica has applied the client's last acknowledged
-//     write; Result carries the (epoch, LSN) commit token that feeds
-//     it.
+//   - read-your-writes plumbing: Execute.WaitLSN delays a replica
+//     read until the replica has applied the client's last acknowledged
+//     write; the final ROWS chunk carries the (epoch, LSN) commit token
+//     that feeds it.
 //
 // See ARCHITECTURE.md § Replication (stream protocol), § Failover &
 // epochs (STATUS/PROMOTE and tokens), and § Sharding (map format and
@@ -35,15 +35,12 @@ import (
 	"io"
 
 	"ifdb/internal/label"
-	"ifdb/internal/types"
 )
 
 // Message type bytes.
 const (
 	MsgHello   byte = 'H' // client → server: token, principal
 	MsgHelloOK byte = 'h' // server → client
-	MsgQuery   byte = 'Q' // client → server: sql, params, label/principal sync
-	MsgResult  byte = 'R' // server → client: result set or error, label sync
 	MsgControl byte = 'C' // client → server: authority-state operation
 	MsgCtrlRes byte = 'c' // server → client: control result
 	MsgClose   byte = 'X' // client → server: goodbye
@@ -191,268 +188,6 @@ func DecodeHello(buf []byte) (*Hello, error) {
 		return nil, err
 	}
 	return &h, nil
-}
-
-// --- Query ---------------------------------------------------------------
-
-// Query carries one SQL statement batch with parameters, plus the
-// client's current view of the process label and principal (sent only
-// when changed since the last message — lazy coalescing, §7.1).
-type Query struct {
-	SQL       string
-	Params    []types.Value
-	SyncLabel bool // Label/ILabel/Principal fields are meaningful
-	Label     label.Label
-	ILabel    label.Label // integrity label
-	Principal uint64
-
-	// WaitLSN, when non-zero on a replica server, delays execution
-	// until the replica has applied the primary's log through that LSN
-	// — the read-your-writes token flow: a routing client stamps reads
-	// with the commit LSN of its last primary write, so a replica can
-	// never answer with state older than what the client already saw
-	// acknowledged. Ignored on a primary (its own log trivially covers
-	// its own commits).
-	WaitLSN uint64
-
-	// ShardVer, when non-zero, is the shard-map version the client
-	// routed this statement under. A sharded server holding a newer map
-	// refuses the statement and attaches its current map to the Result
-	// (version fencing, see shard.go). Zero marks a shard-unaware
-	// client: the statement is accepted and only the per-row shard-
-	// ownership guard protects misdirected writes.
-	ShardVer uint64
-
-	// TraceID is the client-generated statement trace ID, stamped into
-	// the server's slow-query/audit log lines and \stats timing
-	// breakdowns so one statement can be followed across tiers. Encoded
-	// as an optional trailing field: old decoders ignore it, and zero
-	// (or absence, from an old client) means untraced.
-	TraceID uint64
-}
-
-// Encode marshals q.
-func (q *Query) Encode() ([]byte, error) {
-	buf := appendString(nil, q.SQL)
-	var err error
-	buf, err = types.EncodeRow(buf, q.Params)
-	if err != nil {
-		return nil, err
-	}
-	if q.SyncLabel {
-		buf = append(buf, 1)
-		buf = appendLabel(buf, q.Label)
-		buf = appendLabel(buf, q.ILabel)
-		buf = appendU64(buf, q.Principal)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendU64(buf, q.WaitLSN)
-	buf = appendU64(buf, q.ShardVer)
-	return appendU64(buf, q.TraceID), nil
-}
-
-// DecodeQuery unmarshals a Query payload.
-func DecodeQuery(buf []byte) (*Query, error) {
-	var q Query
-	var err error
-	q.SQL, buf, err = readString(buf)
-	if err != nil {
-		return nil, err
-	}
-	params, n, err := types.DecodeRow(buf)
-	if err != nil {
-		return nil, err
-	}
-	q.Params = params
-	buf = buf[n:]
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("wire: truncated query")
-	}
-	if buf[0] == 1 {
-		q.SyncLabel = true
-		buf = buf[1:]
-		q.Label, buf, err = readLabel(buf)
-		if err != nil {
-			return nil, err
-		}
-		q.ILabel, buf, err = readLabel(buf)
-		if err != nil {
-			return nil, err
-		}
-		q.Principal, buf, err = readU64(buf)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		buf = buf[1:]
-	}
-	q.WaitLSN, buf, err = readU64(buf)
-	if err != nil {
-		return nil, err
-	}
-	q.ShardVer, buf, err = readU64(buf)
-	if err != nil {
-		return nil, err
-	}
-	// Optional trailing trace ID: absent from pre-observability
-	// clients, so a short tail simply means untraced.
-	if len(buf) >= 8 {
-		q.TraceID, _, _ = readU64(buf)
-	}
-	return &q, nil
-}
-
-// --- Result --------------------------------------------------------------
-
-// Result carries a statement's outcome plus the server's current view
-// of the process label (the statement may have changed it, e.g. via
-// addsecrecy()).
-type Result struct {
-	Err       string // empty on success
-	Cols      []string
-	Rows      [][]types.Value
-	RowLabels []label.Label // nil when IFC off or not requested
-	Affected  int64
-	Label     label.Label // server's process label after the statement
-	ILabel    label.Label // server's integrity label after the statement
-
-	// Epoch is the server's promotion generation; LSN is the session's
-	// commit token: the smallest replication barrier proving its most
-	// recent logged commit (or DDL) applied, 0 if the session never
-	// logged anything (reads, in-memory servers). Deliberately *not*
-	// the WAL append edge — the edge includes other sessions' open
-	// transactions, which a replica's applied barrier cannot pass. The
-	// routing client keeps the pair from its last write as the
-	// read-your-writes token; LSN spaces are only comparable within
-	// one epoch.
-	Epoch uint64
-	LSN   uint64
-
-	// ShardMap rides along when the server refused the statement for a
-	// stale shard-map version (Err starts with StaleShardMapErr): the
-	// client adopts it and re-routes without an extra round trip. Nil
-	// otherwise.
-	ShardMap *ShardMap
-}
-
-// Encode marshals r.
-func (r *Result) Encode() ([]byte, error) {
-	buf := appendString(nil, r.Err)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Cols)))
-	for _, c := range r.Cols {
-		buf = appendString(buf, c)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Rows)))
-	var err error
-	for _, row := range r.Rows {
-		buf, err = types.EncodeRow(buf, row)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if r.RowLabels != nil {
-		buf = append(buf, 1)
-		for _, l := range r.RowLabels {
-			buf = appendLabel(buf, l)
-		}
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendU64(buf, uint64(r.Affected))
-	buf = appendLabel(buf, r.Label)
-	buf = appendLabel(buf, r.ILabel)
-	buf = appendU64(buf, r.Epoch)
-	buf = appendU64(buf, r.LSN)
-	if r.ShardMap != nil {
-		buf = append(buf, 1)
-		buf = append(buf, r.ShardMap.Encode()...)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf, nil
-}
-
-// DecodeResult unmarshals a Result payload.
-func DecodeResult(buf []byte) (*Result, error) {
-	var r Result
-	var err error
-	r.Err, buf, err = readString(buf)
-	if err != nil {
-		return nil, err
-	}
-	ncols, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("wire: bad result")
-	}
-	buf = buf[sz:]
-	r.Cols = make([]string, ncols)
-	for i := range r.Cols {
-		r.Cols[i], buf, err = readString(buf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	nrows, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("wire: bad result rows")
-	}
-	buf = buf[sz:]
-	r.Rows = make([][]types.Value, nrows)
-	for i := range r.Rows {
-		row, n, err := types.DecodeRow(buf)
-		if err != nil {
-			return nil, err
-		}
-		r.Rows[i] = row
-		buf = buf[n:]
-	}
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("wire: truncated result")
-	}
-	hasLabels := buf[0] == 1
-	buf = buf[1:]
-	if hasLabels {
-		r.RowLabels = make([]label.Label, nrows)
-		for i := range r.RowLabels {
-			r.RowLabels[i], buf, err = readLabel(buf)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	var aff uint64
-	aff, buf, err = readU64(buf)
-	if err != nil {
-		return nil, err
-	}
-	r.Affected = int64(aff)
-	r.Label, buf, err = readLabel(buf)
-	if err != nil {
-		return nil, err
-	}
-	r.ILabel, buf, err = readLabel(buf)
-	if err != nil {
-		return nil, err
-	}
-	r.Epoch, buf, err = readU64(buf)
-	if err != nil {
-		return nil, err
-	}
-	r.LSN, buf, err = readU64(buf)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("wire: truncated result")
-	}
-	if buf[0] == 1 {
-		r.ShardMap, err = DecodeShardMap(buf[1:])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &r, nil
 }
 
 // --- Control -------------------------------------------------------------

@@ -79,13 +79,13 @@ type Server struct {
 	// ShardMap, when set, supplies this node's current view of the
 	// cluster shard map (typically the coordinator's live copy, or the
 	// static -shard-map file). It answers MsgShardMap probes, and every
-	// Query carrying a non-zero, non-matching ShardVer is refused with
+	// EXECUTE carrying a non-zero, older ShardVer is refused with
 	// the current map attached — version fencing, so a router holding
 	// an outdated map re-routes instead of writing to the wrong shard.
 	// Nil means unsharded.
 	ShardMap func() *ShardMap
 
-	// WaitTimeout bounds a replica's read-your-writes wait (Query
+	// WaitTimeout bounds a replica's read-your-writes wait (EXECUTE
 	// frames carrying WaitLSN). Zero means 10s.
 	WaitTimeout time.Duration
 }
@@ -277,39 +277,6 @@ func (s *Server) handle(conn net.Conn) {
 		switch typ {
 		case MsgClose:
 			return
-		case MsgQuery:
-			q, err := DecodeQuery(payload)
-			if err != nil {
-				s.logger().Warn("wire: bad query", "err", err)
-				return
-			}
-			sess.SetTraceID(q.TraceID)
-			if q.SyncLabel {
-				// Lazily-coalesced label/principal sync from the
-				// trusted platform (§7.1).
-				sess.SetLabelUnsafe(q.Label)
-				sess.SetIntegrityUnsafe(q.ILabel)
-				sess.SetPrincipalUnsafe(authority.Principal(q.Principal))
-			}
-			t0 := time.Now()
-			res := s.runQuery(sess, q)
-			tExec := time.Now()
-			enc, err := res.Encode()
-			if err != nil {
-				s.logger().Warn("wire: encode result", "err", err)
-				return
-			}
-			mFramesOut.Inc()
-			if err := WriteFrame(w, MsgResult, enc); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
-				return
-			}
-			// For the v1 protocol "streaming" is the single Result
-			// frame's encode+write.
-			sess.NoteStreamNs(time.Since(tExec).Nanoseconds())
-			s.noteStmtDone(sess, time.Since(t0))
 		case MsgPrepare:
 			p, err := DecodePrepare(payload)
 			if err != nil {
@@ -481,70 +448,13 @@ func (s *Server) waitApplied(lsn uint64) error {
 	return nil
 }
 
-func (s *Server) runQuery(sess *engine.Session, q *Query) *Result {
-	out := &Result{}
-	planT0 := time.Now()
-	// Shard-map version fencing: a statement routed under an outdated
-	// map may be aimed at the wrong shard entirely (a failover moved a
-	// primary, a reconfiguration moved keys), so it is refused with the
-	// current map attached rather than half-trusted. A client *ahead*
-	// of this node's map is accepted: version bumps propagate through
-	// the coordinator's process first, so after a failover the other
-	// shards' servers briefly lag the routers — their placement didn't
-	// change, and the engine's per-row ownership guard (which hashes
-	// with this node's own map) still refuses genuinely misplaced rows.
-	// ShardVer 0 marks a shard-unaware client (ifdb-cli, tests); those
-	// are accepted under the same guard-only protection.
-	if s.ShardMap != nil && q.ShardVer != 0 {
-		if m := s.ShardMap(); m != nil && q.ShardVer < m.Version {
-			out.Err = fmt.Sprintf("%s: statement routed under version %d, server at version %d", StaleShardMapErr, q.ShardVer, m.Version)
-			out.ShardMap = m
-			out.Label = sess.Label()
-			out.ILabel = sess.Integrity()
-			return out
-		}
-	}
-	if q.WaitLSN > 0 {
-		if err := s.waitApplied(q.WaitLSN); err != nil {
-			out.Err = err.Error()
-			out.Label = sess.Label()
-			out.ILabel = sess.Integrity()
-			return out
-		}
-	}
-	// Admission (fencing + read-your-writes wait) is the statement's
-	// "plan" phase; noted after Exec, which resets the breakdown.
-	planNs := time.Since(planT0).Nanoseconds()
-	res, err := sess.Exec(q.SQL, q.Params...)
-	sess.NotePlanNs(planNs)
-	if err != nil {
-		out.Err = err.Error()
-	} else {
-		out.Cols = res.Cols
-		out.Rows = res.Rows
-		out.RowLabels = res.RowLabels
-		out.Affected = int64(res.Affected)
-	}
-	out.Label = sess.Label()
-	out.ILabel = sess.Integrity()
-	// Stamp the session's commit token as the read-your-writes
-	// position. Deliberately *not* the WAL append edge: the edge
-	// includes other sessions' in-flight transactions, and a replica's
-	// applied barrier cannot pass an unresolved transaction — a token
-	// built from it would stall every replica read behind whichever
-	// unrelated long-running transaction happens to be open.
-	out.Epoch = s.eng.Epoch()
-	out.LSN = sess.CommitToken()
-	return out
-}
-
-// runExecute services one EXECUTE: the v2 statement path. It mirrors
-// runQuery's fencing and read-your-writes wait, executes the prepared
-// handle (or the inline one-shot SQL), and streams the result back as
-// chunked ROWS frames — each bounded by the requested chunk size and
-// by MaxFrame — with the statement trailer on the final chunk. A
-// returned error means the connection is broken; statement failures
-// travel inside the stream.
+// runExecute services one EXECUTE, the statement path: shard-map
+// fencing and the read-your-writes wait, then the prepared handle (or
+// the inline one-shot SQL), its result streamed back as chunked ROWS
+// frames — each bounded by the requested chunk size and by MaxFrame —
+// with the statement trailer on the final chunk. A returned error means
+// the connection is broken; statement failures travel inside the
+// stream.
 func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepared, e *Execute, w *rowsWriter) error {
 	// A cancel can only be meant for the statement that was running
 	// when it was sent; don't let a late one kill this fresh statement
@@ -563,7 +473,17 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 			Epoch: s.eng.Epoch(), LSN: sess.CommitToken(),
 		}
 	}
-	// Shard-map version fencing, exactly as in runQuery.
+	// Shard-map version fencing: a statement routed under an outdated
+	// map may be aimed at the wrong shard entirely (a failover moved a
+	// primary, a reconfiguration moved keys), so it is refused with the
+	// current map attached rather than half-trusted. A client *ahead*
+	// of this node's map is accepted: version bumps propagate through
+	// the coordinator's process first, so after a failover the other
+	// shards' servers briefly lag the routers — their placement didn't
+	// change, and the engine's per-row ownership guard (which hashes
+	// with this node's own map) still refuses genuinely misplaced rows.
+	// ShardVer 0 marks a shard-unaware client (ifdb-cli, tests); those
+	// are accepted under the same guard-only protection.
 	if s.ShardMap != nil && e.ShardVer != 0 {
 		if m := s.ShardMap(); m != nil && e.ShardVer < m.Version {
 			msg := fmt.Sprintf("%s: statement routed under version %d, server at version %d", StaleShardMapErr, e.ShardVer, m.Version)

@@ -14,8 +14,8 @@ import (
 // like STATUS: a SHARDMAP probe answers with the node's current view
 // of the cluster's shard map (empty payload when the deployment is
 // unsharded). Writes carry the map version they were routed under
-// (Query.ShardVer); a server holding a newer map refuses the statement
-// and attaches the new map to the Result — version fencing, mirroring
+// (Execute.ShardVer); a server holding a newer map refuses the statement
+// and attaches the new map to the trailer — version fencing, mirroring
 // epoch fencing one level up (see ARCHITECTURE.md § Sharding).
 const (
 	MsgShardMap    byte = 'D' // client → server: fetch the current shard map
@@ -24,7 +24,7 @@ const (
 
 // StaleShardMapErr is the error prefix a server reports for a
 // statement routed under an outdated shard-map version. The current
-// map rides along in the same Result, so the client re-routes without
+// map rides along in the same trailer, so the client re-routes without
 // an extra round trip.
 const StaleShardMapErr = "wire: stale shard map"
 

@@ -120,48 +120,33 @@ func TestShardMapCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestResultCarriesShardMap(t *testing.T) {
-	r := &Result{Err: StaleShardMapErr, ShardMap: sampleMap()}
-	buf, err := r.Encode()
+func TestTrailerCarriesShardMap(t *testing.T) {
+	c := &RowsChunk{First: true, Done: true, Err: StaleShardMapErr, ShardMap: sampleMap()}
+	buf, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResult(buf)
+	got, err := DecodeRowsChunk(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ShardMap == nil || got.ShardMap.Version != 7 {
-		t.Fatalf("decoded result lost the attached map: %+v", got.ShardMap)
+		t.Fatalf("decoded trailer lost the attached map: %+v", got.ShardMap)
 	}
 	if !strings.Contains(got.Err, StaleShardMapErr) {
 		t.Fatalf("err: %q", got.Err)
 	}
 
-	r2 := &Result{}
-	buf2, err := r2.Encode()
+	c2 := &RowsChunk{First: true, Done: true}
+	buf2, err := c2.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := DecodeResult(buf2)
+	got2, err := DecodeRowsChunk(buf2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got2.ShardMap != nil {
 		t.Fatal("map materialized from nothing")
-	}
-}
-
-func TestQueryCarriesShardVer(t *testing.T) {
-	q := &Query{SQL: "SELECT 1", ShardVer: 9, WaitLSN: 4}
-	buf, err := q.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeQuery(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ShardVer != 9 || got.WaitLSN != 4 {
-		t.Fatalf("decoded %+v", got)
 	}
 }

@@ -6,24 +6,11 @@ import (
 	"ifdb/internal/types"
 )
 
-// TestQueryTraceIDRoundTrip: the optional trailing trace ID survives
-// encode/decode on both statement frames.
-func TestQueryTraceIDRoundTrip(t *testing.T) {
-	q := &Query{SQL: "SELECT 1", TraceID: 0xfeedface12345678}
-	buf, err := q.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeQuery(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TraceID != q.TraceID {
-		t.Fatalf("query trace ID %x, want %x", got.TraceID, q.TraceID)
-	}
-
+// TestExecuteTraceIDRoundTrip: the optional trailing trace ID survives
+// encode/decode.
+func TestExecuteTraceIDRoundTrip(t *testing.T) {
 	e := &Execute{StmtID: 7, Params: []types.Value{types.NewInt(1)}, TraceID: 0xabad1dea}
-	buf, err = e.Encode()
+	buf, err := e.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,21 +27,8 @@ func TestQueryTraceIDRoundTrip(t *testing.T) {
 // end where the old format ended; chopping the trailing eight bytes
 // must still decode, with TraceID zero ("untraced").
 func TestTraceIDBackwardTolerant(t *testing.T) {
-	q := &Query{SQL: "SELECT 1", WaitLSN: 42, ShardVer: 3, TraceID: 0x1111}
-	buf, err := q.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeQuery(buf[:len(buf)-8])
-	if err != nil {
-		t.Fatalf("old-format query frame rejected: %v", err)
-	}
-	if got.TraceID != 0 || got.WaitLSN != 42 || got.ShardVer != 3 {
-		t.Fatalf("old-format query decoded as %+v", got)
-	}
-
-	e := &Execute{SQL: "SELECT 1", ChunkRows: 9, TraceID: 0x2222}
-	buf, err = e.Encode()
+	e := &Execute{SQL: "SELECT 1", WaitLSN: 42, ShardVer: 3, ChunkRows: 9, TraceID: 0x2222}
+	buf, err := e.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +36,7 @@ func TestTraceIDBackwardTolerant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old-format execute frame rejected: %v", err)
 	}
-	if gotE.TraceID != 0 || gotE.ChunkRows != 9 {
+	if gotE.TraceID != 0 || gotE.ChunkRows != 9 || gotE.WaitLSN != 42 || gotE.ShardVer != 3 {
 		t.Fatalf("old-format execute decoded as %+v", gotE)
 	}
 }

@@ -13,14 +13,14 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgQuery, []byte("payload")); err != nil {
+	if err := WriteFrame(&buf, MsgExecute, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ReadFrame(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgQuery || string(payload) != "payload" {
+	if typ != MsgExecute || string(payload) != "payload" {
 		t.Fatalf("frame: %c %q", typ, payload)
 	}
 	// Empty payload is fine (type byte only).
@@ -41,7 +41,7 @@ func TestFrameErrors(t *testing.T) {
 		t.Fatal("zero frame accepted")
 	}
 	// Truncated frame.
-	r = bufio.NewReader(bytes.NewReader([]byte{10, 0, 0, 0, 'Q'}))
+	r = bufio.NewReader(bytes.NewReader([]byte{10, 0, 0, 0, MsgExecute}))
 	if _, _, err := ReadFrame(r); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
@@ -67,37 +67,39 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueryRoundTrip(t *testing.T) {
-	q := &Query{
+func TestExecuteRoundTrip(t *testing.T) {
+	e := &Execute{
 		SQL:       "SELECT * FROM t WHERE a = $1",
 		Params:    []types.Value{types.NewInt(7), types.NewText("x")},
 		SyncLabel: true,
 		Label:     label.New(3, 9),
 		Principal: 11,
+		WaitLSN:   17,
 	}
-	enc, err := q.Encode()
+	enc, err := e.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeQuery(enc)
+	got, err := DecodeExecute(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SQL != q.SQL || len(got.Params) != 2 || !got.SyncLabel ||
-		!got.Label.Equal(q.Label) || got.Principal != 11 {
-		t.Fatalf("query: %+v", got)
+	if got.StmtID != 0 || got.SQL != e.SQL || len(got.Params) != 2 || !got.SyncLabel ||
+		!got.Label.Equal(e.Label) || got.Principal != 11 || got.WaitLSN != 17 {
+		t.Fatalf("execute: %+v", got)
 	}
-	// Without sync.
-	q2 := &Query{SQL: "SELECT 1"}
-	enc, _ = q2.Encode()
-	got, err = DecodeQuery(enc)
-	if err != nil || got.SyncLabel {
-		t.Fatalf("plain query: %+v %v", got, err)
+	// Without sync: the read-your-writes token still rides the frame.
+	e2 := &Execute{SQL: "SELECT 1", WaitLSN: 4242}
+	enc, _ = e2.Encode()
+	got, err = DecodeExecute(enc)
+	if err != nil || got.SyncLabel || got.WaitLSN != 4242 {
+		t.Fatalf("plain execute: %+v %v", got, err)
 	}
 }
 
-func TestResultRoundTrip(t *testing.T) {
-	r := &Result{
+func TestRowsChunkRoundTrip(t *testing.T) {
+	c := &RowsChunk{
+		First: true, Done: true,
 		Cols: []string{"a", "b"},
 		Rows: [][]types.Value{
 			{types.NewInt(1), types.NewText("x")},
@@ -107,16 +109,16 @@ func TestResultRoundTrip(t *testing.T) {
 		Affected:  3,
 		Label:     label.New(5, 6),
 	}
-	enc, err := r.Encode()
+	enc, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResult(enc)
+	got, err := DecodeRowsChunk(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Cols) != 2 || len(got.Rows) != 2 || got.Affected != 3 {
-		t.Fatalf("result: %+v", got)
+		t.Fatalf("chunk: %+v", got)
 	}
 	if !got.Rows[0][0].Equal(types.NewInt(1)) || !got.Rows[1][0].IsNull() {
 		t.Fatal("row values corrupted")
@@ -127,12 +129,12 @@ func TestResultRoundTrip(t *testing.T) {
 	if !got.Label.Equal(label.New(5, 6)) {
 		t.Fatalf("label: %v", got.Label)
 	}
-	// Error results.
-	r2 := &Result{Err: "boom", Label: nil}
-	enc, _ = r2.Encode()
-	got, err = DecodeResult(enc)
+	// A failed statement: one chunk, trailer only.
+	c2 := &RowsChunk{First: true, Done: true, Err: "boom"}
+	enc, _ = c2.Encode()
+	got, err = DecodeRowsChunk(enc)
 	if err != nil || got.Err != "boom" {
-		t.Fatalf("error result: %+v %v", got, err)
+		t.Fatalf("error chunk: %+v %v", got, err)
 	}
 }
 
@@ -153,10 +155,10 @@ func TestControlRoundTrip(t *testing.T) {
 }
 
 // Property: random results round-trip byte-exactly.
-func TestQuickResultRoundTrip(t *testing.T) {
+func TestQuickRowsChunkRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		res := &Result{Affected: r.Int63n(100)}
+		res := &RowsChunk{First: true, Done: true, Affected: r.Int63n(100)}
 		ncols := r.Intn(4)
 		for i := 0; i < ncols; i++ {
 			res.Cols = append(res.Cols, string(rune('a'+i)))
@@ -180,7 +182,7 @@ func TestQuickResultRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeResult(enc)
+		got, err := DecodeRowsChunk(enc)
 		if err != nil {
 			return false
 		}

@@ -79,4 +79,11 @@ func TestReplicaOfPublicAPI(t *testing.T) {
 	if _, err := rs.Exec(`INSERT INTO notes VALUES (3, 'nope')`); !errors.Is(err, ifdb.ErrReadOnlyReplica) {
 		t.Fatalf("want ErrReadOnlyReplica, got %v", err)
 	}
+	// A write is refused; explaining one executes nothing and is served.
+	if _, err := rs.Exec(`DELETE FROM notes WHERE id = 1`); !errors.Is(err, ifdb.ErrReadOnlyReplica) {
+		t.Fatalf("want ErrReadOnlyReplica, got %v", err)
+	}
+	if res, err := rs.Exec(`EXPLAIN DELETE FROM notes WHERE id = 1`); err != nil || res.Rows[0][0].Text() != "Delete notes" {
+		t.Fatalf("EXPLAIN DELETE on a replica: %v, %v", res, err)
+	}
 }
