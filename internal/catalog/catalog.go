@@ -109,18 +109,6 @@ func (t *Table) ColNames() []string {
 	return out
 }
 
-// UniqueIndexes returns the indexes enforcing uniqueness constraints
-// (including the primary key).
-func (t *Table) UniqueIndexes() []*Index {
-	var out []*Index
-	for _, ix := range t.Indexes {
-		if ix.Unique {
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
 // BestIndexForCols returns the index whose column list has the longest
 // prefix contained in eqCols (a set of column ordinals with equality
 // predicates), along with the usable prefix length.

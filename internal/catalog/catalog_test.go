@@ -31,17 +31,13 @@ func TestTableColumnLookup(t *testing.T) {
 	}
 }
 
-func TestUniqueAndBestIndex(t *testing.T) {
+func TestBestIndex(t *testing.T) {
 	tb := mkTable("t", "a", "b", "c")
 	pk := &Index{Name: "pk", Cols: []int{0, 1}, Unique: true, Tree: index.New()}
 	sec := &Index{Name: "sec", Cols: []int{2}, Unique: false, Tree: index.New()}
 	tb.Indexes = append(tb.Indexes, pk, sec)
 	tb.Primary = pk
 
-	uniq := tb.UniqueIndexes()
-	if len(uniq) != 1 || uniq[0] != pk {
-		t.Fatalf("UniqueIndexes: %v", uniq)
-	}
 	// Longest usable prefix wins.
 	ix, n := tb.BestIndexForCols(map[int]bool{0: true, 1: true})
 	if ix != pk || n != 2 {

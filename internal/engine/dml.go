@@ -78,13 +78,12 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 		return 0, err
 	}
 
-	// Map statement columns to table ordinals.
-	colIdx := make([]int, 0, len(t.Columns))
-	if ins.Columns == nil {
-		for i := range t.Columns {
-			colIdx = append(colIdx, i)
-		}
-	} else {
+	// Map statement columns to table ordinals. Without a column list a
+	// row's values are the table's columns in order, and colIdx stays nil.
+	var colIdx []int
+	width := len(t.Columns)
+	if ins.Columns != nil {
+		colIdx = make([]int, 0, len(ins.Columns))
 		for _, name := range ins.Columns {
 			ci, ok := t.ColIndex(name)
 			if !ok {
@@ -92,6 +91,7 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 			}
 			colIdx = append(colIdx, ci)
 		}
+		width = len(colIdx)
 	}
 
 	var rows [][]types.Value
@@ -103,6 +103,7 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 		rows = res.Rows
 	} else {
 		env := s.newEnv(nil, qc)
+		rows = make([][]types.Value, 0, len(ins.Rows))
 		for _, exprRow := range ins.Rows {
 			vals := make([]types.Value, len(exprRow))
 			for i, e := range exprRow {
@@ -118,24 +119,33 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 
 	n := 0
 	for _, vals := range rows {
-		if len(vals) != len(colIdx) {
-			return n, fmt.Errorf("engine: INSERT has %d values for %d columns", len(vals), len(colIdx))
+		if len(vals) != width {
+			return n, fmt.Errorf("engine: INSERT has %d values for %d columns", len(vals), width)
 		}
-		row := make([]types.Value, len(t.Columns))
-		assigned := make([]bool, len(t.Columns))
-		for i, ci := range colIdx {
-			row[ci] = vals[i]
-			assigned[ci] = true
-		}
-		// Defaults for unassigned columns.
-		for i, col := range t.Columns {
-			if !assigned[i] && col.Default != nil {
-				v, err := exec.Eval(col.Default, s.newEnv(nil, qc))
-				if err != nil {
-					return n, err
-				}
-				row[i] = v
+		// The values of a VALUES row in table order are the row: they
+		// were made above and nobody else holds them. A SELECT's rows are
+		// not ours to coerce in place, and a column list leaves the other
+		// columns to their defaults.
+		row := vals
+		switch {
+		case colIdx != nil:
+			row = make([]types.Value, len(t.Columns))
+			assigned := make([]bool, len(t.Columns))
+			for i, ci := range colIdx {
+				row[ci] = vals[i]
+				assigned[ci] = true
 			}
+			for i, col := range t.Columns {
+				if !assigned[i] && col.Default != nil {
+					v, err := exec.Eval(col.Default, s.newEnv(nil, qc))
+					if err != nil {
+						return n, err
+					}
+					row[i] = v
+				}
+			}
+		case ins.Select != nil:
+			row = append([]types.Value(nil), vals...)
 		}
 		if err := s.insertRow(t, row, declTags, qc); err != nil {
 			return n, err
@@ -247,7 +257,10 @@ func (s *Session) insertRow(t *catalog.Table, row []types.Value, declTags label.
 // process cannot see is permitted — polyinstantiation (§5.2.1) — since
 // rejecting it would leak the hidden tuple's existence.
 func (s *Session) checkUnique(t *catalog.Table, row []types.Value, lw label.Label, exclude storage.TID) error {
-	for _, ix := range t.UniqueIndexes() {
+	for _, ix := range t.Indexes {
+		if !ix.Unique {
+			continue
+		}
 		key := make([]types.Value, len(ix.Cols))
 		nullKey := false
 		for i, c := range ix.Cols {

@@ -108,7 +108,7 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 
 	var res *Result
 	err := s.withStmt(func(t *txn.Txn) error {
-		qc := &qctx{params: params}
+		qc := &qctx{s: s, params: params}
 		switch x := st.(type) {
 		case *sql.SelectStmt:
 			var err error

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ifdb/internal/exec"
 	"ifdb/internal/label"
 	"ifdb/internal/plan"
 	"ifdb/internal/sql"
@@ -83,17 +82,12 @@ func selectOf(st sql.Statement) *sql.SelectStmt {
 	}
 }
 
-// planRuntime binds a plan to this session's statement transaction,
-// label state, parameters, and cancellation flag.
-func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
-	tx := s.stmtTx
-	rt := &plan.Runtime{
-		Params: qc.params,
-		Funcs:  sessionFuncs{s},
-		SubqFor: func(strip label.Label) exec.SubqueryRunner {
-			return subqRunner{s, &qctx{params: qc.params, strip: strip}}
-		},
-		Visible:  tx.Visible,
+// bindRuntime fills s.rt with the plan.Runtime hooks that depend on
+// nothing but the session, once, so that opening a plan allocates no
+// closure over them.
+func (s *Session) bindRuntime() {
+	s.rt = plan.Runtime{
+		Funcs:    sessionFuncs{s},
 		EffLabel: s.effectiveTupleLabel,
 		Check:    s.checkCanceled,
 		OnScanned: func(visited, denied int64) {
@@ -102,9 +96,17 @@ func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
 		},
 	}
 	if s.eng.cfg.IFC {
-		rt.LabelOK = s.labelsOK
+		s.rt.LabelOK = s.labelsOK
 	}
-	return rt
+}
+
+// planRuntime binds a plan to this session's statement transaction,
+// label state, cancellation flag, and the statement's parameters and
+// subquery context: a copy of s.rt with the statement's own fields set.
+func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
+	rt := s.rt
+	rt.Params, rt.Subqs, rt.Visible = qc.params, qc, s.stmtTx.Visible
+	return &rt
 }
 
 // executeSelect runs a SELECT to a buffered Result. Subqueries and the
@@ -120,7 +122,7 @@ func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*Result, error) 
 		return nil, err
 	}
 	defer it.Close()
-	res := &Result{Cols: colNames(p), Rows: [][]types.Value{}}
+	res := &Result{Cols: p.Cols(), Rows: [][]types.Value{}}
 	ifc := s.eng.cfg.IFC
 	if ifc {
 		res.RowLabels = []label.Label{}
@@ -140,21 +142,11 @@ func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*Result, error) 
 	}
 }
 
-// colNames are the column names of p's result.
-func colNames(p *plan.Plan) []string {
-	schema := p.Schema()
-	names := make([]string, len(schema))
-	for i, c := range schema {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // openSelect opens a SELECT as a live iterator (the streaming path the
 // wire server's cursor rides). The caller owns the iterator and must
 // Close it; the statement transaction must stay open meanwhile.
 func (s *Session) openSelect(sel *sql.SelectStmt, params []types.Value) (*plan.Plan, plan.Iter, error) {
-	qc := &qctx{params: params}
+	qc := &qctx{s: s, params: params}
 	p, err := s.planFor(sel, nil)
 	if err != nil {
 		return nil, nil, err

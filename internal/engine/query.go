@@ -18,13 +18,22 @@ type Result struct {
 	Affected  int           // rows affected by DML
 }
 
-// qctx carries per-query execution state.
+// qctx carries per-query execution state. It is also what runs the
+// query's subqueries (exec.SubqueryRunner), each level under its own
+// strip (exec.Subqueries).
 type qctx struct {
+	s      *Session
 	params []types.Value
 	// strip is the set of tags declassified by enclosing declassifying
 	// views (§4.3); tags covered by it are removed from tuple labels
 	// before the confinement check.
 	strip label.Label
+}
+
+// SubqueryRunner returns the context subqueries met under strip run in:
+// the statement's parameters, that strip.
+func (qc *qctx) SubqueryRunner(strip label.Label) exec.SubqueryRunner {
+	return &qctx{s: qc.s, params: qc.params, strip: strip}
 }
 
 // sessionFuncs adapts the session to exec.FuncResolver, providing the
@@ -145,15 +154,9 @@ func (f sessionFuncs) CallFunc(name string, args []types.Value) (types.Value, er
 	return types.Null, fmt.Errorf("engine: unknown function %q", name)
 }
 
-// subqRunner adapts the session to exec.SubqueryRunner.
-type subqRunner struct {
-	s  *Session
-	qc *qctx
-}
-
 // ScalarSubquery runs sub and returns its single value.
-func (r subqRunner) ScalarSubquery(sub *sql.SelectStmt) (types.Value, error) {
-	res, err := r.s.executeSelect(sub, r.qc)
+func (qc *qctx) ScalarSubquery(sub *sql.SelectStmt) (types.Value, error) {
+	res, err := qc.s.executeSelect(sub, qc)
 	if err != nil {
 		return types.Null, err
 	}
@@ -170,8 +173,8 @@ func (r subqRunner) ScalarSubquery(sub *sql.SelectStmt) (types.Value, error) {
 }
 
 // InSubquery evaluates v IN (sub), three-valued.
-func (r subqRunner) InSubquery(sub *sql.SelectStmt, v types.Value) (types.Value, error) {
-	res, err := r.s.executeSelect(sub, r.qc)
+func (qc *qctx) InSubquery(sub *sql.SelectStmt, v types.Value) (types.Value, error) {
+	res, err := qc.s.executeSelect(sub, qc)
 	if err != nil {
 		return types.Null, err
 	}
@@ -194,19 +197,23 @@ func (r subqRunner) InSubquery(sub *sql.SelectStmt, v types.Value) (types.Value,
 }
 
 // ExistsSubquery reports whether sub returns any rows.
-func (r subqRunner) ExistsSubquery(sub *sql.SelectStmt) (bool, error) {
-	res, err := r.s.executeSelect(sub, r.qc)
+func (qc *qctx) ExistsSubquery(sub *sql.SelectStmt) (bool, error) {
+	res, err := qc.s.executeSelect(sub, qc)
 	if err != nil {
 		return false, err
 	}
 	return len(res.Rows) > 0, nil
 }
 
+// newEnv is the environment of the expressions a statement evaluates
+// outside its plan (VALUES, SET, defaults, constraints): subqueries in
+// them run under the statement's own strip.
 func (s *Session) newEnv(schema exec.Schema, qc *qctx) *exec.Env {
 	return &exec.Env{
 		Schema: schema,
 		Params: qc.params,
-		Funcs:  sessionFuncs{s},
-		Subq:   subqRunner{s, qc},
+		Funcs:  s.rt.Funcs,
+		Subqs:  qc,
+		Strip:  qc.strip,
 	}
 }

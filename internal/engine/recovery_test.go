@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -550,4 +551,109 @@ func TestRecoveredXIDsDoNotCollide(t *testing.T) {
 		t.Fatalf("xid %d reused (pre-crash high water %d)", tx.XID(), hi)
 	}
 	tx.Abort()
+}
+
+// TestCrashLosesOnlyTheOpenTransaction: a transaction's log records
+// wait in the log buffer until its outcome is appended, so process death
+// (Crash) may take an open transaction's records with it — and nothing
+// else. In every sync mode the committed transactions come back, the
+// open one does not, and the log is not torn. If the log never heard of
+// the open transaction no restart logs anything for it; if another
+// transaction's commit carried the first part of its body to the file
+// (straddle), the first restart logs its ABORT and the second nothing.
+func TestCrashLosesOnlyTheOpenTransaction(t *testing.T) {
+	for _, mode := range []string{"off", "commit", "group"} {
+		for _, straddle := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/straddle=%v", mode, straddle), func(t *testing.T) {
+				dir := t.TempDir()
+				open := func() *Engine {
+					e, err := New(Config{DataDir: dir, SyncMode: mode})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return e
+				}
+				logged := func() []wal.Record {
+					recs, torn, err := wal.ReadAll(filepath.Join(dir, "wal.log"))
+					if err != nil || torn {
+						t.Fatalf("log: torn %v, err %v", torn, err)
+					}
+					return recs
+				}
+				aborts := func() (n int) {
+					for _, rec := range logged() {
+						if rec.Type == wal.RecAbort {
+							n++
+						}
+					}
+					return n
+				}
+				e1 := open()
+				s := e1.NewSession(e1.Admin())
+				mustExec(t, s, `CREATE TABLE t (a BIGINT PRIMARY KEY, b BIGINT)`)
+				mustExec(t, s, `CREATE TABLE d (a BIGINT PRIMARY KEY) USING DISK`)
+				commit := func(i int64) {
+					mustExec(t, s, `BEGIN`)
+					mustExec(t, s, `INSERT INTO t VALUES ($1, 0)`, types.NewInt(i))
+					mustExec(t, s, `INSERT INTO d VALUES ($1)`, types.NewInt(i))
+					mustExec(t, s, `UPDATE t SET b = b + 1 WHERE a = $1`, types.NewInt(i))
+					mustExec(t, s, `COMMIT`)
+				}
+				k := int64(5)
+				for i := int64(0); i < k; i++ {
+					commit(i)
+				}
+				// With no transaction open the file is the whole log.
+				recs := logged()
+				if end := e1.WAL().End(); recs[len(recs)-1].LSN >= end || e1.WAL().ShipLimit() != end {
+					t.Fatalf("log end %d, shippable %d", end, e1.WAL().ShipLimit())
+				}
+
+				s2 := e1.NewSession(e1.Admin())
+				mustExec(t, s2, `BEGIN`)
+				mustExec(t, s2, `INSERT INTO t VALUES (100, 0)`)
+				mustExec(t, s2, `INSERT INTO d VALUES (100)`)
+				if n := len(logged()); n != len(recs) {
+					t.Fatalf("%d records of an open transaction reached the file", n-len(recs))
+				}
+				if straddle {
+					commit(k)
+					k++
+				}
+				mustExec(t, s2, `DELETE FROM t WHERE a = 0`)
+				e1.Crash()
+
+				wantAborts := 0
+				if straddle {
+					wantAborts = 1
+				}
+				for restart := 1; restart <= 2; restart++ {
+					e := open()
+					if n := aborts(); n != wantAborts {
+						t.Fatalf("restart %d: %d abort records in the log, want %d", restart, n, wantAborts)
+					}
+					r := e.NewSession(e.Admin())
+					res := mustExec(t, r, `SELECT t.a, b FROM t JOIN d ON d.a = t.a ORDER BY t.a`)
+					if int64(len(res.Rows)) != k {
+						t.Fatalf("restart %d: %d rows, want the %d committed: %v", restart, len(res.Rows), k, res.Rows)
+					}
+					for i, row := range res.Rows {
+						if row[0].Int() != int64(i) || row[1].Int() != 1 {
+							t.Fatalf("restart %d: row %d is %v", restart, i, row)
+						}
+					}
+					if n := countRows(t, r, `SELECT * FROM d`); int64(n) != k {
+						t.Fatalf("restart %d: %d rows in the disk table, want %d", restart, n, k)
+					}
+					// The open transaction's delete stamp went with it.
+					mustExec(t, r, `UPDATE t SET b = 1 WHERE a = 0`)
+					if restart == 2 {
+						e.Close()
+					} else {
+						e.Crash()
+					}
+				}
+			})
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"ifdb/internal/authority"
 	"ifdb/internal/label"
 	"ifdb/internal/obs"
+	"ifdb/internal/plan"
 	"ifdb/internal/txn"
 	"ifdb/internal/types"
 	"ifdb/internal/wal"
@@ -60,12 +61,19 @@ type Session struct {
 	// stats is the most recent statement's timing breakdown and trace
 	// ID (see metrics.go); read back through the wire server's stats op.
 	stats StmtStats
+
+	// rt holds the plan.Runtime hooks that are the same for every
+	// statement of the session (bindRuntime); planRuntime copies it per
+	// statement.
+	rt plan.Runtime
 }
 
 // NewSession opens a session acting as the given principal with an
 // empty label.
 func (e *Engine) NewSession(p authority.Principal) *Session {
-	return &Session{eng: e, principal: p}
+	s := &Session{eng: e, principal: p}
+	s.bindRuntime()
+	return s
 }
 
 // Engine returns the engine this session talks to.

@@ -131,7 +131,7 @@ func (s *Session) openCursor(sel *sql.SelectStmt, params []types.Value) (*Cursor
 		return nil, err
 	}
 	c.it = it
-	c.cols = colNames(p)
+	c.cols = p.Cols()
 	return c, nil
 }
 

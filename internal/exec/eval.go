@@ -71,6 +71,14 @@ type SubqueryRunner interface {
 	ExistsSubquery(sub *sql.SelectStmt) (bool, error)
 }
 
+// Subqueries hands out the runner for the subqueries of one
+// statement met under a declassify strip: a subquery inside a
+// declassifying view's body runs with the view's strip, not the
+// statement's.
+type Subqueries interface {
+	SubqueryRunner(strip label.Label) SubqueryRunner
+}
+
 // Env is the evaluation environment for one row.
 type Env struct {
 	Schema    Schema
@@ -79,7 +87,24 @@ type Env struct {
 	RowILabel label.Label // exposed as the _ilabel system column
 	Params    []types.Value
 	Funcs     FuncResolver
-	Subq      SubqueryRunner
+	// Subqs and Strip are where the subquery runner comes from; Eval
+	// asks for it the first time it meets a subquery node and keeps it
+	// in subq, so an expression without subqueries never builds one.
+	// With Subqs nil a subquery is an error.
+	Subqs Subqueries
+	Strip label.Label
+	subq  SubqueryRunner
+}
+
+// subqueries is the runner of env's subqueries, built on first use.
+func (env *Env) subqueries() (SubqueryRunner, error) {
+	if env.subq == nil {
+		if env.Subqs == nil {
+			return nil, fmt.Errorf("exec: subquery not supported in this context")
+		}
+		env.subq = env.Subqs.SubqueryRunner(env.Strip)
+	}
+	return env.subq, nil
 }
 
 // ErrAggregateInScalar is returned when an aggregate function appears
@@ -222,10 +247,11 @@ func Eval(e sql.Expr, env *Env) (types.Value, error) {
 			return types.Null, err
 		}
 		if x.Sub != nil {
-			if env.Subq == nil {
-				return types.Null, fmt.Errorf("exec: subquery not supported in this context")
+			subq, err := env.subqueries()
+			if err != nil {
+				return types.Null, err
 			}
-			in, err := env.Subq.InSubquery(x.Sub, v)
+			in, err := subq.InSubquery(x.Sub, v)
 			if err != nil || in.IsNull() || !x.Not {
 				return in, err
 			}
@@ -253,10 +279,11 @@ func Eval(e sql.Expr, env *Env) (types.Value, error) {
 		}
 		return types.NewBool(x.Not), nil
 	case *sql.ExistsExpr:
-		if env.Subq == nil {
-			return types.Null, fmt.Errorf("exec: subquery not supported in this context")
+		subq, err := env.subqueries()
+		if err != nil {
+			return types.Null, err
 		}
-		ok, err := env.Subq.ExistsSubquery(x.Sub)
+		ok, err := subq.ExistsSubquery(x.Sub)
 		if err != nil {
 			return types.Null, err
 		}
@@ -265,10 +292,11 @@ func Eval(e sql.Expr, env *Env) (types.Value, error) {
 		}
 		return types.NewBool(ok), nil
 	case *sql.SubqueryExpr:
-		if env.Subq == nil {
-			return types.Null, fmt.Errorf("exec: subquery not supported in this context")
+		subq, err := env.subqueries()
+		if err != nil {
+			return types.Null, err
 		}
-		return env.Subq.ScalarSubquery(x.Sub)
+		return subq.ScalarSubquery(x.Sub)
 	case *sql.FuncCall:
 		if aggregateNames[x.Name] {
 			return types.Null, ErrAggregateInScalar

@@ -182,6 +182,8 @@ func (it *aggIter) fold() error {
 		for i, st := range g.states {
 			params[base+i] = st.Result()
 		}
+		// Subqueries still see the statement's parameters, not the
+		// aggregates': Subqs is bound to the former.
 		genv := &exec.Env{
 			Schema:    inSchema,
 			Row:       g.rep.Vals,
@@ -189,7 +191,8 @@ func (it *aggIter) fold() error {
 			RowILabel: g.ilbl,
 			Params:    params,
 			Funcs:     env.Funcs,
-			Subq:      env.Subq,
+			Subqs:     env.Subqs,
+			Strip:     env.Strip,
 		}
 		if subHaving != nil {
 			hv, err := exec.Eval(subHaving, genv)

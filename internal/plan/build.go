@@ -23,7 +23,12 @@ func Build(cat *catalog.Catalog, sel *sql.SelectStmt, strip label.Label) (*Plan,
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Root: root, blocking: hasBlocking(root)}, nil
+	schema := root.Schema()
+	cols := make([]string, len(schema))
+	for i, c := range schema {
+		cols[i] = c.Name
+	}
+	return &Plan{Root: root, cols: cols, blocking: hasBlocking(root)}, nil
 }
 
 // buildSelect compiles one SELECT level: sources and joins first, then

@@ -60,7 +60,7 @@ func (n *SourceNode) open(rt *Runtime) (Iter, error) { return n.Rows, nil }
 type scanIter struct {
 	n   *ScanNode
 	rt  *Runtime
-	env *exec.Env // pushed-predicate env over the full table schema
+	env exec.Env // pushed-predicate env over the full table schema; unset without pushed predicates
 
 	key []types.Value // index probe prefix (index mode)
 
@@ -84,24 +84,28 @@ type scanIter struct {
 }
 
 func (n *ScanNode) open(rt *Runtime) (Iter, error) {
-	it := &scanIter{n: n, rt: rt, env: rt.env(n.fullSchema, n.Strip)}
+	it := &scanIter{n: n, rt: rt}
+	if len(n.Pushed) > 0 {
+		it.env = *rt.env(n.fullSchema, n.Strip)
+	}
 	it.vis = rt.visibility(n.Strip, &it.st)
-	if len(n.Eq) > 0 {
-		// Bind the filter's constants. Evaluation (and its errors —
-		// e.g. a missing parameter) happens here, before any tuple is
-		// visited: an empty table does not hide a missing parameter.
-		eq := make(map[int]types.Value, len(n.Eq))
-		for _, e := range n.Eq {
-			v, err := exec.Eval(e.Expr, &exec.Env{Params: rt.Params})
-			if err != nil {
-				return nil, err
-			}
-			eq[e.Col] = v
+	if n.Index != nil {
+		it.key = make([]types.Value, n.Prefix)
+	}
+	// Bind the filter's constants, each into the probe key slots of its
+	// column (of two constants for one column the later wins).
+	// Evaluation (and its errors — e.g. a missing parameter) happens
+	// here, before any tuple is visited: an empty table does not hide a
+	// missing parameter.
+	consts := exec.Env{Params: rt.Params}
+	for _, e := range n.Eq {
+		v, err := exec.Eval(e.Expr, &consts)
+		if err != nil {
+			return nil, err
 		}
-		if n.Index != nil {
-			it.key = make([]types.Value, n.Prefix)
-			for i := 0; i < n.Prefix; i++ {
-				it.key[i] = eq[n.Index.Cols[i]]
+		for i := range it.key {
+			if n.Index.Cols[i] == e.Col {
+				it.key[i] = v
 			}
 		}
 	}
@@ -121,7 +125,7 @@ func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 		it.env.RowLabel = lbl
 		it.env.RowILabel = tv.ILabel
 		for _, p := range it.n.Pushed {
-			v, err := exec.Eval(p, it.env)
+			v, err := exec.Eval(p, &it.env)
 			if err != nil {
 				return err
 			}
@@ -520,7 +524,7 @@ func (it *indexJoinIter) Close() { it.left.Close() }
 type projectIter struct {
 	n     *ProjectNode
 	child Iter
-	env   *exec.Env
+	env   *exec.Env // nil when every item is a column of the child (n.cols)
 	vals  types.Arena
 	row   Row // the row Next returns
 }
@@ -530,7 +534,11 @@ func (n *ProjectNode) open(rt *Runtime) (Iter, error) {
 	if err != nil || n.identity {
 		return child, err // the child's rows are already the output
 	}
-	return &projectIter{n: n, child: child, env: rt.env(n.Child.Schema(), n.Strip)}, nil
+	it := &projectIter{n: n, child: child}
+	if n.cols == nil {
+		it.env = rt.env(n.Child.Schema(), n.Strip)
+	}
+	return it, nil
 }
 
 func (it *projectIter) Next() (*Row, error) {

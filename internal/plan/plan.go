@@ -85,17 +85,20 @@ type Iter interface {
 // Runtime supplies the session-dependent hooks a plan needs to
 // execute. The plan tree itself is immutable and session-free (that is
 // what makes it cacheable); everything that depends on the current
-// transaction, process label, or parameters arrives here.
+// transaction, process label, or parameters arrives here. Only Params,
+// Subqs and Visible belong to one statement: the rest is the same for
+// every statement of a session, which binds it once.
 type Runtime struct {
 	// Params are the statement's positional parameters.
 	Params []types.Value
 	// Funcs resolves scalar function calls (session functions and
 	// stored procedures).
 	Funcs exec.FuncResolver
-	// SubqFor returns a subquery runner bound to the given declassify
-	// strip — subqueries inside a declassifying view body must run with
-	// the view's strip, not the statement's.
-	SubqFor func(strip label.Label) exec.SubqueryRunner
+	// Subqs hands the statement's expressions their subquery runner,
+	// bound to the declassify strip of the operator that evaluates them
+	// — subqueries inside a declassifying view body must run with the
+	// view's strip, not the statement's. Nil where subqueries cannot run.
+	Subqs exec.Subqueries
 	// Visible is the MVCC snapshot predicate of the statement's
 	// transaction.
 	Visible func(xmin, xmax storage.XID) bool
@@ -138,14 +141,11 @@ func (rt *Runtime) report(st *storage.ScanState) {
 	}
 }
 
-// env builds an expression environment over schema with the subquery
-// runner bound to strip.
+// env builds an expression environment over schema whose subqueries
+// run under strip. An operator asks for one only if it evaluates
+// expressions.
 func (rt *Runtime) env(schema exec.Schema, strip label.Label) *exec.Env {
-	e := &exec.Env{Schema: schema, Params: rt.Params, Funcs: rt.Funcs}
-	if rt.SubqFor != nil {
-		e.Subq = rt.SubqFor(strip)
-	}
-	return e
+	return &exec.Env{Schema: schema, Params: rt.Params, Funcs: rt.Funcs, Subqs: rt.Subqs, Strip: strip}
 }
 
 // Node is one operator of the plan tree.
@@ -160,6 +160,9 @@ type Node interface {
 type Plan struct {
 	Root Node
 
+	// cols are the result's column names, shared by every execution.
+	cols []string
+
 	// blocking reports whether any operator must see its whole input
 	// before its first output row, or remembers rows it has passed on
 	// (sort, aggregate, join, distinct): when false, the plan streams
@@ -169,6 +172,11 @@ type Plan struct {
 
 // Schema returns the plan's output schema.
 func (p *Plan) Schema() exec.Schema { return p.Root.Schema() }
+
+// Cols returns the column names of the plan's result. The slice is the
+// plan's own: every execution hands out the same one, and nobody may
+// modify it.
+func (p *Plan) Cols() []string { return p.cols }
 
 // Open instantiates the plan's iterator tree against rt.
 func (p *Plan) Open(rt *Runtime) (Iter, error) { return p.Root.open(rt) }

@@ -573,3 +573,58 @@ func TestStreamShipsOnlyDurableBytes(t *testing.T) {
 		t.Fatalf("round trip: %v %+v", err, recs)
 	}
 }
+
+// TestSyncOffFollowerReachesWALEnd: in SyncMode off nothing ever forces
+// the log — the stream follows what has been written to the file, and a
+// transaction's records are written when its outcome is appended. After a
+// commit, and after a rollback, on an otherwise idle primary the
+// follower must reach the primary's log end with nobody asking the log
+// to sync: an outcome left in the log buffer would strand it.
+func TestSyncOffFollowerReachesWALEnd(t *testing.T) {
+	eng, err := engine.New(engine.Config{DataDir: t.TempDir(), SyncMode: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPrimary(eng, "")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go p.Serve(ln)
+	defer func() {
+		p.Close()
+		eng.Close()
+	}()
+	s := eng.NewSession(eng.Admin())
+	mustExec(t, s, `CREATE TABLE t (a BIGINT PRIMARY KEY)`)
+	f := openFollower(t, ln.Addr().String(), t.TempDir(), false)
+	defer f.Close()
+
+	reach := func(what string) {
+		t.Helper()
+		target := eng.WAL().End()
+		deadline := time.Now().Add(10 * time.Second)
+		for f.AppliedLSN() < target {
+			if err := f.Err(); err != nil {
+				t.Fatalf("follower died: %v", err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: follower stuck at lsn %d, primary log ends at %d", what, f.AppliedLSN(), target)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	mustExec(t, s, `BEGIN`)
+	mustExec(t, s, `INSERT INTO t VALUES (1)`)
+	mustExec(t, s, `COMMIT`)
+	reach("a commit")
+	mustExec(t, s, `BEGIN`)
+	mustExec(t, s, `INSERT INTO t VALUES (2)`)
+	mustExec(t, s, `ROLLBACK`)
+	reach("a rollback")
+	rs := f.Engine().NewSession(f.Engine().Admin())
+	res, err := rs.Exec(`SELECT a FROM t`)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
+		t.Fatalf("replica rows %v, err %v: want the committed row only", res, err)
+	}
+}

@@ -291,6 +291,8 @@ func (t *Txn) Commit(hier *label.Hierarchy, commitLabel, commitILabel label.Labe
 	seq := t.m.seq.Add(1)
 	var commitLSN wal.LSN
 	if t.m.wal != nil && t.walLogged {
+		// The commit record takes the transaction's buffered records to
+		// the log file with it, in one write.
 		lsn, err := t.m.wal.Append(&wal.Record{Type: wal.RecCommit, XID: t.xid, Seq: seq})
 		if err != nil {
 			// Nothing is visible yet; abort rather than commit a
@@ -306,7 +308,8 @@ func (t *Txn) Commit(hier *label.Hierarchy, commitLabel, commitILabel label.Labe
 	t.m.commitMu.Unlock()
 	t.finish()
 	if t.m.wal != nil && t.walLogged {
-		// Durability wait per SyncMode (group commit batches this).
+		// Durability wait per SyncMode (group commit batches this): the
+		// log buffer is written out first, then fsynced as the mode says.
 		// The commit is already visible to concurrent transactions;
 		// any of them that commits afterwards appends behind us, so an
 		// fsync covering it covers us too — no read-then-lose anomaly.

@@ -178,6 +178,18 @@ func (v Value) Equal(o Value) bool {
 // Values of incomparable kinds order by kind (stable but arbitrary),
 // which keeps index keys total.
 func (v Value) Compare(o Value) int {
+	// BIGINT against BIGINT — every integer index key — is decided
+	// first, exactly, and before anything is converted.
+	if v.kind == KindInt && o.kind == KindInt {
+		switch {
+		case v.n < o.n:
+			return -1
+		case v.n > o.n:
+			return 1
+		default:
+			return 0
+		}
+	}
 	if v.kind == KindNull || o.kind == KindNull {
 		switch {
 		case v.kind == KindNull && o.kind == KindNull:
@@ -192,17 +204,6 @@ func (v Value) Compare(o Value) int {
 	on := o.kind == KindInt || o.kind == KindFloat
 	if vn && on {
 		a, b := v.Float(), o.Float()
-		// Exact path for int/int comparison avoids float rounding.
-		if v.kind == KindInt && o.kind == KindInt {
-			switch {
-			case v.n < o.n:
-				return -1
-			case v.n > o.n:
-				return 1
-			default:
-				return 0
-			}
-		}
 		switch {
 		case a < b:
 			return -1

@@ -5,8 +5,9 @@
 // frame CRCs therefore protect records end to end: what the follower
 // decodes is bit-identical to what the primary's committers appended.
 // Only durable bytes are shipped (except in SyncOff mode, where
-// nothing ever is durable and the stream follows the append edge):
-// a follower must never apply a commit the primary could still lose.
+// nothing ever is durable and the stream follows the written edge —
+// the append edge less whatever is still in the log buffer): a
+// follower must never apply a commit the primary could still lose.
 //
 // Subscriptions serve two purposes: they wake tailing senders when the
 // shippable region grows, and they pin the log — Checkpoint skips file
@@ -70,13 +71,18 @@ func (w *Writer) TruncatedStateLSN() LSN {
 func (w *Writer) SetRetainBudget(bytes int64) { w.retainBudget.Store(bytes) }
 
 // ShipLimit returns the LSN up to which records may be shipped to a
-// replica: the durable horizon, or the append edge in SyncOff mode
-// (where no fsync ever runs and "durable" is meaningless).
+// replica: the durable horizon, or in SyncOff mode (where no fsync ever
+// runs and "durable" is meaningless) the append edge, with the log
+// buffer written out first so that every byte below the answer is in
+// the file. If that write fails the answer is the edge it left.
 func (w *Writer) ShipLimit() LSN {
-	if w.mode == SyncOff {
-		return w.End()
+	if w.mode != SyncOff {
+		return w.DurableLSN()
 	}
-	return w.DurableLSN()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_ = w.flushLocked() // the failure is the next Append's to report
+	return w.end - LSN(len(w.buf))
 }
 
 // ReadRaw copies whole frames from the log, starting at logical LSN
@@ -95,10 +101,10 @@ func (w *Writer) ReadRaw(from LSN, maxBytes int) ([]byte, LSN, error) {
 	if from < w.base {
 		return nil, from, fmt.Errorf("%w: want %d, base %d", ErrPositionGone, from, w.base)
 	}
-	if limit > w.end {
-		// A checkpoint can advance durable past a concurrent reader's
-		// stale view; never read past the append edge.
-		limit = w.end
+	if written := w.end - LSN(len(w.buf)); limit > written {
+		// Appends since ShipLimit answered may sit in the log buffer;
+		// never read past the written edge.
+		limit = written
 	}
 	if from >= limit {
 		return nil, from, nil
@@ -172,22 +178,23 @@ func DecodeFrames(buf []byte, base LSN) ([]Record, error) {
 // AppendRaw appends pre-framed bytes verbatim — whole frames shipped
 // from a primary, already CRC-verified by DecodeFrames. The replica
 // uses it to persist a shipped batch in one write, keeping the
-// primary's frame bytes (and CRCs) bit-identical in its own log.
+// primary's frame bytes (and CRCs) bit-identical in its own log. Like
+// a record that is no transaction body, the batch is in the file when
+// AppendRaw returns, and withdrawn if the write fails.
 func (w *Writer) AppendRaw(frames []byte) (LSN, error) {
 	w.mu.Lock()
-	lsn := w.end
+	defer w.mu.Unlock()
+	lsn, lastState := w.end, w.lastState
 	if len(frames) == 0 {
-		w.mu.Unlock()
 		return lsn, nil
 	}
-	if _, err := w.f.WriteAt(frames, w.fileOff(lsn)); err != nil {
-		w.mu.Unlock()
-		return 0, fmt.Errorf("wal: append raw: %w", err)
-	}
-	w.end = lsn + LSN(len(frames))
+	w.buf = append(w.buf, frames...)
+	w.end += LSN(len(frames))
 	w.lastState = w.end // shipped batches carry state; be conservative
-	w.mu.Unlock()
-	w.notifySubs()
+	if err := w.flushLocked(); err != nil {
+		w.withdrawLocked(lsn, lastState)
+		return 0, err
+	}
 	return lsn, nil
 }
 

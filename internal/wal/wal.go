@@ -56,6 +56,10 @@ import (
 var (
 	mAppends = obs.NewCounter("ifdb_wal_appends_total",
 		"records appended to the write-ahead log")
+	mWrites = obs.NewCounter("ifdb_wal_writes_total",
+		"writes of buffered records to the log file")
+	mWriteBytes = obs.NewSizeHistogram("ifdb_wal_write_bytes",
+		"bytes per write of buffered records to the log file")
 	mFsyncs = obs.NewCounter("ifdb_wal_fsync_total",
 		"fsync calls issued by the log writer")
 	mFsyncSeconds = obs.NewDurationHistogram("ifdb_wal_fsync_seconds",
@@ -97,11 +101,26 @@ func isMarker(t RecType) bool {
 	return t == RecCheckpointBegin || t == RecCheckpointEnd || t == RecReplLSN
 }
 
+// isTxnBody reports the record types that make up the body of an open
+// transaction. Nothing can act on one before the transaction's COMMIT
+// or ABORT — recovery discards a body without an outcome — so Append
+// leaves them in the log buffer; every other type takes the buffer to
+// the file with it.
+func isTxnBody(t RecType) bool {
+	return t == RecBegin || t == RecInsert || t == RecSetXmax
+}
+
+// bufHighWater is the size at which the log buffer is written out even
+// though nothing has asked for its bytes yet: it bounds what a long
+// transaction holds in memory.
+const bufHighWater = 64 << 10
+
 // SyncMode selects the durability discipline for commits.
 type SyncMode uint8
 
 const (
-	// SyncOff never fsyncs: commits are durable only as the OS flushes.
+	// SyncOff never fsyncs: a commit is in the file (the OS page cache)
+	// when it is acknowledged, and durable only as the OS flushes.
 	SyncOff SyncMode = iota
 	// SyncCommit fsyncs once per commit (the safe, slow baseline).
 	SyncCommit
@@ -451,14 +470,26 @@ var errTruncated = fmt.Errorf("wal: truncated payload")
 // Writer is the append side of the log. Appends serialize on an
 // internal mutex; durability waits use the group-commit machinery and
 // never hold the append lock across an fsync.
+//
+// Append frames a record into a log buffer and hands out its LSN; the
+// buffer reaches the file in one write (flushLocked) when something may
+// act on its bytes: a record that is not the body of an open
+// transaction (isTxnBody), WaitDurable, Sync, Checkpoint, Close, a
+// replica sender asking how far it may read, or the buffer filling.
+// Hence the invariant the engine leans on: while no transaction is
+// open, every appended byte is in the file.
 type Writer struct {
 	mode SyncMode
 
-	mu        sync.Mutex // append lock; also guards f offset, end, base, lastState, truncState
+	mu        sync.Mutex // append lock; also guards f offset, end, buf, base, lastState, truncState
 	f         *os.File
-	end       LSN // next logical append position
+	end       LSN // next logical append position, buffered frames included
 	base      LSN // logical LSN currently mapped to file offset headerSize
 	lastState LSN // position past the newest state-carrying record
+	// buf holds the frames of [end-len(buf), end): appended, not yet in
+	// the file. Readers of the file stop at end-len(buf), the written
+	// edge.
+	buf []byte
 	// truncState is lastState as of the last truncating checkpoint
 	// (the header's persisted value): every state record below base is
 	// below it, so a replica at or past truncState missed only markers
@@ -627,92 +658,149 @@ func (w *Writer) fileOff(lsn LSN) int64 {
 // Mode returns the writer's sync mode.
 func (w *Writer) Mode() SyncMode { return w.mode }
 
-// Append encodes and appends rec, returning its LSN. The record is in
-// the OS page cache when Append returns; call WaitDurable (or rely on
-// a commit's group fsync) to force it to stable storage.
+// Append encodes rec into the log buffer and returns its LSN. The body
+// of an open transaction (BEGIN, INSERT, SETXMAX) stays buffered — a
+// crash before its COMMIT loses records recovery would have discarded
+// anyway; any other record is in the file, with everything appended
+// before it, when Append returns. Call WaitDurable (or rely on a
+// commit's group fsync) to force it to stable storage. If the write
+// fails the record is withdrawn: it has no LSN and will not reach the
+// file later.
 func (w *Writer) Append(rec *Record) (LSN, error) {
-	payload, err := rec.encodePayload(make([]byte, 0, 128))
-	if err != nil {
-		return 0, err
-	}
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
-
 	mAppends.Inc()
 	w.mu.Lock()
-	lsn := w.end
-	if _, err := w.f.WriteAt(frame, w.fileOff(lsn)); err != nil {
-		w.mu.Unlock()
-		return 0, fmt.Errorf("wal: append: %w", err)
+	defer w.mu.Unlock()
+	lsn, lastState := w.end, w.lastState
+	if err := w.frameLocked(rec); err != nil {
+		return 0, err
 	}
-	w.end = lsn + LSN(len(frame))
-	if !isMarker(rec.Type) {
-		w.lastState = w.end
+	if !isTxnBody(rec.Type) || len(w.buf) >= bufHighWater {
+		if err := w.flushLocked(); err != nil {
+			w.withdrawLocked(lsn, lastState)
+			return 0, err
+		}
 	}
-	w.mu.Unlock()
-	w.notifySubs()
 	return lsn, nil
 }
 
-// End returns the LSN one past the last appended record.
+// withdrawLocked takes back what was appended at and after lsn, still
+// in the log buffer because the write carrying it failed: its caller
+// reports the failure, so the bytes must not reach the file with some
+// later write. lastState is the value to restore. Caller holds mu.
+func (w *Writer) withdrawLocked(lsn, lastState LSN) {
+	w.buf = w.buf[:len(w.buf)-int(w.end-lsn)]
+	w.end, w.lastState = lsn, lastState
+}
+
+// frameLocked is the one framing routine: it encodes rec at the end of
+// the log buffer — the frame header is reserved first and patched once
+// the payload's length and CRC are known, so nothing is allocated per
+// record — and advances end past it. Caller holds mu.
+func (w *Writer) frameLocked(rec *Record) error {
+	start := len(w.buf)
+	framed, err := rec.encodePayload(append(w.buf, make([]byte, 8)...))
+	if err != nil {
+		return err
+	}
+	payload := framed[start+8:]
+	binary.LittleEndian.PutUint32(framed[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(framed[start+4:], crc32.Checksum(payload, crcTable))
+	w.buf = framed
+	w.end += LSN(len(framed) - start)
+	if !isMarker(rec.Type) {
+		w.lastState = w.end
+	}
+	return nil
+}
+
+// flushLocked writes the log buffer to the file: the one place record
+// bytes reach it. On failure the buffer is kept, and the next flush
+// rewrites it at the same offset. In SyncOff mode the written edge is
+// what replica senders may read up to, so they are woken here; in the
+// fsyncing modes they wait for the durable horizon instead. Caller
+// holds mu.
+func (w *Writer) flushLocked() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	if _, err := w.f.WriteAt(w.buf, w.fileOff(w.end-LSN(len(w.buf)))); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	mWrites.Inc()
+	mWriteBytes.Observe(int64(len(w.buf)))
+	w.buf = w.buf[:0]
+	if w.mode == SyncOff {
+		w.notifySubs()
+	}
+	return nil
+}
+
+// flushedEnd writes the log buffer out and returns the append edge,
+// which is then also the written edge: the position an fsync issued
+// next will cover.
+func (w *Writer) flushedEnd() (LSN, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	err := w.flushLocked()
+	return w.end, err
+}
+
+// End returns the LSN one past the last appended record, whether or not
+// its bytes have left the log buffer.
 func (w *Writer) End() LSN {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.end
 }
 
-// Sync forces everything appended so far to stable storage,
-// regardless of mode (used for DDL and clean shutdown).
+// Sync writes out the log buffer and, unless the mode is SyncOff,
+// forces everything appended so far to stable storage (used for DDL and
+// clean shutdown).
 func (w *Writer) Sync() error {
-	if w.mode == SyncOff {
-		return nil
+	target, err := w.flushedEnd()
+	if err != nil || w.mode == SyncOff {
+		return err
 	}
-	w.mu.Lock()
-	target := w.end
-	w.mu.Unlock()
 	return w.syncTo(target)
 }
 
-// WaitDurable blocks until the record at lsn is on stable storage,
-// per the writer's sync mode:
+// WaitDurable writes out the log buffer, then blocks until the record
+// at lsn is on stable storage, per the writer's sync mode:
 //
-//   - SyncOff: returns immediately.
+//   - SyncOff: returns once the record is in the file.
 //   - SyncCommit: issues a private fsync (serialized, one per caller).
 //   - SyncGroup: leader/follower group commit — one caller fsyncs on
 //     behalf of everyone who appended before the fsync started; the
 //     rest wait for the covering sync.
 func (w *Writer) WaitDurable(lsn LSN) error {
-	switch w.mode {
-	case SyncOff:
-		return nil
-	case SyncCommit:
-		// Read the covered position before the fsync: appends landing
-		// during the fsync are not necessarily on stable storage.
-		w.mu.Lock()
-		target := w.end
-		w.mu.Unlock()
-		w.gmu.Lock()
-		defer w.gmu.Unlock()
-		if w.durable >= lsn {
-			// A committer that queued ahead of us already fsynced past
-			// our record (its covered position was read after our append
-			// landed): the commit is on stable storage, and repeating
-			// the fsync would only serialize the queue further.
-			return nil
-		}
-		w.Syncs++
-		if err := w.fsync(); err != nil {
-			return err
-		}
-		if target > w.durable {
-			w.durable = target
-			w.notifySubs()
-		}
+	if w.mode == SyncGroup {
+		return w.groupWait(lsn)
+	}
+	// The covered position is read before the fsync: appends landing
+	// during the fsync are not necessarily on stable storage.
+	target, err := w.flushedEnd()
+	if err != nil || w.mode == SyncOff {
+		return err
+	}
+	w.gmu.Lock()
+	defer w.gmu.Unlock()
+	if w.durable > lsn {
+		// A committer that queued ahead of us already fsynced past
+		// our record (its covered position was read after our append
+		// landed): the commit is on stable storage, and repeating
+		// the fsync would only serialize the queue further. A
+		// horizon exactly at lsn stops short of the record.
 		return nil
 	}
-	return w.groupWait(lsn)
+	w.Syncs++
+	if err := w.fsync(); err != nil {
+		return err
+	}
+	if target > w.durable {
+		w.durable = target
+		w.notifySubs()
+	}
+	return nil
 }
 
 func (w *Writer) groupWait(lsn LSN) error {
@@ -720,7 +808,8 @@ func (w *Writer) groupWait(lsn LSN) error {
 	defer w.gmu.Unlock()
 	w.waiters++
 	defer func() { w.waiters-- }()
-	for w.durable < lsn {
+	// The record at lsn is covered once the horizon is past its start.
+	for w.durable <= lsn {
 		if w.syncing {
 			w.gcond.Wait()
 			continue
@@ -733,9 +822,9 @@ func (w *Writer) groupWait(lsn LSN) error {
 		gather := w.waiters > 1
 		batch := int64(w.waiters)
 		w.gmu.Unlock()
-		w.mu.Lock()
-		target := w.end
-		w.mu.Unlock()
+		// The fsync covers what is in the file: write the buffer out
+		// before reading the position this sync will vouch for.
+		target, err := w.flushedEnd()
 		if gather {
 			// Other committers are active: yield to them so they can
 			// finish their appends and ride this fsync instead of the
@@ -743,18 +832,19 @@ func (w *Writer) groupWait(lsn LSN) error {
 			// implemented as scheduler yields because sub-millisecond
 			// sleeps overshoot on coarse-timer kernels). Keep yielding
 			// while the log keeps growing, within a small budget.
-			for i := 0; i < gatherYields; i++ {
+			for i := 0; i < gatherYields && err == nil; i++ {
 				runtime.Gosched()
-				w.mu.Lock()
-				cur := w.end
-				w.mu.Unlock()
+				var cur LSN
+				cur, err = w.flushedEnd()
 				if cur == target && i > 1 {
 					break
 				}
 				target = cur
 			}
 		}
-		err := w.fsync()
+		if err == nil {
+			err = w.fsync()
+		}
 		mGroupBatch.Observe(batch)
 		w.gmu.Lock()
 		w.syncing = false
@@ -822,6 +912,12 @@ func (w *Writer) Checkpoint(capture func(covered LSN) error) error {
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	// What the snapshot covers must be in the file it may stand in for:
+	// a transaction still open at the capture has its body below
+	// w.end and its COMMIT above it.
+	if err := w.flushLocked(); err != nil {
+		return err
+	}
 	if err := capture(w.end); err != nil {
 		return err
 	}
@@ -871,19 +967,16 @@ func (w *Writer) Checkpoint(capture func(covered LSN) error) error {
 	// pre-checkpoint LSNs.
 	w.advanceDurable(w.end)
 
-	// First record after the truncation (we hold mu, so inline the
-	// append). Written before the fsync so the durable horizon covers
-	// it — an idle primary must still be able to ship its whole log to
-	// replicas, which read only durable bytes.
-	payload, _ := (&Record{Type: RecCheckpointEnd}).encodePayload(nil)
-	frame := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
-	if _, err := w.f.WriteAt(frame, w.fileOff(w.end)); err != nil {
+	// First record after the truncation (we hold mu, so Append's two
+	// steps are taken here). Written before the fsync so the durable
+	// horizon covers it — an idle primary must still be able to ship
+	// its whole log to replicas, which read only durable bytes.
+	if err := w.frameLocked(&Record{Type: RecCheckpointEnd}); err != nil {
 		return err
 	}
-	w.end += LSN(len(frame))
+	if err := w.flushLocked(); err != nil {
+		return err
+	}
 	if err := w.fsync(); err != nil {
 		return err
 	}
@@ -891,7 +984,8 @@ func (w *Writer) Checkpoint(capture func(covered LSN) error) error {
 	return nil
 }
 
-// Close fsyncs (per mode) and closes the file.
+// Close writes out the log buffer, fsyncs (per mode) and closes the
+// file.
 func (w *Writer) Close() error {
 	if err := w.Sync(); err != nil {
 		w.f.Close()
