@@ -126,6 +126,10 @@ type Conn struct {
 	frame []byte
 	held  int64
 
+	// out is the buffer every EXECUTE is encoded into, kept while it
+	// is at most wire.MaxKeptFrame.
+	out []byte
+
 	// broken marks a connection whose stream died mid-frame: the
 	// socket position is undefined, so every later operation fails
 	// (retryably — AutoReconnect redials) instead of desynchronizing.
@@ -445,9 +449,12 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 		e.ILabel = c.pilabel
 		e.Principal = c.principal
 	}
-	payload, err := e.Encode()
+	payload, err := e.AppendEncode(c.out[:0])
 	if err != nil {
 		return nil, finish(err)
+	}
+	if cap(payload) <= wire.MaxKeptFrame {
+		c.out = payload
 	}
 	if err := wire.WriteFrame(c.w, wire.MsgExecute, payload); err != nil {
 		return nil, finish(err)

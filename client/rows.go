@@ -94,8 +94,10 @@ func (r *connRows) Next() bool {
 }
 
 // fetch reads the next ROWS frame into r.chunk. Returns false on a
-// terminal condition (error; the Done frame with no rows also yields
-// false via the caller's loop).
+// terminal condition (error; a Done frame with no rows also yields
+// false via the caller's loop). The Done frame may carry the result's
+// last rows: the trailer is taken at once, the rows as Next reaches
+// them.
 func (r *connRows) fetch() bool {
 	typ, payload, buf, err := wire.ReadFrameInto(r.c.r, r.c.frame)
 	r.c.frame = buf
@@ -127,7 +129,12 @@ func (r *connRows) fetch() bool {
 		r.c.pilabel = ch.ILabel
 		r.affected = ch.Affected
 		r.epoch, r.lsn = ch.Epoch, ch.LSN
-		r.c.stream = nil
+		if len(ch.Rows) == 0 {
+			// The rows have run out, so the connection is free. A Done
+			// chunk that carries rows keeps it busy until they have been
+			// read or the stream closed (release).
+			r.c.stream = nil
+		}
 		if ch.Err != "" {
 			r.err = ctxErrOr(r.ctx, &serverError{msg: ch.Err, shardMap: ch.ShardMap})
 			r.release()
@@ -142,16 +149,18 @@ func (r *connRows) fetch() bool {
 func (r *connRows) transportFail(err error) {
 	r.err = ctxErrOr(r.ctx, err)
 	r.c.broken = true
-	r.c.stream = nil
 	r.release()
 }
 
-// release runs the end-of-stream hooks once.
+// release frees the connection and runs the end-of-stream hooks, once.
 func (r *connRows) release() {
 	if r.closed {
 		return
 	}
 	r.closed = true
+	if r.c.stream == r {
+		r.c.stream = nil
+	}
 	r.c.account(0)
 	if r.stopWatch != nil {
 		r.stopWatch()

@@ -207,6 +207,14 @@ func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
 	return c.rows, c.labels, nil
 }
 
+// Exhausted reports whether the batch NextBatch last returned ended the
+// result: the statement has been resolved as on clean exhaustion, so
+// its trailer (labels, commit token, affected count) is final and a
+// further NextBatch returns no rows. A live iterator reports its end
+// with the last rows only when they did not fill the batch; one that
+// fills it exactly leaves the end to a following, empty batch.
+func (c *Cursor) Exhausted() bool { return c.done && c.err == nil }
+
 // Buffered returns how many result rows the cursor holds in memory: the
 // batch it last returned when it streams, the whole result when it
 // serves a materialized one.

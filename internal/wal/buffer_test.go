@@ -2,6 +2,7 @@ package wal
 
 import (
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -303,5 +304,62 @@ func TestConcurrentAppendersAndCommitter(t *testing.T) {
 				t.Fatalf("%d commits in the file, want %d", commits, workers*txns)
 			}
 		})
+	}
+}
+
+// TestHugeRecordDoesNotPinBuffer: a record far larger than the
+// high-water mark grows the log buffer to its size to be written; the
+// write lets that buffer go, so the writer does not hold a megabyte for
+// the rest of its life, and the log holds exactly what was appended.
+func TestHugeRecordDoesNotPinBuffer(t *testing.T) {
+	w, path := openTemp(t, SyncOff)
+	defer w.Close()
+	start := w.End()
+	sizes := mWriteBytes.Sum()
+	huge := strings.Repeat("x", 1<<20)
+	recs := []*Record{
+		{Type: RecBegin, XID: 4},
+		{Type: RecInsert, XID: 4, Table: "t", TID: 1, Row: []types.Value{types.NewInt(1), types.NewText(huge)}},
+		{Type: RecCommit, XID: 4, Seq: 1},
+		{Type: RecBegin, XID: 5},
+		insertRec(5, 2),
+		{Type: RecCommit, XID: 5, Seq: 2},
+	}
+	lsns := make([]LSN, len(recs))
+	for i, r := range recs {
+		lsn, err := w.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns[i] = lsn
+		if r.Type == RecCommit {
+			if err := w.WaitDurable(lsn); err != nil {
+				t.Fatal(err)
+			}
+			w.mu.Lock()
+			held := cap(w.buf)
+			w.mu.Unlock()
+			if held > 2*bufHighWater {
+				t.Fatalf("after commit %d the log buffer holds %d bytes, want at most %d", r.XID, held, 2*bufHighWater)
+			}
+		}
+	}
+	if fileEnd(t, w, path) != w.End() {
+		t.Fatalf("file ends at %d, log at %d", fileEnd(t, w, path), w.End())
+	}
+	if got, want := mWriteBytes.Sum()-sizes, int64(w.End()-start); got != want {
+		t.Fatalf("writes carried %d bytes, the log grew by %d", got, want)
+	}
+	got, torn, err := ReadAll(path)
+	if err != nil || torn || len(got) != len(recs) {
+		t.Fatalf("%d records, torn %v, err %v; want %d whole", len(got), torn, err, len(recs))
+	}
+	for i, r := range got {
+		if r.LSN != lsns[i] || r.Type != recs[i].Type || r.XID != recs[i].XID {
+			t.Fatalf("record %d: %v xid %d at %d, appended %v xid %d at %d", i, r.Type, r.XID, r.LSN, recs[i].Type, recs[i].XID, lsns[i])
+		}
+	}
+	if row := got[1].Row; len(row) != 2 || row[1].Text() != huge {
+		t.Fatal("the huge row did not come back whole")
 	}
 }

@@ -728,7 +728,13 @@ func (w *Writer) flushLocked() error {
 	}
 	mWrites.Inc()
 	mWriteBytes.Observe(int64(len(w.buf)))
-	w.buf = w.buf[:0]
+	if cap(w.buf) > 2*bufHighWater {
+		// A record far past the mark (one huge row) grew the buffer:
+		// let it go rather than hold that much for the writer's life.
+		w.buf = nil
+	} else {
+		w.buf = w.buf[:0]
+	}
 	if w.mode == SyncOff {
 		w.notifySubs()
 	}

@@ -11,6 +11,8 @@ var (
 		"Protocol frames read from clients on established sessions.")
 	mFramesOut = obs.NewCounter("ifdb_server_frames_out_total",
 		"Protocol frames written to clients (results, chunks, control replies).")
+	mWrites = obs.NewCounter("ifdb_server_writes_total",
+		"Writes to client sockets: one per reply frame that fits the 4 KiB write buffer (a result's last rows and its trailer share a frame), two for a larger frame.")
 	mRowsBytes = obs.NewCounter("ifdb_wire_rows_bytes_total",
 		"Encoded payload bytes of ROWS frames written to clients — the bytes-on-wire cost of result streaming (partial-aggregate pushdown shrinks it).")
 	gStreamBuffered = obs.NewGauge("ifdb_wire_stream_buffered_bytes",

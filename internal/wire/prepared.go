@@ -15,10 +15,10 @@ import (
 // the parsed AST in a per-session statement table, and answers with a
 // handle. EXECUTE then ships only the handle and the parameters, and
 // the server streams the result back as chunked ROWS frames — the
-// last chunk carries the statement trailer (error, affected count,
-// label sync, commit token). CLOSESTMT drops a handle; it is
-// fire-and-forget (frames on one connection are processed in order,
-// so a following EXECUTE cannot observe the closed handle).
+// last chunk carries the result's last rows and the statement trailer
+// (error, affected count, label sync, commit token). CLOSESTMT drops a
+// handle; it is fire-and-forget (frames on one connection are processed
+// in order, so a following EXECUTE cannot observe the closed handle).
 //
 // EXECUTE with statement id 0 carries the SQL text inline: the
 // one-shot form behind the client's text API. Either form streams, so a
@@ -172,8 +172,12 @@ type Execute struct {
 }
 
 // Encode marshals e.
-func (e *Execute) Encode() ([]byte, error) {
-	buf := appendU64(nil, e.StmtID)
+func (e *Execute) Encode() ([]byte, error) { return e.AppendEncode(nil) }
+
+// AppendEncode appends e's encoding to buf, which a sender reuses from
+// statement to statement.
+func (e *Execute) AppendEncode(buf []byte) ([]byte, error) {
+	buf = appendU64(buf, e.StmtID)
 	buf = appendString(buf, e.SQL)
 	var err error
 	buf, err = types.EncodeRow(buf, e.Params)
@@ -255,12 +259,14 @@ func DecodeExecute(buf []byte) (*Execute, error) {
 }
 
 // RowsChunk is one frame of a streaming result. The first chunk
-// carries the column names; the final one (Done) carries the
-// statement trailer — the error, affected count, the server's
-// post-statement labels, the commit token, and (on a stale-shard-map
-// refusal) the server's current map. A failed statement is a single
-// chunk with Done set and Err non-empty; chunks after the first never
-// repeat Cols.
+// carries the column names; the final one (Done) carries the result's
+// last rows and the statement trailer — the error, affected count, the
+// server's post-statement labels, the commit token, and (on a
+// stale-shard-map refusal) the server's current map. A result that fits
+// in one chunk is one chunk, both First and Done; a Done chunk has no
+// rows when the batch before it filled exactly, or when the statement
+// failed (a failure at open is a single chunk with Done set and Err
+// non-empty). Chunks after the first never repeat Cols.
 type RowsChunk struct {
 	First     bool
 	Done      bool

@@ -49,6 +49,12 @@ const (
 // MaxFrame bounds a single protocol frame (64 MiB).
 const MaxFrame = 64 << 20
 
+// MaxKeptFrame bounds the buffer a connection keeps from one frame to
+// the next, on either end. A larger frame is read or encoded into a
+// buffer of its own that is dropped after it, so a connection that once
+// carried a 10 MB statement does not pin 10 MB for its lifetime.
+const MaxKeptFrame = 64 << 10
+
 // WriteFrame sends one frame: uint32 length, type byte, payload.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
@@ -74,11 +80,17 @@ func ReadFrame(r *bufio.Reader) (typ byte, payload []byte, err error) {
 // does not fit, and returns the buffer for the caller's next read. The
 // payload aliases it: decode before reading the next frame.
 func ReadFrameInto(r *bufio.Reader, buf []byte) (typ byte, payload, grown []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length is read in place in r's buffer: a header array of our
+	// own would escape through io.ReadFull's reader.
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
+	r.Discard(4)
 	if n == 0 || n > MaxFrame {
 		return 0, nil, buf, fmt.Errorf("wire: bad frame length %d", n)
 	}

@@ -218,9 +218,18 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	w := bufio.NewWriter(sockWriter{conn})
 	rows := &rowsWriter{w: w}
 	defer rows.release()
+	// reply sends one frame and flushes it: the whole answer to every
+	// request but EXECUTE, whose frames streamCursor writes.
+	reply := func(typ byte, payload []byte) error {
+		mFramesOut.Inc()
+		if err := WriteFrame(w, typ, payload); err != nil {
+			return err
+		}
+		return w.Flush()
+	}
 
 	typ, payload, err := ReadFrame(r)
 	if err != nil {
@@ -247,18 +256,13 @@ func (s *Server) handle(conn net.Conn) {
 	if s.token != "" && subtle.ConstantTimeCompare([]byte(hello.Token), []byte(s.token)) != 1 {
 		// Reject untrusted platforms (§2: only trusted runtimes may
 		// connect).
-		_ = WriteFrame(w, MsgCtrlRes, (&CtrlRes{Err: "wire: bad platform token"}).Encode())
-		w.Flush()
+		_ = reply(MsgCtrlRes, (&CtrlRes{Err: "wire: bad platform token"}).Encode())
 		return
 	}
 	sess := s.eng.NewSession(authority.Principal(hello.Principal))
 	sid, skey := s.registerSession(sess)
 	defer s.unregisterSession(sid)
-	mFramesOut.Inc()
-	if err := WriteFrame(w, MsgHelloOK, (&HelloOK{SessionID: sid, CancelKey: skey}).Encode()); err != nil {
-		return
-	}
-	if err := w.Flush(); err != nil {
+	if err := reply(MsgHelloOK, (&HelloOK{SessionID: sid, CancelKey: skey}).Encode()); err != nil {
 		return
 	}
 
@@ -268,10 +272,17 @@ func (s *Server) handle(conn net.Conn) {
 	stmts := make(map[uint64]*engine.Prepared)
 	var stmtSeq uint64
 
+	// frame is the buffer every request is read into. Decoding copies
+	// what it keeps (strings, values, labels), so the next read may
+	// overwrite it.
+	var frame []byte
 	for {
-		typ, payload, err := ReadFrame(r)
+		typ, payload, buf, err := ReadFrameInto(r, frame)
 		if err != nil {
 			return
+		}
+		if cap(buf) <= MaxKeptFrame {
+			frame = buf
 		}
 		mFramesIn.Inc()
 		switch typ {
@@ -294,11 +305,7 @@ func (s *Server) handle(conn net.Conn) {
 				res.StmtID = stmtSeq
 				res.NumParams = uint32(prep.NumParams)
 			}
-			mFramesOut.Inc()
-			if err := WriteFrame(w, MsgPrepareRes, res.Encode()); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
+			if err := reply(MsgPrepareRes, res.Encode()); err != nil {
 				return
 			}
 		case MsgCloseStmt:
@@ -319,6 +326,8 @@ func (s *Server) handle(conn net.Conn) {
 			if err := s.runExecute(sess, stmts, e, rows); err != nil {
 				return
 			}
+			// The chunk carrying the trailer is still buffered: this
+			// flush ends the reply.
 			if err := w.Flush(); err != nil {
 				return
 			}
@@ -329,20 +338,11 @@ func (s *Server) handle(conn net.Conn) {
 				s.logger().Warn("wire: bad control", "err", err)
 				return
 			}
-			res := s.runControl(sess, c)
-			mFramesOut.Inc()
-			if err := WriteFrame(w, MsgCtrlRes, res.Encode()); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
+			if err := reply(MsgCtrlRes, s.runControl(sess, c).Encode()); err != nil {
 				return
 			}
 		case MsgStatus:
-			mFramesOut.Inc()
-			if err := WriteFrame(w, MsgStatusRes, s.status().Encode()); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
+			if err := reply(MsgStatusRes, s.status().Encode()); err != nil {
 				return
 			}
 		case MsgShardMap:
@@ -352,11 +352,7 @@ func (s *Server) handle(conn net.Conn) {
 					payload = m.Encode()
 				}
 			}
-			mFramesOut.Inc()
-			if err := WriteFrame(w, MsgShardMapRes, payload); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
+			if err := reply(MsgShardMapRes, payload); err != nil {
 				return
 			}
 		case MsgPromote:
@@ -370,11 +366,7 @@ func (s *Server) handle(conn net.Conn) {
 			if perr != nil {
 				st.Err = perr.Error()
 			}
-			mFramesOut.Inc()
-			if err := WriteFrame(w, MsgStatusRes, st.Encode()); err != nil {
-				return
-			}
-			if err := w.Flush(); err != nil {
+			if err := reply(MsgStatusRes, st.Encode()); err != nil {
 				return
 			}
 		default:
@@ -382,6 +374,15 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// sockWriter is what a connection's bufio.Writer writes to: the socket,
+// with every write counted.
+type sockWriter struct{ net.Conn }
+
+func (sw sockWriter) Write(p []byte) (int, error) {
+	mWrites.Inc()
+	return sw.Conn.Write(p)
 }
 
 // noteStmtDone finishes one statement's server-side accounting: the
@@ -466,8 +467,8 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 		sess.SetIntegrityUnsafe(e.ILabel)
 		sess.SetPrincipalUnsafe(authority.Principal(e.Principal))
 	}
-	trailer := func(errMsg string, m *ShardMap) *RowsChunk {
-		return &RowsChunk{
+	trailer := func(errMsg string, m *ShardMap) RowsChunk {
+		return RowsChunk{
 			Done: true, Err: errMsg, ShardMap: m,
 			Label: sess.Label(), ILabel: sess.Integrity(),
 			Epoch: s.eng.Epoch(), LSN: sess.CommitToken(),
@@ -489,14 +490,14 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 			msg := fmt.Sprintf("%s: statement routed under version %d, server at version %d", StaleShardMapErr, e.ShardVer, m.Version)
 			c := trailer(msg, m)
 			c.First = true
-			return w.writeChunk(c)
+			return w.writeChunk(&c)
 		}
 	}
 	if e.WaitLSN > 0 {
 		if err := s.waitApplied(e.WaitLSN); err != nil {
 			c := trailer(err.Error(), nil)
 			c.First = true
-			return w.writeChunk(c)
+			return w.writeChunk(&c)
 		}
 	}
 	planNs := time.Since(planT0).Nanoseconds()
@@ -516,7 +517,7 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 	if err != nil {
 		c := trailer(err.Error(), nil)
 		c.First = true
-		return w.writeChunk(c)
+		return w.writeChunk(&c)
 	}
 	streamT0 := time.Now()
 	serr := s.streamCursor(sess, w, cur, e.ChunkRows, trailer)
@@ -531,11 +532,18 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 // as it is pulled. Chunks are bounded by the requested chunk size and
 // by MaxFrame.
 //
+// The batch that ends the result carries the statement trailer: the
+// cursor has resolved the statement by the time it returns that batch,
+// so its rows and the trailer leave as one chunk, which handle's flush
+// sends. A result that fits in one chunk is one frame, and one write
+// when the frame fits the connection's write buffer; a stream of k
+// chunks is k frames (k-1 flushed here, the last by handle).
+//
 // Between chunks it polls the session's cancel flag: an out-of-band
 // CANCEL lands within one batch — the cursor aborts the statement's
 // transaction and the stream terminates with an ErrCanceled trailer
 // instead of scanning (or shipping) the rest of the result.
-func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.Cursor, chunkRows uint32, trailer func(string, *ShardMap) *RowsChunk) error {
+func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.Cursor, chunkRows uint32, trailer func(string, *ShardMap) RowsChunk) error {
 	defer cur.Close()
 	defer w.account(0)
 	chunk := int(chunkRows)
@@ -550,25 +558,27 @@ func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.C
 				sess.Abort()
 			}
 			t := trailer(engine.ErrCanceled.Error(), nil)
-			t.First = false
-			return w.writeChunk(t)
+			return w.writeChunk(&t)
 		}
 		rows, labels, err := cur.NextBatch(chunk)
 		if err != nil {
 			t := trailer(err.Error(), nil)
 			t.First = first
-			return w.writeChunk(t)
+			return w.writeChunk(&t)
 		}
-		if len(rows) == 0 {
-			break
+		var c RowsChunk
+		if cur.Exhausted() {
+			c = trailer("", nil)
+			c.Affected = int64(cur.Affected())
 		}
-		c := &RowsChunk{Rows: rows, RowLabels: labels}
+		if len(rows) > 0 {
+			c.Rows, c.RowLabels = rows, labels
+		}
 		if first {
-			c.First = true
-			c.Cols = cur.Cols()
+			c.First, c.Cols = true, cur.Cols()
 			first = false
 		}
-		if err := w.writeChunk(c); err != nil {
+		if err := w.writeChunk(&c); err != nil || c.Done {
 			return err
 		}
 		// The rows the cursor holds, at this chunk's encoded size a row.
@@ -580,19 +590,13 @@ func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.C
 		// processors that can leave no thread polling the network: the
 		// client would then sit on these first rows, and an out-of-band
 		// CANCEL on its accept, until the runtime's monitor polls (up to
-		// 10 ms, or the whole drain). Yielding once wakes a poller; a
-		// short first chunk is the whole result and needs none.
-		if c.First && len(rows) == chunk {
+		// 10 ms, or the whole drain). Yielding once wakes a poller. A
+		// first chunk that ends the result never gets here: it is the
+		// whole reply, and the statement is over.
+		if c.First {
 			runtime.Gosched()
 		}
 	}
-	t := trailer("", nil)
-	t.Affected = int64(cur.Affected())
-	t.First = first // zero-row results: the trailer is also the first chunk
-	if first {
-		t.Cols = cur.Cols()
-	}
-	return w.writeChunk(t)
 }
 
 // rowsWriter sends one connection's ROWS frames. Every chunk is encoded
@@ -631,6 +635,10 @@ func (rw *rowsWriter) writeChunk(c *RowsChunk) error {
 	if len(enc)+1 <= MaxFrame {
 		mFramesOut.Inc()
 		mRowsBytes.Add(int64(len(enc)))
+		// Through the 4 KiB write buffer, so a larger chunk leaves as the
+		// buffer's worth and then the rest. Handing such a chunk to the
+		// socket in one write woke the reader later: scan-drain's time to
+		// first row (22 KB chunks) rose 40 % on a 2-CPU host.
 		return WriteFrame(rw.w, MsgRows, enc)
 	}
 	if len(c.Rows) <= 1 {
