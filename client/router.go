@@ -107,8 +107,9 @@ type RouterConfig struct {
 
 	// DisableAggPushdown turns off partial-aggregate pushdown for
 	// split fan-out reads: aggregate statements ship their matching
-	// rows and aggregate entirely at the gateway. Exists as the
-	// ship-all-rows baseline for the scatter-agg benchmark.
+	// rows and aggregate entirely at the gateway. It exists for
+	// internal/suite's router-gather backend, which checks that path
+	// against the single node's answers on every aggregate case.
 	DisableAggPushdown bool
 
 	// Secrecy, when set, gives every pooled connection a static

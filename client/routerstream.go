@@ -3,10 +3,11 @@
 // the stream; Exec of a read is the same stream drained) — a fan-out
 // read runs through the distplan scatter-gather layer (scatter.go):
 // split statements push work to the shards and merge at the gateway,
-// everything else concatenates the per-shard streams in shard order
-// with a bounded in-flight window — and prepared statements route off
-// the shard-key derivation computed once at prepare time by the SQL
-// parser (classify.go / shardkey.go), executing through
+// a statement with nothing to merge concatenates the per-shard streams
+// in shard order with a bounded in-flight window, and one that needs a
+// merge the gateway cannot do is refused — and prepared statements
+// route off the shard-key derivation computed once at prepare time by
+// the SQL parser (classify.go / shardkey.go), executing through
 // per-connection prepared handles.
 
 package client

@@ -6,9 +6,10 @@
 // engine's own operators (internal/plan) — ordered merge, aggregate
 // with SUM-of-COUNTs / AVG recomposition, re-applied HAVING, sort,
 // DISTINCT, LIMIT. Statements the gateway cannot finalize exactly
-// (declassify, engine-resident functions, subqueries, joins, views)
-// are never split; they fall back to the bounded-concurrency union of
-// the per-shard streams.
+// (engine-resident functions, subqueries, joins, views) are never
+// split: with nothing to merge they take the bounded-concurrency union
+// of the per-shard streams, and with an ORDER BY, LIMIT, OFFSET,
+// DISTINCT or aggregate they are refused with ErrUnmergeable.
 //
 // Every shard stream opens through the Router's one read loop
 // (router.go: read, targeted at the shard's group), so a fan-out keeps
@@ -39,12 +40,17 @@ type splitKey struct {
 }
 
 type splitEntry struct {
-	sp *distplan.Spec // nil = analyzed and not splittable
+	sp  *distplan.Spec // nil = analyzed and not splittable
+	err error          // the refusal, when the answer needs a merge
 }
 
-// splitCache memoizes distplan.Split by statement text, negative
-// results included. Bounded like planCache: past the cap an arbitrary
-// entry is evicted (re-splitting is a parse + render).
+// ErrUnmergeable is the error a keyless sharded read gets when its
+// answer needs a merge the gateway cannot do (see distplan).
+type ErrUnmergeable = distplan.ErrUnmergeable
+
+// splitCache memoizes distplan.Analyze by statement text, negative
+// results and refusals included. Bounded like planCache: past the cap
+// an arbitrary entry is evicted (re-splitting is a parse + render).
 var (
 	splitMu    sync.Mutex
 	splitCache = make(map[splitKey]*splitEntry)
@@ -52,15 +58,15 @@ var (
 
 const splitCacheCap = 512
 
-func splitFor(text string, noPartial bool) *distplan.Spec {
+func splitFor(text string, noPartial bool) (*distplan.Spec, error) {
 	k := splitKey{text: text, noPartial: noPartial}
 	splitMu.Lock()
 	if e, ok := splitCache[k]; ok {
 		splitMu.Unlock()
-		return e.sp
+		return e.sp, e.err
 	}
 	splitMu.Unlock()
-	sp := distplan.Split(text, distplan.Options{NoPartial: noPartial})
+	sp, err := distplan.Analyze(text, distplan.Options{NoPartial: noPartial})
 	splitMu.Lock()
 	if len(splitCache) >= splitCacheCap {
 		for kk := range splitCache {
@@ -68,23 +74,24 @@ func splitFor(text string, noPartial bool) *distplan.Spec {
 			break
 		}
 	}
-	splitCache[k] = &splitEntry{sp: sp}
+	splitCache[k] = &splitEntry{sp: sp, err: err}
 	splitMu.Unlock()
-	return sp
+	return sp, err
 }
 
 // splitSpec returns the scatter decomposition of a keyless sharded
-// read, or nil for the union fallback. Beyond distplan's own refusals
-// the Router only splits scans of base tables in the shard map's key
-// table: a view is not in it, so view-backed reads — in particular
-// declassifying views, whose label stripping must not be re-derived
-// by gateway arithmetic — always take the unsplit fan-out.
-func (r *Router) splitSpec(text string, m *ShardMap) *distplan.Spec {
-	sp := splitFor(text, r.cfg.DisableAggPushdown)
-	if sp == nil || m == nil || m.KeyColumn(sp.Table) == "" {
-		return nil
+// read; nil and no error means the union of the shards' streams is the
+// answer. Beyond distplan's own refusals the Router only splits scans
+// of base tables in the shard map's key table: a view is not in it, so
+// a view-backed read — a declassifying view in particular, whose label
+// stripping must not be re-derived by gateway arithmetic — that needs
+// a merge is refused.
+func (r *Router) splitSpec(text string, m *ShardMap) (*distplan.Spec, error) {
+	sp, err := splitFor(text, r.cfg.DisableAggPushdown)
+	if sp != nil && m.KeyColumn(sp.Table) == "" {
+		return nil, &ErrUnmergeable{Reason: sp.Table + " is a view or a table outside the shard map"}
 	}
-	return sp
+	return sp, err
 }
 
 // streamRows adapts a distplan stream to the client Rows interface.
@@ -125,15 +132,20 @@ func (r *Router) scatterConfig(ctx context.Context, frag routedStmt, m *ShardMap
 
 // scatterRows serves a keyless sharded streaming read. Split
 // statements run their fragment on every shard and merge through the
-// distplan gateway; everything else concatenates the per-shard
-// streams in shard order with the same bounded in-flight window.
+// distplan gateway; a statement with nothing to merge concatenates the
+// per-shard streams in shard order with the same bounded in-flight
+// window.
 func (r *Router) scatterRows(ctx context.Context, rs routedStmt, params []Value) (Rows, error) {
 	m := r.shardMap()
 	mFanoutWidth.Observe(int64(len(m.Shards)))
 	if rows, done, err := r.scatterExplain(ctx, rs, m, params); done {
 		return rows, err
 	}
-	if sp := r.splitSpec(rs.sqlText, m); sp != nil {
+	sp, err := r.splitSpec(rs.sqlText, m)
+	if err != nil {
+		return nil, err
+	}
+	if sp != nil {
 		frag := routedStmt{sqlText: sp.Fragment, plan: planFor(sp.Fragment), prepared: rs.prepared, toks: rs.toks}
 		st, err := sp.Gateway(r.scatterConfig(ctx, frag, m, params))
 		if err != nil {
@@ -156,8 +168,9 @@ func (r *Router) scatterRows(ctx context.Context, rs routedStmt, params []Value)
 // scatterExplain synthesizes the distributed plan for a keyless
 // EXPLAIN over a splittable SELECT: the gateway merge recipe, then
 // shard 0's plan for the fragment indented beneath it. done=false
-// means the statement is not such an EXPLAIN and the caller falls
-// through to the ordinary fan-out (per-shard plans concatenated).
+// means the statement is not such an EXPLAIN — an unmergeable SELECT
+// included — and the caller falls through to the ordinary fan-out
+// (per-shard plans concatenated).
 func (r *Router) scatterExplain(ctx context.Context, rs routedStmt, m *ShardMap, params []Value) (Rows, bool, error) {
 	if !rs.plan.explain {
 		return nil, false, nil
@@ -178,7 +191,7 @@ func (r *Router) scatterExplain(ctx context.Context, rs routedStmt, m *ShardMap,
 	if err != nil {
 		return nil, false, nil
 	}
-	sp := r.splitSpec(text, m)
+	sp, _ := r.splitSpec(text, m)
 	if sp == nil {
 		return nil, false, nil
 	}

@@ -1,7 +1,9 @@
 // Command ifdb-bench regenerates the tables and figures of the IFDB
 // paper's evaluation (§8) on this machine, printing paper-style rows,
-// and runs the deterministic sim-backed experiments that track this
-// repo's own perf trajectory across PRs.
+// and runs the sim-backed cluster experiments: the replication and
+// sharding scale-out numbers nothing else measures. It keeps no report
+// file and compares no runs; the measurement of record, with its
+// comparator and bounds, is the benchmark/ module (benchmark/README.md).
 //
 // Usage:
 //
@@ -14,24 +16,18 @@
 //	ifdb-bench -exp trustedbase  # §6.3: trusted-base accounting
 //	ifdb-bench -exp replica-read # read scale-out through the Router
 //	ifdb-bench -exp shard-write  # write scale-out across sharded primaries
-//	ifdb-bench -exp prepared     # prepared-vs-reparsed statement throughput
 //	ifdb-bench -exp mixed-tenant # labeled tenant cohorts on one sharded cluster
-//	ifdb-bench -exp scatter-agg  # partial-aggregate pushdown vs ship-all-rows
-//	ifdb-bench -all          # everything (EXPERIMENTS.md source)
+//	ifdb-bench -all          # everything
 //
-// The four sim-backed experiments (prepared, replica-read,
-// shard-write, mixed-tenant) consume deterministic schedules from
-// internal/sim: -seed pins every random choice, -arrival/-rate pick
-// the arrival process (closed loop, open-loop Poisson, bursty), and
-// -record/-replay round-trip the schedules through JSONL traces so
-// the exact operation sequence of one run replays byte-identically
-// against any topology. They compose with the report machinery:
+// The three sim-backed experiments (replica-read, shard-write,
+// mixed-tenant) consume deterministic schedules from internal/sim:
+// -seed pins every random choice, -arrival/-rate pick the arrival
+// process (closed loop, open-loop Poisson, bursty), and -record/-replay
+// round-trip the schedules through JSONL traces so the exact operation
+// sequence of one run replays against any topology:
 //
-//	ifdb-bench -exp prepared,replica-read,shard-write,mixed-tenant \
-//	    -json BENCH_7.json -overhead   # schema-versioned perf report
-//	ifdb-bench -seed 7 -record traces -exp prepared  # record the schedule
-//	ifdb-bench -replay traces -exp prepared          # replay it exactly
-//	ifdb-bench -diff BENCH_6.json BENCH_7.json       # perf-trajectory diff
+//	ifdb-bench -seed 7 -record traces -exp shard-write  # record the schedule
+//	ifdb-bench -replay traces -exp shard-write          # replay it exactly
 //
 // replica-read goes beyond the paper: it stands up an in-process
 // cluster (one durable primary, -replicas read replicas fed by WAL
@@ -54,12 +50,12 @@
 // cohorts with distinct statement mixes share one sharded cluster,
 // each behind a Router whose pooled connections carry the cohort's
 // secrecy tag, so writes are stamped per-tenant and Query by Label
-// confines reads while the report tracks per-cohort throughput and
-// tail latency.
+// confines reads; each cohort's throughput and tail latency print on
+// their own row.
 //
 // Absolute numbers differ from the paper's 2013 testbed; the shapes —
 // who wins, by roughly what factor, where the slope lies — are the
-// reproduction targets (see EXPERIMENTS.md).
+// reproduction targets.
 package main
 
 import (
@@ -80,8 +76,7 @@ import (
 
 var (
 	figFlag      = flag.Int("fig", 0, "figure to regenerate (3, 4, 5, 6)")
-	expFlag      = flag.String("exp", "", "comma-separated experiments: sensor, space, trustedbase, replica-read, shard-write, prepared, mixed-tenant, scatter-agg")
-	jsonFlag     = flag.String("json", "", "write a schema-versioned perf report covering the sim experiments to this file (e.g. BENCH_7.json)")
+	expFlag      = flag.String("exp", "", "comma-separated experiments: sensor, space, trustedbase, replica-read, shard-write, mixed-tenant")
 	allFlag      = flag.Bool("all", false, "run everything")
 	durFlag      = flag.Duration("duration", 3*time.Second, "measurement duration per cell")
 	workersFlag  = flag.Int("workers", 8, "concurrent clients for throughput runs")
@@ -90,48 +85,41 @@ var (
 	replicasFlag = flag.Int("replicas", 2, "read replicas for -exp replica-read")
 	shardsFlag   = flag.Int("shards", 2, "shard primaries for -exp shard-write / mixed-tenant")
 
-	seedFlag      = flag.Int64("seed", 42, "sim workload seed: same seed, same schedule")
-	arrivalFlag   = flag.String("arrival", "closed", "sim arrival process: closed, poisson, bursty")
-	rateFlag      = flag.Float64("rate", 2000, "open-loop arrival rate in ops/sec (poisson, bursty)")
-	tenantsFlag   = flag.Int("tenants", 3, "tenant cohorts for -exp mixed-tenant")
-	recordFlag    = flag.String("record", "", "record each sim experiment's schedule to <dir>/<exp>.trace")
-	replayFlag    = flag.String("replay", "", "replay sim schedules from <dir>/<exp>.trace instead of generating")
-	diffFlag      = flag.Bool("diff", false, "diff two perf reports: ifdb-bench -diff [-diff-threshold pct] old.json new.json")
-	diffThreshold = flag.Float64("diff-threshold", 10, "regression threshold in percent for -diff")
-	overheadFlag  = flag.Bool("overhead", false, "measure metrics-registry on/off overhead during -exp prepared")
+	seedFlag    = flag.Int64("seed", 42, "sim workload seed: same seed, same schedule")
+	arrivalFlag = flag.String("arrival", "closed", "sim arrival process: closed, poisson, bursty")
+	rateFlag    = flag.Float64("rate", 2000, "open-loop arrival rate in ops/sec (poisson, bursty)")
+	tenantsFlag = flag.Int("tenants", 3, "tenant cohorts for -exp mixed-tenant")
+	recordFlag  = flag.String("record", "", "record each sim experiment's schedule to <dir>/<exp>.trace")
+	replayFlag  = flag.String("replay", "", "replay sim schedules from <dir>/<exp>.trace instead of generating")
 )
 
-// simExperiments are the schedule-driven experiments (the ones -seed,
-// -arrival, -record/-replay, and -json apply to).
-var simExperiments = map[string]bool{
-	"prepared": true, "replica-read": true, "shard-write": true, "mixed-tenant": true,
+// experiments are the -exp names, in the order -all runs them.
+var experiments = []struct {
+	name string
+	run  func()
+}{
+	{"sensor", expSensor},
+	{"space", expSpace},
+	{"trustedbase", expTrustedBase},
+	{"replica-read", expReplicaRead},
+	{"shard-write", expShardWrite},
+	{"mixed-tenant", expMixedTenant},
 }
 
 func main() {
 	flag.Parse()
-	if *diffFlag {
-		runDiff(flag.Args())
-		return
-	}
 	exps := map[string]bool{}
+	for _, e := range experiments {
+		exps[e.name] = false
+	}
 	for _, name := range strings.Split(*expFlag, ",") {
 		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		switch name {
-		case "sensor", "space", "trustedbase", "scatter-agg":
-		default:
-			if !simExperiments[name] {
-				fmt.Fprintf(os.Stderr, "ifdb-bench: unknown experiment %q\n", name)
-				os.Exit(2)
-			}
+		if _, ok := exps[name]; !ok && name != "" {
+			fmt.Fprintf(os.Stderr, "ifdb-bench: unknown experiment %q\n", name)
+			os.Exit(2)
 		}
 		exps[name] = true
 	}
-	want := func(name string) bool { return *allFlag || exps[name] }
-
-	benchReportInit()
 	ran := false
 	if *allFlag || *figFlag == 3 {
 		fig3()
@@ -149,43 +137,16 @@ func main() {
 		fig6()
 		ran = true
 	}
-	if want("sensor") {
-		expSensor()
-		ran = true
-	}
-	if want("space") {
-		expSpace()
-		ran = true
-	}
-	if want("trustedbase") {
-		expTrustedBase()
-		ran = true
-	}
-	if want("replica-read") {
-		expReplicaRead()
-		ran = true
-	}
-	if want("prepared") {
-		expPrepared()
-		ran = true
-	}
-	if want("shard-write") {
-		expShardWrite()
-		ran = true
-	}
-	if want("mixed-tenant") {
-		expMixedTenant()
-		ran = true
-	}
-	if want("scatter-agg") {
-		expScatterAgg()
-		ran = true
+	for _, e := range experiments {
+		if *allFlag || exps[e.name] {
+			e.run()
+			ran = true
+		}
 	}
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
 	}
-	benchReportFinish()
 }
 
 func check(err error) {

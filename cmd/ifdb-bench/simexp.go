@@ -1,81 +1,29 @@
-// Sim-backed experiments. prepared, replica-read, shard-write, and
-// mixed-tenant all consume deterministic schedules from internal/sim:
-// two runs under the same -seed execute the same operations in the
-// same order, which is what lets a perf delta between two reports be
-// read as a code change rather than dice. -record/-replay round-trip
-// the schedules through JSONL traces (one file per experiment), -json
-// accumulates every sim experiment into one schema-versioned
-// report.Report, and -diff compares two such reports (the legacy
-// BENCH_6.json shape included) metric by metric.
+// Sim-backed experiments. replica-read, shard-write and mixed-tenant
+// consume deterministic schedules from internal/sim: two runs under the
+// same -seed execute the same operations in the same order, and
+// -record/-replay round-trip the schedules through JSONL traces (one
+// file per experiment), so one recorded trace replays against any
+// topology.
 
 package main
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"ifdb"
 	"ifdb/client"
-	"ifdb/internal/bench/report"
 	"ifdb/internal/catalog"
-	"ifdb/internal/obs"
 	"ifdb/internal/repl"
 	"ifdb/internal/sim"
 	"ifdb/internal/types"
 	"ifdb/internal/wire"
 )
-
-// ---------------------------------------------------------------------------
-// Report accumulation (-json)
-
-var (
-	benchRep   *report.Report
-	benchSnap0 obs.Snapshot
-)
-
-// benchReportInit arms report accumulation: the registry snapshot
-// taken here makes the final report's Registry section a delta scoped
-// to this run, not process-lifetime totals.
-func benchReportInit() {
-	if *jsonFlag == "" {
-		return
-	}
-	benchSnap0 = obs.Default.Snapshot()
-	benchRep = &report.Report{
-		Schema:    report.Schema,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		Duration:  durFlag.String(),
-		Workers:   *workersFlag,
-		Seed:      *seedFlag,
-	}
-}
-
-func benchReportAdd(e report.Experiment) {
-	if benchRep != nil {
-		benchRep.Experiments = append(benchRep.Experiments, e)
-	}
-}
-
-func benchReportFinish() {
-	if benchRep == nil {
-		return
-	}
-	if len(benchRep.Experiments) == 0 {
-		fmt.Fprintln(os.Stderr, "ifdb-bench: -json set but no sim experiment ran; nothing to write")
-		return
-	}
-	delta := obs.Default.Snapshot().Sub(benchSnap0)
-	benchRep.Registry = &delta
-	check(benchRep.Save(*jsonFlag))
-	fmt.Printf("wrote %s\n\n", *jsonFlag)
-}
 
 // ---------------------------------------------------------------------------
 // Schedule plumbing (-seed/-arrival/-rate/-record/-replay)
@@ -145,48 +93,19 @@ func describeSched(s *sim.Schedule) string {
 		s.W.Arrival, s.W.Rate, s.W.Duration, len(s.Ops), s.W.Workers, s.W.Seed)
 }
 
-// ---------------------------------------------------------------------------
-// Stats → report groups
-
-// mergeCohorts flattens a run's per-cohort stats into one aggregate
-// (for experiments whose comparison unit is the mode, not the cohort).
-func mergeCohorts(st *sim.Stats) *sim.CohortStats {
-	out := &sim.CohortStats{}
-	for _, cs := range st.Cohorts {
-		out.Ops += cs.Ops
-		out.Failures += cs.Failures
-		out.LatenciesUs = append(out.LatenciesUs, cs.LatenciesUs...)
-	}
-	sort.Slice(out.LatenciesUs, func(i, j int) bool { return out.LatenciesUs[i] < out.LatenciesUs[j] })
-	return out
-}
-
-func groupFrom(label string, cs *sim.CohortStats, elapsed time.Duration) report.Group {
-	ok := int64(len(cs.LatenciesUs))
-	g := report.Group{
-		Label:    label,
-		Ops:      ok,
-		Failures: cs.Failures,
-		P50Us:    float64(cs.Percentile(0.50)),
-		P99Us:    float64(cs.Percentile(0.99)),
-		P999Us:   float64(cs.Percentile(0.999)),
-	}
+// printGroup prints one group's throughput over the run and the latency
+// percentiles of its successful statements, and returns the throughput.
+func printGroup(label string, cs *sim.CohortStats, elapsed time.Duration) float64 {
+	rate := 0.0
 	if secs := elapsed.Seconds(); secs > 0 {
-		g.StmtsPerSec = float64(ok) / secs
+		rate = float64(len(cs.LatenciesUs)) / secs
 	}
-	return g
-}
-
-func printGroup(g report.Group) {
-	fmt.Printf("%-28s %9.0f stmts/s", g.Label, g.StmtsPerSec)
-	if g.Parses > 0 || g.ParsesPerStmt > 0 {
-		fmt.Printf("   %8d parses (%.3f/stmt)", g.Parses, g.ParsesPerStmt)
-	}
-	fmt.Printf("   p50=%.0fµs p99=%.0fµs", g.P50Us, g.P99Us)
-	if g.Failures > 0 {
-		fmt.Printf("  (%d failures)", g.Failures)
+	fmt.Printf("%-28s %9.0f stmts/s   p50=%dµs p99=%dµs", label, rate, cs.Percentile(0.50), cs.Percentile(0.99))
+	if cs.Failures > 0 {
+		fmt.Printf("  (%d failures)", cs.Failures)
 	}
 	fmt.Println()
+	return rate
 }
 
 func vals(args []int64) []ifdb.Value {
@@ -198,242 +117,13 @@ func vals(args []int64) []ifdb.Value {
 }
 
 // ---------------------------------------------------------------------------
-// -exp prepared
-
-// expPrepared measures what wire-level prepared statements (API v2)
-// buy on a point-read schedule against one server, five ways:
-//
-//   - inline literals: every op rendered as a distinct SQL text
-//     (Op.InlineSQL) — the naive app pattern prepared statements exist
-//     to kill. Every call pays a full parse and poisons the parse
-//     cache with dead entries.
-//   - parameterized text: the canonical $1 text. The engine's parse
-//     cache absorbs the re-parse, but every call still ships the text
-//     and pays the cache lookup.
-//   - prepared handles: PREPARE once per worker connection, EXECUTE a
-//     handle + parameters. No parser, no cache lookup, minimal bytes.
-//   - router: text / router: prepared — the same pair through a
-//     single-node client.Router's pooled connections.
-//
-// All five modes execute the same sim schedule, so their numbers are
-// the execution style and nothing else. Engine parse counts are
-// printed per mode: "skips re-parsing" is a measured number.
-func expPrepared() {
-	fmt.Println("== prepared: prepared-vs-reparsed statement throughput ==")
-	const seedRows = 1000
-	sched := scheduleFor("prepared", simWorkload("kv", seedRows,
-		[]sim.Cohort{{Name: "kv", Weight: 1, Mix: sim.StmtMix{PointRead: 1}}}))
-	fmt.Printf("(%s)\n", describeSched(sched))
-
-	cfg := ifdb.Config{}
-	if benchRep != nil {
-		// Durable engine when recording: the JSON report's registry
-		// section includes WAL fsync counts, which an in-memory engine
-		// never produces. The measured workload is read-only, so only
-		// the seeding pays.
-		dir, err := os.MkdirTemp("", "ifdb-bench-prep")
-		check(err)
-		defer os.RemoveAll(dir)
-		cfg = ifdb.Config{DataDir: dir}
-	}
-	db := ifdb.MustOpen(cfg)
-	defer db.Close()
-	admin := db.AdminSession()
-	check(errOf(admin.Exec(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)`)))
-	for i := 0; i < seedRows; i++ {
-		check(errOf(admin.Exec(`INSERT INTO kv VALUES ($1, $2)`, ifdb.Int(int64(i)), ifdb.Int(int64(i)))))
-	}
-	srv := wire.NewServer(db.Engine(), "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	check(err)
-	go srv.Serve(ln)
-	defer srv.Close()
-	addr := ln.Addr().String()
-
-	exp := report.Experiment{Name: "prepared", Arrival: sched.W.Arrival, Rate: sched.W.Rate}
-	runMode := func(label string, exec sim.Exec, cleanup func()) {
-		parse0 := db.Engine().ParseCount()
-		st, err := sim.Run(sched, simRunOpts(sched), exec)
-		check(err)
-		if cleanup != nil {
-			cleanup()
-		}
-		g := groupFrom(label, mergeCohorts(st), st.Elapsed)
-		g.Parses = int64(db.Engine().ParseCount() - parse0)
-		if g.Ops > 0 {
-			g.ParsesPerStmt = float64(g.Parses) / float64(g.Ops)
-		}
-		exp.Groups = append(exp.Groups, g)
-		printGroup(g)
-	}
-	dialN := func() []*client.Conn {
-		conns := make([]*client.Conn, sched.W.Workers)
-		for i := range conns {
-			c, err := client.Dial(addr, "", 0)
-			check(err)
-			conns[i] = c
-		}
-		return conns
-	}
-	closeAll := func(conns []*client.Conn) func() {
-		return func() {
-			for _, c := range conns {
-				c.Close()
-			}
-		}
-	}
-
-	fmt.Println("-- single node (one Conn per worker) --")
-	{
-		conns := dialN()
-		runMode("inline literals (re-parse)", func(op *sim.Op, lap int) error {
-			_, err := conns[op.Worker].Exec(op.InlineSQL(lap))
-			return err
-		}, closeAll(conns))
-	}
-	{
-		conns := dialN()
-		runMode("parameterized text", func(op *sim.Op, lap int) error {
-			_, err := conns[op.Worker].Exec(op.SQL, vals(op.LapArgs(lap))...)
-			return err
-		}, closeAll(conns))
-	}
-	{
-		conns := dialN()
-		// Per-worker handle caches: each worker is single-threaded, so
-		// its map needs no lock.
-		stmts := make([]map[string]*client.Stmt, len(conns))
-		for i := range stmts {
-			stmts[i] = map[string]*client.Stmt{}
-		}
-		runMode("prepared handles", func(op *sim.Op, lap int) error {
-			st := stmts[op.Worker][op.SQL]
-			if st == nil {
-				var err error
-				st, err = conns[op.Worker].Prepare(op.SQL)
-				if err != nil {
-					return err
-				}
-				stmts[op.Worker][op.SQL] = st
-			}
-			_, err := st.Exec(vals(op.LapArgs(lap))...)
-			return err
-		}, closeAll(conns))
-	}
-
-	fmt.Println("-- through client.Router (pooled conns, shared) --")
-	router, err := client.OpenRouter(client.RouterConfig{Addrs: []string{addr}, PoolSize: sched.W.Workers})
-	check(err)
-	defer router.Close()
-	runMode("router: text", func(op *sim.Op, lap int) error {
-		_, err := router.Exec(op.SQL, vals(op.LapArgs(lap))...)
-		return err
-	}, nil)
-	var rmu sync.Mutex
-	rstmts := map[string]*client.RouterStmt{}
-	runMode("router: prepared", func(op *sim.Op, lap int) error {
-		rmu.Lock()
-		st := rstmts[op.SQL]
-		if st == nil {
-			var err error
-			st, err = router.Prepare(op.SQL)
-			if err != nil {
-				rmu.Unlock()
-				return err
-			}
-			rstmts[op.SQL] = st
-		}
-		rmu.Unlock()
-		_, err := st.Exec(vals(op.LapArgs(lap))...)
-		return err
-	}, nil)
-	fmt.Println("(parses = engine-side sql.ParseAll invocations during the run;")
-	fmt.Println(" prepared executions ship a statement handle, not text — see BENCH.md)")
-	fmt.Println()
-
-	if *overheadFlag {
-		runOverhead(addr, seedRows)
-	}
-	benchReportAdd(exp)
-}
-
-// runOverhead is the metrics-registry A/B behind -overhead: the
-// prepared-handles mode re-run with the registry disabled and enabled
-// in alternating rounds. The true cost under measurement — one branch
-// on a disabled flag versus a dozen uncontended atomic adds per
-// statement — is far below scheduler noise, so this leans on precision
-// rather than load: a single worker, fixed op counts per round, many
-// finely interleaved rounds with the off/on order alternating (so
-// monotonic host drift cancels), and the median of per-round ratios as
-// the reported number.
-func runOverhead(addr string, seedRows int) {
-	fmt.Println("-- registry overhead (prepared handles, metrics off vs on) --")
-	c, err := client.Dial(addr, "", 0)
-	check(err)
-	defer c.Close()
-	st, err := c.Prepare(`SELECT v FROM kv WHERE k = $1`)
-	check(err)
-	rng := rand.New(rand.NewSource(99))
-	timed := func(n int) float64 {
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := st.Exec(ifdb.Int(int64(rng.Intn(seedRows)))); err != nil {
-				check(err)
-			}
-		}
-		return float64(n) / time.Since(t0).Seconds()
-	}
-	warmRate := timed(2000) // warm-up doubles as batch-size calibration
-	batch := int(warmRate * 0.005)
-	if batch < 200 {
-		batch = 200
-	}
-	const pairs = 150
-	var ratios []float64
-	var offSecs, onSecs float64
-	for p := 0; p < pairs; p++ {
-		var offR, onR float64
-		if p%2 == 0 {
-			obs.SetEnabled(false)
-			offR = timed(batch)
-			obs.SetEnabled(true)
-			onR = timed(batch)
-		} else {
-			obs.SetEnabled(true)
-			onR = timed(batch)
-			obs.SetEnabled(false)
-			offR = timed(batch)
-		}
-		offSecs += float64(batch) / offR
-		onSecs += float64(batch) / onR
-		ratios = append(ratios, onR/offR)
-	}
-	obs.SetEnabled(true)
-	sortFloats(ratios)
-	medOff := float64(pairs*batch) / offSecs
-	medOn := float64(pairs*batch) / onSecs
-	regress := 100 * (1 - ratios[pairs/2])
-	fmt.Printf("metrics off %9.0f stmts/s   metrics on %9.0f stmts/s   regression %.2f%% (median of %d paired ratios)\n\n",
-		medOff, medOn, regress, pairs)
-	if benchRep != nil {
-		benchRep.RegistryOverhead = &report.Overhead{
-			Pairs:             pairs,
-			DisabledStmtsRate: medOff,
-			EnabledStmtsRate:  medOn,
-			RegressionPct:     regress,
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // -exp replica-read
 
 // expReplicaRead measures read scale-out through the routing client:
 // a durable primary plus -replicas WAL-shipped read replicas, all
 // behind real sockets, driven with a 90/10 read/write sim schedule
-// (cohorts "reads" and "writes", so the report carries the two
-// statement classes separately). The baseline is the identical
-// schedule against the primary alone.
+// (cohorts "reads" and "writes", printed as two statement classes).
+// The baseline is the identical schedule against the primary alone.
 func expReplicaRead() {
 	fmt.Println("== replica-read: read scale-out through client.Router ==")
 	fmt.Printf("(in-process cluster on GOMAXPROCS=%d; replicas only pay off once\n", runtime.GOMAXPROCS(0))
@@ -490,7 +180,6 @@ func expReplicaRead() {
 		addrs = append(addrs, ln.Addr().String())
 	}
 
-	exp := report.Experiment{Name: "replica-read", Arrival: sched.W.Arrival, Rate: sched.W.Rate}
 	runTopo := func(label string, addrs []string, stale bool) {
 		router, err := client.OpenRouter(client.RouterConfig{
 			Addrs: addrs, AllowStaleReads: stale, PoolSize: sched.W.Workers,
@@ -503,15 +192,12 @@ func expReplicaRead() {
 		})
 		check(err)
 		for _, c := range sched.W.Cohorts {
-			g := groupFrom(label+"/"+c.Name, st.Cohorts[c.Name], st.Elapsed)
-			exp.Groups = append(exp.Groups, g)
-			printGroup(g)
+			printGroup(label+"/"+c.Name, st.Cohorts[c.Name], st.Elapsed)
 		}
 	}
 	runTopo("primary", addrs[:1], false)
 	runTopo("ryw", addrs, false)
 	runTopo("stale", addrs, true)
-	benchReportAdd(exp)
 	fmt.Println("(RYW = read-your-writes tokens: each read waits out the")
 	fmt.Println(" replication lag of the router's last write; stale drops that.)")
 	fmt.Println()
@@ -591,7 +277,6 @@ func expShardWrite() {
 		[]sim.Cohort{{Name: "ingest", Weight: 1, Mix: sim.StmtMix{Insert: 1}}}))
 	fmt.Printf("(%s)\n", describeSched(sched))
 
-	exp := report.Experiment{Name: "shard-write", Arrival: sched.W.Arrival, Rate: sched.W.Rate, Notes: map[string]float64{}}
 	run := func(label string, nShards int, detail bool) float64 {
 		shards, smap, addrs := startShards(nShards, false)
 		defer stopShards(shards)
@@ -608,9 +293,7 @@ func expShardWrite() {
 			return err
 		})
 		check(err)
-		g := groupFrom(label, mergeCohorts(st), st.Elapsed)
-		exp.Groups = append(exp.Groups, g)
-		printGroup(g)
+		rate := printGroup(label, st.Cohorts["ingest"], st.Elapsed)
 		if detail {
 			// The tangible half of the demonstration: the keyspace
 			// really partitioned (every row passed its shard's
@@ -620,18 +303,16 @@ func expShardWrite() {
 				check(err)
 				var rows int64
 				check(client.ScanValue(res.Rows[0][0], &rows))
-				exp.Notes[fmt.Sprintf("shard%d_rows", i)] = float64(rows)
 				fmt.Printf("  shard %d holds %d rows\n", i, rows)
 			}
 		}
-		return g.StmtsPerSec
+		return rate
 	}
 	base := run("1 shard", 1, false)
 	scaled := run(fmt.Sprintf("%d shards", *shardsFlag), *shardsFlag, true)
 	if base > 0 {
 		fmt.Printf("aggregate scaling: x%.2f\n", scaled/base)
 	}
-	benchReportAdd(exp)
 	fmt.Println("(insert-only schedule routed by hashed key; each shard is its own")
 	fmt.Println(" epoch-fenced replication group, so adding shard primaries scales the")
 	fmt.Println(" write path the way adding replicas scales reads — per machine, once")
@@ -756,58 +437,14 @@ func expMixedTenant() {
 	})
 	check(err)
 
-	exp := report.Experiment{Name: "mixed-tenant", Arrival: sched.W.Arrival, Rate: sched.W.Rate, Notes: map[string]float64{}}
 	for _, c := range cohorts {
-		g := groupFrom(c.Name, st.Cohorts[c.Name], st.Elapsed)
-		exp.Groups = append(exp.Groups, g)
-		printGroup(g)
+		printGroup(c.Name, st.Cohorts[c.Name], st.Elapsed)
 	}
 	for i := range shards {
-		t := shards[i].db.Engine().Stats().Tuples
-		exp.Notes[fmt.Sprintf("shard%d_tuples", i)] = float64(t)
-		fmt.Printf("  shard %d holds %d tuples\n", i, t)
+		fmt.Printf("  shard %d holds %d tuples\n", i, shards[i].db.Engine().Stats().Tuples)
 	}
-	benchReportAdd(exp)
 	fmt.Println("(each tenant's rows carry its tag: writes are stamped with the")
-	fmt.Println(" cohort label, reads are confined by Query by Label, and the per-")
-	fmt.Println(" shard routing counters in the report's registry section show the")
-	fmt.Println(" fan-out. See the root simworkload e2e test for the isolation proof.)")
+	fmt.Println(" cohort label and reads are confined by Query by Label. See the")
+	fmt.Println(" root simworkload e2e test for the isolation proof.)")
 	fmt.Println()
-}
-
-// ---------------------------------------------------------------------------
-// -diff mode
-
-// runDiff loads two BENCH_*.json reports (legacy BENCH_6 shape
-// included) and prints every comparable metric's movement, marking
-// those past -diff-threshold in the bad direction as regressions.
-// Positive change is always worse (throughput drop, latency rise);
-// the exit status stays 0 either way — short benchmark runs are noisy,
-// so the verdict is for a human (or a grep for REGRESSION) to act on.
-func runDiff(paths []string) {
-	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: ifdb-bench -diff [-diff-threshold pct] old.json new.json")
-		os.Exit(2)
-	}
-	prev, err := report.Load(paths[0])
-	check(err)
-	cur, err := report.Load(paths[1])
-	check(err)
-	deltas := report.Diff(prev, cur, *diffThreshold)
-	fmt.Printf("== diff: %s (schema %d) → %s (schema %d), threshold %.1f%% ==\n",
-		paths[0], prev.Schema, paths[1], cur.Schema, *diffThreshold)
-	if len(deltas) == 0 {
-		fmt.Println("no comparable metrics (no shared experiment/group pairs)")
-		return
-	}
-	fmt.Printf("%-52s %14s %14s %9s\n", "metric", "old", "new", "worse%")
-	for _, d := range deltas {
-		mark := ""
-		if d.Regression {
-			mark = "  REGRESSION"
-		}
-		fmt.Printf("%-52s %14.1f %14.1f %+8.1f%%%s\n", d.Metric, d.Old, d.New, d.Pct, mark)
-	}
-	regs := report.Regressions(deltas)
-	fmt.Printf("%d regressions past %.1f%% (of %d compared metrics)\n", len(regs), *diffThreshold, len(deltas))
 }

@@ -86,28 +86,41 @@ func render(rows []feedRow) string {
 // ---------------------------------------------------------------------------
 // Split decisions
 
+// TestSplitRefusals: the statements Split does not split, and which of
+// them Analyze refuses — those whose answer needs a merge — rather
+// than leaving to the shards' concatenated answers.
 func TestSplitRefusals(t *testing.T) {
-	cases := []string{
-		"INSERT INTO t (a) VALUES (1)",
-		"SELECT a FROM t JOIN u ON t.a = u.a",
-		"SELECT a FROM (SELECT a FROM t) AS d",
-		"SELECT a FROM t WHERE a IN (SELECT b FROM u)",
-		"SELECT a FROM t FOR UPDATE",
-		"SELECT a FROM t",                                                        // nothing to merge
-		"SELECT *, count(*) FROM t GROUP BY a",                                   // star needs rep-row expansion
-		"SELECT a, count(*) FROM t GROUP BY g",                                   // rep-row column reference
-		"SELECT now(), count(*) FROM t",                                          // engine-resident function in glue
-		"SELECT declassify(a, 't'), count(*) FROM t GROUP BY declassify(a, 't')", // never split declassify
-		"SELECT count(*) FROM t LIMIT count(*)",
-		"SELECT a FROM t ORDER BY count(*)",
-		"SELECT a FROM t ORDER BY 2",              // a position outside the list: the engine's error to word
-		"SELECT a, count(*) FROM t GROUP BY 3",    // likewise
-		"SELECT * FROM t ORDER BY 2",              // only a shard can count to a position under a star
-		"SELECT a, count(*) FROM t GROUP BY 1, 0", // position 0
+	cases := []struct {
+		src     string
+		refused bool
+	}{
+		{"INSERT INTO t (a) VALUES (1)", false},
+		{"SELECT a FROM t JOIN u ON t.a = u.a", false},
+		{"SELECT a FROM t JOIN u ON t.a = u.a ORDER BY a", true},
+		{"SELECT a FROM (SELECT a FROM t) AS d", false},
+		{"SELECT DISTINCT a FROM (SELECT a FROM t) AS d", true},
+		{"SELECT a FROM t WHERE a IN (SELECT b FROM u)", false},
+		{"SELECT a FROM t FOR UPDATE", false},
+		{"SELECT a FROM t", false},                                                       // nothing to merge
+		{"SELECT *, count(*) FROM t GROUP BY a", true},                                   // star needs rep-row expansion
+		{"SELECT a, count(*) FROM t GROUP BY g", true},                                   // rep-row column reference
+		{"SELECT now(), count(*) FROM t", true},                                          // engine-resident function in glue
+		{"SELECT declassify(a, 't'), count(*) FROM t GROUP BY declassify(a, 't')", true}, // never split declassify
+		{"SELECT count(*) FROM t LIMIT count(*)", true},
+		{"SELECT a FROM t ORDER BY count(*)", false},
+		{"SELECT a FROM t ORDER BY 2", false},              // a position outside the list: the engine's error to word
+		{"SELECT a, count(*) FROM t GROUP BY 3", false},    // likewise
+		{"SELECT * FROM t ORDER BY 2 LIMIT 2", true},       // only a shard can count to a position under a star
+		{"SELECT a, count(*) FROM t GROUP BY 1, 0", false}, // position 0
 	}
-	for _, src := range cases {
-		if sp := Split(src, Options{}); sp != nil {
-			t.Errorf("Split(%q) = %+v, want nil", src, sp)
+	for _, c := range cases {
+		if sp := Split(c.src, Options{}); sp != nil {
+			t.Errorf("Split(%q) = %+v, want nil", c.src, sp)
+		}
+		sp, err := Analyze(c.src, Options{})
+		var ue *ErrUnmergeable
+		if sp != nil || errors.As(err, &ue) != c.refused || (err != nil && ue == nil) {
+			t.Errorf("Analyze(%q) = %+v, %v; want refused=%v", c.src, sp, err, c.refused)
 		}
 	}
 }

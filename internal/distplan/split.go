@@ -18,8 +18,10 @@
 // for the same group, because the shards partition the rows. A
 // statement the gateway glue cannot reproduce exactly — declassify or
 // any other engine-resident function, a subquery, a join, rep-row
-// column references — is never split: Split returns nil and the caller
-// falls back to plain fan-out.
+// column references — is never split. Concatenating the shards'
+// answers is still right when the statement has nothing to merge;
+// when it has (ORDER BY, LIMIT, OFFSET, DISTINCT or aggregation),
+// Analyze refuses it with an *ErrUnmergeable.
 package distplan
 
 import (
@@ -45,7 +47,9 @@ const (
 	// ModeGatherAgg ships the matching rows (group keys + aggregate
 	// arguments) and aggregates fully at the gateway. It is the
 	// fallback for DISTINCT aggregates, where partials cannot compose,
-	// and the ship-all-rows baseline when pushdown is disabled.
+	// and every aggregate's mode when pushdown is disabled, which is how
+	// internal/suite's router-gather backend checks this path against
+	// the single node's answers.
 	ModeGatherAgg
 )
 
@@ -65,8 +69,22 @@ func (m Mode) String() string {
 type Options struct {
 	// NoPartial disables partial-aggregate pushdown: aggregated
 	// statements ship raw rows and aggregate at the gateway
-	// (ModeGatherAgg). Exists for the scatter-agg benchmark baseline.
+	// (ModeGatherAgg). It exists for internal/suite's router-gather
+	// backend, which runs every aggregate case through that mode.
 	NoPartial bool
+}
+
+// ErrUnmergeable refuses a keyless read whose answer needs a merge at
+// the gateway — a top-level ORDER BY, LIMIT, OFFSET, DISTINCT or
+// aggregation — that the gateway cannot do exactly. Concatenating the
+// shards' answers instead would be a wrong answer: a LIMIT n returns up
+// to n rows a shard, in shard order, and a count(*) one count a shard.
+type ErrUnmergeable struct {
+	Reason string // the clause that needs the merge, and what blocks it
+}
+
+func (e *ErrUnmergeable) Error() string {
+	return "distplan: the shards' answers need a merge the gateway cannot do: " + e.Reason
 }
 
 // aggSpec describes one aggregate call and its fragment column layout.
@@ -119,47 +137,89 @@ var gatewayFns = map[string]bool{
 	"coalesce": true, "label_contains": true, "label_size": true,
 }
 
-// Split parses one statement and, when it is a splittable single-table
-// SELECT, returns its shard/gateway decomposition. nil means "do not
-// split": the statement is not a SELECT, touches constructs the
-// gateway cannot finalize exactly, or simply has nothing to merge.
-// Split re-parses the text so the returned Spec shares no AST nodes
-// with any statement cache.
+// Split is Analyze without the refusal: the decomposition, or nil —
+// all that benchmark/ and the tests that check a split's shape ask.
 func Split(sqlText string, opts Options) *Spec {
+	sp, _ := Analyze(sqlText, opts)
+	return sp
+}
+
+// Analyze parses one statement and, when it is a splittable
+// single-table SELECT, returns its shard/gateway decomposition. It
+// returns nil and no error when concatenating the shards' answers is
+// right: the statement is not one SELECT, has nothing to merge, or is
+// one the engine rejects (its error to word). A SELECT that needs a
+// merge the gateway cannot do is refused with an *ErrUnmergeable.
+// Analyze re-parses the text so the returned Spec shares no AST nodes
+// with any statement cache.
+func Analyze(sqlText string, opts Options) (*Spec, error) {
 	stmts, err := sql.ParseAll(sqlText)
 	if err != nil || len(stmts) != 1 {
-		return nil
+		return nil, nil
 	}
 	sel, ok := stmts[0].(*sql.SelectStmt)
 	if !ok {
-		return nil
+		return nil, nil
 	}
-	return splitSelect(sel, opts)
+	agg := aggregated(sel)
+	var clause string
+	switch {
+	case agg:
+		clause = "aggregation"
+	case len(sel.OrderBy) > 0:
+		clause = "ORDER BY"
+	case sel.Limit != nil:
+		clause = "LIMIT"
+	case sel.Offset != nil:
+		clause = "OFFSET"
+	case sel.Distinct:
+		clause = "DISTINCT"
+	default:
+		return nil, nil // plain fan-out concatenation is already correct
+	}
+	sp, why := splitSelect(sel, agg, opts)
+	if sp == nil && why != "" {
+		return nil, &ErrUnmergeable{Reason: clause + " with " + why}
+	}
+	return sp, nil
 }
 
-func splitSelect(sel *sql.SelectStmt, opts Options) *Spec {
-	if sel.ForUpdate || sel.From == nil || sel.From.Sub != nil || len(sel.Joins) > 0 {
-		return nil
+func aggregated(sel *sql.SelectStmt) bool {
+	if len(sel.GroupBy) > 0 || exec.HasAggregate(sel.Having) {
+		return true
 	}
-	if unsafeToSplit(sel) {
-		return nil
+	for _, it := range sel.Items {
+		if !it.Star && exec.HasAggregate(it.Expr) {
+			return true
+		}
+	}
+	return false
+}
+
+// splitSelect, splitOrdered and splitAggregate return the split, or
+// nil and what keeps the gateway from merging; nil and "" leave the
+// statement to the shards, whose engine words its error.
+func splitSelect(sel *sql.SelectStmt, agg bool, opts Options) (*Spec, string) {
+	switch {
+	case sel.ForUpdate:
+		return nil, "FOR UPDATE"
+	case sel.From == nil:
+		return nil, "no FROM table"
+	case sel.From.Sub != nil:
+		return nil, "a FROM subquery"
+	case len(sel.Joins) > 0:
+		return nil, "a join"
+	case unsafeToSplit(sel):
+		return nil, "a subquery or an engine-resident function"
+	case !gatewayConst(sel.Limit) || !gatewayConst(sel.Offset):
+		return nil, "a LIMIT or OFFSET the gateway cannot evaluate"
 	}
 	for _, it := range sel.Items {
 		if !it.Star && it.Expr == nil {
-			return nil
+			return nil, ""
 		}
 	}
-	if !gatewayConst(sel.Limit) || !gatewayConst(sel.Offset) {
-		return nil
-	}
-
-	aggregated := len(sel.GroupBy) > 0 || exec.HasAggregate(sel.Having)
-	for _, it := range sel.Items {
-		if !it.Star && exec.HasAggregate(it.Expr) {
-			aggregated = true
-		}
-	}
-	if aggregated {
+	if agg {
 		return splitAggregate(sel, opts)
 	}
 	return splitOrdered(sel)
@@ -170,11 +230,7 @@ func splitSelect(sel *sql.SelectStmt, opts Options) *Spec {
 // own rows), possibly with hidden trailing sort-key columns so the
 // gateway can run the ordered merge; the gateway re-applies DISTINCT,
 // OFFSET, and LIMIT exactly.
-func splitOrdered(sel *sql.SelectStmt) *Spec {
-	if len(sel.OrderBy) == 0 && sel.Limit == nil && sel.Offset == nil && !sel.Distinct {
-		return nil // plain fan-out concatenation is already correct
-	}
-
+func splitOrdered(sel *sql.SelectStmt) (*Spec, string) {
 	// Map ORDER BY keys onto output ordinals where the engine's alias
 	// rules guarantee the item carries the key's value: an explicit
 	// alias match (last declaration wins, like the engine's alias
@@ -210,14 +266,15 @@ func splitOrdered(sel *sql.SelectStmt) *Spec {
 	var hiddenItems []sql.SelectItem
 	for _, ob := range sel.OrderBy {
 		if exec.HasAggregate(ob.Expr) {
-			return nil // ORDER BY count(*) without aggregation: let the engine reject it
+			return nil, "" // ORDER BY count(*) without aggregation: let the engine reject it
 		}
 		sp.desc = append(sp.desc, ob.Desc)
 		ord, err := plan.Position(ob.Expr, len(sel.Items), "ORDER BY")
-		if err != nil || (ord >= 0 && hasStar) {
-			// Out of range is the engine's error to word; under a star
-			// only a shard can count to the position.
-			return nil
+		switch {
+		case hasStar && (ord >= 0 || err != nil):
+			return nil, "a positional key under * (only a shard can count to it)"
+		case err != nil:
+			return nil, "" // out of range is the engine's error to word
 		}
 		if ord < 0 && !hasStar {
 			if cr, ok := ob.Expr.(*sql.ColumnRef); ok && cr.Table == "" {
@@ -238,7 +295,7 @@ func splitOrdered(sel *sql.SelectStmt) *Spec {
 			continue
 		}
 		if _, err := sql.FormatExpr(ob.Expr); err != nil {
-			return nil
+			return nil, unrenderable
 		}
 		h := len(hiddenItems)
 		hiddenItems = append(hiddenItems, sql.SelectItem{
@@ -277,21 +334,23 @@ func splitOrdered(sel *sql.SelectStmt) *Spec {
 
 	text, err := sql.FormatSelect(&frag)
 	if err != nil {
-		return nil
+		return nil, unrenderable
 	}
 	sp.Fragment = text
-	return sp
+	return sp, ""
 }
+
+const unrenderable = "an expression the fragment cannot render"
 
 // splitAggregate handles aggregated SELECTs. The output items, HAVING,
 // and ORDER BY must decompose into aggregate calls, GROUP BY
 // expressions, and gateway-computable scalar glue; otherwise (rep-row
 // column references, engine-resident functions such as declassify,
 // stars) the statement is not split.
-func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
+func splitAggregate(sel *sql.SelectStmt, opts Options) (*Spec, string) {
 	for _, it := range sel.Items {
 		if it.Star {
-			return nil // star under GROUP BY needs the engine's rep-row expansion
+			return nil, "* (the engine's rep-row expansion)"
 		}
 	}
 
@@ -302,7 +361,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	for k, ge := range sel.GroupBy {
 		ord, err := plan.Position(ge, len(sel.Items), "GROUP BY")
 		if err != nil {
-			return nil // the engine's error to word
+			return nil, "" // the engine's error to word
 		}
 		if ord >= 0 {
 			ge = sel.Items[ord].Expr
@@ -320,7 +379,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	for i, ob := range sel.OrderBy {
 		e := ob.Expr
 		if ord, err := plan.Position(e, len(sel.Items), "ORDER BY"); err != nil {
-			return nil
+			return nil, ""
 		} else if ord >= 0 {
 			e = sel.Items[ord].Expr
 		} else if cr, ok := e.(*sql.ColumnRef); ok && cr.Table == "" {
@@ -351,10 +410,10 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	for i, fc := range aggs {
 		if !fc.Star {
 			if len(fc.Args) != 1 {
-				return nil // engine rejects; keep its error text intact
+				return nil, "" // engine rejects; keep its error text intact
 			}
 			if _, err := sql.FormatExpr(fc.Args[0]); err != nil {
-				return nil
+				return nil, unrenderable
 			}
 		}
 		if fc.Distinct {
@@ -371,7 +430,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	for k, ge := range groupExprs {
 		txt, err := sql.FormatExpr(ge)
 		if err != nil {
-			return nil
+			return nil, unrenderable
 		}
 		if _, dup := groupTxt[txt]; !dup {
 			groupTxt[txt] = k
@@ -389,7 +448,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 		orderGlue[i] = rewriteGlue(oe, groupTxt, &ok)
 	}
 	if !ok {
-		return nil
+		return nil, "an output, HAVING or ORDER BY term the gateway cannot compute (a column outside GROUP BY, say)"
 	}
 
 	// Fragment projection: group columns first, then the aggregate
@@ -437,7 +496,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 	}
 	text, err := sql.FormatSelect(frag)
 	if err != nil {
-		return nil
+		return nil, unrenderable
 	}
 
 	return &Spec{
@@ -454,7 +513,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) *Spec {
 		orderDesc: orderDesc,
 		limit:     sel.Limit,
 		offset:    sel.Offset,
-	}
+	}, ""
 }
 
 // rewriteGlue rebuilds a glue expression for gateway evaluation:

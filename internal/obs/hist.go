@@ -27,9 +27,6 @@ type Histogram struct {
 
 // Observe records one value (nanoseconds for duration histograms).
 func (h *Histogram) Observe(v int64) {
-	if disabled.Load() {
-		return
-	}
 	if v < 0 {
 		v = 0
 	}

@@ -19,19 +19,6 @@ import (
 	"sync/atomic"
 )
 
-// disabled turns Counter.Add and Histogram.Observe into no-ops when
-// set. The bench harness uses it to measure the registry's own
-// overhead; everything else leaves it alone (enabled).
-var disabled atomic.Bool
-
-// SetEnabled toggles metric collection process-wide. Registration and
-// gauges are unaffected; only the hot-path mutators (counter adds,
-// histogram observations) become no-ops when disabled.
-func SetEnabled(v bool) { disabled.Store(!v) }
-
-// Enabled reports whether metric collection is active.
-func Enabled() bool { return !disabled.Load() }
-
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {
 	name string
@@ -39,12 +26,7 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if disabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }

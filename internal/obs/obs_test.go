@@ -66,34 +66,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
-// TestSetEnabled: the kill-switch drops counter adds and histogram
-// observations but leaves gauges (cheap, state-bearing) alone.
-func TestSetEnabled(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	c := r.Counter("gate_total", "")
-	h := r.Histogram("gate_seconds", "", 1000, 1e-9)
-	g := r.Gauge("gate_gauge", "")
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("Enabled() true after SetEnabled(false)")
-	}
-	c.Inc()
-	h.Observe(5)
-	g.Set(7)
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled registry mutated: counter=%d hist=%d", c.Value(), h.Count())
-	}
-	if g.Value() != 7 {
-		t.Fatalf("gauge = %d, want 7 (gauges ignore the kill-switch)", g.Value())
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatalf("re-enabled counter = %d, want 1", c.Value())
-	}
-}
-
 // TestHistogramBuckets checks the doubling-bucket boundaries and the
 // upper-bound quantile estimate.
 func TestHistogramBuckets(t *testing.T) {

@@ -16,10 +16,11 @@ type need uint8
 const (
 	// oneNode: the answer is only defined where every table lives on
 	// one node — joins, subqueries and views (a shard sees its own
-	// rows), functions the gateway cannot evaluate (the Router then
-	// concatenates shard streams, whatever the ORDER BY), and results
-	// decided by one heap's arrival order (LIMIT without ORDER BY, ties
-	// under a LIMIT).
+	// rows), functions the gateway cannot evaluate (with an ORDER BY,
+	// LIMIT, OFFSET, DISTINCT or aggregate the Router refuses such a
+	// read with distplan.ErrUnmergeable; without one it concatenates
+	// the shards' streams), and results decided by one heap's arrival
+	// order (LIMIT without ORDER BY, ties under a LIMIT).
 	oneNode need = 1 << iota
 	// txnBlock: explicit transaction control, and reads of what such a
 	// block wrote.

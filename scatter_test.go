@@ -1,6 +1,7 @@
 package ifdb_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"ifdb"
 	"ifdb/client"
+	"ifdb/internal/distplan"
 	"ifdb/internal/repl"
 	"ifdb/internal/types"
 	"ifdb/internal/wire"
@@ -198,6 +200,67 @@ func TestScatterPreparedAndExplain(t *testing.T) {
 	}
 	if len(res.Rows) == 0 || strings.HasPrefix(res.Rows[0][0].Text(), "Scatter") {
 		t.Fatalf("keyed EXPLAIN should be the owning shard's engine plan: %v", res.Rows)
+	}
+}
+
+// TestScatterRefusesUnmergeable: a keyless read whose answer needs a
+// merge the gateway cannot do — a positional ORDER BY under a star, an
+// ORDER BY or an aggregate over a view — is refused with one typed
+// error, where concatenating the shards' answers would return a LIMIT 2
+// as up to six rows in shard order and a count(*) as three counts. A
+// read with nothing to merge still takes the union, and EXPLAIN of a
+// refused read still shows each shard's plan.
+func TestScatterRefusesUnmergeable(t *testing.T) {
+	smap := &wire.ShardMap{Version: 1, Keys: map[string]string{"t": "k"}}
+	mapFn := func() *wire.ShardMap { return smap }
+	addr0, _ := startIFCShard(t, mapFn, 0)
+	addr1, _ := startIFCShard(t, mapFn, 1)
+	addr2, _ := startIFCShard(t, mapFn, 2)
+	smap.Shards = []wire.Shard{
+		{ID: 0, Primary: addr0}, {ID: 1, Primary: addr1}, {ID: 2, Primary: addr2},
+	}
+	router, err := client.OpenRouter(client.RouterConfig{Addrs: []string{addr0, addr1, addr2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	for _, q := range []string{
+		`CREATE TABLE t (k BIGINT PRIMARY KEY, v BIGINT)`,
+		`CREATE VIEW tv AS SELECT k, v FROM t`,
+	} {
+		if _, err := router.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 30
+	for i := 0; i < n; i++ {
+		if _, err := router.Exec(`INSERT INTO t VALUES ($1, $2)`, ifdb.Int(int64(i)), ifdb.Int(int64(100-i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, q := range []string{
+		`SELECT * FROM t ORDER BY 2 LIMIT 2`,
+		`SELECT k, v FROM tv ORDER BY v`,
+		`SELECT count(*) FROM tv`,
+	} {
+		var ue *distplan.ErrUnmergeable
+		res, err := router.Exec(q)
+		if !errors.As(err, &ue) {
+			t.Fatalf("Exec(%s) = %v, %v; want an ErrUnmergeable", q, res, err)
+		}
+		if _, err := router.Query(q); !errors.As(err, &ue) {
+			t.Fatalf("Query(%s) = %v; want an ErrUnmergeable", q, err)
+		}
+	}
+
+	res, err := router.Exec(`SELECT k, v FROM tv`)
+	if err != nil || len(res.Rows) != n {
+		t.Fatalf("a view read with nothing to merge: %v rows, %v; want the union's %d", res, err, n)
+	}
+	res, err = router.Exec(`EXPLAIN SELECT * FROM t ORDER BY 2 LIMIT 2`)
+	if err != nil || len(res.Rows) == 0 || strings.HasPrefix(res.Rows[0][0].Text(), "Scatter") {
+		t.Fatalf("EXPLAIN of a refused read: %v, %v; want the shards' plans", res, err)
 	}
 }
 
