@@ -446,6 +446,9 @@ func (e *Engine) ParseCount() int64 { return e.parses.Load() }
 // ---------------------------------------------------------------------------
 // Heap construction and vacuum
 
+// newHeap is the one place that picks a table's heap backend; past it
+// the engine sees only storage.Heap. A heap file reopened after a
+// restart counts its own versions here, before recovery restores more.
 func (e *Engine) newHeap(name string, onDisk bool) (storage.Heap, error) {
 	if !onDisk {
 		return storage.NewMemHeap(), nil
@@ -460,8 +463,13 @@ func (e *Engine) newHeap(name string, onDisk bool) (storage.Heap, error) {
 	} else {
 		store = pager.NewMemStore()
 	}
+	h := pager.NewPagedHeap(store, e.cfg.BufferPoolPages)
+	if err := h.Recount(); err != nil {
+		_ = h.Close(false)
+		return nil, fmt.Errorf("engine: open %s: %w", name, err)
+	}
 	e.diskTables++
-	return pager.NewPagedHeap(store, e.cfg.BufferPoolPages), nil
+	return h, nil
 }
 
 // dropTable removes a table from the catalog and, for disk tables,
@@ -475,8 +483,8 @@ func (e *Engine) dropTable(name string) error {
 	e.invalidatePlans()
 	if t != nil && t.OnDisk {
 		e.diskTables--
-		if ph, ok := t.Heap.(*pager.PagedHeap); ok && e.cfg.DataDir != "" {
-			_ = ph.Close(true)
+		if e.cfg.DataDir != "" {
+			_ = t.Heap.Close(true)
 			_ = os.Remove(e.heapPath(t.Name))
 		}
 	}

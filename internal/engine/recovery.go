@@ -36,7 +36,6 @@ import (
 	"ifdb/internal/authority"
 	"ifdb/internal/catalog"
 	"ifdb/internal/label"
-	"ifdb/internal/pager"
 	"ifdb/internal/sql"
 	"ifdb/internal/storage"
 	"ifdb/internal/types"
@@ -282,59 +281,23 @@ func (e *Engine) recoverState() ([]storage.XID, error) {
 			continue
 		}
 		switch r.Type {
-		case wal.RecCommit:
-			e.txns.RestoreCommitted(r.XID, r.Seq)
-		case wal.RecAbort:
-			e.txns.RestoreAborted(r.XID)
-		case wal.RecInsert:
+		case wal.RecInsert, wal.RecSetXmax:
 			if !isCommitted(r.XID) {
-				continue // skipped; its slot stays a gap/tombstone
+				continue // a skipped insert's slot stays a gap
 			}
-			t, ok := e.cat.Table(r.Table)
-			if !ok {
-				return nil, fmt.Errorf("wal insert at lsn %d references unknown table %q", r.LSN, r.Table)
-			}
-			if err := e.restoreVersion(t, r.TID, storage.TupleVersion{
-				Row: r.Row, Label: r.Label, ILabel: r.ILabel, Xmin: r.XID,
-			}); err != nil {
-				return nil, err
-			}
-		case wal.RecSetXmax:
-			if !isCommitted(r.XID) {
-				continue
-			}
-			t, ok := e.cat.Table(r.Table)
-			if !ok {
-				return nil, fmt.Errorf("wal setxmax at lsn %d references unknown table %q", r.LSN, r.Table)
-			}
-			t.Heap.(storage.RecoverableHeap).ForceXmax(r.TID, r.XID)
-		case wal.RecDDL:
-			if err := e.applyDDL(authority.Principal(r.Principal), r.Text); err != nil {
-				return nil, fmt.Errorf("replay ddl %q: %w", r.Text, err)
-			}
-			e.ddlLog = append(e.ddlLog, ddlEntry{Principal: r.Principal, Text: r.Text})
 		case wal.RecPrincipal:
-			e.auth.RestorePrincipal(authority.Principal(r.Principal), r.Text)
 			if e.admin == authority.NoPrincipal && r.Text == "admin" {
 				// The engine's own administrator is the first principal
 				// it logs (see New).
 				e.admin = authority.Principal(r.Principal)
 			}
-		case wal.RecTag:
-			if err := e.restoreTag(r.Tag, r.Owner, r.Text, r.Parents); err != nil {
-				return nil, err
-			}
-		case wal.RecDelegate:
-			e.auth.RestoreDelegation(authority.Principal(r.From), authority.Principal(r.To), label.Tag(r.Tag))
-		case wal.RecRevoke:
-			// Idempotent restore: the edge may already be gone.
-			e.auth.RestoreRevoke(authority.Principal(r.From), authority.Principal(r.To), label.Tag(r.Tag))
-		case wal.RecSeqVal:
-			e.restoreSeqVal(r.Text, r.SeqKey, r.Value)
 		case wal.RecReplLSN:
 			if r.Seq > e.replApplied.Load() {
 				e.replApplied.Store(r.Seq)
 			}
+		}
+		if err := e.applyRecord(r); err != nil {
+			return nil, fmt.Errorf("replay at lsn %d: %w", r.LSN, err)
 		}
 	}
 
@@ -357,10 +320,60 @@ func (e *Engine) recoverState() ([]storage.XID, error) {
 	return orphans, e.reconcile(seen)
 }
 
+// applyRecord applies one logged record's effect. Crash recovery and a
+// replica both apply through it; what differs stays with the caller:
+// recovery knows every outcome before it applies in LSN order, the
+// replica holds a transaction's writes until its commit record. Either
+// way a tuple write reaches applyRecord only if its transaction
+// committed, and may arrive out of TID order (storage.Heap.RestoreAt
+// keeps such a gap fillable). Every case is idempotent, since both
+// callers may apply a record whose effect is already present.
+func (e *Engine) applyRecord(r *wal.Record) error {
+	switch r.Type {
+	case wal.RecCommit:
+		e.txns.RestoreCommitted(r.XID, r.Seq)
+	case wal.RecAbort:
+		e.txns.RestoreAborted(r.XID)
+	case wal.RecInsert, wal.RecSetXmax:
+		t, ok := e.cat.Table(r.Table)
+		if !ok {
+			return fmt.Errorf("%v references unknown table %q", r.Type, r.Table)
+		}
+		if r.Type == wal.RecSetXmax {
+			t.Heap.ForceXmax(r.TID, r.XID)
+			return nil
+		}
+		return e.restoreVersion(t, r.TID, storage.TupleVersion{
+			Row: r.Row, Label: r.Label, ILabel: r.ILabel, Xmin: r.XID,
+		})
+	case wal.RecDDL:
+		if err := e.applyDDL(authority.Principal(r.Principal), r.Text); err != nil {
+			return fmt.Errorf("ddl %q: %w", r.Text, err)
+		}
+		e.ddlMu.Lock()
+		e.ddlLog = append(e.ddlLog, ddlEntry{Principal: r.Principal, Text: r.Text})
+		e.ddlMu.Unlock()
+	case wal.RecPrincipal:
+		e.auth.RestorePrincipal(authority.Principal(r.Principal), r.Text)
+	case wal.RecTag:
+		return e.restoreTag(r.Tag, r.Owner, r.Text, r.Parents)
+	case wal.RecDelegate:
+		e.auth.RestoreDelegation(authority.Principal(r.From), authority.Principal(r.To), label.Tag(r.Tag))
+	case wal.RecRevoke:
+		// The edge may already be gone.
+		e.auth.RestoreRevoke(authority.Principal(r.From), authority.Principal(r.To), label.Tag(r.Tag))
+	case wal.RecSeqVal:
+		e.restoreSeqVal(r.Text, r.SeqKey, r.Value)
+	}
+	// RecBegin and the checkpoint and replication markers carry no
+	// state of their own.
+	return nil
+}
+
 // restoreVersion re-places a version at its exact TID and, when it was
 // actually placed (not already on a flushed page), indexes it.
 func (e *Engine) restoreVersion(t *catalog.Table, tid storage.TID, tv storage.TupleVersion) error {
-	placed, err := t.Heap.(storage.RecoverableHeap).RestoreAt(tid, tv)
+	placed, err := t.Heap.RestoreAt(tid, tv)
 	if err != nil {
 		return fmt.Errorf("restore %s tid %d: %w", t.Name, tid, err)
 	}
@@ -379,12 +392,10 @@ func (e *Engine) restoreVersion(t *catalog.Table, tid storage.TID, tv storage.Tu
 
 // reconcile finishes recovery: every version whose creator is not
 // known-committed is marked aborted (fuzzy snapshots and flushed
-// pages can carry in-flight writes), stale uncommitted xmax stamps
-// are cleared so they do not read as write-write conflicts, and disk
-// heap counters are recounted.
+// pages can carry in-flight writes), and stale uncommitted xmax stamps
+// are cleared so they do not read as write-write conflicts.
 func (e *Engine) reconcile(seen map[storage.XID]bool) error {
 	for _, t := range e.cat.Tables() {
-		rh := t.Heap.(storage.RecoverableHeap)
 		type stale struct {
 			tid storage.TID
 			xid storage.XID
@@ -408,12 +419,7 @@ func (e *Engine) reconcile(seen map[storage.XID]bool) error {
 			return fmt.Errorf("engine: reconcile %q: %w", t.Name, err)
 		}
 		for _, c := range clears {
-			rh.ForceXmax(c.tid, storage.InvalidXID)
-		}
-		if ph, ok := t.Heap.(*pager.PagedHeap); ok {
-			if err := ph.Recount(); err != nil {
-				return err
-			}
+			t.Heap.ForceXmax(c.tid, storage.InvalidXID)
 		}
 	}
 	return nil
@@ -490,10 +496,8 @@ func (e *Engine) Close() error {
 		err = werr
 	}
 	for _, t := range e.cat.Tables() {
-		if ph, ok := t.Heap.(*pager.PagedHeap); ok {
-			if cerr := ph.Close(false); err == nil {
-				err = cerr
-			}
+		if cerr := t.Heap.Close(false); err == nil {
+			err = cerr
 		}
 	}
 	e.releaseLock()
@@ -529,10 +533,8 @@ func (e *Engine) checkpointLocked() error {
 			return err
 		}
 		for _, t := range e.cat.Tables() {
-			if ph, ok := t.Heap.(*pager.PagedHeap); ok {
-				if err := ph.Flush(); err != nil {
-					return fmt.Errorf("flush %s: %w", t.Name, err)
-				}
+			if err := t.Heap.Flush(); err != nil {
+				return fmt.Errorf("flush %s: %w", t.Name, err)
 			}
 		}
 		return nil

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"ifdb/internal/storage"
 	"ifdb/internal/txn"
 	"ifdb/internal/types"
 	"ifdb/internal/wal"
@@ -530,6 +531,45 @@ func TestSnapshotCoversInFlightWrites(t *testing.T) {
 	res := mustExec(t, r, `SELECT a FROM t`)
 	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 42 {
 		t.Fatalf("txn spanning checkpoint lost: %v", res.Rows)
+	}
+}
+
+// TestRecoveryInsertsOutOfSlotOrder: inserts are applied first and
+// logged second, so two writers' INSERT records can reach the log in
+// the opposite order to their slots. Replay meets slot 1 before slot 0,
+// and slot 0 must still take its row, on both heap backends.
+func TestRecoveryInsertsOutOfSlotOrder(t *testing.T) {
+	for _, using := range []string{"", " USING DISK"} {
+		dir := t.TempDir()
+		e1 := openDurableEngine(t, dir, false)
+		mustExec(t, e1.NewSession(e1.Admin()), `CREATE TABLE d (id BIGINT PRIMARY KEY)`+using)
+		a, b := storage.XID(e1.TxnManager().NextXID()), storage.XID(e1.TxnManager().NextXID()+1)
+		seq := e1.TxnManager().CommitSeq()
+		w := e1.WAL()
+		for _, r := range []wal.Record{
+			{Type: wal.RecBegin, XID: a},
+			{Type: wal.RecBegin, XID: b},
+			{Type: wal.RecInsert, XID: b, Table: "d", TID: 1, Row: []types.Value{types.NewInt(2)}},
+			{Type: wal.RecInsert, XID: a, Table: "d", TID: 0, Row: []types.Value{types.NewInt(1)}},
+			{Type: wal.RecCommit, XID: b, Seq: seq + 1},
+			{Type: wal.RecCommit, XID: a, Seq: seq + 2},
+		} {
+			if _, err := w.Append(&r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+
+		e2 := openDurableEngine(t, dir, false)
+		r := e2.NewSession(e2.Admin())
+		if n := countRows(t, r, `SELECT id FROM d`); n != 2 {
+			t.Fatalf("%q: %d rows recovered, want 2", using, n)
+		}
+		if n := countRows(t, r, `SELECT id FROM d WHERE id = 1`); n != 1 {
+			t.Fatalf("%q: the slot-0 row is not in the index", using)
+		}
 	}
 }
 

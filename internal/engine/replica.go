@@ -3,11 +3,14 @@
 // A replica engine is a normal durable engine whose state changes
 // arrive exclusively through ApplyReplicated: shipped WAL records are
 // buffered per transaction and applied at their commit record through
-// the same restore paths crash recovery uses (restoreVersion,
-// ForceXmax, RestoreCommitted, applyDDL). Applying at commit keeps the
-// replica's visible state always transaction-consistent — concurrent
-// read sessions, which take ordinary MVCC snapshots, never observe a
-// half-applied transaction.
+// applyRecord, the function crash recovery replays with. Applying at
+// commit keeps the replica's visible state always
+// transaction-consistent — concurrent read sessions, which take
+// ordinary MVCC snapshots, never observe a half-applied transaction.
+// It also applies inserts out of TID order (a transaction that took
+// slot 0 may commit after one that took slot 1); that is safe because
+// a slot RestoreAt skips over stays a gap it can fill later
+// (storage.Heap.RestoreAt).
 //
 // Durability: every shipped batch is appended verbatim (raw frames,
 // primary CRCs intact) to the replica's own WAL, followed by a
@@ -35,9 +38,6 @@ import (
 	"sort"
 	"strings"
 
-	"ifdb/internal/authority"
-	"ifdb/internal/label"
-	"ifdb/internal/pager"
 	"ifdb/internal/storage"
 	"ifdb/internal/wal"
 )
@@ -180,7 +180,8 @@ func (e *Engine) ApplyReplicated(recs []wal.Record, raw []byte, upto wal.LSN) er
 	return nil
 }
 
-// applyReplRecord buffers or applies one record.
+// applyReplRecord buffers a transaction's records until its outcome
+// and hands everything else to applyRecord.
 func (e *Engine) applyReplRecord(r *wal.Record) error {
 	switch r.Type {
 	case wal.RecBegin, wal.RecInsert, wal.RecSetXmax:
@@ -192,6 +193,7 @@ func (e *Engine) applyReplRecord(r *wal.Record) error {
 		if r.Type != wal.RecBegin {
 			p.recs = append(p.recs, *r)
 		}
+		return nil
 	case wal.RecCommit:
 		p := e.replPending[r.XID]
 		delete(e.replPending, r.XID)
@@ -200,61 +202,15 @@ func (e *Engine) applyReplRecord(r *wal.Record) error {
 			// reader either misses the commit entirely or sees all of
 			// it, never a status without its rows.
 			for i := range p.recs {
-				if err := e.applyReplWrite(&p.recs[i]); err != nil {
+				if err := e.applyRecord(&p.recs[i]); err != nil {
 					return err
 				}
 			}
 		}
-		e.txns.RestoreCommitted(r.XID, r.Seq)
 	case wal.RecAbort:
 		delete(e.replPending, r.XID)
-		e.txns.RestoreAborted(r.XID)
-	case wal.RecDDL:
-		if err := e.applyDDL(authority.Principal(r.Principal), r.Text); err != nil {
-			return fmt.Errorf("replicated ddl %q: %w", r.Text, err)
-		}
-		e.ddlMu.Lock()
-		e.ddlLog = append(e.ddlLog, ddlEntry{Principal: r.Principal, Text: r.Text})
-		e.ddlMu.Unlock()
-	case wal.RecPrincipal:
-		e.auth.RestorePrincipal(authority.Principal(r.Principal), r.Text)
-	case wal.RecTag:
-		if err := e.restoreTag(r.Tag, r.Owner, r.Text, r.Parents); err != nil {
-			return err
-		}
-	case wal.RecDelegate:
-		e.auth.RestoreDelegation(authority.Principal(r.From), authority.Principal(r.To), label.Tag(r.Tag))
-	case wal.RecRevoke:
-		// Idempotent restore: reconnects re-ship records past the
-		// barrier, so the edge may already be gone.
-		e.auth.RestoreRevoke(authority.Principal(r.From), authority.Principal(r.To), label.Tag(r.Tag))
-	case wal.RecSeqVal:
-		e.restoreSeqVal(r.Text, r.SeqKey, r.Value)
-	case wal.RecCheckpointBegin, wal.RecCheckpointEnd, wal.RecReplLSN:
-		// Primary checkpoint markers carry no state; RecReplLSN never
-		// appears in a primary's log.
-	default:
-		return fmt.Errorf("unknown record type %v", r.Type)
 	}
-	return nil
-}
-
-// applyReplWrite applies one buffered tuple record of a committed
-// transaction.
-func (e *Engine) applyReplWrite(r *wal.Record) error {
-	t, ok := e.cat.Table(r.Table)
-	if !ok {
-		return fmt.Errorf("unknown table %q", r.Table)
-	}
-	switch r.Type {
-	case wal.RecInsert:
-		return e.restoreVersion(t, r.TID, storage.TupleVersion{
-			Row: r.Row, Label: r.Label, ILabel: r.ILabel, Xmin: r.XID,
-		})
-	case wal.RecSetXmax:
-		t.Heap.(storage.RecoverableHeap).ForceXmax(r.TID, r.XID)
-	}
-	return nil
+	return e.applyRecord(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -294,12 +250,11 @@ func (e *Engine) Basebackup(send func(name string, data []byte) error, onReady f
 	tables := e.cat.Tables()
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 	for _, t := range tables {
-		ph, ok := t.Heap.(*pager.PagedHeap)
-		if !ok || !t.OnDisk {
+		if !t.OnDisk {
 			continue
 		}
 		var buf bytes.Buffer
-		if err := ph.WritePagesTo(&buf); err != nil {
+		if err := t.Heap.WritePagesTo(&buf); err != nil {
 			return 0, fmt.Errorf("basebackup %s: %w", t.Name, err)
 		}
 		if err := send(strings.ToLower(t.Name)+".heap", buf.Bytes()); err != nil {

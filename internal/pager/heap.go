@@ -37,7 +37,7 @@ var _ storage.Heap = (*PagedHeap)(nil)
 // NewPagedHeap creates a heap over the given store with a buffer pool
 // of poolPages pages. If the store already holds pages (a heap file
 // reopened after restart), the heap resumes from them; call Recount
-// after recovery to rebuild the live/bytes counters.
+// to rebuild the live/bytes counters, which are not persisted.
 func NewPagedHeap(store PageStore, poolPages int) *PagedHeap {
 	h := &PagedHeap{pool: NewBufferPool(store, poolPages)}
 	if sized, ok := store.(SizedStore); ok {
@@ -48,9 +48,6 @@ func NewPagedHeap(store PageStore, poolPages int) *PagedHeap {
 	}
 	return h
 }
-
-// Pool exposes the buffer pool for cache accounting in benchmarks.
-func (h *PagedHeap) Pool() *BufferPool { return h.pool }
 
 func packTID(p PageID, slot int) storage.TID {
 	return storage.TID(uint64(p)<<16 | uint64(uint16(slot)))
@@ -349,10 +346,10 @@ func (h *PagedHeap) ApproxBytes() int64 {
 	return h.bytes
 }
 
-// RestoreAt implements storage.RecoverableHeap: it re-places a logged
-// version at its exact (page, slot) during replay. Slots the flushed
-// page already allocated are left untouched (placed=false) — the
-// record's effect reached disk before the crash, or was vacuumed.
+// RestoreAt re-places a logged version at its exact (page, slot)
+// during replay (page.restoreAt keeps the gap rule). Slots the flushed
+// page already holds or tombstoned are left untouched (placed=false) —
+// the record's effect reached disk before the crash, or was vacuumed.
 func (h *PagedHeap) RestoreAt(tid storage.TID, tv storage.TupleVersion) (bool, error) {
 	rec, err := encodeRecord(tv)
 	if err != nil {
@@ -381,7 +378,7 @@ func (h *PagedHeap) RestoreAt(tid storage.TID, tv storage.TupleVersion) (bool, e
 	return placed, nil
 }
 
-// ForceXmax implements storage.RecoverableHeap: replay stamps only
+// ForceXmax stamps tid's xmax whatever it was: replay stamps only
 // committed deleters, which override any stale in-flight stamp a
 // flushed page may carry.
 func (h *PagedHeap) ForceXmax(tid storage.TID, xid storage.XID) {
@@ -400,7 +397,7 @@ func (h *PagedHeap) ForceXmax(tid storage.TID, xid storage.XID) {
 }
 
 // Recount rebuilds the live/bytes counters by scanning every page;
-// recovery calls it after reopening a heap file (whose counters are
+// the engine calls it when it opens a heap file (whose counters are
 // not persisted).
 func (h *PagedHeap) Recount() error {
 	h.mu.Lock()

@@ -38,12 +38,15 @@ type PageID uint32
 // tuples. In memory the field is ignored. An all-zero page reads as a
 // fresh page (a hole left by out-of-order flushes), as in PostgreSQL.
 //
-// A slot with len == 0 is a tombstone (vacuumed); its slot number is
+// A slot with len == 0 holds no record. With off == gapOff it is a gap
+// restoreAt skipped over, which a later restoreAt of that slot may
+// fill; otherwise it is a tombstone (vacuumed), whose slot number is
 // never reused so TIDs stay stable.
 const (
 	pageHeaderSize = 10
 	checksumOff    = 6
 	slotSize       = 4
+	gapOff         = 0xFFFF // never a record offset: PageSize < gapOff
 )
 
 type page []byte
@@ -146,29 +149,32 @@ func (p page) record(i int) []byte {
 	return p[off : off+ln]
 }
 
-// restoreAt places a record at exactly slot during crash recovery,
-// creating tombstones for any gap (slots of inserts replay skipped).
-// An already-allocated slot — occupied or tombstoned — is left alone:
-// the page reached disk after that insert (or after its vacuum), so
-// the log record's effect is already present.
+// restoreAt places a record at exactly slot during replay, marking any
+// slot it has to allocate below it as a gap. A gap is filled; an
+// occupied or tombstoned slot is left alone: the page reached disk
+// after that insert (or after its vacuum), so the log record's effect
+// is already present.
 func (p page) restoreAt(slot int, rec []byte) (bool, error) {
-	if slot < p.nSlots() {
-		return false, nil
+	n := p.nSlots()
+	if slot < n {
+		if off, ln := p.slot(slot); ln != 0 || off != gapOff {
+			return false, nil
+		}
 	}
-	need := (slot + 1 - p.nSlots()) * slotSize
+	slots := max(n, slot+1)
 	newHigh := p.freeHigh() - len(rec)
-	if pageHeaderSize+(slot+1)*slotSize > newHigh {
-		return false, fmt.Errorf("pager: restore of %d bytes at slot %d does not fit (%d slots, %d free)",
-			len(rec), slot, p.nSlots(), p.freeSpace()+slotSize-need)
+	if pageHeaderSize+slots*slotSize > newHigh {
+		return false, fmt.Errorf("pager: restore of %d bytes at slot %d does not fit (%d slots, %d bytes free)",
+			len(rec), slot, n, p.freeHigh()-p.freeLow())
 	}
-	for i := p.nSlots(); i < slot; i++ {
-		p.setSlot(i, 0, 0)
+	for i := n; i < slot; i++ {
+		p.setSlot(i, gapOff, 0)
 	}
 	copy(p[newHigh:], rec)
 	p.setFreeHigh(newHigh)
 	p.setSlot(slot, newHigh, len(rec))
-	p.setNSlots(slot + 1)
-	p.setFreeLow(pageHeaderSize + (slot+1)*slotSize)
+	p.setNSlots(slots)
+	p.setFreeLow(pageHeaderSize + slots*slotSize)
 	return true, nil
 }
 

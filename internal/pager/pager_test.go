@@ -265,46 +265,122 @@ func TestFileStorePersistence(t *testing.T) {
 	}
 }
 
-// Property: a random interleaving of inserts and deletes matches a
-// reference map, for both heap backends.
+// Property: both heap backends keep the storage.Heap contract and agree
+// with a reference map. A primary heap takes random inserts and
+// deletes. A replica heap of the same kind restores the primary's
+// versions by TID in shuffled order, leaving some slots as gaps for
+// good; stamps and clears xmax with ForceXmax; and, after a vacuum,
+// must not bring a vacuumed TID back through RestoreAt.
 func TestQuickHeapMatchesReference(t *testing.T) {
-	run := func(seed int64, mk func() storage.Heap) bool {
+	type version struct {
+		tid storage.TID
+		v   int64
+	}
+	dead := func(tv *storage.TupleVersion) bool { return tv.Xmax != storage.InvalidXID }
+	matches := func(h storage.Heap, ref map[storage.TID]int64) error {
+		if h.Len() != len(ref) {
+			return fmt.Errorf("Len %d, want %d", h.Len(), len(ref))
+		}
+		for tid, v := range ref {
+			if got, ok := h.Get(tid); !ok || got.Row[0].Int() != v {
+				return fmt.Errorf("Get(%d) = %v %v, want %d", tid, got.Row, ok, v)
+			}
+		}
+		n, last := 0, storage.TID(0)
+		err := h.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+			if want, ok := ref[tid]; !ok || want != tv.Row[0].Int() || (n > 0 && tid <= last) {
+				n = -1
+				return false
+			}
+			n, last = n+1, tid
+			return true
+		})
+		if err != nil || n != len(ref) {
+			return fmt.Errorf("scan disagrees with the reference (%v)", err)
+		}
+		return nil
+	}
+	run := func(seed int64, mk func() storage.Heap) error {
 		r := rand.New(rand.NewSource(seed))
-		h := mk()
+		primary := mk()
 		ref := make(map[storage.TID]int64)
+		var inserted []version
 		for op := 0; op < 300; op++ {
 			if r.Intn(3) > 0 || len(ref) == 0 {
 				v := r.Int63n(1000)
-				tid, err := h.Insert(storage.TupleVersion{Row: irow(v), Xmin: 1})
+				tid, err := primary.Insert(storage.TupleVersion{Row: irow(v), Xmin: 1})
 				if err != nil {
-					return false
+					return err
 				}
 				ref[tid] = v
+				inserted = append(inserted, version{tid, v})
 			} else {
 				for tid := range ref {
-					h.SetXmax(tid, 2)
+					primary.SetXmax(tid, 2)
 					delete(ref, tid)
 					break
 				}
 			}
 		}
-		h.Vacuum(func(tv *storage.TupleVersion) bool { return tv.Xmax != storage.InvalidXID })
-		if h.Len() != len(ref) {
-			return false
+		primary.Vacuum(dead)
+		if err := matches(primary, ref); err != nil {
+			return fmt.Errorf("primary: %w", err)
 		}
-		for tid, v := range ref {
-			got, ok := h.Get(tid)
-			if !ok || got.Row[0].Int() != v {
-				return false
+
+		replica := mk()
+		rref := make(map[storage.TID]int64)
+		r.Shuffle(len(inserted), func(i, j int) { inserted[i], inserted[j] = inserted[j], inserted[i] })
+		for _, in := range inserted {
+			if r.Intn(5) == 0 {
+				continue // an aborted insert: its slot stays a gap
+			}
+			tv := storage.TupleVersion{Row: irow(in.v), Xmin: 1}
+			if placed, err := replica.RestoreAt(in.tid, tv); err != nil || !placed {
+				return fmt.Errorf("RestoreAt(%d) placed=%v err=%v", in.tid, placed, err)
+			}
+			rref[in.tid] = in.v
+			if placed, _ := replica.RestoreAt(in.tid, storage.TupleVersion{Row: irow(-1), Xmin: 1}); placed {
+				return fmt.Errorf("RestoreAt(%d) replaced an occupied slot", in.tid)
 			}
 		}
-		return true
+		var vacuumed []storage.TID
+		for tid := range rref {
+			switch r.Intn(4) {
+			case 0:
+				replica.ForceXmax(tid, 2)
+				vacuumed = append(vacuumed, tid)
+				delete(rref, tid)
+			case 1:
+				replica.ForceXmax(tid, 3)
+				replica.ForceXmax(tid, storage.InvalidXID)
+			}
+		}
+		if n := replica.Vacuum(dead); n != len(vacuumed) {
+			return fmt.Errorf("vacuumed %d, want %d", n, len(vacuumed))
+		}
+		for _, tid := range vacuumed {
+			if placed, err := replica.RestoreAt(tid, storage.TupleVersion{Row: irow(-1), Xmin: 1}); placed || err != nil {
+				return fmt.Errorf("RestoreAt(%d) refilled a vacuumed slot (err %v)", tid, err)
+			}
+		}
+		if err := matches(replica, rref); err != nil {
+			return fmt.Errorf("replica: %w", err)
+		}
+		return nil
 	}
-	if err := quick.Check(func(seed int64) bool {
-		return run(seed, func() storage.Heap { return storage.NewMemHeap() }) &&
-			run(seed, func() storage.Heap { return NewPagedHeap(NewMemStore(), 3) })
-	}, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+	for name, mk := range map[string]func() storage.Heap{
+		"mem":   func() storage.Heap { return storage.NewMemHeap() },
+		"paged": func() storage.Heap { return NewPagedHeap(NewMemStore(), 3) },
+	} {
+		if err := quick.Check(func(seed int64) bool {
+			if err := run(seed, mk); err != nil {
+				t.Logf("%s, seed %d: %v", name, seed, err)
+				return false
+			}
+			return true
+		}, &quick.Config{MaxCount: 25}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 

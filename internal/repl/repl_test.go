@@ -159,6 +159,35 @@ func TestReplicaConverges(t *testing.T) {
 	mustExec(t, r, `COMMIT`)
 }
 
+// TestReplicaInterleavedCommits: the replica applies transactions in
+// commit order, so an insert that took slot 0 can arrive after one
+// that took slot 1. The slot it finds must still be fillable, on both
+// heap backends — a USING DISK replica once lost the first row.
+func TestReplicaInterleavedCommits(t *testing.T) {
+	for _, using := range []string{"", " USING DISK"} {
+		eng, _, addr := startPrimary(t, false)
+		a := eng.NewSession(eng.Admin())
+		b := eng.NewSession(eng.Admin())
+		mustExec(t, a, `CREATE TABLE d (id BIGINT PRIMARY KEY)`+using)
+		f := openFollower(t, addr, t.TempDir(), false)
+		waitConverge(t, eng, f)
+
+		mustExec(t, a, `BEGIN`)
+		mustExec(t, a, `INSERT INTO d VALUES (1)`) // slot 0
+		mustExec(t, b, `INSERT INTO d VALUES (2)`) // slot 1, committed first
+		mustExec(t, a, `COMMIT`)
+		waitConverge(t, eng, f)
+		p, r := dumpState(eng), dumpState(f.Engine())
+		f.Close()
+		if p != r {
+			t.Fatalf("%q: replica diverged:\nprimary:\n%s\nreplica:\n%s", using, p, r)
+		}
+		if strings.Count(p, "tid=") != 2 {
+			t.Fatalf("%q: primary holds %s", using, p)
+		}
+	}
+}
+
 // TestReplicaRejectsWrites: every mutation path on a replica fails
 // with ErrReadOnlyReplica.
 func TestReplicaRejectsWrites(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 )
 
 // Exec executes one scheduled operation. lap is the schedule cycle
-// (0 on the first pass); executors pass it to LapArgs/InlineSQL so
-// cycled inserts stay unique and inline texts stay distinct. Returning
-// an error counts a failure; the runner keeps going.
+// (0 on the first pass); executors pass it to LapArgs so cycled
+// inserts stay unique. Returning an error counts a failure; the runner
+// keeps going.
 type Exec func(op *Op, lap int) error
 
 // Options controls a Run.

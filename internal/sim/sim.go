@@ -295,51 +295,3 @@ func (op *Op) LapArgs(lap int) []int64 {
 	out[0] += int64(lap) * LapKeyStride
 	return out
 }
-
-// InlineSQL renders the op as a self-contained literal statement — the
-// naive interpolating-application pattern. Point reads get a
-// lap-unique tautology suffix so every rendered text is distinct (the
-// worst case for a parse cache, which is the point of the inline
-// mode). lap keeps replayed cycles distinct too.
-func (op *Op) InlineSQL(lap int) string {
-	args := op.LapArgs(lap)
-	switch op.Kind {
-	case OpPointRead:
-		nonce := op.Seq + int64(lap)*1_000_003
-		return fmt.Sprintf("SELECT v FROM %s WHERE k = %d AND %d >= 0", tableOf(op.SQL), args[0], nonce)
-	case OpPointWrite:
-		return fmt.Sprintf("UPDATE %s SET v = v + 1 WHERE k = %d", tableOf(op.SQL), args[0])
-	case OpInsert:
-		return fmt.Sprintf("INSERT INTO %s VALUES (%d, %d)", tableOf(op.SQL), args[0], args[1])
-	case OpScan:
-		return fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE k >= %d AND k < %d", tableOf(op.SQL), args[0], args[1])
-	default: // DDL carries no placeholders; its text is already inline.
-		return op.SQL
-	}
-}
-
-// tableOf recovers the table name from the canonical statement text.
-// The canonical forms put the table as the token after FROM/INTO/
-// UPDATE, so a cheap scan suffices — ops are generator-made, not
-// user input.
-func tableOf(sql string) string {
-	var prev, cur string
-	start := -1
-	for i := 0; i <= len(sql); i++ {
-		if i < len(sql) && sql[i] != ' ' {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			prev, cur = cur, sql[start:i]
-			start = -1
-			switch prev {
-			case "FROM", "INTO", "UPDATE":
-				return cur
-			}
-		}
-	}
-	return ""
-}

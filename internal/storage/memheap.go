@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"io"
 	"sync"
 
 	"ifdb/internal/types"
@@ -12,7 +13,8 @@ import (
 // stay stable.
 type MemHeap struct {
 	mu       sync.RWMutex
-	versions []*TupleVersion // nil entries are vacuumed tombstones
+	versions []*TupleVersion // nil entries are vacuumed tombstones or gaps
+	gaps     map[TID]bool    // nil entries RestoreAt skipped over: still fillable
 	live     int
 	bytes    int64
 }
@@ -129,26 +131,30 @@ func (h *MemHeap) ScanFrom(start TID, max int, vis Visibility, fn func(tid TID, 
 	return TID(i), false, nil
 }
 
-// RestoreAt implements RecoverableHeap: it places tv at exactly tid,
-// growing the version slice as needed (gap entries stay nil, i.e.
-// tombstoned — they belonged to inserts replay skipped).
+// RestoreAt places tv at exactly tid, growing the version slice as
+// needed; the entries it grows over are gaps until restored.
 func (h *MemHeap) RestoreAt(tid TID, tv TupleVersion) (bool, error) {
 	cp := tv
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for int(tid) >= len(h.versions) {
+		if h.gaps == nil {
+			h.gaps = make(map[TID]bool)
+		}
+		h.gaps[TID(len(h.versions))] = true
 		h.versions = append(h.versions, nil)
 	}
-	if h.versions[tid] != nil {
+	if !h.gaps[tid] {
 		return false, nil
 	}
+	delete(h.gaps, tid)
 	h.versions[tid] = &cp
 	h.live++
 	h.bytes += approxVersionBytes(&cp)
 	return true, nil
 }
 
-// ForceXmax implements RecoverableHeap.
+// ForceXmax stamps tid's xmax whatever it was.
 func (h *MemHeap) ForceXmax(tid TID, xid XID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -189,3 +195,8 @@ func (h *MemHeap) ApproxBytes() int64 {
 	defer h.mu.RUnlock()
 	return h.bytes
 }
+
+// A MemHeap has no file: Flush, WritePagesTo and Close do nothing.
+func (h *MemHeap) Flush() error                   { return nil }
+func (h *MemHeap) WritePagesTo(w io.Writer) error { return nil }
+func (h *MemHeap) Close(discard bool) error       { return nil }

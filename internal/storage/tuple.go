@@ -11,12 +11,15 @@
 // tuple the process is not entitled to.
 //
 // Two backends implement the Heap interface: MemHeap (this file's
-// sibling heap.go) and pager.PagedHeap (slotted 8 KiB pages behind an
-// LRU buffer pool) for the on-disk experiments of Fig. 6.
+// sibling memheap.go) and pager.PagedHeap (slotted 8 KiB pages behind
+// an LRU buffer pool) for the on-disk experiments of Fig. 6. The
+// engine cannot tell them apart: the file lifecycle (Flush,
+// WritePagesTo, Close) is part of Heap, and a no-op on MemHeap.
 package storage
 
 import (
 	"fmt"
+	"io"
 
 	"ifdb/internal/label"
 	"ifdb/internal/types"
@@ -233,25 +236,31 @@ type Heap interface {
 	// ApproxBytes estimates resident bytes, used by the space-overhead
 	// experiment (E7).
 	ApproxBytes() int64
-}
 
-// RecoverableHeap is the extra surface crash recovery needs. Both
-// heap backends implement it; replay uses these instead of the normal
-// mutation path because WAL records carry explicit TIDs and must be
-// re-applied idempotently at their original slots.
-type RecoverableHeap interface {
-	Heap
-
-	// RestoreAt places a version at exactly tid, filling any slot gap
-	// with tombstones (gaps arise when an uncommitted insert was
-	// skipped during replay). If the slot is already occupied or
-	// tombstoned — because a dirty page reached disk before the crash,
-	// or the version was vacuumed — RestoreAt is a no-op and reports
-	// placed=false.
+	// RestoreAt places a version at exactly tid: crash recovery and a
+	// replica re-apply logged inserts by TID, idempotently, instead of
+	// through Insert. Slots below tid that are still unallocated become
+	// gaps, and a gap stays fillable by a later RestoreAt, so records
+	// may be restored in any TID order (a replica applies transactions
+	// in commit order; two writers' inserts reach the log in either
+	// order). An occupied slot — the effect already reached a flushed
+	// page — or a vacuumed one is left alone and reports placed=false.
 	RestoreAt(tid TID, tv TupleVersion) (placed bool, err error)
 
 	// ForceXmax unconditionally stamps tid's xmax (replay applies only
 	// committed deleters, which always win over any stale stamp a
-	// flushed page may carry).
+	// flushed page may carry; InvalidXID clears one).
 	ForceXmax(tid TID, xid XID)
+
+	// Flush makes every change so far durable in the heap's file
+	// (checkpoints call it for every table).
+	Flush() error
+
+	// WritePagesTo streams the heap file's pages to w, for a
+	// basebackup.
+	WritePagesTo(w io.Writer) error
+
+	// Close releases the heap's file, writing dirty pages back unless
+	// discard is set (the table was dropped and its file is deleted).
+	Close(discard bool) error
 }
