@@ -55,10 +55,10 @@ func TestStatementAllocBudget(t *testing.T) {
 				params []types.Value
 				bump   func(p []types.Value)
 			}{
-				{"select", 14, `SELECT s_quantity, s_ytd, s_order_cnt FROM stock WHERE s_w_id = $1 AND s_i_id = $2`,
+				{"select", 7, `SELECT s_quantity, s_ytd, s_order_cnt FROM stock WHERE s_w_id = $1 AND s_i_id = $2`,
 					make([]types.Value, 2),
 					func(p []types.Value) { p[0], p[1] = types.NewInt(1), types.NewInt(1+next%50) }},
-				{"update", 18, `UPDATE stock SET s_quantity = $3, s_ytd = $4, s_order_cnt = $5 WHERE s_w_id = $1 AND s_i_id = $2`,
+				{"update", 12, `UPDATE stock SET s_quantity = $3, s_ytd = $4, s_order_cnt = $5 WHERE s_w_id = $1 AND s_i_id = $2`,
 					make([]types.Value, 5),
 					func(p []types.Value) {
 						p[0], p[1] = types.NewInt(1), types.NewInt(1+next%50)

@@ -256,6 +256,13 @@ func (s *Session) insertRow(t *catalog.Table, row []types.Value, declTags label.
 // is *visible* to the inserting process. A conflict with a tuple the
 // process cannot see is permitted — polyinstantiation (§5.2.1) — since
 // rejecting it would leak the hidden tuple's existence.
+//
+// The probe judges every version under the key anyway, so it also
+// prunes the entries of those no snapshot sees any more (txn.Manager.Dead,
+// vacuum's rule), which would otherwise lengthen a hot key's chain with
+// every UPDATE until vacuum. The heap versions stay for Engine.Vacuum,
+// whose Delete of a pruned entry finds nothing. Like vacuum, pruning is
+// not logged.
 func (s *Session) checkUnique(t *catalog.Table, row []types.Value, lw label.Label, exclude storage.TID) error {
 	for _, ix := range t.Indexes {
 		if !ix.Unique {
@@ -273,6 +280,9 @@ func (s *Session) checkUnique(t *catalog.Table, row []types.Value, lw label.Labe
 			continue // SQL: NULLs never conflict
 		}
 		var conflict error
+		var horizon uint64 // read at the first version judged; no snapshot is 0
+		var pruneBuf [4]storage.TID
+		prune := pruneBuf[:0]
 		ix.Tree.AscendEqual(key, func(tid storage.TID) bool {
 			if tid == exclude {
 				return true
@@ -282,6 +292,12 @@ func (s *Session) checkUnique(t *catalog.Table, row []types.Value, lw label.Labe
 				return true
 			}
 			if !s.versionLiveForUnique(&tv) {
+				if horizon == 0 {
+					horizon = s.eng.txns.OldestSnapshot()
+				}
+				if s.eng.txns.Dead(&tv, horizon) {
+					prune = append(prune, tid)
+				}
 				return true
 			}
 			// Polyinstantiation: only *visible* tuples conflict.
@@ -316,6 +332,9 @@ func (s *Session) checkUnique(t *catalog.Table, row []types.Value, lw label.Labe
 			conflict = fmt.Errorf("%w: index %q", ErrUnique, ix.Name)
 			return false
 		})
+		for _, tid := range prune {
+			ix.Tree.Delete(key, tid)
+		}
 		if conflict != nil {
 			return conflict
 		}
@@ -341,13 +360,8 @@ func (s *Session) versionLiveForUnique(tv *storage.TupleVersion) bool {
 	if tv.Xmax == s.stmtTx.XID() {
 		return false // we deleted it ourselves
 	}
-	if _, committed := m.Committed(tv.Xmax); committed {
-		return false
-	}
-	if m.Aborted(tv.Xmax) {
-		return true
-	}
-	return true // deleter still in progress: conservatively live
+	_, committed := m.Committed(tv.Xmax)
+	return !committed // deleter aborted, or still in progress: conservatively live
 }
 
 // checkLabelConstraints enforces LABEL EXACTLY / LABEL CONTAINS

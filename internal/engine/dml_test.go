@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"strconv"
+	"sync"
 	"testing"
 
 	"ifdb/internal/types"
@@ -234,6 +236,34 @@ func TestWriteWriteConflictAcrossSessions(t *testing.T) {
 	mustExec(t, s1, `COMMIT`)
 	res := mustExec(t, s1, `SELECT dname FROM dept WHERE did = 1`)
 	expectRows(t, res, "x")
+}
+
+// TestAutocommitUpdateRetries: two sessions increment one row in
+// autocommit, starting each round's two increments at once, so one of
+// them usually meets the other's new version and loses
+// first-committer-wins. The loser runs again on a fresh snapshot: every
+// increment lands and none fails.
+func TestAutocommitUpdateRetries(t *testing.T) {
+	e := MustNew(Config{})
+	admin := e.NewSession(e.Admin())
+	mustExec(t, admin, `CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)`)
+	mustExec(t, admin, `INSERT INTO kv VALUES (1, 0)`)
+	sessions := []*Session{e.NewSession(e.Admin()), e.NewSession(e.Admin())}
+	const n = 200
+	for i := 0; i < n; i++ {
+		var wg sync.WaitGroup
+		for _, s := range sessions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Exec(`UPDATE kv SET v = v + 1 WHERE k = 1`); err != nil {
+					t.Errorf("round %d: %v", i, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	expectRows(t, mustExec(t, admin, `SELECT v FROM kv WHERE k = 1`), strconv.Itoa(len(sessions)*n))
 }
 
 func TestTriggersOrdinary(t *testing.T) {

@@ -21,6 +21,8 @@ var (
 		"committed transactions (explicit and autocommit)")
 	mTxnAborts = obs.NewCounter("ifdb_txn_aborts_total",
 		"aborted transactions, including failed commits")
+	mStmtRetries = obs.NewCounter("ifdb_txn_statement_retries_total",
+		"autocommit statements run again on a fresh snapshot after a serialization failure")
 	mCancels = obs.NewCounter("ifdb_stmt_cancels_total",
 		"statements interrupted by out-of-band cancel")
 	mLabelDenials = obs.NewCounter("ifdb_ifc_label_denials_total",

@@ -103,9 +103,14 @@ func (s *Session) bindRuntime() {
 // planRuntime binds a plan to this session's statement transaction,
 // label state, cancellation flag, and the statement's parameters and
 // subquery context: a copy of s.rt with the statement's own fields set.
+// The transaction's snapshot predicate is a method value, built once
+// per transaction, not per statement.
 func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
+	if s.visibleTx != s.stmtTx {
+		s.visibleTx, s.rt.Visible = s.stmtTx, s.stmtTx.Visible
+	}
 	rt := s.rt
-	rt.Params, rt.Subqs, rt.Visible = qc.params, qc, s.stmtTx.Visible
+	rt.Params, rt.Subqs = qc.params, qc
 	return &rt
 }
 
@@ -122,10 +127,11 @@ func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*Result, error) 
 		return nil, err
 	}
 	defer it.Close()
-	res := &Result{Cols: p.Cols(), Rows: [][]types.Value{}}
+	res := &Result{Cols: p.Cols()}
+	res.Rows = res.row1[:0]
 	ifc := s.eng.cfg.IFC
 	if ifc {
-		res.RowLabels = []label.Label{}
+		res.RowLabels = res.label1[:0]
 	}
 	for {
 		r, err := it.Next()

@@ -24,7 +24,7 @@ func TestPointReadAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		ifc    bool
 		budget float64
-	}{{true, 29}, {false, 23}} {
+	}{{true, 27}, {false, 21}} {
 		t.Run(fmt.Sprintf("ifc=%v", c.ifc), func(t *testing.T) {
 			e, err := engine.New(engine.Config{IFC: c.ifc})
 			if err != nil {

@@ -16,6 +16,11 @@ type Result struct {
 	Rows      [][]types.Value
 	RowLabels []label.Label // per-row labels (nil when IFC is off)
 	Affected  int           // rows affected by DML
+
+	// row1 and label1 hold a SELECT's first row and its label, so a
+	// point read's result is one allocation.
+	row1   [1][]types.Value
+	label1 [1]label.Label
 }
 
 // qctx carries per-query execution state. It is also what runs the

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"ifdb/internal/authority"
 	"ifdb/internal/label"
@@ -64,8 +66,9 @@ type Session struct {
 
 	// rt holds the plan.Runtime hooks that are the same for every
 	// statement of the session (bindRuntime); planRuntime copies it per
-	// statement.
-	rt plan.Runtime
+	// statement. Its Visible is visibleTx's, rebound when stmtTx changes.
+	rt        plan.Runtime
+	visibleTx *txn.Txn
 }
 
 // NewSession opens a session acting as the given principal with an
@@ -403,11 +406,23 @@ func (s *Session) Abort() error {
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.tx != nil && !s.tx.Done() }
 
+// autocommitAttempts bounds withStmt's runs of one autocommit
+// statement. Before run n+1 it waits n×autocommitBackoff for a winner
+// still in flight to commit (PostgreSQL would block on its row lock).
+const (
+	autocommitAttempts = 3
+	autocommitBackoff  = 100 * time.Microsecond
+)
+
 // withStmt runs fn under the statement's transaction: the currently
 // executing statement's transaction when fn is nested (triggers and
 // stored procedures issuing queries), else the open explicit
 // transaction, else a fresh autocommit transaction that commits (with
-// the commit-label rule) when fn returns.
+// the commit-label rule) when fn returns. An autocommit statement that
+// loses first-committer-wins (txn.ErrSerialization) runs again on a
+// fresh snapshot, unless the session is canceled; in an explicit
+// transaction the caller retries, as earlier statements read the old
+// snapshot.
 func (s *Session) withStmt(fn func(t *txn.Txn) error) error {
 	// Nested execution: reuse the in-flight statement transaction.
 	if s.stmtTx != nil && !s.stmtTx.Done() {
@@ -428,21 +443,29 @@ func (s *Session) withStmt(fn func(t *txn.Txn) error) error {
 		return err
 	}
 	// Autocommit.
-	t := s.beginTxn(txn.SnapshotIsolation)
-	s.stmtTx = t
-	err := fn(t)
-	s.stmtTx = nil
-	if err != nil {
+	var t *txn.Txn
+	for attempt := 1; ; attempt++ {
+		t = s.beginTxn(txn.SnapshotIsolation)
+		s.stmtTx = t
+		err := fn(t)
+		s.stmtTx = nil
+		if err == nil {
+			break
+		}
 		t.Abort()
 		mTxnAborts.Inc()
-		return err
+		if attempt == autocommitAttempts || !errors.Is(err, txn.ErrSerialization) ||
+			s.cancelableSleep(time.Duration(attempt)*autocommitBackoff) != nil {
+			return err
+		}
+		mStmtRetries.Inc()
 	}
 	var commitLabel, commitILabel label.Label
 	if s.eng.cfg.IFC {
 		commitLabel = s.plabel
 		commitILabel = s.pilabel
 	}
-	err = t.Commit(s.eng.hier, commitLabel, commitILabel)
+	err := t.Commit(s.eng.hier, commitLabel, commitILabel)
 	if err == nil {
 		s.noteCommit(t)
 		mTxnCommits.Inc()

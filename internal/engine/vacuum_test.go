@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
+	"ifdb/internal/index"
 	"ifdb/internal/label"
+	"ifdb/internal/storage"
 	"ifdb/internal/types"
 )
 
@@ -105,4 +108,62 @@ func TestConcurrentChurnWithVacuum(t *testing.T) {
 	res := mustExec(t, setup, `SELECT COUNT(*) FROM c`)
 	expectRows(t, res, "50")
 	_ = label.Empty
+}
+
+// TestUniqueCheckPrunesDeadVersions: the unique check drops the index
+// entries of the versions no snapshot sees any more. A row updated 100
+// times with nobody else looking keeps at most two PK entries — the
+// current version and the one the last update deleted — where it kept
+// 101. A snapshot older than the updates keeps its version's entry,
+// and reads the version through it, until it ends. An aborted insert's
+// entry goes at the next check of its key.
+func TestUniqueCheckPrunesDeadVersions(t *testing.T) {
+	e := MustNew(Config{})
+	s := e.NewSession(e.Admin())
+	mustExec(t, s, `CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)`)
+	mustExec(t, s, `INSERT INTO kv VALUES (1, 0)`)
+	tb, _ := e.Catalog().Table("kv")
+	entries := func(k int64) int {
+		n := 0
+		tb.Indexes[0].Tree.AscendEqual(index.Key{types.NewInt(k)}, func(storage.TID) bool { n++; return true })
+		return n
+	}
+	bump := func(times int) {
+		for i := 0; i < times; i++ {
+			mustExec(t, s, `UPDATE kv SET v = v + 1 WHERE k = 1`)
+		}
+	}
+
+	if plan := rowStrings(mustExec(t, s, `EXPLAIN SELECT v FROM kv WHERE k = 1`)); !strings.Contains(strings.Join(plan, " "), "index=kv_pkey") {
+		t.Fatalf("the point read does not probe the PK: %v", plan)
+	}
+
+	bump(100)
+	if n := entries(1); n > 2 {
+		t.Fatalf("after 100 updates: %d PK entries for the key, want at most 2", n)
+	}
+
+	old := e.NewSession(e.Admin())
+	mustExec(t, old, `BEGIN`)
+	expectRows(t, mustExec(t, old, `SELECT v FROM kv WHERE k = 1`), "100")
+	bump(10)
+	expectRows(t, mustExec(t, old, `SELECT v FROM kv WHERE k = 1`), "100")
+	if n := entries(1); n < 11 {
+		t.Fatalf("with an older snapshot open: %d PK entries for the key, want the 11 it may see", n)
+	}
+	mustExec(t, old, `COMMIT`)
+	bump(1)
+	if n := entries(1); n > 2 {
+		t.Fatalf("after the older snapshot ended: %d PK entries for the key, want at most 2", n)
+	}
+	expectRows(t, mustExec(t, s, `SELECT v FROM kv WHERE k = 1`), "111")
+
+	mustExec(t, s, `BEGIN`)
+	mustExec(t, s, `INSERT INTO kv VALUES (2, 0)`)
+	mustExec(t, s, `ROLLBACK`)
+	mustExec(t, s, `INSERT INTO kv VALUES (2, 7)`)
+	if n := entries(2); n != 1 {
+		t.Fatalf("after an aborted insert and an insert: %d PK entries for the key, want 1", n)
+	}
+	expectRows(t, mustExec(t, s, `SELECT v FROM kv WHERE k = 2`), "7")
 }

@@ -23,9 +23,10 @@ import (
 type Key []types.Value
 
 // Compare orders keys lexicographically; shorter prefixes sort first.
+// It compares the columns in place, without copying a Value.
 func Compare(a, b Key) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
-		if c := a[i].Compare(b[i]); c != 0 {
+		if c := types.Compare(&a[i], &b[i]); c != 0 {
 			return c
 		}
 	}
@@ -39,6 +40,12 @@ func Compare(a, b Key) int {
 	}
 }
 
+// prefixCmp compares k's first len(prefix) columns with prefix: 0 when
+// k begins with prefix. Every key begins with a nil prefix.
+func prefixCmp(k, prefix Key) int {
+	return Compare(k[:min(len(k), len(prefix))], prefix)
+}
+
 const btreeOrder = 64 // max children per interior node
 
 type entry struct {
@@ -46,13 +53,38 @@ type entry struct {
 	tid storage.TID
 }
 
-// entryLess orders entries by key, then TID (so duplicate keys are
+// entryCmp orders entries by key, then TID (so duplicate keys are
 // permitted and entries are totally ordered).
-func entryLess(a, b entry) bool {
+func entryCmp(a, b *entry) int {
 	if c := Compare(a.key, b.key); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.tid < b.tid
+	switch {
+	case a.tid < b.tid:
+		return -1
+	case a.tid > b.tid:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// search returns the position of the first entry in n not below e, and
+// whether that entry is e. One comparison per step decides both.
+func search(n *node, e *entry) (int, bool) {
+	lo, hi := 0, len(n.entries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch c := entryCmp(&n.entries[mid], e); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true
+		}
+	}
+	return lo, false
 }
 
 type node struct {
@@ -101,17 +133,9 @@ func (t *Btree) Insert(key Key, tid storage.TID) {
 // added. Children that overflow are split by the caller's parent; to
 // keep the code simple we split eagerly on the way back up.
 func (t *Btree) insertInto(n *node, e entry) bool {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entryLess(n.entries[mid], e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.entries) && !entryLess(e, n.entries[lo]) && !entryLess(n.entries[lo], e) {
-		return false // exact duplicate
+	lo, dup := search(n, &e)
+	if dup {
+		return false
 	}
 	if n.leaf() {
 		n.entries = append(n.entries, entry{})
@@ -162,16 +186,8 @@ func (t *Btree) Delete(key Key, tid storage.TID) bool {
 }
 
 func (t *Btree) deleteFrom(n *node, e entry) bool {
-	lo, hi := 0, len(n.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if entryLess(n.entries[mid], e) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.entries) && !entryLess(e, n.entries[lo]) && !entryLess(n.entries[lo], e) {
+	lo, found := search(n, &e)
+	if found {
 		if n.leaf() {
 			n.entries = append(n.entries[:lo], n.entries[lo+1:]...)
 			return true
@@ -236,59 +252,18 @@ func minEntry(n *node) (entry, bool) {
 	return entry{}, false
 }
 
-// AscendRange visits entries with lo <= key <= hi in order, until fn
-// returns false. A nil lo (hi) means unbounded below (above).
-func (t *Btree) AscendRange(lo, hi Key, fn func(key Key, tid storage.TID) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	t.ascend(t.root, lo, hi, fn)
-}
-
-func (t *Btree) ascend(n *node, lo, hi Key, fn func(Key, storage.TID) bool) bool {
-	start := 0
-	if lo != nil {
-		s, e := 0, len(n.entries)
-		for s < e {
-			mid := (s + e) / 2
-			if Compare(n.entries[mid].key, lo) < 0 {
-				s = mid + 1
-			} else {
-				e = mid
-			}
-		}
-		start = s
-	}
-	for i := start; i <= len(n.entries); i++ {
-		if !n.leaf() {
-			if !t.ascend(n.children[i], lo, hi, fn) {
-				return false
-			}
-		}
-		if i == len(n.entries) {
-			break
-		}
-		e := n.entries[i]
-		if hi != nil && Compare(e.key, hi) > 0 {
-			return false
-		}
-		if !fn(e.key, e.tid) {
-			return false
-		}
-		lo = nil // after the first in-range entry, descend whole subtrees
-	}
-	return true
-}
-
-// AscendEqual visits all entries with key exactly equal to k.
+// AscendEqual visits all entries with key exactly equal to k. The keys
+// of one tree have one length, so they are the entries with prefix k.
 func (t *Btree) AscendEqual(k Key, fn func(tid storage.TID) bool) {
-	t.AscendRange(k, k, func(_ Key, tid storage.TID) bool { return fn(tid) })
+	t.AscendPrefix(k, func(_ Key, tid storage.TID) bool { return fn(tid) })
 }
 
-// AscendPrefix visits all entries whose key begins with prefix.
+// AscendPrefix visits all entries whose key begins with prefix, in
+// order, until fn returns false. A nil prefix visits every entry.
 func (t *Btree) AscendPrefix(prefix Key, fn func(key Key, tid storage.TID) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.ascendPrefix(t.root, prefix, fn)
+	t.ascendPrefixAfter(t.root, prefix, nil, fn)
 }
 
 // AscendPrefixAfter is the resumable form of AscendPrefix for the
@@ -322,36 +297,27 @@ func (t *Btree) AscendPrefixAfter(prefix, afterKey Key, afterTID storage.TID, ma
 	return lastKey, lastTID, more
 }
 
-// ascendPrefixAfter mirrors ascendPrefix with a resume bound: entries
-// at or before after are skipped via binary search, and the bound is
-// dropped once the walk passes it (descend whole subtrees after that).
+// ascendPrefixAfter is the one walk: it visits n's entries that begin
+// with prefix, in order, skipping by binary search those at or before
+// after (when set) or below prefix (when not). The bound is dropped
+// once the walk passes it: whole subtrees are descended after that.
 func (t *Btree) ascendPrefixAfter(n *node, prefix Key, after *entry, fn func(Key, storage.TID) bool) bool {
-	matches := func(k Key) int {
-		if len(k) < len(prefix) {
-			return Compare(k, prefix)
+	lo, hi := 0, len(n.entries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		var skip bool
+		if after != nil {
+			skip = entryCmp(&n.entries[mid], after) <= 0
+		} else {
+			skip = prefixCmp(n.entries[mid].key, prefix) < 0
 		}
-		return Compare(k[:len(prefix)], prefix)
-	}
-	start := 0
-	{
-		s, e := 0, len(n.entries)
-		for s < e {
-			mid := (s + e) / 2
-			var skip bool
-			if after != nil {
-				skip = !entryLess(*after, n.entries[mid]) // entries[mid] <= after
-			} else {
-				skip = matches(n.entries[mid].key) < 0
-			}
-			if skip {
-				s = mid + 1
-			} else {
-				e = mid
-			}
+		if skip {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		start = s
 	}
-	for i := start; i <= len(n.entries); i++ {
+	for i := lo; i <= len(n.entries); i++ {
 		if !n.leaf() {
 			if !t.ascendPrefixAfter(n.children[i], prefix, after, fn) {
 				return false
@@ -360,8 +326,8 @@ func (t *Btree) ascendPrefixAfter(n *node, prefix Key, after *entry, fn func(Key
 		if i == len(n.entries) {
 			break
 		}
-		e := n.entries[i]
-		c := matches(e.key)
+		e := &n.entries[i]
+		c := prefixCmp(e.key, prefix)
 		if c > 0 {
 			return false
 		}
@@ -371,49 +337,6 @@ func (t *Btree) ascendPrefixAfter(n *node, prefix Key, after *entry, fn func(Key
 			}
 		}
 		after = nil
-	}
-	return true
-}
-
-func (t *Btree) ascendPrefix(n *node, prefix Key, fn func(Key, storage.TID) bool) bool {
-	matches := func(k Key) int {
-		if len(k) < len(prefix) {
-			return Compare(k, prefix)
-		}
-		return Compare(k[:len(prefix)], prefix)
-	}
-	start := 0
-	{
-		s, e := 0, len(n.entries)
-		for s < e {
-			mid := (s + e) / 2
-			if matches(n.entries[mid].key) < 0 {
-				s = mid + 1
-			} else {
-				e = mid
-			}
-		}
-		start = s
-	}
-	for i := start; i <= len(n.entries); i++ {
-		if !n.leaf() {
-			if !t.ascendPrefix(n.children[i], prefix, fn) {
-				return false
-			}
-		}
-		if i == len(n.entries) {
-			break
-		}
-		e := n.entries[i]
-		c := matches(e.key)
-		if c > 0 {
-			return false
-		}
-		if c == 0 {
-			if !fn(e.key, e.tid) {
-				return false
-			}
-		}
 	}
 	return true
 }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -65,22 +67,13 @@ func TestInsertLookupDelete(t *testing.T) {
 	}
 }
 
-func TestAscendRangeAndPrefix(t *testing.T) {
+func TestAscendPrefix(t *testing.T) {
 	tr := New()
 	for i := int64(0); i < 100; i++ {
 		tr.Insert(k(i/10, i%10), storage.TID(i))
 	}
-	// Range [ (3,0), (4,9) ] = 20 entries.
-	var got []storage.TID
-	tr.AscendRange(k(3, 0), k(4, 9), func(_ Key, tid storage.TID) bool {
-		got = append(got, tid)
-		return true
-	})
-	if len(got) != 20 || got[0] != 30 || got[19] != 49 {
-		t.Fatalf("range: %v", got)
-	}
 	// Prefix (7,*) = 10 entries in order.
-	got = got[:0]
+	var got []storage.TID
 	tr.AscendPrefix(k(7), func(key Key, tid storage.TID) bool {
 		got = append(got, tid)
 		return true
@@ -88,9 +81,18 @@ func TestAscendRangeAndPrefix(t *testing.T) {
 	if len(got) != 10 || got[0] != 70 || got[9] != 79 {
 		t.Fatalf("prefix: %v", got)
 	}
-	// Early termination.
+	// A full key is its own prefix.
+	got = got[:0]
+	tr.AscendEqual(k(4, 2), func(tid storage.TID) bool {
+		got = append(got, tid)
+		return true
+	})
+	if len(got) != 1 || got[0] != 42 {
+		t.Fatalf("equal: %v", got)
+	}
+	// A nil prefix walks everything; early termination.
 	n := 0
-	tr.AscendRange(nil, nil, func(Key, storage.TID) bool { n++; return n < 5 })
+	tr.AscendPrefix(nil, func(Key, storage.TID) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -106,7 +108,7 @@ func TestLargeOrderedInsertAndSplits(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	prev := int64(-1)
-	tr.AscendRange(nil, nil, func(key Key, tid storage.TID) bool {
+	tr.AscendPrefix(nil, func(key Key, tid storage.TID) bool {
 		v := key[0].Int()
 		if v != prev+1 {
 			t.Fatalf("order broken at %d (prev %d)", v, prev)
@@ -134,55 +136,120 @@ func TestMixedTypeKeys(t *testing.T) {
 	}
 }
 
-// Property: the tree agrees with a sorted reference slice under random
-// inserts and deletes.
+// TestQuickMatchesReference: under random inserts and deletes the tree
+// agrees with a sorted reference slice. Insert and Delete change what
+// they change in the reference; a full walk, every one-column prefix
+// walk and walks resumed after each entry (AscendPrefixAfter with a
+// batch of one) yield the reference's entries in order; and a resumed
+// walk that deletes each entry before resuming from it drains the tree.
+// Each run's two key columns hold one kind, BIGINT, DOUBLE or TEXT, with
+// NULLs among it, from domains small enough that equal keys with
+// distinct TIDs and exact duplicates are common. The DOUBLE domain holds
+// -0.0 and 0.0, which are one key, and NaN.
 func TestQuickMatchesReference(t *testing.T) {
-	type ent struct {
-		key int64
-		tid storage.TID
+	domains := [][]types.Value{
+		{types.Null, types.NewInt(math.MinInt64), types.NewInt(-1), types.NewInt(0), types.NewInt(1), types.NewInt(math.MaxInt64)},
+		{types.Null, types.NewFloat(math.Copysign(0, -1)), types.NewFloat(0), types.NewFloat(-2.5), types.NewFloat(1.5), types.NewFloat(math.Inf(1)), types.NewFloat(math.NaN())},
+		{types.Null, types.NewText(""), types.NewText("\x00"), types.NewText("a"), types.NewText("ab"), types.NewText("b")},
+	}
+	// same is entry identity: a key equal column by column, bit for bit
+	// (the tree keeps the key it was first given), and the TID.
+	same := func(a, b entry) bool {
+		if len(a.key) != len(b.key) || a.tid != b.tid {
+			return false
+		}
+		for i := range a.key {
+			if !a.key[i].Equal(b.key[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	// resumed walks prefix one entry per batch from the start, calling
+	// between(e) after each batch's entry e.
+	resumed := func(tr *Btree, prefix Key, between func(entry)) []entry {
+		var got []entry
+		var after entry
+		for {
+			var last entry
+			lastKey, lastTID, more := tr.AscendPrefixAfter(prefix, after.key, after.tid, 1, func(k Key, tid storage.TID) bool {
+				last = entry{k, tid}
+				got = append(got, last)
+				return true
+			})
+			if last.key != nil {
+				between(last)
+			}
+			if !more {
+				return got
+			}
+			after = entry{lastKey, lastTID}
+		}
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
+		dom := domains[r.Intn(len(domains))]
 		tr := New()
-		ref := make(map[ent]bool)
-		for op := 0; op < 500; op++ {
-			e := ent{key: r.Int63n(50), tid: storage.TID(r.Intn(10))}
+		var ref []entry // sorted by entryCmp
+		find := func(e entry) (int, bool) {
+			return slices.BinarySearchFunc(ref, e, func(a, b entry) int { return entryCmp(&a, &b) })
+		}
+		for op := 0; op < 600; op++ {
+			e := entry{Key{dom[r.Intn(len(dom))], dom[r.Intn(len(dom))]}, storage.TID(r.Intn(8))}
 			if r.Intn(4) > 0 {
-				tr.Insert(k(e.key), e.tid)
-				ref[e] = true
-			} else {
-				want := ref[e]
-				got := tr.Delete(k(e.key), e.tid)
-				if got != want {
-					return false
+				tr.Insert(e.key, e.tid)
+				if i, found := find(e); !found {
+					ref = slices.Insert(ref, i, e)
 				}
-				delete(ref, e)
+				continue
+			}
+			if len(ref) > 0 && r.Intn(2) == 0 {
+				e = ref[r.Intn(len(ref))]
+			}
+			i, want := find(e)
+			if got := tr.Delete(e.key, e.tid); got != want {
+				t.Logf("seed %d: Delete(%v, %d) = %v, reference %v", seed, e.key, e.tid, got, want)
+				return false
+			}
+			if want {
+				ref = slices.Delete(ref, i, i+1)
 			}
 		}
 		if tr.Len() != len(ref) {
+			t.Logf("seed %d: Len %d, reference %d", seed, tr.Len(), len(ref))
 			return false
 		}
-		var want []ent
-		for e := range ref {
-			want = append(want, e)
-		}
-		sort.Slice(want, func(i, j int) bool {
-			if want[i].key != want[j].key {
-				return want[i].key < want[j].key
-			}
-			return want[i].tid < want[j].tid
-		})
-		i := 0
-		okOrder := true
-		tr.AscendRange(nil, nil, func(key Key, tid storage.TID) bool {
-			if i >= len(want) || key[0].Int() != want[i].key || tid != want[i].tid {
-				okOrder = false
+		check := func(what string, got, want []entry) bool {
+			if !slices.EqualFunc(got, want, same) {
+				t.Logf("seed %d: %s: %d entries, reference %d: %v\nwant %v", seed, what, len(got), len(want), got, want)
 				return false
 			}
-			i++
 			return true
+		}
+		var all []entry
+		tr.AscendPrefix(nil, func(k Key, tid storage.TID) bool { all = append(all, entry{k, tid}); return true })
+		if !check("full walk", all, ref) || !check("resumed walk", resumed(tr, nil, func(entry) {}), ref) {
+			return false
+		}
+		for _, v := range dom {
+			prefix := Key{v}
+			var want, got []entry
+			for _, e := range ref {
+				if types.Compare(&e.key[0], &v) == 0 {
+					want = append(want, e)
+				}
+			}
+			tr.AscendPrefix(prefix, func(k Key, tid storage.TID) bool { got = append(got, entry{k, tid}); return true })
+			if !check(fmt.Sprintf("prefix %v", v), got, want) || !check(fmt.Sprintf("resumed prefix %v", v), resumed(tr, prefix, func(entry) {}), want) {
+				return false
+			}
+		}
+		drained := resumed(tr, nil, func(e entry) {
+			if !tr.Delete(e.key, e.tid) {
+				t.Errorf("seed %d: Delete(%v, %d) of a walked entry failed", seed, e.key, e.tid)
+			}
 		})
-		return okOrder && i == len(want)
+		return check("draining walk", drained, ref) && tr.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

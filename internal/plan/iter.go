@@ -62,7 +62,8 @@ type scanIter struct {
 	rt  *Runtime
 	env exec.Env // pushed-predicate env over the full table schema; unset without pushed predicates
 
-	key []types.Value // index probe prefix (index mode)
+	key    []types.Value  // index probe prefix (index mode)
+	keyBuf [4]types.Value // key's storage when it has at most 4 columns
 
 	// vis is handed to the heap, which applies it before decoding a
 	// row; st is what the scan keeps between refills and reports.
@@ -70,8 +71,9 @@ type scanIter struct {
 	st  storage.ScanState
 	out types.Arena // pruned rows
 
-	buf []Row
-	pos int
+	buf  []Row
+	row1 [1]Row // buf's storage until a refill admits a second row
+	pos  int
 
 	next storage.TID // heap mode resume position
 
@@ -85,12 +87,17 @@ type scanIter struct {
 
 func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 	it := &scanIter{n: n, rt: rt}
+	it.buf = it.row1[:0]
 	if len(n.Pushed) > 0 {
 		it.env = *rt.env(n.fullSchema, n.Strip)
 	}
 	it.vis = rt.visibility(n.Strip, &it.st)
 	if n.Index != nil {
-		it.key = make([]types.Value, n.Prefix)
+		if n.Prefix <= len(it.keyBuf) {
+			it.key = it.keyBuf[:n.Prefix]
+		} else {
+			it.key = make([]types.Value, n.Prefix)
+		}
 	}
 	// Bind the filter's constants, each into the probe key slots of its
 	// column (of two constants for one column the later wins).

@@ -85,9 +85,10 @@ type Iter interface {
 // Runtime supplies the session-dependent hooks a plan needs to
 // execute. The plan tree itself is immutable and session-free (that is
 // what makes it cacheable); everything that depends on the current
-// transaction, process label, or parameters arrives here. Only Params,
-// Subqs and Visible belong to one statement: the rest is the same for
-// every statement of a session, which binds it once.
+// transaction, process label, or parameters arrives here. Only Params
+// and Subqs belong to one statement, and Visible to one transaction:
+// the rest is the same for every statement of a session, which binds
+// it once.
 type Runtime struct {
 	// Params are the statement's positional parameters.
 	Params []types.Value

@@ -113,10 +113,8 @@ type Txn struct {
 // Begin starts a transaction with a fresh snapshot.
 func (m *Manager) Begin(mode Mode) *Txn {
 	m.commitMu.Lock()
-	snap := m.seq.Load()
-	xid := storage.XID(m.nextXID.Add(1))
-	m.commitMu.Unlock()
-	return m.register(&Txn{m: m, xid: xid, snapSeq: snap, mode: mode})
+	defer m.commitMu.Unlock()
+	return m.register(&Txn{m: m, xid: storage.XID(m.nextXID.Add(1)), snapSeq: m.seq.Load(), mode: mode})
 }
 
 // BeginReadOnly starts a transaction that may only read: it takes a
@@ -127,11 +125,13 @@ func (m *Manager) Begin(mode Mode) *Txn {
 // uncommitted versions self-visible to the reader.
 func (m *Manager) BeginReadOnly(mode Mode) *Txn {
 	m.commitMu.Lock()
-	snap := m.seq.Load()
-	m.commitMu.Unlock()
-	return m.register(&Txn{m: m, xid: storage.InvalidXID, snapSeq: snap, mode: mode})
+	defer m.commitMu.Unlock()
+	return m.register(&Txn{m: m, xid: storage.InvalidXID, snapSeq: m.seq.Load(), mode: mode})
 }
 
+// register enters t's snapshot into active. Callers hold commitMu since
+// taking it, so no commit can land between and let OldestSnapshot pass
+// a snapshot not yet counted (vacuum would drop versions it sees).
 func (m *Manager) register(t *Txn) *Txn {
 	m.activeMu.Lock()
 	m.activeKey++
@@ -457,21 +457,24 @@ func (m *Manager) RestoreCounters(nextXID, seq uint64) {
 	}
 }
 
-// DeadVersion returns a predicate for Heap.Vacuum: a version is dead if
-// (a) its creator aborted, or (b) it was deleted by a transaction that
-// committed at or before the oldest active snapshot. The vacuum task is
-// exempt from label confinement (paper §7.1): reclaiming storage must
-// see everything.
+// DeadVersion returns a predicate for Heap.Vacuum: Dead at the oldest
+// active snapshot. The vacuum task is exempt from label confinement
+// (paper §7.1): reclaiming storage must see everything.
 func (m *Manager) DeadVersion() func(tv *storage.TupleVersion) bool {
 	horizon := m.OldestSnapshot()
-	return func(tv *storage.TupleVersion) bool {
-		if m.Aborted(tv.Xmin) {
-			return true
-		}
-		if tv.Xmax == storage.InvalidXID {
-			return false
-		}
-		seq, ok := m.Committed(tv.Xmax)
-		return ok && seq <= horizon
+	return func(tv *storage.TupleVersion) bool { return m.Dead(tv, horizon) }
+}
+
+// Dead reports whether no snapshot at or after horizon, an
+// OldestSnapshot reading, sees tv: (a) its creator aborted, or (b) it
+// was deleted by a transaction that committed at or before horizon.
+func (m *Manager) Dead(tv *storage.TupleVersion, horizon uint64) bool {
+	if m.Aborted(tv.Xmin) {
+		return true
 	}
+	if tv.Xmax == storage.InvalidXID {
+		return false
+	}
+	seq, ok := m.Committed(tv.Xmax)
+	return ok && seq <= horizon
 }

@@ -12,7 +12,9 @@ import (
 
 // compareBefore is Value.Compare as it stood before the int/int case
 // moved ahead of the float conversion, kept verbatim: the order of index
-// keys, sorts and merges must not have changed with it.
+// keys, sorts and merges must not have changed with it. NaN is the one
+// exception: compareBefore holds it equal to every number, and Compare
+// now gives it a place of its own (TestCompareNaN).
 func compareBefore(v, o Value) int {
 	if v.kind == KindNull || o.kind == KindNull {
 		switch {
@@ -89,7 +91,7 @@ func compareBefore(v, o Value) int {
 
 // TestCompareMatchesBefore: over random pairs of every kind — integers
 // beyond 2^53, where neighbours share a float64; NaN and the infinities;
-// NULL; integers against floats — Compare answers as it did.
+// NULL; integers against floats — Compare answers as it did, NaN apart.
 func TestCompareMatchesBefore(t *testing.T) {
 	g := rand.New(rand.NewSource(1))
 	ints := []int64{0, 1, -1, 1 << 53, 1<<53 + 1, 1<<53 - 1, -(1 << 53) - 1, math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1}
@@ -124,8 +126,42 @@ func TestCompareMatchesBefore(t *testing.T) {
 	}
 	for i := 0; i < 200000; i++ {
 		a, b := gen(), gen()
+		if isNaN(a) || isNaN(b) {
+			continue
+		}
 		if got, want := a.Compare(b), compareBefore(a, b); got != want {
 			t.Fatalf("Compare(%v %s, %v %s) = %d, was %d", a, a.Kind(), b, b.Kind(), got, want)
+		}
+	}
+}
+
+func isNaN(v Value) bool { return v.kind == KindFloat && math.IsNaN(v.Float()) }
+
+// TestCompareNaN: NaN equals every NaN and sorts above every number,
+// BIGINT or DOUBLE, as in PostgreSQL; among kinds it stays after NULL
+// and before TEXT. Before, it compared equal to every number, so no
+// order held for a B-tree to keep (1 = NaN = 2, yet 1 < 2).
+func TestCompareNaN(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	for _, c := range []struct {
+		b    Value
+		want int
+	}{
+		{nan, 0},
+		{NewFloat(math.Float64frombits(0x7ff8000000000001)), 0},
+		{NewFloat(math.Inf(1)), 1},
+		{NewFloat(math.Inf(-1)), 1},
+		{NewFloat(math.Copysign(0, -1)), 1},
+		{NewInt(math.MaxInt64), 1},
+		{NewInt(math.MinInt64), 1},
+		{Null, 1},
+		{NewText(""), -1},
+	} {
+		if got := nan.Compare(c.b); got != c.want {
+			t.Errorf("Compare(NaN, %v) = %d, want %d", c.b, got, c.want)
+		}
+		if got := c.b.Compare(nan); got != -c.want {
+			t.Errorf("Compare(%v, NaN) = %d, want %d", c.b, got, -c.want)
 		}
 	}
 }

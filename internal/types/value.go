@@ -177,7 +177,12 @@ func (v Value) Equal(o Value) bool {
 // Compare orders two values: -1, 0, +1. NULL sorts before everything.
 // Values of incomparable kinds order by kind (stable but arbitrary),
 // which keeps index keys total.
-func (v Value) Compare(o Value) int {
+func (v Value) Compare(o Value) int { return Compare(&v, &o) }
+
+// Compare is Value.Compare on pointers, for callers that walk values in
+// place (the index's binary search) and need not copy two Values per
+// step.
+func Compare(v, o *Value) int {
 	// BIGINT against BIGINT — every integer index key — is decided
 	// first, exactly, and before anything is converted.
 	if v.kind == KindInt && o.kind == KindInt {
@@ -208,6 +213,17 @@ func (v Value) Compare(o Value) int {
 		case a < b:
 			return -1
 		case a > b:
+			return 1
+		case a == b:
+			return 0
+		}
+		// A NaN is involved. As in PostgreSQL, NaN equals NaN and sorts
+		// above every number: were it equal to everything, 1 = NaN = 2
+		// would leave no order for an index to keep.
+		switch {
+		case !math.IsNaN(a):
+			return -1
+		case !math.IsNaN(b):
 			return 1
 		default:
 			return 0

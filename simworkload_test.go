@@ -137,6 +137,9 @@ func TestMixedTenantWorkloadShardedIFC(t *testing.T) {
 			vals[i] = ifdb.Int(a)
 		}
 		_, err := routers[op.Cohort].Exec(op.SQL, vals...)
+		if err != nil {
+			t.Logf("cohort %s: %s %v: %v", op.Cohort, op.SQL, args, err)
+		}
 		return err
 	})
 	if err != nil {
