@@ -10,13 +10,16 @@
 //
 //	ifdb-dump -addr 127.0.0.1:5433 -token secret -tables users,cars
 //
-// It can also pretty-print a write-ahead log offline, for debugging
-// recovery — record type, LSN, XID, and per-type details:
+// It can also pretty-print a write-ahead log or a checkpoint snapshot
+// offline, for debugging recovery — record type, LSN, XID, and per-type
+// details:
 //
 //	ifdb-dump -wal /var/lib/ifdb/wal.log
+//	ifdb-dump -wal /var/lib/ifdb/checkpoint.snap
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +37,7 @@ func main() {
 		prin    = flag.Uint64("principal", 0, "acting principal id")
 		tables  = flag.String("tables", "", "comma-separated tables to dump (required)")
 		raise   = flag.String("raise", "", "comma-separated tag names to add to the label first")
-		walPath = flag.String("wal", "", "pretty-print this WAL file and exit (offline; no server)")
+		walPath = flag.String("wal", "", "pretty-print this WAL or checkpoint snapshot file and exit (offline; no server)")
 	)
 	flag.Parse()
 	if *walPath != "" {
@@ -86,30 +89,42 @@ func main() {
 	}
 }
 
-// dumpWAL prints every intact record of a write-ahead log, one per
-// line, and reports a torn tail (the normal shape of a crash).
+// dumpWAL prints every intact record of a write-ahead log or a
+// checkpoint snapshot, one per line, and reports a torn log tail (the
+// normal shape of a crash).
 func dumpWAL(path string) error {
-	// ReadAll treats a missing file as an empty log (what recovery
-	// wants); for a debugging tool that would masquerade as "0
-	// records", so check explicitly.
+	// The readers treat a missing file as empty (what recovery wants);
+	// for a debugging tool that would masquerade as "0 records", so
+	// check explicitly.
 	if _, err := os.Stat(path); err != nil {
 		return err
 	}
-	recs, torn, err := wal.ReadAll(path)
-	if err != nil {
-		return err
-	}
-	commits, aborts := 0, 0
-	for i := range recs {
-		switch recs[i].Type {
+	n, commits, aborts := 0, 0, 0
+	show := func(r *wal.Record) error {
+		switch r.Type {
 		case wal.RecCommit:
 			commits++
 		case wal.RecAbort:
 			aborts++
 		}
-		fmt.Println(recs[i].Summary())
+		n++
+		fmt.Println(r.Summary())
+		return nil
 	}
-	fmt.Printf("-- %d records, %d commits, %d aborts", len(recs), commits, aborts)
+	torn := false
+	err := wal.ReadSnapshot(path, show)
+	if errors.Is(err, wal.ErrNotSnapshot) {
+		var recs []wal.Record
+		if recs, torn, err = wal.ReadAll(path); err != nil {
+			return err
+		}
+		for i := range recs {
+			show(&recs[i])
+		}
+	} else if err != nil {
+		return err
+	}
+	fmt.Printf("-- %d records, %d commits, %d aborts", n, commits, aborts)
 	if torn {
 		fmt.Printf(", torn tail (crash artifact; ignored by recovery)")
 	}

@@ -187,7 +187,7 @@ type Engine struct {
 	ddlLog     []ddlEntry
 
 	// snapLSN is the log position the loaded checkpoint snapshot
-	// covers (set by loadSnapshot, consumed by recoverState): records
+	// covers (set by its SNAPSHOT record, consumed by recoverState): records
 	// below it are already reflected in the snapshot and are not
 	// replayed.
 	snapLSN wal.LSN

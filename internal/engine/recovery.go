@@ -24,9 +24,7 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -232,7 +230,10 @@ func (e *Engine) releaseLock() {
 // returns the XIDs of orphaned transactions: in flight at the crash,
 // with writes in the log but no outcome record.
 func (e *Engine) recoverState() ([]storage.XID, error) {
-	if err := e.loadSnapshot(); err != nil {
+	// The snapshot's records are all applied: it was captured whole,
+	// and a version whose creator had not committed by then is settled
+	// by the log's outcome records or by reconcile.
+	if err := wal.ReadSnapshot(e.snapPath(), e.replayRecord); err != nil {
 		return nil, err
 	}
 	recs, _, err := wal.ReadAll(e.walPath())
@@ -280,23 +281,10 @@ func (e *Engine) recoverState() ([]storage.XID, error) {
 		if r.LSN < e.snapLSN {
 			continue
 		}
-		switch r.Type {
-		case wal.RecInsert, wal.RecSetXmax:
-			if !isCommitted(r.XID) {
-				continue // a skipped insert's slot stays a gap
-			}
-		case wal.RecPrincipal:
-			if e.admin == authority.NoPrincipal && r.Text == "admin" {
-				// The engine's own administrator is the first principal
-				// it logs (see New).
-				e.admin = authority.Principal(r.Principal)
-			}
-		case wal.RecReplLSN:
-			if r.Seq > e.replApplied.Load() {
-				e.replApplied.Store(r.Seq)
-			}
+		if (r.Type == wal.RecInsert || r.Type == wal.RecSetXmax) && !isCommitted(r.XID) {
+			continue // a skipped insert's slot stays a gap
 		}
-		if err := e.applyRecord(r); err != nil {
+		if err := e.replayRecord(r); err != nil {
 			return nil, fmt.Errorf("replay at lsn %d: %w", r.LSN, err)
 		}
 	}
@@ -320,14 +308,35 @@ func (e *Engine) recoverState() ([]storage.XID, error) {
 	return orphans, e.reconcile(seen)
 }
 
-// applyRecord applies one logged record's effect. Crash recovery and a
-// replica both apply through it; what differs stays with the caller:
-// recovery knows every outcome before it applies in LSN order, the
-// replica holds a transaction's writes until its commit record. Either
-// way a tuple write reaches applyRecord only if its transaction
-// committed, and may arrive out of TID order (storage.Heap.RestoreAt
-// keeps such a gap fillable). Every case is idempotent, since both
-// callers may apply a record whose effect is already present.
+// replayRecord applies a record of this engine's own snapshot or log:
+// applyRecord's effect, plus what only these files tell recovery — who
+// the administrator is and where a replica's stream resumes.
+func (e *Engine) replayRecord(r *wal.Record) error {
+	switch r.Type {
+	case wal.RecPrincipal:
+		if e.admin == authority.NoPrincipal && r.Text == "admin" {
+			// The engine's own administrator is the first principal it
+			// logs (see New).
+			e.admin = authority.Principal(r.Principal)
+		}
+	case wal.RecReplLSN:
+		if r.Seq > e.replApplied.Load() {
+			e.replApplied.Store(r.Seq)
+		}
+	}
+	return e.applyRecord(r)
+}
+
+// applyRecord applies one record's effect. A checkpoint snapshot, crash
+// recovery's log replay and a replica all apply through it; what
+// differs stays with the caller: recovery knows every outcome before it
+// applies the log in LSN order, the replica holds a transaction's
+// writes until its commit record. Either way a logged tuple write
+// reaches applyRecord only if its transaction committed — the snapshot
+// alone holds versions whose creators had not yet — and may arrive out
+// of TID order (storage.Heap.RestoreAt keeps such a gap fillable).
+// Every case is idempotent, since every caller may apply a record whose
+// effect is already present.
 func (e *Engine) applyRecord(r *wal.Record) error {
 	switch r.Type {
 	case wal.RecCommit:
@@ -364,6 +373,10 @@ func (e *Engine) applyRecord(r *wal.Record) error {
 		e.auth.RestoreRevoke(authority.Principal(r.From), authority.Principal(r.To), label.Tag(r.Tag))
 	case wal.RecSeqVal:
 		e.restoreSeqVal(r.Text, r.SeqKey, r.Value)
+	case wal.RecSnapshot:
+		e.admin = authority.Principal(r.Principal)
+		e.txns.RestoreCounters(uint64(r.XID), r.Seq)
+		e.snapLSN = r.Covered
 	}
 	// RecBegin and the checkpoint and replication markers carry no
 	// state of their own.
@@ -529,7 +542,7 @@ func (e *Engine) checkpointLocked() error {
 		if err != nil {
 			return err
 		}
-		if err := writeFileAtomic(e.snapPath(), snap); err != nil {
+		if err := wal.WriteSnapshot(e.snapPath(), snap); err != nil {
 			return err
 		}
 		for _, t := range e.cat.Tables() {
@@ -555,355 +568,118 @@ func (e *Engine) checkpointLoop(every time.Duration) {
 	}
 }
 
-// writeFileAtomic writes data to path via a temp file + rename, with
-// fsyncs on both the file and its directory.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot format
+// captureSnapshot renders the engine state as the records of a
+// checkpoint snapshot (see wal.WriteSnapshot), framed in this order:
 //
-// Binary layout (all integers uvarint unless noted; strings are
-// uvarint length + bytes; labels use the label package encoding):
+//	SNAPSHOT        admin, XID and commit-sequence counters, covered
+//	REPL-LSN        the primary LSN a replica has applied through
+//	PRINCIPAL, TAG, DELEGATE, each sorted by id
+//	DDL             the replayable history, in order
+//	SEQVAL          sorted by sequence name, then label partition
+//	INSERT          every mem-table version (xmin = XID), followed by
+//	                a SETXMAX when it has an xmax
+//	COMMIT, ABORT   the outcomes of the XIDs versions reference, sorted
 //
-//	"IFDBSNP2"
-//	admin principal (8 bytes LE)
-//	nextXID, commitSeq, replApplied (primary LSN, 0 on a primary)
-//	coveredLSN — the log position this snapshot covers: recovery
-//	             applies only WAL records at or above it (their
-//	             effects are the ones the capture could not have seen)
-//	nCommitted, (xid, seq)*      — statuses of xids referenced by live versions
-//	nAborted, xid*
-//	nPrincipals, (id, name)*
-//	nTags, (id, owner, name, nParents, parent*)*
-//	nDelegations, (tag, grantor, grantee)*
-//	nDDL, (principal, text)*
-//	nSequences, (name, nPartitions, (key, value)*)*
-//	nMemTables, (name, nVersions, (tid, xmin, xmax, label, ilabel, row)*)*
-//	crc32c (4 bytes LE) over everything after the magic
-//
-// Disk tables are not in the snapshot: their pages are flushed and
+// Disk tables hold no records here: their pages are flushed and
 // fsynced by the same checkpoint, and the DDL history recreates their
 // catalog entries (reopening the heap files) on recovery.
-
-var snapMagic = []byte("IFDBSNP2")
-
-func appendUv(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// captureSnapshot serializes the engine state. It runs with WAL
-// appends blocked (see Checkpoint): every mutation already applied is
-// either visible to the capture scans or will land in the new log
-// generation, whose idempotent replay re-applies it. covered is the
-// log LSN below which every record's effect is in this capture.
+//
+// It runs with WAL appends blocked (see Checkpoint): every mutation
+// already applied is either visible to the capture scans or will land
+// in the new log generation, whose idempotent replay re-applies it.
+// covered is the log LSN below which every record's effect is in this
+// capture: recovery applies only log records at or above it.
 func (e *Engine) captureSnapshot(covered wal.LSN) ([]byte, error) {
-	buf := append([]byte(nil), snapMagic...)
-	body := make([]byte, 0, 1<<16)
-	body = binary.LittleEndian.AppendUint64(body, uint64(e.admin))
-	body = appendUv(body, e.txns.NextXID())
-	body = appendUv(body, e.txns.CommitSeq())
-	body = appendUv(body, e.replApplied.Load())
-	body = appendUv(body, uint64(covered))
-
-	// Heap scans: mem-table versions, plus the set of xids any live
-	// version references (their statuses must survive log truncation).
-	type memTable struct {
-		name string
-		vers []struct {
-			tid storage.TID
-			tv  storage.TupleVersion
+	buf := make([]byte, 0, 1<<16)
+	var err error
+	add := func(r *wal.Record) {
+		if err == nil {
+			buf, err = wal.AppendFrame(buf, r)
 		}
 	}
-	refXIDs := make(map[storage.XID]bool)
-	var memTables []memTable
-	tables := e.cat.Tables()
-	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
-	for _, t := range tables {
-		mt := memTable{name: t.Name}
-		isMem := !t.OnDisk
-		err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
-			refXIDs[tv.Xmin] = true
-			if tv.Xmax != storage.InvalidXID {
-				refXIDs[tv.Xmax] = true
-			}
-			if isMem {
-				cp := *tv
-				cp.Row = append([]types.Value(nil), tv.Row...)
-				mt.vers = append(mt.vers, struct {
-					tid storage.TID
-					tv  storage.TupleVersion
-				}{tid, cp})
-			}
-			return true
-		})
-		if err != nil {
-			return nil, fmt.Errorf("engine: snapshot %q: %w", t.Name, err)
-		}
-		if isMem {
-			memTables = append(memTables, mt)
-		}
-	}
-
-	var committed [][2]uint64
-	var aborted []uint64
-	for xid := range refXIDs {
-		if seq, ok := e.txns.Committed(xid); ok {
-			committed = append(committed, [2]uint64{uint64(xid), seq})
-		} else if e.txns.Aborted(xid) {
-			aborted = append(aborted, uint64(xid))
-		}
-		// In-flight xids carry no status; if they commit, the commit
-		// record lands in the new log generation.
-	}
-	sort.Slice(committed, func(i, j int) bool { return committed[i][0] < committed[j][0] })
-	sort.Slice(aborted, func(i, j int) bool { return aborted[i] < aborted[j] })
-	body = appendUv(body, uint64(len(committed)))
-	for _, c := range committed {
-		body = appendUv(body, c[0])
-		body = appendUv(body, c[1])
-	}
-	body = appendUv(body, uint64(len(aborted)))
-	for _, x := range aborted {
-		body = appendUv(body, x)
-	}
+	add(&wal.Record{Type: wal.RecSnapshot, Principal: uint64(e.admin),
+		XID: storage.XID(e.txns.NextXID()), Seq: e.txns.CommitSeq(), Covered: covered})
+	add(&wal.Record{Type: wal.RecReplLSN, Seq: e.replApplied.Load()})
 
 	prins, tags, dels := e.auth.Export()
 	sort.Slice(prins, func(i, j int) bool { return prins[i].ID < prins[j].ID })
 	sort.Slice(tags, func(i, j int) bool { return tags[i].ID < tags[j].ID })
-	body = appendUv(body, uint64(len(prins)))
-	for _, p := range prins {
-		body = appendUv(body, uint64(p.ID))
-		body = appendStr(body, p.Name)
-	}
-	body = appendUv(body, uint64(len(tags)))
-	for _, t := range tags {
-		body = appendUv(body, uint64(t.ID))
-		body = appendUv(body, uint64(t.Owner))
-		body = appendStr(body, t.Name)
-		body = appendUv(body, uint64(len(t.Parents)))
-		for _, p := range t.Parents {
-			body = appendUv(body, uint64(p))
+	sort.Slice(dels, func(i, j int) bool {
+		a, b := dels[i], dels[j]
+		if a.Tag != b.Tag {
+			return a.Tag < b.Tag
 		}
+		if a.Grantor != b.Grantor {
+			return a.Grantor < b.Grantor
+		}
+		return a.Grantee < b.Grantee
+	})
+	for _, p := range prins {
+		add(&wal.Record{Type: wal.RecPrincipal, Principal: uint64(p.ID), Text: p.Name})
 	}
-	body = appendUv(body, uint64(len(dels)))
+	for _, t := range tags {
+		parents := make([]uint64, len(t.Parents))
+		for i, p := range t.Parents {
+			parents[i] = uint64(p)
+		}
+		add(&wal.Record{Type: wal.RecTag, Tag: uint64(t.ID), Owner: uint64(t.Owner), Text: t.Name, Parents: parents})
+	}
 	for _, d := range dels {
-		body = appendUv(body, uint64(d.Tag))
-		body = appendUv(body, uint64(d.Grantor))
-		body = appendUv(body, uint64(d.Grantee))
+		add(&wal.Record{Type: wal.RecDelegate, Tag: uint64(d.Tag), From: uint64(d.Grantor), To: uint64(d.Grantee)})
 	}
 
 	e.ddlMu.Lock()
-	ddl := append([]ddlEntry(nil), e.ddlLog...)
+	for _, d := range e.ddlLog {
+		add(&wal.Record{Type: wal.RecDDL, Principal: d.Principal, Text: d.Text})
+	}
 	e.ddlMu.Unlock()
-	body = appendUv(body, uint64(len(ddl)))
-	for _, d := range ddl {
-		body = appendUv(body, d.Principal)
-		body = appendStr(body, d.Text)
-	}
 
-	body = e.appendSequenceSnapshot(body)
+	e.eachSeqVal(func(name, key string, value int64) {
+		add(&wal.Record{Type: wal.RecSeqVal, Text: name, SeqKey: key, Value: value})
+	})
 
-	body = appendUv(body, uint64(len(memTables)))
-	var err error
-	for _, mt := range memTables {
-		body = appendStr(body, mt.name)
-		body = appendUv(body, uint64(len(mt.vers)))
-		for _, v := range mt.vers {
-			body = appendUv(body, uint64(v.tid))
-			body = appendUv(body, uint64(v.tv.Xmin))
-			body = appendUv(body, uint64(v.tv.Xmax))
-			if body, err = label.AppendEncode(body, v.tv.Label); err != nil {
-				return nil, err
+	// Heap scans: mem-table versions, plus the set of xids any live
+	// version references (their statuses must survive log truncation).
+	refXIDs := make(map[storage.XID]bool)
+	tables := e.cat.Tables()
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+	for _, t := range tables {
+		scanErr := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
+			refXIDs[tv.Xmin] = true
+			if tv.Xmax != storage.InvalidXID {
+				refXIDs[tv.Xmax] = true
 			}
-			if body, err = label.AppendEncode(body, v.tv.ILabel); err != nil {
-				return nil, err
+			if t.OnDisk {
+				return true
 			}
-			if body, err = types.EncodeRow(body, v.tv.Row); err != nil {
-				return nil, err
+			add(&wal.Record{Type: wal.RecInsert, XID: tv.Xmin, Table: t.Name, TID: tid,
+				Label: tv.Label, ILabel: tv.ILabel, Row: tv.Row})
+			if tv.Xmax != storage.InvalidXID {
+				add(&wal.Record{Type: wal.RecSetXmax, XID: tv.Xmax, Table: t.Name, TID: tid})
 			}
+			return err == nil
+		})
+		if scanErr != nil {
+			return nil, fmt.Errorf("engine: snapshot %q: %w", t.Name, scanErr)
 		}
 	}
 
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))), nil
-}
-
-// snapReader decodes the snapshot body with panic-based truncation
-// handling (the CRC has already vouched for the bytes).
-type snapReader struct{ b []byte }
-
-var errSnapTruncated = fmt.Errorf("engine: truncated snapshot")
-
-func (r *snapReader) uv() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		panic(errSnapTruncated)
+	xids := make([]storage.XID, 0, len(refXIDs))
+	for x := range refXIDs {
+		xids = append(xids, x)
 	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *snapReader) str() string {
-	n := r.uv()
-	if uint64(len(r.b)) < n {
-		panic(errSnapTruncated)
+	sort.Slice(xids, func(i, j int) bool { return xids[i] < xids[j] })
+	for _, x := range xids {
+		// An in-flight xid carries no outcome; if it commits, the
+		// commit record lands in the new log generation.
+		if seq, ok := e.txns.Committed(x); ok {
+			add(&wal.Record{Type: wal.RecCommit, XID: x, Seq: seq})
+		} else if e.txns.Aborted(x) {
+			add(&wal.Record{Type: wal.RecAbort, XID: x})
+		}
 	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *snapReader) label() label.Label {
-	l, n, err := label.Decode(r.b)
 	if err != nil {
-		panic(errSnapTruncated)
+		return nil, fmt.Errorf("engine: snapshot: %w", err)
 	}
-	r.b = r.b[n:]
-	return l
-}
-
-func (r *snapReader) row() []types.Value {
-	row, n, err := types.DecodeRow(r.b)
-	if err != nil {
-		panic(errSnapTruncated)
-	}
-	r.b = r.b[n:]
-	return row
-}
-
-// loadSnapshot restores engine state from the checkpoint snapshot, if
-// one exists.
-func (e *Engine) loadSnapshot() (err error) {
-	data, rerr := os.ReadFile(e.snapPath())
-	if rerr != nil {
-		if os.IsNotExist(rerr) {
-			return nil
-		}
-		return rerr
-	}
-	if len(data) < len(snapMagic)+12 || string(data[:len(snapMagic)]) != string(snapMagic) {
-		return fmt.Errorf("engine: %s is not a snapshot", e.snapPath())
-	}
-	body := data[len(snapMagic) : len(data)-4]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != wantCRC {
-		return fmt.Errorf("engine: snapshot %s is corrupt (crc mismatch)", e.snapPath())
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			if rec == errSnapTruncated {
-				err = errSnapTruncated
-				return
-			}
-			panic(rec)
-		}
-	}()
-	r := &snapReader{b: body}
-
-	if len(r.b) < 8 {
-		return errSnapTruncated
-	}
-	e.admin = authority.Principal(binary.LittleEndian.Uint64(r.b))
-	r.b = r.b[8:]
-	nextXID := r.uv()
-	commitSeq := r.uv()
-	e.txns.RestoreCounters(nextXID, commitSeq)
-	e.replApplied.Store(r.uv())
-	e.snapLSN = wal.LSN(r.uv())
-
-	for n := r.uv(); n > 0; n-- {
-		xid := r.uv()
-		seq := r.uv()
-		e.txns.RestoreCommitted(storage.XID(xid), seq)
-	}
-	for n := r.uv(); n > 0; n-- {
-		e.txns.RestoreAborted(storage.XID(r.uv()))
-	}
-
-	for n := r.uv(); n > 0; n-- {
-		id := r.uv()
-		name := r.str()
-		e.auth.RestorePrincipal(authority.Principal(id), name)
-	}
-	for n := r.uv(); n > 0; n-- {
-		id := r.uv()
-		owner := r.uv()
-		name := r.str()
-		parents := make([]uint64, r.uv())
-		for i := range parents {
-			parents[i] = r.uv()
-		}
-		if err := e.restoreTag(id, owner, name, parents); err != nil {
-			return err
-		}
-	}
-	for n := r.uv(); n > 0; n-- {
-		tag := r.uv()
-		grantor := r.uv()
-		grantee := r.uv()
-		e.auth.RestoreDelegation(authority.Principal(grantor), authority.Principal(grantee), label.Tag(tag))
-	}
-
-	nDDL := r.uv()
-	ddl := make([]ddlEntry, 0, nDDL)
-	for i := uint64(0); i < nDDL; i++ {
-		p := r.uv()
-		text := r.str()
-		ddl = append(ddl, ddlEntry{Principal: p, Text: text})
-	}
-	e.ddlLog = ddl
-	for _, d := range ddl {
-		if err := e.applyDDL(authority.Principal(d.Principal), d.Text); err != nil {
-			return fmt.Errorf("snapshot ddl %q: %w", d.Text, err)
-		}
-	}
-
-	e.loadSequenceSnapshot(r)
-
-	for n := r.uv(); n > 0; n-- {
-		name := r.str()
-		t, ok := e.cat.Table(name)
-		for v := r.uv(); v > 0; v-- {
-			tid := storage.TID(r.uv())
-			tv := storage.TupleVersion{Xmin: storage.XID(r.uv()), Xmax: storage.XID(r.uv())}
-			tv.Label = r.label()
-			tv.ILabel = r.label()
-			tv.Row = r.row()
-			if !ok {
-				return fmt.Errorf("engine: snapshot references unknown table %q", name)
-			}
-			if err := e.restoreVersion(t, tid, tv); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return buf, nil
 }

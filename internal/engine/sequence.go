@@ -112,17 +112,17 @@ func (e *Engine) restoreSeqVal(name, key string, value int64) {
 	seq.mu.Unlock()
 }
 
-// appendSequenceSnapshot serializes sequence counters for a
-// checkpoint: name count, then per sequence its name, partition
-// count, and (label key, last value) pairs.
-func (e *Engine) appendSequenceSnapshot(body []byte) []byte {
+// eachSeqVal calls fn with every counter — the last value of one label
+// partition of one sequence — sorted by sequence name and then by
+// partition, for a checkpoint to capture as SEQVAL records.
+func (e *Engine) eachSeqVal(fn func(name, key string, value int64)) {
 	e.seqMu.RLock()
+	defer e.seqMu.RUnlock()
 	names := make([]string, 0, len(e.sequences))
 	for n := range e.sequences {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	body = appendUv(body, uint64(len(names)))
 	for _, n := range names {
 		seq := e.sequences[n]
 		seq.mu.Lock()
@@ -131,26 +131,9 @@ func (e *Engine) appendSequenceSnapshot(body []byte) []byte {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		body = appendStr(body, n)
-		body = appendUv(body, uint64(len(keys)))
 		for _, k := range keys {
-			body = appendStr(body, k)
-			body = appendUv(body, uint64(seq.counters[k]))
+			fn(n, k, seq.counters[k])
 		}
 		seq.mu.Unlock()
-	}
-	e.seqMu.RUnlock()
-	return body
-}
-
-// loadSequenceSnapshot is the inverse of appendSequenceSnapshot.
-func (e *Engine) loadSequenceSnapshot(r *snapReader) {
-	for n := r.uv(); n > 0; n-- {
-		name := r.str()
-		for p := r.uv(); p > 0; p-- {
-			key := r.str()
-			value := int64(r.uv())
-			e.restoreSeqVal(name, key, value)
-		}
 	}
 }

@@ -359,9 +359,10 @@ recv:
 			return 0, fmt.Errorf("repl: unexpected %s during basebackup", wire.ReplFrameName(typ))
 		}
 	}
-	if dir, err := os.Open(f.cfg.DataDir); err == nil {
-		_ = dir.Sync()
-		dir.Close()
+	// The files' names must be durable before the resume position that
+	// vouches for them is.
+	if err := wal.SyncDir(f.cfg.DataDir); err != nil {
+		return 0, fmt.Errorf("repl: basebackup: %w", err)
 	}
 
 	eng, err := f.openEngine()

@@ -18,7 +18,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync/atomic"
 )
 
@@ -150,27 +149,11 @@ func (w *Writer) ReadRaw(from LSN, maxBytes int) ([]byte, LSN, error) {
 // whole, intact frames: any tear or CRC mismatch is an error.
 func DecodeFrames(buf []byte, base LSN) ([]Record, error) {
 	var recs []Record
-	off := 0
-	for off < len(buf) {
-		if off+8 > len(buf) {
-			return nil, fmt.Errorf("wal: torn shipped frame header at %d", base+LSN(off))
-		}
-		plen := int(binary.LittleEndian.Uint32(buf[off:]))
-		crc := binary.LittleEndian.Uint32(buf[off+4:])
-		if plen <= 0 || off+8+plen > len(buf) {
-			return nil, fmt.Errorf("wal: torn shipped frame at %d", base+LSN(off))
-		}
-		payload := buf[off+8 : off+8+plen]
-		if crc32.Checksum(payload, crcTable) != crc {
-			return nil, fmt.Errorf("wal: shipped frame crc mismatch at %d", base+LSN(off))
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			return nil, fmt.Errorf("wal: shipped frame at %d: %w", base+LSN(off), err)
-		}
-		rec.LSN = base + LSN(off)
-		recs = append(recs, rec)
-		off += 8 + plen
+	if _, err := EachFrame(buf, base, func(r *Record) error {
+		recs = append(recs, *r)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("shipped batch: %w", err)
 	}
 	return recs, nil
 }

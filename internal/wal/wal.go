@@ -191,6 +191,10 @@ const (
 	// a restarted replica knows where to resume the stream. Never
 	// written by a primary.
 	RecReplLSN
+	// The first record of a checkpoint snapshot (see snapshot.go), never
+	// of the log: the admin principal, the XID and commit-sequence
+	// counters, and the log position the snapshot covers.
+	RecSnapshot
 )
 
 func (t RecType) String() string {
@@ -223,6 +227,8 @@ func (t RecType) String() string {
 		return "CKPT-END"
 	case RecReplLSN:
 		return "REPL-LSN"
+	case RecSnapshot:
+		return "SNAPSHOT"
 	}
 	return fmt.Sprintf("RecType(%d)", uint8(t))
 }
@@ -234,16 +240,16 @@ type Record struct {
 	Type RecType
 	LSN  LSN
 
-	XID   storage.XID
-	Seq   uint64 // RecCommit: commit sequence
-	Table string // RecInsert/RecSetXmax
+	XID   storage.XID // RecSnapshot: the highest XID assigned
+	Seq   uint64      // RecCommit: commit sequence; RecSnapshot: the last one assigned
+	Table string      // RecInsert/RecSetXmax
 	TID   storage.TID
 
 	Label  label.Label
 	ILabel label.Label
 	Row    []types.Value
 
-	Principal uint64 // RecDDL (issuer), RecPrincipal (id)
+	Principal uint64 // RecDDL (issuer), RecPrincipal (id), RecSnapshot (admin)
 	Text      string // RecDDL statement / RecPrincipal, RecTag, RecSeqVal names
 
 	Tag     uint64   // RecTag id, RecDelegate/RecRevoke tag
@@ -254,6 +260,8 @@ type Record struct {
 
 	SeqKey string // RecSeqVal label partition key
 	Value  int64  // RecSeqVal value
+
+	Covered LSN // RecSnapshot: log records below it are in the snapshot
 }
 
 // Summary renders a record for ifdb-dump.
@@ -281,6 +289,8 @@ func (r *Record) Summary() string {
 		return fmt.Sprintf("lsn=%-8d %-10s", r.LSN, r.Type)
 	case RecReplLSN:
 		return fmt.Sprintf("lsn=%-8d %-10s applied=%d", r.LSN, r.Type, r.Seq)
+	case RecSnapshot:
+		return fmt.Sprintf("lsn=%-8d %-10s admin=%d xid=%d seq=%d covered=%d", r.LSN, r.Type, r.Principal, r.XID, r.Seq, r.Covered)
 	}
 	return fmt.Sprintf("lsn=%-8d %v", r.LSN, r.Type)
 }
@@ -294,11 +304,63 @@ func (r *Record) Summary() string {
 //	uint32 CRC-32 (Castagnoli) over the payload
 //	payload: 1 type byte + type-specific fields
 //
-// A torn tail (short frame or CRC mismatch) terminates replay, which
-// is the correct crash semantics: everything before the tear was
-// appended earlier and is intact.
+// The log, a shipped batch and a checkpoint snapshot are all runs of
+// these frames, written by AppendFrame and read by EachFrame. What a
+// frame that is not whole and intact means is the reader's to say: in
+// the log it is the torn tail of a crash mid-append (everything before
+// it was appended earlier and is intact), in a shipped batch or a
+// snapshot an error.
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// AppendFrame encodes rec as one frame at the end of buf. The frame
+// header is reserved first and patched once the payload's length and
+// CRC are known, so nothing is allocated per record.
+func AppendFrame(buf []byte, rec *Record) ([]byte, error) {
+	start := len(buf)
+	framed, err := rec.encodePayload(append(buf, make([]byte, 8)...))
+	if err != nil {
+		return buf, err
+	}
+	payload := framed[start+8:]
+	binary.LittleEndian.PutUint32(framed[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(framed[start+4:], crc32.Checksum(payload, crcTable))
+	return framed, nil
+}
+
+// EachFrame calls fn with the record of each whole, intact frame at the
+// start of buf, in order; base is the LSN of the first, and the one
+// Record passed is reused from call to call. It returns how many bytes
+// the frames fn was called with span, and why it stopped: nil at the
+// end of buf, the error fn returned, or what is wrong with the frame
+// at that offset.
+func EachFrame(buf []byte, base LSN, fn func(*Record) error) (int, error) {
+	var rec Record
+	off := 0
+	for off < len(buf) {
+		at := base + LSN(off)
+		if len(buf)-off < 8 {
+			return off, fmt.Errorf("wal: torn frame header at lsn %d", at)
+		}
+		plen := int(binary.LittleEndian.Uint32(buf[off:]))
+		if plen == 0 || plen > len(buf)-off-8 {
+			return off, fmt.Errorf("wal: torn frame at lsn %d", at)
+		}
+		payload := buf[off+8 : off+8+plen]
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(buf[off+4:]) {
+			return off, fmt.Errorf("wal: crc mismatch in frame at lsn %d", at)
+		}
+		if err := decodePayload(payload, &rec); err != nil {
+			return off, fmt.Errorf("wal: frame at lsn %d: %w", at, err)
+		}
+		rec.LSN = at
+		if err := fn(&rec); err != nil {
+			return off, err
+		}
+		off += 8 + plen
+	}
+	return off, nil
+}
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -365,17 +427,23 @@ func (r *Record) encodePayload(buf []byte) ([]byte, error) {
 		// no payload beyond the type byte
 	case RecReplLSN:
 		buf = binary.AppendUvarint(buf, r.Seq)
+	case RecSnapshot:
+		buf = binary.AppendUvarint(buf, r.Principal)
+		buf = binary.AppendUvarint(buf, uint64(r.XID))
+		buf = binary.AppendUvarint(buf, r.Seq)
+		buf = binary.AppendUvarint(buf, uint64(r.Covered))
 	default:
 		return nil, fmt.Errorf("wal: cannot encode record type %v", r.Type)
 	}
 	return buf, nil
 }
 
-func decodePayload(payload []byte) (r Record, err error) {
+// decodePayload decodes payload into r, overwriting all of it.
+func decodePayload(payload []byte, r *Record) (err error) {
 	if len(payload) < 1 {
-		return r, fmt.Errorf("wal: empty payload")
+		return fmt.Errorf("wal: empty payload")
 	}
-	r.Type = RecType(payload[0])
+	*r = Record{Type: RecType(payload[0])}
 	b := payload[1:]
 	u := func() uint64 {
 		n, sz := binary.Uvarint(b)
@@ -414,17 +482,17 @@ func decodePayload(payload []byte) (r Record, err error) {
 		r.TID = storage.TID(u())
 		l, n, derr := label.Decode(b)
 		if derr != nil {
-			return r, derr
+			return derr
 		}
 		r.Label, b = l, b[n:]
 		il, n, derr := label.Decode(b)
 		if derr != nil {
-			return r, derr
+			return derr
 		}
 		r.ILabel, b = il, b[n:]
 		row, _, derr := types.DecodeRow(b)
 		if derr != nil {
-			return r, derr
+			return derr
 		}
 		r.Row = row
 	case RecSetXmax:
@@ -456,10 +524,15 @@ func decodePayload(payload []byte) (r Record, err error) {
 	case RecCheckpointBegin, RecCheckpointEnd:
 	case RecReplLSN:
 		r.Seq = u()
+	case RecSnapshot:
+		r.Principal = u()
+		r.XID = storage.XID(u())
+		r.Seq = u()
+		r.Covered = LSN(u())
 	default:
-		return r, fmt.Errorf("wal: unknown record type %d", payload[0])
+		return fmt.Errorf("wal: unknown record type %d", payload[0])
 	}
-	return r, err
+	return err
 }
 
 var errTruncated = fmt.Errorf("wal: truncated payload")
@@ -692,21 +765,15 @@ func (w *Writer) withdrawLocked(lsn, lastState LSN) {
 	w.end, w.lastState = lsn, lastState
 }
 
-// frameLocked is the one framing routine: it encodes rec at the end of
-// the log buffer — the frame header is reserved first and patched once
-// the payload's length and CRC are known, so nothing is allocated per
-// record — and advances end past it. Caller holds mu.
+// frameLocked frames rec at the end of the log buffer and advances end
+// past it. Caller holds mu.
 func (w *Writer) frameLocked(rec *Record) error {
-	start := len(w.buf)
-	framed, err := rec.encodePayload(append(w.buf, make([]byte, 8)...))
+	framed, err := AppendFrame(w.buf, rec)
 	if err != nil {
 		return err
 	}
-	payload := framed[start+8:]
-	binary.LittleEndian.PutUint32(framed[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(framed[start+4:], crc32.Checksum(payload, crcTable))
+	w.end += LSN(len(framed) - len(w.buf))
 	w.buf = framed
-	w.end += LSN(len(framed) - start)
 	if !isMarker(rec.Type) {
 		w.lastState = w.end
 	}
@@ -1053,59 +1120,40 @@ func scan(f *os.File) (scanResult, error) {
 	if err != nil {
 		return scanResult{}, err
 	}
-	size := st.Size()
-	if size < headerSize {
+	if st.Size() < headerSize {
 		return scanResult{}, nil
 	}
-	var hdr [headerSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	data := make([]byte, st.Size())
+	if _, err := f.ReadAt(data, 0); err != nil {
 		return scanResult{}, err
 	}
-	if [8]byte(hdr[:8]) != fileMagic {
+	if [8]byte(data[:8]) != fileMagic {
 		return scanResult{}, nil
 	}
 	sc := scanResult{
-		base:     LSN(binary.LittleEndian.Uint64(hdr[8:])),
-		hdrState: LSN(binary.LittleEndian.Uint64(hdr[16:])),
-		epoch:    binary.LittleEndian.Uint64(hdr[24:]),
+		base:     LSN(binary.LittleEndian.Uint64(data[8:])),
+		hdrState: LSN(binary.LittleEndian.Uint64(data[16:])),
+		epoch:    binary.LittleEndian.Uint64(data[24:]),
 	}
 	if sc.base < headerSize {
 		return scanResult{}, nil
 	}
 	sc.lastState = sc.hdrState
-	off := int64(headerSize)
-	lsnAt := func(off int64) LSN { return sc.base + LSN(off-headerSize) }
-	var frameHdr [8]byte
-	for {
-		sc.end = lsnAt(off)
-		if off+8 > size {
-			return sc, nil
+	// Where the walk stops short of the end of the file is the torn tail.
+	last := -1 // index of the last state-carrying record
+	n, _ := EachFrame(data[headerSize:], sc.base, func(r *Record) error {
+		if !isMarker(r.Type) {
+			last = len(sc.recs)
 		}
-		if _, err := f.ReadAt(frameHdr[:], off); err != nil {
-			return sc, nil
-		}
-		plen := int64(binary.LittleEndian.Uint32(frameHdr[0:]))
-		crc := binary.LittleEndian.Uint32(frameHdr[4:])
-		if plen <= 0 || off+8+plen > size {
-			return sc, nil
-		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, off+8); err != nil {
-			return sc, nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
-			return sc, nil
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			// CRC passed but the payload is malformed: treat as tear.
-			return sc, nil
-		}
-		rec.LSN = lsnAt(off)
-		sc.recs = append(sc.recs, rec)
-		off += 8 + plen
-		if !isMarker(rec.Type) && lsnAt(off) > sc.lastState {
-			sc.lastState = lsnAt(off)
+		sc.recs = append(sc.recs, *r)
+		return nil
+	})
+	sc.end = sc.base + LSN(n)
+	if last >= 0 {
+		sc.lastState = sc.end
+		if last+1 < len(sc.recs) {
+			sc.lastState = sc.recs[last+1].LSN
 		}
 	}
+	return sc, nil
 }
