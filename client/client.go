@@ -6,6 +6,7 @@ package client
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -393,25 +394,7 @@ func (c *Conn) ExecWait(waitLSN uint64, sql string, params ...Value) (*Result, e
 // attaching its current map to the error (StaleShardMap). The Router
 // stamps every statement it routes by the map with the map's version.
 func (c *Conn) ExecShard(waitLSN, shardVer uint64, sql string, params ...Value) (*Result, error) {
-	res, err := c.execOnce(waitLSN, shardVer, sql, params)
-	if err == nil || !c.cfg.AutoReconnect || !retryable(err) {
-		return res, err
-	}
-	if rerr := c.redial(); rerr != nil {
-		return nil, rerr
-	}
-	return c.execOnce(waitLSN, shardVer, sql, params)
-}
-
-// execOnce runs one statement over the v2 EXECUTE/ROWS path and
-// buffers the stream into a Result — the text API is a shim over the
-// streaming protocol.
-func (c *Conn) execOnce(waitLSN, shardVer uint64, sql string, params []Value) (*Result, error) {
-	rows, err := c.startExec(0, sql, waitLSN, shardVer, params, 0, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return drain(rows)
+	return c.execCtx(context.Background(), nil, waitLSN, shardVer, sql, params)
 }
 
 // startExec sends one EXECUTE frame — a prepared handle (stmtID != 0)
@@ -492,7 +475,7 @@ func (c *Conn) control(ctl *wire.Control) (*wire.CtrlRes, error) {
 
 func (c *Conn) controlOnce(ctl *wire.Control) (*wire.CtrlRes, error) {
 	if c.dirty {
-		if _, err := c.execOnce(0, 0, "SELECT 1", nil); err != nil {
+		if _, err := c.execCtxOnce(context.Background(), nil, 0, 0, "SELECT 1", nil); err != nil {
 			return nil, err
 		}
 	}

@@ -85,6 +85,19 @@ func (r *connRows) Next() bool {
 			r.release()
 			return false
 		}
+		if ctxDone(r.ctx) {
+			// The caller's context is over: hand out no further chunk,
+			// however fast the server streams until its out-of-band
+			// CANCEL lands. The tail is discarded, and the server's answer
+			// (its cancel error, wrapping ctx's) becomes Err.
+			for !r.recvDone && r.fetch() {
+			}
+			if r.err == nil {
+				r.err = ctxErr(r.ctx)
+			}
+			r.release()
+			return false
+		}
 		if !r.fetch() {
 			return false
 		}

@@ -17,33 +17,53 @@ import (
 // (the prepared-statement optimization every real DBMS has); DDL is
 // never cached because its execution consumes parts of the AST.
 func (s *Session) Exec(query string, params ...types.Value) (*Result, error) {
-	// Per-statement timing covers only top-level statements: nested
-	// Execs (triggers, stored procedures, QueryEach fan-out) run inside
-	// the enclosing statement and must not clobber its breakdown.
-	top := s.stmtTx == nil || s.stmtTx.Done()
-	var t0 time.Time
-	if top {
-		s.beginStmtStats(query)
-		t0 = time.Now()
-	}
-	stmts, err := s.eng.parseCached(query)
-	if top {
-		s.stats.ParseNs = time.Since(t0).Nanoseconds()
-	}
+	stmts, top, err := s.statements(query, nil)
 	if err != nil {
 		return nil, err
 	}
+	return s.run(stmts, top, params)
+}
+
+// statements resolves a batch to run: a prepared handle's pinned AST,
+// or else the text through the parse cache. top reports a top-level
+// statement, whose timing breakdown it starts (ParseNs stays zero for a
+// pinned batch: that it never parses is what the breakdown should
+// show). Nested statements (triggers, stored procedures, QueryEach
+// fan-out) run inside the enclosing statement and must not clobber its
+// breakdown.
+func (s *Session) statements(text string, pinned []sql.Statement) (stmts []sql.Statement, top bool, err error) {
+	top = s.stmtTx == nil || s.stmtTx.Done()
+	if top {
+		s.beginStmtStats(text)
+	}
+	if pinned != nil {
+		return pinned, top, nil
+	}
+	var t0 time.Time
+	if top {
+		t0 = time.Now()
+	}
+	stmts, err = s.eng.parseCached(text)
+	if top {
+		s.stats.ParseNs = time.Since(t0).Nanoseconds()
+	}
+	return stmts, top, err
+}
+
+// run executes a resolved batch in order and returns the last
+// statement's result, timing a top-level batch as ExecNs.
+func (s *Session) run(stmts []sql.Statement, top bool, params []types.Value) (*Result, error) {
 	if len(stmts) == 0 {
 		return &Result{}, nil
 	}
 	if top {
-		t0 = time.Now()
+		t0 := time.Now()
 		defer func() { s.stats.ExecNs = time.Since(t0).Nanoseconds() }()
 	}
 	var res *Result
 	for _, st := range stmts {
-		res, err = s.ExecStmt(st, params...)
-		if err != nil {
+		var err error
+		if res, err = s.ExecStmt(st, params...); err != nil {
 			return nil, err
 		}
 	}

@@ -114,15 +114,24 @@ func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
 	return &rt
 }
 
+// openSelect plans a SELECT under qc's strip and opens it as a live
+// iterator against the statement transaction, which must stay open
+// until the caller Closes the iterator. A buffered SELECT, a subquery
+// and a streaming cursor all open here.
+func (s *Session) openSelect(sel *sql.SelectStmt, qc *qctx) (*plan.Plan, plan.Iter, error) {
+	p, err := s.planFor(sel, qc.strip)
+	if err != nil {
+		return nil, nil, err
+	}
+	it, err := p.Open(s.planRuntime(qc))
+	return p, it, err
+}
+
 // executeSelect runs a SELECT to a buffered Result. Subqueries and the
 // source of INSERT … SELECT come through here too, under the strip of
 // the view they sit in.
 func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*Result, error) {
-	p, err := s.planFor(sel, qc.strip)
-	if err != nil {
-		return nil, err
-	}
-	it, err := p.Open(s.planRuntime(qc))
+	p, it, err := s.openSelect(sel, qc)
 	if err != nil {
 		return nil, err
 	}
@@ -146,22 +155,6 @@ func (s *Session) executeSelect(sel *sql.SelectStmt, qc *qctx) (*Result, error) 
 			res.RowLabels = append(res.RowLabels, r.Lbl)
 		}
 	}
-}
-
-// openSelect opens a SELECT as a live iterator (the streaming path the
-// wire server's cursor rides). The caller owns the iterator and must
-// Close it; the statement transaction must stay open meanwhile.
-func (s *Session) openSelect(sel *sql.SelectStmt, params []types.Value) (*plan.Plan, plan.Iter, error) {
-	qc := &qctx{s: s, params: params}
-	p, err := s.planFor(sel, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	it, err := p.Open(s.planRuntime(qc))
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, it, nil
 }
 
 // explain renders the analyzed plan of st as a one-column result, one

@@ -71,28 +71,11 @@ func cacheableStmts(stmts []sql.Statement) bool {
 // ExecPrepared executes a prepared batch with no parser involvement
 // (DDL batches fall back to text execution, re-parsing per run).
 func (s *Session) ExecPrepared(p *Prepared, params ...types.Value) (*Result, error) {
-	if p.stmts == nil {
-		return s.Exec(p.Text, params...)
+	stmts, top, err := s.statements(p.Text, p.stmts)
+	if err != nil {
+		return nil, err
 	}
-	if top := s.stmtTx == nil || s.stmtTx.Done(); top {
-		// ParseNs stays zero: that a prepared execution never parses is
-		// exactly what the breakdown should show.
-		s.beginStmtStats(p.Text)
-		t0 := time.Now()
-		defer func() { s.stats.ExecNs = time.Since(t0).Nanoseconds() }()
-	}
-	if len(p.stmts) == 0 {
-		return &Result{}, nil
-	}
-	var res *Result
-	var err error
-	for _, st := range p.stmts {
-		res, err = s.ExecStmt(st, params...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return s.run(stmts, top, params)
 }
 
 // ---------------------------------------------------------------------------

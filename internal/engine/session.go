@@ -33,7 +33,8 @@ type Session struct {
 	tx *txn.Txn
 
 	// stmtTx is the transaction for the currently executing statement
-	// (either tx or a temporary autocommit transaction).
+	// (either tx or a temporary autocommit transaction). Only enterStmt
+	// and exitStmt set it.
 	stmtTx *txn.Txn
 
 	// closureDepth tracks nesting of authority-closure calls, so that
@@ -345,6 +346,13 @@ func (s *Session) Commit() error {
 	}
 	t := s.tx
 	s.tx = nil
+	return s.commitTxn(t)
+}
+
+// commitTxn commits t under the commit-label rule (§5.1): the
+// session's labels at this point are the commit labels. It is the one
+// place a transaction commits, explicit or autocommit.
+func (s *Session) commitTxn(t *txn.Txn) error {
 	var commitLabel, commitILabel label.Label
 	if s.eng.cfg.IFC {
 		commitLabel = s.plabel
@@ -414,65 +422,80 @@ const (
 	autocommitBackoff  = 100 * time.Microsecond
 )
 
-// withStmt runs fn under the statement's transaction: the currently
-// executing statement's transaction when fn is nested (triggers and
-// stored procedures issuing queries), else the open explicit
-// transaction, else a fresh autocommit transaction that commits (with
-// the commit-label rule) when fn returns. An autocommit statement that
-// loses first-committer-wins (txn.ErrSerialization) runs again on a
-// fresh snapshot, unless the session is canceled; in an explicit
-// transaction the caller retries, as earlier statements read the old
-// snapshot.
-func (s *Session) withStmt(fn func(t *txn.Txn) error) error {
-	// Nested execution: reuse the in-flight statement transaction.
+// stmtScope is the transaction a statement runs under, which decides
+// what its end resolves (exitStmt).
+type stmtScope uint8
+
+const (
+	// scopeNested: inside a running statement (a trigger or a stored
+	// procedure issuing queries); it rides that statement's transaction
+	// and its end resolves nothing.
+	scopeNested stmtScope = iota
+	// scopeExplicit: inside BEGIN … COMMIT; a failure aborts the whole
+	// transaction (PostgreSQL semantics).
+	scopeExplicit
+	// scopeAuto: a fresh transaction of its own, committed when the
+	// statement succeeds.
+	scopeAuto
+)
+
+// enterStmt chooses the transaction the session's next statement runs
+// under: the running statement's, else the open explicit transaction,
+// else a fresh autocommit one. Every statement, buffered or streamed,
+// enters here and leaves through exitStmt.
+func (s *Session) enterStmt() (*txn.Txn, stmtScope) {
 	if s.stmtTx != nil && !s.stmtTx.Done() {
-		return fn(s.stmtTx)
+		return s.stmtTx, scopeNested
 	}
-	// Explicit transaction.
 	if s.tx != nil && !s.tx.Done() {
 		s.stmtTx = s.tx
-		err := fn(s.tx)
-		s.stmtTx = nil
-		if err != nil {
-			// Statement failure inside an explicit transaction aborts
-			// the whole transaction (PostgreSQL semantics).
-			s.tx.Abort()
+		return s.tx, scopeExplicit
+	}
+	s.stmtTx = s.beginTxn(txn.SnapshotIsolation)
+	return s.stmtTx, scopeAuto
+}
+
+// exitStmt resolves a statement entered with enterStmt that ended with
+// err: a failure aborts t (and closes an explicit transaction), and a
+// successful autocommit statement commits. It returns the statement's
+// error, else the commit's.
+func (s *Session) exitStmt(t *txn.Txn, scope stmtScope, err error) error {
+	if scope == scopeNested {
+		return err
+	}
+	s.stmtTx = nil
+	if err != nil {
+		t.Abort()
+		mTxnAborts.Inc()
+		if scope == scopeExplicit {
 			s.tx = nil
-			mTxnAborts.Inc()
 		}
 		return err
 	}
-	// Autocommit.
-	var t *txn.Txn
+	if scope == scopeAuto {
+		return s.commitTxn(t)
+	}
+	return nil
+}
+
+// withStmt runs fn as one statement, between enterStmt and exitStmt.
+// An autocommit statement whose fn loses first-committer-wins
+// (txn.ErrSerialization) runs again on a fresh snapshot, unless the
+// session is canceled; a failed commit is returned, not retried, and in
+// an explicit transaction the caller retries, as earlier statements
+// read the old snapshot.
+func (s *Session) withStmt(fn func(t *txn.Txn) error) error {
 	for attempt := 1; ; attempt++ {
-		t = s.beginTxn(txn.SnapshotIsolation)
-		s.stmtTx = t
-		err := fn(t)
-		s.stmtTx = nil
-		if err == nil {
-			break
-		}
-		t.Abort()
-		mTxnAborts.Inc()
-		if attempt == autocommitAttempts || !errors.Is(err, txn.ErrSerialization) ||
+		t, scope := s.enterStmt()
+		ferr := fn(t)
+		err := s.exitStmt(t, scope, ferr)
+		if ferr == nil || scope != scopeAuto || attempt == autocommitAttempts ||
+			!errors.Is(ferr, txn.ErrSerialization) ||
 			s.cancelableSleep(time.Duration(attempt)*autocommitBackoff) != nil {
 			return err
 		}
 		mStmtRetries.Inc()
 	}
-	var commitLabel, commitILabel label.Label
-	if s.eng.cfg.IFC {
-		commitLabel = s.plabel
-		commitILabel = s.pilabel
-	}
-	err := t.Commit(s.eng.hier, commitLabel, commitILabel)
-	if err == nil {
-		s.noteCommit(t)
-		mTxnCommits.Inc()
-	} else {
-		mTxnAborts.Inc()
-	}
-	return err
 }
 
 // ---------------------------------------------------------------------------

@@ -18,25 +18,24 @@ import (
 // batches) falls back to a materialized Result served through the same
 // interface.
 //
-// A Cursor is part of its session's statement lifecycle: while open it
-// owns the session's statement transaction, and NextBatch/Close resolve
-// that transaction exactly as a materialized statement would (commit on
-// clean exhaustion in autocommit, abort on error or abandonment, whole-
-// transaction abort inside an explicit transaction). Callers must fully
-// consume or Close the cursor before issuing the session's next
-// statement.
+// A Cursor is part of its session's statement lifecycle: a live one
+// enters its statement with enterStmt when it opens, and NextBatch/Close
+// leave it through exitStmt, exactly as a materialized statement would
+// (commit on clean exhaustion in autocommit, abort on error or
+// abandonment, whole-transaction abort inside an explicit transaction).
+// Callers must fully consume or Close the cursor before issuing the
+// session's next statement.
 type Cursor struct {
 	s    *Session
 	cols []string
 	ifc  bool
 
 	// Streaming state (nil it → materialized fallback).
-	it       plan.Iter
-	rows     [][]types.Value // the batch NextBatch last returned, reused
-	labels   []label.Label
-	stmtTx   *txn.Txn // transaction the cursor runs under
-	auto     bool     // stmtTx is a cursor-owned autocommit transaction
-	explicit bool     // stmtTx is the session's explicit transaction
+	it     plan.Iter
+	rows   [][]types.Value // the batch NextBatch last returned, reused
+	labels []label.Label
+	tx     *txn.Txn // transaction the cursor runs under
+	scope  stmtScope
 
 	// Materialized fallback.
 	res *Result
@@ -61,73 +60,47 @@ func streamableStmts(stmts []sql.Statement) (*sql.SelectStmt, bool) {
 }
 
 // ExecStream executes query, returning a cursor over its result. A
-// single SELECT streams; anything else executes eagerly (through Exec)
-// and the cursor serves the materialized result.
+// single SELECT streams; anything else executes eagerly and the cursor
+// serves the materialized result.
 func (s *Session) ExecStream(query string, params ...types.Value) (*Cursor, error) {
-	s.beginStmtStats(query)
-	t0 := time.Now()
-	stmts, err := s.eng.parseCached(query)
-	s.stats.ParseNs = time.Since(t0).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := streamableStmts(stmts); ok {
-		return s.openCursor(sel, params)
-	}
-	res, err := s.Exec(query, params...)
-	if err != nil {
-		return nil, err
-	}
-	return s.materializedCursor(res), nil
+	return s.stream(query, nil, params)
 }
 
 // ExecPreparedStream is ExecStream over a prepared handle: a prepared
 // single SELECT streams from its cached plan with no parser (and no
 // parse-cache) involvement at all.
 func (s *Session) ExecPreparedStream(p *Prepared, params ...types.Value) (*Cursor, error) {
-	if p.stmts == nil {
-		return s.ExecStream(p.Text, params...)
-	}
-	if sel, ok := streamableStmts(p.stmts); ok {
-		s.beginStmtStats(p.Text)
-		return s.openCursor(sel, params)
-	}
-	res, err := s.ExecPrepared(p, params...)
+	return s.stream(p.Text, p.stmts, params)
+}
+
+// stream resolves the batch once (statements) and either opens a live
+// cursor over its one SELECT or runs it and serves the result.
+func (s *Session) stream(text string, pinned []sql.Statement, params []types.Value) (*Cursor, error) {
+	stmts, top, err := s.statements(text, pinned)
 	if err != nil {
 		return nil, err
 	}
-	return s.materializedCursor(res), nil
+	if sel, ok := streamableStmts(stmts); ok {
+		return s.openCursor(sel, params)
+	}
+	res, err := s.run(stmts, top, params)
+	if err != nil {
+		return nil, err
+	}
+	return &Cursor{s: s, cols: res.Cols, ifc: s.eng.cfg.IFC, res: res}, nil
 }
 
-// materializedCursor wraps an eagerly-computed result.
-func (s *Session) materializedCursor(res *Result) *Cursor {
-	return &Cursor{s: s, cols: res.Cols, ifc: s.eng.cfg.IFC, res: res}
-}
-
-// openCursor builds the plan, opens the statement transaction, and
-// opens the iterator — the streaming analogue of withStmt's entry.
+// openCursor enters the statement, then builds the plan and opens the
+// iterator as a buffered SELECT would (openSelect).
 func (s *Session) openCursor(sel *sql.SelectStmt, params []types.Value) (*Cursor, error) {
 	if err := s.checkCanceled(); err != nil {
 		return nil, err
 	}
 	c := &Cursor{s: s, ifc: s.eng.cfg.IFC, execT0: time.Now()}
-	switch {
-	case s.stmtTx != nil && !s.stmtTx.Done():
-		// Nested execution (a stored procedure opening a cursor): ride
-		// the in-flight statement transaction, resolve nothing.
-		c.stmtTx = s.stmtTx
-	case s.tx != nil && !s.tx.Done():
-		c.stmtTx = s.tx
-		c.explicit = true
-		s.stmtTx = s.tx
-	default:
-		c.stmtTx = s.beginTxn(txn.SnapshotIsolation)
-		c.auto = true
-		s.stmtTx = c.stmtTx
-	}
-	p, it, err := s.openSelect(sel, params)
+	c.tx, c.scope = s.enterStmt()
+	p, it, err := s.openSelect(sel, &qctx{s: s, params: params})
 	if err != nil {
-		c.fail(err)
+		c.end(err)
 		return nil, err
 	}
 	c.it = it
@@ -187,11 +160,11 @@ func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
 	for len(c.rows) < max {
 		r, err := c.it.Next()
 		if err != nil {
-			c.fail(err)
+			c.end(err)
 			return nil, nil, err
 		}
 		if r == nil {
-			if err := c.finish(); err != nil {
+			if err := c.end(nil); err != nil {
 				return nil, nil, err
 			}
 			break
@@ -225,58 +198,19 @@ func (c *Cursor) Buffered() int {
 	return len(c.rows)
 }
 
-// finish resolves a cleanly-exhausted stream: close the iterator,
-// commit the autocommit transaction (with the commit-label rule, as
-// withStmt does), and restore the session's statement state.
-func (c *Cursor) finish() error {
+// end resolves a live stream that ended with err (nil: clean
+// exhaustion): it closes the iterator and leaves the statement through
+// exitStmt, returning what exitStmt returns.
+func (c *Cursor) end(err error) error {
 	c.done = true
-	c.it.Close()
-	s := c.s
-	if c.auto || c.explicit {
-		s.stmtTx = nil
-	}
-	s.stats.ExecNs = time.Since(c.execT0).Nanoseconds()
-	if !c.auto {
-		return nil
-	}
-	var commitLabel, commitILabel label.Label
-	if s.eng.cfg.IFC {
-		commitLabel = s.plabel
-		commitILabel = s.pilabel
-	}
-	err := c.stmtTx.Commit(s.eng.hier, commitLabel, commitILabel)
-	if err == nil {
-		s.noteCommit(c.stmtTx)
-		mTxnCommits.Inc()
-	} else {
-		mTxnAborts.Inc()
-		c.err = err
-	}
-	return err
-}
-
-// fail resolves a failed stream: abort the statement's transaction
-// exactly as withStmt's error path does (an explicit transaction
-// aborts wholesale — PostgreSQL semantics).
-func (c *Cursor) fail(err error) {
-	c.done = true
-	c.err = err
 	if c.it != nil {
 		c.it.Close()
 	}
-	s := c.s
-	switch {
-	case c.auto:
-		s.stmtTx = nil
-		c.stmtTx.Abort()
-		mTxnAborts.Inc()
-	case c.explicit:
-		s.stmtTx = nil
-		s.tx = nil
-		c.stmtTx.Abort()
-		mTxnAborts.Inc()
+	c.err = c.s.exitStmt(c.tx, c.scope, err)
+	if c.scope != scopeNested {
+		c.s.stats.ExecNs = time.Since(c.execT0).Nanoseconds()
 	}
-	s.stats.ExecNs = time.Since(c.execT0).Nanoseconds()
+	return c.err
 }
 
 // Close abandons the cursor. An unexhausted stream aborts its
@@ -290,6 +224,6 @@ func (c *Cursor) Close() {
 		c.done = true
 		return
 	}
-	c.fail(ErrCanceled)
+	c.end(ErrCanceled)
 	c.err = nil
 }
