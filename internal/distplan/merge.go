@@ -197,8 +197,10 @@ type mergeAcc struct {
 	fold   *exec.AggState // gather: the real accumulator; partial: sum, min or max of partials
 }
 
-// newAcc is the gateway's plan.AggregateNode.NewAcc.
-func (sp *Spec) newAcc(fc *sql.FuncCall) plan.Accumulator {
+// newAcc is the gateway's plan.AggregateNode.NewAcc. The columns it
+// reads are the aggregate's own (aggSpec.at), so it has no use for the
+// argument's ordinal.
+func (sp *Spec) newAcc(fc *sql.FuncCall, _ int) plan.Accumulator {
 	m := &mergeAcc{gather: sp.Mode == ModeGatherAgg}
 	for i := range sp.aggs {
 		if sp.aggs[i].call == fc {

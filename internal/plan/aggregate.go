@@ -23,22 +23,26 @@ import (
 // scans with EvalAcc, the Router's gateway over shard streams with the
 // partial-aggregate algebra of internal/distplan.
 
-// EvalAcc is the engine's accumulator: the call's argument evaluated
-// against each input row, folded by exec.AggState.
-func EvalAcc(fc *sql.FuncCall) Accumulator {
-	return &evalAcc{fc: fc, st: exec.NewAggState(fc)}
+// EvalAcc is the engine's accumulator: the call's argument read from
+// each input row — by ordinal when it is the column col, else evaluated
+// — folded by exec.AggState.
+func EvalAcc(fc *sql.FuncCall, col int) Accumulator {
+	return &evalAcc{fc: fc, col: col, st: exec.NewAggState(fc)}
 }
 
 type evalAcc struct {
-	fc *sql.FuncCall
-	st *exec.AggState
+	fc  *sql.FuncCall
+	col int
+	st  *exec.AggState
 }
 
 func (a *evalAcc) Add(env *exec.Env) error {
-	if a.fc.Star {
+	switch {
+	case a.fc.Star:
 		return a.st.Add(types.Null)
-	}
-	if len(a.fc.Args) != 1 {
+	case a.col >= 0:
+		return a.st.Add(env.Row[a.col])
+	case len(a.fc.Args) != 1:
 		return fmt.Errorf("engine: aggregate %s takes one argument", a.fc.Name)
 	}
 	v, err := exec.Eval(a.fc.Args[0], env)
@@ -59,6 +63,7 @@ type aggIter struct {
 }
 
 func (n *AggregateNode) open(rt *Runtime) (Iter, error) {
+	n.compiled.Do(n.compile)
 	child, err := n.Child.open(rt)
 	if err != nil {
 		return nil, err
@@ -88,18 +93,8 @@ func (it *aggIter) fold() error {
 	inSchema := n.Child.Schema()
 	env := rt.env(inSchema, n.Strip)
 
-	// Gather aggregate nodes across items, HAVING, and ORDER BY.
-	var aggs []*sql.FuncCall
-	seen := make(map[*sql.FuncCall]bool)
-	for _, item := range n.Items {
-		exec.CollectAggs(item.Expr, &aggs, seen)
-	}
-	exec.CollectAggs(n.Having, &aggs, seen)
-	for _, oe := range n.OrderExprs {
-		exec.CollectAggs(oe, &aggs, seen)
-	}
-
 	// Allocate placeholder parameter indexes after the user's params.
+	aggs := n.aggs
 	base := len(env.Params)
 	mapping := make(map[*sql.FuncCall]int, len(aggs))
 	for i, fc := range aggs {
@@ -126,7 +121,7 @@ func (it *aggIter) fold() error {
 	newGroup := func(key string, rep Row) *group {
 		g := &group{rep: rep, states: make([]Accumulator, len(aggs)), lbl: rep.Lbl, ilbl: rep.ILbl}
 		for i, fc := range aggs {
-			g.states[i] = n.NewAcc(fc)
+			g.states[i] = n.NewAcc(fc, n.aggCols[i])
 		}
 		groups[key] = g
 		order = append(order, g)
@@ -144,7 +139,11 @@ func (it *aggIter) fold() error {
 		}
 		env.Row, env.RowLabel, env.RowILabel = r.Vals, r.Lbl, r.ILbl
 		key = key[:0]
-		for _, ge := range n.GroupBy {
+		for i, ge := range n.GroupBy {
+			if c := n.groupCols[i]; c >= 0 {
+				key = appendKey(key, r.Vals[c])
+				continue
+			}
 			v, err := exec.Eval(ge, env)
 			if err != nil {
 				return err

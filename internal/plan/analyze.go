@@ -6,70 +6,18 @@ import (
 )
 
 // rules is the ordered analysis pass applied to every SELECT level.
-// Order matters: resolution feeds pushdown and pruning, and index
-// selection reads the same WHERE clause pushdown splits, so it mines
-// the original expression, not the residual.
+// Order matters: index selection reads the same WHERE clause pushdown
+// splits, so it mines the original expression, not the residual.
+//
+// No rule narrows a scan to the columns the level reads: a scan hands
+// over the heap's own row, and the operator that keeps a row (the
+// projection, the sort, a group's first row, a join) is the one copy.
 var rules = []struct {
 	name  string
 	apply func(*level) error
 }{
-	{"resolve", resolveColumns},
 	{"pushdown", pushdownPredicates},
 	{"indexselect", selectIndexes},
-	{"prune", pruneProjections},
-}
-
-// resolveColumns attributes every column reference in the level to its
-// source. Names resolve lazily, per row, in exec.Eval, so this rule
-// never fails — an unresolvable or ambiguous reference simply disables
-// pruning, and the error surfaces at evaluation time: a statement that
-// never evaluates the bad reference (an empty input) does not fail.
-func resolveColumns(lv *level) error {
-	lv.canPrune = len(lv.sources) > 0
-	offsets := make([]int, len(lv.sources))
-	off := 0
-	for i, src := range lv.sources {
-		offsets[i] = off
-		off += len(src.schema)
-		src.needed = map[int]bool{}
-	}
-	mark := func(e sql.Expr) {
-		walkRefs(e, func(cr *sql.ColumnRef) {
-			if cr.Column == "_label" || cr.Column == "_ilabel" {
-				return
-			}
-			i, err := lv.full.Resolve(cr.Table, cr.Column)
-			if err != nil {
-				lv.canPrune = false
-				return
-			}
-			for k := len(lv.sources) - 1; k >= 0; k-- {
-				if i >= offsets[k] {
-					lv.sources[k].needed[i-offsets[k]] = true
-					break
-				}
-			}
-		})
-	}
-	for _, it := range lv.items {
-		mark(it.Expr)
-	}
-	mark(lv.sel.Where)
-	for _, src := range lv.sources {
-		if src.jc != nil {
-			mark(src.jc.On)
-		}
-	}
-	for _, e := range lv.groupBy {
-		mark(e)
-	}
-	mark(lv.sel.Having)
-	for _, e := range lv.orderExprs {
-		mark(e)
-	}
-	mark(lv.sel.Limit)
-	mark(lv.sel.Offset)
-	return nil
 }
 
 // pushdownPredicates moves WHERE conjuncts below the FROM scan, where
@@ -119,7 +67,7 @@ func pushdownPredicates(lv *level) error {
 	}
 	var pushed, residual []sql.Expr
 	for _, c := range splitConjuncts(lv.sel.Where) {
-		if pushableConjunct(c, fromScan.fullSchema, hasJoins) {
+		if pushableConjunct(c, fromScan.schema, hasJoins) {
 			pushed = append(pushed, c)
 		} else {
 			residual = append(residual, c)
@@ -165,7 +113,7 @@ func selectIndexes(lv *level) error {
 			if !ok || !isConst(cexpr) || cr.Column == "_label" {
 				return
 			}
-			i, err := scan.fullSchema.Resolve(cr.Table, cr.Column)
+			i, err := scan.schema.Resolve(cr.Table, cr.Column)
 			if err != nil {
 				return // column from another table in a join filter
 			}
@@ -193,41 +141,6 @@ func isConst(e sql.Expr) bool {
 		return true
 	}
 	return false
-}
-
-// pruneProjections drops scan columns the level never references, so
-// wide tables stream narrow rows. It only runs when every column
-// reference resolved unambiguously — removing a column may otherwise
-// turn an "ambiguous column" error into a silent resolution.
-// Index-probed join tables are exempt: the probe hands back whole heap
-// rows, and those enter the combined schema.
-func pruneProjections(lv *level) error {
-	if !lv.canPrune {
-		return nil
-	}
-	for _, src := range lv.sources {
-		if src.scan == nil || src.isIndexJoin {
-			continue
-		}
-		if len(src.needed) >= len(src.scan.fullSchema) {
-			continue
-		}
-		out := make([]int, 0, len(src.needed))
-		for c := range src.needed {
-			out = append(out, c)
-		}
-		sortInts(out)
-		src.scan.Out = out
-	}
-	return nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // walkRefs visits every column reference in e, not descending into

@@ -108,7 +108,9 @@ func topkSeeds(t *testing.T) []int64 {
 // sort.SliceStable over the whole input — the sort this operator ran
 // before it had a bound — and the unbounded sort's output is all of it.
 // Keys come from a small domain (NULL, ints, floats equal to ints), so
-// ties are the common case.
+// ties are the common case. Each row carries its keys twice, as Sort
+// values and as columns after its id, and a sort by columns (Keys, the
+// sort below a projection) must answer exactly as a sort by Sort does.
 func TestBoundedSortIsStableSortPrefix(t *testing.T) {
 	for _, seed := range topkSeeds(t) {
 		rng := rand.New(rand.NewSource(seed))
@@ -132,8 +134,15 @@ func TestBoundedSortIsStableSortPrefix(t *testing.T) {
 					}
 				}
 			}
+			keys := make([]int, nkeys)
+			for i := range rows {
+				rows[i].Vals = append(rows[i].Vals, rows[i].Sort...)
+			}
+			for k := range keys {
+				keys[k] = 1 + k
+			}
 			want := append([]Row(nil), rows...)
-			sort.SliceStable(want, func(i, j int) bool { return sortCmp(&want[i], &want[j], desc) < 0 })
+			sort.SliceStable(want, func(i, j int) bool { return keyOrder{desc: desc}.cmp(&want[i], &want[j]) < 0 })
 			wantIDs := make([]int64, n)
 			for i := range want {
 				wantIDs[i] = want[i].Vals[0].Int()
@@ -146,15 +155,17 @@ func TestBoundedSortIsStableSortPrefix(t *testing.T) {
 				off = lit(offset)
 				k += offset
 			}
-			got := ids(t, openNode(t, &SortNode{
-				Child: &SourceNode{Rows: fromRows(rows)}, Desc: desc, Limit: lit(limit), Offset: off,
-			}))
-			if fmt.Sprint(got) != fmt.Sprint(wantIDs[:min(k, int64(n))]) {
-				t.Fatalf("seed %d round %d: n=%d desc=%v k=%d\n got %v\nwant %v", seed, round, n, desc, k, got, wantIDs[:min(k, int64(n))])
-			}
-			all := ids(t, openNode(t, &SortNode{Child: &SourceNode{Rows: fromRows(rows)}, Desc: desc}))
-			if fmt.Sprint(all) != fmt.Sprint(wantIDs) {
-				t.Fatalf("seed %d round %d: unbounded n=%d desc=%v\n got %v\nwant %v", seed, round, n, desc, all, wantIDs)
+			for _, by := range [][]int{nil, keys} {
+				got := ids(t, openNode(t, &SortNode{
+					Child: &SourceNode{Rows: fromRows(rows)}, Desc: desc, Keys: by, Limit: lit(limit), Offset: off,
+				}))
+				if fmt.Sprint(got) != fmt.Sprint(wantIDs[:min(k, int64(n))]) {
+					t.Fatalf("seed %d round %d: n=%d desc=%v keys=%v k=%d\n got %v\nwant %v", seed, round, n, desc, by, k, got, wantIDs[:min(k, int64(n))])
+				}
+				all := ids(t, openNode(t, &SortNode{Child: &SourceNode{Rows: fromRows(rows)}, Desc: desc, Keys: by}))
+				if fmt.Sprint(all) != fmt.Sprint(wantIDs) {
+					t.Fatalf("seed %d round %d: unbounded n=%d desc=%v keys=%v\n got %v\nwant %v", seed, round, n, desc, by, all, wantIDs)
+				}
 			}
 		}
 	}

@@ -65,8 +65,8 @@ type level struct {
 
 	// sources[0] is the FROM item; sources[1+i] belongs to Joins[i].
 	sources []*source
-	// full is the concatenated, unpruned schema of all sources — the
-	// scope column references resolve in.
+	// full is the concatenated schema of all sources — the scope column
+	// references resolve in, and the schema of the joined rows.
 	full exec.Schema
 
 	items      []sql.SelectItem // star-expanded select items
@@ -75,11 +75,6 @@ type level struct {
 	orderExprs []sql.Expr // ORDER BY with positions resolved and output aliases substituted
 
 	residual sql.Expr // WHERE conjuncts not pushed into the FROM scan
-
-	// canPrune is set by the resolve rule: every column reference in
-	// the level resolved unambiguously, so removing unreferenced scan
-	// columns cannot change any resolution outcome.
-	canPrune bool
 }
 
 // source is one FROM/JOIN input in level order.
@@ -96,8 +91,7 @@ type source struct {
 	table       *catalog.Table
 	alias       string
 
-	schema exec.Schema  // full (unpruned) contribution to level.full
-	needed map[int]bool // ordinals the level references (resolve rule)
+	schema exec.Schema // contribution to level.full
 }
 
 func (lv *level) addSource(tr *sql.TableRef, filter sql.Expr, jc *sql.JoinClause) error {
@@ -150,9 +144,8 @@ func (lv *level) buildTableRef(tr *sql.TableRef, filter sql.Expr) (*source, erro
 		if alias == "" {
 			alias = tr.Name
 		}
-		scan := &ScanNode{Table: t, Alias: alias, Strip: lv.strip, Filter: filter}
-		scan.fullSchema = tableSchema(t, alias)
-		return &source{scan: scan, table: t, alias: alias, schema: scan.fullSchema}, nil
+		scan := &ScanNode{Table: t, Alias: alias, Strip: lv.strip, Filter: filter, schema: tableSchema(t, alias)}
+		return &source{scan: scan, table: t, alias: alias, schema: scan.schema}, nil
 	}
 	if v, ok := lv.cat.View(tr.Name); ok {
 		return lv.buildView(v, tr)
@@ -257,7 +250,8 @@ func (lv *level) prepareExprs() error {
 
 // assemble wires the analyzed level into its operator pipeline, in
 // SQL's stage order: sources+joins → residual filter →
-// aggregate/project → Tail (sort → distinct → offset → limit).
+// aggregate/project → Tail (sort → distinct → offset → limit). A sort
+// by plain columns under a projection of plain columns runs first.
 func (lv *level) assemble() (Node, error) {
 	var input Node
 	if lv.sel.From == nil {
@@ -272,20 +266,6 @@ func (lv *level) assemble() (Node, error) {
 		input = &FilterNode{Child: input, Cond: lv.residual, Strip: lv.strip}
 	}
 
-	var out Node
-	if lv.aggregated {
-		out = &AggregateNode{
-			Child: input, Items: lv.items,
-			GroupBy: lv.groupBy, Having: lv.sel.Having,
-			OrderExprs: lv.orderExprs, NewAcc: EvalAcc, Strip: lv.strip,
-		}
-	} else {
-		p := &ProjectNode{Child: input, Items: lv.items, OrderExprs: lv.orderExprs, Strip: lv.strip}
-		p.schema = OutputSchema(lv.items)
-		p.compile()
-		out = p
-	}
-
 	tail := Tail{
 		OrderExprs: lv.orderExprs, Desc: make([]bool, len(lv.sel.OrderBy)),
 		Distinct: lv.sel.Distinct, Offset: lv.sel.Offset, Limit: lv.sel.Limit,
@@ -297,22 +277,53 @@ func (lv *level) assemble() (Node, error) {
 	if tail.Limit != nil {
 		tail.Pure = selectPure(lv.cat, lv.sel, nil)
 	}
+
+	var out Node
+	if lv.aggregated {
+		out = &AggregateNode{
+			Child: input, Items: lv.items,
+			GroupBy: lv.groupBy, Having: lv.sel.Having,
+			OrderExprs: lv.orderExprs, NewAcc: EvalAcc, Strip: lv.strip,
+		}
+	} else {
+		p := &ProjectNode{Child: input, Items: lv.items, OrderExprs: lv.orderExprs, Strip: lv.strip}
+		p.schema = OutputSchema(lv.items)
+		if keys := sortColumns(lv.items, lv.orderExprs, input.Schema()); keys != nil {
+			// A projection of plain columns can neither fail nor change
+			// state, so the sort may run before it, on the child's rows by
+			// ordinal: the projection then copies only the rows the sort
+			// emits — under a bound, no more than limit + offset.
+			p.Child, p.OrderExprs = tail.sort(input, keys), nil
+			tail.OrderExprs, tail.Desc = nil, nil
+		}
+		p.compile()
+		out = p
+	}
 	return tail.Over(out), nil
 }
 
-// finalNode materializes a source's operator, applying any pruning the
-// analysis decided.
+// sortColumns returns the ordinals in in of the ORDER BY keys when
+// there are some and they and every item are plain column references,
+// else nil.
+func sortColumns(items []sql.SelectItem, keys []sql.Expr, in exec.Schema) []int {
+	if len(keys) == 0 {
+		return nil
+	}
+	if cols, _ := itemColumns(items, in); cols == nil {
+		return nil
+	}
+	ords := make([]int, len(keys))
+	for i, k := range keys {
+		if ords[i] = columnOrdinal(k, in); ords[i] < 0 {
+			return nil
+		}
+	}
+	return ords
+}
+
+// finalNode is a source's operator.
 func (src *source) finalNode() Node {
 	if src.scan != nil {
-		if src.scan.Out == nil {
-			src.scan.schema = src.scan.fullSchema
-		} else {
-			pruned := make(exec.Schema, len(src.scan.Out))
-			for i, c := range src.scan.Out {
-				pruned[i] = src.scan.fullSchema[c]
-			}
-			src.scan.schema = pruned
-		}
 		return src.scan
 	}
 	return src.node
@@ -337,10 +348,9 @@ func (lv *level) buildJoinNode(left Node, src *source) Node {
 			}
 		}
 		// Unreachable in practice: eligibility was established against
-		// the unpruned left schema and pruning keeps every ON column.
-		// Fall through to a plain scan + loop join just in case.
-		src.scan = &ScanNode{Table: src.table, Alias: src.alias, Strip: lv.strip}
-		src.scan.fullSchema = rightSchema
+		// the same left schema. Fall through to a plain scan + loop join
+		// just in case.
+		src.scan = &ScanNode{Table: src.table, Alias: src.alias, Strip: lv.strip, schema: rightSchema}
 	}
 	right := src.finalNode()
 	n := &JoinNode{

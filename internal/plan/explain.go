@@ -12,8 +12,8 @@ import (
 // Explain renders the analyzed plan tree as indented text, one
 // operator per line, leaves (scans) at the bottom. The rendering is
 // deterministic — it is golden-tested — and shows every analysis
-// decision: chosen index and bound prefix, pushed predicates, pruned
-// column sets, join strategy, a sort's bound, and whether LIMIT may
+// decision: chosen index and bound prefix, pushed predicates, join
+// strategy, where a sort runs and its bound, and whether LIMIT may
 // early-exit.
 func (p *Plan) Explain() string {
 	var sb strings.Builder
@@ -64,7 +64,7 @@ func describe(n Node) (string, []Node) {
 				if i > 0 {
 					b.WriteString(", ")
 				}
-				b.WriteString(x.fullSchema[e.Col].Name)
+				b.WriteString(x.schema[e.Col].Name)
 				b.WriteString("=")
 				b.WriteString(formatExpr(e.Expr))
 			}
@@ -77,16 +77,6 @@ func describe(n Node) (string, []Node) {
 					b.WriteString(" AND ")
 				}
 				b.WriteString(formatExpr(p))
-			}
-			b.WriteString("]")
-		}
-		if x.Out != nil {
-			b.WriteString(" | cols=[")
-			for i, c := range x.Out {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(x.fullSchema[c].Name)
 			}
 			b.WriteString("]")
 		}

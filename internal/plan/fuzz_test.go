@@ -13,8 +13,9 @@ import (
 // builder and the EXPLAIN renderer: whatever the parser accepts, Build
 // must either return a clean error or a plan whose tree renders —
 // never panic. Statements that plan successfully are also executed, so
-// the analyzer's rewrites (pushdown, index selection, pruning) and the
-// iterators behind them run on adversarial shapes too.
+// the analyzer's rewrites (pushdown, index selection, a sort below a
+// projection) and the iterators behind them run on adversarial shapes
+// too.
 func FuzzBuildExplain(f *testing.F) {
 	e := engine.MustNew(engine.Config{IFC: true})
 	admin := e.NewSession(e.Admin())

@@ -65,7 +65,8 @@ var explainCases = []struct{ name, sql string }{
 	{"pushdown_params", `SELECT id FROM emp WHERE dept = $1 AND id BETWEEN $2 AND $3`},
 	{"fallible_filter", `SELECT id FROM emp WHERE salary / (dept + 1) > 300`},
 	{"like_filter", `SELECT id FROM emp WHERE name LIKE 'n%' AND dept = 1`},
-	// Projection pruning: the scan reads only the referenced columns.
+	// A scan hands over whole heap rows; the projection copies what it
+	// keeps.
 	{"prune_columns", `SELECT name FROM emp WHERE dept = 0 ORDER BY name`},
 	{"prune_alias", `SELECT e.salary FROM emp e WHERE e.id < 10`},
 	// Joins: hash equi-join, index join, non-equi, LEFT.
@@ -82,6 +83,10 @@ var explainCases = []struct{ name, sql string }{
 	{"sort_bounded", `SELECT id FROM emp ORDER BY salary DESC, id LIMIT 3`},
 	{"sort_bounded_param", `SELECT dept, COUNT(*) AS c FROM emp GROUP BY dept ORDER BY c DESC LIMIT $1 OFFSET 2`},
 	{"sort_distinct_unbounded", `SELECT DISTINCT dept FROM emp ORDER BY dept LIMIT 3`},
+	// A sort by plain columns under a projection of plain columns runs
+	// below it, on the scan's rows; a computed key stays above it.
+	{"sort_columns_below_project", `SELECT id, name FROM emp ORDER BY salary DESC, id LIMIT 5`},
+	{"sort_computed_key", `SELECT id, name FROM emp ORDER BY salary * 2 LIMIT 5`},
 	// LIMIT purity: a pure streaming pipeline early-exits; an impure
 	// projection must drain for its side effects.
 	{"limit_early_exit", `SELECT id FROM emp WHERE dept = 1 LIMIT 3`},

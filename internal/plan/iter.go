@@ -69,7 +69,11 @@ type scanIter struct {
 	// row; st is what the scan keeps between refills and reports.
 	vis storage.Visibility
 	st  storage.ScanState
-	out types.Arena // pruned rows
+
+	// visit is visitHeap, bound once: a closure made per refill would be
+	// an allocation per batch. visitErr is what stopped its last batch.
+	visit    func(storage.TID, *storage.TupleVersion) bool
+	visitErr error
 
 	buf  []Row
 	row1 [1]Row // buf's storage until a refill admits a second row
@@ -89,7 +93,7 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 	it := &scanIter{n: n, rt: rt}
 	it.buf = it.row1[:0]
 	if len(n.Pushed) > 0 {
-		it.env = *rt.env(n.fullSchema, n.Strip)
+		it.env = *rt.env(n.schema, n.Strip)
 	}
 	it.vis = rt.visibility(n.Strip, &it.st)
 	if n.Index != nil {
@@ -123,8 +127,8 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 // then MVCC visibility and the Label Confinement Rule have passed, in
 // that order, and only now do pushed predicates run — a pushed
 // predicate can never touch a tuple the process label does not cover.
-// Accepted rows are pruned to the scan's output columns and carry the
-// TID of the version they were read from.
+// An accepted row is the version's own, not a copy, and carries the TID
+// it was read from.
 func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 	lbl := it.rt.EffLabel(tv.Label, it.n.Strip)
 	if len(it.n.Pushed) > 0 {
@@ -141,14 +145,7 @@ func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 			}
 		}
 	}
-	vals := tv.Row
-	if it.n.Out != nil {
-		vals = it.out.Take(len(it.n.Out))
-		for i, c := range it.n.Out {
-			vals[i] = tv.Row[c]
-		}
-	}
-	it.buf = append(it.buf, Row{Vals: vals, Lbl: lbl, ILbl: tv.ILabel, TID: tid})
+	it.buf = append(it.buf, Row{Vals: tv.Row, Lbl: lbl, ILbl: tv.ILabel, TID: tid})
 	return nil
 }
 
@@ -156,22 +153,27 @@ func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 // Cancellation is polled per batch and per admitted tuple: a scan the
 // label hides entirely still stops within one batch.
 func (it *scanIter) refillHeap() error {
-	cbErr := it.rt.check()
-	if cbErr != nil {
-		return cbErr
+	if err := it.rt.check(); err != nil {
+		return err
 	}
-	next, more, err := it.n.Table.Heap.ScanFrom(it.next, scanBatch, it.vis, func(tid storage.TID, tv *storage.TupleVersion) bool {
-		if cbErr = it.rt.check(); cbErr == nil {
-			cbErr = it.accept(tid, tv)
-		}
-		return cbErr == nil
-	})
+	if it.visit == nil {
+		it.visit = it.visitHeap
+	}
+	next, more, err := it.n.Table.Heap.ScanFrom(it.next, scanBatch, it.vis, it.visit)
 	it.next = next
-	if cbErr != nil {
-		return cbErr
+	if it.visitErr != nil {
+		return it.visitErr
 	}
 	it.done = !more
 	return err
+}
+
+// visitHeap is the heap's callback for one admitted tuple.
+func (it *scanIter) visitHeap(tid storage.TID, tv *storage.TupleVersion) bool {
+	if it.visitErr = it.rt.check(); it.visitErr == nil {
+		it.visitErr = it.accept(tid, tv)
+	}
+	return it.visitErr == nil
 }
 
 func (it *scanIter) refillIndex() error {
@@ -560,12 +562,6 @@ func (it *projectIter) Next() (*Row, error) {
 		for i, c := range n.cols {
 			vals[i] = r.Vals[c]
 		}
-		if len(n.sortCols) > 0 {
-			keys = it.vals.Take(len(n.sortCols))
-			for i, c := range n.sortCols {
-				keys[i] = r.Vals[c]
-			}
-		}
 	} else {
 		it.env.Row, it.env.RowLabel, it.env.RowILabel = r.Vals, r.Lbl, r.ILbl
 		for i, item := range n.Items {
@@ -609,6 +605,31 @@ type sortIter struct {
 	bound int64 // rows to keep; negative keeps all
 	rows  []sortRow
 	pos   int
+}
+
+// keyOrder is what a sort or merge compares rows by: the columns keys
+// names, or with keys nil the rows' Sort values, each ascending unless
+// its desc flag is set.
+type keyOrder struct {
+	keys []int
+	desc []bool
+}
+
+// cmp orders two rows by their keys (types.Compare).
+func (o keyOrder) cmp(a, b *Row) int {
+	for k, desc := range o.desc {
+		i, x, y := k, a.Sort, b.Sort
+		if o.keys != nil {
+			i, x, y = o.keys[k], a.Vals, b.Vals
+		}
+		if c := types.Compare(&x[i], &y[i]); c != 0 {
+			if desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
 }
 
 func (n *SortNode) open(rt *Runtime) (Iter, error) {
@@ -655,7 +676,7 @@ func (it *sortIter) Next() (*Row, error) {
 // the rows to emit in order. The child is closed on every way out.
 func (it *sortIter) fill() error {
 	defer it.Close()
-	desc, k := it.n.Desc, it.bound
+	o, k := keyOrder{it.n.Keys, it.n.Desc}, it.bound
 	heaped := false
 	for seq := 0; ; seq++ {
 		r, err := it.child.Next()
@@ -671,24 +692,24 @@ func (it *sortIter) fill() error {
 			it.rows = append(it.rows, sortRow{*r, seq})
 			if int64(len(it.rows)) == k {
 				for i := len(it.rows)/2 - 1; i >= 0; i-- {
-					siftDown(it.rows, i, desc)
+					siftDown(it.rows, i, o)
 				}
 				heaped = true
 			}
-		case k > 0 && sortCmp(r, &it.rows[0].Row, desc) < 0:
+		case k > 0 && o.cmp(r, &it.rows[0].Row) < 0:
 			// r arrived after the root, so it displaces it only when its
 			// keys sort strictly before.
 			it.rows[0] = sortRow{*r, seq}
-			siftDown(it.rows, 0, desc)
+			siftDown(it.rows, 0, o)
 		}
 	}
 	if !heaped {
-		slices.SortStableFunc(it.rows, func(a, b sortRow) int { return sortCmp(&a.Row, &b.Row, desc) })
+		slices.SortStableFunc(it.rows, func(a, b sortRow) int { return o.cmp(&a.Row, &b.Row) })
 		return nil
 	}
 	for end := len(it.rows) - 1; end > 0; end-- {
 		it.rows[0], it.rows[end] = it.rows[end], it.rows[0]
-		siftDown(it.rows[:end], 0, desc)
+		siftDown(it.rows[:end], 0, o)
 	}
 	return nil
 }
@@ -702,16 +723,16 @@ func (it *sortIter) Close() {
 
 // siftDown restores the heap order below h[i]: every parent sorts
 // after its children.
-func siftDown(h []sortRow, i int, desc []bool) {
+func siftDown(h []sortRow, i int, o keyOrder) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && sortsAfter(&h[c+1], &h[c], desc) {
+		if c+1 < len(h) && sortsAfter(&h[c+1], &h[c], o) {
 			c++
 		}
-		if !sortsAfter(&h[c], &h[i], desc) {
+		if !sortsAfter(&h[c], &h[i], o) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -721,23 +742,9 @@ func siftDown(h []sortRow, i int, desc []bool) {
 
 // sortsAfter is the stable order: by keys, and between equal keys by
 // arrival.
-func sortsAfter(a, b *sortRow, desc []bool) bool {
-	c := sortCmp(&a.Row, &b.Row, desc)
+func sortsAfter(a, b *sortRow, o keyOrder) bool {
+	c := o.cmp(&a.Row, &b.Row)
 	return c > 0 || c == 0 && a.seq > b.seq
-}
-
-// sortCmp orders two rows by their Sort keys (types.Value.Compare),
-// each key ascending unless its desc flag is set.
-func sortCmp(a, b *Row, desc []bool) int {
-	for k := range desc {
-		if c := a.Sort[k].Compare(b.Sort[k]); c != 0 {
-			if desc[k] {
-				return -c
-			}
-			return c
-		}
-	}
-	return 0
 }
 
 // ---------------------------------------------------------------------------
@@ -747,7 +754,7 @@ func sortCmp(a, b *Row, desc []bool) int {
 // smallest by a linear scan in child order: children are few (one per
 // shard), and scanning in order is what sends ties to the lower child.
 type mergeIter struct {
-	desc     []bool
+	order    keyOrder
 	children []Iter
 	heads    []Row
 	live     []bool
@@ -757,7 +764,7 @@ type mergeIter struct {
 }
 
 func (n *MergeNode) open(rt *Runtime) (Iter, error) {
-	it := &mergeIter{desc: n.Desc}
+	it := &mergeIter{order: keyOrder{desc: n.Desc}}
 	for _, c := range n.Children {
 		ci, err := c.open(rt)
 		if err != nil {
@@ -796,7 +803,7 @@ func (it *mergeIter) Next() (*Row, error) {
 	}
 	min := -1
 	for c := range it.heads {
-		if it.live[c] && (min < 0 || sortCmp(&it.heads[c], &it.heads[min], it.desc) < 0) {
+		if it.live[c] && (min < 0 || it.order.cmp(&it.heads[c], &it.heads[min]) < 0) {
 			min = c
 		}
 	}

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"ifdb/internal/catalog"
 	"ifdb/internal/exec"
@@ -22,7 +23,8 @@ type EqConst struct {
 
 // ScanNode reads one base table: either a full heap scan resumable in
 // batches, or an index prefix scan when analysis bound the leading
-// columns of an index to constants.
+// columns of an index to constants. Its rows are the heap's own, every
+// column: an operator above copies what it keeps.
 type ScanNode struct {
 	Table *catalog.Table
 	Alias string
@@ -37,10 +39,8 @@ type ScanNode struct {
 	Index  *catalog.Index // chosen index, nil for a heap scan
 	Prefix int            // leading Index columns bound by Eq
 	Pushed []sql.Expr     // infallible conjuncts evaluated per tuple
-	Out    []int          // pruned output ordinals; nil keeps all
 
-	schema     exec.Schema // output schema (after pruning)
-	fullSchema exec.Schema // full table schema under Alias
+	schema exec.Schema // the table's columns under Alias
 }
 
 func (n *ScanNode) Schema() exec.Schema { return n.schema }
@@ -165,49 +165,58 @@ type ProjectNode struct {
 
 	schema exec.Schema
 
-	// Set by compile when every item and ORDER BY key is a plain
-	// reference to a child column: the projection is then a copy by
-	// ordinal, and when it copies every child column in order and
-	// sorts by nothing the child's rows pass through untouched.
+	// Set by compile when every item is a plain reference to a child
+	// column and there is no ORDER BY key to compute: the projection is
+	// then a copy by ordinal, and when it copies every child column in
+	// order the child's rows pass through untouched.
 	cols     []int
-	sortCols []int
 	identity bool
 }
 
 func (n *ProjectNode) Schema() exec.Schema { return n.schema }
 
-// compile resolves a projection of plain column references once, at
-// plan time, instead of by name for every row. A reference that does
-// not resolve leaves the projection to exec.Eval, which reports it on
-// the first row, and never on an empty input.
-func (n *ProjectNode) compile() {
-	in := n.Child.Schema()
-	resolve := func(e sql.Expr) int {
-		cr, ok := e.(*sql.ColumnRef)
-		if !ok || cr.Column == "_label" || cr.Column == "_ilabel" {
-			return -1
-		}
-		i, err := in.Resolve(cr.Table, cr.Column)
-		if err != nil {
-			return -1
-		}
-		return i
+// columnOrdinal resolves e to an ordinal of in when it is a plain
+// reference to one of in's columns, and returns -1 for anything else: a
+// pseudo-column, an expression, or a reference that does not resolve,
+// which exec.Eval then reports on the first row, and never on an empty
+// input.
+func columnOrdinal(e sql.Expr, in exec.Schema) int {
+	cr, ok := e.(*sql.ColumnRef)
+	if !ok || cr.Column == "_label" || cr.Column == "_ilabel" {
+		return -1
 	}
-	cols := make([]int, len(n.Items))
-	sortCols := make([]int, len(n.OrderExprs))
-	identity := len(cols) == len(in) && len(sortCols) == 0
-	for i, item := range n.Items {
-		if cols[i] = resolve(item.Expr); cols[i] < 0 {
-			return
+	i, err := in.Resolve(cr.Table, cr.Column)
+	if err != nil {
+		return -1
+	}
+	return i
+}
+
+// compile resolves a projection of plain column references once, at
+// plan time, instead of by name for every row. ORDER BY keys the
+// projection computes leave it to exec.Eval: plain-column keys never
+// reach it, since the sort then runs below it (level.assemble).
+func (n *ProjectNode) compile() {
+	if len(n.OrderExprs) > 0 {
+		return
+	}
+	cols, identity := itemColumns(n.Items, n.Child.Schema())
+	n.cols, n.identity = cols, identity
+}
+
+// itemColumns resolves items to ordinals of in when every one is a
+// plain reference to one of in's columns, else returns nil; identity
+// reports that they are in's columns, each once, in order.
+func itemColumns(items []sql.SelectItem, in exec.Schema) (cols []int, identity bool) {
+	cols = make([]int, len(items))
+	identity = len(cols) == len(in)
+	for i, item := range items {
+		if cols[i] = columnOrdinal(item.Expr, in); cols[i] < 0 {
+			return nil, false
 		}
 		identity = identity && cols[i] == i
 	}
-	for i, oe := range n.OrderExprs {
-		if sortCols[i] = resolve(oe); sortCols[i] < 0 {
-			return
-		}
-	}
-	n.cols, n.sortCols, n.identity = cols, sortCols, identity
+	return cols, identity
 }
 
 // Accumulator folds one aggregate call over the rows of one group.
@@ -218,28 +227,68 @@ type Accumulator interface {
 }
 
 // AggregateNode groups and folds its input. Blocking by nature. NewAcc
-// says what folding a call means over this input: the engine evaluates
-// the call's argument per row (EvalAcc), the Router's gateway composes
-// per-shard partial results.
+// says what folding a call means over this input: the engine reads the
+// call's argument from each row (EvalAcc), the Router's gateway
+// composes per-shard partial results. col is the child ordinal of the
+// call's one argument when that is a plain column reference, else -1.
 type AggregateNode struct {
 	Child      Node
 	Items      []sql.SelectItem
 	GroupBy    []sql.Expr
 	Having     sql.Expr
 	OrderExprs []sql.Expr
-	NewAcc     func(fc *sql.FuncCall) Accumulator
+	NewAcc     func(fc *sql.FuncCall, col int) Accumulator
 	Strip      label.Label
+
+	// Set by compile, once, when the node first opens: the aggregate
+	// calls of Items, Having and OrderExprs in that order, and the child
+	// ordinal of each plain-column GROUP BY key and aggregate argument
+	// (-1 for the rest, which exec.Eval evaluates per row).
+	compiled  sync.Once
+	aggs      []*sql.FuncCall
+	aggCols   []int
+	groupCols []int
 }
 
 func (n *AggregateNode) Schema() exec.Schema { return OutputSchema(n.Items) }
 
-// SortNode orders its input by the Sort keys the projection attached.
+// compile resolves the GROUP BY keys and aggregate arguments that are
+// plain column references, following ProjectNode.compile: a key or
+// argument is then read by ordinal instead of by name for every row.
+func (n *AggregateNode) compile() {
+	seen := make(map[*sql.FuncCall]bool)
+	for _, item := range n.Items {
+		exec.CollectAggs(item.Expr, &n.aggs, seen)
+	}
+	exec.CollectAggs(n.Having, &n.aggs, seen)
+	for _, oe := range n.OrderExprs {
+		exec.CollectAggs(oe, &n.aggs, seen)
+	}
+	in := n.Child.Schema()
+	n.aggCols = make([]int, len(n.aggs))
+	for i, fc := range n.aggs {
+		n.aggCols[i] = -1
+		if !fc.Star && len(fc.Args) == 1 {
+			n.aggCols[i] = columnOrdinal(fc.Args[0], in)
+		}
+	}
+	n.groupCols = make([]int, len(n.GroupBy))
+	for i, ge := range n.GroupBy {
+		n.groupCols[i] = columnOrdinal(ge, in)
+	}
+}
+
+// SortNode orders its input: by the columns Keys names when it runs
+// below a projection of plain columns, else by the Sort keys the
+// projection or aggregate attached.
 type SortNode struct {
 	Child Node
 	// Exprs are the alias-substituted ORDER BY expressions (for
 	// EXPLAIN); Desc holds each key's direction.
 	Exprs []sql.Expr
 	Desc  []bool
+	// Keys, when set, are the child ordinals of the ORDER BY columns.
+	Keys []int
 	// Limit, when set, bounds the sort: the operators above consume at
 	// most Limit + Offset rows (Offset may be nil), so the sort keeps
 	// only that many. Both are evaluated when the sort opens, the way
@@ -302,16 +351,7 @@ type Tail struct {
 func (t Tail) Over(child Node) Node {
 	out := child
 	if len(t.Desc) > 0 {
-		s := &SortNode{Child: out, Exprs: t.OrderExprs, Desc: t.Desc}
-		// Under a LIMIT only the first limit + offset rows of the order
-		// reach the output, so the sort need keep no more — unless a
-		// DISTINCT stands between, which may drop any number of them. The
-		// sort evaluates the bound a second time, so it takes only what
-		// evaluates alike every time and changes nothing.
-		if t.Limit != nil && !t.Distinct && fixedAtOpen(t.Limit) && fixedAtOpen(t.Offset) {
-			s.Limit, s.Offset = t.Limit, t.Offset
-		}
-		out = s
+		out = t.sort(out, nil)
 	}
 	if t.Distinct {
 		out = &DistinctNode{Child: out}
@@ -323,6 +363,21 @@ func (t Tail) Over(child Node) Node {
 		out = &LimitNode{Child: out, Expr: t.Limit, Pure: t.Pure, Strip: t.Strip}
 	}
 	return out
+}
+
+// sort is the tail's ORDER BY over child, by the columns keys names or,
+// with keys nil, by the rows' Sort keys.
+func (t Tail) sort(child Node, keys []int) *SortNode {
+	s := &SortNode{Child: child, Exprs: t.OrderExprs, Desc: t.Desc, Keys: keys}
+	// Under a LIMIT only the first limit + offset rows of the order reach
+	// the output, so the sort need keep no more — unless a DISTINCT
+	// stands between, which may drop any number of them. The sort
+	// evaluates the bound a second time, so it takes only what evaluates
+	// alike every time and changes nothing.
+	if t.Limit != nil && !t.Distinct && fixedAtOpen(t.Limit) && fixedAtOpen(t.Offset) {
+		s.Limit, s.Offset = t.Limit, t.Offset
+	}
+	return s
 }
 
 // fixedAtOpen reports whether e is a literal, a parameter or absent.

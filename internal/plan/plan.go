@@ -1,9 +1,8 @@
 // Package plan is the pull-based query executor behind the engine:
-// parse → logical plan tree → ordered rule-based analysis (column and
-// table resolution, IFC-label-aware predicate pushdown below scans,
-// index selection, projection pruning) → volcano-style iterators whose
-// Next() produces one row at a time, so a large result streams to the
-// wire instead of materializing.
+// parse → logical plan tree → ordered rule-based analysis
+// (IFC-label-aware predicate pushdown below scans, index selection) →
+// volcano-style iterators whose Next() produces one row at a time, so a
+// large result streams to the wire instead of materializing.
 //
 // It is the only SELECT executor: the engine runs every SELECT —
 // top-level, subquery, view body, INSERT … SELECT — through it, and
@@ -30,6 +29,13 @@
 //   - Error messages raised while assembling or running a SELECT carry
 //     the "engine:" prefix: they are the engine's, whichever package
 //     words them, and clients match on the text.
+//   - A scan hands over the heap's own row; the operator that keeps a
+//     row (projection, sort, a group's first row, a join) is its one
+//     copy. Operators read plain column references by ordinal,
+//     resolved once; anything else, including a name that does not
+//     resolve, goes through exec.Eval per row, so an unknown or
+//     ambiguous name fails on the first row and never on an empty
+//     input.
 //   - LIMIT and OFFSET are evaluated once, when the iterator opens,
 //     against an empty row: a bound may be a literal or a parameter,
 //     never a column.
@@ -51,7 +57,7 @@ import (
 
 // Row is one tuple flowing through a plan: values, the tuple's
 // (strip-adjusted) secrecy label, its integrity label, and — between
-// the projection and sort operators — the ORDER BY keys.
+// an operator that computes ORDER BY keys and the sort — those keys.
 //
 // TID is the tuple version a table scan read the row from, and means
 // something only on a row that reached the consumer from a scan through

@@ -125,8 +125,8 @@ func scenarios(seeds []int64) []scenario {
 }
 
 // battery covers every shape the planner's rules rewrite: predicate
-// pushdown, index selection, projection pruning, joins (hash, index,
-// left), views and declassifying views, aggregates, sorting, DISTINCT,
+// pushdown, index selection, a sort below a projection, joins (hash,
+// index, left), views and declassifying views, aggregates, sorting, DISTINCT,
 // LIMIT/OFFSET, subqueries, IFC pseudo-columns, error paths, tuple-key
 // boundaries, bounded sorts over ties, plan-cache invalidation by DDL
 // and explicit transactions.
@@ -171,7 +171,7 @@ func battery() scenario {
 	// Fallible WHERE (arithmetic, LIKE): the filter stays above the scan.
 	sc.add("admin", `SELECT id FROM emp WHERE salary / (dept + 1) > 300 ORDER BY id`)
 	sc.add("admin", `SELECT id FROM emp WHERE name LIKE 'n1%' ORDER BY id`)
-	// Projection pruning over a wide table.
+	// A narrow projection over a wide table, sorted below it.
 	sc.add("admin", `SELECT name FROM emp WHERE dept = 0 ORDER BY name`)
 	sc.add("admin", `SELECT e.name FROM emp e WHERE e.dept = 4 ORDER BY e.name`)
 	// Joins: hash/index equi-join, non-equi, LEFT, self-join, with

@@ -61,8 +61,8 @@ echo "$driverout" | grep -q "2. ship database  done=true" || { echo "docs_smoke:
 
 # --- 1c. The EXPLAIN walkthrough, verbatim from README.md, against
 # the quickstart server still up on 15433 (the session continues it):
-# the plan must show the index pick, the pushdown, and the pruned
-# column set the prose walks through.
+# the plan must show the index pick, the pushdown, the index join and
+# the projection on top the prose walks through.
 awk '/<!-- explain-cli-begin -->/{f=1;next} /<!-- explain-cli-end -->/{f=0} f' README.md \
   | sed '/^```/d' > "$workdir/explain.sql"
 if ! grep -q "EXPLAIN" "$workdir/explain.sql"; then
@@ -75,8 +75,8 @@ echo "$explout" | grep -q "scan visits AS v | index=visits_patient prefix=1" \
   || { echo "docs_smoke: EXPLAIN lost the index selection the README shows"; exit 1; }
 echo "$explout" | grep -q "push=\[(v.patient = 'Alice') AND (v.day > 100)\]" \
   || { echo "docs_smoke: EXPLAIN lost the predicate pushdown the README shows"; exit 1; }
-echo "$explout" | grep -q "cols=\[patient, day\]" \
-  || { echo "docs_smoke: EXPLAIN lost the projection pruning the README shows"; exit 1; }
+echo "$explout" | grep -q "project \[v.day, p.diagnosis\]" \
+  || { echo "docs_smoke: EXPLAIN lost the projection the README shows"; exit 1; }
 echo "$explout" | grep -q "join index INNER patients" \
   || { echo "docs_smoke: EXPLAIN lost the index join the README shows"; exit 1; }
 if echo "$explout" | grep -q "error:"; then
