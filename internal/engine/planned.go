@@ -87,16 +87,15 @@ func selectOf(st sql.Statement) *sql.SelectStmt {
 // closure over them.
 func (s *Session) bindRuntime() {
 	s.rt = plan.Runtime{
-		Funcs:    sessionFuncs{s},
-		EffLabel: s.effectiveTupleLabel,
-		Check:    s.checkCanceled,
+		Funcs: sessionFuncs{s},
+		Check: s.checkCanceled,
 		OnScanned: func(visited, denied int64) {
 			mRowsScanned.Add(visited)
 			mLabelDenials.Add(denied)
 		},
 	}
 	if s.eng.cfg.IFC {
-		s.rt.LabelOK = s.labelsOK
+		s.rt.Confinement = s.confinement
 	}
 }
 

@@ -501,24 +501,35 @@ func (s *Session) withStmt(fn func(t *txn.Txn) error) error {
 // ---------------------------------------------------------------------------
 // Label visibility plumbing
 
-// labelsOK is Query by Label for one tuple: its secrecy label lt,
-// less the tags a declassifying view's strip covers, must flow to the
-// process label (Label Confinement), and its integrity label it must
-// cover the process's — a process claiming integrity I refuses to
-// observe data below I. It judges and counts nothing, so a scan may
-// remember its verdict per distinct label.
-func (s *Session) labelsOK(lt, it, strip label.Label) bool {
-	return s.secrecyOK(lt, strip) && (len(s.pilabel) == 0 || s.eng.hier.Flows(s.pilabel, it))
+// confinement is Query by Label for one scan under strip
+// (plan.Runtime.Confinement), frozen at the process labels the scan
+// opens with. Labels are never changed in place (Add and Remove return
+// new slices), so capturing them copies nothing, and a declassify,
+// endorse or raise later in the statement does not reach the running
+// scan, whichever heap it reads: that is what makes the predicate a
+// pure function of the tuple's labels, which the scan's verdict memo
+// relies on.
+func (s *Session) confinement(strip label.Label) func(lt, it label.Label) (label.Label, bool) {
+	pl, pil := s.plabel, s.pilabel
+	return func(lt, it label.Label) (label.Label, bool) { return s.labelsOK(pl, pil, lt, it, strip) }
 }
 
-func (s *Session) secrecyOK(lt, strip label.Label) bool {
-	return s.eng.hier.Flows(s.effectiveTupleLabel(lt, strip), s.plabel)
+// labelsOK is Query by Label for one (label, ilabel) pair, judged by a
+// scan once per distinct pair: its secrecy label lt, less the tags a
+// declassifying view's strip covers, must flow to the process label pl
+// (Label Confinement), and its integrity label it must cover the
+// process integrity label pil — a process claiming integrity I refuses
+// to observe data below I. It returns the stripped label, which is what
+// the reader sees on the tuple, and judges and counts nothing else.
+func (s *Session) labelsOK(pl, pil, lt, it, strip label.Label) (label.Label, bool) {
+	seen := s.effectiveTupleLabel(lt, strip)
+	return seen, s.eng.hier.Flows(seen, pl) && (len(pil) == 0 || s.eng.hier.Flows(pil, it))
 }
 
 // labelVisible is the secrecy half of Query by Label for the one path
 // that checks tuple by tuple (the uniqueness probe), counting a refusal.
 func (s *Session) labelVisible(lt label.Label) bool {
-	if !s.eng.cfg.IFC || s.secrecyOK(lt, nil) {
+	if !s.eng.cfg.IFC || s.eng.hier.Flows(lt, s.plabel) {
 		return true
 	}
 	mLabelDenials.Inc()

@@ -225,8 +225,10 @@ func (h *PagedHeap) ClearXmax(tid storage.TID, xid storage.XID) {
 
 // decodeVisible is decodeRecord behind vis: the MVCC stamps and the
 // labels are read from the record header (§8.3 keeps them there) and
-// judged first, and the row is decoded, into vis.Scan's arena, only
-// when the version passes (§7.1: both filters sit below the executor).
+// judged first — the labels by vis.Scan's verdict memo, which decodes
+// and judges each distinct pair once per scan — and the row is
+// decoded, into vis.Scan's arena, only when the version passes (§7.1:
+// both filters sit below the executor).
 func decodeVisible(rec []byte, vis storage.Visibility, tv *storage.TupleVersion) (bool, error) {
 	if len(rec) < 18 {
 		return false, fmt.Errorf("pager: truncated record (%d bytes)", len(rec))

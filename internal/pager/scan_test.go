@@ -41,8 +41,8 @@ func drain(tb testing.TB, h *PagedHeap, vis storage.Visibility) (seen int) {
 }
 
 var (
-	hideAll = storage.Visibility{LabelOK: func(l, il label.Label) bool { return false }}
-	showAll = storage.Visibility{LabelOK: func(l, il label.Label) bool { return true }}
+	hideAll = storage.Visibility{LabelOK: func(l, il label.Label) (label.Label, bool) { return l, false }}
+	showAll = storage.Visibility{LabelOK: func(l, il label.Label) (label.Label, bool) { return l, true }}
 )
 
 // TestPagedScanAllocBudget holds the scan to its allocation budget: a
@@ -53,7 +53,7 @@ func TestPagedScanAllocBudget(t *testing.T) {
 	const rows = 4000
 	h := scanFixture(t, rows)
 	calls := 0
-	counted := storage.Visibility{LabelOK: func(l, il label.Label) bool { calls++; return false }}
+	counted := storage.Visibility{LabelOK: func(l, il label.Label) (label.Label, bool) { calls++; return l, false }}
 	if seen := drain(t, h, counted); seen != 0 || calls != 8 {
 		t.Fatalf("all-hidden scan decoded %d rows and judged %d labels, want 0 and 8", seen, calls)
 	}

@@ -128,9 +128,9 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 // that order, and only now do pushed predicates run — a pushed
 // predicate can never touch a tuple the process label does not cover.
 // An accepted row is the version's own, not a copy, and carries the TID
-// it was read from.
+// it was read from, and the label the scan's verdict stripped.
 func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
-	lbl := it.rt.EffLabel(tv.Label, it.n.Strip)
+	lbl := it.st.Label(tv)
 	if len(it.n.Pushed) > 0 {
 		it.env.Row = tv.Row
 		it.env.RowLabel = lbl
@@ -446,6 +446,11 @@ type indexJoinIter struct {
 	started bool
 	out     []Row
 	pos     int
+
+	// vis filters the probed versions, bound when the join opens; st
+	// is its state.
+	vis storage.Visibility
+	st  storage.ScanState
 }
 
 func (n *IndexJoinNode) open(rt *Runtime) (Iter, error) {
@@ -453,7 +458,9 @@ func (n *IndexJoinNode) open(rt *Runtime) (Iter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &indexJoinIter{n: n, rt: rt, left: left}, nil
+	it := &indexJoinIter{n: n, rt: rt, left: left}
+	it.vis = rt.visibility(n.Strip, &it.st)
+	return it, nil
 }
 
 func (it *indexJoinIter) Next() (*Row, error) {
@@ -480,9 +487,7 @@ func (it *indexJoinIter) drain() error {
 	}
 	env := rt.env(n.schema, n.Strip)
 	nullsRight := make([]types.Value, len(n.rightSchema))
-	var st storage.ScanState
-	vis := rt.visibility(n.Strip, &st)
-	defer rt.report(&st)
+	defer rt.report(&it.st)
 
 	for _, lr := range leftRows {
 		key := make([]types.Value, n.Prefix)
@@ -496,12 +501,12 @@ func (it *indexJoinIter) drain() error {
 			if !ok {
 				return true
 			}
-			if !vis.Sees(&tv) {
+			if !it.vis.Sees(&tv) {
 				return true
 			}
 			combined := append(append([]types.Value{}, lr.Vals...), tv.Row...)
 			env.Row = combined
-			env.RowLabel = lr.Lbl.Union(rt.EffLabel(tv.Label, n.Strip))
+			env.RowLabel = lr.Lbl.Union(it.st.Label(&tv))
 			env.RowILabel = lr.ILbl.Intersect(tv.ILabel)
 			v, err := exec.Eval(n.On, env)
 			if err != nil {

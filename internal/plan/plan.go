@@ -109,12 +109,15 @@ type Runtime struct {
 	// Visible is the MVCC snapshot predicate of the statement's
 	// transaction.
 	Visible func(xmin, xmax storage.XID) bool
-	// LabelOK applies the Label Confinement and integrity rules to a
-	// tuple's labels under strip; nil when IFC is off. It only judges:
-	// the scan counts its refusals and reports them through OnScanned.
-	LabelOK func(l, il, strip label.Label) bool
-	// EffLabel strips declassified tags from a tuple label.
-	EffLabel func(l, strip label.Label) label.Label
+	// Confinement returns the label predicate of one scan under strip
+	// (storage.Visibility.LabelOK: Label Confinement, its integrity dual
+	// and the declassifying strip), bound to the process labels as they
+	// stand when the scan opens, so a label change later in the
+	// statement does not reach a running scan; nil when IFC is off. The
+	// predicate only judges: the heap remembers its verdict per distinct
+	// label pair, and the scan counts refusals and reports them through
+	// OnScanned.
+	Confinement func(strip label.Label) func(l, il label.Label) (label.Label, bool)
 	// Check polls for statement cancellation; scans call it per tuple.
 	Check func() error
 	// OnScanned receives each scan's counts once, when the scan
@@ -131,12 +134,14 @@ func (rt *Runtime) check() error {
 }
 
 // visibility is the storage-level filter of one scan under strip: the
-// statement's snapshot, then Label Confinement, both applied by the
-// heap before it decodes a row. st is the scan's state.
+// statement's snapshot, then Label Confinement under the process labels
+// of this moment, both applied by the heap before it decodes a row. st
+// is the scan's state, whose memo also holds each admitted label less
+// strip (st.Label).
 func (rt *Runtime) visibility(strip label.Label, st *storage.ScanState) storage.Visibility {
 	vis := storage.Visibility{See: rt.Visible, Scan: st}
-	if rt.LabelOK != nil {
-		vis.LabelOK = func(l, il label.Label) bool { return rt.LabelOK(l, il, strip) }
+	if rt.Confinement != nil {
+		vis.LabelOK = rt.Confinement(strip)
 	}
 	return vis
 }

@@ -109,8 +109,13 @@ func (h *MemHeap) Scan(fn func(tid TID, tv *TupleVersion) bool) error {
 // is released between batches, so a pull-based iterator can hold a
 // scan position without pinning the heap; versions inserted between
 // batches may or may not be visited, which is sound because a
-// statement's MVCC snapshot cannot see them anyway.
+// statement's MVCC snapshot cannot see them anyway. Each distinct
+// label pair is judged once per scan (vis.Scan's memo), as on the
+// paged heap.
 func (h *MemHeap) ScanFrom(start TID, max int, vis Visibility, fn func(tid TID, tv *TupleVersion) bool) (next TID, more bool, err error) {
+	if vis.Scan == nil {
+		vis.Scan = new(ScanState)
+	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	i := int(start)

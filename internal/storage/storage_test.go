@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestVisibilityPredicate(t *testing.T) {
 	var st ScanState
 	vis := Visibility{
 		See:     func(xmin, xmax XID) bool { return xmin == 1 && xmax == 0 },
-		LabelOK: func(l, il label.Label) bool { return l.IsEmpty() && il.Has(9) },
+		LabelOK: func(l, il label.Label) (label.Label, bool) { return l, l.IsEmpty() && il.Has(9) },
 		Scan:    &st,
 	}
 	if !vis.Sees(&TupleVersion{Xmin: 1, ILabel: label.New(9)}) {
@@ -163,7 +164,7 @@ func TestSeesStored(t *testing.T) {
 	var st ScanState
 	vis := Visibility{
 		See:     func(xmin, xmax XID) bool { return xmax == 0 },
-		LabelOK: func(l, il label.Label) bool { calls++; return !l.Has(7) },
+		LabelOK: func(l, il label.Label) (label.Label, bool) { calls++; return l, !l.Has(7) },
 		Scan:    &st,
 	}
 	open, secret := enc(label.New(1, 2), label.New(3)), enc(label.New(7), nil)
@@ -196,6 +197,152 @@ func TestSeesStored(t *testing.T) {
 	}
 }
 
+// TestSeesMemoMatchesDirect: over seeded version sequences, the memo's
+// verdict and stripped label equal a direct LabelOK call for every
+// version, on the decoded path (Sees) and the stored one (SeesStored);
+// LabelOK runs once per distinct pair up to the bound, and past it once
+// per version whose pair is neither remembered nor the last one; and
+// Visited and Denied stay exact.
+func TestSeesMemoMatchesDirect(t *testing.T) {
+	strip := label.New(2)
+	direct := func(l, il label.Label) (label.Label, bool) {
+		seen := l.Minus(strip)
+		return seen, !seen.Has(7) && (il.IsEmpty() || il.Has(9))
+	}
+	small := [][2]label.Label{
+		{nil, nil}, {{}, {}}, {{}, nil}, // nil and empty are one pair
+		{label.New(1), nil}, {label.New(1, 2), nil}, // a prefix of a label
+		{label.New(1, 2), label.New(9)}, {label.New(1, 2), label.New(8)}, // one secrecy label, two integrity labels
+		{label.New(7), nil}, {label.New(2, 7), label.New(9)}, {label.New(2), label.New(8, 9)},
+	}
+	var many [][2]label.Label // more distinct pairs than the bound
+	for i := 0; i < maxVerdicts+60; i++ {
+		l := label.New(label.Tag(1000 + i))
+		if i%2 == 1 {
+			l = l.Add(7)
+		}
+		many = append(many, [2]label.Label{l, label.New(9)})
+	}
+	fresh := func(l label.Label) label.Label { // equal content, a slice of its own
+		if l == nil {
+			return nil
+		}
+		return append(label.Label{}, l...)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pool := small
+		if seed > 10 {
+			pool = many
+		}
+		var versions []TupleVersion
+		for len(versions) < 2000 {
+			p := pool[rng.Intn(len(pool))]
+			for run := 1 + rng.Intn(4); run > 0; run-- {
+				versions = append(versions, TupleVersion{Xmin: XID(rng.Intn(5)), Label: fresh(p[0]), ILabel: fresh(p[1])})
+			}
+		}
+		see := func(xmin, xmax XID) bool { return xmin != 0 }
+
+		// model is the memo as specified: the last pair, then the
+		// remembered ones, the first maxVerdicts distinct pairs met.
+		type model struct {
+			remembered   map[string]bool
+			last         string
+			calls        int
+			denied, seen int64
+		}
+		run := func(path string, check func(vis Visibility, tv *TupleVersion, rec []byte) (ok bool, seen label.Label)) {
+			var st ScanState
+			calls := 0
+			vis := Visibility{See: see, Scan: &st, LabelOK: func(l, il label.Label) (label.Label, bool) {
+				calls++
+				return direct(l, il)
+			}}
+			m := model{remembered: map[string]bool{}}
+			for i := range versions {
+				tv := &versions[i]
+				rec, err := appendPair(nil, tv.Label, tv.ILabel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ok, seen := check(vis, tv, append(rec, 0xEE))
+				if !see(tv.Xmin, tv.Xmax) {
+					if ok {
+						t.Fatalf("%s seed %d version %d: the snapshot hides it, the scan admitted it", path, seed, i)
+					}
+					continue
+				}
+				wantSeen, want := direct(tv.Label, tv.ILabel)
+				if ok != want || ok && !seen.Equal(wantSeen) {
+					t.Fatalf("%s seed %d version %d %v/%v: memo says %v %v, direct %v %v",
+						path, seed, i, tv.Label, tv.ILabel, ok, seen, want, wantSeen)
+				}
+				if !want {
+					m.denied++
+				}
+				if k := string(rec); k != m.last {
+					m.last = k
+					if !m.remembered[k] {
+						m.calls++
+						if len(m.remembered) < maxVerdicts {
+							m.remembered[k] = true
+						}
+					}
+				}
+			}
+			if calls != m.calls {
+				t.Errorf("%s seed %d: LabelOK ran %d times, want %d (%d pairs remembered)", path, seed, calls, m.calls, len(m.remembered))
+			}
+			if len(st.verdicts) > maxVerdicts {
+				t.Errorf("%s seed %d: memo holds %d pairs, bound %d", path, seed, len(st.verdicts), maxVerdicts)
+			}
+			if st.Visited != int64(len(versions)) || st.Denied != m.denied {
+				t.Errorf("%s seed %d: visited %d denied %d, want %d and %d", path, seed, st.Visited, st.Denied, len(versions), m.denied)
+			}
+		}
+		run("Sees", func(vis Visibility, tv *TupleVersion, _ []byte) (bool, label.Label) {
+			ok := vis.Sees(tv)
+			return ok, vis.Scan.Label(tv)
+		})
+		run("SeesStored", func(vis Visibility, tv *TupleVersion, rec []byte) (bool, label.Label) {
+			l, il, n, ok, err := vis.SeesStored(tv.Xmin, tv.Xmax, rec)
+			if err != nil || n != len(rec)-1 {
+				t.Fatalf("SeesStored: n=%d err=%v", n, err)
+			}
+			if ok && (!l.Equal(tv.Label) || !il.Equal(tv.ILabel)) {
+				t.Fatalf("SeesStored decoded %v/%v, stored %v/%v", l, il, tv.Label, tv.ILabel)
+			}
+			return ok, vis.Scan.Label(&TupleVersion{Label: l})
+		})
+	}
+}
+
+// TestSeesOneLabelAllocatesNothing: a scan that meets one label pair
+// keeps its verdict in the scan state, and a hit on a remembered pair
+// encodes its key on the stack.
+func TestSeesOneLabelAllocatesNothing(t *testing.T) {
+	a := TupleVersion{Xmin: 1, Label: label.New(1), ILabel: label.New(9)}
+	b := TupleVersion{Xmin: 1, Label: label.New(2)}
+	ok := func(l, il label.Label) (label.Label, bool) { return l, true }
+	var st ScanState // a scan's state lives in its iterator
+	vis := Visibility{LabelOK: ok, Scan: &st}
+	if n := testing.AllocsPerRun(100, func() {
+		st = ScanState{}
+		for i := 0; i < 100; i++ {
+			vis.Sees(&a)
+		}
+	}); n != 0 {
+		t.Fatalf("one-label scan: %.0f allocations, want 0", n)
+	}
+	st = ScanState{}
+	vis.Sees(&a)
+	vis.Sees(&b)
+	if n := testing.AllocsPerRun(100, func() { vis.Sees(&a); vis.Sees(&b) }); n != 0 {
+		t.Fatalf("alternating remembered pairs: %.0f allocations per pair, want 0", n)
+	}
+}
+
 // TestMemHeapScanFrom: batches resume where they stopped, hidden
 // versions never reach fn, and every live version is counted once.
 func TestMemHeapScanFrom(t *testing.T) {
@@ -209,7 +356,7 @@ func TestMemHeapScanFrom(t *testing.T) {
 	}
 	h.Vacuum(func(tv *TupleVersion) bool { return tv.Row[0].Int() == 4 })
 	var st ScanState
-	vis := Visibility{LabelOK: func(l, il label.Label) bool { return l.IsEmpty() }, Scan: &st}
+	vis := Visibility{LabelOK: func(l, il label.Label) (label.Label, bool) { return l, l.IsEmpty() }, Scan: &st}
 	var got []int64
 	next, more := TID(0), true
 	for batches := 0; more; batches++ {

@@ -67,22 +67,31 @@ type Visibility struct {
 
 	// LabelOK reports whether the reading process may observe a version
 	// with secrecy label l and integrity label il (Label Confinement
-	// and its integrity dual). It must be a pure function of its
-	// arguments for the life of the scan: heaps remember its verdicts.
-	// Nil means the scan is exempt from label confinement (IFC off,
-	// vacuum, constraint-internal checks vouched for by the Foreign Key
-	// Rule).
-	LabelOK func(l, il label.Label) bool
+	// and its integrity dual), and returns the secrecy label the reader
+	// sees on it: l less the tags a declassifying view's strip covers
+	// (§4.3). It must be a pure function of its arguments for the life
+	// of the scan — the engine builds it over the process labels the
+	// scan opened with — because Scan remembers its verdicts: it is
+	// called once per distinct (l, il) pair, not per version. Nil means
+	// the scan is exempt from label confinement (IFC off, vacuum,
+	// constraint-internal checks vouched for by the Foreign Key Rule),
+	// and the reader sees l.
+	LabelOK func(l, il label.Label) (seen label.Label, ok bool)
 
 	// Scan carries one scan's state across its ScanFrom calls. Nil is
 	// allowed: the heap then keeps state for the one call only.
 	Scan *ScanState
 }
 
+// maxVerdicts bounds a scan's verdict memo. Past it, a pair the memo
+// does not hold is judged and not remembered, so a scan over a table of
+// many distinct labels keeps bounded state.
+const maxVerdicts = 256
+
 // ScanState is what one scan accumulates: the counts its caller
-// reports, and what a heap of encoded tuples keeps between batches so
-// that it decodes each distinct label once and allocates rows in
-// blocks.
+// reports, the label verdicts both Sees and SeesStored consult, and the
+// arena a heap of encoded tuples carves decoded rows from. It must not
+// be copied once used.
 type ScanState struct {
 	Visited int64 // versions examined
 	Denied  int64 // of those, visible to the snapshot but refused by LabelOK
@@ -90,44 +99,132 @@ type ScanState struct {
 	// Rows is the arena decoded rows are carved from.
 	Rows types.Arena
 
-	// labels memoizes, by stored encoding, the decoded form of each
-	// distinct (label, ilabel) pair the scan has met and LabelOK's
-	// verdict on it; last is the most recent hit, since tuples written
-	// by one process arrive in runs of one label.
-	labels map[string]*storedLabels
-	last   *storedLabels
+	// The verdict memo: LabelOK's judgment per distinct (label, ilabel)
+	// pair. last is the verdict consulted most recently, checked first,
+	// by content, since tuples written by one process arrive in runs of
+	// one label. first is the scan's first pair, kept here so that a
+	// scan that meets one label allocates nothing; from the second
+	// distinct pair on, verdicts holds every remembered pair (first
+	// included) keyed by its stored encoding (label.AppendEncode of each,
+	// §8.3), up to maxVerdicts.
+	last     *verdict
+	first    verdict
+	verdicts map[string]*verdict
 }
 
-type storedLabels struct {
+// verdict is LabelOK's judgment of one (label, ilabel) pair: the pair,
+// in stored form (empty if it has none, or for the first pair Sees met
+// until the map is built) and decoded, the label the reader sees, and
+// whether it may see the version at all.
+type verdict struct {
 	enc   string
 	l, il label.Label
+	seen  label.Label
 	ok    bool
 }
 
+// Label returns the secrecy label the scan's reader sees on tv, the
+// version the heap admitted last: tv's label less the tags LabelOK
+// stripped. It is shared between all versions of the scan that carry
+// the same labels and must not be modified.
+func (st *ScanState) Label(tv *TupleVersion) label.Label {
+	if st.last == nil {
+		return tv.Label // no LabelOK: nothing is stripped
+	}
+	return st.last.seen
+}
+
+// appendPair appends the stored encoding of the pair (l, il).
+func appendPair(buf []byte, l, il label.Label) ([]byte, error) {
+	buf, err := label.AppendEncode(buf, l)
+	if err != nil {
+		return nil, err
+	}
+	return label.AppendEncode(buf, il)
+}
+
+// judge is the memo's miss path, and the one place LabelOK is called:
+// it judges the pair (l, il), whose stored encoding is enc, and makes
+// the verdict the last one. The first pair of the scan goes into
+// st.first; the second builds the map, indexing the first under its
+// encoding (Sees leaves enc nil for the first pair, which is encoded
+// only now); a later one is remembered in the map while it holds fewer
+// than maxVerdicts pairs. A pair with no stored form (nil enc) is
+// never remembered.
+func (st *ScanState) judge(v Visibility, enc []byte, l, il label.Label) *verdict {
+	e := &st.first
+	if st.last != nil {
+		e = new(verdict)
+		if st.verdicts == nil {
+			st.verdicts = make(map[string]*verdict)
+			f := &st.first
+			if f.enc == "" {
+				if b, err := appendPair(nil, f.l, f.il); err == nil {
+					f.enc = string(b)
+				}
+			}
+			if f.enc != "" {
+				st.verdicts[f.enc] = f
+			}
+		}
+	}
+	*e = verdict{l: l, il: il, seen: l, ok: true}
+	if v.LabelOK != nil {
+		e.seen, e.ok = v.LabelOK(l, il)
+	}
+	if enc != nil {
+		e.enc = string(enc)
+		if e != &st.first && len(st.verdicts) < maxVerdicts {
+			st.verdicts[e.enc] = e
+		}
+	}
+	st.last = e
+	return e
+}
+
 // Sees applies both predicates to a version, MVCC first, and counts
-// the outcome in v.Scan.
+// the outcome in v.Scan, whose memo it consults: the last verdict,
+// compared by content, then the map, by the pair's stored encoding,
+// written into a buffer on the stack, so a hit allocates nothing.
+// v.Scan must be set when v.LabelOK is.
 func (v Visibility) Sees(tv *TupleVersion) bool {
-	if v.Scan != nil {
-		v.Scan.Visited++
+	st := v.Scan
+	if st != nil {
+		st.Visited++
 	}
 	if v.See != nil && !v.See(tv.Xmin, tv.Xmax) {
 		return false
 	}
-	if v.LabelOK != nil && !v.LabelOK(tv.Label, tv.ILabel) {
-		if v.Scan != nil {
-			v.Scan.Denied++
-		}
-		return false
+	if v.LabelOK == nil {
+		return true
 	}
-	return true
+	e := st.last
+	if e == nil {
+		e = st.judge(v, nil, tv.Label, tv.ILabel)
+	} else if !e.l.Equal(tv.Label) || !e.il.Equal(tv.ILabel) {
+		var buf [64]byte
+		key, err := appendPair(buf[:0], tv.Label, tv.ILabel)
+		if err != nil {
+			key = nil // not storable, so not remembered
+		}
+		if e = st.verdicts[string(key)]; e == nil {
+			e = st.judge(v, key, tv.Label, tv.ILabel)
+		}
+		st.last = e
+	}
+	if !e.ok {
+		st.Denied++
+	}
+	return e.ok
 }
 
 // SeesStored is Sees for a version still in its stored form: xmin,
 // xmax, and enc, which starts with the encoded label then ilabel
 // (label.AppendEncode, the paper's §8.3 header layout). It returns the
-// decoded labels, the bytes of enc they occupy, and the verdict; the
-// labels are shared between all versions of the scan that carry them
-// and must not be modified. v.Scan must be set.
+// decoded labels, the bytes of enc they occupy, and the verdict; a
+// pair is decoded only when the memo does not hold it, and the labels
+// are shared between all versions of the scan that carry them and
+// must not be modified. v.Scan must be set.
 func (v Visibility) SeesStored(xmin, xmax XID, enc []byte) (l, il label.Label, n int, ok bool, err error) {
 	st := v.Scan
 	st.Visited++
@@ -139,20 +236,15 @@ func (v Visibility) SeesStored(xmin, xmax XID, enc []byte) (l, il label.Label, n
 	}
 	e := st.last
 	if e == nil || e.enc != string(enc[:n]) {
-		if e = st.labels[string(enc[:n])]; e == nil {
-			e = &storedLabels{enc: string(enc[:n])}
+		if e = st.verdicts[string(enc[:n])]; e == nil {
 			var used int
-			if e.l, used, err = label.Decode(enc); err == nil {
-				e.il, _, err = label.Decode(enc[used:])
+			if l, used, err = label.Decode(enc); err == nil {
+				il, _, err = label.Decode(enc[used:])
 			}
 			if err != nil {
 				return nil, nil, 0, false, err
 			}
-			e.ok = v.LabelOK == nil || v.LabelOK(e.l, e.il)
-			if st.labels == nil {
-				st.labels = make(map[string]*storedLabels)
-			}
-			st.labels[e.enc] = e
+			e = st.judge(v, enc[:n], l, il)
 		}
 		st.last = e
 	}
