@@ -32,6 +32,15 @@ type Index struct {
 	Tree   *index.Btree
 }
 
+// Key is row's key in the index: its values at the index's columns.
+func (ix *Index) Key(row []types.Value) index.Key {
+	key := make(index.Key, len(ix.Cols))
+	for i, c := range ix.Cols {
+		key[i] = row[c]
+	}
+	return key
+}
+
 // ForeignKey is a referential constraint, enforced under the Foreign
 // Key Rule of paper §5.2.2.
 type ForeignKey struct {
@@ -98,6 +107,23 @@ func (t *Table) ColIndex(name string) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// IndexVersion adds the entries of the version at tid, whose row is
+// row, to every index of t. Entries are per version (§7.1): an UPDATE
+// indexes its new version beside the old one, and readers filter.
+func (t *Table) IndexVersion(tid storage.TID, row []types.Value) {
+	for _, ix := range t.Indexes {
+		ix.Tree.Insert(ix.Key(row), tid)
+	}
+}
+
+// UnindexVersion drops the version's entries from every index of t;
+// an entry already gone is no error.
+func (t *Table) UnindexVersion(tid storage.TID, row []types.Value) {
+	for _, ix := range t.Indexes {
+		ix.Tree.Delete(ix.Key(row), tid)
+	}
 }
 
 // ColNames returns the column names in order.

@@ -8,7 +8,6 @@ import (
 	"ifdb/internal/index"
 	"ifdb/internal/sql"
 	"ifdb/internal/storage"
-	"ifdb/internal/types"
 )
 
 // executeCreateTable builds a table from the AST: columns, primary
@@ -181,13 +180,7 @@ func (s *Session) executeCreateTable(ct *sql.CreateTableStmt) error {
 		// flushed versions; their index entries must be rebuilt here —
 		// WAL replay only indexes versions it places itself.
 		err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
-			for _, ix := range t.Indexes {
-				key := make([]types.Value, len(ix.Cols))
-				for i, c := range ix.Cols {
-					key[i] = tv.Row[c]
-				}
-				ix.Tree.Insert(key, tid)
-			}
+			t.IndexVersion(tid, tv.Row)
 			return true
 		})
 		if err != nil {
@@ -222,16 +215,30 @@ func (s *Session) executeCreateIndex(ci *sql.CreateIndexStmt) error {
 		cols[i] = c
 	}
 	ix := &catalog.Index{Name: ci.Name, Cols: cols, Unique: ci.Unique, Tree: index.New()}
+	// A unique index is refused over two live versions the creating
+	// session can see that share a key, judged as an INSERT's unique
+	// check judges them; replay rebuilds an index that was accepted.
+	type entry struct {
+		tid storage.TID
+		key index.Key
+	}
+	var probe []entry
+	unique := ci.Unique && !s.eng.replaying()
 	err := t.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
-		key := make([]types.Value, len(cols))
-		for i, c := range cols {
-			key[i] = tv.Row[c]
-		}
+		key := ix.Key(tv.Row)
 		ix.Tree.Insert(key, tid)
+		if unique && s.versionLiveForUnique(tv) && s.labelVisible(tv.Label) {
+			probe = append(probe, entry{tid, key})
+		}
 		return true
 	})
 	if err != nil {
 		return fmt.Errorf("engine: backfill index %q: %w", ci.Name, err)
+	}
+	for _, p := range probe {
+		if err := s.uniqueConflict(t, ix, p.key, p.tid); err != nil {
+			return err
+		}
 	}
 	t.Indexes = append(t.Indexes, ix)
 	s.eng.invalidatePlans()

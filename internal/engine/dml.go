@@ -147,7 +147,14 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 		case ins.Select != nil:
 			row = append([]types.Value(nil), vals...)
 		}
-		if err := s.insertRow(t, row, declTags, qc); err != nil {
+		for i, col := range t.Columns {
+			v, err := row[i].Coerce(col.Kind)
+			if err != nil {
+				return n, fmt.Errorf("engine: column %q: %w", col.Name, err)
+			}
+			row[i] = v
+		}
+		if err := s.putVersion(t, row, nil, declTags, qc); err != nil {
 			return n, err
 		}
 		n++
@@ -179,83 +186,125 @@ func (s *Session) resolveDeclassifying(names []string) (label.Label, error) {
 	return decl, nil
 }
 
-// insertRow applies the full insert path: coercion, BEFORE triggers,
-// NOT NULL and CHECK constraints, label constraints, uniqueness with
-// polyinstantiation, the heap write (at exactly the process label,
-// §4.2), index maintenance, the Foreign Key Rule, and AFTER triggers.
-func (s *Session) insertRow(t *catalog.Table, row []types.Value, declTags label.Label, qc *qctx) error {
-	// Coerce to declared column types.
-	for i, col := range t.Columns {
-		v, err := row[i].Coerce(col.Kind)
-		if err != nil {
-			return fmt.Errorf("engine: column %q: %w", col.Name, err)
-		}
-		row[i] = v
+// putVersion writes row as a new version of t: an INSERT when old is
+// nil, else the UPDATE of old, which the caller has passed through the
+// Write Rule. In order: shard ownership (an UPDATE that rewrites the
+// shard key is vetted like an inserted row), BEFORE triggers, NOT NULL,
+// CHECK and label constraints; then, under t.UniqueMu so that two
+// writers cannot slip one key past each other, the unique check, the
+// old version's delete and the heap insert with its index entries; then
+// the log records, the Foreign Key Rule (§5.2.2) — for an UPDATE only
+// on the keys whose columns changed — the referencers of a changed key,
+// and AFTER triggers. The version is stamped with exactly the process
+// labels (§4.2) as they stand after the BEFORE triggers.
+func (s *Session) putVersion(t *catalog.Table, row []types.Value, old *target, declTags label.Label, qc *qctx) error {
+	event, exclude := "INSERT", storage.InvalidTID
+	var oldRow []types.Value
+	var oldLabel label.Label
+	if old != nil {
+		event, exclude, oldRow, oldLabel = "UPDATE", old.tid, old.tv.Row, old.tv.Label
 	}
-
 	if err := s.checkShardOwnership(t, row); err != nil {
 		return err
 	}
-
-	if err := s.fireTriggers(t, "BEFORE", "INSERT", nil, row, nil, qc); err != nil {
+	if err := s.fireTriggers(t, "BEFORE", event, oldRow, row, oldLabel, qc); err != nil {
+		return err
+	}
+	lw, liw := s.writeLabel(), s.writeILabel()
+	if err := s.checkConstraints(t, row, lw, qc); err != nil {
 		return err
 	}
 
-	for i, col := range t.Columns {
-		if col.NotNull && row[i].IsNull() {
-			return fmt.Errorf("%w: column %q", ErrNotNull, col.Name)
-		}
+	var tid storage.TID
+	t.UniqueMu.Lock()
+	err := s.checkUnique(t, row, exclude)
+	if err == nil && old != nil {
+		err = s.stmtTx.Delete(t.Heap, old.tid, old.tv.Label, old.tv.ILabel)
 	}
-	if err := s.checkChecks(t, row, qc); err != nil {
-		return err
+	if err == nil {
+		tid, err = t.Heap.Insert(storage.TupleVersion{Row: row, Label: lw, ILabel: liw, Xmin: s.stmtTx.XID()})
 	}
-
-	lw := s.writeLabel()
-	liw := s.writeILabel()
-	if err := s.checkLabelConstraints(t, row, lw, qc); err != nil {
-		return err
+	if err == nil {
+		t.IndexVersion(tid, row)
 	}
-
-	// Uniqueness + insert under the table lock so concurrent inserters
-	// cannot slip identical keys past each other.
-	lk := &t.UniqueMu
-	lk.Lock()
-	if err := s.checkUnique(t, row, lw, storage.InvalidTID); err != nil {
-		lk.Unlock()
-		return err
-	}
-	tid, err := t.Heap.Insert(storage.TupleVersion{Row: row, Label: lw, ILabel: liw, Xmin: s.stmtTx.XID()})
+	t.UniqueMu.Unlock()
 	if err != nil {
-		lk.Unlock()
 		return err
 	}
-	for _, ix := range t.Indexes {
-		key := make([]types.Value, len(ix.Cols))
-		for i, c := range ix.Cols {
-			key[i] = row[c]
-		}
-		ix.Tree.Insert(key, tid)
-	}
-	lk.Unlock()
 	s.stmtTx.RecordInsert(t.Heap, tid, lw, liw)
+	if old != nil {
+		if err := s.logDelete(t, old.tid); err != nil {
+			return err
+		}
+	}
 	if err := s.logInsert(t, tid, lw, liw, row); err != nil {
 		return err
 	}
 
-	// The Foreign Key Rule (§5.2.2).
 	for i := range t.ForeignKeys {
-		if err := s.checkForeignKeyInsert(t, &t.ForeignKeys[i], row, lw, declTags); err != nil {
+		fk := &t.ForeignKeys[i]
+		if old != nil && !colsChanged(fk.Cols, oldRow, row) {
+			continue
+		}
+		if err := s.checkForeignKeyInsert(t, fk, row, lw, declTags); err != nil {
 			return err
 		}
 	}
-
-	return s.fireTriggers(t, "AFTER", "INSERT", nil, row, lw, qc)
+	if old != nil {
+		if err := s.checkReferencersOnKeyChange(t, oldRow, row); err != nil {
+			return err
+		}
+	}
+	return s.fireTriggers(t, "AFTER", event, oldRow, row, lw, qc)
 }
 
-// checkUnique probes every unique index for a conflicting tuple that
-// is *visible* to the inserting process. A conflict with a tuple the
+// colsChanged reports whether rows a and b differ in any of cols.
+func colsChanged(cols []int, a, b []types.Value) bool {
+	for _, c := range cols {
+		if !a[c].Equal(b[c]) {
+			return true
+		}
+	}
+	return false
+}
+
+// writeRule is the Write Rule (§4.2) for a tuple a statement replaces
+// or deletes — an UPDATE's or DELETE's target, or a cascaded row: it
+// must carry exactly the process label and integrity label as they
+// stand at this write.
+func (s *Session) writeRule(tv *storage.TupleVersion) error {
+	if !s.eng.cfg.IFC {
+		return nil
+	}
+	if !tv.Label.Equal(s.plabel) {
+		return fmt.Errorf("%w: tuple label %v, process label %v", ErrWriteRule, tv.Label, s.plabel)
+	}
+	if !tv.ILabel.Equal(s.pilabel) {
+		return fmt.Errorf("%w: tuple integrity %v, process integrity %v", ErrWriteRule, tv.ILabel, s.pilabel)
+	}
+	return nil
+}
+
+// checkUnique probes every unique index for a tuple that conflicts with
+// row (uniqueConflict), skipping the version at exclude: the one an
+// UPDATE replaces.
+func (s *Session) checkUnique(t *catalog.Table, row []types.Value, exclude storage.TID) error {
+	for _, ix := range t.Indexes {
+		if !ix.Unique {
+			continue
+		}
+		if err := s.uniqueConflict(t, ix, ix.Key(row), exclude); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// uniqueConflict probes ix for a version other than exclude under key
+// that is *visible* to the writing process. A conflict with a tuple the
 // process cannot see is permitted — polyinstantiation (§5.2.1) — since
-// rejecting it would leak the hidden tuple's existence.
+// rejecting it would leak the hidden tuple's existence. A key holding a
+// NULL never conflicts (SQL).
 //
 // The probe judges every version under the key anyway, so it also
 // prunes the entries of those no snapshot sees any more (txn.Manager.Dead,
@@ -263,83 +312,69 @@ func (s *Session) insertRow(t *catalog.Table, row []types.Value, declTags label.
 // every UPDATE until vacuum. The heap versions stay for Engine.Vacuum,
 // whose Delete of a pruned entry finds nothing. Like vacuum, pruning is
 // not logged.
-func (s *Session) checkUnique(t *catalog.Table, row []types.Value, lw label.Label, exclude storage.TID) error {
-	for _, ix := range t.Indexes {
-		if !ix.Unique {
-			continue
-		}
-		key := make([]types.Value, len(ix.Cols))
-		nullKey := false
-		for i, c := range ix.Cols {
-			key[i] = row[c]
-			if key[i].IsNull() {
-				nullKey = true
-			}
-		}
-		if nullKey {
-			continue // SQL: NULLs never conflict
-		}
-		var conflict error
-		var horizon uint64 // read at the first version judged; no snapshot is 0
-		var pruneBuf [4]storage.TID
-		prune := pruneBuf[:0]
-		ix.Tree.AscendEqual(key, func(tid storage.TID) bool {
-			if tid == exclude {
-				return true
-			}
-			tv, ok := t.Heap.Get(tid)
-			if !ok {
-				return true
-			}
-			if !s.versionLiveForUnique(&tv) {
-				if horizon == 0 {
-					horizon = s.eng.txns.OldestSnapshot()
-				}
-				if s.eng.txns.Dead(&tv, horizon) {
-					prune = append(prune, tid)
-				}
-				return true
-			}
-			// Polyinstantiation: only *visible* tuples conflict.
-			if !s.labelVisible(tv.Label) {
-				return true
-			}
-			// If the conflicting version belongs to a still-running
-			// transaction (its insert uncommitted, or a deleter in
-			// flight), the outcome depends on that transaction:
-			// PostgreSQL would block on the index lock; we surface a
-			// retryable serialization failure instead of a hard
-			// uniqueness error.
-			m := s.eng.txns
-			self := s.stmtTx.XID()
-			if _, committed := m.Committed(tv.Xmin); !committed && tv.Xmin != self {
-				conflict = fmt.Errorf("%w: concurrent insert into index %q", txn.ErrSerialization, ix.Name)
-				return false
-			}
-			// A version committed after our snapshot is a write-write
-			// race (the usual shape: another update of the row we are
-			// updating): first-committer-wins, we retry.
-			if s.stmtTx.CommittedAfterSnapshot(tv.Xmin) {
-				conflict = fmt.Errorf("%w: index %q updated since snapshot", txn.ErrSerialization, ix.Name)
-				return false
-			}
-			if tv.Xmax != storage.InvalidXID && tv.Xmax != self {
-				if _, committed := m.Committed(tv.Xmax); !committed && !m.Aborted(tv.Xmax) {
-					conflict = fmt.Errorf("%w: concurrent delete under index %q", txn.ErrSerialization, ix.Name)
-					return false
-				}
-			}
-			conflict = fmt.Errorf("%w: index %q", ErrUnique, ix.Name)
-			return false
-		})
-		for _, tid := range prune {
-			ix.Tree.Delete(key, tid)
-		}
-		if conflict != nil {
-			return conflict
+func (s *Session) uniqueConflict(t *catalog.Table, ix *catalog.Index, key index.Key, exclude storage.TID) error {
+	for _, v := range key {
+		if v.IsNull() {
+			return nil
 		}
 	}
-	return nil
+	var conflict error
+	var horizon uint64 // read at the first version judged; no snapshot is 0
+	var pruneBuf [4]storage.TID
+	prune := pruneBuf[:0]
+	ix.Tree.AscendEqual(key, func(tid storage.TID) bool {
+		if tid == exclude {
+			return true
+		}
+		tv, ok := t.Heap.Get(tid)
+		if !ok {
+			return true
+		}
+		if !s.versionLiveForUnique(&tv) {
+			if horizon == 0 {
+				horizon = s.eng.txns.OldestSnapshot()
+			}
+			if s.eng.txns.Dead(&tv, horizon) {
+				prune = append(prune, tid)
+			}
+			return true
+		}
+		// Polyinstantiation: only *visible* tuples conflict.
+		if !s.labelVisible(tv.Label) {
+			return true
+		}
+		// If the conflicting version belongs to a still-running
+		// transaction (its insert uncommitted, or a deleter in
+		// flight), the outcome depends on that transaction:
+		// PostgreSQL would block on the index lock; we surface a
+		// retryable serialization failure instead of a hard
+		// uniqueness error.
+		m := s.eng.txns
+		self := s.stmtTx.XID()
+		if _, committed := m.Committed(tv.Xmin); !committed && tv.Xmin != self {
+			conflict = fmt.Errorf("%w: concurrent insert into index %q", txn.ErrSerialization, ix.Name)
+			return false
+		}
+		// A version committed after our snapshot is a write-write
+		// race (the usual shape: another update of the row we are
+		// updating): first-committer-wins, we retry.
+		if s.stmtTx.CommittedAfterSnapshot(tv.Xmin) {
+			conflict = fmt.Errorf("%w: index %q updated since snapshot", txn.ErrSerialization, ix.Name)
+			return false
+		}
+		if tv.Xmax != storage.InvalidXID && tv.Xmax != self {
+			if _, committed := m.Committed(tv.Xmax); !committed && !m.Aborted(tv.Xmax) {
+				conflict = fmt.Errorf("%w: concurrent delete under index %q", txn.ErrSerialization, ix.Name)
+				return false
+			}
+		}
+		conflict = fmt.Errorf("%w: index %q", ErrUnique, ix.Name)
+		return false
+	})
+	for _, tid := range prune {
+		ix.Tree.Delete(key, tid)
+	}
+	return conflict
 }
 
 // versionLiveForUnique decides whether a version still occupies its
@@ -364,14 +399,17 @@ func (s *Session) versionLiveForUnique(tv *storage.TupleVersion) bool {
 	return !committed // deleter aborted, or still in progress: conservatively live
 }
 
-// checkLabelConstraints enforces LABEL EXACTLY / LABEL CONTAINS
-// (§5.2.4). Constraint expressions evaluate over the inserted row and
-// must yield tag ids.
-func (s *Session) checkLabelConstraints(t *catalog.Table, row []types.Value, lw label.Label, qc *qctx) error {
-	if !s.eng.cfg.IFC {
-		return nil
+// checkConstraints enforces NOT NULL, CHECK (a NULL result passes) and
+// LABEL EXACTLY / LABEL CONTAINS (§5.2.4) on a version about to be
+// written at label lw. A label constraint's expressions evaluate over
+// the row to tag ids.
+func (s *Session) checkConstraints(t *catalog.Table, row []types.Value, lw label.Label, qc *qctx) error {
+	for i, col := range t.Columns {
+		if col.NotNull && row[i].IsNull() {
+			return fmt.Errorf("%w: column %q", ErrNotNull, col.Name)
+		}
 	}
-	if len(t.LabelConstraints) == 0 {
+	if len(t.Checks) == 0 && (len(t.LabelConstraints) == 0 || !s.eng.cfg.IFC) {
 		return nil
 	}
 	schema := make(exec.Schema, len(t.Columns))
@@ -379,7 +417,20 @@ func (s *Session) checkLabelConstraints(t *catalog.Table, row []types.Value, lw 
 		schema[i] = exec.ColMeta{Table: t.Name, Name: c.Name}
 	}
 	env := s.newEnv(schema, qc)
-	env.Row, env.RowLabel = row, lw
+	env.Row = row
+	for _, ck := range t.Checks {
+		v, err := exec.Eval(ck.Expr, env)
+		if err != nil {
+			return err
+		}
+		if !v.IsNull() && !v.Truthy() {
+			return fmt.Errorf("%w: %q", ErrCheck, ck.Name)
+		}
+	}
+	if !s.eng.cfg.IFC {
+		return nil
+	}
+	env.RowLabel = lw
 	for _, lc := range t.LabelConstraints {
 		var want []label.Tag
 		for _, e := range lc.Exprs {
@@ -400,33 +451,8 @@ func (s *Session) checkLabelConstraints(t *catalog.Table, row []types.Value, lw 
 			if !lw.Equal(wantLabel) {
 				return fmt.Errorf("%w: %q requires label %v, tuple has %v", ErrLabelConstraint, lc.Name, wantLabel, lw)
 			}
-		} else {
-			if !wantLabel.SubsetOf(lw) {
-				return fmt.Errorf("%w: %q requires label containing %v, tuple has %v", ErrLabelConstraint, lc.Name, wantLabel, lw)
-			}
-		}
-	}
-	return nil
-}
-
-// checkChecks evaluates CHECK constraints.
-func (s *Session) checkChecks(t *catalog.Table, row []types.Value, qc *qctx) error {
-	if len(t.Checks) == 0 {
-		return nil
-	}
-	schema := make(exec.Schema, len(t.Columns))
-	for i, c := range t.Columns {
-		schema[i] = exec.ColMeta{Table: t.Name, Name: c.Name}
-	}
-	env := s.newEnv(schema, qc)
-	env.Row = row
-	for _, ck := range t.Checks {
-		v, err := exec.Eval(ck.Expr, env)
-		if err != nil {
-			return err
-		}
-		if !v.IsNull() && !v.Truthy() {
-			return fmt.Errorf("%w: %q", ErrCheck, ck.Name)
+		} else if !wantLabel.SubsetOf(lw) {
+			return fmt.Errorf("%w: %q requires label containing %v, tuple has %v", ErrLabelConstraint, lc.Name, wantLabel, lw)
 		}
 	}
 	return nil
@@ -452,7 +478,7 @@ func (s *Session) checkForeignKeyInsert(t *catalog.Table, fk *catalog.ForeignKey
 	}
 
 	var candidates []storage.TupleVersion
-	err := s.lookupByCols(ref, fk.RefCols, key, func(tv *storage.TupleVersion) {
+	err := s.lookupByColsTID(ref, fk.RefCols, key, func(_ storage.TID, tv *storage.TupleVersion) {
 		candidates = append(candidates, *tv)
 	})
 	if err != nil {
@@ -488,19 +514,13 @@ func (s *Session) checkForeignKeyInsert(t *catalog.Table, fk *catalog.ForeignKey
 	return fmt.Errorf("%w: %q requires DECLASSIFYING covering %v", ErrFKAuthority, fk.Name, firstShortfall)
 }
 
-// lookupByCols finds MVCC-visible versions of ref with the given
-// column values, bypassing label confinement (callers are the
-// constraint internals whose channels are vouched for explicitly).
-func (s *Session) lookupByCols(ref *catalog.Table, cols []int, key []types.Value, fn func(tv *storage.TupleVersion)) error {
-	return s.lookupByColsTID(ref, cols, key, func(_ storage.TID, tv *storage.TupleVersion) { fn(tv) })
-}
-
 // ---------------------------------------------------------------------------
 // UPDATE
 
-// executeUpdate rewrites matching tuples. Under the Write Rule (§4.2)
-// every affected tuple must carry exactly the process label; a visible
-// tuple with a lower label fails the statement.
+// executeUpdate rewrites matching tuples: each target passes the Write
+// Rule (§4.2) — a visible tuple with a lower label fails the statement —
+// and its SET values are evaluated over it and coerced; putVersion
+// writes the new version.
 func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
 	t, err := s.writableTable(up.Table)
 	if err != nil {
@@ -526,107 +546,26 @@ func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
 	}
 
 	env := s.newEnv(p.Schema(), qc)
-	lw := s.writeLabel()
-	liw := s.writeILabel()
-
 	n := 0
-	for _, tg := range targets {
-		if s.eng.cfg.IFC && !tg.tv.Label.Equal(lw) {
-			return n, fmt.Errorf("%w: tuple label %v, process label %v", ErrWriteRule, tg.tv.Label, lw)
-		}
-		if s.eng.cfg.IFC && !tg.tv.ILabel.Equal(liw) {
-			return n, fmt.Errorf("%w: tuple integrity %v, process integrity %v", ErrWriteRule, tg.tv.ILabel, liw)
+	for i := range targets {
+		tg := &targets[i]
+		if err := s.writeRule(&tg.tv); err != nil {
+			return n, err
 		}
 		newRow := append([]types.Value(nil), tg.tv.Row...)
 		env.Row, env.RowLabel, env.RowILabel = tg.tv.Row, tg.tv.Label, tg.tv.ILabel
-		for i, sc := range up.Set {
+		for j, sc := range up.Set {
 			v, err := exec.Eval(sc.Value, env)
 			if err != nil {
 				return n, err
 			}
-			cv, err := v.Coerce(t.Columns[setIdx[i]].Kind)
+			cv, err := v.Coerce(t.Columns[setIdx[j]].Kind)
 			if err != nil {
 				return n, fmt.Errorf("engine: column %q: %w", sc.Column, err)
 			}
-			newRow[setIdx[i]] = cv
+			newRow[setIdx[j]] = cv
 		}
-
-		// An UPDATE that rewrites the shard-key column would scatter the
-		// key onto a shard that doesn't own it; the ownership guard vets
-		// the new version exactly like an inserted row.
-		if err := s.checkShardOwnership(t, newRow); err != nil {
-			return n, err
-		}
-
-		if err := s.fireTriggers(t, "BEFORE", "UPDATE", tg.tv.Row, newRow, tg.tv.Label, qc); err != nil {
-			return n, err
-		}
-		for i, col := range t.Columns {
-			if col.NotNull && newRow[i].IsNull() {
-				return n, fmt.Errorf("%w: column %q", ErrNotNull, col.Name)
-			}
-		}
-		if err := s.checkChecks(t, newRow, qc); err != nil {
-			return n, err
-		}
-		if err := s.checkLabelConstraints(t, newRow, lw, qc); err != nil {
-			return n, err
-		}
-
-		lk := &t.UniqueMu
-		lk.Lock()
-		if err := s.checkUnique(t, newRow, lw, tg.tid); err != nil {
-			lk.Unlock()
-			return n, err
-		}
-		if err := s.stmtTx.Delete(t.Heap, tg.tid, tg.tv.Label, tg.tv.ILabel); err != nil {
-			lk.Unlock()
-			return n, err
-		}
-		tid, err := t.Heap.Insert(storage.TupleVersion{Row: newRow, Label: lw, ILabel: liw, Xmin: s.stmtTx.XID()})
-		if err != nil {
-			lk.Unlock()
-			return n, err
-		}
-		for _, ix := range t.Indexes {
-			key := make([]types.Value, len(ix.Cols))
-			for i, c := range ix.Cols {
-				key[i] = newRow[c]
-			}
-			ix.Tree.Insert(key, tid)
-		}
-		lk.Unlock()
-		s.stmtTx.RecordInsert(t.Heap, tid, lw, liw)
-		if err := s.logDelete(t, tg.tid); err != nil {
-			return n, err
-		}
-		if err := s.logInsert(t, tid, lw, liw, newRow); err != nil {
-			return n, err
-		}
-
-		// Re-verify FKs whose columns changed.
-		for i := range t.ForeignKeys {
-			fk := &t.ForeignKeys[i]
-			changed := false
-			for _, c := range fk.Cols {
-				if !newRow[c].Equal(tg.tv.Row[c]) {
-					changed = true
-					break
-				}
-			}
-			if changed {
-				if err := s.checkForeignKeyInsert(t, fk, newRow, lw, declTags); err != nil {
-					return n, err
-				}
-			}
-		}
-		// If referenced key columns changed, ensure no dangling
-		// referencing rows remain (treated as a delete of the old key).
-		if err := s.checkReferencersOnKeyChange(t, tg.tv.Row, newRow); err != nil {
-			return n, err
-		}
-
-		if err := s.fireTriggers(t, "AFTER", "UPDATE", tg.tv.Row, newRow, lw, qc); err != nil {
+		if err := s.putVersion(t, newRow, tg, declTags, qc); err != nil {
 			return n, err
 		}
 		n++
@@ -634,16 +573,11 @@ func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
 	return n, nil
 }
 
+// checkReferencersOnKeyChange refuses an UPDATE that changes a key
+// other tables still reference, as a delete of the old key would be.
 func (s *Session) checkReferencersOnKeyChange(t *catalog.Table, oldRow, newRow []types.Value) error {
 	for _, rf := range s.eng.cat.ReferencingFKs(t.Name) {
-		changed := false
-		for _, c := range rf.FK.RefCols {
-			if !oldRow[c].Equal(newRow[c]) {
-				changed = true
-				break
-			}
-		}
-		if !changed {
+		if !colsChanged(rf.FK.RefCols, oldRow, newRow) {
 			continue
 		}
 		key := make([]types.Value, len(rf.FK.RefCols))
@@ -651,7 +585,7 @@ func (s *Session) checkReferencersOnKeyChange(t *catalog.Table, oldRow, newRow [
 			key[i] = oldRow[c]
 		}
 		found := false
-		if err := s.lookupByCols(rf.Table, rf.FK.Cols, key, func(*storage.TupleVersion) { found = true }); err != nil {
+		if err := s.lookupByColsTID(rf.Table, rf.FK.Cols, key, func(storage.TID, *storage.TupleVersion) { found = true }); err != nil {
 			return err
 		}
 		if found {
@@ -664,10 +598,8 @@ func (s *Session) checkReferencersOnKeyChange(t *catalog.Table, oldRow, newRow [
 // ---------------------------------------------------------------------------
 // DELETE
 
-// executeDelete removes matching tuples (marking versions deleted).
-// The Write Rule applies; referencing tables are checked label-exempt,
-// the channel having been vouched for by the Foreign Key Rule at
-// insert time (§5.2.2).
+// executeDelete removes matching tuples (marking versions deleted)
+// through deleteOne.
 func (s *Session) executeDelete(del *sql.DeleteStmt, qc *qctx) (int, error) {
 	t, err := s.writableTable(del.Table)
 	if err != nil {
@@ -677,16 +609,8 @@ func (s *Session) executeDelete(del *sql.DeleteStmt, qc *qctx) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	lw := s.writeLabel()
-	liw := s.writeILabel()
 	n := 0
 	for _, tg := range targets {
-		if s.eng.cfg.IFC && !tg.tv.Label.Equal(lw) {
-			return n, fmt.Errorf("%w: tuple label %v, process label %v", ErrWriteRule, tg.tv.Label, lw)
-		}
-		if s.eng.cfg.IFC && !tg.tv.ILabel.Equal(liw) {
-			return n, fmt.Errorf("%w: tuple integrity %v, process integrity %v", ErrWriteRule, tg.tv.ILabel, liw)
-		}
 		if err := s.deleteOne(t, tg, qc); err != nil {
 			return n, err
 		}
@@ -695,7 +619,15 @@ func (s *Session) executeDelete(del *sql.DeleteStmt, qc *qctx) (int, error) {
 	return n, nil
 }
 
+// deleteOne deletes one tuple, a DELETE's target or a cascaded row:
+// the Write Rule, BEFORE triggers, the referencing rows — label-exempt,
+// the channel having been vouched for by the Foreign Key Rule at insert
+// time (§5.2.2), and cascaded into or refused — the version's delete
+// and its log record, and AFTER triggers.
 func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
+	if err := s.writeRule(&tg.tv); err != nil {
+		return err
+	}
 	if err := s.fireTriggers(t, "BEFORE", "DELETE", tg.tv.Row, nil, tg.tv.Label, qc); err != nil {
 		return err
 	}
@@ -715,7 +647,7 @@ func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
 		// Another (polyinstantiated) version of this key may remain;
 		// if so, referencing rows are still satisfied.
 		remaining := 0
-		if err := s.lookupByCols(t, rf.FK.RefCols, key, func(tv *storage.TupleVersion) { remaining++ }); err != nil {
+		if err := s.lookupByColsTID(t, rf.FK.RefCols, key, func(storage.TID, *storage.TupleVersion) { remaining++ }); err != nil {
 			return err
 		}
 		if remaining > 1 {
@@ -733,11 +665,6 @@ func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
 		}
 		if rf.FK.OnDelete == "CASCADE" {
 			for _, r := range refs {
-				// Cascaded deletes are still writes: the Write Rule
-				// applies to them as well.
-				if s.eng.cfg.IFC && !r.tv.Label.Equal(s.writeLabel()) {
-					return fmt.Errorf("%w: cascade into %q", ErrWriteRule, rf.Table.Name)
-				}
 				if err := s.deleteOne(rf.Table, r, qc); err != nil {
 					return err
 				}
@@ -755,7 +682,10 @@ func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
 	return s.fireTriggers(t, "AFTER", "DELETE", tg.tv.Row, nil, tg.tv.Label, qc)
 }
 
-// lookupByColsTID is lookupByCols but also yields TIDs.
+// lookupByColsTID finds the MVCC-visible versions of ref with the
+// given column values, and their TIDs, bypassing Label Confinement: its
+// callers are the constraint internals, whose channels are vouched for
+// explicitly.
 func (s *Session) lookupByColsTID(ref *catalog.Table, cols []int, key []types.Value, fn func(tid storage.TID, tv *storage.TupleVersion)) error {
 	tx := s.stmtTx
 	consider := func(tid storage.TID, tv *storage.TupleVersion) {

@@ -516,13 +516,7 @@ func (e *Engine) Vacuum() int {
 			continue
 		}
 		for _, v := range victims {
-			for _, ix := range t.Indexes {
-				key := make([]types.Value, len(ix.Cols))
-				for i, c := range ix.Cols {
-					key[i] = v.row[c]
-				}
-				ix.Tree.Delete(key, v.tid)
-			}
+			t.UnindexVersion(v.tid, v.row)
 		}
 		total += t.Heap.Vacuum(dead)
 	}

@@ -390,15 +390,8 @@ func (e *Engine) restoreVersion(t *catalog.Table, tid storage.TID, tv storage.Tu
 	if err != nil {
 		return fmt.Errorf("restore %s tid %d: %w", t.Name, tid, err)
 	}
-	if !placed {
-		return nil
-	}
-	for _, ix := range t.Indexes {
-		key := make([]types.Value, len(ix.Cols))
-		for i, c := range ix.Cols {
-			key[i] = tv.Row[c]
-		}
-		ix.Tree.Insert(key, tid)
+	if placed {
+		t.IndexVersion(tid, tv.Row)
 	}
 	return nil
 }
