@@ -15,13 +15,18 @@ import (
 
 // TestDMLCancelWithinOneBatch: a cancel that lands while a keyless
 // UPDATE or DELETE is still choosing its rows stops it within one scan
-// batch, aborts its transaction and leaves the session usable.
+// batch, aborts its transaction and leaves the session usable. So does
+// one that lands while a join's left side drains: the right side's scan
+// polls it, whether the join drains that scan (hash) or re-seeks it
+// once per left row (index), and whether or not a probe finds a row.
 func TestDMLCancelWithinOneBatch(t *testing.T) {
-	const rows, cancelAt = 200_000, 5000
+	const rows = 200_000
 	e := MustNew(Config{})
 	s := e.NewSession(e.Admin())
 	seedBig(t, s, rows)
-	calls := 0
+	mustExec(t, s, `CREATE TABLE lefty (k BIGINT PRIMARY KEY)`)
+	mustExec(t, s, `INSERT INTO lefty VALUES (10), (20), (30)`)
+	calls, cancelAt := 0, 0
 	if err := e.RegisterProc("trip", func(ps *Session, _ []types.Value) (types.Value, error) {
 		if calls++; calls == cancelAt {
 			ps.Cancel()
@@ -30,20 +35,36 @@ func TestDMLCancelWithinOneBatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{
-		`UPDATE big SET k = k WHERE trip(k) = 1`,
-		`DELETE FROM big WHERE trip(k) = 1`,
+	for _, c := range []struct {
+		q        string
+		cancelAt int
+		plan     string // a line the statement's EXPLAIN shows
+	}{
+		{`UPDATE big SET k = k WHERE trip(k) = 1`, 5000, "scan big"},
+		{`DELETE FROM big WHERE trip(k) = 1`, 5000, "scan big"},
+		// trip cancels on lefty's last row.
+		{`SELECT count(*) FROM (SELECT k, trip(k) AS t FROM lefty) a JOIN big b ON a.k = b.k`, 3,
+			"join index INNER big AS b | index=big_pkey prefix=1"},
+		{`SELECT count(*) FROM (SELECT k, trip(k) AS t FROM lefty) a JOIN (SELECT k FROM big) b ON a.k = b.k`, 3,
+			"join hash INNER"},
+		// Probes that find no entry poll too.
+		{`SELECT count(*) FROM (SELECT -k AS k, trip(k) AS t FROM lefty) a JOIN big b ON a.k = b.k`, 3,
+			"join index INNER big AS b | index=big_pkey prefix=1"},
 	} {
-		calls = 0
-		if _, err := s.Exec(q); !errors.Is(err, ErrCanceled) {
-			t.Fatalf("%s: %v, want ErrCanceled", q, err)
+		explain := strings.Join(rowStrings(mustExec(t, s, "EXPLAIN "+c.q)), "\n")
+		if !strings.Contains(explain, c.plan) {
+			t.Fatalf("%s: plan lacks %q:\n%s", c.q, c.plan, explain)
+		}
+		calls, cancelAt = 0, c.cancelAt
+		if _, err := s.Exec(c.q); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s: %v, want ErrCanceled", c.q, err)
 		}
 		// The rows the in-flight refill had admitted, and no more.
 		if calls > cancelAt+2048 {
-			t.Fatalf("%s: the WHERE ran on %d rows after the cancel, want within one scan batch", q, calls-cancelAt)
+			t.Fatalf("%s: the WHERE ran on %d rows after the cancel, want within one scan batch", c.q, calls-cancelAt)
 		}
 		if s.InTxn() {
-			t.Fatalf("%s: statement transaction still open after the cancel", q)
+			t.Fatalf("%s: statement transaction still open after the cancel", c.q)
 		}
 		s.ResetCancel()
 		res := mustExec(t, s, `SELECT COUNT(*) FROM big`)

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,7 +48,8 @@ func TestQuickNoQueryLeaksLabels(t *testing.T) {
 			return out
 		}
 
-		for g := int64(0); g < 3; g++ {
+		// Group 3 has no data rows: a LEFT JOIN pads it.
+		for g := int64(0); g < 4; g++ {
 			if _, err := admin.Exec(`INSERT INTO grps VALUES ($1, $2)`,
 				types.NewInt(g), types.NewText(fmt.Sprintf("g%d", g))); err != nil {
 				t.Fatal(err)
@@ -75,24 +78,56 @@ func TestQuickNoQueryLeaksLabels(t *testing.T) {
 			}
 		}
 		rl := reader.Label()
+		// The grps-data join in each strategy, INNER and LEFT. Each
+		// form must answer what its index-join form answers.
+		joins := [][3]string{{
+			`SELECT d.id, g.name FROM grps g JOIN data d ON d.grp = g.grp`,
+			`SELECT d.id, g.name FROM grps g JOIN (SELECT * FROM data) d ON d.grp = g.grp`,
+			`SELECT d.id, g.name FROM grps g JOIN data d ON d.grp <= g.grp AND d.grp >= g.grp`,
+		}, {
+			`SELECT g.name, d.id FROM grps g LEFT JOIN data d ON d.grp = g.grp`,
+			`SELECT g.name, d.id FROM grps g LEFT JOIN (SELECT * FROM data) d ON d.grp = g.grp`,
+			`SELECT g.name, d.id FROM grps g LEFT JOIN data d ON d.grp <= g.grp AND d.grp >= g.grp`,
+		}}
 		queries := []string{
 			`SELECT id FROM data`,
 			`SELECT id FROM data WHERE id = 7`,
 			`SELECT id FROM data WHERE grp = 1`,
-			`SELECT d.id, g.name FROM grps g JOIN data d ON d.grp = g.grp`,
 			`SELECT grp, COUNT(*), SUM(v) FROM data GROUP BY grp`,
 			`SELECT id FROM data WHERE v > 50 ORDER BY v DESC LIMIT 5`,
 			`SELECT id FROM data WHERE grp IN (SELECT grp FROM grps WHERE name <> 'g9')`,
 		}
+		for _, forms := range joins {
+			queries = append(queries, forms[:]...)
+		}
+		// answers maps each query to its rows with their labels, sorted.
+		answers := map[string][]string{}
 		for _, q := range queries {
 			res, err := reader.Exec(q)
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			for i := range res.Rows {
+			for i, row := range rowStrings(res) {
 				if !res.RowLabels[i].SubsetOf(rl) {
 					t.Fatalf("seed %d: %s leaked row with label %v to process %v",
 						seed, q, res.RowLabels[i], rl)
+				}
+				answers[q] = append(answers[q], row+" "+res.RowLabels[i].String())
+			}
+			slices.Sort(answers[q])
+		}
+		for _, forms := range joins {
+			for i, strategy := range []string{"join index", "join hash", "join loop"} {
+				plan, err := reader.Exec("EXPLAIN " + forms[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := strings.Join(rowStrings(plan), "\n"); !strings.Contains(got, strategy) {
+					t.Fatalf("%s: plan is not a %s:\n%s", forms[i], strategy, got)
+				}
+				if !slices.Equal(answers[forms[i]], answers[forms[0]]) {
+					t.Fatalf("seed %d: %s answered\n%v\nits index-join form answered\n%v",
+						seed, forms[i], answers[forms[i]], answers[forms[0]])
 				}
 			}
 		}

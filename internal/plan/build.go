@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"ifdb/internal/catalog"
@@ -84,12 +85,10 @@ type source struct {
 	scan *ScanNode // base-table source
 	node Node      // view or derived-table subtree (already wrapped)
 
-	// isIndexJoin marks a joined base table that will be probed
-	// through an index per left row instead of scanned; the node is
-	// constructed at assemble time, when the left side is final.
-	isIndexJoin bool
-	table       *catalog.Table
-	alias       string
+	// How a joined source is joined to the sources before it: the
+	// strategy and JoinNode's key ordinals.
+	strategy            string
+	leftKeys, rightKeys []int
 
 	schema exec.Schema // contribution to level.full
 }
@@ -105,26 +104,26 @@ func (lv *level) addSource(tr *sql.TableRef, filter sql.Expr, jc *sql.JoinClause
 	return nil
 }
 
-// addJoinSource adds one joined source, first checking index-join
-// eligibility against the level schema accumulated so far: the
-// decision needs nothing a row could tell it, so it is made once.
+// addJoinSource adds one joined source and picks its join strategy
+// against the level schema accumulated so far — the join's left side —
+// the cheapest that fits: index probe, then hash for pure equi-joins,
+// then nested loop. The decision needs nothing a row could tell it, so
+// it is made once.
 func (lv *level) addJoinSource(jc *sql.JoinClause) error {
-	if jc.Table.Sub == nil {
-		if t, ok := lv.cat.Table(jc.Table.Name); ok {
-			alias := jc.Table.Alias
-			if alias == "" {
-				alias = jc.Table.Name
-			}
-			rightSchema := tableSchema(t, alias)
-			if _, _, _, prefix := indexJoinProbe(t, jc.On, lv.full, rightSchema); prefix > 0 {
-				src := &source{jc: jc, isIndexJoin: true, table: t, alias: alias, schema: rightSchema}
-				lv.sources = append(lv.sources, src)
-				lv.full = append(lv.full, rightSchema...)
-				return nil
-			}
-		}
+	left := lv.full
+	if err := lv.addSource(&jc.Table, nil, jc); err != nil {
+		return err
 	}
-	return lv.addSource(&jc.Table, nil, jc)
+	src := lv.sources[len(lv.sources)-1]
+	lk, rk, pure := equiJoinKeys(jc.On, left, src.schema)
+	if !pure || len(lk) == 0 {
+		src.strategy = JoinLoop
+	} else if probe := indexJoinProbe(src.scan, lk, rk); probe != nil {
+		src.strategy, src.leftKeys = JoinIndex, probe
+	} else {
+		src.strategy, src.leftKeys, src.rightKeys = JoinHash, lk, rk
+	}
+	return nil
 }
 
 // buildTableRef compiles one table reference: derived table, base
@@ -145,7 +144,7 @@ func (lv *level) buildTableRef(tr *sql.TableRef, filter sql.Expr) (*source, erro
 			alias = tr.Name
 		}
 		scan := &ScanNode{Table: t, Alias: alias, Strip: lv.strip, Filter: filter, schema: tableSchema(t, alias)}
-		return &source{scan: scan, table: t, alias: alias, schema: scan.schema}, nil
+		return &source{scan: scan, schema: scan.schema}, nil
 	}
 	if v, ok := lv.cat.View(tr.Name); ok {
 		return lv.buildView(v, tr)
@@ -330,79 +329,40 @@ func (src *source) finalNode() Node {
 }
 
 // buildJoinNode attaches one joined source to the pipeline built so
-// far, picking the cheapest strategy that fits: index probe, then hash
-// for pure equi-joins, then nested loop.
+// far, by the strategy addJoinSource chose.
 func (lv *level) buildJoinNode(left Node, src *source) Node {
-	jc := src.jc
-	if src.isIndexJoin {
-		rightSchema := tableSchema(src.table, src.alias)
-		ix, prefix, probe, n := indexJoinProbe(src.table, jc.On, left.Schema(), rightSchema)
-		if n > 0 {
-			return &IndexJoinNode{
-				Left: left, Table: src.table, Alias: src.alias,
-				Kind: jc.Kind, On: jc.On,
-				Index: ix, Prefix: prefix, ProbeCols: probe,
-				Strip:       lv.strip,
-				schema:      append(append(exec.Schema{}, left.Schema()...), rightSchema...),
-				rightSchema: rightSchema,
-			}
-		}
-		// Unreachable in practice: eligibility was established against
-		// the same left schema. Fall through to a plain scan + loop join
-		// just in case.
-		src.scan = &ScanNode{Table: src.table, Alias: src.alias, Strip: lv.strip, schema: rightSchema}
-	}
 	right := src.finalNode()
-	n := &JoinNode{
-		Left: left, Right: right, Kind: jc.Kind, On: jc.On,
+	return &JoinNode{
+		Left: left, Right: right, Kind: src.jc.Kind, On: src.jc.On,
+		Strategy: src.strategy, LeftKeys: src.leftKeys, RightKeys: src.rightKeys,
 		Strip:  lv.strip,
 		schema: append(append(exec.Schema{}, left.Schema()...), right.Schema()...),
 	}
-	lk, rk, pure := equiJoinKeys(jc.On, left.Schema(), right.Schema())
-	if pure && len(lk) > 0 {
-		n.Strategy, n.LeftKeys, n.RightKeys = JoinHash, lk, rk
-	} else {
-		n.Strategy = JoinLoop
-	}
-	return n
 }
 
-// indexJoinProbe decides whether a right base table can be probed via
-// an index: the ON clause must be a pure conjunction of cross-side
-// column equalities and some index's leading columns must all be
-// equi-join columns. It returns the chosen index, the bound prefix
-// length, and for each prefix position the left-row ordinal supplying
-// the probe value. prefix is 0 when the shape does not fit.
-func indexJoinProbe(t *catalog.Table, on sql.Expr, left, right exec.Schema) (ix *catalog.Index, prefix int, probe []int, n int) {
-	lk, rk, pure := equiJoinKeys(on, left, right)
-	if !pure || len(lk) == 0 {
-		return nil, 0, nil, 0
+// indexJoinProbe makes scan, a joined base table (nil for any other
+// source), an index probe when some index's leading columns are all
+// among the right equi-join keys rk. It sets the scan's index and bound
+// prefix and returns, for each prefix column, the left ordinal of lk
+// that binds it; nil when no index fits.
+func indexJoinProbe(scan *ScanNode, lk, rk []int) []int {
+	if scan == nil {
+		return nil
 	}
-	rkPos := make(map[int]int, len(rk)) // right col ordinal -> position in rk/lk
-	for i, c := range rk {
-		rkPos[c] = i
+	cols := make(map[int]bool, len(rk))
+	for _, c := range rk {
+		cols[c] = true
 	}
-	for _, cand := range t.Indexes {
-		m := 0
-		for _, c := range cand.Cols {
-			if _, ok := rkPos[c]; ok {
-				m++
-			} else {
-				break
-			}
-		}
-		if m > prefix {
-			ix, prefix = cand, m
-		}
-	}
+	ix, prefix := scan.Table.BestIndexForCols(cols)
 	if ix == nil {
-		return nil, 0, nil, 0
+		return nil
 	}
-	probe = make([]int, prefix)
-	for i := 0; i < prefix; i++ {
-		probe[i] = lk[rkPos[ix.Cols[i]]]
+	probe := make([]int, prefix)
+	for i, c := range ix.Cols[:prefix] {
+		probe[i] = lk[slices.Index(rk, c)]
 	}
-	return ix, prefix, probe, prefix
+	scan.Index, scan.Prefix = ix, prefix
+	return probe
 }
 
 // equiJoinKeys decomposes an ON clause into column-ordinal pairs when

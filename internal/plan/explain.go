@@ -104,14 +104,17 @@ func describe(n Node) (string, []Node) {
 	case *FilterNode:
 		return "filter " + formatExpr(x.Cond), []Node{x.Child}
 	case *JoinNode:
-		return fmt.Sprintf("join %s %s on %s", x.Strategy, x.Kind, formatExpr(x.On)),
-			[]Node{x.Left, x.Right}
-	case *IndexJoinNode:
-		s := fmt.Sprintf("join index %s %s", x.Kind, x.Table.Name)
-		if x.Alias != "" && x.Alias != x.Table.Name {
-			s += " AS " + x.Alias
+		if x.Strategy != JoinIndex {
+			return fmt.Sprintf("join %s %s on %s", x.Strategy, x.Kind, formatExpr(x.On)),
+				[]Node{x.Left, x.Right}
 		}
-		s += fmt.Sprintf(" | index=%s prefix=%d on %s", x.Index.Name, x.Prefix, formatExpr(x.On))
+		// The probed table is named on the join's line, not as a child.
+		r := x.Right.(*ScanNode)
+		s := fmt.Sprintf("join index %s %s", x.Kind, r.Table.Name)
+		if r.Alias != "" && r.Alias != r.Table.Name {
+			s += " AS " + r.Alias
+		}
+		s += fmt.Sprintf(" | index=%s prefix=%d on %s", r.Index.Name, r.Prefix, formatExpr(x.On))
 		return s, []Node{x.Left}
 	case *ProjectNode:
 		return "project [" + formatItems(x.Items) + "]", []Node{x.Child}

@@ -69,8 +69,10 @@ var explainCases = []struct{ name, sql string }{
 	// keeps.
 	{"prune_columns", `SELECT name FROM emp WHERE dept = 0 ORDER BY name`},
 	{"prune_alias", `SELECT e.salary FROM emp e WHERE e.id < 10`},
-	// Joins: hash equi-join, index join, non-equi, LEFT.
-	{"join_hash", `SELECT e.name, d.dname FROM emp e JOIN dept d ON e.dept = d.id WHERE e.salary > 1700`},
+	// Joins: index join, hash equi-join (a derived table has no index
+	// to probe), non-equi, LEFT.
+	{"join_index", `SELECT e.name, d.dname FROM emp e JOIN dept d ON e.dept = d.id WHERE e.salary > 1700`},
+	{"join_hash", `SELECT e.name, d.dname FROM emp e JOIN (SELECT id, dname FROM dept) d ON e.dept = d.id WHERE e.salary > 1700`},
 	{"join_self", `SELECT e.id, b.id FROM emp e JOIN emp b ON e.boss = b.id`},
 	{"join_left", `SELECT d.dname, e.name FROM dept d LEFT JOIN emp e ON d.id = e.dept`},
 	{"join_nonequi", `SELECT e.id, d.id FROM emp e JOIN dept d ON e.dept < d.id`},

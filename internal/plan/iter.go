@@ -7,20 +7,13 @@ import (
 	"slices"
 
 	"ifdb/internal/exec"
-	"ifdb/internal/index"
 	"ifdb/internal/sql"
-	"ifdb/internal/storage"
 	"ifdb/internal/types"
 )
 
-// scanBatch is how many tuples a scan visits per refill. The heap (or
-// index) position is released between batches, so a million-row scan
-// never pins a lock or buffers more than one batch.
-const scanBatch = 1024
-
 // drainIter pulls it to exhaustion. Row structs are copied out of the
-// iterator's internal buffer, so the result is stable. Only the joins
-// buffer a whole input this way.
+// iterator's internal buffer, so the result is stable. Only the join
+// buffers its left input this way.
 func drainIter(it Iter) ([]Row, error) {
 	var out []Row
 	for {
@@ -53,188 +46,6 @@ func (it *valuesIter) Next() (*Row, error) {
 func (it *valuesIter) Close() {}
 
 func (n *SourceNode) open(rt *Runtime) (Iter, error) { return n.Rows, nil }
-
-// ---------------------------------------------------------------------------
-// Scan
-
-type scanIter struct {
-	n   *ScanNode
-	rt  *Runtime
-	env exec.Env // pushed-predicate env over the full table schema; unset without pushed predicates
-
-	key    []types.Value  // index probe prefix (index mode)
-	keyBuf [4]types.Value // key's storage when it has at most 4 columns
-
-	// vis is handed to the heap, which applies it before decoding a
-	// row; st is what the scan keeps between refills and reports.
-	vis storage.Visibility
-	st  storage.ScanState
-
-	// visit is visitHeap, bound once: a closure made per refill would be
-	// an allocation per batch. visitErr is what stopped its last batch.
-	visit    func(storage.TID, *storage.TupleVersion) bool
-	visitErr error
-
-	buf  []Row
-	row1 [1]Row // buf's storage until a refill admits a second row
-	pos  int
-
-	next storage.TID // heap mode resume position
-
-	lastKey index.Key // index mode resume position
-	lastTID storage.TID
-
-	done     bool
-	err      error
-	reported bool
-}
-
-func (n *ScanNode) open(rt *Runtime) (Iter, error) {
-	it := &scanIter{n: n, rt: rt}
-	it.buf = it.row1[:0]
-	if len(n.Pushed) > 0 {
-		it.env = *rt.env(n.schema, n.Strip)
-	}
-	it.vis = rt.visibility(n.Strip, &it.st)
-	if n.Index != nil {
-		if n.Prefix <= len(it.keyBuf) {
-			it.key = it.keyBuf[:n.Prefix]
-		} else {
-			it.key = make([]types.Value, n.Prefix)
-		}
-	}
-	// Bind the filter's constants, each into the probe key slots of its
-	// column (of two constants for one column the later wins).
-	// Evaluation (and its errors — e.g. a missing parameter) happens
-	// here, before any tuple is visited: an empty table does not hide a
-	// missing parameter.
-	consts := exec.Env{Params: rt.Params}
-	for _, e := range n.Eq {
-		v, err := exec.Eval(e.Expr, &consts)
-		if err != nil {
-			return nil, err
-		}
-		for i := range it.key {
-			if n.Index.Cols[i] == e.Col {
-				it.key[i] = v
-			}
-		}
-	}
-	return it, nil
-}
-
-// accept buffers a tuple the heap's visibility filter admitted: by
-// then MVCC visibility and the Label Confinement Rule have passed, in
-// that order, and only now do pushed predicates run — a pushed
-// predicate can never touch a tuple the process label does not cover.
-// An accepted row is the version's own, not a copy, and carries the TID
-// it was read from, and the label the scan's verdict stripped.
-func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
-	lbl := it.st.Label(tv)
-	if len(it.n.Pushed) > 0 {
-		it.env.Row = tv.Row
-		it.env.RowLabel = lbl
-		it.env.RowILabel = tv.ILabel
-		for _, p := range it.n.Pushed {
-			v, err := exec.Eval(p, &it.env)
-			if err != nil {
-				return err
-			}
-			if !v.Truthy() {
-				return nil
-			}
-		}
-	}
-	it.buf = append(it.buf, Row{Vals: tv.Row, Lbl: lbl, ILbl: tv.ILabel, TID: tid})
-	return nil
-}
-
-// refillHeap pulls one batch through the heap's filtered scan.
-// Cancellation is polled per batch and per admitted tuple: a scan the
-// label hides entirely still stops within one batch.
-func (it *scanIter) refillHeap() error {
-	if err := it.rt.check(); err != nil {
-		return err
-	}
-	if it.visit == nil {
-		it.visit = it.visitHeap
-	}
-	next, more, err := it.n.Table.Heap.ScanFrom(it.next, scanBatch, it.vis, it.visit)
-	it.next = next
-	if it.visitErr != nil {
-		return it.visitErr
-	}
-	it.done = !more
-	return err
-}
-
-// visitHeap is the heap's callback for one admitted tuple.
-func (it *scanIter) visitHeap(tid storage.TID, tv *storage.TupleVersion) bool {
-	if it.visitErr = it.rt.check(); it.visitErr == nil {
-		it.visitErr = it.accept(tid, tv)
-	}
-	return it.visitErr == nil
-}
-
-func (it *scanIter) refillIndex() error {
-	var cbErr error
-	lastKey, lastTID, more := it.n.Index.Tree.AscendPrefixAfter(it.key, it.lastKey, it.lastTID, scanBatch,
-		func(k index.Key, tid storage.TID) bool {
-			if cbErr = it.rt.check(); cbErr != nil {
-				return false
-			}
-			if tv, ok := it.n.Table.Heap.Get(tid); ok && it.vis.Sees(&tv) {
-				cbErr = it.accept(tid, &tv)
-			}
-			return cbErr == nil
-		})
-	if cbErr != nil {
-		return cbErr
-	}
-	if more {
-		it.lastKey, it.lastTID = lastKey, lastTID
-	} else {
-		it.done = true
-	}
-	return nil
-}
-
-func (it *scanIter) Next() (*Row, error) {
-	if it.err != nil {
-		return nil, it.err
-	}
-	for it.pos >= len(it.buf) {
-		if it.done {
-			it.finish()
-			return nil, nil
-		}
-		it.buf = it.buf[:0]
-		it.pos = 0
-		var err error
-		if it.n.Index != nil {
-			err = it.refillIndex()
-		} else {
-			err = it.refillHeap()
-		}
-		if err != nil {
-			it.err = err
-			it.finish()
-			return nil, err
-		}
-	}
-	r := &it.buf[it.pos]
-	it.pos++
-	return r, nil
-}
-
-func (it *scanIter) finish() {
-	if !it.reported {
-		it.reported = true
-		it.rt.report(&it.st)
-	}
-}
-
-func (it *scanIter) Close() { it.finish() }
 
 // ---------------------------------------------------------------------------
 // Rename (views and derived tables)
@@ -306,8 +117,8 @@ func (it *filterIter) Next() (*Row, error) {
 func (it *filterIter) Close() { it.child.Close() }
 
 // ---------------------------------------------------------------------------
-// Joins (blocking: both inputs are materialized before the first
-// output row)
+// Join (blocking: the whole output is built before the first row
+// leaves)
 
 type joinIter struct {
 	n       *JoinNode
@@ -316,6 +127,15 @@ type joinIter struct {
 	started bool
 	out     []Row
 	pos     int
+
+	// The right side as candidates reads it: every row (loop), the rows
+	// under each key (hash), or the right table's scan (index), whose
+	// probe for the current left row cand holds.
+	rows    []Row
+	buckets map[string][]Row
+	probe   *scanIter
+	cand    []Row
+	key     []byte
 }
 
 func (n *JoinNode) open(rt *Runtime) (Iter, error) {
@@ -341,6 +161,9 @@ func (it *joinIter) Next() (*Row, error) {
 	return r, nil
 }
 
+// drain builds the output: each left row, in order, joined to those of
+// its candidates the ON clause accepts, in right order, or for a LEFT
+// join padded with NULLs when it accepts none.
 func (it *joinIter) drain() error {
 	n, rt := it.n, it.rt
 	leftRows, err := drainIter(it.left)
@@ -354,183 +177,85 @@ func (it *joinIter) drain() error {
 	if err != nil {
 		return err
 	}
-	rightRows, err := drainIter(right)
-	right.Close()
-	if err != nil {
+	defer right.Close()
+	if n.Strategy == JoinIndex {
+		it.probe = right.(*scanIter)
+	} else if err := it.buffer(right); err != nil {
 		return err
 	}
 
 	env := rt.env(n.schema, n.Strip)
 	nullsRight := make([]types.Value, len(n.Right.Schema()))
-
-	emit := func(lr Row, rr *Row) error {
-		var combined []types.Value
-		if rr != nil {
-			combined = append(append([]types.Value{}, lr.Vals...), rr.Vals...)
-			env.Row = combined
-			env.RowLabel = lr.Lbl.Union(rr.Lbl)
-			env.RowILabel = lr.ILbl.Intersect(rr.ILbl)
+	for i := range leftRows {
+		lr := &leftRows[i]
+		cands, err := it.candidates(lr)
+		if err != nil {
+			return err
+		}
+		matched := false
+		for j := range cands {
+			rr := &cands[j]
+			env.Row = slices.Concat(lr.Vals, rr.Vals)
+			env.RowLabel, env.RowILabel = lr.Lbl.Union(rr.Lbl), lr.ILbl.Intersect(rr.ILbl)
 			v, err := exec.Eval(n.On, env)
 			if err != nil {
 				return err
-			}
-			if !v.Truthy() {
-				return errNoMatch
-			}
-			it.out = append(it.out, Row{Vals: combined, Lbl: env.RowLabel, ILbl: env.RowILabel})
-			return nil
-		}
-		combined = append(append([]types.Value{}, lr.Vals...), nullsRight...)
-		it.out = append(it.out, Row{Vals: combined, Lbl: lr.Lbl, ILbl: lr.ILbl})
-		return nil
-	}
-
-	if n.Strategy == JoinHash {
-		ht := make(map[string][]int, len(rightRows))
-		var key []byte
-		for ri := range rightRows {
-			key = appendColsKey(key[:0], rightRows[ri].Vals, n.RightKeys)
-			ht[string(key)] = append(ht[string(key)], ri)
-		}
-		for _, lr := range leftRows {
-			key = appendColsKey(key[:0], lr.Vals, n.LeftKeys)
-			matched := false
-			for _, ri := range ht[string(key)] {
-				switch err := emit(lr, &rightRows[ri]); err {
-				case nil:
-					matched = true
-				case errNoMatch:
-				default:
-					return err
-				}
-			}
-			if !matched && n.Kind == "LEFT" {
-				if err := emit(lr, nil); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	for _, lr := range leftRows {
-		matched := false
-		for ri := range rightRows {
-			switch err := emit(lr, &rightRows[ri]); err {
-			case nil:
-				matched = true
-			case errNoMatch:
-			default:
-				return err
-			}
-		}
-		if !matched && n.Kind == "LEFT" {
-			if err := emit(lr, nil); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// errNoMatch is an internal signal of emit: the ON clause evaluated
-// non-true. Never escapes the join.
-var errNoMatch = fmt.Errorf("plan: no match")
-
-func (it *joinIter) Close() { it.left.Close() }
-
-type indexJoinIter struct {
-	n       *IndexJoinNode
-	rt      *Runtime
-	left    Iter
-	started bool
-	out     []Row
-	pos     int
-
-	// vis filters the probed versions, bound when the join opens; st
-	// is its state.
-	vis storage.Visibility
-	st  storage.ScanState
-}
-
-func (n *IndexJoinNode) open(rt *Runtime) (Iter, error) {
-	left, err := n.Left.open(rt)
-	if err != nil {
-		return nil, err
-	}
-	it := &indexJoinIter{n: n, rt: rt, left: left}
-	it.vis = rt.visibility(n.Strip, &it.st)
-	return it, nil
-}
-
-func (it *indexJoinIter) Next() (*Row, error) {
-	if !it.started {
-		it.started = true
-		if err := it.drain(); err != nil {
-			return nil, err
-		}
-	}
-	if it.pos >= len(it.out) {
-		return nil, nil
-	}
-	r := &it.out[it.pos]
-	it.pos++
-	return r, nil
-}
-
-func (it *indexJoinIter) drain() error {
-	n, rt := it.n, it.rt
-	leftRows, err := drainIter(it.left)
-	it.left.Close()
-	if err != nil {
-		return err
-	}
-	env := rt.env(n.schema, n.Strip)
-	nullsRight := make([]types.Value, len(n.rightSchema))
-	defer rt.report(&it.st)
-
-	for _, lr := range leftRows {
-		key := make([]types.Value, n.Prefix)
-		for i := 0; i < n.Prefix; i++ {
-			key[i] = lr.Vals[n.ProbeCols[i]]
-		}
-		matched := false
-		var probeErr error
-		n.Index.Tree.AscendPrefix(key, func(_ index.Key, tid storage.TID) bool {
-			tv, ok := n.Table.Heap.Get(tid)
-			if !ok {
-				return true
-			}
-			if !it.vis.Sees(&tv) {
-				return true
-			}
-			combined := append(append([]types.Value{}, lr.Vals...), tv.Row...)
-			env.Row = combined
-			env.RowLabel = lr.Lbl.Union(it.st.Label(&tv))
-			env.RowILabel = lr.ILbl.Intersect(tv.ILabel)
-			v, err := exec.Eval(n.On, env)
-			if err != nil {
-				probeErr = err
-				return false
 			}
 			if v.Truthy() {
 				matched = true
-				it.out = append(it.out, Row{Vals: combined, Lbl: env.RowLabel, ILbl: env.RowILabel})
+				it.out = append(it.out, Row{Vals: env.Row, Lbl: env.RowLabel, ILbl: env.RowILabel})
 			}
-			return true
-		})
-		if probeErr != nil {
-			return probeErr
 		}
 		if !matched && n.Kind == "LEFT" {
-			combined := append(append([]types.Value{}, lr.Vals...), nullsRight...)
-			it.out = append(it.out, Row{Vals: combined, Lbl: lr.Lbl, ILbl: lr.ILbl})
+			it.out = append(it.out, Row{Vals: slices.Concat(lr.Vals, nullsRight), Lbl: lr.Lbl, ILbl: lr.ILbl})
 		}
 	}
 	return nil
 }
 
-func (it *indexJoinIter) Close() { it.left.Close() }
+// buffer drains the right side of a loop or hash join: into rows, or
+// for a hash join into buckets by its key columns.
+func (it *joinIter) buffer(right Iter) error {
+	for {
+		r, err := right.Next()
+		if err != nil || r == nil {
+			return err
+		}
+		if it.n.Strategy == JoinLoop {
+			it.rows = append(it.rows, *r)
+			continue
+		}
+		if it.buckets == nil {
+			it.buckets = map[string][]Row{}
+		}
+		it.key = appendColsKey(it.key[:0], r.Vals, it.n.RightKeys)
+		it.buckets[string(it.key)] = append(it.buckets[string(it.key)], *r)
+	}
+}
+
+// candidates returns the right rows that may join lr, in right order:
+// every row (loop), lr's bucket (hash), or what the right table's scan
+// finds when re-seeked to lr's key (index).
+func (it *joinIter) candidates(lr *Row) ([]Row, error) {
+	switch it.n.Strategy {
+	case JoinLoop:
+		return it.rows, nil
+	case JoinHash:
+		it.key = appendColsKey(it.key[:0], lr.Vals, it.n.LeftKeys)
+		return it.buckets[string(it.key)], nil
+	}
+	it.probe.seek(lr.Vals, it.n.LeftKeys)
+	it.cand = it.cand[:0]
+	for {
+		r, err := it.probe.Next()
+		if err != nil || r == nil {
+			return it.cand, err
+		}
+		it.cand = append(it.cand, *r)
+	}
+}
+
+func (it *joinIter) Close() { it.left.Close() }
 
 // ---------------------------------------------------------------------------
 // Project

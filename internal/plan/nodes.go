@@ -23,8 +23,9 @@ type EqConst struct {
 
 // ScanNode reads one base table: either a full heap scan resumable in
 // batches, or an index prefix scan when analysis bound the leading
-// columns of an index to constants. Its rows are the heap's own, every
-// column: an operator above copies what it keeps.
+// columns of an index to constants (Eq) or an index join binds them to
+// each left row's values (JoinNode.LeftKeys). Its rows are the heap's
+// own, every column: an operator above copies what it keeps.
 type ScanNode struct {
 	Table *catalog.Table
 	Alias string
@@ -37,7 +38,7 @@ type ScanNode struct {
 	// Analysis results.
 	Eq     []EqConst      // "col = const" conjuncts from Filter
 	Index  *catalog.Index // chosen index, nil for a heap scan
-	Prefix int            // leading Index columns bound by Eq
+	Prefix int            // leading Index columns bound by Eq or the join
 	Pushed []sql.Expr     // infallible conjuncts evaluated per tuple
 
 	schema exec.Schema // the table's columns under Alias
@@ -104,27 +105,32 @@ type FilterNode struct {
 
 func (n *FilterNode) Schema() exec.Schema { return n.Child.Schema() }
 
-// Join strategies. The choice is static — it depends on the ON clause
-// and the catalog, not on rows — so it is made once and recorded for
-// EXPLAIN.
+// Join strategies: how a join finds the right rows that may match a
+// left row. The choice is static — it depends on the ON clause and the
+// catalog, not on rows — so it is made once and recorded for EXPLAIN.
 const (
-	JoinLoop  = "loop"  // nested loop, right side buffered
-	JoinHash  = "hash"  // equi-join via hash table over the right side
-	JoinIndex = "index" // probe a right-table index per left row
+	JoinLoop  = "loop"  // every right row, buffered
+	JoinHash  = "hash"  // the left row's bucket of the buffered right rows, by equi-join key
+	JoinIndex = "index" // the right table's scan, re-seeked to the left row's key
 )
 
-// JoinNode is a hash or nested-loop join. It is a blocking operator:
-// both inputs are materialized, left first, and output follows left
-// order then right order; a joined row's secrecy label is the union of
-// its sides', its integrity label their intersection. (Streaming joins
-// are future work.)
+// JoinNode is the one join. It is a blocking operator: the left input is
+// materialized first, then the right side is read — buffered (loop,
+// hash) or, for an index join, its ScanNode re-seeked once per left row
+// — and output follows left order then right order; a joined row's
+// secrecy label is the union of its sides', its integrity label their
+// intersection. (Streaming joins are future work.)
 type JoinNode struct {
-	Left      Node
-	Right     Node
-	Kind      string // "INNER" or "LEFT"
-	On        sql.Expr
-	Strategy  string // JoinLoop or JoinHash
-	LeftKeys  []int  // equi-join key ordinals (hash strategy)
+	Left  Node
+	Right Node   // for JoinIndex, the right table's ScanNode in index mode
+	Kind  string // "INNER" or "LEFT"
+	On    sql.Expr
+	// Strategy is JoinLoop, JoinHash or JoinIndex. LeftKeys are the
+	// left ordinals of the equi-join keys (hash), or of the values that
+	// bind the right scan's index prefix, in index-column order (index);
+	// RightKeys are the right ordinals of the hash keys.
+	Strategy  string
+	LeftKeys  []int
 	RightKeys []int
 	Strip     label.Label
 
@@ -132,28 +138,6 @@ type JoinNode struct {
 }
 
 func (n *JoinNode) Schema() exec.Schema { return n.schema }
-
-// IndexJoinNode probes a right-table index once per left row instead
-// of materializing the right side. The right table's full rows enter
-// the combined schema: a probe reads whole heap tuples.
-type IndexJoinNode struct {
-	Left   Node
-	Table  *catalog.Table
-	Alias  string
-	Kind   string // "INNER" or "LEFT"
-	On     sql.Expr
-	Index  *catalog.Index
-	Prefix int
-	// ProbeCols[i] is the left-row ordinal whose value binds
-	// Index.Cols[i], for i < Prefix.
-	ProbeCols []int
-	Strip     label.Label
-
-	schema      exec.Schema
-	rightSchema exec.Schema
-}
-
-func (n *IndexJoinNode) Schema() exec.Schema { return n.schema }
 
 // ProjectNode evaluates the (star-expanded) select items and the
 // alias-substituted ORDER BY keys for each input row.

@@ -78,7 +78,7 @@ type Row struct {
 //
 // The *Row belongs to the iterator and is valid until its next Next or
 // Close: a consumer that keeps a row past that copies the struct (the
-// joins' drainIter does, the sort for the rows it keeps, the aggregate
+// join does, the sort for the rows it keeps, the aggregate
 // for each group's first). What the row's
 // fields point to — Vals, Sort, the labels — is never overwritten, so
 // a copied Row, or Vals alone (DISTINCT, the engine's cursor), stays
@@ -131,26 +131,6 @@ func (rt *Runtime) check() error {
 		return nil
 	}
 	return rt.Check()
-}
-
-// visibility is the storage-level filter of one scan under strip: the
-// statement's snapshot, then Label Confinement under the process labels
-// of this moment, both applied by the heap before it decodes a row. st
-// is the scan's state, whose memo also holds each admitted label less
-// strip (st.Label).
-func (rt *Runtime) visibility(strip label.Label, st *storage.ScanState) storage.Visibility {
-	vis := storage.Visibility{See: rt.Visible, Scan: st}
-	if rt.Confinement != nil {
-		vis.LabelOK = rt.Confinement(strip)
-	}
-	return vis
-}
-
-// report hands a finished scan's counts to OnScanned.
-func (rt *Runtime) report(st *storage.ScanState) {
-	if rt.OnScanned != nil {
-		rt.OnScanned(st.Visited, st.Denied)
-	}
 }
 
 // env builds an expression environment over schema whose subqueries

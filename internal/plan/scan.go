@@ -1,0 +1,243 @@
+package plan
+
+// The scan leaf: the one operator in the package that reads a heap or
+// an index. Every access path goes through scanIter — a heap scan, an
+// index prefix scan, and an index join's probe, which re-seeks the
+// right table's scan once per left row — so each polls cancellation,
+// applies the heap's visibility filter and reports its counts the same
+// way.
+
+import (
+	"ifdb/internal/exec"
+	"ifdb/internal/index"
+	"ifdb/internal/label"
+	"ifdb/internal/storage"
+	"ifdb/internal/types"
+)
+
+// scanBatch is how many tuples a scan visits per refill. The heap (or
+// index) position is released between batches, so a million-row scan
+// never pins a lock or buffers more than one batch.
+const scanBatch = 1024
+
+type scanIter struct {
+	n   *ScanNode
+	rt  *Runtime
+	env exec.Env // pushed-predicate env over the full table schema; unset without pushed predicates
+
+	key    []types.Value  // index probe prefix (index mode)
+	keyBuf [4]types.Value // key's storage when it has at most 4 columns
+
+	// vis is handed to the heap, which applies it before decoding a
+	// row; st is what the scan keeps between refills and reports.
+	vis storage.Visibility
+	st  storage.ScanState
+
+	// visit is visitHeap, bound once: a closure made per refill would be
+	// an allocation per batch. visitErr is what stopped its last batch.
+	visit    func(storage.TID, *storage.TupleVersion) bool
+	visitErr error
+
+	buf  []Row
+	row1 [1]Row // buf's storage until a refill admits a second row
+	pos  int
+
+	next storage.TID // heap mode resume position
+
+	lastKey index.Key // index mode resume position
+	lastTID storage.TID
+
+	err      error
+	done     bool
+	reported bool
+	// probe marks a scan an index join re-seeks: it reports when the
+	// join closes it, not each time a probe runs dry.
+	probe bool
+}
+
+func (n *ScanNode) open(rt *Runtime) (Iter, error) {
+	it := &scanIter{n: n, rt: rt}
+	it.buf = it.row1[:0]
+	if len(n.Pushed) > 0 {
+		it.env = *rt.env(n.schema, n.Strip)
+	}
+	it.vis = rt.visibility(n.Strip, &it.st)
+	if n.Index != nil {
+		if n.Prefix <= len(it.keyBuf) {
+			it.key = it.keyBuf[:n.Prefix]
+		} else {
+			it.key = make([]types.Value, n.Prefix)
+		}
+	}
+	// Bind the filter's constants, each into the probe key slots of its
+	// column (of two constants for one column the later wins).
+	// Evaluation (and its errors — e.g. a missing parameter) happens
+	// here, before any tuple is visited: an empty table does not hide a
+	// missing parameter.
+	consts := exec.Env{Params: rt.Params}
+	for _, e := range n.Eq {
+		v, err := exec.Eval(e.Expr, &consts)
+		if err != nil {
+			return nil, err
+		}
+		for i := range it.key {
+			if n.Index.Cols[i] == e.Col {
+				it.key[i] = v
+			}
+		}
+	}
+	return it, nil
+}
+
+// accept buffers a tuple the heap's visibility filter admitted: by
+// then MVCC visibility and the Label Confinement Rule have passed, in
+// that order, and only now do pushed predicates run — a pushed
+// predicate can never touch a tuple the process label does not cover.
+// An accepted row is the version's own, not a copy, and carries the TID
+// it was read from, and the label the scan's verdict stripped.
+func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
+	lbl := it.st.Label(tv)
+	if len(it.n.Pushed) > 0 {
+		it.env.Row = tv.Row
+		it.env.RowLabel = lbl
+		it.env.RowILabel = tv.ILabel
+		for _, p := range it.n.Pushed {
+			v, err := exec.Eval(p, &it.env)
+			if err != nil {
+				return err
+			}
+			if !v.Truthy() {
+				return nil
+			}
+		}
+	}
+	it.buf = append(it.buf, Row{Vals: tv.Row, Lbl: lbl, ILbl: tv.ILabel, TID: tid})
+	return nil
+}
+
+// refillHeap pulls one batch through the heap's filtered scan.
+// Cancellation is polled per batch and per admitted tuple: a scan the
+// label hides entirely still stops within one batch.
+func (it *scanIter) refillHeap() error {
+	if err := it.rt.check(); err != nil {
+		return err
+	}
+	if it.visit == nil {
+		it.visit = it.visitHeap
+	}
+	next, more, err := it.n.Table.Heap.ScanFrom(it.next, scanBatch, it.vis, it.visit)
+	it.next = next
+	if it.visitErr != nil {
+		return it.visitErr
+	}
+	it.done = !more
+	return err
+}
+
+// visitHeap is the heap's callback for one admitted tuple.
+func (it *scanIter) visitHeap(tid storage.TID, tv *storage.TupleVersion) bool {
+	if it.visitErr = it.rt.check(); it.visitErr == nil {
+		it.visitErr = it.accept(tid, tv)
+	}
+	return it.visitErr == nil
+}
+
+// refillIndex pulls one batch of the index prefix's entries, polling
+// cancellation as refillHeap does, so a probe that matches nothing still
+// stops.
+func (it *scanIter) refillIndex() error {
+	if err := it.rt.check(); err != nil {
+		return err
+	}
+	var cbErr error
+	lastKey, lastTID, more := it.n.Index.Tree.AscendPrefixAfter(it.key, it.lastKey, it.lastTID, scanBatch,
+		func(k index.Key, tid storage.TID) bool {
+			if cbErr = it.rt.check(); cbErr != nil {
+				return false
+			}
+			if tv, ok := it.n.Table.Heap.Get(tid); ok && it.vis.Sees(&tv) {
+				cbErr = it.accept(tid, &tv)
+			}
+			return cbErr == nil
+		})
+	if cbErr != nil {
+		return cbErr
+	}
+	if more {
+		it.lastKey, it.lastTID = lastKey, lastTID
+	} else {
+		it.done = true
+	}
+	return nil
+}
+
+func (it *scanIter) Next() (*Row, error) {
+	if it.err != nil {
+		return nil, it.err
+	}
+	for it.pos >= len(it.buf) {
+		if it.done {
+			if !it.probe {
+				it.finish()
+			}
+			return nil, nil
+		}
+		it.buf = it.buf[:0]
+		it.pos = 0
+		var err error
+		if it.n.Index != nil {
+			err = it.refillIndex()
+		} else {
+			err = it.refillHeap()
+		}
+		if err != nil {
+			it.err = err
+			it.finish()
+			return nil, err
+		}
+	}
+	r := &it.buf[it.pos]
+	it.pos++
+	return r, nil
+}
+
+// seek restarts an index-mode scan at the prefix vals binds: vals[cols[i]]
+// is the value of the index's i-th column. An index join calls it once
+// per left row; the scan's state, its verdict memo included, carries
+// over from probe to probe.
+func (it *scanIter) seek(vals []types.Value, cols []int) {
+	for i, c := range cols {
+		it.key[i] = vals[c]
+	}
+	it.buf, it.pos, it.done, it.probe = it.buf[:0], 0, false, true
+	it.lastKey, it.lastTID = nil, 0
+}
+
+func (it *scanIter) finish() {
+	if !it.reported {
+		it.reported = true
+		it.rt.report(&it.st)
+	}
+}
+
+func (it *scanIter) Close() { it.finish() }
+
+// visibility is the storage-level filter of one scan under strip: the
+// statement's snapshot, then Label Confinement under the process labels
+// of this moment, both applied by the heap before it decodes a row. st
+// is the scan's state, whose memo also holds each admitted label less
+// strip (st.Label).
+func (rt *Runtime) visibility(strip label.Label, st *storage.ScanState) storage.Visibility {
+	vis := storage.Visibility{See: rt.Visible, Scan: st}
+	if rt.Confinement != nil {
+		vis.LabelOK = rt.Confinement(strip)
+	}
+	return vis
+}
+
+// report hands a finished scan's counts to OnScanned.
+func (rt *Runtime) report(st *storage.ScanState) {
+	if rt.OnScanned != nil {
+		rt.OnScanned(st.Visited, st.Denied)
+	}
+}
