@@ -195,12 +195,15 @@ type Engine struct {
 	// Replication state (see replica.go). replica mirrors cfg.Replica
 	// but is atomic because Promote clears it at runtime while sessions
 	// read it concurrently. replApplied is the primary LSN this replica
-	// has applied through with every earlier transaction resolved;
-	// replPending buffers records of in-flight replicated transactions
-	// (touched only by the single applier goroutine).
+	// has applied through with every earlier transaction resolved.
 	replica     atomic.Bool
 	replApplied atomic.Uint64
-	replPending map[storage.XID]*replTxn
+
+	// held holds the writes of logged transactions whose outcome the
+	// applier (applyLogged) has not read yet — during recovery, and on a
+	// replica, touched only by its single applier goroutine. It is
+	// empty on a primary once New returns.
+	held map[storage.XID]*heldTxn
 
 	// Sharding and write fencing (see shard.go): shardGuard vets insert
 	// rows against shard ownership; fencedAt, when non-zero, is the

@@ -10,10 +10,13 @@
 //	DataDir/checkpoint.snap — the last checkpoint snapshot
 //	DataDir/<table>.heap    — paged heap files (disk tables)
 //
-// Recovery (run by New) rebuilds the engine: load the snapshot,
-// replay the log in LSN order, then reconcile — transactions without
-// a commit record are marked aborted, their stale xmax stamps
-// cleared, and secondary indexes rebuilt as versions are restored.
+// Recovery (run by New) rebuilds the engine: load the snapshot, then
+// apply the log in one pass through applyLogged, the applier a replica
+// applies its stream with — a transaction's writes are held until its
+// commit record and discarded at its abort — then reconcile the heaps
+// (versions whose creator never committed are marked aborted, their
+// stale xmax stamps cleared). Transactions the log leaves without an
+// outcome are aborted, and that abort is logged, by abortHeld.
 //
 // The protocol is deliberately apply-first, log-second with
 // idempotent replay (records carry explicit TIDs; re-applying a
@@ -176,7 +179,7 @@ func (e *Engine) openDurable() error {
 	}
 
 	e.recovering = true
-	orphans, err := e.recoverState()
+	err = e.recoverState()
 	e.recovering = false
 	if err != nil {
 		e.releaseLock()
@@ -194,25 +197,12 @@ func (e *Engine) openDurable() error {
 	e.auth.SetChangeLogger(authLogger{e})
 
 	// Transactions in flight at the crash have no outcome record in
-	// the surviving log. Recovery marked them aborted in memory; log
-	// those aborts so a replica streaming this log region can resolve
-	// them too (an unresolved transaction would pin its resume
-	// position forever).
-	for _, xid := range orphans {
-		if _, err := w.Append(&wal.Record{Type: wal.RecAbort, XID: xid}); err != nil {
-			w.Close()
-			e.wal = nil
-			e.releaseLock()
-			return err
-		}
-	}
-	if len(orphans) > 0 {
-		if err := w.Sync(); err != nil {
-			w.Close()
-			e.wal = nil
-			e.releaseLock()
-			return err
-		}
+	// the surviving log.
+	if err := e.abortHeld(); err != nil {
+		w.Close()
+		e.wal = nil
+		e.releaseLock()
+		return err
 	}
 	return nil
 }
@@ -226,86 +216,42 @@ func (e *Engine) releaseLock() {
 	}
 }
 
-// recoverState loads the checkpoint snapshot and replays the WAL. It
-// returns the XIDs of orphaned transactions: in flight at the crash,
-// with writes in the log but no outcome record.
-func (e *Engine) recoverState() ([]storage.XID, error) {
+// recoverState loads the checkpoint snapshot and applies the WAL.
+// Transactions still held when the log ends — in flight at the crash,
+// or their commit record in the torn tail — did not commit: their
+// durable commit fsync never returned. openDurable aborts them.
+func (e *Engine) recoverState() error {
 	// The snapshot's records are all applied: it was captured whole,
 	// and a version whose creator had not committed by then is settled
 	// by the log's outcome records or by reconcile.
 	if err := wal.ReadSnapshot(e.snapPath(), e.replayRecord); err != nil {
-		return nil, err
+		return err
 	}
 	recs, _, err := wal.ReadAll(e.walPath())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(recs) == 0 {
-		return nil, e.reconcile(nil)
-	}
-
-	// Pass 1: transaction outcomes. A transaction whose commit record
-	// is missing — in flight at the crash, or its record in the torn
-	// tail — did not commit: its durable commit fsync never returned.
-	committed := make(map[storage.XID]uint64)
-	aborted := make(map[storage.XID]bool)
-	seen := make(map[storage.XID]bool)
 	for i := range recs {
 		r := &recs[i]
-		switch r.Type {
-		case wal.RecCommit:
-			committed[r.XID] = r.Seq
-			seen[r.XID] = true
-		case wal.RecAbort:
-			aborted[r.XID] = true
-			seen[r.XID] = true
-		case wal.RecBegin, wal.RecInsert, wal.RecSetXmax:
-			seen[r.XID] = true
-		}
-	}
-	isCommitted := func(x storage.XID) bool {
-		if _, ok := committed[x]; ok {
-			return true
-		}
-		_, ok := e.txns.Committed(x) // committed before the checkpoint
-		return ok
-	}
-
-	// Pass 2: apply in LSN order. Records below the snapshot's covered
-	// LSN were applied before its capture began (apply-first,
-	// log-second) and are already reflected in it — the log can hold
-	// such records when a checkpoint kept the file for a lagging
-	// replica subscription. Pass 1 still read their outcomes above.
-	for i := range recs {
-		r := &recs[i]
+		// Records below the snapshot's covered LSN were applied before
+		// its capture began (apply-first, log-second) and are already
+		// reflected in it — the log can hold such records when a
+		// checkpoint kept the file for a lagging replica subscription.
+		// They only open or resolve their transaction.
 		if r.LSN < e.snapLSN {
-			continue
+			switch r.Type {
+			case wal.RecInsert, wal.RecSetXmax:
+				r = &wal.Record{Type: wal.RecBegin, XID: r.XID, LSN: r.LSN}
+			case wal.RecBegin, wal.RecCommit, wal.RecAbort:
+			default:
+				continue
+			}
 		}
-		if (r.Type == wal.RecInsert || r.Type == wal.RecSetXmax) && !isCommitted(r.XID) {
-			continue // a skipped insert's slot stays a gap
-		}
-		if err := e.replayRecord(r); err != nil {
-			return nil, fmt.Errorf("replay at lsn %d: %w", r.LSN, err)
-		}
-	}
-
-	// In-flight transactions are over: mark them aborted so their
-	// versions are invisible and vacuumable. Only transactions with
-	// *no* outcome record at all are orphans needing an abort logged
-	// (an explicitly aborted one already has its record — re-logging
-	// it would add a state record that defeats the replica
-	// fast-forward check after a clean restart).
-	var orphans []storage.XID
-	for xid := range seen {
-		if _, ok := committed[xid]; ok {
-			continue
-		}
-		e.txns.RestoreAborted(xid)
-		if !aborted[xid] {
-			orphans = append(orphans, xid)
+		if err := e.applyLogged(r, e.replayRecord); err != nil {
+			return fmt.Errorf("replay at lsn %d: %w", r.LSN, err)
 		}
 	}
-	return orphans, e.reconcile(seen)
+	return e.reconcile()
 }
 
 // replayRecord applies a record of this engine's own snapshot or log:
@@ -327,16 +273,97 @@ func (e *Engine) replayRecord(r *wal.Record) error {
 	return e.applyRecord(r)
 }
 
-// applyRecord applies one record's effect. A checkpoint snapshot, crash
-// recovery's log replay and a replica all apply through it; what
-// differs stays with the caller: recovery knows every outcome before it
-// applies the log in LSN order, the replica holds a transaction's
-// writes until its commit record. Either way a logged tuple write
-// reaches applyRecord only if its transaction committed — the snapshot
-// alone holds versions whose creators had not yet — and may arrive out
-// of TID order (storage.Heap.RestoreAt keeps such a gap fillable).
-// Every case is idempotent, since every caller may apply a record whose
-// effect is already present.
+// heldTxn is a logged transaction whose outcome has not been read yet:
+// its writes wait here, unapplied, for its commit record.
+type heldTxn struct {
+	firstLSN wal.LSN // LSN of its earliest record (a replica's resume barrier)
+	recs     []wal.Record
+}
+
+// applyLogged turns one log record into state through apply: crash
+// recovery passes replayRecord, a replica applyRecord. It is the one
+// place a logged transaction's writes become state. BEGIN, INSERT and
+// SETXMAX are held per XID; at the XID's commit record its held writes
+// go through apply — heap effects first, commit status second, so a
+// concurrent reader sees all of the transaction or none of it — and an
+// abort record discards them. Every other record goes straight to
+// apply. A heap therefore never holds a logged version whose creator
+// has not committed, and a replayed DROP TABLE discards the held writes
+// that name the table it removes (discardHeld, called by applyDDL).
+func (e *Engine) applyLogged(r *wal.Record, apply func(*wal.Record) error) error {
+	switch r.Type {
+	case wal.RecBegin, wal.RecInsert, wal.RecSetXmax:
+		h := e.held[r.XID]
+		if h == nil {
+			if e.held == nil {
+				e.held = make(map[storage.XID]*heldTxn)
+			}
+			h = &heldTxn{firstLSN: r.LSN}
+			e.held[r.XID] = h
+		}
+		if r.Type != wal.RecBegin {
+			h.recs = append(h.recs, *r)
+		}
+		return nil
+	case wal.RecCommit:
+		if h := e.held[r.XID]; h != nil {
+			delete(e.held, r.XID)
+			for i := range h.recs {
+				if err := apply(&h.recs[i]); err != nil {
+					return err
+				}
+			}
+		}
+	case wal.RecAbort:
+		delete(e.held, r.XID)
+	}
+	return apply(r)
+}
+
+// discardHeld applies the DROP rule: a held write naming a table that a
+// replayed DROP TABLE removes went, on the primary, into the heap that
+// DROP deleted. It is discarded, so it neither fails its commit on the
+// missing table nor lands in a re-created table of the same name.
+func (e *Engine) discardHeld(table string) {
+	for _, h := range e.held {
+		kept := h.recs[:0]
+		for _, w := range h.recs {
+			if !strings.EqualFold(w.Table, table) {
+				kept = append(kept, w)
+			}
+		}
+		h.recs = kept
+	}
+}
+
+// abortHeld is the one in-flight resolver: every transaction still
+// held — in flight when recovery's log ends, or at a promotion's cut —
+// is marked aborted, and one ABORT is logged for it, so a replica
+// streaming this log region can resolve it too (an unresolved
+// transaction would pin its resume position forever). An explicitly
+// aborted transaction is never held, so never re-logged.
+func (e *Engine) abortHeld() error {
+	if len(e.held) == 0 {
+		return nil
+	}
+	for xid := range e.held {
+		e.txns.RestoreAborted(xid)
+		if _, err := e.wal.Append(&wal.Record{Type: wal.RecAbort, XID: xid}); err != nil {
+			return err
+		}
+	}
+	e.held = nil
+	return e.wal.Sync()
+}
+
+// applyRecord applies one record's effect. A checkpoint snapshot loads
+// through it directly; crash recovery's log and a replica's stream
+// reach it through applyLogged, so a logged tuple write arrives only
+// once its transaction committed — the snapshot alone holds versions
+// whose creators had not yet — and may arrive out of TID order
+// (storage.Heap.RestoreAt keeps such a gap fillable). Every case is
+// idempotent, since every caller may apply a record whose effect is
+// already present.
 func (e *Engine) applyRecord(r *wal.Record) error {
 	switch r.Type {
 	case wal.RecCommit:
@@ -400,7 +427,7 @@ func (e *Engine) restoreVersion(t *catalog.Table, tid storage.TID, tv storage.Tu
 // known-committed is marked aborted (fuzzy snapshots and flushed
 // pages can carry in-flight writes), and stale uncommitted xmax stamps
 // are cleared so they do not read as write-write conflicts.
-func (e *Engine) reconcile(seen map[storage.XID]bool) error {
+func (e *Engine) reconcile() error {
 	for _, t := range e.cat.Tables() {
 		type stale struct {
 			tid storage.TID
@@ -434,7 +461,8 @@ func (e *Engine) reconcile(seen map[storage.XID]bool) error {
 // applyDDL re-executes a logged DDL statement as its original
 // principal. e.recovering makes the DDL executors tolerate effects
 // that are already present (snapshot/WAL overlap) and skip
-// authority/procedure checks vetted at original execution time.
+// authority/procedure checks vetted at original execution time. A
+// replayed DROP TABLE also discards the held writes naming its table.
 func (e *Engine) applyDDL(p authority.Principal, text string) error {
 	stmts, err := sql.ParseAll(text)
 	if err != nil {
@@ -445,6 +473,9 @@ func (e *Engine) applyDDL(p authority.Principal, text string) error {
 	for _, st := range stmts {
 		if _, err := s.ExecStmt(st); err != nil {
 			return err
+		}
+		if d, ok := st.(*sql.DropTableStmt); ok {
+			e.discardHeld(d.Name)
 		}
 	}
 	return nil

@@ -697,3 +697,74 @@ func TestCrashLosesOnlyTheOpenTransaction(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryDropUnderOpenWriter: a DROP TABLE can land between a
+// transaction's write and its commit. On the primary the write went
+// into the heap the DROP deleted, so recovery must answer what the
+// primary answered before the crash — no table, or an empty re-created
+// one — on both heaps. A writer still open at the crash ends aborted,
+// with exactly one ABORT logged for it across restarts.
+func TestRecoveryDropUnderOpenWriter(t *testing.T) {
+	for _, using := range []string{"", " USING DISK"} {
+		for _, tc := range []struct {
+			name             string
+			recreate, commit bool
+		}{
+			{"drop", false, true},
+			{"drop-recreate", true, true},
+			{"open-at-crash", true, false},
+		} {
+			dir := t.TempDir()
+			e1 := openDurableEngine(t, dir, false)
+			a, b := e1.NewSession(e1.Admin()), e1.NewSession(e1.Admin())
+			mustExec(t, b, `CREATE TABLE t (a BIGINT PRIMARY KEY)`+using)
+			mustExec(t, a, `BEGIN`)
+			mustExec(t, a, `INSERT INTO t VALUES (1)`)
+			mustExec(t, b, `DROP TABLE t`)
+			if tc.recreate {
+				mustExec(t, b, `CREATE TABLE t (a BIGINT PRIMARY KEY)`+using)
+			}
+			if tc.commit {
+				mustExec(t, a, `COMMIT`)
+			}
+			answer := func(e *Engine) string {
+				res, err := e.NewSession(e.Admin()).Exec(`SELECT a FROM t`)
+				if err != nil {
+					return "no table"
+				}
+				return fmt.Sprintf("%d rows", len(res.Rows))
+			}
+			want := answer(e1)
+
+			var xid storage.XID
+			aborts := func() (n int) {
+				recs, _, err := wal.ReadAll(filepath.Join(dir, "wal.log"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					if r.Type == wal.RecInsert {
+						xid = r.XID
+					}
+					if r.Type == wal.RecAbort && r.XID == xid {
+						n++
+					}
+				}
+				return n
+			}
+			for restart := 1; restart <= 2; restart++ {
+				e := openDurableEngine(t, dir, false) // crash + reopen
+				if got := answer(e); got != want {
+					t.Fatalf("%s%s restart %d: recovered %s, primary answered %s", tc.name, using, restart, got, want)
+				}
+				if tc.commit {
+					continue
+				}
+				if n := aborts(); n != 1 || !e.TxnManager().Aborted(xid) {
+					t.Fatalf("%s%s restart %d: open writer %d has %d abort records, aborted %v; want 1, true",
+						tc.name, using, restart, xid, n, e.TxnManager().Aborted(xid))
+				}
+			}
+		}
+	}
+}

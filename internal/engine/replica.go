@@ -1,16 +1,18 @@
 // Replica mode: continuous application of a primary's WAL stream.
 //
 // A replica engine is a normal durable engine whose state changes
-// arrive exclusively through ApplyReplicated: shipped WAL records are
-// buffered per transaction and applied at their commit record through
-// applyRecord, the function crash recovery replays with. Applying at
-// commit keeps the replica's visible state always
+// arrive exclusively through ApplyReplicated: shipped WAL records go
+// through applyLogged, the applier crash recovery replays its log with,
+// which holds each transaction's writes until its commit record.
+// Applying at commit keeps the replica's visible state always
 // transaction-consistent — concurrent read sessions, which take
-// ordinary MVCC snapshots, never observe a half-applied transaction.
-// It also applies inserts out of TID order (a transaction that took
-// slot 0 may commit after one that took slot 1); that is safe because
-// a slot RestoreAt skips over stays a gap it can fill later
-// (storage.Heap.RestoreAt).
+// ordinary MVCC snapshots, never observe a half-applied transaction —
+// and keeps its heaps free of uncommitted versions. It also applies
+// inserts out of TID order (a transaction that took slot 0 may commit
+// after one that took slot 1); that is safe because a slot RestoreAt
+// skips over stays a gap it can fill later (storage.Heap.RestoreAt).
+// A DROP TABLE landing between a write and its commit discards the
+// write (the DROP rule, discardHeld).
 //
 // Durability: every shipped batch is appended verbatim (raw frames,
 // primary CRCs intact) to the replica's own WAL, followed by a
@@ -38,7 +40,6 @@ import (
 	"sort"
 	"strings"
 
-	"ifdb/internal/storage"
 	"ifdb/internal/wal"
 )
 
@@ -49,12 +50,6 @@ var ErrReadOnlyReplica = errors.New("engine: read-only replica: writes must go t
 // ErrNotReplica is returned by Promote on an engine that is not (or is
 // no longer) a replica.
 var ErrNotReplica = errors.New("engine: not a replica")
-
-// replTxn buffers one in-flight replicated transaction.
-type replTxn struct {
-	firstLSN wal.LSN // LSN of its earliest record (resume barrier)
-	recs     []wal.Record
-}
 
 // IsReplica reports whether the engine is in replica mode (false again
 // after Promote).
@@ -79,12 +74,11 @@ func (e *Engine) replaying() bool { return e.recovering || e.replica.Load() }
 
 // Promote turns a replica engine into a writable primary. The caller
 // must have stopped the replication applier first (repl.Follower does;
-// its goroutine is the only writer of replPending). Promotion:
+// its goroutine is the only writer of held). Promotion:
 //
 //  1. resolves replicated transactions still in flight at the cut —
-//     their writes were buffered, never applied, and the old primary
-//     is gone, so they abort (logged, like recovery orphans, so a
-//     future follower streaming this log region can resolve them);
+//     their writes were held, never applied, and the old primary is
+//     gone, so they abort through abortHeld, as recovery's do;
 //  2. bumps the WAL epoch, durably, fencing the old primary: its
 //     epoch-stale streams are refused everywhere from here on;
 //  3. opens the engine for writes.
@@ -95,13 +89,9 @@ func (e *Engine) Promote() error {
 	if !e.IsReplica() {
 		return ErrNotReplica
 	}
-	for xid := range e.replPending {
-		e.txns.RestoreAborted(xid)
-		if _, err := e.wal.Append(&wal.Record{Type: wal.RecAbort, XID: xid}); err != nil {
-			return err
-		}
+	if err := e.abortHeld(); err != nil {
+		return err
 	}
-	e.replPending = nil
 	if _, err := e.wal.BumpEpoch(); err != nil {
 		return err
 	}
@@ -117,10 +107,10 @@ func (e *Engine) Promote() error {
 // here after a restart.
 func (e *Engine) ReplAppliedLSN() wal.LSN { return wal.LSN(e.replApplied.Load()) }
 
-// ResetReplApply drops buffered in-flight transactions. The follower
+// ResetReplApply drops held in-flight transactions. The follower
 // calls it before (re)connecting: the stream resumes at the barrier,
-// so every buffered record will be shipped again.
-func (e *Engine) ResetReplApply() { e.replPending = nil }
+// so every held record will be shipped again.
+func (e *Engine) ResetReplApply() { e.held = nil }
 
 // SetReplResumeLSN durably records the stream position a basebackup
 // left this replica at (its recovered state corresponds to primary
@@ -145,11 +135,8 @@ func (e *Engine) ApplyReplicated(recs []wal.Record, raw []byte, upto wal.LSN) er
 	if !e.IsReplica() {
 		return fmt.Errorf("engine: ApplyReplicated on a non-replica")
 	}
-	if e.replPending == nil {
-		e.replPending = make(map[storage.XID]*replTxn)
-	}
 	for i := range recs {
-		if err := e.applyReplRecord(&recs[i]); err != nil {
+		if err := e.applyLogged(&recs[i], e.applyRecord); err != nil {
 			return fmt.Errorf("engine: apply replicated record at primary lsn %d: %w", recs[i].LSN, err)
 		}
 	}
@@ -162,7 +149,7 @@ func (e *Engine) ApplyReplicated(recs []wal.Record, raw []byte, upto wal.LSN) er
 		return err
 	}
 	barrier := upto
-	for _, p := range e.replPending {
+	for _, p := range e.held {
 		if p.firstLSN < barrier {
 			barrier = p.firstLSN
 		}
@@ -178,39 +165,6 @@ func (e *Engine) ApplyReplicated(recs []wal.Record, raw []byte, upto wal.LSN) er
 		}
 	}
 	return nil
-}
-
-// applyReplRecord buffers a transaction's records until its outcome
-// and hands everything else to applyRecord.
-func (e *Engine) applyReplRecord(r *wal.Record) error {
-	switch r.Type {
-	case wal.RecBegin, wal.RecInsert, wal.RecSetXmax:
-		p := e.replPending[r.XID]
-		if p == nil {
-			p = &replTxn{firstLSN: r.LSN}
-			e.replPending[r.XID] = p
-		}
-		if r.Type != wal.RecBegin {
-			p.recs = append(p.recs, *r)
-		}
-		return nil
-	case wal.RecCommit:
-		p := e.replPending[r.XID]
-		delete(e.replPending, r.XID)
-		if p != nil {
-			// Heap effects first, commit status second: a concurrent
-			// reader either misses the commit entirely or sees all of
-			// it, never a status without its rows.
-			for i := range p.recs {
-				if err := e.applyRecord(&p.recs[i]); err != nil {
-					return err
-				}
-			}
-		}
-	case wal.RecAbort:
-		delete(e.replPending, r.XID)
-	}
-	return e.applyRecord(r)
 }
 
 // ---------------------------------------------------------------------------

@@ -159,31 +159,63 @@ func TestReplicaConverges(t *testing.T) {
 	mustExec(t, r, `COMMIT`)
 }
 
-// TestReplicaInterleavedCommits: the replica applies transactions in
-// commit order, so an insert that took slot 0 can arrive after one
-// that took slot 1. The slot it finds must still be fillable, on both
-// heap backends — a USING DISK replica once lost the first row.
+// TestReplicaInterleavedCommits: the replica applies a transaction's
+// writes at its commit record, so other history can land between a
+// write and its application. An insert that took slot 0 can arrive
+// after one that took slot 1: the slot it finds must still be fillable
+// — a USING DISK replica once lost the first row. A DROP TABLE can land
+// between a write and its commit: on the primary the write went into
+// the heap the DROP deleted, so the replica must neither fail on the
+// missing table nor hand the write to a re-created one. Every history
+// runs on both heap backends.
 func TestReplicaInterleavedCommits(t *testing.T) {
-	for _, using := range []string{"", " USING DISK"} {
-		eng, _, addr := startPrimary(t, false)
-		a := eng.NewSession(eng.Admin())
-		b := eng.NewSession(eng.Admin())
-		mustExec(t, a, `CREATE TABLE d (id BIGINT PRIMARY KEY)`+using)
-		f := openFollower(t, addr, t.TempDir(), false)
-		waitConverge(t, eng, f)
+	for _, tc := range []struct {
+		name    string
+		history func(a, b *engine.Session, using string)
+		rows    int // committed versions the primary holds after it
+	}{
+		{"slots", func(a, b *engine.Session, _ string) {
+			mustExec(t, a, `BEGIN`)
+			mustExec(t, a, `INSERT INTO d VALUES (1)`) // slot 0
+			mustExec(t, b, `INSERT INTO d VALUES (2)`) // slot 1, committed first
+			mustExec(t, a, `COMMIT`)
+		}, 2},
+		{"drop", func(a, b *engine.Session, _ string) {
+			mustExec(t, a, `BEGIN`)
+			mustExec(t, a, `INSERT INTO d VALUES (1)`)
+			mustExec(t, b, `DROP TABLE d`)
+			mustExec(t, a, `COMMIT`)
+		}, 0},
+		{"drop-recreate", func(a, b *engine.Session, using string) {
+			mustExec(t, a, `BEGIN`)
+			mustExec(t, a, `INSERT INTO d VALUES (1)`)
+			mustExec(t, b, `DROP TABLE d`)
+			mustExec(t, b, `CREATE TABLE d (id BIGINT PRIMARY KEY)`+using)
+			mustExec(t, a, `COMMIT`)
+		}, 0},
+	} {
+		for _, using := range []string{"", " USING DISK"} {
+			eng, _, addr := startPrimary(t, false)
+			a := eng.NewSession(eng.Admin())
+			b := eng.NewSession(eng.Admin())
+			mustExec(t, a, `CREATE TABLE d (id BIGINT PRIMARY KEY)`+using)
+			f := openFollower(t, addr, t.TempDir(), false)
+			waitConverge(t, eng, f)
 
-		mustExec(t, a, `BEGIN`)
-		mustExec(t, a, `INSERT INTO d VALUES (1)`) // slot 0
-		mustExec(t, b, `INSERT INTO d VALUES (2)`) // slot 1, committed first
-		mustExec(t, a, `COMMIT`)
-		waitConverge(t, eng, f)
-		p, r := dumpState(eng), dumpState(f.Engine())
-		f.Close()
-		if p != r {
-			t.Fatalf("%q: replica diverged:\nprimary:\n%s\nreplica:\n%s", using, p, r)
-		}
-		if strings.Count(p, "tid=") != 2 {
-			t.Fatalf("%q: primary holds %s", using, p)
+			tc.history(a, b, using)
+			waitConverge(t, eng, f)
+			err := f.Err()
+			p, r := dumpState(eng), dumpState(f.Engine())
+			f.Close()
+			if err != nil {
+				t.Fatalf("%s%s: follower failed: %v", tc.name, using, err)
+			}
+			if p != r {
+				t.Fatalf("%s%s: replica diverged:\nprimary:\n%s\nreplica:\n%s", tc.name, using, p, r)
+			}
+			if strings.Count(p, "tid=") != tc.rows {
+				t.Fatalf("%s%s: primary holds %s", tc.name, using, p)
+			}
 		}
 	}
 }

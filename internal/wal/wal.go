@@ -7,8 +7,9 @@
 // this package supplies the equivalent for the Go reproduction. The
 // log is *logical*: it records tuple-level and catalog-level events
 // (insert, xmax stamp, DDL statement, authority change) rather than
-// page images, and recovery replays them in LSN order against the
-// last checkpoint snapshot. Replay is idempotent — a record whose
+// page images, and recovery reads them in LSN order over the last
+// checkpoint snapshot, applying a transaction's writes at its commit
+// record. Replay is idempotent — a record whose
 // effect is already present (because a dirty page was flushed, or the
 // checkpoint raced the append) is skipped — so the engine may apply a
 // mutation first and log it second without a global quiesce.

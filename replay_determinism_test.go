@@ -3,20 +3,26 @@ package ifdb_test
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ifdb"
+	"ifdb/internal/repl"
 )
 
 // TestWALReplayDeterminism is the property both crash recovery and
 // replication stand on: replaying one WAL (plus snapshot and heap
-// files) into a fresh engine is deterministic. A random workload runs
-// against a durable database, the process "crashes", and the data
-// directory is copied and recovered twice — the two recovered engines
-// must expose identical visible state, every seed.
+// files) into a fresh engine is deterministic, and a follower that
+// applied the same log as it shipped agrees with it. A random workload
+// runs against a durable database with a follower attached, the
+// follower converges, the process "crashes" with one transaction in
+// flight, and the data directory is copied and recovered twice — the
+// two recovered engines and the follower must expose identical visible
+// state, every seed.
 func TestWALReplayDeterminism(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -25,7 +31,38 @@ func TestWALReplayDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runRandomWorkload(t, db, rand.New(rand.NewSource(seed)))
+			p := repl.NewPrimary(db.Engine(), "")
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go p.Serve(ln)
+			defer p.Close()
+			follower, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir(), ReplicaOf: ln.Addr().String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer follower.Close()
+
+			next := runRandomWorkload(t, db, rand.New(rand.NewSource(seed)))
+			if err := db.Engine().WAL().Sync(); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); follower.ReplicaAppliedLSN() < db.WALEnd(); {
+				if err := follower.ReplicationErr(); err != nil {
+					t.Fatalf("follower failed: %v", err)
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("follower stuck at %d, want %d", follower.ReplicaAppliedLSN(), db.WALEnd())
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			replicated := dumpSQL(t, follower)
+
+			// One transaction left in flight at the crash.
+			s2 := db.AdminSession()
+			mustSQL(t, s2, `BEGIN`)
+			mustSQL(t, s2, fmt.Sprintf(`INSERT INTO tm VALUES (%d, 0)`, next))
 			db.Crash()
 
 			dumps := make([]string, 2)
@@ -44,6 +81,9 @@ func TestWALReplayDeterminism(t *testing.T) {
 			if dumps[0] != dumps[1] {
 				t.Fatalf("replay diverged:\nfirst:\n%s\nsecond:\n%s", dumps[0], dumps[1])
 			}
+			if dumps[0] != replicated {
+				t.Fatalf("follower and recovery diverged:\nfollower:\n%s\nrecovered:\n%s", replicated, dumps[0])
+			}
 			if !strings.Contains(dumps[0], "tid=") {
 				t.Fatalf("replayed state suspiciously empty:\n%s", dumps[0])
 			}
@@ -52,22 +92,25 @@ func TestWALReplayDeterminism(t *testing.T) {
 }
 
 // runRandomWorkload drives inserts, updates, deletes, explicit
-// transactions (committed and rolled back), checkpoints, and sequence
-// allocations across mem and disk tables.
-func runRandomWorkload(t *testing.T, db *ifdb.DB, rng *rand.Rand) {
+// transactions (committed and rolled back), a table dropped and
+// re-created under an open writer, checkpoints, and sequence
+// allocations across mem and disk tables. It returns the next unused
+// id.
+func runRandomWorkload(t *testing.T, db *ifdb.DB, rng *rand.Rand) int {
 	t.Helper()
 	s := db.AdminSession()
 	mustSQL(t, s, `CREATE TABLE tm (id BIGINT PRIMARY KEY, v BIGINT)`)
 	mustSQL(t, s, `CREATE TABLE td (id BIGINT PRIMARY KEY, v BIGINT) USING DISK`)
+	mustSQL(t, s, `CREATE TABLE scratch (id BIGINT PRIMARY KEY, v BIGINT)`)
 	mustSQL(t, s, `SELECT create_sequence('ids')`)
 	next := 0
 	live := []int{}
 	for op := 0; op < 400; op++ {
-		table := "tm"
+		table, using := "tm", ""
 		if rng.Intn(2) == 0 {
-			table = "td"
+			table, using = "td", " USING DISK"
 		}
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(11); {
 		case r < 5: // insert
 			mustSQL(t, s, fmt.Sprintf(`INSERT INTO %s VALUES (%d, %d)`, table, next, rng.Intn(1000)))
 			live = append(live, next)
@@ -88,16 +131,21 @@ func runRandomWorkload(t *testing.T, db *ifdb.DB, rng *rand.Rand) {
 				mustSQL(t, s, `ROLLBACK`)
 			}
 			next++
+		case r < 10: // scratch dropped and re-created before its writer commits
+			w := db.AdminSession()
+			mustSQL(t, w, `BEGIN`)
+			mustSQL(t, w, fmt.Sprintf(`INSERT INTO scratch VALUES (%d, 0)`, next))
+			mustSQL(t, s, `DROP TABLE scratch`)
+			mustSQL(t, s, `CREATE TABLE scratch (id BIGINT PRIMARY KEY, v BIGINT)`+using)
+			mustSQL(t, w, `COMMIT`)
+			next++
 		default: // checkpoint mid-stream
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// One transaction left in flight at the crash.
-	s2 := db.AdminSession()
-	mustSQL(t, s2, `BEGIN`)
-	mustSQL(t, s2, fmt.Sprintf(`INSERT INTO tm VALUES (%d, 0)`, next))
+	return next
 }
 
 func mustSQL(t *testing.T, s *ifdb.Session, q string) {
@@ -112,7 +160,7 @@ func dumpSQL(t *testing.T, db *ifdb.DB) string {
 	t.Helper()
 	var b strings.Builder
 	s := db.AdminSession()
-	for _, table := range []string{"tm", "td"} {
+	for _, table := range []string{"tm", "td", "scratch"} {
 		res, err := s.Exec(fmt.Sprintf(`SELECT id, v FROM %s ORDER BY id`, table))
 		if err != nil {
 			t.Fatal(err)
