@@ -142,7 +142,7 @@ func (s *shardRows) Close() {}
 // gather under it.
 type gatewayStream struct {
 	g    *gather
-	it   plan.Iter
+	it   plan.Handle
 	cols []string
 	row  plan.Row
 	// primed: Gateway already ran the first Next (aggregate merges), so

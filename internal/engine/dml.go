@@ -7,7 +7,6 @@ import (
 	"ifdb/internal/exec"
 	"ifdb/internal/index"
 	"ifdb/internal/label"
-	"ifdb/internal/plan"
 	"ifdb/internal/sql"
 	"ifdb/internal/storage"
 	"ifdb/internal/txn"
@@ -28,27 +27,24 @@ type target struct {
 // of index, polling for cancellation and counted as scanned. The scan
 // is drained and closed before the caller writes anything: one that
 // resumed after the statement had inserted new versions would meet its
-// own output. The plan is returned for its schema, the table's.
-func (s *Session) targets(st sql.Statement, qc *qctx) (*plan.Plan, []target, error) {
-	p, err := s.planFor(st, qc.strip)
+// own output. The targets are kept in qc's buffer, which the frame
+// keeps from statement to statement.
+func (s *Session) targets(ent *planEntry, qc *qctx) ([]target, error) {
+	it, err := ent.p.Open(s.planRuntime(qc))
 	if err != nil {
-		return nil, nil, err
-	}
-	it, err := p.Open(s.planRuntime(qc))
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer it.Close()
-	var out []target
+	qc.targets = qc.targets[:0]
 	for {
 		r, err := it.Next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if r == nil {
-			return p, out, nil
+			return qc.targets, nil
 		}
-		out = append(out, target{tid: r.TID, tv: storage.TupleVersion{Row: r.Vals, Label: r.Lbl, ILabel: r.ILbl}})
+		qc.targets = append(qc.targets, target{tid: r.TID, tv: storage.TupleVersion{Row: r.Vals, Label: r.Lbl, ILabel: r.ILbl}})
 	}
 }
 
@@ -95,6 +91,7 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 	}
 
 	var rows [][]types.Value
+	var row1 [1][]types.Value // rows' storage for a one-row VALUES
 	if ins.Select != nil {
 		res, err := s.executeSelect(ins.Select, qc)
 		if err != nil {
@@ -103,7 +100,7 @@ func (s *Session) executeInsert(ins *sql.InsertStmt, qc *qctx) (int, error) {
 		rows = res.Rows
 	} else {
 		env := s.newEnv(nil, qc)
-		rows = make([][]types.Value, 0, len(ins.Rows))
+		rows = row1[:0]
 		for _, exprRow := range ins.Rows {
 			vals := make([]types.Value, len(exprRow))
 			for i, e := range exprRow {
@@ -531,21 +528,17 @@ func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
 		return 0, err
 	}
 
-	setIdx := make([]int, len(up.Set))
-	for i, sc := range up.Set {
-		ci, ok := t.ColIndex(sc.Column)
-		if !ok {
-			return 0, fmt.Errorf("engine: no column %q in %q", sc.Column, t.Name)
-		}
-		setIdx[i] = ci
+	ent, err := s.planFor(up, qc.strip)
+	if err != nil {
+		return 0, err
 	}
-
-	p, targets, err := s.targets(up, qc)
+	targets, err := s.targets(ent, qc)
 	if err != nil {
 		return 0, err
 	}
 
-	env := s.newEnv(p.Schema(), qc)
+	setIdx := ent.setIdx
+	env := s.newEnv(ent.p.Schema(), qc)
 	n := 0
 	for i := range targets {
 		tg := &targets[i]
@@ -605,7 +598,11 @@ func (s *Session) executeDelete(del *sql.DeleteStmt, qc *qctx) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	_, targets, err := s.targets(del, qc)
+	ent, err := s.planFor(del, qc.strip)
+	if err != nil {
+		return 0, err
+	}
+	targets, err := s.targets(ent, qc)
 	if err != nil {
 		return 0, err
 	}

@@ -102,17 +102,17 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 		if err := s.Begin(mode); err != nil {
 			return nil, err
 		}
-		return &Result{}, nil
+		return s.affected(0), nil
 	case *sql.CommitStmt:
 		if err := s.Commit(); err != nil {
 			return nil, err
 		}
-		return &Result{}, nil
+		return s.affected(0), nil
 	case *sql.RollbackStmt:
 		if err := s.Abort(); err != nil {
 			return nil, err
 		}
-		return &Result{}, nil
+		return s.affected(0), nil
 	}
 
 	// Replica read-only enforcement: everything except SELECT and
@@ -126,9 +126,10 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 		}
 	}
 
+	qc := s.frame(params)
+	defer s.release(qc)
 	var res *Result
 	err := s.withStmt(func(t *txn.Txn) error {
-		qc := &qctx{s: s, params: params}
 		switch x := st.(type) {
 		case *sql.SelectStmt:
 			var err error
@@ -140,33 +141,24 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 			return err
 		case *sql.InsertStmt:
 			n, err := s.executeInsert(x, qc)
-			if err != nil {
-				return err
-			}
-			res = &Result{Affected: n}
-			return nil
+			res = s.affected(n)
+			return err
 		case *sql.UpdateStmt:
 			n, err := s.executeUpdate(x, qc)
-			if err != nil {
-				return err
-			}
-			res = &Result{Affected: n}
-			return nil
+			res = s.affected(n)
+			return err
 		case *sql.DeleteStmt:
 			n, err := s.executeDelete(x, qc)
-			if err != nil {
-				return err
-			}
-			res = &Result{Affected: n}
-			return nil
+			res = s.affected(n)
+			return err
 		case *sql.CreateTableStmt:
-			res = &Result{}
+			res = s.affected(0)
 			if err := s.executeCreateTable(x); err != nil {
 				return err
 			}
 			return s.logDDLNoted(x.Text)
 		case *sql.DropTableStmt:
-			res = &Result{}
+			res = s.affected(0)
 			err := s.eng.dropTable(x.Name)
 			if err != nil && (x.IfExists || s.eng.replaying()) {
 				return nil
@@ -176,19 +168,19 @@ func (s *Session) ExecStmt(st sql.Statement, params ...types.Value) (*Result, er
 			}
 			return s.logDDLNoted(x.Text)
 		case *sql.CreateIndexStmt:
-			res = &Result{}
+			res = s.affected(0)
 			if err := s.executeCreateIndex(x); err != nil {
 				return err
 			}
 			return s.logDDLNoted(x.Text)
 		case *sql.CreateViewStmt:
-			res = &Result{}
+			res = s.affected(0)
 			if err := s.executeCreateView(x); err != nil {
 				return err
 			}
 			return s.logDDLNoted(x.Text)
 		case *sql.CreateTriggerStmt:
-			res = &Result{}
+			res = s.affected(0)
 			if err := s.executeCreateTrigger(x); err != nil {
 				return err
 			}

@@ -16,10 +16,12 @@ import (
 // state, and pull. Session-free analysis lives in internal/plan;
 // everything here binds it to a session.
 
-// planEntry is one cached plan with the epoch it was built under.
+// planEntry is one cached plan with the epoch it was built under, and
+// for an UPDATE the table ordinals of its SET columns, in SET order.
 type planEntry struct {
-	p     *plan.Plan
-	epoch uint64
+	p      *plan.Plan
+	epoch  uint64
+	setIdx []int
 }
 
 // invalidatePlans drops every cached plan by bumping the epoch (the
@@ -34,8 +36,9 @@ func (e *Engine) invalidatePlans() {
 // plan cache under the statement's AST node. Plans are cached only for
 // an empty strip set: a declassifying view's strip is baked into its
 // scan nodes, and the same AST can be reached with different strips
-// through different view nestings.
-func (s *Session) planFor(st sql.Statement, strip label.Label) (*plan.Plan, error) {
+// through different view nestings. An UPDATE's SET columns are
+// resolved with its plan, before it is built.
+func (s *Session) planFor(st sql.Statement, strip label.Label) (*planEntry, error) {
 	e := s.eng
 	epoch := e.planEpoch.Load()
 	cacheable := len(strip) == 0
@@ -44,20 +47,45 @@ func (s *Session) planFor(st sql.Statement, strip label.Label) (*plan.Plan, erro
 			ent := v.(*planEntry)
 			if ent.epoch == epoch {
 				mPlanCacheHits.Inc()
-				return ent.p, nil
+				return ent, nil
 			}
 			e.planCache.Delete(st)
+		}
+	}
+	ent := &planEntry{epoch: epoch}
+	if up, ok := st.(*sql.UpdateStmt); ok {
+		var err error
+		if ent.setIdx, err = s.setOrdinals(up); err != nil {
+			return nil, err
 		}
 	}
 	p, err := plan.Build(e.cat, selectOf(st), strip)
 	if err != nil {
 		return nil, err
 	}
+	ent.p = p
 	mPlans.Inc()
 	if cacheable {
-		e.planCache.Store(st, &planEntry{p: p, epoch: epoch})
+		e.planCache.Store(st, ent)
 	}
-	return p, nil
+	return ent, nil
+}
+
+// setOrdinals resolves an UPDATE's SET columns to ordinals of its table.
+func (s *Session) setOrdinals(up *sql.UpdateStmt) ([]int, error) {
+	t, err := s.writableTable(up.Table)
+	if err != nil {
+		return nil, err
+	}
+	setIdx := make([]int, len(up.Set))
+	for i, sc := range up.Set {
+		ci, ok := t.ColIndex(sc.Column)
+		if !ok {
+			return nil, fmt.Errorf("engine: no column %q in %q", sc.Column, t.Name)
+		}
+		setIdx[i] = ci
+	}
+	return setIdx, nil
 }
 
 // selectOf is the SELECT whose plan serves st: st itself, or for
@@ -95,35 +123,32 @@ func (s *Session) bindRuntime() {
 		},
 	}
 	if s.eng.cfg.IFC {
-		s.rt.Confinement = s.confinement
+		s.rt.Confinement = confiner{s}
 	}
 }
 
-// planRuntime binds a plan to this session's statement transaction,
-// label state, cancellation flag, and the statement's parameters and
-// subquery context: a copy of s.rt with the statement's own fields set.
-// The transaction's snapshot predicate is a method value, built once
-// per transaction, not per statement.
+// planRuntime binds qc's Runtime to this session's statement
+// transaction and returns it. The transaction's snapshot predicate is
+// a method value, built once per transaction, not per statement.
 func (s *Session) planRuntime(qc *qctx) *plan.Runtime {
 	if s.visibleTx != s.stmtTx {
 		s.visibleTx, s.rt.Visible = s.stmtTx, s.stmtTx.Visible
 	}
-	rt := s.rt
-	rt.Params, rt.Subqs = qc.params, qc
-	return &rt
+	qc.rt.Visible = s.rt.Visible
+	return &qc.rt
 }
 
 // openSelect plans a SELECT under qc's strip and opens it as a live
 // iterator against the statement transaction, which must stay open
-// until the caller Closes the iterator. A buffered SELECT, a subquery
+// until the caller Closes the handle. A buffered SELECT, a subquery
 // and a streaming cursor all open here.
-func (s *Session) openSelect(sel *sql.SelectStmt, qc *qctx) (*plan.Plan, plan.Iter, error) {
-	p, err := s.planFor(sel, qc.strip)
+func (s *Session) openSelect(sel *sql.SelectStmt, qc *qctx) (*plan.Plan, plan.Handle, error) {
+	ent, err := s.planFor(sel, qc.strip)
 	if err != nil {
-		return nil, nil, err
+		return nil, plan.Handle{}, err
 	}
-	it, err := p.Open(s.planRuntime(qc))
-	return p, it, err
+	h, err := ent.p.Open(s.planRuntime(qc))
+	return ent.p, h, err
 }
 
 // executeSelect runs a SELECT to a buffered Result. Subqueries and the
@@ -177,11 +202,11 @@ func (s *Session) explain(st sql.Statement) (*Result, error) {
 		}
 		lines = append(lines, write+table)
 	}
-	p, err := s.planFor(st, nil)
+	ent, err := s.planFor(st, nil)
 	if err != nil {
 		return nil, err
 	}
-	lines = append(lines, strings.Split(strings.TrimRight(p.Explain(), "\n"), "\n")...)
+	lines = append(lines, strings.Split(strings.TrimRight(ent.p.Explain(), "\n"), "\n")...)
 	res := &Result{Cols: []string{"plan"}}
 	for _, ln := range lines {
 		res.Rows = append(res.Rows, []types.Value{types.NewText(ln)})

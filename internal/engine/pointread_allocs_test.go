@@ -19,13 +19,15 @@ import (
 // off. What the round trip allocates beyond the statement and its one
 // row — frame buffers, encode scaffolding, a second frame for the
 // trailer (40 and 34 allocations before they went), a copy of the
-// scanned row narrowed to the columns read (one more) — is what the
-// budget keeps from growing back.
+// scanned row narrowed to the columns read (one more), the statement's
+// iterator tree, frame and Runtime (26 and 20 before they were kept
+// from statement to statement) — is what the budget keeps from growing
+// back.
 func TestPointReadAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		ifc    bool
 		budget float64
-	}{{true, 26}, {false, 20}} {
+	}{{true, 21}, {false, 16}} {
 		t.Run(fmt.Sprintf("ifc=%v", c.ifc), func(t *testing.T) {
 			e, err := engine.New(engine.Config{IFC: c.ifc})
 			if err != nil {

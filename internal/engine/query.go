@@ -6,11 +6,15 @@ import (
 
 	"ifdb/internal/exec"
 	"ifdb/internal/label"
+	"ifdb/internal/plan"
 	"ifdb/internal/sql"
 	"ifdb/internal/types"
 )
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement. A SELECT's Result is its
+// own. Any other statement's (an affected-rows count) is the session's,
+// overwritten by the session's next statement: read the count before
+// issuing another.
 type Result struct {
 	Cols      []string
 	Rows      [][]types.Value
@@ -25,7 +29,8 @@ type Result struct {
 
 // qctx carries per-query execution state. It is also what runs the
 // query's subqueries (exec.SubqueryRunner), each level under its own
-// strip (exec.Subqueries).
+// strip (exec.Subqueries). A statement's own qctx is a frame of its
+// session (Session.frame), kept from statement to statement.
 type qctx struct {
 	s      *Session
 	params []types.Value
@@ -33,12 +38,27 @@ type qctx struct {
 	// views (§4.3); tags covered by it are removed from tuple labels
 	// before the confinement check.
 	strip label.Label
+	// rt is the plan.Runtime of every plan the query opens: the
+	// session's hooks (Session.rt) with the query's parameters and
+	// subquery context (planRuntime).
+	rt plan.Runtime
+	// targets holds an UPDATE's or DELETE's targets (Session.targets).
+	targets []target
+}
+
+// bind points qc at the query of s with params under strip.
+func (qc *qctx) bind(s *Session, params []types.Value, strip label.Label) {
+	qc.s, qc.params, qc.strip = s, params, strip
+	qc.rt = s.rt
+	qc.rt.Params, qc.rt.Subqs = params, qc
 }
 
 // SubqueryRunner returns the context subqueries met under strip run in:
 // the statement's parameters, that strip.
 func (qc *qctx) SubqueryRunner(strip label.Label) exec.SubqueryRunner {
-	return &qctx{s: qc.s, params: qc.params, strip: strip}
+	sub := new(qctx)
+	sub.bind(qc.s, qc.params, strip)
+	return sub
 }
 
 // sessionFuncs adapts the session to exec.FuncResolver, providing the

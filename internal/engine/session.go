@@ -66,10 +66,17 @@ type Session struct {
 	stats StmtStats
 
 	// rt holds the plan.Runtime hooks that are the same for every
-	// statement of the session (bindRuntime); planRuntime copies it per
-	// statement. Its Visible is visibleTx's, rebound when stmtTx changes.
+	// statement of the session (bindRuntime); each frame's Runtime
+	// starts as a copy of it. Its Visible is visibleTx's, rebound when
+	// stmtTx changes.
 	rt        plan.Runtime
 	visibleTx *txn.Txn
+
+	// frames are the statement frames no statement holds (frame).
+	frames []*qctx
+
+	// dml is the Result a statement that returns no rows hands back.
+	dml Result
 }
 
 // NewSession opens a session acting as the given principal with an
@@ -478,6 +485,38 @@ func (s *Session) exitStmt(t *txn.Txn, scope stmtScope, err error) error {
 	return nil
 }
 
+// frame returns a statement frame for a query with params — one a
+// finished statement released, or a new one — with its Runtime bound
+// (qctx.bind). The statement holds it until it hands it back with
+// release: a buffered statement until it returns, a cursor until it
+// ends. A statement nested inside it (a trigger, a stored procedure)
+// takes a frame of its own.
+func (s *Session) frame(params []types.Value) *qctx {
+	var qc *qctx
+	if n := len(s.frames); n > 0 {
+		qc, s.frames = s.frames[n-1], s.frames[:n-1]
+	} else {
+		qc = new(qctx)
+	}
+	qc.bind(s, params, nil)
+	return qc
+}
+
+// release hands a statement's frame back for the session's next
+// statement, dropping what it points to but its targets' storage.
+func (s *Session) release(qc *qctx) {
+	clear(qc.targets)
+	*qc = qctx{targets: qc.targets[:0]}
+	s.frames = append(s.frames, qc)
+}
+
+// affected returns the session's Result for a statement that affected
+// n rows and returns none.
+func (s *Session) affected(n int) *Result {
+	s.dml = Result{Affected: n}
+	return &s.dml
+}
+
 // withStmt runs fn as one statement, between enterStmt and exitStmt.
 // An autocommit statement whose fn loses first-committer-wins
 // (txn.ErrSerialization) runs again on a fresh snapshot, unless the
@@ -501,27 +540,28 @@ func (s *Session) withStmt(fn func(t *txn.Txn) error) error {
 // ---------------------------------------------------------------------------
 // Label visibility plumbing
 
-// confinement is Query by Label for one scan under strip
-// (plan.Runtime.Confinement), frozen at the process labels the scan
-// opens with. Labels are never changed in place (Add and Remove return
-// new slices), so capturing them copies nothing, and a declassify,
+// confiner adapts the session to plan.Confiner: Query by Label for its
+// scans.
+type confiner struct{ s *Session }
+
+// ProcessLabels returns the process labels a scan opening now judges
+// under. Labels are never changed in place (Add and Remove return new
+// slices), so the scan keeps them without a copy, and a declassify,
 // endorse or raise later in the statement does not reach the running
-// scan, whichever heap it reads: that is what makes the predicate a
+// scan, whichever heap it reads: that is what makes its predicate a
 // pure function of the tuple's labels, which the scan's verdict memo
 // relies on.
-func (s *Session) confinement(strip label.Label) func(lt, it label.Label) (label.Label, bool) {
-	pl, pil := s.plabel, s.pilabel
-	return func(lt, it label.Label) (label.Label, bool) { return s.labelsOK(pl, pil, lt, it, strip) }
-}
+func (c confiner) ProcessLabels() (pl, pil label.Label) { return c.s.plabel, c.s.pilabel }
 
-// labelsOK is Query by Label for one (label, ilabel) pair, judged by a
+// LabelsOK is Query by Label for one (label, ilabel) pair, judged by a
 // scan once per distinct pair: its secrecy label lt, less the tags a
 // declassifying view's strip covers, must flow to the process label pl
 // (Label Confinement), and its integrity label it must cover the
 // process integrity label pil — a process claiming integrity I refuses
 // to observe data below I. It returns the stripped label, which is what
 // the reader sees on the tuple, and judges and counts nothing else.
-func (s *Session) labelsOK(pl, pil, lt, it, strip label.Label) (label.Label, bool) {
+func (c confiner) LabelsOK(pl, pil, strip, lt, it label.Label) (label.Label, bool) {
+	s := c.s
 	seen := s.effectiveTupleLabel(lt, strip)
 	return seen, s.eng.hier.Flows(seen, pl) && (len(pil) == 0 || s.eng.hier.Flows(pil, it))
 }
@@ -552,21 +592,23 @@ func (s *Session) effectiveTupleLabel(lt label.Label, strip label.Label) label.L
 }
 
 // writeLabel returns the label applied to tuples written by this
-// session (exactly the process label, §4.2); nil when IFC is off.
+// session (exactly the process label, §4.2); nil when IFC is off. It is
+// the process label itself, shared with every version written under
+// it: labels are never modified in place.
 func (s *Session) writeLabel() label.Label {
 	if !s.eng.cfg.IFC {
 		return nil
 	}
-	return s.plabel.Clone()
+	return s.plabel
 }
 
 // writeILabel returns the integrity label applied to written tuples
-// (exactly the process integrity label).
+// (exactly the process integrity label, shared as writeLabel's is).
 func (s *Session) writeILabel() label.Label {
 	if !s.eng.cfg.IFC {
 		return nil
 	}
-	return s.pilabel.Clone()
+	return s.pilabel
 }
 
 // QueryEach is the per-tuple iterator sketched as future work in the

@@ -30,8 +30,10 @@ type Cursor struct {
 	cols []string
 	ifc  bool
 
-	// Streaming state (nil it → materialized fallback).
-	it     plan.Iter
+	// Streaming state (nil qc → materialized fallback): the statement's
+	// frame, held until the stream ends, and its open plan.
+	qc     *qctx
+	it     plan.Handle
 	rows   [][]types.Value // the batch NextBatch last returned, reused
 	labels []label.Label
 	tx     *txn.Txn // transaction the cursor runs under
@@ -98,7 +100,8 @@ func (s *Session) openCursor(sel *sql.SelectStmt, params []types.Value) (*Cursor
 	}
 	c := &Cursor{s: s, ifc: s.eng.cfg.IFC, execT0: time.Now()}
 	c.tx, c.scope = s.enterStmt()
-	p, it, err := s.openSelect(sel, &qctx{s: s, params: params})
+	c.qc = s.frame(params)
+	p, it, err := s.openSelect(sel, c.qc)
 	if err != nil {
 		c.end(err)
 		return nil, err
@@ -122,7 +125,7 @@ func (c *Cursor) Affected() int {
 
 // Streaming reports whether the cursor serves a live iterator (false:
 // a materialized result is being sliced).
-func (c *Cursor) Streaming() bool { return c.it != nil }
+func (c *Cursor) Streaming() bool { return c.qc != nil }
 
 // NextBatch returns up to max rows (and, under IFC, their labels). An
 // empty batch with a nil error means the result is exhausted and the
@@ -199,13 +202,12 @@ func (c *Cursor) Buffered() int {
 }
 
 // end resolves a live stream that ended with err (nil: clean
-// exhaustion): it closes the iterator and leaves the statement through
-// exitStmt, returning what exitStmt returns.
+// exhaustion): it closes the iterator, releases the frame and leaves
+// the statement through exitStmt, returning what exitStmt returns.
 func (c *Cursor) end(err error) error {
 	c.done = true
-	if c.it != nil {
-		c.it.Close()
-	}
+	c.it.Close()
+	c.s.release(c.qc)
 	c.err = c.s.exitStmt(c.tx, c.scope, err)
 	if c.scope != scopeNested {
 		c.s.stats.ExecNs = time.Since(c.execT0).Nanoseconds()

@@ -55,24 +55,27 @@ func (a *evalAcc) Add(env *exec.Env) error {
 func (a *evalAcc) Result() types.Value { return a.st.Result() }
 
 type aggIter struct {
-	n     *AggregateNode
-	rt    *Runtime
-	child Iter // nil once folded or closed
-	out   []Row
-	pos   int
+	n      *AggregateNode
+	rt     *Runtime
+	child  Iter
+	folded bool // child folded to its end, or closed
+	out    []Row
+	pos    int
 }
 
-func (n *AggregateNode) open(rt *Runtime) (Iter, error) {
+func (n *AggregateNode) open(rt *Runtime, old Iter) (Iter, error) {
 	n.compiled.Do(n.compile)
-	child, err := n.Child.open(rt)
+	it := recycle[aggIter](old)
+	child, err := n.Child.open(rt, it.child)
 	if err != nil {
 		return nil, err
 	}
-	return &aggIter{n: n, rt: rt, child: child}, nil
+	it.n, it.rt, it.child, it.folded, it.out, it.pos = n, rt, child, false, nil, 0
+	return it, nil
 }
 
 func (it *aggIter) Next() (*Row, error) {
-	if it.child != nil {
+	if !it.folded {
 		if err := it.fold(); err != nil {
 			return nil, err
 		}
@@ -88,7 +91,7 @@ func (it *aggIter) Next() (*Row, error) {
 // fold consumes the child row by row and leaves the groups' output
 // rows in it.out. The child is closed on every way out.
 func (it *aggIter) fold() error {
-	defer it.Close()
+	defer it.closeChild()
 	n, rt := it.n, it.rt
 	inSchema := n.Child.Schema()
 	env := rt.env(inSchema, n.Strip)
@@ -144,7 +147,7 @@ func (it *aggIter) fold() error {
 				key = appendKey(key, r.Vals[c])
 				continue
 			}
-			v, err := exec.Eval(ge, env)
+			v, err := exec.Eval(ge, &env)
 			if err != nil {
 				return err
 			}
@@ -164,7 +167,7 @@ func (it *aggIter) fold() error {
 			}
 		}
 		for _, st := range g.states {
-			if err := st.Add(env); err != nil {
+			if err := st.Add(&env); err != nil {
 				return err
 			}
 		}
@@ -227,8 +230,13 @@ func (it *aggIter) fold() error {
 }
 
 func (it *aggIter) Close() {
-	if it.child != nil {
+	it.closeChild()
+	it.out = nil
+}
+
+func (it *aggIter) closeChild() {
+	if !it.folded {
+		it.folded = true
 		it.child.Close()
-		it.child = nil
 	}
 }

@@ -65,7 +65,7 @@ func openNode(t testing.TB, n Node, params ...types.Value) Iter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return it
+	return &it
 }
 
 // ids drains it and returns every row's first value.
@@ -300,13 +300,13 @@ func TestBoundedSortBudget(t *testing.T) {
 		src := salesIter(n)
 		node := &SortNode{Child: &SourceNode{Rows: src}, Desc: []bool{true, false}, Limit: limit}
 		bytes, _ = allocated(func() {
-			it := openNode(t, node).(*sortIter)
-			r, err := it.Next()
+			h := openNode(t, node).(*Handle)
+			r, err := h.Next()
 			if err != nil || r == nil {
 				t.Fatalf("first row: %v, %v", r, err)
 			}
-			held = len(it.rows)
-			it.Close()
+			held = len(h.t.root.(*sortIter).rows)
+			h.Close()
 		})
 		if src.pos != n {
 			t.Fatalf("sort pulled %d of %d rows", src.pos, n)

@@ -31,37 +31,45 @@ func drainIter(it Iter) ([]Row, error) {
 // ---------------------------------------------------------------------------
 // Values (FROM-less SELECT)
 
-type valuesIter struct{ done bool }
+type valuesIter struct {
+	done bool
+	row  Row // always empty
+}
 
-func (n *ValuesNode) open(rt *Runtime) (Iter, error) { return &valuesIter{}, nil }
+func (n *ValuesNode) open(rt *Runtime, old Iter) (Iter, error) {
+	it := recycle[valuesIter](old)
+	it.done = false
+	return it, nil
+}
 
 func (it *valuesIter) Next() (*Row, error) {
 	if it.done {
 		return nil, nil
 	}
 	it.done = true
-	return &Row{}, nil
+	return &it.row, nil
 }
 
 func (it *valuesIter) Close() {}
 
-func (n *SourceNode) open(rt *Runtime) (Iter, error) { return n.Rows, nil }
+// open hands out the source's live iterator: a tree over a SourceNode
+// runs once.
+func (n *SourceNode) open(rt *Runtime, old Iter) (Iter, error) { return n.Rows, nil }
 
 // ---------------------------------------------------------------------------
 // Rename (views and derived tables)
 
-func (n *RenameNode) open(rt *Runtime) (Iter, error) {
-	child, err := n.Child.open(rt)
-	if err != nil {
-		if n.ViewName != "" {
-			return nil, fmt.Errorf("engine: view %q: %w", n.ViewName, err)
-		}
-		return nil, err
-	}
+func (n *RenameNode) open(rt *Runtime, old Iter) (Iter, error) {
 	if n.ViewName == "" {
-		return child, nil // pure schema rename, rows pass through
+		return n.Child.open(rt, old) // pure schema rename, rows pass through
 	}
-	return &viewIter{name: n.ViewName, child: child}, nil
+	it := recycle[viewIter](old)
+	child, err := n.Child.open(rt, it.child)
+	if err != nil {
+		return nil, fmt.Errorf("engine: view %q: %w", n.ViewName, err)
+	}
+	it.name, it.child = n.ViewName, child
+	return it, nil
 }
 
 // viewIter wraps body errors in the view envelope.
@@ -86,15 +94,17 @@ func (it *viewIter) Close() { it.child.Close() }
 type filterIter struct {
 	n     *FilterNode
 	child Iter
-	env   *exec.Env
+	env   exec.Env
 }
 
-func (n *FilterNode) open(rt *Runtime) (Iter, error) {
-	child, err := n.Child.open(rt)
+func (n *FilterNode) open(rt *Runtime, old Iter) (Iter, error) {
+	it := recycle[filterIter](old)
+	child, err := n.Child.open(rt, it.child)
 	if err != nil {
 		return nil, err
 	}
-	return &filterIter{n: n, child: child, env: rt.env(n.Child.Schema(), n.Strip)}, nil
+	it.n, it.child, it.env = n, child, rt.env(n.Child.Schema(), n.Strip)
+	return it, nil
 }
 
 func (it *filterIter) Next() (*Row, error) {
@@ -104,7 +114,7 @@ func (it *filterIter) Next() (*Row, error) {
 			return nil, err
 		}
 		it.env.Row, it.env.RowLabel, it.env.RowILabel = r.Vals, r.Lbl, r.ILbl
-		v, err := exec.Eval(it.n.Cond, it.env)
+		v, err := exec.Eval(it.n.Cond, &it.env)
 		if err != nil {
 			return nil, err
 		}
@@ -114,16 +124,26 @@ func (it *filterIter) Next() (*Row, error) {
 	}
 }
 
-func (it *filterIter) Close() { it.child.Close() }
+func (it *filterIter) Close() {
+	it.child.Close()
+	it.env.Row = nil
+}
 
 // ---------------------------------------------------------------------------
 // Join (blocking: the whole output is built before the first row
 // leaves)
 
+// joinIter keeps its two inputs' iterators from opening to opening;
+// joinRun is the rest.
 type joinIter struct {
+	joinRun
+	left  Iter
+	right Iter // opened once the left side drained
+}
+
+type joinRun struct {
 	n       *JoinNode
 	rt      *Runtime
-	left    Iter
 	started bool
 	out     []Row
 	pos     int
@@ -138,12 +158,15 @@ type joinIter struct {
 	key     []byte
 }
 
-func (n *JoinNode) open(rt *Runtime) (Iter, error) {
-	left, err := n.Left.open(rt)
+func (n *JoinNode) open(rt *Runtime, old Iter) (Iter, error) {
+	it := recycle[joinIter](old)
+	left, err := n.Left.open(rt, it.left)
 	if err != nil {
 		return nil, err
 	}
-	return &joinIter{n: n, rt: rt, left: left}, nil
+	it.joinRun = joinRun{n: n, rt: rt}
+	it.left = left
+	return it, nil
 }
 
 func (it *joinIter) Next() (*Row, error) {
@@ -173,10 +196,11 @@ func (it *joinIter) drain() error {
 	}
 	// The right side opens only after the left finished: left-input
 	// errors surface before any right-side error.
-	right, err := n.Right.open(rt)
+	right, err := n.Right.open(rt, it.right)
 	if err != nil {
 		return err
 	}
+	it.right = right
 	defer right.Close()
 	if n.Strategy == JoinIndex {
 		it.probe = right.(*scanIter)
@@ -197,7 +221,7 @@ func (it *joinIter) drain() error {
 			rr := &cands[j]
 			env.Row = slices.Concat(lr.Vals, rr.Vals)
 			env.RowLabel, env.RowILabel = lr.Lbl.Union(rr.Lbl), lr.ILbl.Intersect(rr.ILbl)
-			v, err := exec.Eval(n.On, env)
+			v, err := exec.Eval(n.On, &env)
 			if err != nil {
 				return err
 			}
@@ -255,7 +279,10 @@ func (it *joinIter) candidates(lr *Row) ([]Row, error) {
 	}
 }
 
-func (it *joinIter) Close() { it.left.Close() }
+func (it *joinIter) Close() {
+	it.left.Close()
+	it.out, it.rows, it.buckets, it.cand = nil, nil, nil, nil
+}
 
 // ---------------------------------------------------------------------------
 // Project
@@ -263,17 +290,22 @@ func (it *joinIter) Close() { it.left.Close() }
 type projectIter struct {
 	n     *ProjectNode
 	child Iter
-	env   *exec.Env // nil when every item is a column of the child (n.cols)
+	env   exec.Env // unused when every item is a column of the child (n.cols)
 	vals  types.Arena
 	row   Row // the row Next returns
 }
 
-func (n *ProjectNode) open(rt *Runtime) (Iter, error) {
-	child, err := n.Child.open(rt)
-	if err != nil || n.identity {
-		return child, err // the child's rows are already the output
+func (n *ProjectNode) open(rt *Runtime, old Iter) (Iter, error) {
+	if n.identity {
+		return n.Child.open(rt, old) // the child's rows are already the output
 	}
-	it := &projectIter{n: n, child: child}
+	it := recycle[projectIter](old)
+	child, err := n.Child.open(rt, it.child)
+	if err != nil {
+		return nil, err
+	}
+	// A fresh arena: the rows the last opening carved stay the holders'.
+	it.n, it.child, it.vals, it.row = n, child, types.Arena{}, Row{}
 	if n.cols == nil {
 		it.env = rt.env(n.Child.Schema(), n.Strip)
 	}
@@ -295,14 +327,14 @@ func (it *projectIter) Next() (*Row, error) {
 	} else {
 		it.env.Row, it.env.RowLabel, it.env.RowILabel = r.Vals, r.Lbl, r.ILbl
 		for i, item := range n.Items {
-			if vals[i], err = exec.Eval(item.Expr, it.env); err != nil {
+			if vals[i], err = exec.Eval(item.Expr, &it.env); err != nil {
 				return nil, err
 			}
 		}
 		if len(n.OrderExprs) > 0 {
 			keys = it.vals.Take(len(n.OrderExprs))
 			for i, oe := range n.OrderExprs {
-				if keys[i], err = exec.Eval(oe, it.env); err != nil {
+				if keys[i], err = exec.Eval(oe, &it.env); err != nil {
 					return nil, err
 				}
 			}
@@ -312,7 +344,10 @@ func (it *projectIter) Next() (*Row, error) {
 	return &it.row, nil
 }
 
-func (it *projectIter) Close() { it.child.Close() }
+func (it *projectIter) Close() {
+	it.child.Close()
+	it.vals, it.row, it.env.Row = types.Arena{}, Row{}, nil
+}
 
 // ---------------------------------------------------------------------------
 // Sort
@@ -330,11 +365,12 @@ type sortRow struct {
 // keys ordered by arrival — so what comes out is, row for row, the
 // first rows the stable sort of the whole input would have produced.
 type sortIter struct {
-	n     *SortNode
-	child Iter  // nil once drained or closed
-	bound int64 // rows to keep; negative keeps all
-	rows  []sortRow
-	pos   int
+	n       *SortNode
+	child   Iter
+	drained bool  // child pulled to its end, or closed
+	bound   int64 // rows to keep; negative keeps all
+	rows    []sortRow
+	pos     int
 }
 
 // keyOrder is what a sort or merge compares rows by: the columns keys
@@ -362,17 +398,17 @@ func (o keyOrder) cmp(a, b *Row) int {
 	return 0
 }
 
-func (n *SortNode) open(rt *Runtime) (Iter, error) {
+func (n *SortNode) open(rt *Runtime, old Iter) (Iter, error) {
 	bound := int64(-1)
 	if n.Limit != nil {
-		env := &exec.Env{Params: rt.Params}
-		limit, err := evalIntConst(n.Limit, env)
+		env := exec.Env{Params: rt.Params}
+		limit, err := evalIntConst(n.Limit, &env)
 		if err != nil {
 			return nil, err
 		}
 		var offset int64
 		if n.Offset != nil {
-			if offset, err = evalIntConst(n.Offset, env); err != nil {
+			if offset, err = evalIntConst(n.Offset, &env); err != nil {
 				return nil, err
 			}
 		}
@@ -380,15 +416,17 @@ func (n *SortNode) open(rt *Runtime) (Iter, error) {
 			bound = limit + offset
 		}
 	}
-	child, err := n.Child.open(rt)
+	it := recycle[sortIter](old)
+	child, err := n.Child.open(rt, it.child)
 	if err != nil {
 		return nil, err
 	}
-	return &sortIter{n: n, child: child, bound: bound}, nil
+	it.n, it.child, it.drained, it.bound, it.rows, it.pos = n, child, false, bound, nil, 0
+	return it, nil
 }
 
 func (it *sortIter) Next() (*Row, error) {
-	if it.child != nil {
+	if !it.drained {
 		if err := it.fill(); err != nil {
 			return nil, err
 		}
@@ -405,7 +443,7 @@ func (it *sortIter) Next() (*Row, error) {
 // list with side effects still runs once per input row — and leaves
 // the rows to emit in order. The child is closed on every way out.
 func (it *sortIter) fill() error {
-	defer it.Close()
+	defer it.closeChild()
 	o, k := keyOrder{it.n.Keys, it.n.Desc}, it.bound
 	heaped := false
 	for seq := 0; ; seq++ {
@@ -445,9 +483,14 @@ func (it *sortIter) fill() error {
 }
 
 func (it *sortIter) Close() {
-	if it.child != nil {
+	it.closeChild()
+	it.rows = nil
+}
+
+func (it *sortIter) closeChild() {
+	if !it.drained {
+		it.drained = true
 		it.child.Close()
-		it.child = nil
 	}
 }
 
@@ -493,10 +536,16 @@ type mergeIter struct {
 	err      error
 }
 
-func (n *MergeNode) open(rt *Runtime) (Iter, error) {
-	it := &mergeIter{order: keyOrder{desc: n.Desc}}
-	for _, c := range n.Children {
-		ci, err := c.open(rt)
+func (n *MergeNode) open(rt *Runtime, old Iter) (Iter, error) {
+	it := recycle[mergeIter](old)
+	kept := it.children
+	it.order, it.children, it.primed, it.out, it.err = keyOrder{desc: n.Desc}, kept[:0], false, Row{}, nil
+	for i, c := range n.Children {
+		var prev Iter
+		if i < len(kept) {
+			prev = kept[i] // read before the append below overwrites it
+		}
+		ci, err := c.open(rt, prev)
 		if err != nil {
 			it.Close()
 			return nil, err
@@ -559,6 +608,8 @@ func (it *mergeIter) Close() {
 	for _, c := range it.children {
 		c.Close()
 	}
+	clear(it.heads)
+	it.out = Row{}
 }
 
 // ---------------------------------------------------------------------------
@@ -570,12 +621,14 @@ type distinctIter struct {
 	key   []byte
 }
 
-func (n *DistinctNode) open(rt *Runtime) (Iter, error) {
-	child, err := n.Child.open(rt)
+func (n *DistinctNode) open(rt *Runtime, old Iter) (Iter, error) {
+	it := recycle[distinctIter](old)
+	child, err := n.Child.open(rt, it.child)
 	if err != nil {
 		return nil, err
 	}
-	return &distinctIter{child: child, seen: map[string]bool{}}, nil
+	it.child, it.seen = child, map[string]bool{}
+	return it, nil
 }
 
 func (it *distinctIter) Next() (*Row, error) {
@@ -592,7 +645,10 @@ func (it *distinctIter) Next() (*Row, error) {
 	}
 }
 
-func (it *distinctIter) Close() { it.child.Close() }
+func (it *distinctIter) Close() {
+	it.child.Close()
+	it.seen = nil
+}
 
 // ---------------------------------------------------------------------------
 // Offset / Limit
@@ -602,16 +658,19 @@ type offsetIter struct {
 	skip  int64
 }
 
-func (n *OffsetNode) open(rt *Runtime) (Iter, error) {
-	nv, err := evalIntConst(n.Expr, rt.env(nil, n.Strip))
+func (n *OffsetNode) open(rt *Runtime, old Iter) (Iter, error) {
+	env := rt.env(nil, n.Strip)
+	nv, err := evalIntConst(n.Expr, &env)
 	if err != nil {
 		return nil, err
 	}
-	child, err := n.Child.open(rt)
+	it := recycle[offsetIter](old)
+	child, err := n.Child.open(rt, it.child)
 	if err != nil {
 		return nil, err
 	}
-	return &offsetIter{child: child, skip: nv}, nil
+	it.child, it.skip = child, nv
+	return it, nil
 }
 
 func (it *offsetIter) Next() (*Row, error) {
@@ -634,16 +693,19 @@ type limitIter struct {
 	done  bool
 }
 
-func (n *LimitNode) open(rt *Runtime) (Iter, error) {
-	nv, err := evalIntConst(n.Expr, rt.env(nil, n.Strip))
+func (n *LimitNode) open(rt *Runtime, old Iter) (Iter, error) {
+	env := rt.env(nil, n.Strip)
+	nv, err := evalIntConst(n.Expr, &env)
 	if err != nil {
 		return nil, err
 	}
-	child, err := n.Child.open(rt)
+	it := recycle[limitIter](old)
+	child, err := n.Child.open(rt, it.child)
 	if err != nil {
 		return nil, err
 	}
-	return &limitIter{child: child, left: nv, pure: n.Pure}, nil
+	it.child, it.left, it.pure, it.done = child, nv, n.Pure, false
+	return it, nil
 }
 
 func (it *limitIter) Next() (*Row, error) {

@@ -54,7 +54,7 @@ func openMerge(t *testing.T, desc []bool, children ...*memIter) plan.Iter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return it
+	return &it
 }
 
 func mergedIDs(t *testing.T, it plan.Iter) string {

@@ -49,6 +49,9 @@
 package plan
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"ifdb/internal/exec"
 	"ifdb/internal/label"
 	"ifdb/internal/storage"
@@ -77,9 +80,10 @@ type Row struct {
 // flushes scan accounting; it is idempotent.
 //
 // The *Row belongs to the iterator and is valid until its next Next or
-// Close: a consumer that keeps a row past that copies the struct (the
-// join does, the sort for the rows it keeps, the aggregate
-// for each group's first). What the row's
+// Close — after Close the iterator may already serve another
+// statement (Plan.Open): a consumer that keeps a row past that copies
+// the struct (the join does, the sort for the rows it keeps, the
+// aggregate for each group's first). What the row's
 // fields point to — Vals, Sort, the labels — is never overwritten, so
 // a copied Row, or Vals alone (DISTINCT, the engine's cursor), stays
 // good for the life of the statement. Nobody may modify them.
@@ -109,15 +113,11 @@ type Runtime struct {
 	// Visible is the MVCC snapshot predicate of the statement's
 	// transaction.
 	Visible func(xmin, xmax storage.XID) bool
-	// Confinement returns the label predicate of one scan under strip
-	// (storage.Visibility.LabelOK: Label Confinement, its integrity dual
-	// and the declassifying strip), bound to the process labels as they
-	// stand when the scan opens, so a label change later in the
-	// statement does not reach a running scan; nil when IFC is off. The
-	// predicate only judges: the heap remembers its verdict per distinct
-	// label pair, and the scan counts refusals and reports them through
-	// OnScanned.
-	Confinement func(strip label.Label) func(l, il label.Label) (label.Label, bool)
+	// Confinement is Query by Label for the statement's scans; nil when
+	// IFC is off. A scan reads the process labels once, when it opens,
+	// and judges every tuple label pair under those, so a label change
+	// later in the statement does not reach a running scan.
+	Confinement Confiner
 	// Check polls for statement cancellation; scans call it per tuple.
 	Check func() error
 	// OnScanned receives each scan's counts once, when the scan
@@ -133,19 +133,55 @@ func (rt *Runtime) check() error {
 	return rt.Check()
 }
 
+// Confiner judges Label Confinement (storage.Visibility.LabelOK) for
+// one session's scans.
+type Confiner interface {
+	// ProcessLabels returns the process secrecy and integrity labels as
+	// they stand now. Labels are never modified in place, so the scan
+	// that keeps them copies nothing.
+	ProcessLabels() (pl, pil label.Label)
+	// LabelsOK judges one tuple label pair (l, il) for a reader whose
+	// process labels are pl and pil, under the declassifying strip: the
+	// label the reader sees (l less what strip covers) and whether it
+	// may see the tuple (Label Confinement and its integrity dual). It
+	// is a pure function of its arguments: the heap remembers its
+	// verdict per distinct pair, and the scan counts refusals and
+	// reports them through OnScanned.
+	LabelsOK(pl, pil, strip, l, il label.Label) (seen label.Label, ok bool)
+}
+
 // env builds an expression environment over schema whose subqueries
 // run under strip. An operator asks for one only if it evaluates
 // expressions.
-func (rt *Runtime) env(schema exec.Schema, strip label.Label) *exec.Env {
-	return &exec.Env{Schema: schema, Params: rt.Params, Funcs: rt.Funcs, Subqs: rt.Subqs, Strip: strip}
+func (rt *Runtime) env(schema exec.Schema, strip label.Label) exec.Env {
+	return exec.Env{Schema: schema, Params: rt.Params, Funcs: rt.Funcs, Subqs: rt.Subqs, Strip: strip}
 }
 
 // Node is one operator of the plan tree.
 type Node interface {
 	// Schema is the operator's output schema.
 	Schema() exec.Schema
-	// open instantiates the operator's iterator.
-	open(rt *Runtime) (Iter, error)
+	// open instantiates the operator's iterator against rt, re-using
+	// old — what it opened the last time its tree ran, nil in a new
+	// tree — through recycle, and handing each child the iterator old
+	// kept for it.
+	open(rt *Runtime, old Iter) (Iter, error)
+}
+
+// recycle returns old as a *T when it is one and a new T otherwise, so
+// a fresh tree and a recycled one come out of the same open code. It
+// is the one place in the package an iterator is made. The caller
+// re-initialises every field that belongs to one opening; what it
+// keeps (child iterators, bound method values) is what a recycled tree
+// saves.
+func recycle[T any, P interface {
+	*T
+	Iter
+}](old Iter) P {
+	if it, ok := old.(P); ok {
+		return it
+	}
+	return P(new(T))
 }
 
 // Plan is an analyzed, executable query plan.
@@ -160,6 +196,53 @@ type Plan struct {
 	// (sort, aggregate, join, distinct): when false, the plan streams
 	// with O(batch) memory regardless of result size.
 	blocking bool
+
+	// spare and trees hold the plan's closed iterator trees: spare the
+	// one a Close returned last, trees (*tree) the rest. A cached plan is
+	// shared by every session, so each opening takes a tree of its own,
+	// and a re-entrant opening — a subquery or a stored procedure running
+	// the same statement mid-scan — takes another. spare makes a
+	// session's run of one statement reuse one tree whatever the pool
+	// does, which under the race detector is to drop a quarter of what
+	// it is given.
+	spare atomic.Pointer[tree]
+	trees sync.Pool
+}
+
+// tree is one iterator tree of a plan: the root its last opening
+// returned, whose iterators hold their children.
+type tree struct{ root Iter }
+
+// Handle is one opening of a plan: the iterator tree a statement
+// pulls. Its first Close closes the tree and hands it back to the plan
+// for the next opening; a later Close does nothing. A Handle is used
+// where it was opened, not copied.
+type Handle struct {
+	p *Plan
+	t *tree
+}
+
+// Next returns the tree's next row (Iter.Next); nil once closed.
+func (h *Handle) Next() (*Row, error) {
+	if h.t == nil {
+		return nil, nil
+	}
+	return h.t.root.Next()
+}
+
+// Close closes the tree and returns it to the plan. The rows it handed
+// out are the iterators' own and die with it (Iter); what their fields
+// point to does not.
+func (h *Handle) Close() {
+	t := h.t
+	if t == nil {
+		return
+	}
+	h.t = nil
+	t.root.Close()
+	if !h.p.spare.CompareAndSwap(nil, t) {
+		h.p.trees.Put(t)
+	}
 }
 
 // Schema returns the plan's output schema.
@@ -170,8 +253,24 @@ func (p *Plan) Schema() exec.Schema { return p.Root.Schema() }
 // modify it.
 func (p *Plan) Cols() []string { return p.cols }
 
-// Open instantiates the plan's iterator tree against rt.
-func (p *Plan) Open(rt *Runtime) (Iter, error) { return p.Root.open(rt) }
+// Open opens the plan against rt: a tree a closed Handle returned,
+// re-initialised, or a new one when none is free. A tree whose opening
+// fails is dropped.
+func (p *Plan) Open(rt *Runtime) (Handle, error) {
+	t := p.spare.Swap(nil)
+	if t == nil {
+		t, _ = p.trees.Get().(*tree)
+	}
+	if t == nil {
+		t = new(tree)
+	}
+	root, err := p.Root.open(rt, t.root)
+	if err != nil {
+		return Handle{}, err
+	}
+	t.root = root
+	return Handle{p: p, t: t}, nil
+}
 
 // Streaming reports whether the plan is fully pipelined: no operator
 // holds more than one scan batch of rows at a time, so the result

@@ -20,27 +20,39 @@ import (
 // never pins a lock or buffers more than one batch.
 const scanBatch = 1024
 
+// scanIter is the scan's iterator. scanRun is everything one opening
+// starts afresh — the position, the counts, the verdict memo and arena
+// of its storage.ScanState — and open resets it whole; the rest is
+// kept from opening to opening of the tree.
 type scanIter struct {
+	scanRun
+
+	key  []types.Value // index probe prefix (index mode)
+	buf  []Row         // the batch a refill admitted
+	row1 [1]Row        // buf's storage until a refill admits a second row
+
+	// visit is visitHeap and confine is confineLabels, each bound once,
+	// when the iterator is made: a closure made per refill or per
+	// opening would be an allocation each.
+	visit   func(storage.TID, *storage.TupleVersion) bool
+	confine func(l, il label.Label) (label.Label, bool)
+}
+
+type scanRun struct {
 	n   *ScanNode
 	rt  *Runtime
 	env exec.Env // pushed-predicate env over the full table schema; unset without pushed predicates
-
-	key    []types.Value  // index probe prefix (index mode)
-	keyBuf [4]types.Value // key's storage when it has at most 4 columns
 
 	// vis is handed to the heap, which applies it before decoding a
 	// row; st is what the scan keeps between refills and reports.
 	vis storage.Visibility
 	st  storage.ScanState
+	// pl and pil are the process labels as they stood when the scan
+	// opened: the labels confine judges every tuple under.
+	pl, pil label.Label
 
-	// visit is visitHeap, bound once: a closure made per refill would be
-	// an allocation per batch. visitErr is what stopped its last batch.
-	visit    func(storage.TID, *storage.TupleVersion) bool
-	visitErr error
-
-	buf  []Row
-	row1 [1]Row // buf's storage until a refill admits a second row
-	pos  int
+	visitErr error // what stopped visit's last batch
+	pos      int
 
 	next storage.TID // heap mode resume position
 
@@ -55,20 +67,30 @@ type scanIter struct {
 	probe bool
 }
 
-func (n *ScanNode) open(rt *Runtime) (Iter, error) {
-	it := &scanIter{n: n, rt: rt}
+func (n *ScanNode) open(rt *Runtime, old Iter) (Iter, error) {
+	it := recycle[scanIter](old)
+	if it.visit == nil {
+		it.visit, it.confine = it.visitHeap, it.confineLabels
+	}
+	it.scanRun = scanRun{n: n, rt: rt}
 	it.buf = it.row1[:0]
 	if len(n.Pushed) > 0 {
-		it.env = *rt.env(n.schema, n.Strip)
+		it.env = rt.env(n.schema, n.Strip)
 	}
-	it.vis = rt.visibility(n.Strip, &it.st)
-	if n.Index != nil {
-		if n.Prefix <= len(it.keyBuf) {
-			it.key = it.keyBuf[:n.Prefix]
-		} else {
-			it.key = make([]types.Value, n.Prefix)
-		}
+	// The filter the heap applies: the statement's snapshot, then Label
+	// Confinement under the process labels of this moment, both before
+	// the heap decodes a row. st's memo also holds each admitted label
+	// less the strip (st.Label).
+	it.vis = storage.Visibility{See: rt.Visible, Scan: &it.st}
+	if rt.Confinement != nil {
+		it.pl, it.pil = rt.Confinement.ProcessLabels()
+		it.vis.LabelOK = it.confine
 	}
+	if cap(it.key) < n.Prefix {
+		it.key = make([]types.Value, n.Prefix)
+	}
+	it.key = it.key[:n.Prefix]
+	clear(it.key)
 	// Bind the filter's constants, each into the probe key slots of its
 	// column (of two constants for one column the later wins).
 	// Evaluation (and its errors — e.g. a missing parameter) happens
@@ -87,6 +109,13 @@ func (n *ScanNode) open(rt *Runtime) (Iter, error) {
 		}
 	}
 	return it, nil
+}
+
+// confineLabels is the scan's label predicate (storage.Visibility.LabelOK):
+// the session's judgment under the scan's strip and the process labels
+// it opened with.
+func (it *scanIter) confineLabels(l, il label.Label) (label.Label, bool) {
+	return it.rt.Confinement.LabelsOK(it.pl, it.pil, it.n.Strip, l, il)
 }
 
 // accept buffers a tuple the heap's visibility filter admitted: by
@@ -121,9 +150,6 @@ func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 func (it *scanIter) refillHeap() error {
 	if err := it.rt.check(); err != nil {
 		return err
-	}
-	if it.visit == nil {
-		it.visit = it.visitHeap
 	}
 	next, more, err := it.n.Table.Heap.ScanFrom(it.next, scanBatch, it.vis, it.visit)
 	it.next = next
@@ -220,19 +246,12 @@ func (it *scanIter) finish() {
 	}
 }
 
-func (it *scanIter) Close() { it.finish() }
-
-// visibility is the storage-level filter of one scan under strip: the
-// statement's snapshot, then Label Confinement under the process labels
-// of this moment, both applied by the heap before it decodes a row. st
-// is the scan's state, whose memo also holds each admitted label less
-// strip (st.Label).
-func (rt *Runtime) visibility(strip label.Label, st *storage.ScanState) storage.Visibility {
-	vis := storage.Visibility{See: rt.Visible, Scan: st}
-	if rt.Confinement != nil {
-		vis.LabelOK = rt.Confinement(strip)
-	}
-	return vis
+// Close reports the scan and lets go of the rows it read and of a
+// batch buffer grown past row1: the tree waits for its next opening
+// holding none of them.
+func (it *scanIter) Close() {
+	it.finish()
+	it.buf, it.row1[0], it.st, it.env.Row = nil, Row{}, storage.ScanState{}, nil
 }
 
 // report hands a finished scan's counts to OnScanned.

@@ -387,7 +387,11 @@ func (sw sockWriter) Write(p []byte) (int, error) {
 
 // noteStmtDone finishes one statement's server-side accounting: the
 // total-time histogram, and — past the SlowQuery threshold — an audit
-// line carrying the trace ID and the per-phase breakdown.
+// line carrying the trace ID and the per-phase breakdown. The line
+// carries the statement's text only when the session's secrecy label
+// is empty as the statement ends: the text of a labeled session's
+// statement (its literals, the names it reads) may hold what the label
+// protects, and the audit log has no label.
 func (s *Server) noteStmtDone(sess *engine.Session, total time.Duration) {
 	mStmtSeconds.Observe(total.Nanoseconds())
 	if s.SlowQuery <= 0 || total < s.SlowQuery {
@@ -395,12 +399,16 @@ func (s *Server) noteStmtDone(sess *engine.Session, total time.Duration) {
 	}
 	mSlowQueries.Inc()
 	st := sess.LastStmtStats()
-	obs.Audit().Warn("slow query",
+	attrs := []any{
 		"trace", obs.TraceID(st.TraceID),
 		"total_ns", total.Nanoseconds(),
 		"parse_ns", st.ParseNs, "plan_ns", st.PlanNs,
 		"exec_ns", st.ExecNs, "stream_ns", st.StreamNs,
-		"sql", st.SQL)
+	}
+	if sess.Label().IsEmpty() {
+		attrs = append(attrs, "sql", st.SQL)
+	}
+	obs.Audit().Warn("slow query", attrs...)
 }
 
 // status snapshots this node's replication role for STATUS probes.
