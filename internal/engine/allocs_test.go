@@ -106,6 +106,81 @@ func TestStatementAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDiskDrainAllocBudget holds the streamed drain of a table on disk,
+// as the wire server pulls it (an encoded-mode Cursor, NextEncoded), to
+// a budget in bytes allocated per row sent: 20 000 rows of scan-drain's
+// shape under two labels, half of them visible to the reader, with IFC
+// on. Rows leave as their stored bytes, copied once into blocks that
+// are never reused; a row decoded into values and then encoded again —
+// about 290 bytes a row, as NextBatch still allocates — is what the
+// budget keeps from coming back.
+func TestDiskDrainAllocBudget(t *testing.T) {
+	const rows, budget = 20_000, 120
+	e, err := New(Config{IFC: true, DataDir: t.TempDir(), SyncMode: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	s := e.NewSession(e.Admin())
+	mustExec(t, s, `CREATE TABLE big (k BIGINT PRIMARY KEY, tenant BIGINT, v BIGINT, pad TEXT) USING DISK`)
+	var tags [2]label.Label
+	for i := range tags {
+		tag, err := e.CreateTag(e.Admin(), fmt.Sprintf("tenant%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags[i] = label.New(tag)
+	}
+	const batch = 100
+	var q strings.Builder
+	for k := 0; k < rows; k += batch {
+		q.Reset()
+		q.WriteString(`INSERT INTO big VALUES `)
+		for i := k; i < k+batch; i++ {
+			if i > k {
+				q.WriteString(", ")
+			}
+			fmt.Fprintf(&q, "(%d, %d, %d, 'p%039d')", i, k/batch%2, i*7919, i)
+		}
+		s.SetLabelUnsafe(tags[k/batch%2])
+		mustExec(t, s, q.String())
+	}
+	s.SetLabelUnsafe(tags[0])
+	drain := func() int {
+		cur, err := s.ExecStream(`SELECT k, tenant, v, pad FROM big`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			rows, stored, _, err := cur.NextEncoded(256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) == 0 {
+				return n
+			}
+			if len(stored) != len(rows) {
+				t.Fatalf("%d stored rows beside %d rows", len(stored), len(rows))
+			}
+			n += len(rows)
+		}
+	}
+	drain() // parses, plans and fills the pool's frames
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := drain()
+	runtime.ReadMemStats(&after)
+	if n != rows/2 {
+		t.Fatalf("drained %d rows, want %d", n, rows/2)
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(n); per > budget {
+		t.Errorf("%d bytes allocated per row sent, budget %d", per, budget)
+	} else {
+		t.Logf("%d bytes allocated per row sent (budget %d)", per, budget)
+	}
+}
+
 // TestLazySubqueryRunner: an expression environment builds its subquery
 // runner the first time it meets a subquery, not when the plan opens, so
 // the three ways a runner is reached must still answer as they did when

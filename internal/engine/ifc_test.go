@@ -54,7 +54,8 @@ func (f *ifcFixture) session(t *testing.T, p authority.Principal, tags ...label.
 }
 
 // TestLabelConfinementOnEveryPath: the seq scan, the index scan, the
-// index join, an aggregate and a subquery hide exactly what Label
+// index join, an aggregate, a subquery and a streamed scan that sends
+// its rows' stored bytes (on the disk heap) hide exactly what Label
 // Confinement and its integrity dual hide, on both heaps, over rows of
 // three labels interleaved across more than one scan batch; for readers
 // covered directly, through a compound tag, and claiming an integrity
@@ -153,6 +154,14 @@ func TestLabelConfinementOnEveryPath(t *testing.T) {
 				if got, _ := count(r.s, `SELECT count(*) FROM keys WHERE id IN (SELECT id FROM records)`); got != fmt.Sprint(joined) {
 					t.Errorf("%s: subquery %s, want %d", r.name, got, joined)
 				}
+				wantStored := int64(0) // a table in memory has no stored bytes
+				if heap == "disk" {
+					wantStored = int64(visible)
+				}
+				if got, denied, stored := streamEncoded(t, r.s, `SELECT * FROM records`); got != fmt.Sprintf("%d|%d", visible, sum) || denied != int64(n-visible) || stored != wantStored {
+					t.Errorf("%s: streamed scan %s with %d denials and %d stored rows, want %d|%d with %d and %d",
+						r.name, got, denied, stored, visible, sum, n-visible, wantStored)
+				}
 			}
 			plan := strings.Join(rowStrings(mustExec(t, admin, `EXPLAIN SELECT count(*), sum(r.id) FROM keys k JOIN records r ON k.id = r.id`)), "\n")
 			if !strings.Contains(plan, "join index") {
@@ -160,6 +169,38 @@ func TestLabelConfinementOnEveryPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// streamEncoded drains q through an encoded-mode cursor, as the wire
+// server does, and returns the count and sum of the first column of the
+// rows it sent — their stored bytes decoded where they came as those —
+// with the label denials and stored rows it added.
+func streamEncoded(t *testing.T, s *Session, q string) (got string, denied, stored int64) {
+	t.Helper()
+	denied0, stored0 := mLabelDenials.Value(), mRowsStored.Value()
+	cur, err := s.ExecStream(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n, sum int64
+	for {
+		rows, enc, _, err := cur.NextEncoded(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == 0 {
+			break
+		}
+		for i, row := range rows {
+			if enc != nil && enc[i] != nil {
+				if row, _, err = types.DecodeRow(enc[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, sum = n+1, sum+row[0].Int()
+		}
+	}
+	return fmt.Sprintf("%d|%d", n, sum), mLabelDenials.Value() - denied0, mRowsStored.Value() - stored0
 }
 
 func TestWritesGetExactlyProcessLabel(t *testing.T) {

@@ -13,6 +13,8 @@ var (
 		"statement-cache hits that skipped the parser")
 	mRowsScanned = obs.NewCounter("ifdb_engine_rows_scanned_total",
 		"tuple versions visited by table and index scans")
+	mRowsStored = obs.NewCounter("ifdb_engine_rows_stored_total",
+		"rows table scans sent to the client as their stored bytes, neither decoded nor re-encoded")
 	mPlans = obs.NewCounter("ifdb_engine_plans_total",
 		"query plans built (plan-cache misses)")
 	mPlanCacheHits = obs.NewCounter("ifdb_engine_plan_cache_hits_total",

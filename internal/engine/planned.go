@@ -117,9 +117,10 @@ func (s *Session) bindRuntime() {
 	s.rt = plan.Runtime{
 		Funcs: sessionFuncs{s},
 		Check: s.checkCanceled,
-		OnScanned: func(visited, denied int64) {
+		OnScanned: func(visited, denied, stored int64) {
 			mRowsScanned.Add(visited)
 			mLabelDenials.Add(denied)
+			mRowsStored.Add(stored)
 		},
 	}
 	if s.eng.cfg.IFC {

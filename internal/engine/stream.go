@@ -35,6 +35,7 @@ type Cursor struct {
 	qc     *qctx
 	it     plan.Handle
 	rows   [][]types.Value // the batch NextBatch last returned, reused
+	stored [][]byte        // beside rows, NextEncoded's stored rows, reused
 	labels []label.Label
 	tx     *txn.Txn // transaction the cursor runs under
 	scope  stmtScope
@@ -127,18 +128,41 @@ func (c *Cursor) Affected() int {
 // a materialized result is being sliced).
 func (c *Cursor) Streaming() bool { return c.qc != nil }
 
-// NextBatch returns up to max rows (and, under IFC, their labels). An
-// empty batch with a nil error means the result is exhausted and the
-// statement's transaction has been resolved; an error means the
-// statement failed and its transaction was aborted (discarding any
-// rows pulled in the failing batch, as a materialized statement
-// would). The two returned slices are the cursor's and are overwritten
-// by its next NextBatch; the rows in them ([]types.Value) share the
-// engine's tuple storage, are valid until the session's next statement
-// and must not be modified.
+// NextBatch returns up to max rows (and, under IFC, their labels),
+// decoded: it is the batch of an in-process caller, which reads the
+// values. An empty batch with a nil error means the result is
+// exhausted and the statement's transaction has been resolved; an
+// error means the statement failed and its transaction was aborted
+// (discarding any rows pulled in the failing batch, as a materialized
+// statement would). The two returned slices are the cursor's and are
+// overwritten by its next NextBatch; the rows in them ([]types.Value)
+// share the engine's tuple storage, are valid until the session's next
+// statement and must not be modified. A cursor is drained by NextBatch
+// or by NextEncoded, not by both.
 func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
+	rows, _, labels, err := c.next(max, false)
+	return rows, labels, err
+}
+
+// NextEncoded is NextBatch for a caller that sends the rows on in
+// types.EncodeRow's form, as the wire server does. When the statement's
+// rows are a scan's of a table on disk, passed up unchanged
+// (plan.Handle.SendStored), stored holds each row's bytes as the table
+// stores them, and rows has a nil entry in its place: no value is
+// decoded and none need be encoded. Otherwise stored is nil. Label
+// Confinement and the snapshot admit a stored row as they admit any
+// (its label is in labels, never in its bytes), and the bytes stay good
+// after the cursor ends: the batch that ends the result is read after
+// the cursor has closed its iterator.
+func (c *Cursor) NextEncoded(max int) (rows [][]types.Value, stored [][]byte, labels []label.Label, err error) {
+	return c.next(max, true)
+}
+
+// next is NextBatch and NextEncoded: a batch of up to max rows, with
+// their stored bytes when encoded is set and the plan sends them.
+func (c *Cursor) next(max int, encoded bool) ([][]types.Value, [][]byte, []label.Label, error) {
 	if c.done {
-		return nil, nil, c.err
+		return nil, nil, nil, c.err
 	}
 	if max <= 0 {
 		max = 1
@@ -157,30 +181,36 @@ func (c *Cursor) NextBatch(max int) ([][]types.Value, []label.Label, error) {
 		if c.off >= len(c.res.Rows) {
 			c.done = true
 		}
-		return rows, labels, nil
+		return rows, nil, labels, nil
 	}
-	c.rows, c.labels = c.rows[:0], c.labels[:0]
+	// A plan that sends stored rows does so from its first batch to its
+	// last, so stored stays nil for one that does not.
+	sends := encoded && c.it.SendStored()
+	c.rows, c.stored, c.labels = c.rows[:0], c.stored[:0], c.labels[:0]
 	for len(c.rows) < max {
 		r, err := c.it.Next()
 		if err != nil {
 			c.end(err)
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if r == nil {
 			if err := c.end(nil); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			break
 		}
 		c.rows = append(c.rows, r.Vals)
+		if sends {
+			c.stored = append(c.stored, c.it.Stored())
+		}
 		if c.ifc {
 			c.labels = append(c.labels, r.Lbl)
 		}
 	}
 	if !c.ifc {
-		return c.rows, nil, nil
+		return c.rows, c.stored, nil, nil
 	}
-	return c.rows, c.labels, nil
+	return c.rows, c.stored, c.labels, nil
 }
 
 // Exhausted reports whether the batch NextBatch last returned ended the

@@ -228,7 +228,9 @@ func (h *PagedHeap) ClearXmax(tid storage.TID, xid storage.XID) {
 // judged first — the labels by vis.Scan's verdict memo, which decodes
 // and judges each distinct pair once per scan — and the row is
 // decoded, into vis.Scan's arena, only when the version passes (§7.1:
-// both filters sit below the executor).
+// both filters sit below the executor). A scan that asked for its rows
+// as stored (WantEncoded) gets a passing version's row bytes instead,
+// every value header checked and none decoded.
 func decodeVisible(rec []byte, vis storage.Visibility, tv *storage.TupleVersion) (bool, error) {
 	if len(rec) < 18 {
 		return false, fmt.Errorf("pager: truncated record (%d bytes)", len(rec))
@@ -239,8 +241,13 @@ func decodeVisible(rec []byte, vis storage.Visibility, tv *storage.TupleVersion)
 	if err != nil || !ok {
 		return false, err
 	}
-	row, _, err := types.DecodeRowArena(&vis.Scan.Rows, rec[16+n:])
-	if err != nil {
+	var row []types.Value
+	if st, body := vis.Scan, rec[16+n:]; st.WantEncoded {
+		if n, err = types.RowLen(body); err != nil {
+			return false, err
+		}
+		st.KeepEncoded(body[:n])
+	} else if row, _, err = types.DecodeRowArena(&st.Rows, body); err != nil {
 		return false, err
 	}
 	*tv = storage.TupleVersion{Row: row, Label: l, ILabel: il, Xmin: xmin, Xmax: xmax}

@@ -29,7 +29,7 @@ func Build(cat *catalog.Catalog, sel *sql.SelectStmt, strip label.Label) (*Plan,
 	for i, c := range schema {
 		cols[i] = c.Name
 	}
-	return &Plan{Root: root, cols: cols, blocking: hasBlocking(root)}, nil
+	return &Plan{Root: root, cols: cols, blocking: hasBlocking(root), stored: sendsStored(root)}, nil
 }
 
 // buildSelect compiles one SELECT level: sources and joins first, then
@@ -536,5 +536,23 @@ func hasBlocking(n Node) bool {
 	default:
 		// joins, aggregate, sort, distinct
 		return true
+	}
+}
+
+// sendsStored reports whether n's rows are a heap scan's of a table on
+// disk, passed up unchanged: under identity projections and renames
+// (whose iterators are the scan's own or a viewIter over it) and
+// nothing else, so that the table's stored row bytes are exactly the
+// result's rows.
+func sendsStored(n Node) bool {
+	switch x := n.(type) {
+	case *ProjectNode:
+		return x.identity && sendsStored(x.Child)
+	case *RenameNode:
+		return sendsStored(x.Child)
+	case *ScanNode:
+		return x.Index == nil && x.Table.OnDisk
+	default:
+		return false
 	}
 }

@@ -121,9 +121,10 @@ type Runtime struct {
 	// Check polls for statement cancellation; scans call it per tuple.
 	Check func() error
 	// OnScanned receives each scan's counts once, when the scan
-	// finishes or is closed: tuples examined, and of those how many
-	// Label Confinement hid.
-	OnScanned func(visited, denied int64)
+	// finishes or is closed: tuples examined, of those how many Label
+	// Confinement hid, and the rows it sent on as their stored bytes
+	// (Handle.SendStored).
+	OnScanned func(visited, denied, stored int64)
 }
 
 func (rt *Runtime) check() error {
@@ -197,6 +198,12 @@ type Plan struct {
 	// with O(batch) memory regardless of result size.
 	blocking bool
 
+	// stored reports whether the plan's rows are a heap scan's of a
+	// table on disk, passed up by nothing but identity projections and
+	// renames: rows whose stored bytes are already their result's
+	// encoding (Handle.SendStored).
+	stored bool
+
 	// spare and trees hold the plan's closed iterator trees: spare the
 	// one a Close returned last, trees (*tree) the rest. A cached plan is
 	// shared by every session, so each opening takes a tree of its own,
@@ -220,6 +227,8 @@ type tree struct{ root Iter }
 type Handle struct {
 	p *Plan
 	t *tree
+	// scan is the tree's scan once SendStored asked it for stored rows.
+	scan *scanIter
 }
 
 // Next returns the tree's next row (Iter.Next); nil once closed.
@@ -238,11 +247,41 @@ func (h *Handle) Close() {
 	if t == nil {
 		return
 	}
-	h.t = nil
+	h.t, h.scan = nil, nil
 	t.root.Close()
 	if !h.p.spare.CompareAndSwap(nil, t) {
 		h.p.trees.Put(t)
 	}
+}
+
+// SendStored asks the tree, before its first Next, for its rows as
+// the heap stores them: when the plan's rows are a scan's of a table
+// on disk, passed up unchanged (the plan decided when it was built),
+// each row Next returns from then on has no values, and Stored returns
+// its bytes. Every check the scan makes runs as before any byte is
+// kept, and the bytes carry no label: the row's label is its Lbl, as
+// on any row. It reports whether the rows will come stored.
+func (h *Handle) SendStored() bool {
+	if h.scan == nil && h.t != nil && h.p.stored {
+		it := h.t.root
+		for v, ok := it.(*viewIter); ok; v, ok = it.(*viewIter) {
+			it = v.child
+		}
+		h.scan = it.(*scanIter)
+		h.scan.st.WantEncoded = true
+	}
+	return h.scan != nil
+}
+
+// Stored returns the stored bytes of the row Next returned last —
+// types.EncodeRow's form of its values — or nil when it has none (the
+// rows were not asked for stored, or the table keeps them decoded).
+// They are never overwritten and stay good after Close.
+func (h *Handle) Stored() []byte {
+	if h.scan == nil {
+		return nil
+	}
+	return h.scan.storedRow()
 }
 
 // Schema returns the plan's output schema.

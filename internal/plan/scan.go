@@ -30,6 +30,11 @@ type scanIter struct {
 	key  []types.Value // index probe prefix (index mode)
 	buf  []Row         // the batch a refill admitted
 	row1 [1]Row        // buf's storage until a refill admits a second row
+	// encoded holds, beside buf, each row's stored bytes when the scan
+	// was asked for them (Handle.SendStored), and is empty otherwise;
+	// scratch is the one row a pushed predicate judges them decoded in.
+	encoded [][]byte
+	scratch []types.Value
 
 	// visit is visitHeap and confine is confineLabels, each bound once,
 	// when the iterator is made: a closure made per refill or per
@@ -73,7 +78,7 @@ func (n *ScanNode) open(rt *Runtime, old Iter) (Iter, error) {
 		it.visit, it.confine = it.visitHeap, it.confineLabels
 	}
 	it.scanRun = scanRun{n: n, rt: rt}
-	it.buf = it.row1[:0]
+	it.buf, it.encoded = it.row1[:0], it.encoded[:0]
 	if len(n.Pushed) > 0 {
 		it.env = rt.env(n.schema, n.Strip)
 	}
@@ -123,11 +128,22 @@ func (it *scanIter) confineLabels(l, il label.Label) (label.Label, bool) {
 // that order, and only now do pushed predicates run — a pushed
 // predicate can never touch a tuple the process label does not cover.
 // An accepted row is the version's own, not a copy, and carries the TID
-// it was read from, and the label the scan's verdict stripped.
+// it was read from, and the label the scan's verdict stripped. A
+// version the heap handed over as its stored bytes keeps them, beside
+// a row with no values; a pushed predicate judges them decoded into
+// scratch.
 func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 	lbl := it.st.Label(tv)
+	enc := it.st.Encoded
 	if len(it.n.Pushed) > 0 {
 		it.env.Row = tv.Row
+		if enc != nil {
+			var err error
+			if it.scratch, _, err = types.DecodeRowInto(it.scratch, enc); err != nil {
+				return err
+			}
+			it.env.Row = it.scratch
+		}
 		it.env.RowLabel = lbl
 		it.env.RowILabel = tv.ILabel
 		for _, p := range it.n.Pushed {
@@ -141,6 +157,12 @@ func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 		}
 	}
 	it.buf = append(it.buf, Row{Vals: tv.Row, Lbl: lbl, ILbl: tv.ILabel, TID: tid})
+	if it.st.WantEncoded {
+		it.encoded = append(it.encoded, enc)
+		if enc != nil {
+			it.st.Stored++
+		}
+	}
 	return nil
 }
 
@@ -208,7 +230,7 @@ func (it *scanIter) Next() (*Row, error) {
 			}
 			return nil, nil
 		}
-		it.buf = it.buf[:0]
+		it.buf, it.encoded = it.buf[:0], it.encoded[:0]
 		it.pos = 0
 		var err error
 		if it.n.Index != nil {
@@ -246,17 +268,27 @@ func (it *scanIter) finish() {
 	}
 }
 
-// Close reports the scan and lets go of the rows it read and of a
-// batch buffer grown past row1: the tree waits for its next opening
-// holding none of them.
+// storedRow returns the stored bytes of the row Next returned last, nil
+// when it has none.
+func (it *scanIter) storedRow() []byte {
+	if i := it.pos - 1; i >= 0 && i < len(it.encoded) {
+		return it.encoded[i]
+	}
+	return nil
+}
+
+// Close reports the scan and lets go of the rows it read, their stored
+// bytes and blocks, and a batch buffer grown past row1: the tree waits
+// for its next opening holding none of them.
 func (it *scanIter) Close() {
 	it.finish()
 	it.buf, it.row1[0], it.st, it.env.Row = nil, Row{}, storage.ScanState{}, nil
+	it.encoded, it.scratch = nil, nil
 }
 
 // report hands a finished scan's counts to OnScanned.
 func (rt *Runtime) report(st *storage.ScanState) {
 	if rt.OnScanned != nil {
-		rt.OnScanned(st.Visited, st.Denied)
+		rt.OnScanned(st.Visited, st.Denied, st.Stored)
 	}
 }

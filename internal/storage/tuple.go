@@ -90,14 +90,31 @@ const maxVerdicts = 256
 
 // ScanState is what one scan accumulates: the counts its caller
 // reports, the label verdicts both Sees and SeesStored consult, and the
-// arena a heap of encoded tuples carves decoded rows from. It must not
-// be copied once used.
+// arena a heap of encoded tuples carves decoded rows from — or, when
+// its caller asks for them, the blocks it copies stored rows into. It
+// must not be copied once used.
 type ScanState struct {
 	Visited int64 // versions examined
 	Denied  int64 // of those, visible to the snapshot but refused by LabelOK
+	Stored  int64 // rows the caller sent on as their stored bytes (Encoded)
 
 	// Rows is the arena decoded rows are carved from.
 	Rows types.Arena
+
+	// WantEncoded asks a heap that stores rows encoded to hand over each
+	// version it admits as its stored row bytes, in Encoded, instead of
+	// decoding them: the version passed to the scan's callback then has
+	// no Row. The heap admits it exactly as it would otherwise — MVCC,
+	// Label Confinement and its page checksum first — and checks every
+	// value header, failing where a decode fails. A heap of decoded rows
+	// ignores it.
+	WantEncoded bool
+	// Encoded is the row of the version admitted last, when the heap
+	// honoured WantEncoded: types.EncodeRow's form, with no label and no
+	// stamps. It is a copy in a block of the scan's own that is never
+	// written again, so it stays good for as long as a holder keeps it.
+	Encoded []byte
+	block   []byte // the free rest of the block Encoded was copied into
 
 	// The verdict memo: LabelOK's judgment per distinct (label, ilabel)
 	// pair. last is the verdict consulted most recently, checked first,
@@ -110,6 +127,28 @@ type ScanState struct {
 	last     *verdict
 	first    verdict
 	verdicts map[string]*verdict
+}
+
+// encodedBlock is the size of a block stored rows are copied into:
+// some hundred rows of a narrow table. A scan's first block is a
+// sixteenth of it, so a scan of a few rows pays for a few rows.
+const encodedBlock = 16 << 10
+
+// KeepEncoded copies row, a version's stored row bytes that the heap
+// is about to overwrite, into the scan's current block and sets
+// Encoded to the copy. A row the block cannot hold starts a new block;
+// the old one is never written again.
+func (st *ScanState) KeepEncoded(row []byte) {
+	if len(st.block) < len(row) {
+		size := encodedBlock
+		if st.Encoded == nil {
+			size /= 16
+		}
+		st.block = make([]byte, max(size, len(row)))
+	}
+	n := copy(st.block, row)
+	st.Encoded = st.block[:n:n]
+	st.block = st.block[n:]
 }
 
 // verdict is LabelOK's judgment of one (label, ilabel) pair: the pair,

@@ -113,24 +113,112 @@ func DecodeRow(buf []byte) ([]Value, int, error) { return DecodeRowArena(nil, bu
 // DecodeRowArena is DecodeRow with the row carved from a (see
 // Arena.Take).
 func DecodeRowArena(a *Arena, buf []byte) ([]Value, int, error) {
-	n, sz := binary.Uvarint(buf)
+	n, off, err := rowHeader(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	row := a.Take(n)
+	if off, err = decodeValues(row, buf, off); err != nil {
+		return nil, 0, err
+	}
+	return row, off, nil
+}
+
+// DecodeRowInto is DecodeRow into dst's storage, which is grown only
+// when it holds fewer values than the row: a caller that decodes row
+// after row into one scratch row allocates nothing but their strings.
+// The row is valid until the caller's next decode into dst.
+func DecodeRowInto(dst []Value, buf []byte) ([]Value, int, error) {
+	n, off, err := rowHeader(buf)
+	if err != nil {
+		return dst, 0, err
+	}
+	if cap(dst) < n {
+		dst = make([]Value, n)
+	}
+	dst = dst[:n]
+	if off, err = decodeValues(dst, buf, off); err != nil {
+		return dst, 0, err
+	}
+	return dst, off, nil
+}
+
+// RowLen returns how many bytes of buf the row EncodeRow wrote at its
+// front occupies. It checks every value header as DecodeRow does, and
+// fails where DecodeRow fails, but decodes no value.
+func RowLen(buf []byte) (int, error) {
+	n, off, err := rowHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < n; i++ {
+		used, err := valueLen(buf[off:])
+		if err != nil {
+			return 0, fmt.Errorf("types: row col %d: %w", i, err)
+		}
+		off += used
+	}
+	return off, nil
+}
+
+// rowHeader reads a row's value count and returns it with the offset
+// of its first value.
+func rowHeader(buf []byte) (n, off int, err error) {
+	c, sz := binary.Uvarint(buf)
 	// Each value encodes to at least one byte: a count the remaining
 	// buffer cannot hold is corruption, caught before the allocation
 	// sized by it.
-	if sz <= 0 || n > uint64(len(buf)-sz) {
-		return nil, 0, fmt.Errorf("types: bad row header")
+	if sz <= 0 || c > uint64(len(buf)-sz) {
+		return 0, 0, fmt.Errorf("types: bad row header")
 	}
-	off := sz
-	row := a.Take(int(n))
+	return int(c), sz, nil
+}
+
+// decodeValues decodes len(row) values from buf at off into row and
+// returns the offset past them.
+func decodeValues(row []Value, buf []byte, off int) (int, error) {
 	for i := range row {
 		v, used, err := DecodeValue(buf[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("types: row col %d: %w", i, err)
+			return 0, fmt.Errorf("types: row col %d: %w", i, err)
 		}
 		row[i] = v
 		off += used
 	}
-	return row, off, nil
+	return off, nil
+}
+
+// valueLen returns how many bytes the value at the front of buf
+// occupies, failing where DecodeValue fails.
+func valueLen(buf []byte) (int, error) {
+	if len(buf) < 1 {
+		return 0, fmt.Errorf("types: short buffer")
+	}
+	k := Kind(buf[0])
+	rest := buf[1:]
+	switch k {
+	case KindNull:
+		return 1, nil
+	case KindInt, KindBool, KindTime, KindFloat:
+		if len(rest) < 8 {
+			return 0, fmt.Errorf("types: truncated %s", k)
+		}
+		return 9, nil
+	case KindText:
+		ln, sz := binary.Uvarint(rest)
+		if sz <= 0 {
+			return 0, fmt.Errorf("types: bad text length")
+		}
+		if uint64(len(rest)-sz) < ln {
+			return 0, fmt.Errorf("types: truncated text")
+		}
+		return 1 + sz + int(ln), nil
+	case KindLabel:
+		_, n, err := label.Decode(rest) // rare: a label column
+		return 1 + n, err
+	default:
+		return 0, fmt.Errorf("types: unknown kind byte %d", buf[0])
+	}
 }
 
 // Arena hands out rows carved from shared backing arrays, so a producer

@@ -1,6 +1,7 @@
 package types
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -249,5 +250,38 @@ func TestDecodeErrors(t *testing.T) {
 	buf[0] = 3
 	if _, _, err := DecodeRow(buf); err == nil {
 		t.Fatal("decoded short row")
+	}
+}
+
+// TestRowLenMatchesDecode: RowLen measures what DecodeRow consumes, and
+// on every truncation of an encoded row, and every value's kind byte
+// replaced by an unknown one, it fails where DecodeRow fails, with
+// DecodeRow's words: a scan that keeps a row's bytes instead of
+// decoding it must reject exactly the rows a decode rejects.
+func TestRowLenMatchesDecode(t *testing.T) {
+	row := []Value{Null, NewInt(-7), NewFloat(1.5), NewText("héllo"), NewBool(true),
+		NewTime(time.Unix(1700000000, 0)), NewLabel(label.New(3, 9)), NewText("")}
+	enc, err := EncodeRow(nil, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, buf []byte) {
+		t.Helper()
+		_, dn, derr := DecodeRow(buf)
+		ln, lerr := RowLen(buf)
+		if fmt.Sprint(derr) != fmt.Sprint(lerr) || derr == nil && ln != dn {
+			t.Errorf("%s: RowLen %d, %v; DecodeRow %d, %v", name, ln, lerr, dn, derr)
+		}
+	}
+	check("whole row", append(enc, 0xFF)) // a trailing byte is not the row's
+	for i := 0; i < len(enc); i++ {
+		check(fmt.Sprintf("truncated to %d bytes", i), enc[:i])
+	}
+	off := 1
+	for i := range row {
+		bad := append([]byte(nil), enc...)
+		bad[off] = 0xEE
+		check(fmt.Sprintf("column %d's kind byte", i), bad)
+		off += EncodedSize(row[i])
 	}
 }

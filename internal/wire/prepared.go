@@ -179,10 +179,15 @@ func (e *Execute) Encode() ([]byte, error) { return e.AppendEncode(nil) }
 func (e *Execute) AppendEncode(buf []byte) ([]byte, error) {
 	buf = appendU64(buf, e.StmtID)
 	buf = appendString(buf, e.SQL)
+	// The parameters in a row's layout (DecodeExecute reads them with
+	// types.DecodeRow), value by value: RowsChunk.AppendEncode is the
+	// one caller of types.EncodeRow here.
+	buf = binary.AppendUvarint(buf, uint64(len(e.Params)))
 	var err error
-	buf, err = types.EncodeRow(buf, e.Params)
-	if err != nil {
-		return nil, err
+	for _, v := range e.Params {
+		if buf, err = types.AppendEncode(buf, v); err != nil {
+			return nil, err
+		}
 	}
 	if e.SyncLabel {
 		buf = append(buf, 1)
@@ -273,6 +278,11 @@ type RowsChunk struct {
 	Cols      []string // first chunk only
 	Rows      [][]types.Value
 	RowLabels []label.Label // nil when IFC off; else len == len(Rows)
+	// Stored, when not nil, has an entry per row: a non-nil entry is the
+	// row already in types.EncodeRow's form — a table's stored row bytes
+	// (engine.Cursor.NextEncoded) — and is sent as it is, in place of
+	// the row's values. Receivers see rows either way.
+	Stored [][]byte
 
 	// Trailer, meaningful when Done. Label and ILabel are the server's
 	// view of the process labels after the statement (it may have
@@ -324,7 +334,11 @@ func (c *RowsChunk) encodedSize() int {
 			n += uvarintLen(len(col)) + len(col)
 		}
 	}
-	for _, row := range c.Rows {
+	for i, row := range c.Rows {
+		if b := c.stored(i); b != nil {
+			n += len(b)
+			continue
+		}
 		n += uvarintLen(len(row))
 		for _, v := range row {
 			n += types.EncodedSize(v)
@@ -348,8 +362,17 @@ func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 // labelSize returns len(appendLabel(nil, l)).
 func labelSize(l label.Label) int { return uvarintLen(len(l)) + 8*len(l) }
 
+// stored returns row i's stored bytes, nil when it has none.
+func (c *RowsChunk) stored(i int) []byte {
+	if c.Stored == nil {
+		return nil
+	}
+	return c.Stored[i]
+}
+
 // AppendEncode appends c's encoding to buf, which a sender reuses from
-// chunk to chunk.
+// chunk to chunk. It is the one writer of result rows: a row's stored
+// bytes when it has them, types.EncodeRow of its values otherwise.
 func (c *RowsChunk) AppendEncode(buf []byte) ([]byte, error) {
 	var flags byte
 	if c.First {
@@ -373,9 +396,10 @@ func (c *RowsChunk) AppendEncode(buf []byte) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(c.Rows)))
 	var err error
-	for _, row := range c.Rows {
-		buf, err = types.EncodeRow(buf, row)
-		if err != nil {
+	for i, row := range c.Rows {
+		if b := c.stored(i); b != nil {
+			buf = append(buf, b...)
+		} else if buf, err = types.EncodeRow(buf, row); err != nil {
 			return nil, err
 		}
 	}

@@ -568,7 +568,7 @@ func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.C
 			t := trailer(engine.ErrCanceled.Error(), nil)
 			return w.writeChunk(&t)
 		}
-		rows, labels, err := cur.NextBatch(chunk)
+		rows, stored, labels, err := cur.NextEncoded(chunk)
 		if err != nil {
 			t := trailer(err.Error(), nil)
 			t.First = first
@@ -580,7 +580,7 @@ func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.C
 			c.Affected = int64(cur.Affected())
 		}
 		if len(rows) > 0 {
-			c.Rows, c.RowLabels = rows, labels
+			c.Rows, c.Stored, c.RowLabels = rows, stored, labels
 		}
 		if first {
 			c.First, c.Cols = true, cur.Cols()
@@ -663,6 +663,9 @@ func (rw *rowsWriter) writeChunk(c *RowsChunk) error {
 	if c.RowLabels != nil {
 		left.RowLabels = c.RowLabels[:half]
 		right.RowLabels = c.RowLabels[half:]
+	}
+	if c.Stored != nil {
+		left.Stored, right.Stored = c.Stored[:half], c.Stored[half:]
 	}
 	if err := rw.writeChunk(left); err != nil {
 		return err
