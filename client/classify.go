@@ -29,7 +29,9 @@ type stmtPlan struct {
 	ddl        bool // any CREATE/DROP
 	readOnly   bool // pure SELECT/EXPLAIN batch without side-effect functions
 	sideEffect bool // label/sequence/procedure-style function calls
-	explain    bool // a single EXPLAIN statement (distributed-plan path)
+	// explained is the SELECT of a single EXPLAIN SELECT, rendered
+	// back to text: a keyless one renders its plan client-side.
+	explained string
 
 	// Shard-key derivation inputs (single-statement, single-table
 	// plans only; see shardkey.go):
@@ -113,8 +115,8 @@ func analyzeStmt(sqlText string) *stmtPlan {
 		case *sql.SelectStmt:
 		case *sql.ExplainStmt:
 			// EXPLAIN executes everywhere a SELECT does (replicas
-			// included); a keyless sharded EXPLAIN of a splittable
-			// SELECT renders the distributed plan client-side.
+			// included); a keyless sharded EXPLAIN of a SELECT
+			// renders the distributed plan client-side.
 		default:
 			allSelect = false
 		}
@@ -133,8 +135,10 @@ func analyzeStmt(sqlText string) *stmtPlan {
 	p.readOnly = allSelect && !p.sideEffect
 
 	if len(stmts) == 1 {
-		if _, ok := stmts[0].(*sql.ExplainStmt); ok {
-			p.explain = true
+		if ex, ok := stmts[0].(*sql.ExplainStmt); ok {
+			if sel, ok := ex.Stmt.(*sql.SelectStmt); ok {
+				p.explained, _ = sql.FormatSelect(sel)
+			}
 		}
 		p.deriveShardShape(stmts[0])
 	}

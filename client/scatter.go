@@ -1,15 +1,20 @@
 // Scatter-gather distributed reads: the client half of the distplan
 // subsystem (internal/distplan). A keyless read over a sharded
-// cluster is split at the shard boundary into a per-shard fragment —
-// scan, pushed predicates, projection, and *partial* aggregation —
-// and a gateway merge over the fragments' streams: a tree of the
-// engine's own operators (internal/plan) — ordered merge, aggregate
-// with SUM-of-COUNTs / AVG recomposition, re-applied HAVING, sort,
-// DISTINCT, LIMIT. Statements the gateway cannot finalize exactly
-// (engine-resident functions, subqueries, joins, views) are never
-// split: with nothing to merge they take the bounded-concurrency union
-// of the per-shard streams, and with an ORDER BY, LIMIT, OFFSET,
-// DISTINCT or aggregate they are refused with ErrUnmergeable.
+// cluster runs a per-shard fragment on every shard and merges the
+// fragments' streams through one gateway: a tree of the engine's own
+// operators (internal/plan) over the shard streams. A splittable read
+// is cut at the shard boundary — the fragment scans, pushes
+// predicates, projects and *partially* aggregates, and the gateway
+// tree finalizes: ordered merge, aggregate with SUM-of-COUNTs / AVG
+// recomposition, re-applied HAVING, sort, DISTINCT, LIMIT. A read with
+// nothing to merge is its own fragment, and its gateway tree is the
+// shard-order union alone, the same bounded in-flight window and all.
+// Statements the gateway cannot finalize exactly (engine-resident
+// functions, subqueries, joins, views) are never split: with nothing
+// to merge they take the union, and with an ORDER BY, LIMIT, OFFSET,
+// DISTINCT or aggregate they are refused with ErrUnmergeable. EXPLAIN
+// of a keyless SELECT renders the gateway tree with the engine's own
+// EXPLAIN, then shard 0's plan for the fragment.
 //
 // Every shard stream opens through the Router's one read loop
 // (router.go: read, targeted at the shard's group), so a fan-out keeps
@@ -28,7 +33,6 @@ import (
 	"sync"
 
 	"ifdb/internal/distplan"
-	"ifdb/internal/sql"
 	"ifdb/internal/types"
 )
 
@@ -40,7 +44,7 @@ type splitKey struct {
 }
 
 type splitEntry struct {
-	sp  *distplan.Spec // nil = analyzed and not splittable
+	sp  *distplan.Spec // the gateway recipe; nil when refused
 	err error          // the refusal, when the answer needs a merge
 }
 
@@ -79,40 +83,35 @@ func splitFor(text string, noPartial bool) (*distplan.Spec, error) {
 	return sp, err
 }
 
-// splitSpec returns the scatter decomposition of a keyless sharded
-// read; nil and no error means the union of the shards' streams is the
-// answer. Beyond distplan's own refusals the Router only splits scans
-// of base tables in the shard map's key table: a view is not in it, so
-// a view-backed read — a declassifying view in particular, whose label
+// splitSpec returns the gateway recipe of a keyless sharded read: its
+// split, or the union of the shards' streams when that is the answer.
+// Beyond distplan's own refusals the Router only splits scans of base
+// tables in the shard map's key table: a view is not in it, so a
+// view-backed read — a declassifying view in particular, whose label
 // stripping must not be re-derived by gateway arithmetic — that needs
 // a merge is refused.
 func (r *Router) splitSpec(text string, m *ShardMap) (*distplan.Spec, error) {
 	sp, err := splitFor(text, r.cfg.DisableAggPushdown)
-	if sp != nil && m.KeyColumn(sp.Table) == "" {
+	if sp != nil && sp.Mode != distplan.ModeUnion && m.KeyColumn(sp.Table) == "" {
 		return nil, &ErrUnmergeable{Reason: sp.Table + " is a view or a table outside the shard map"}
 	}
 	return sp, err
 }
 
-// streamRows adapts a distplan stream to the client Rows interface.
-type streamRows struct{ st distplan.Stream }
+// streamRows is a gateway stream as client Rows.
+type streamRows struct{ distplan.Stream }
 
-func (s *streamRows) Columns() []string      { return s.st.Columns() }
-func (s *streamRows) Next() bool             { return s.st.Next() }
-func (s *streamRows) Row() []Value           { return s.st.Row() }
-func (s *streamRows) RowLabel() Label        { return s.st.RowLabel() }
-func (s *streamRows) Scan(dest ...any) error { return scanRow(s.st.Row(), dest) }
-func (s *streamRows) Err() error             { return s.st.Err() }
+func (s streamRows) Scan(dest ...any) error { return scanRow(s.Row(), dest) }
 
-func (s *streamRows) Close() error {
-	s.st.Close()
-	return s.st.Err()
+func (s streamRows) Close() error {
+	s.Stream.Close()
+	return s.Err()
 }
 
-// scatterConfig wires a gateway merge (or union) to the cluster. Each
-// shard's fragment stream opens through read under a fan-out context;
-// the merge's close cancels it, propagating CANCEL to every shard
-// stream still open.
+// scatterConfig wires a gateway merge to the cluster. Each shard's
+// fragment stream opens through read under a fan-out context; the
+// merge's close cancels it, propagating CANCEL to every shard stream
+// still open.
 func (r *Router) scatterConfig(ctx context.Context, frag routedStmt, m *ShardMap, params []Value) distplan.Config {
 	gctx, cancel := context.WithCancel(ctx)
 	return distplan.Config{
@@ -130,11 +129,8 @@ func (r *Router) scatterConfig(ctx context.Context, frag routedStmt, m *ShardMap
 	}
 }
 
-// scatterRows serves a keyless sharded streaming read. Split
-// statements run their fragment on every shard and merge through the
-// distplan gateway; a statement with nothing to merge concatenates the
-// per-shard streams in shard order with the same bounded in-flight
-// window.
+// scatterRows serves a keyless sharded streaming read: its fragment
+// runs on every shard, and the distplan gateway merges the streams.
 func (r *Router) scatterRows(ctx context.Context, rs routedStmt, params []Value) (Rows, error) {
 	m := r.shardMap()
 	mFanoutWidth.Observe(int64(len(m.Shards)))
@@ -145,57 +141,28 @@ func (r *Router) scatterRows(ctx context.Context, rs routedStmt, params []Value)
 	if err != nil {
 		return nil, err
 	}
-	if sp != nil {
-		frag := routedStmt{sqlText: sp.Fragment, plan: planFor(sp.Fragment), prepared: rs.prepared, toks: rs.toks}
-		st, err := sp.Gateway(r.scatterConfig(ctx, frag, m, params))
-		if err != nil {
-			return nil, err
-		}
-		if e := st.Err(); e != nil {
-			st.Close()
-			return nil, e
-		}
-		return &streamRows{st: st}, nil
-	}
-	st := distplan.Union(r.scatterConfig(ctx, rs, m, params))
-	if err := st.Err(); err != nil {
-		st.Close()
+	frag := routedStmt{sqlText: sp.Fragment, plan: planFor(sp.Fragment), prepared: rs.prepared, toks: rs.toks}
+	st, err := sp.Gateway(r.scatterConfig(ctx, frag, m, params))
+	if err != nil {
 		return nil, err
 	}
-	return &streamRows{st: st}, nil
+	return streamRows{st}, nil
 }
 
 // scatterExplain synthesizes the distributed plan for a keyless
-// EXPLAIN over a splittable SELECT: the gateway merge recipe, then
-// shard 0's plan for the fragment indented beneath it. done=false
-// means the statement is not such an EXPLAIN — an unmergeable SELECT
-// included — and the caller falls through to the ordinary fan-out
-// (per-shard plans concatenated).
+// EXPLAIN of a SELECT: the gateway tree, then shard 0's plan for the
+// fragment indented beneath it. done=false means the statement is not
+// such an EXPLAIN — an unmergeable SELECT included — and the caller
+// falls through to the union of every shard's plan.
 func (r *Router) scatterExplain(ctx context.Context, rs routedStmt, m *ShardMap, params []Value) (Rows, bool, error) {
-	if !rs.plan.explain {
+	if rs.plan.explained == "" {
 		return nil, false, nil
 	}
-	stmts, err := sql.ParseAll(rs.sqlText)
-	if err != nil || len(stmts) != 1 {
-		return nil, false, nil
-	}
-	ex, ok := stmts[0].(*sql.ExplainStmt)
-	if !ok {
-		return nil, false, nil
-	}
-	sel, ok := ex.Stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, false, nil
-	}
-	text, err := sql.FormatSelect(sel)
+	sp, err := r.splitSpec(rs.plan.explained, m)
 	if err != nil {
 		return nil, false, nil
 	}
-	sp, _ := r.splitSpec(text, m)
-	if sp == nil {
-		return nil, false, nil
-	}
-	lines := sp.Describe(len(m.Shards), r.cfg.MaxFanout)
+	lines := sp.Explain(distplan.Config{Shards: len(m.Shards), Window: r.cfg.MaxFanout})
 	fragText := "EXPLAIN " + sp.Fragment
 	frag := routedStmt{sqlText: fragText, plan: planFor(fragText), toks: rs.toks}
 	rows, err := r.read(ctx, frag, shardTarget(0), params)

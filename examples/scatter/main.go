@@ -46,7 +46,7 @@ func main() {
 	}
 
 	// A keyless aggregate splits at the shard boundary: EXPLAIN shows
-	// the gateway merge recipe, then the fragment each shard runs.
+	// the gateway's plan tree, then the fragment each shard runs.
 	const q = `SELECT kind, count(*) FROM events GROUP BY kind ORDER BY kind`
 	plan, err := router.Exec(`EXPLAIN ` + q)
 	if err != nil {

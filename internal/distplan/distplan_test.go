@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ifdb/internal/label"
-	"ifdb/internal/plan"
 	"ifdb/internal/types"
 )
 
@@ -88,7 +87,7 @@ func render(rows []feedRow) string {
 
 // TestSplitRefusals: the statements Split does not split, and which of
 // them Analyze refuses — those whose answer needs a merge — rather
-// than leaving to the shards' concatenated answers.
+// than leaving to the union of the shards' answers.
 func TestSplitRefusals(t *testing.T) {
 	cases := []struct {
 		src     string
@@ -119,8 +118,10 @@ func TestSplitRefusals(t *testing.T) {
 		}
 		sp, err := Analyze(c.src, Options{})
 		var ue *ErrUnmergeable
-		if sp != nil || errors.As(err, &ue) != c.refused || (err != nil && ue == nil) {
-			t.Errorf("Analyze(%q) = %+v, %v; want refused=%v", c.src, sp, err, c.refused)
+		refused := errors.As(err, &ue)
+		union := sp != nil && sp.Mode == ModeUnion && sp.Fragment == c.src
+		if refused != c.refused || (err != nil && ue == nil) || union == c.refused {
+			t.Errorf("Analyze(%q) = %+v, %v; want refused=%v, else the union", c.src, sp, err, c.refused)
 		}
 	}
 }
@@ -169,7 +170,7 @@ func TestSplitFragments(t *testing.T) {
 
 	// Ordered with pushed LIMIT: per-shard bound is limit+offset.
 	sp = Split("SELECT a FROM t ORDER BY b DESC LIMIT 3 OFFSET 2", Options{})
-	if sp == nil || !sp.pushedLimit {
+	if sp == nil {
 		t.Fatalf("ordered split: %+v", sp)
 	}
 	if want := `SELECT "a", "b" AS "__ifdb_s0" FROM "t" ORDER BY "b" DESC LIMIT 5`; sp.Fragment != want {
@@ -213,7 +214,17 @@ func TestSplitFragments(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Union gather
+// Union gateway
+
+// union is the gateway recipe of a read with nothing to merge.
+func union(t *testing.T) *Spec {
+	t.Helper()
+	sp, err := Analyze("SELECT a FROM t", Options{})
+	if err != nil || sp == nil || sp.Mode != ModeUnion {
+		t.Fatalf("Analyze = %+v, %v; want the union", sp, err)
+	}
+	return sp
+}
 
 func TestUnionShardOrderAndWindow(t *testing.T) {
 	shards := [][]feedRow{
@@ -229,7 +240,10 @@ func TestUnionShardOrderAndWindow(t *testing.T) {
 	closed := atomic.Int32{}
 	cfg.OnClose = func() { closed.Add(1) }
 
-	u := Union(cfg)
+	u, err := union(t).Gateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := strings.Join(u.Columns(), ","); got != "a" {
 		t.Fatalf("cols = %s", got)
 	}
@@ -259,7 +273,10 @@ func TestUnionShardError(t *testing.T) {
 			return fmt.Errorf("shard %d: %w", shard, err)
 		},
 	}
-	u := Union(cfg)
+	u, err := union(t).Gateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var n int
 	for u.Next() {
 		n++
@@ -280,7 +297,10 @@ func TestUnionCloseReleasesBlockedFeeds(t *testing.T) {
 		big[i] = row(vi(int64(i)))
 	}
 	cfg, streams := cfgFor([][]feedRow{big, big}, []string{"a"})
-	u := Union(cfg)
+	u, err := union(t).Gateway(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !u.Next() {
 		t.Fatal("no first row")
 	}
@@ -470,12 +490,8 @@ func TestGatewaySortBound(t *testing.T) {
 			t.Fatalf("%s: no split", tc.sql)
 		}
 		cfg, _ := cfgFor([][]feedRow{nil}, nil)
-		root, err := sp.gatewayPlan(newGather(&cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree := (&plan.Plan{Root: root}).Explain(); !strings.Contains(tree, tc.want) {
-			t.Errorf("%s: gateway tree lacks %q:\n%s", tc.sql, tc.want, tree)
+		if _, p := sp.tree(cfg); !strings.Contains(p.Explain(), tc.want) {
+			t.Errorf("%s: gateway tree lacks %q:\n%s", tc.sql, tc.want, p.Explain())
 		}
 	}
 }
@@ -508,13 +524,45 @@ func TestAggEmptyInputDefaultGroup(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	sp := Split("SELECT g, count(*) FROM t GROUP BY g", Options{})
-	lines := sp.Describe(4, 2)
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"Scatter", "shards=4", "partial-agg", "sum-of-counts", "Fragment"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("Describe missing %q:\n%s", want, joined)
+// TestExplain renders the gateway half of a sharded EXPLAIN for each
+// gateway shape: the tree Gateway opens, as the single-node EXPLAIN
+// renders it, between the Scatter header and the fragment line.
+func TestExplain(t *testing.T) {
+	cases := []struct {
+		sql, want string
+	}{
+		{"SELECT a FROM t", `
+Scatter [shards=3 window=2 mode=union]
+├─ source shards 0..2 in order
+└─ Fragment (each shard): SELECT a FROM t`},
+		{"SELECT a FROM t ORDER BY b DESC, a LIMIT 3", `
+Scatter [shards=3 window=3 mode=ordered-merge]
+├─ limit 3 (early-exit)
+│  └─ merge [DESC, ASC]
+│     ├─ source shard 0
+│     ├─ source shard 1
+│     └─ source shard 2
+└─ Fragment (each shard): SELECT "a", "b" AS "__ifdb_s0" FROM "t" ORDER BY "b" DESC, "a" LIMIT 3`},
+		{"SELECT g, count(*) FROM t GROUP BY g ORDER BY g", `
+Scatter [shards=3 window=2 mode=partial-agg]
+├─ sort [__ifdb_g0]
+│  └─ aggregate [__ifdb_g0 AS g, count(*) AS column2] group by=[__ifdb_g0]
+│     └─ source shards 0..2 in order
+└─ Fragment (each shard): SELECT "g" AS "__ifdb_g0", count(*) AS "__ifdb_a0" FROM "t" GROUP BY "g"`},
+		{"SELECT g, count(DISTINCT v) FROM t GROUP BY g HAVING count(DISTINCT v) > 1", `
+Scatter [shards=3 window=2 mode=gather-agg]
+├─ aggregate [__ifdb_g0 AS g, count(DISTINCT v) AS column2] group by=[__ifdb_g0] having=(count(DISTINCT v) > 1)
+│  └─ source shards 0..2 in order
+└─ Fragment (each shard): SELECT "g" AS "__ifdb_g0", "v" AS "__ifdb_a0", "v" AS "__ifdb_a1" FROM "t"`},
+	}
+	for _, tc := range cases {
+		sp, err := Analyze(tc.sql, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		got := strings.Join(sp.Explain(Config{Shards: 3, Window: 2}), "\n")
+		if want := strings.TrimPrefix(tc.want, "\n"); got != want {
+			t.Errorf("%s:\n%s\nwant:\n%s", tc.sql, got, want)
 		}
 	}
 }
@@ -545,6 +593,7 @@ func TestGatewayReleasesFeeds(t *testing.T) {
 		opts Options
 		row  func(i int64) feedRow
 	}{
+		{"union", "SELECT a FROM t", Options{}, func(i int64) feedRow { return row(vi(i)) }},
 		{"ordered", "SELECT a FROM t ORDER BY a", Options{}, func(i int64) feedRow { return row(vi(i)) }},
 		{"partial", "SELECT g, count(*) FROM t GROUP BY g", Options{}, func(i int64) feedRow { return row(vi(i), vi(1)) }},
 		{"gather", "SELECT g, count(*) FROM t GROUP BY g", Options{NoPartial: true}, func(i int64) feedRow { return row(vi(i)) }},
@@ -554,9 +603,9 @@ func TestGatewayReleasesFeeds(t *testing.T) {
 	}
 	for _, m := range modes {
 		for _, shardFails := range []bool{true, false} {
-			sp := Split(m.sql, m.opts)
+			sp, err := Analyze(m.sql, m.opts)
 			if sp == nil {
-				t.Fatalf("%s: no split", m.name)
+				t.Fatalf("%s: no gateway: %v", m.name, err)
 			}
 			streams := make([]*watched, 3)
 			for s := range streams {
@@ -577,8 +626,8 @@ func TestGatewayReleasesFeeds(t *testing.T) {
 				OnClose: func() { onClose.Add(1) },
 			})
 			if err == nil {
-				// Ordered merges report from Next; aggregate merges have
-				// already run and hand out a finished result.
+				// The union and ordered merges report from Next; aggregate
+				// merges have already run and hand out a finished result.
 				if !st.Next() {
 					t.Fatalf("%s: no first row: %v", m.name, st.Err())
 				}

@@ -120,7 +120,8 @@ func (f *feed) next() (feedRow, bool, error) {
 
 // gather consumes shards strictly in shard order — deterministic
 // output — while up to window streams fill their feed buffers
-// concurrently. It is the engine under the union stream and both
+// concurrently. It feeds the gateway: one feed a leaf under the
+// ordered merge, the shard-order stream under the union and both
 // aggregate merges.
 type gather struct {
 	cfg     *Config
@@ -187,55 +188,4 @@ func (g *gather) shutdown() {
 	if g.cfg.OnClose != nil {
 		g.cfg.OnClose()
 	}
-}
-
-// Union merges the shards' streams by plain concatenation in shard
-// order, with a bounded-concurrency prefetch window: the replacement
-// for the Router's historical one-shard-at-a-time fan-out drain. The
-// column header comes from shard 0. Construction never fails; open
-// errors surface from the first Next, like the sequential path did.
-func Union(cfg Config) Stream {
-	u := &unionStream{g: newGather(&cfg)}
-	u.g.start()
-	u.cols, u.err = u.g.head()
-	return u
-}
-
-type unionStream struct {
-	g    *gather
-	cols []string
-	row  feedRow
-	err  error
-	done bool
-}
-
-func (u *unionStream) Columns() []string     { return u.cols }
-func (u *unionStream) Row() []types.Value    { return u.row.vals }
-func (u *unionStream) RowLabel() label.Label { return u.row.lbl }
-func (u *unionStream) Err() error            { return u.err }
-
-func (u *unionStream) Next() bool {
-	if u.done || u.err != nil {
-		return false
-	}
-	r, ok, err := u.g.next()
-	if err != nil {
-		u.err = err
-		u.done = true
-		u.g.shutdown()
-		return false
-	}
-	if !ok {
-		u.done = true
-		u.g.shutdown()
-		return false
-	}
-	u.row = r
-	return true
-}
-
-func (u *unionStream) Close() error {
-	u.done = true
-	u.g.shutdown()
-	return nil
 }

@@ -11,10 +11,11 @@ import (
 	"ifdb/internal/types"
 )
 
-// Gateway builds the merged output stream for a split statement: a
-// plan tree of the engine's own operators over leaves whose rows are
-// the shards' fragment streams.
+// Gateway opens the merged output stream of a keyless read: a plan
+// tree of the engine's own operators over leaves whose rows are the
+// shards' fragment streams.
 //
+//	union:     one Source over the shard-order gather
 //	ordered:   Limit ← Offset ← Distinct ← Merge ← one Source per shard
 //	aggregate: Limit ← Offset ← Distinct ← Sort ← Aggregate ← one Source
 //	           over the shard-order gather
@@ -25,26 +26,21 @@ import (
 // shard, and all the gateway may do with labels is union them, which
 // the aggregate operator does.
 //
-// Ordered merges stream: rows flow as shards produce them, and an
-// error surfaces from Next like any rows stream. Aggregate merges are
-// blocking by nature — exactly like the engine's aggregation — so they
-// run to completion here and an error (shard failure, glue
-// evaluation) is returned directly, which the Router surfaces from
-// Query the same way a single node surfaces an aggregation error.
+// The union and ordered merges stream: rows flow as shards produce
+// them, and an error surfaces from Next like any rows stream; only
+// shard 0's header is awaited here, and its failure to open fails the
+// read. Aggregate merges are blocking by nature — exactly like the
+// engine's aggregation — so they run to completion here and an error
+// (shard failure, glue evaluation) is returned directly, which the
+// Router surfaces from Query the same way a single node surfaces an
+// aggregation error.
 func (sp *Spec) Gateway(cfg Config) (Stream, error) {
-	if sp.Mode == ModeOrdered {
-		// Every shard's head row is needed before the first output row.
-		cfg.Window = cfg.Shards
-	}
-	g := newGather(&cfg)
-	st := &gatewayStream{g: g}
-	root, err := sp.gatewayPlan(g)
-	if err == nil {
-		// Opening the tree evaluates LIMIT and OFFSET. The shards start
-		// only after it, so a refused bound leaves no fragment running
-		// to cancel.
-		st.it, err = (&plan.Plan{Root: root}).Open(&plan.Runtime{Params: cfg.Params})
-	}
+	g, tree := sp.tree(cfg)
+	// Opening the tree evaluates LIMIT and OFFSET. The shards start
+	// only after it, so a refused bound leaves no fragment running to
+	// cancel.
+	it, err := tree.Open(&plan.Runtime{Params: cfg.Params})
+	st := &gatewayStream{g: g, it: it}
 	if err == nil {
 		g.start()
 		st.cols, err = sp.columns(g)
@@ -53,7 +49,7 @@ func (sp *Spec) Gateway(cfg Config) (Stream, error) {
 		g.shutdown()
 		return nil, err
 	}
-	if sp.Mode != ModeOrdered {
+	if sp.aggregate() {
 		if st.Next(); st.err != nil {
 			return nil, st.err
 		}
@@ -62,8 +58,36 @@ func (sp *Spec) Gateway(cfg Config) (Stream, error) {
 	return st, nil
 }
 
-func (sp *Spec) gatewayPlan(g *gather) (plan.Node, error) {
-	var root plan.Node
+// Explain renders the gateway half of a sharded EXPLAIN: a Scatter
+// header, the tree Gateway opens under cfg as plan.Explain renders it,
+// and the fragment every shard runs.
+func (sp *Spec) Explain(cfg Config) []string {
+	g, tree := sp.tree(cfg)
+	lines := []string{fmt.Sprintf("Scatter [shards=%d window=%d mode=%s]", cfg.Shards, g.cfg.window(), sp.Mode)}
+	for i, ln := range strings.Split(strings.TrimSuffix(tree.Explain(), "\n"), "\n") {
+		indent := "│  "
+		if i == 0 {
+			indent = "├─ "
+		}
+		lines = append(lines, indent+ln)
+	}
+	return append(lines, "└─ Fragment (each shard): "+sp.Fragment)
+}
+
+// aggregate reports an aggregate merge, which Gateway runs to completion.
+func (sp *Spec) aggregate() bool { return sp.Mode == ModePartialAgg || sp.Mode == ModeGatherAgg }
+
+// tree lays out the shard feeds and the gateway's plan over them;
+// nothing starts until the gather does.
+func (sp *Spec) tree(cfg Config) (*gather, *plan.Plan) {
+	if sp.Mode == ModeOrdered {
+		// Every shard's head row is needed before the first output row.
+		cfg.Window = cfg.Shards
+	}
+	g := newGather(&cfg)
+	// The union is the shard-order gather's leaf alone.
+	var root plan.Node = &plan.SourceNode{Cols: sp.fragCols, Rows: &shardRows{sp: sp, next: g.next},
+		Name: fmt.Sprintf("shards 0..%d in order", cfg.Shards-1)}
 	// Pure: gateway glue calls nothing that changes state, so a
 	// satisfied LIMIT stops pulling and the shards are cancelled. The
 	// merge arrives ordered; only an aggregate's groups need the sort.
@@ -72,28 +96,27 @@ func (sp *Spec) gatewayPlan(g *gather) (plan.Node, error) {
 	case ModeOrdered:
 		merge := &plan.MergeNode{Desc: sp.desc}
 		for _, f := range g.feeds {
-			merge.Children = append(merge.Children, &plan.SourceNode{Rows: &shardRows{sp: sp, next: f.next}})
+			merge.Children = append(merge.Children, &plan.SourceNode{
+				Rows: &shardRows{sp: sp, next: f.next}, Name: fmt.Sprintf("shard %d", f.shard)})
 		}
 		root = merge
 	case ModePartialAgg, ModeGatherAgg:
 		root = &plan.AggregateNode{
-			Child: &plan.SourceNode{Cols: sp.fragCols, Rows: &shardRows{sp: sp, next: g.next}},
-			Items: sp.items, GroupBy: sp.groupBy, Having: sp.having,
+			Child: root, Items: sp.items, GroupBy: sp.groupBy, Having: sp.having,
 			OrderExprs: sp.orderGlue, NewAcc: sp.newAcc,
 		}
 		tail.OrderExprs, tail.Desc = sp.orderGlue, sp.orderDesc
-	default:
-		return nil, fmt.Errorf("distplan: unknown mode %d", sp.Mode)
 	}
-	return tail.Over(root), nil
+	return g, &plan.Plan{Root: tail.Over(root)}
 }
 
 // columns names the merged stream's columns. An aggregate's are its
-// items'; an ordered merge's are shard 0's header less the hidden sort
-// columns (a star in the statement expands on the shard), and a shard
-// 0 that fails to open fails the query before a stream is handed out.
+// items'; a union's or an ordered merge's are shard 0's header less
+// the hidden sort columns (a star in the statement expands on the
+// shard), and a shard 0 that fails to open fails the query before a
+// stream is handed out.
 func (sp *Spec) columns(g *gather) ([]string, error) {
-	if sp.Mode != ModeOrdered {
+	if sp.aggregate() {
 		cols := make([]string, len(sp.items))
 		for i, it := range sp.items {
 			cols[i] = it.Alias
@@ -105,7 +128,8 @@ func (sp *Spec) columns(g *gather) ([]string, error) {
 }
 
 // shardRows is the plan leaf over shard streams: one shard's feed under
-// the ordered merge, the whole shard-order gather under the aggregate.
+// the ordered merge, the whole shard-order gather under the union and
+// the aggregate.
 // It hides the fragment's trailing sort columns from Vals and hands
 // the sort keys to the merge as Row.Sort.
 type shardRows struct {
@@ -254,60 +278,4 @@ func (m *mergeAcc) Result() types.Value {
 		return types.NewFloat(num / float64(m.cnt))
 	}
 	return m.fold.Result()
-}
-
-// Describe renders the distributed plan for EXPLAIN and the docs
-// walkthrough: the gateway merge recipe, then the fragment every
-// shard executes.
-func (sp *Spec) Describe(shards, window int) []string {
-	if window <= 0 || window > shards || sp.Mode == ModeOrdered {
-		window = shards
-	}
-	lines := []string{fmt.Sprintf("Scatter [shards=%d window=%d mode=%s]", shards, window, sp.Mode)}
-	switch sp.Mode {
-	case ModeOrdered:
-		d := fmt.Sprintf("├─ Gateway: k-way ordered merge [keys=%d]", len(sp.keyItems))
-		if sp.distinct {
-			d += " distinct"
-		}
-		if sp.limit != nil {
-			d += " limit"
-			if sp.pushedLimit {
-				d += "(pushed)"
-			}
-		}
-		if sp.offset != nil {
-			d += " offset"
-		}
-		lines = append(lines, d)
-	default:
-		var aggDesc []string
-		for i := range sp.aggs {
-			a := &sp.aggs[i]
-			switch {
-			case sp.Mode == ModeGatherAgg:
-				aggDesc = append(aggDesc, a.fn+":full")
-			case a.fn == "count":
-				aggDesc = append(aggDesc, "count:sum-of-counts")
-			case a.fn == "avg":
-				aggDesc = append(aggDesc, "avg:sum/count")
-			default:
-				aggDesc = append(aggDesc, a.fn+":"+a.fn+"-of-partials")
-			}
-		}
-		d := fmt.Sprintf("├─ Gateway: %s finalize [groups=%d aggs=[%s]]",
-			sp.Mode, len(sp.groupBy), strings.Join(aggDesc, " "))
-		if sp.having != nil {
-			d += " having"
-		}
-		if len(sp.orderGlue) > 0 {
-			d += fmt.Sprintf(" order=%d", len(sp.orderGlue))
-		}
-		if sp.limit != nil {
-			d += " limit"
-		}
-		lines = append(lines, d)
-	}
-	lines = append(lines, "└─ Fragment (each shard): "+sp.Fragment)
-	return lines
 }

@@ -19,9 +19,11 @@
 // statement the gateway glue cannot reproduce exactly — declassify or
 // any other engine-resident function, a subquery, a join, rep-row
 // column references — is never split. Concatenating the shards'
-// answers is still right when the statement has nothing to merge;
-// when it has (ORDER BY, LIMIT, OFFSET, DISTINCT or aggregation),
-// Analyze refuses it with an *ErrUnmergeable.
+// answers is still right when the statement has nothing to merge —
+// the union, which runs through the same gateway with the statement
+// itself as every shard's fragment; when it has (ORDER BY, LIMIT,
+// OFFSET, DISTINCT or aggregation), Analyze refuses it with an
+// *ErrUnmergeable.
 package distplan
 
 import (
@@ -33,7 +35,7 @@ import (
 	"ifdb/internal/types"
 )
 
-// Mode is the gateway merge strategy for a split statement.
+// Mode is the gateway merge strategy for a keyless read.
 type Mode int
 
 const (
@@ -51,6 +53,10 @@ const (
 	// internal/suite's router-gather backend checks this path against
 	// the single node's answers.
 	ModeGatherAgg
+	// ModeUnion concatenates the shards' answers to a statement with
+	// nothing to merge, in shard order: the statement is its own
+	// fragment.
+	ModeUnion
 )
 
 func (m Mode) String() string {
@@ -61,6 +67,8 @@ func (m Mode) String() string {
 		return "partial-agg"
 	case ModeGatherAgg:
 		return "gather-agg"
+	case ModeUnion:
+		return "union"
 	}
 	return "?"
 }
@@ -89,30 +97,28 @@ func (e *ErrUnmergeable) Error() string {
 
 // aggSpec describes one aggregate call and its fragment column layout.
 type aggSpec struct {
-	call     *sql.FuncCall // original node; identity key for glue rewrite
-	fn       string
-	star     bool
-	distinct bool
+	call *sql.FuncCall // original node; identity key for glue rewrite
+	fn   string
+	star bool
 	// at is the aggregate's first fragment column. It occupies two
 	// when a partial AVG ships sum+count, none for a gathered COUNT(*),
 	// one otherwise.
 	at int
 }
 
-// Spec is a split statement: the fragment text to run on every shard
-// and the recipe for merging the fragment streams at the gateway.
+// Spec is a keyless read's gateway recipe: the fragment text to run on
+// every shard and how the gateway merges the fragment streams.
 type Spec struct {
-	Table    string // lower-cased base table the fragment scans
+	Table    string // lower-cased base table the fragment scans; "" for the union
 	Fragment string // rendered per-shard SQL
 	Mode     Mode
 
 	// Ordered mode. Sort keys are either user output ordinals or
 	// hidden trailing columns appended to the fragment projection.
-	keyItems    []int // >=0: output ordinal; -1-h: hidden column h
-	hidden      int   // number of hidden trailing sort columns
-	desc        []bool
-	distinct    bool
-	pushedLimit bool // fragment carries LIMIT limit+offset
+	keyItems []int // >=0: output ordinal; -1-h: hidden column h
+	hidden   int   // number of hidden trailing sort columns
+	desc     []bool
+	distinct bool
 
 	// Aggregate modes: the inputs of the gateway's plan.AggregateNode
 	// over the fragment's columns. Glue expressions reference group
@@ -137,29 +143,34 @@ var gatewayFns = map[string]bool{
 	"coalesce": true, "label_contains": true, "label_size": true,
 }
 
-// Split is Analyze without the refusal: the decomposition, or nil —
-// all that benchmark/ and the tests that check a split's shape ask.
+// Split is Analyze without the union and the refusal: the
+// decomposition, or nil — all that benchmark/ and the tests that check
+// a split's shape ask.
 func Split(sqlText string, opts Options) *Spec {
-	sp, _ := Analyze(sqlText, opts)
-	return sp
+	if sp, _ := Analyze(sqlText, opts); sp != nil && sp.Mode != ModeUnion {
+		return sp
+	}
+	return nil
 }
 
-// Analyze parses one statement and, when it is a splittable
-// single-table SELECT, returns its shard/gateway decomposition. It
-// returns nil and no error when concatenating the shards' answers is
-// right: the statement is not one SELECT, has nothing to merge, or is
-// one the engine rejects (its error to word). A SELECT that needs a
-// merge the gateway cannot do is refused with an *ErrUnmergeable.
-// Analyze re-parses the text so the returned Spec shares no AST nodes
-// with any statement cache.
+// Analyze parses one statement and returns its gateway recipe: the
+// shard/gateway decomposition of a splittable single-table SELECT, or
+// the union (ModeUnion, the statement itself as its fragment) when
+// concatenating the shards' answers is right — the statement is not
+// one SELECT, has nothing to merge, or is one the engine rejects (its
+// error to word). A SELECT that needs a merge the gateway cannot do is
+// refused with an *ErrUnmergeable and no Spec. Analyze re-parses the
+// text so the returned Spec shares no AST nodes with any statement
+// cache.
 func Analyze(sqlText string, opts Options) (*Spec, error) {
+	union := func() (*Spec, error) { return &Spec{Fragment: sqlText, Mode: ModeUnion}, nil }
 	stmts, err := sql.ParseAll(sqlText)
 	if err != nil || len(stmts) != 1 {
-		return nil, nil
+		return union()
 	}
 	sel, ok := stmts[0].(*sql.SelectStmt)
 	if !ok {
-		return nil, nil
+		return union()
 	}
 	agg := aggregated(sel)
 	var clause string
@@ -175,13 +186,15 @@ func Analyze(sqlText string, opts Options) (*Spec, error) {
 	case sel.Distinct:
 		clause = "DISTINCT"
 	default:
-		return nil, nil // plain fan-out concatenation is already correct
+		return union() // plain fan-out concatenation is already correct
 	}
-	sp, why := splitSelect(sel, agg, opts)
-	if sp == nil && why != "" {
+	switch sp, why := splitSelect(sel, agg, opts); {
+	case sp != nil:
+		return sp, nil
+	case why != "":
 		return nil, &ErrUnmergeable{Reason: clause + " with " + why}
 	}
-	return sp, nil
+	return union()
 }
 
 func aggregated(sel *sql.SelectStmt) bool {
@@ -327,7 +340,6 @@ func splitOrdered(sel *sql.SelectStmt) (*Spec, string) {
 			}
 			if oOK && l >= 0 && o >= 0 {
 				frag.Limit = &sql.Literal{Value: intValue(l + o)}
-				sp.pushedLimit = true
 			}
 		}
 	}
@@ -422,7 +434,7 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) (*Spec, string) {
 			// and run the real accumulator at the gateway.
 			mode = ModeGatherAgg
 		}
-		specAggs[i] = aggSpec{call: fc, fn: fc.Name, star: fc.Star, distinct: fc.Distinct}
+		specAggs[i] = aggSpec{call: fc, fn: fc.Name, star: fc.Star}
 	}
 
 	// Group expressions by rendered text, for glue substitution.

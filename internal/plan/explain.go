@@ -47,6 +47,20 @@ func describe(n Node) (string, []Node) {
 	switch x := n.(type) {
 	case *ValuesNode:
 		return "values (1 row)", nil
+	case *SourceNode:
+		return strings.TrimSpace("source " + x.Name), nil
+	case *MergeNode:
+		if len(x.Desc) == 0 {
+			return "merge", x.Children
+		}
+		dirs := make([]string, len(x.Desc))
+		for i, d := range x.Desc {
+			dirs[i] = "ASC"
+			if d {
+				dirs[i] = "DESC"
+			}
+		}
+		return "merge [" + strings.Join(dirs, ", ") + "]", x.Children
 	case *ScanNode:
 		var b strings.Builder
 		b.WriteString("scan ")

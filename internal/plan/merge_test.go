@@ -144,3 +144,24 @@ func TestMergeChildError(t *testing.T) {
 		t.Errorf("children pulled past their heads: a=%d c=%d", a.pos, c.pos)
 	}
 }
+
+// TestExplainMerge: the Router's gateway renders with the single-node
+// EXPLAIN — its merge and its shard leaves as operators, not as Go
+// types.
+func TestExplainMerge(t *testing.T) {
+	for _, tc := range []struct {
+		desc []bool
+		want string
+	}{
+		{[]bool{true, false}, "merge [DESC, ASC]\n├─ source shard 0\n├─ source shard 1\n└─ source\n"},
+		{nil, "merge\n├─ source shard 0\n├─ source shard 1\n└─ source\n"},
+	} {
+		n := &plan.MergeNode{Desc: tc.desc, Children: []plan.Node{
+			&plan.SourceNode{Name: "shard 0"}, &plan.SourceNode{Name: "shard 1"}, &plan.SourceNode{},
+		}}
+		got := (&plan.Plan{Root: n}).Explain()
+		if strings.Contains(got, "<*plan.") || got != tc.want {
+			t.Errorf("Explain:\n%s\nwant:\n%s", got, tc.want)
+		}
+	}
+}

@@ -56,9 +56,11 @@ func (n *ValuesNode) Schema() exec.Schema { return nil }
 // it. It holds a live iterator, so a tree over it runs once. Cols is
 // for operators above that resolve names; under those that resolve
 // none (the ordered merge, whose header only shard 0 knows) it is nil.
+// Name says where the rows come from, for EXPLAIN.
 type SourceNode struct {
 	Cols exec.Schema
 	Rows Iter
+	Name string
 }
 
 func (n *SourceNode) Schema() exec.Schema { return n.Cols }

@@ -106,8 +106,8 @@ echo "$shardout" | grep -q "shard 1 primary 127.0.0.1:5435" \
 # --- 2b. The scatter-gather walkthrough: a real two-shard cluster,
 # the examples/scatter program against it, and its output diffed
 # byte-for-byte against the README's block — the EXPLAIN plan lines
-# (Scatter/Gateway/Fragment) and the merged GROUP BY counts are the
-# prose's claims.
+# (Scatter header, gateway tree, Fragment) and the merged GROUP BY
+# counts are the prose's claims.
 cat > "$workdir/shards2.conf" <<'EOF'
 version 1
 table events key k
