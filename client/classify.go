@@ -11,12 +11,22 @@
 // either: such a batch is a non-read-only statement with no shard key.
 // Unsharded it goes to the primary, which answers with the parser's
 // error; sharded the Router refuses it with that error.
+//
+// A statement has side effects when it calls a function of kind
+// exec.EngineEffect in exec's function table, the one record of what
+// each SQL function is: the paper's label functions (addsecrecy,
+// declassify, endorse, dropintegrity) and the sequence functions. Such
+// a statement is never load-balanced to a replica and never routed by
+// shard key. A name the table does not hold — a stored procedure — is
+// let through: one that writes answers ErrReadOnlyReplica at runtime,
+// which the routing layers already chase to the primary.
 
 package client
 
 import (
 	"sync"
 
+	"ifdb/internal/exec"
 	"ifdb/internal/sql"
 )
 
@@ -28,7 +38,7 @@ type stmtPlan struct {
 	txnControl bool // any BEGIN/COMMIT/ROLLBACK
 	ddl        bool // any CREATE/DROP
 	readOnly   bool // pure SELECT/EXPLAIN batch without side-effect functions
-	sideEffect bool // label/sequence/procedure-style function calls
+	sideEffect bool // any exec.EngineEffect call
 	// explained is the SELECT of a single EXPLAIN SELECT, rendered
 	// back to text: a keyless one renders its plan client-side.
 	explained string
@@ -41,22 +51,6 @@ type stmtPlan struct {
 	eqPairs    []eqPair  // WHERE top-level conjunct equalities / IN lists
 	setCols    []string  // UPDATE SET columns (key reassignment check)
 	derivable  bool      // the shapes above may confine the statement
-}
-
-// sideEffectFuncs are the SELECT-invocable functions that mutate
-// session or database state: statements calling them are never
-// load-balanced to replicas and never routed by shard key. (Unknown
-// function names are allowed through — a stored procedure that writes
-// answers ErrReadOnlyReplica at runtime, which the routing layers
-// already chase to the primary.)
-var sideEffectFuncs = map[string]bool{
-	"addsecrecy":      true,
-	"declassify":      true,
-	"endorse":         true,
-	"dropintegrity":   true,
-	"nextval":         true,
-	"create_sequence": true,
-	"call":            true,
 }
 
 // planCache memoizes analysis by statement text. Bounded: a client
@@ -121,7 +115,7 @@ func analyzeStmt(sqlText string) *stmtPlan {
 			allSelect = false
 		}
 		sql.WalkExprs(st, func(e sql.Expr) {
-			if fc, ok := e.(*sql.FuncCall); ok && sideEffectFuncs[fc.Name] {
+			if fc, ok := e.(*sql.FuncCall); ok && exec.FuncKindOf(fc.Name) == exec.EngineEffect {
 				p.sideEffect = true
 			}
 		})

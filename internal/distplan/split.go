@@ -136,13 +136,6 @@ type Spec struct {
 	limit, offset sql.Expr
 }
 
-// gatewayFns are the scalar functions exec.Eval computes without an
-// engine (callBuiltin): the only calls allowed in gateway glue.
-var gatewayFns = map[string]bool{
-	"lower": true, "upper": true, "length": true, "abs": true,
-	"coalesce": true, "label_contains": true, "label_size": true,
-}
-
 // Split is Analyze without the union and the refusal: the
 // decomposition, or nil — all that benchmark/ and the tests that check
 // a split's shape ask.
@@ -532,147 +525,79 @@ func splitAggregate(sel *sql.SelectStmt, opts Options) (*Spec, string) {
 // aggregate calls stay in place (by identity), subtrees that render
 // identically to a GROUP BY expression become __ifdb_g<k> column
 // references, and everything else must be a literal, parameter, the
-// _label system column, an operator, or a gateway-computable builtin.
-// Any other leaf — in particular a bare column (rep-row semantics) or
-// an engine-resident function such as declassify — clears *ok.
+// _label system column, an operator, or an exec.Builtin call. Any
+// other leaf — in particular a bare column (rep-row semantics) or an
+// engine-resident function such as declassify — clears *ok.
 func rewriteGlue(e sql.Expr, groupTxt map[string]int, ok *bool) sql.Expr {
-	if e == nil {
+	return sql.Rewrite(e, func(e sql.Expr) sql.Expr {
+		if fc, isCall := e.(*sql.FuncCall); isCall && exec.IsAggregateName(fc.Name) {
+			return e // finalized value substituted at merge time
+		}
+		if txt, err := sql.FormatExpr(e); err == nil {
+			if k, isGroup := groupTxt[txt]; isGroup {
+				return &sql.ColumnRef{Column: fmt.Sprintf("__ifdb_g%d", k)}
+			}
+		}
+		switch x := e.(type) {
+		case *sql.ColumnRef:
+			if x.Table != "" || x.Column != "_label" {
+				*ok = false
+			}
+			return e // _label evaluates against the merged group label
+		case *sql.InExpr:
+			if x.Sub != nil {
+				*ok = false
+				return e
+			}
+		case *sql.FuncCall:
+			if exec.FuncKindOf(x.Name) != exec.Builtin {
+				*ok = false
+				return e
+			}
+		case *sql.ExistsExpr, *sql.SubqueryExpr:
+			*ok = false
+			return e
+		}
 		return nil
-	}
-	if fc, isCall := e.(*sql.FuncCall); isCall && exec.IsAggregateName(fc.Name) {
-		return e // finalized value substituted at merge time
-	}
-	if txt, err := sql.FormatExpr(e); err == nil {
-		if k, isGroup := groupTxt[txt]; isGroup {
-			return &sql.ColumnRef{Column: fmt.Sprintf("__ifdb_g%d", k)}
-		}
-	}
-	switch x := e.(type) {
-	case *sql.Literal, *sql.Param:
-		return e
-	case *sql.ColumnRef:
-		if x.Table == "" && x.Column == "_label" {
-			return e // evaluates against the merged group label
-		}
-		*ok = false
-		return e
-	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: x.Op, Left: rewriteGlue(x.Left, groupTxt, ok), Right: rewriteGlue(x.Right, groupTxt, ok)}
-	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: x.Op, Expr: rewriteGlue(x.Expr, groupTxt, ok)}
-	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{Expr: rewriteGlue(x.Expr, groupTxt, ok), Not: x.Not}
-	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{Expr: rewriteGlue(x.Expr, groupTxt, ok), Lo: rewriteGlue(x.Lo, groupTxt, ok), Hi: rewriteGlue(x.Hi, groupTxt, ok), Not: x.Not}
-	case *sql.InExpr:
-		if x.Sub != nil {
-			*ok = false
-			return e
-		}
-		list := make([]sql.Expr, len(x.List))
-		for i, it := range x.List {
-			list[i] = rewriteGlue(it, groupTxt, ok)
-		}
-		return &sql.InExpr{Expr: rewriteGlue(x.Expr, groupTxt, ok), List: list, Not: x.Not}
-	case *sql.FuncCall:
-		if !gatewayFns[x.Name] {
-			*ok = false
-			return e
-		}
-		args := make([]sql.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = rewriteGlue(a, groupTxt, ok)
-		}
-		return &sql.FuncCall{Name: x.Name, Args: args}
-	default:
-		*ok = false
-		return e
-	}
+	})
 }
 
 // gatewayConst reports whether a LIMIT/OFFSET expression is
 // evaluable at the gateway: parameters, literals, and pure operators
 // over them. nil is fine (clause absent).
 func gatewayConst(e sql.Expr) bool {
-	if e == nil {
-		return true
-	}
-	if exec.HasAggregate(e) {
-		return false
-	}
 	ok := true
-	constGlue(e, &ok)
+	sql.Inspect(e, func(e sql.Expr) bool {
+		switch e.(type) {
+		case *sql.Literal, *sql.Param, *sql.BinaryExpr, *sql.UnaryExpr:
+		default:
+			ok = false
+		}
+		return ok
+	})
 	return ok
-}
-
-func constGlue(e sql.Expr, ok *bool) {
-	switch x := e.(type) {
-	case *sql.Literal, *sql.Param:
-	case *sql.BinaryExpr:
-		constGlue(x.Left, ok)
-		constGlue(x.Right, ok)
-	case *sql.UnaryExpr:
-		constGlue(x.Expr, ok)
-	default:
-		*ok = false
-	}
 }
 
 // unsafeToSplit walks every expression in the statement looking for
 // constructs a split must not push into a fragment or reproduce at the
-// gateway: subqueries, and any function that is neither an aggregate
-// nor a gateway builtin — in particular declassify (whose authority
-// checks and label stripping must run exactly once, in the session's
-// engine) and now() (which would evaluate at a different instant on
-// every shard).
+// gateway: subqueries, and any function that is neither an
+// exec.Aggregate nor an exec.Builtin — in particular declassify (whose
+// authority checks and label stripping must run exactly once, in the
+// session's engine) and now() (which would evaluate at a different
+// instant on every shard).
 func unsafeToSplit(sel *sql.SelectStmt) bool {
 	found := false
-	var walk func(e sql.Expr)
-	walk = func(e sql.Expr) {
+	sql.WalkExprs(sel, func(e sql.Expr) {
 		switch x := e.(type) {
-		case *sql.BinaryExpr:
-			walk(x.Left)
-			walk(x.Right)
-		case *sql.UnaryExpr:
-			walk(x.Expr)
-		case *sql.IsNullExpr:
-			walk(x.Expr)
-		case *sql.BetweenExpr:
-			walk(x.Expr)
-			walk(x.Lo)
-			walk(x.Hi)
 		case *sql.InExpr:
-			if x.Sub != nil {
-				found = true
-			}
-			walk(x.Expr)
-			for _, it := range x.List {
-				walk(it)
-			}
+			found = found || x.Sub != nil
 		case *sql.FuncCall:
-			if !exec.IsAggregateName(x.Name) && !gatewayFns[x.Name] {
-				found = true
-			}
-			for _, a := range x.Args {
-				walk(a)
-			}
+			k := exec.FuncKindOf(x.Name)
+			found = found || k != exec.Aggregate && k != exec.Builtin
 		case *sql.ExistsExpr, *sql.SubqueryExpr:
 			found = true
 		}
-	}
-	for _, it := range sel.Items {
-		walk(it.Expr)
-	}
-	walk(sel.Where)
-	for _, ge := range sel.GroupBy {
-		walk(ge)
-	}
-	walk(sel.Having)
-	for _, ob := range sel.OrderBy {
-		walk(ob.Expr)
-	}
-	walk(sel.Limit)
-	walk(sel.Offset)
+	})
 	return found
 }
 

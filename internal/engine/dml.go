@@ -682,19 +682,25 @@ func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
 // lookupByColsTID finds the MVCC-visible versions of ref with the
 // given column values, and their TIDs, bypassing Label Confinement: its
 // callers are the constraint internals, whose channels are vouched for
-// explicitly.
+// explicitly. It polls cancellation per visited version, as a plan's
+// scan does: an unindexed lookup walks the whole heap.
 func (s *Session) lookupByColsTID(ref *catalog.Table, cols []int, key []types.Value, fn func(tid storage.TID, tv *storage.TupleVersion)) error {
 	tx := s.stmtTx
-	consider := func(tid storage.TID, tv *storage.TupleVersion) {
+	var err error
+	consider := func(tid storage.TID, tv *storage.TupleVersion) bool {
+		if err = s.checkCanceled(); err != nil {
+			return false
+		}
 		if !tx.Visible(tv.Xmin, tv.Xmax) {
-			return
+			return true
 		}
 		for i, c := range cols {
 			if !tv.Row[c].Equal(key[i]) {
-				return
+				return true
 			}
 		}
 		fn(tid, tv)
+		return true
 	}
 	// Prefer an index whose prefix covers cols in order.
 	for _, ix := range ref.Indexes {
@@ -713,16 +719,16 @@ func (s *Session) lookupByColsTID(ref *catalog.Table, cols []int, key []types.Va
 		}
 		ix.Tree.AscendPrefix(key, func(_ index.Key, tid storage.TID) bool {
 			if tv, ok := ref.Heap.Get(tid); ok {
-				consider(tid, &tv)
+				return consider(tid, &tv)
 			}
 			return true
 		})
-		return nil
+		return err
 	}
-	return ref.Heap.Scan(func(tid storage.TID, tv *storage.TupleVersion) bool {
-		consider(tid, tv)
-		return true
-	})
+	if scanErr := ref.Heap.Scan(consider); scanErr != nil {
+		return scanErr
+	}
+	return err
 }
 
 // ---------------------------------------------------------------------------

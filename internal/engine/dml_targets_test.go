@@ -72,6 +72,34 @@ func TestDMLCancelWithinOneBatch(t *testing.T) {
 	}
 }
 
+// TestDeleteReferenceLookupCancels: the referential-integrity lookups a
+// DELETE makes poll cancellation too. A BEFORE DELETE trigger cancels
+// its own session, standing in for a CANCEL that lands mid-statement;
+// the parent's delete must then fail instead of walking the unindexed
+// child table to its end and committing.
+func TestDeleteReferenceLookupCancels(t *testing.T) {
+	e := MustNew(Config{})
+	s := e.NewSession(e.Admin())
+	mustExec(t, s, `CREATE TABLE parent (id BIGINT PRIMARY KEY)`)
+	mustExec(t, s, `CREATE TABLE child (id BIGINT PRIMARY KEY, pid BIGINT REFERENCES parent (id))`)
+	mustExec(t, s, `INSERT INTO parent VALUES (1), (2)`)
+	for i := 0; i < 100; i++ {
+		mustExec(t, s, `INSERT INTO child VALUES ($1, 2)`, types.NewInt(int64(i)))
+	}
+	if err := e.RegisterProc("cancel_self", func(ps *Session, _ []types.Value) (types.Value, error) {
+		ps.Cancel()
+		return types.Null, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, `CREATE TRIGGER c BEFORE DELETE ON parent EXECUTE PROCEDURE cancel_self`)
+	if res, err := s.Exec(`DELETE FROM parent WHERE id = 1`); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("DELETE after a cancel: %v, %v; want ErrCanceled", res, err)
+	}
+	s.ResetCancel()
+	expectRows(t, mustExec(t, s, `SELECT COUNT(*) FROM parent`), "2")
+}
+
 // TestDMLScanAccounting: target selection is counted like any scan —
 // every tuple visited, every tuple Label Confinement hid — and its plan
 // is cached under the statement and rebuilt after DDL.

@@ -62,7 +62,9 @@ func (qc *qctx) SubqueryRunner(strip label.Label) exec.SubqueryRunner {
 }
 
 // sessionFuncs adapts the session to exec.FuncResolver, providing the
-// IFDB SQL-callable functions (§7.1) and stored procedures.
+// IFDB SQL-callable functions (§7.1) — the exec.EnginePure and
+// exec.EngineEffect names of exec's function table — and stored
+// procedures.
 type sessionFuncs struct{ s *Session }
 
 // CallFunc dispatches scalar function calls.
@@ -87,21 +89,21 @@ func (f sessionFuncs) CallFunc(name string, args []types.Value) (types.Value, er
 		}
 	}
 	switch name {
-	case "addsecrecy":
+	case "addsecrecy", "declassify", "endorse", "dropintegrity":
 		t, err := tagArg(0)
 		if err != nil {
 			return types.Null, err
 		}
-		if err := s.AddSecrecy(t); err != nil {
-			return types.Null, err
+		change := s.AddSecrecy
+		switch name {
+		case "declassify":
+			change = s.Declassify
+		case "endorse":
+			change = s.Endorse
+		case "dropintegrity":
+			change = s.DropIntegrity
 		}
-		return types.NewBool(true), nil
-	case "declassify":
-		t, err := tagArg(0)
-		if err != nil {
-			return types.Null, err
-		}
-		if err := s.Declassify(t); err != nil {
+		if err := change(t); err != nil {
 			return types.Null, err
 		}
 		return types.NewBool(true), nil
@@ -109,24 +111,6 @@ func (f sessionFuncs) CallFunc(name string, args []types.Value) (types.Value, er
 		return types.NewLabel(s.Label()), nil
 	case "getintegrity":
 		return types.NewLabel(s.Integrity()), nil
-	case "endorse":
-		t, err := tagArg(0)
-		if err != nil {
-			return types.Null, err
-		}
-		if err := s.Endorse(t); err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(true), nil
-	case "dropintegrity":
-		t, err := tagArg(0)
-		if err != nil {
-			return types.Null, err
-		}
-		if err := s.DropIntegrity(t); err != nil {
-			return types.Null, err
-		}
-		return types.NewBool(true), nil
 	case "tag":
 		t, err := tagArg(0)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ifdb/internal/exec"
 	"ifdb/internal/types"
 )
 
@@ -348,6 +349,30 @@ func TestErrorsSurface(t *testing.T) {
 	} {
 		if _, err := s.Exec(q); err == nil {
 			t.Errorf("%q succeeded", q)
+		}
+	}
+}
+
+// TestCallFuncAnswersEngineKinds: the engine computes exactly the
+// functions exec's table gives an engine kind. Each is answered — with
+// a value or its own argument error, never "unknown function" — and a
+// Builtin or Aggregate name, which Eval computes or refuses before
+// asking the engine, is unknown to it.
+func TestCallFuncAnswersEngineKinds(t *testing.T) {
+	e := MustNew(Config{})
+	f := sessionFuncs{e.NewSession(e.Admin())}
+	for _, k := range []exec.FuncKind{exec.EnginePure, exec.EngineEffect} {
+		for _, name := range exec.FuncNames(k) {
+			if _, err := f.CallFunc(name, nil); err != nil && strings.Contains(err.Error(), "unknown function") {
+				t.Errorf("%s (kind %d): %v", name, k, err)
+			}
+		}
+	}
+	for _, k := range []exec.FuncKind{exec.Builtin, exec.Aggregate} {
+		for _, name := range exec.FuncNames(k) {
+			if _, err := f.CallFunc(name, nil); err == nil || !strings.Contains(err.Error(), "unknown function") {
+				t.Errorf("%s (kind %d): %v, want unknown function", name, k, err)
+			}
 		}
 	}
 }

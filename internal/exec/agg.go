@@ -112,71 +112,47 @@ func (a *AggState) Result() types.Value {
 	return types.Null
 }
 
+// aggregateCall is e as an aggregate call, or nil.
+func aggregateCall(e sql.Expr) *sql.FuncCall {
+	if fc, ok := e.(*sql.FuncCall); ok && IsAggregateName(fc.Name) {
+		return fc
+	}
+	return nil
+}
+
+// HasAggregate reports whether the expression tree contains an
+// aggregate call outside its subqueries.
+func HasAggregate(e sql.Expr) bool {
+	found := false
+	sql.Inspect(e, func(e sql.Expr) bool {
+		found = found || aggregateCall(e) != nil
+		return !found
+	})
+	return found
+}
+
 // CollectAggs gathers the distinct aggregate call nodes in an
 // expression tree (by pointer identity).
 func CollectAggs(e sql.Expr, out *[]*sql.FuncCall, seen map[*sql.FuncCall]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *sql.FuncCall:
-		if IsAggregateName(x.Name) {
-			if !seen[x] {
-				seen[x] = true
-				*out = append(*out, x)
-			}
-			return
+	sql.Inspect(e, func(e sql.Expr) bool {
+		fc := aggregateCall(e)
+		if fc != nil && !seen[fc] {
+			seen[fc] = true
+			*out = append(*out, fc)
 		}
-		for _, a := range x.Args {
-			CollectAggs(a, out, seen)
-		}
-	case *sql.BinaryExpr:
-		CollectAggs(x.Left, out, seen)
-		CollectAggs(x.Right, out, seen)
-	case *sql.UnaryExpr:
-		CollectAggs(x.Expr, out, seen)
-	case *sql.IsNullExpr:
-		CollectAggs(x.Expr, out, seen)
-	case *sql.BetweenExpr:
-		CollectAggs(x.Expr, out, seen)
-		CollectAggs(x.Lo, out, seen)
-		CollectAggs(x.Hi, out, seen)
-	case *sql.InExpr:
-		CollectAggs(x.Expr, out, seen)
-		for _, it := range x.List {
-			CollectAggs(it, out, seen)
-		}
-	}
+		return fc == nil
+	})
 }
 
 // ReplaceAggs rewrites aggregate call nodes to parameter placeholders
-// (indexes from mapping), leaving everything else shared.
+// (indexes from mapping), leaving e itself untouched.
 func ReplaceAggs(e sql.Expr, mapping map[*sql.FuncCall]int) sql.Expr {
-	switch x := e.(type) {
-	case nil:
+	return sql.Rewrite(e, func(e sql.Expr) sql.Expr {
+		if fc, ok := e.(*sql.FuncCall); ok {
+			if idx, ok := mapping[fc]; ok {
+				return &sql.Param{Index: idx}
+			}
+		}
 		return nil
-	case *sql.FuncCall:
-		if idx, ok := mapping[x]; ok {
-			return &sql.Param{Index: idx}
-		}
-		args := make([]sql.Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = ReplaceAggs(a, mapping)
-		}
-		return &sql.FuncCall{Name: x.Name, Star: x.Star, Distinct: x.Distinct, Args: args}
-	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: x.Op, Left: ReplaceAggs(x.Left, mapping), Right: ReplaceAggs(x.Right, mapping)}
-	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: x.Op, Expr: ReplaceAggs(x.Expr, mapping)}
-	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{Expr: ReplaceAggs(x.Expr, mapping), Not: x.Not}
-	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{Expr: ReplaceAggs(x.Expr, mapping), Lo: ReplaceAggs(x.Lo, mapping), Hi: ReplaceAggs(x.Hi, mapping), Not: x.Not}
-	case *sql.InExpr:
-		list := make([]sql.Expr, len(x.List))
-		for i, it := range x.List {
-			list[i] = ReplaceAggs(it, mapping)
-		}
-		return &sql.InExpr{Expr: ReplaceAggs(x.Expr, mapping), List: list, Sub: x.Sub, Not: x.Not}
-	default:
-		return e
-	}
+	})
 }

@@ -111,50 +111,6 @@ func (env *Env) subqueries() (SubqueryRunner, error) {
 // where a scalar expression is required.
 var ErrAggregateInScalar = errors.New("exec: aggregate function in scalar context")
 
-// aggregateNames is the set of aggregate functions.
-var aggregateNames = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-}
-
-// IsAggregateName reports whether name is an aggregate function.
-func IsAggregateName(name string) bool { return aggregateNames[name] }
-
-// HasAggregate reports whether the expression tree contains an
-// aggregate call.
-func HasAggregate(e sql.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *sql.FuncCall:
-		if aggregateNames[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if HasAggregate(a) {
-				return true
-			}
-		}
-	case *sql.BinaryExpr:
-		return HasAggregate(x.Left) || HasAggregate(x.Right)
-	case *sql.UnaryExpr:
-		return HasAggregate(x.Expr)
-	case *sql.IsNullExpr:
-		return HasAggregate(x.Expr)
-	case *sql.BetweenExpr:
-		return HasAggregate(x.Expr) || HasAggregate(x.Lo) || HasAggregate(x.Hi)
-	case *sql.InExpr:
-		if HasAggregate(x.Expr) {
-			return true
-		}
-		for _, it := range x.List {
-			if HasAggregate(it) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Eval evaluates a scalar expression in env, with SQL NULL semantics.
 func Eval(e sql.Expr, env *Env) (types.Value, error) {
 	switch x := e.(type) {
@@ -298,7 +254,8 @@ func Eval(e sql.Expr, env *Env) (types.Value, error) {
 		}
 		return subq.ScalarSubquery(x.Sub)
 	case *sql.FuncCall:
-		if aggregateNames[x.Name] {
+		fn := funcs[x.Name]
+		if fn.kind == Aggregate {
 			return types.Null, ErrAggregateInScalar
 		}
 		args := make([]types.Value, len(x.Args))
@@ -309,8 +266,8 @@ func Eval(e sql.Expr, env *Env) (types.Value, error) {
 			}
 			args[i] = v
 		}
-		if v, ok, err := callBuiltin(x.Name, args); ok {
-			return v, err
+		if fn.call != nil {
+			return fn.call(args)
 		}
 		if env.Funcs != nil {
 			return env.Funcs.CallFunc(x.Name, args)
@@ -492,90 +449,4 @@ func likeMatch(s, pattern string) bool {
 		pi++
 	}
 	return pi == len(pattern)
-}
-
-// callBuiltin handles engine-independent scalar builtins. Returns
-// ok=false if the name is not one of them.
-func callBuiltin(name string, args []types.Value) (types.Value, bool, error) {
-	switch name {
-	case "lower":
-		if len(args) != 1 {
-			return types.Null, true, fmt.Errorf("exec: lower takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return types.Null, true, nil
-		}
-		return types.NewText(strings.ToLower(args[0].Text())), true, nil
-	case "upper":
-		if len(args) != 1 {
-			return types.Null, true, fmt.Errorf("exec: upper takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return types.Null, true, nil
-		}
-		return types.NewText(strings.ToUpper(args[0].Text())), true, nil
-	case "length":
-		if len(args) != 1 {
-			return types.Null, true, fmt.Errorf("exec: length takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return types.Null, true, nil
-		}
-		return types.NewInt(int64(len(args[0].Text()))), true, nil
-	case "abs":
-		if len(args) != 1 {
-			return types.Null, true, fmt.Errorf("exec: abs takes 1 argument")
-		}
-		v := args[0]
-		switch v.Kind() {
-		case types.KindNull:
-			return types.Null, true, nil
-		case types.KindInt:
-			n := v.Int()
-			if n < 0 {
-				n = -n
-			}
-			return types.NewInt(n), true, nil
-		case types.KindFloat:
-			f := v.Float()
-			if f < 0 {
-				f = -f
-			}
-			return types.NewFloat(f), true, nil
-		default:
-			return types.Null, true, fmt.Errorf("exec: abs on %s", v.Kind())
-		}
-	case "coalesce":
-		for _, a := range args {
-			if !a.IsNull() {
-				return a, true, nil
-			}
-		}
-		return types.Null, true, nil
-	case "label_contains":
-		// label_contains(_label, tagid) — explicit label predicates
-		// (paper §4.2: queries may refer to the _label column).
-		if len(args) != 2 {
-			return types.Null, true, fmt.Errorf("exec: label_contains takes 2 arguments")
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return types.Null, true, nil
-		}
-		if args[0].Kind() != types.KindLabel || args[1].Kind() != types.KindInt {
-			return types.Null, true, fmt.Errorf("exec: label_contains(label, tag)")
-		}
-		return types.NewBool(args[0].Label().Has(label.Tag(uint64(args[1].Int())))), true, nil
-	case "label_size":
-		if len(args) != 1 {
-			return types.Null, true, fmt.Errorf("exec: label_size takes 1 argument")
-		}
-		if args[0].IsNull() {
-			return types.Null, true, nil
-		}
-		if args[0].Kind() != types.KindLabel {
-			return types.Null, true, fmt.Errorf("exec: label_size(label)")
-		}
-		return types.NewInt(int64(args[0].Label().Len())), true, nil
-	}
-	return types.Null, false, nil
 }

@@ -135,41 +135,14 @@ func selectIndexes(lv *level) error {
 	return nil
 }
 
+// isConst reports whether e is a literal or a parameter: a value fixed
+// for the whole run of the statement.
 func isConst(e sql.Expr) bool {
 	switch e.(type) {
 	case *sql.Literal, *sql.Param:
 		return true
 	}
 	return false
-}
-
-// walkRefs visits every column reference in e, not descending into
-// subqueries (their references resolve against their own scope).
-func walkRefs(e sql.Expr, fn func(*sql.ColumnRef)) {
-	switch x := e.(type) {
-	case *sql.ColumnRef:
-		fn(x)
-	case *sql.BinaryExpr:
-		walkRefs(x.Left, fn)
-		walkRefs(x.Right, fn)
-	case *sql.UnaryExpr:
-		walkRefs(x.Expr, fn)
-	case *sql.IsNullExpr:
-		walkRefs(x.Expr, fn)
-	case *sql.BetweenExpr:
-		walkRefs(x.Expr, fn)
-		walkRefs(x.Lo, fn)
-		walkRefs(x.Hi, fn)
-	case *sql.InExpr:
-		walkRefs(x.Expr, fn)
-		for _, it := range x.List {
-			walkRefs(it, fn)
-		}
-	case *sql.FuncCall:
-		for _, a := range x.Args {
-			walkRefs(a, fn)
-		}
-	}
 }
 
 // infallibleExpr reports whether exec.Eval can never return an error
@@ -221,16 +194,15 @@ func infallibleExpr(e sql.Expr, schema exec.Schema) bool {
 // label above the scan.
 func pushableConjunct(c sql.Expr, scanSchema exec.Schema, hasJoins bool) bool {
 	ok := true
-	walkRefs(c, func(cr *sql.ColumnRef) {
-		if cr.Column == "_label" || cr.Column == "_ilabel" {
-			if hasJoins {
+	sql.Inspect(c, func(e sql.Expr) bool {
+		if cr, isRef := e.(*sql.ColumnRef); ok && isRef {
+			if cr.Column == "_label" || cr.Column == "_ilabel" {
+				ok = !hasJoins
+			} else if _, err := scanSchema.Resolve(cr.Table, cr.Column); err != nil {
 				ok = false
 			}
-			return
 		}
-		if _, err := scanSchema.Resolve(cr.Table, cr.Column); err != nil {
-			ok = false
-		}
+		return ok
 	})
 	return ok
 }

@@ -410,67 +410,36 @@ func equiJoinKeys(on sql.Expr, left, right exec.Schema) (lk, rk []int, pure bool
 	return lk, rk, ok
 }
 
-// pureScalarFuncs are the scalar functions that neither mutate state
-// nor observe anything a skipped evaluation would change. LIMIT may
-// stop pulling early only when every function below it is in this set:
-// LIMIT slices a result, it does not decide how much of the statement
-// runs, so state-changing calls (nextval, addsecrecy, ...) keep running
-// for every row even past the limit.
-var pureScalarFuncs = map[string]bool{
-	"lower": true, "upper": true, "length": true, "abs": true,
-	"coalesce": true, "label_contains": true, "label_size": true,
-	"getlabel": true, "getintegrity": true, "tag": true,
-	"has_authority": true, "current_principal": true, "now": true,
-	"sleep": true,
-}
-
-// selectPure reports whether executing sel evaluates only pure scalar
-// functions, looking through subqueries, derived tables, and view
-// bodies. seen guards against view cycles.
+// selectPure reports whether executing sel calls only functions that
+// change nothing — exec.Aggregate, exec.Builtin and exec.EnginePure
+// kinds — looking through subqueries, derived tables, and view bodies.
+// LIMIT may stop pulling early only then: it slices a result, it does
+// not decide how much of the statement runs, so state-changing calls
+// (nextval, addsecrecy, a stored procedure, ...) keep running for every
+// row even past the limit. seen guards against view cycles.
 func selectPure(cat *catalog.Catalog, sel *sql.SelectStmt, seen map[string]bool) bool {
 	pure := true
-	var checkExpr func(e sql.Expr)
 	var checkSel func(s *sql.SelectStmt)
-	var checkRef func(tr *sql.TableRef)
-	checkExpr = func(e sql.Expr) {
-		if !pure {
-			return
-		}
-		switch x := e.(type) {
-		case *sql.BinaryExpr:
-			checkExpr(x.Left)
-			checkExpr(x.Right)
-		case *sql.UnaryExpr:
-			checkExpr(x.Expr)
-		case *sql.IsNullExpr:
-			checkExpr(x.Expr)
-		case *sql.BetweenExpr:
-			checkExpr(x.Expr)
-			checkExpr(x.Lo)
-			checkExpr(x.Hi)
-		case *sql.InExpr:
-			checkExpr(x.Expr)
-			for _, it := range x.List {
-				checkExpr(it)
-			}
-			if x.Sub != nil {
+	checkExpr := func(e sql.Expr) {
+		sql.Inspect(e, func(e sql.Expr) bool {
+			switch x := e.(type) {
+			case *sql.FuncCall:
+				switch exec.FuncKindOf(x.Name) {
+				case exec.Aggregate, exec.Builtin, exec.EnginePure:
+				default:
+					pure = false
+				}
+			case *sql.InExpr:
+				checkSel(x.Sub)
+			case *sql.ExistsExpr:
+				checkSel(x.Sub)
+			case *sql.SubqueryExpr:
 				checkSel(x.Sub)
 			}
-		case *sql.ExistsExpr:
-			checkSel(x.Sub)
-		case *sql.SubqueryExpr:
-			checkSel(x.Sub)
-		case *sql.FuncCall:
-			if !exec.IsAggregateName(x.Name) && !pureScalarFuncs[x.Name] {
-				pure = false
-				return
-			}
-			for _, a := range x.Args {
-				checkExpr(a)
-			}
-		}
+			return pure
+		})
 	}
-	checkRef = func(tr *sql.TableRef) {
+	checkRef := func(tr *sql.TableRef) {
 		if tr.Sub != nil {
 			checkSel(tr.Sub)
 			return
@@ -489,7 +458,7 @@ func selectPure(cat *catalog.Catalog, sel *sql.SelectStmt, seen map[string]bool)
 		}
 	}
 	checkSel = func(s *sql.SelectStmt) {
-		if !pure {
+		if s == nil || !pure {
 			return
 		}
 		for _, it := range s.Items {

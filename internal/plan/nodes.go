@@ -360,19 +360,10 @@ func (t Tail) sort(child Node, keys []int) *SortNode {
 	// stands between, which may drop any number of them. The sort
 	// evaluates the bound a second time, so it takes only what evaluates
 	// alike every time and changes nothing.
-	if t.Limit != nil && !t.Distinct && fixedAtOpen(t.Limit) && fixedAtOpen(t.Offset) {
+	if t.Limit != nil && !t.Distinct && isConst(t.Limit) && (t.Offset == nil || isConst(t.Offset)) {
 		s.Limit, s.Offset = t.Limit, t.Offset
 	}
 	return s
-}
-
-// fixedAtOpen reports whether e is a literal, a parameter or absent.
-func fixedAtOpen(e sql.Expr) bool {
-	switch e.(type) {
-	case nil, *sql.Literal, *sql.Param:
-		return true
-	}
-	return false
 }
 
 // tableSchema builds the exec schema of a table under an alias.

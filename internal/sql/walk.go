@@ -1,10 +1,10 @@
 package sql
 
 // WalkExprs calls fn on every expression node reachable from st, in
-// pre-order, descending into subqueries (IN/EXISTS/scalar) and
-// FROM-clause subselects. Clients use it for statement analysis —
-// parameter counting, shard-key derivation, side-effect detection —
-// without each duplicating the traversal.
+// pre-order: Inspect, plus the descent into subqueries (IN/EXISTS/
+// scalar) and FROM-clause subselects. Clients use it for statement
+// analysis — parameter counting, shard-key derivation, side-effect
+// detection — without each duplicating the traversal.
 func WalkExprs(st Statement, fn func(Expr)) {
 	switch x := st.(type) {
 	case *SelectStmt:
@@ -72,38 +72,106 @@ func walkSelect(sel *SelectStmt, fn func(Expr)) {
 	walkExpr(sel.Offset, fn)
 }
 
+// walkExpr is Inspect that also descends into e's subqueries.
 func walkExpr(e Expr, fn func(Expr)) {
-	if e == nil {
+	Inspect(e, func(e Expr) bool {
+		fn(e)
+		switch x := e.(type) {
+		case *InExpr:
+			walkSelect(x.Sub, fn)
+		case *ExistsExpr:
+			walkSelect(x.Sub, fn)
+		case *SubqueryExpr:
+			walkSelect(x.Sub, fn)
+		}
+		return true
+	})
+}
+
+// Inspect calls fn on e and, in pre-order, on every operand beneath
+// it, skipping a node's operands when fn returns false for it. It does
+// not enter a subquery's SELECT: that is a scope of its own, which
+// WalkExprs descends into. Every analysis of an expression outside
+// this package descends through Inspect or Rewrite, so a new
+// expression kind is taught to these two alone.
+func Inspect(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
 		return
 	}
-	fn(e)
 	switch x := e.(type) {
 	case *BinaryExpr:
-		walkExpr(x.Left, fn)
-		walkExpr(x.Right, fn)
+		Inspect(x.Left, fn)
+		Inspect(x.Right, fn)
 	case *UnaryExpr:
-		walkExpr(x.Expr, fn)
+		Inspect(x.Expr, fn)
 	case *IsNullExpr:
-		walkExpr(x.Expr, fn)
+		Inspect(x.Expr, fn)
 	case *InExpr:
-		walkExpr(x.Expr, fn)
-		for _, le := range x.List {
-			walkExpr(le, fn)
+		Inspect(x.Expr, fn)
+		for _, it := range x.List {
+			Inspect(it, fn)
 		}
-		walkSelect(x.Sub, fn)
 	case *BetweenExpr:
-		walkExpr(x.Expr, fn)
-		walkExpr(x.Lo, fn)
-		walkExpr(x.Hi, fn)
+		Inspect(x.Expr, fn)
+		Inspect(x.Lo, fn)
+		Inspect(x.Hi, fn)
 	case *FuncCall:
 		for _, a := range x.Args {
-			walkExpr(a, fn)
+			Inspect(a, fn)
 		}
-	case *ExistsExpr:
-		walkSelect(x.Sub, fn)
-	case *SubqueryExpr:
-		walkSelect(x.Sub, fn)
 	}
+}
+
+// Rewrite returns a copy of e rebuilt bottom-up, leaving e itself
+// untouched. fn sees each node in pre-order: a non-nil result replaces
+// the node, and its operands are then not visited; nil keeps the node,
+// copied with its operands rewritten. Leaves and subqueries are shared,
+// not copied, and a subquery's SELECT is not entered.
+func Rewrite(e Expr, fn func(Expr) Expr) Expr {
+	if e == nil {
+		return nil
+	}
+	if r := fn(e); r != nil {
+		return r
+	}
+	switch x := e.(type) {
+	case *BinaryExpr:
+		y := *x
+		y.Left, y.Right = Rewrite(x.Left, fn), Rewrite(x.Right, fn)
+		return &y
+	case *UnaryExpr:
+		y := *x
+		y.Expr = Rewrite(x.Expr, fn)
+		return &y
+	case *IsNullExpr:
+		y := *x
+		y.Expr = Rewrite(x.Expr, fn)
+		return &y
+	case *InExpr:
+		y := *x
+		y.Expr, y.List = Rewrite(x.Expr, fn), rewriteAll(x.List, fn)
+		return &y
+	case *BetweenExpr:
+		y := *x
+		y.Expr, y.Lo, y.Hi = Rewrite(x.Expr, fn), Rewrite(x.Lo, fn), Rewrite(x.Hi, fn)
+		return &y
+	case *FuncCall:
+		y := *x
+		y.Args = rewriteAll(x.Args, fn)
+		return &y
+	}
+	return e
+}
+
+func rewriteAll(es []Expr, fn func(Expr) Expr) []Expr {
+	if es == nil {
+		return nil
+	}
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = Rewrite(e, fn)
+	}
+	return out
 }
 
 // MaxParam returns the largest positional-parameter index ($n)
