@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"time"
 
 	"ifdb/internal/label"
@@ -147,8 +148,8 @@ type Conn struct {
 	lastTraceID uint64
 }
 
-// serverError marks an error the server reported (SQL errors, refused
-// control operations): the connection is healthy and the statement
+// serverError marks an error the server reported (SQL errors, a
+// refused handshake): the connection is healthy and the statement
 // definitively failed, so AutoReconnect must not retry it. shardMap
 // carries the server's current shard map when the refusal was a
 // stale-shard-map fence (see StaleShardMap).
@@ -256,8 +257,9 @@ func (c *Conn) handshake() error {
 		c.broken = false
 		c.stream = nil
 		return nil
-	case wire.MsgCtrlRes:
-		res, derr := wire.DecodeCtrlRes(payload)
+	case wire.MsgRows:
+		// Refused (a bad platform token): a trailer-only ROWS frame.
+		res, derr := wire.DecodeRowsChunk(payload)
 		nc.Close()
 		if derr != nil {
 			return derr
@@ -339,7 +341,7 @@ func (c *Conn) DropIntegrity(t Tag) {
 // Endorse asks the server to verify authority and raise the integrity
 // label (round-trips, like Declassify).
 func (c *Conn) Endorse(t Tag) error {
-	_, err := c.Exec(fmt.Sprintf("SELECT endorse(%d)", uint64(t)))
+	_, err := c.call(types.KindBool, "SELECT endorse($1)", tagParam(t))
 	return err
 }
 
@@ -367,7 +369,7 @@ func (c *Conn) SetPrincipal(p uint64) {
 // authority would violate the flow rules, so we issue the SQL function
 // and adopt the server's resulting label.
 func (c *Conn) Declassify(t Tag) error {
-	_, err := c.Exec(fmt.Sprintf("SELECT declassify(%d)", uint64(t)))
+	_, err := c.call(types.KindBool, "SELECT declassify($1)", tagParam(t))
 	return err
 }
 
@@ -458,41 +460,6 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 	return rows, nil
 }
 
-// control round-trips a control message. Pending label/principal
-// changes are flushed first (control frames carry no sync fields, and
-// authority operations must run under the client's true identity and
-// label). AutoReconnect applies as in Exec.
-func (c *Conn) control(ctl *wire.Control) (*wire.CtrlRes, error) {
-	res, err := c.controlOnce(ctl)
-	if err == nil || !c.cfg.AutoReconnect || !retryable(err) {
-		return res, err
-	}
-	if rerr := c.redial(); rerr != nil {
-		return nil, rerr
-	}
-	return c.controlOnce(ctl)
-}
-
-func (c *Conn) controlOnce(ctl *wire.Control) (*wire.CtrlRes, error) {
-	if c.dirty {
-		if _, err := c.execCtxOnce(context.Background(), nil, 0, 0, "SELECT 1", nil); err != nil {
-			return nil, err
-		}
-	}
-	resp, err := c.roundTrip(wire.MsgControl, ctl.Encode(), wire.MsgCtrlRes)
-	if err != nil {
-		return nil, err
-	}
-	res, err := wire.DecodeCtrlRes(resp)
-	if err != nil {
-		return nil, err
-	}
-	if res.Err != "" {
-		return nil, &serverError{msg: res.Err}
-	}
-	return res, nil
-}
-
 // roundTrip sends one frame and reads one expected response frame.
 func (c *Conn) roundTrip(typ byte, payload []byte, wantTyp byte) ([]byte, error) {
 	if c.broken {
@@ -573,43 +540,67 @@ func (c *Conn) ShardMap() (*ShardMap, error) {
 	return wire.DecodeShardMap(resp)
 }
 
-// CreatePrincipal creates a principal server-side (requires an empty
-// label, like every authority-state mutation).
-func (c *Conn) CreatePrincipal(name string) (uint64, error) {
-	res, err := c.control(&wire.Control{Op: "create_principal", Strs: []string{name}})
+// call runs one IFDB function (§7.1) as a statement: a fixed text
+// whose arguments are parameters, so every call shares one parse and
+// ids keep all 64 bits. Pending label and principal changes ride the
+// same EXECUTE. It returns the call's value, which is of kind want.
+func (c *Conn) call(want types.Kind, sqlText string, params ...Value) (Value, error) {
+	res, err := c.Exec(sqlText, params...)
+	if err != nil {
+		return types.Null, err
+	}
+	if len(res.Rows) != 1 || len(res.Rows[0]) != 1 || res.Rows[0][0].Kind() != want {
+		return types.Null, fmt.Errorf("client: %s: malformed reply", sqlText)
+	}
+	return res.Rows[0][0], nil
+}
+
+// callID is call for a function that returns a principal or tag id.
+func (c *Conn) callID(sqlText string, params ...Value) (uint64, error) {
+	v, err := c.call(types.KindInt, sqlText, params...)
 	if err != nil {
 		return 0, err
 	}
-	return res.Nums[0], nil
+	return uint64(v.Int()), nil
+}
+
+func idParam(id uint64) Value { return types.NewInt(int64(id)) }
+
+func tagParam(t Tag) Value { return idParam(uint64(t)) }
+
+// CreatePrincipal creates a principal server-side (requires an empty
+// label, like every authority-state mutation).
+func (c *Conn) CreatePrincipal(name string) (uint64, error) {
+	return c.callID("SELECT create_principal($1)", types.NewText(name))
 }
 
 // CreateTag creates a named tag owned by the acting principal.
 func (c *Conn) CreateTag(name string, compounds ...string) (Tag, error) {
-	res, err := c.control(&wire.Control{Op: "create_tag", Strs: append([]string{name}, compounds...)})
-	if err != nil {
-		return 0, err
+	text := "SELECT create_tag($1"
+	params := []Value{types.NewText(name)}
+	for _, cn := range compounds {
+		params = append(params, types.NewText(cn))
+		text += ", $" + strconv.Itoa(len(params))
 	}
-	return Tag(res.Nums[0]), nil
+	t, err := c.callID(text+")", params...)
+	return Tag(t), err
 }
 
 // LookupTag resolves a tag name server-side.
 func (c *Conn) LookupTag(name string) (Tag, error) {
-	res, err := c.control(&wire.Control{Op: "lookup_tag", Strs: []string{name}})
-	if err != nil {
-		return 0, err
-	}
-	return Tag(res.Nums[0]), nil
+	t, err := c.callID("SELECT tag($1)", types.NewText(name))
+	return Tag(t), err
 }
 
 // Delegate grants authority for t to grantee.
 func (c *Conn) Delegate(grantee uint64, t Tag) error {
-	_, err := c.control(&wire.Control{Op: "delegate", Nums: []uint64{grantee, uint64(t)}})
+	_, err := c.call(types.KindBool, "SELECT delegate($1, $2)", idParam(grantee), tagParam(t))
 	return err
 }
 
 // Revoke withdraws a delegation.
 func (c *Conn) Revoke(grantee uint64, t Tag) error {
-	_, err := c.control(&wire.Control{Op: "revoke", Nums: []uint64{grantee, uint64(t)}})
+	_, err := c.call(types.KindBool, "SELECT revoke($1, $2)", idParam(grantee), tagParam(t))
 	return err
 }
 
@@ -621,48 +612,26 @@ func (c *Conn) LastTraceID() uint64 { return c.lastTraceID }
 
 // StmtStats is the server-side timing breakdown of this connection's
 // most recent statement, as recorded by the server session.
-type StmtStats struct {
-	// TraceID echoes the ID the client stamped on the statement.
-	TraceID uint64
-	// ParseNs is parser time (0 for prepared executions — they never
-	// parse); PlanNs is server-side admission (label sync, shard
-	// fencing, read-your-writes waits); ExecNs is engine execution;
-	// StreamNs is result encoding and streaming.
-	ParseNs, PlanNs, ExecNs, StreamNs int64
-}
+type StmtStats = wire.Stats
 
 // Stats fetches the server's timing breakdown for the most recent
 // statement on this connection (ifdb-cli's \stats). It deliberately
-// bypasses the label-sync flush and reconnect machinery: both would
-// run a statement of their own and overwrite the very breakdown being
-// asked for.
+// bypasses the label sync and reconnect machinery: both would run a
+// statement of their own and overwrite the very breakdown being asked
+// for.
 func (c *Conn) Stats() (*StmtStats, error) {
-	resp, err := c.roundTrip(wire.MsgControl, (&wire.Control{Op: "stats"}).Encode(), wire.MsgCtrlRes)
+	resp, err := c.roundTrip(wire.MsgStats, nil, wire.MsgStatsRes)
 	if err != nil {
 		return nil, err
 	}
-	res, err := wire.DecodeCtrlRes(resp)
-	if err != nil {
-		return nil, err
-	}
-	if res.Err != "" {
-		return nil, &serverError{msg: res.Err}
-	}
-	if len(res.Nums) < 5 {
-		return nil, fmt.Errorf("client: malformed stats reply (%d fields)", len(res.Nums))
-	}
-	return &StmtStats{
-		TraceID: res.Nums[0],
-		ParseNs: int64(res.Nums[1]), PlanNs: int64(res.Nums[2]),
-		ExecNs: int64(res.Nums[3]), StreamNs: int64(res.Nums[4]),
-	}, nil
+	return wire.DecodeStats(resp)
 }
 
 // HasAuthority asks whether the acting principal can declassify t.
 func (c *Conn) HasAuthority(t Tag) (bool, error) {
-	res, err := c.control(&wire.Control{Op: "has_authority", Nums: []uint64{uint64(t)}})
+	v, err := c.call(types.KindBool, "SELECT has_authority($1)", tagParam(t))
 	if err != nil {
 		return false, err
 	}
-	return res.Nums[0] == 1, nil
+	return v.Bool(), nil
 }

@@ -319,7 +319,8 @@ func (db *DB) LookupPrincipal(name string) (Principal, bool) {
 // (Grantor-side checks are in the authority state; sessions expose a
 // label-checked variant.)
 func (db *DB) Delegate(grantor, grantee Principal, t Tag) error {
-	return db.eng.Authority().Delegate(grantor, grantee, t)
+	_, err := db.eng.Authority().Delegate(grantor, grantee, t)
+	return err
 }
 
 // HasAuthority reports whether p can declassify t.

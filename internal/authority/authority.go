@@ -57,12 +57,13 @@ type State struct {
 }
 
 // ChangeLogger receives authority-state mutations for durability.
+// Each call returns the log position of the record it wrote.
 // Implementations must be safe for concurrent use.
 type ChangeLogger interface {
-	LogPrincipal(id uint64, name string) error
-	LogTag(id, owner uint64, name string, parents []uint64) error
-	LogDelegate(tag, grantor, grantee uint64) error
-	LogRevoke(tag, revoker, grantee uint64) error
+	LogPrincipal(id uint64, name string) (uint64, error)
+	LogTag(id, owner uint64, name string, parents []uint64) (uint64, error)
+	LogDelegate(tag, grantor, grantee uint64) (uint64, error)
+	LogRevoke(tag, revoker, grantee uint64) (uint64, error)
 }
 
 // SetChangeLogger installs the mutation hook (nil disables logging).
@@ -126,8 +127,10 @@ func (s *State) Hierarchy() *label.Hierarchy { return s.hier }
 
 // CreatePrincipal creates a new principal and returns its id.
 // Any process may create principals (the new principal starts with no
-// authority, so creation reveals nothing).
-func (s *State) CreatePrincipal(name string) Principal {
+// authority, so creation reveals nothing). It also returns the log
+// position of its record (0 when nothing was logged), as the other
+// mutations below do.
+func (s *State) CreatePrincipal(name string) (Principal, uint64) {
 	s.mu.Lock()
 	var id Principal
 	for {
@@ -142,12 +145,13 @@ func (s *State) CreatePrincipal(name string) Principal {
 		break
 	}
 	s.mu.Unlock()
+	var at uint64
 	if l := s.logger(); l != nil {
 		// Best effort: the signature predates durability, so a failed
 		// append (disk full) cannot be surfaced here.
-		_ = l.LogPrincipal(uint64(id), name)
+		at, _ = l.LogPrincipal(uint64(id), name)
 	}
-	return id
+	return id, at
 }
 
 // PrincipalName returns the diagnostic name of p.
@@ -172,16 +176,16 @@ func (s *State) PrincipalExists(p Principal) bool {
 // CreateTag creates a new tag owned by owner, optionally declaring it a
 // member of the given compound tags (links are immutable afterwards).
 // The creating principal becomes the owner with complete authority.
-func (s *State) CreateTag(owner Principal, name string, compounds ...label.Tag) (label.Tag, error) {
+func (s *State) CreateTag(owner Principal, name string, compounds ...label.Tag) (label.Tag, uint64, error) {
 	s.mu.Lock()
 	if _, ok := s.principals[owner]; !ok {
 		s.mu.Unlock()
-		return label.InvalidTag, fmt.Errorf("authority: unknown principal %d", owner)
+		return label.InvalidTag, 0, fmt.Errorf("authority: unknown principal %d", owner)
 	}
 	for _, c := range compounds {
 		if _, ok := s.tags[c]; !ok {
 			s.mu.Unlock()
-			return label.InvalidTag, fmt.Errorf("authority: unknown compound tag %d", c)
+			return label.InvalidTag, 0, fmt.Errorf("authority: unknown compound tag %d", c)
 		}
 	}
 	var t label.Tag
@@ -208,22 +212,24 @@ func (s *State) CreateTag(owner Principal, name string, compounds ...label.Tag) 
 		s.mu.Lock()
 		delete(s.tags, t)
 		s.mu.Unlock()
-		return label.InvalidTag, err
+		return label.InvalidTag, 0, err
 	}
+	var at uint64
 	if l := s.logger(); l != nil {
 		parents := make([]uint64, len(compounds))
 		for i, c := range compounds {
 			parents[i] = uint64(c)
 		}
-		if err := l.LogTag(uint64(t), uint64(owner), name, parents); err != nil {
+		var err error
+		if at, err = l.LogTag(uint64(t), uint64(owner), name, parents); err != nil {
 			s.mu.Lock()
 			delete(s.tags, t)
 			s.mu.Unlock()
 			s.hier.Retract(t)
-			return label.InvalidTag, err
+			return label.InvalidTag, 0, err
 		}
 	}
-	return t, nil
+	return t, at, nil
 }
 
 // TagExists reports whether t has been created.
@@ -259,19 +265,19 @@ func (s *State) TagOwner(t label.Tag) (Principal, bool) {
 // Delegate grants grantee authority for tag t on behalf of grantor.
 // The grantor must itself have authority for t. Delegations form a
 // graph; authority holds while any chain from the tag owner remains.
-func (s *State) Delegate(grantor, grantee Principal, t label.Tag) error {
+func (s *State) Delegate(grantor, grantee Principal, t label.Tag) (uint64, error) {
 	s.mu.Lock()
 	if _, ok := s.tags[t]; !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("authority: unknown tag %d", t)
+		return 0, fmt.Errorf("authority: unknown tag %d", t)
 	}
 	if _, ok := s.principals[grantee]; !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("authority: unknown grantee principal %d", grantee)
+		return 0, fmt.Errorf("authority: unknown grantee principal %d", grantee)
 	}
 	if !s.hasAuthorityLocked(grantor, t) {
 		s.mu.Unlock()
-		return fmt.Errorf("authority: principal %d lacks authority for tag %d", grantor, t)
+		return 0, fmt.Errorf("authority: principal %d lacks authority for tag %d", grantor, t)
 	}
 	byGrantee := s.delegations[t]
 	if byGrantee == nil {
@@ -288,18 +294,18 @@ func (s *State) Delegate(grantor, grantee Principal, t label.Tag) error {
 	if l := s.logger(); l != nil {
 		return l.LogDelegate(uint64(t), uint64(grantor), uint64(grantee))
 	}
-	return nil
+	return 0, nil
 }
 
 // Revoke removes a previous delegation from grantor to grantee for tag
 // t. Only the original grantor (or the tag owner) may revoke. Authority
 // that the grantee still derives via other chains is unaffected.
-func (s *State) Revoke(revoker, grantee Principal, t label.Tag) error {
+func (s *State) Revoke(revoker, grantee Principal, t label.Tag) (uint64, error) {
 	s.mu.Lock()
 	info, ok := s.tags[t]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("authority: unknown tag %d", t)
+		return 0, fmt.Errorf("authority: unknown tag %d", t)
 	}
 	grantors := s.delegations[t][grantee]
 	if info.owner == revoker {
@@ -308,7 +314,7 @@ func (s *State) Revoke(revoker, grantee Principal, t label.Tag) error {
 	} else {
 		if grantors == nil || !grantors[revoker] {
 			s.mu.Unlock()
-			return fmt.Errorf("authority: principal %d has no delegation to %d for tag %d", revoker, grantee, t)
+			return 0, fmt.Errorf("authority: principal %d has no delegation to %d for tag %d", revoker, grantee, t)
 		}
 		delete(grantors, revoker)
 		if len(grantors) == 0 {
@@ -319,7 +325,7 @@ func (s *State) Revoke(revoker, grantee Principal, t label.Tag) error {
 	if l := s.logger(); l != nil {
 		return l.LogRevoke(uint64(t), uint64(revoker), uint64(grantee))
 	}
-	return nil
+	return 0, nil
 }
 
 // HasAuthority reports whether principal p may declassify tag t:

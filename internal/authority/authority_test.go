@@ -15,14 +15,14 @@ func det(s *State) {
 func TestCreatePrincipalAndTag(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	alice := s.CreatePrincipal("alice")
+	alice, _ := s.CreatePrincipal("alice")
 	if !s.PrincipalExists(alice) {
 		t.Fatal("principal missing")
 	}
 	if name, ok := s.PrincipalName(alice); !ok || name != "alice" {
 		t.Fatalf("name: %q %v", name, ok)
 	}
-	tg, err := s.CreateTag(alice, "alice_medical")
+	tg, _, err := s.CreateTag(alice, "alice_medical")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestCreatePrincipalAndTag(t *testing.T) {
 	if !s.HasAuthority(alice, tg) {
 		t.Fatal("owner lacks authority")
 	}
-	bob := s.CreatePrincipal("bob")
+	bob, _ := s.CreatePrincipal("bob")
 	if s.HasAuthority(bob, tg) {
 		t.Fatal("stranger has authority")
 	}
@@ -51,11 +51,11 @@ func TestCreatePrincipalAndTag(t *testing.T) {
 func TestCreateTagUnknownOwnerOrCompound(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	if _, err := s.CreateTag(Principal(99), "x"); err == nil {
+	if _, _, err := s.CreateTag(Principal(99), "x"); err == nil {
 		t.Fatal("unknown owner accepted")
 	}
-	p := s.CreatePrincipal("p")
-	if _, err := s.CreateTag(p, "x", label.Tag(777)); err == nil {
+	p, _ := s.CreatePrincipal("p")
+	if _, _, err := s.CreateTag(p, "x", label.Tag(777)); err == nil {
 		t.Fatal("unknown compound accepted")
 	}
 }
@@ -63,16 +63,16 @@ func TestCreateTagUnknownOwnerOrCompound(t *testing.T) {
 func TestDelegationChainAndRevocation(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	owner := s.CreatePrincipal("owner")
-	mid := s.CreatePrincipal("mid")
-	leaf := s.CreatePrincipal("leaf")
-	tg, _ := s.CreateTag(owner, "t")
+	owner, _ := s.CreatePrincipal("owner")
+	mid, _ := s.CreatePrincipal("mid")
+	leaf, _ := s.CreatePrincipal("leaf")
+	tg, _, _ := s.CreateTag(owner, "t")
 
 	// owner -> mid -> leaf.
-	if err := s.Delegate(owner, mid, tg); err != nil {
+	if _, err := s.Delegate(owner, mid, tg); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delegate(mid, leaf, tg); err != nil {
+	if _, err := s.Delegate(mid, leaf, tg); err != nil {
 		t.Fatal(err)
 	}
 	if !s.HasAuthority(leaf, tg) {
@@ -80,13 +80,13 @@ func TestDelegationChainAndRevocation(t *testing.T) {
 	}
 
 	// Delegation requires the grantor to hold authority.
-	outsider := s.CreatePrincipal("outsider")
-	if err := s.Delegate(outsider, leaf, tg); err == nil {
+	outsider, _ := s.CreatePrincipal("outsider")
+	if _, err := s.Delegate(outsider, leaf, tg); err == nil {
 		t.Fatal("unauthorized delegation accepted")
 	}
 
 	// Revoking mid's grant severs leaf's only chain.
-	if err := s.Revoke(owner, mid, tg); err != nil {
+	if _, err := s.Revoke(owner, mid, tg); err != nil {
 		t.Fatal(err)
 	}
 	if s.HasAuthority(mid, tg) {
@@ -104,18 +104,18 @@ func TestDelegationChainAndRevocation(t *testing.T) {
 func TestRevokeOnlyGrantorOrOwner(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	owner := s.CreatePrincipal("owner")
-	a := s.CreatePrincipal("a")
-	b := s.CreatePrincipal("b")
-	tg, _ := s.CreateTag(owner, "t")
-	if err := s.Delegate(owner, a, tg); err != nil {
+	owner, _ := s.CreatePrincipal("owner")
+	a, _ := s.CreatePrincipal("a")
+	b, _ := s.CreatePrincipal("b")
+	tg, _, _ := s.CreateTag(owner, "t")
+	if _, err := s.Delegate(owner, a, tg); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Revoke(b, a, tg); err == nil {
+	if _, err := s.Revoke(b, a, tg); err == nil {
 		t.Fatal("third party revoked")
 	}
 	// The tag owner can strike any grant.
-	if err := s.Revoke(owner, a, tg); err != nil {
+	if _, err := s.Revoke(owner, a, tg); err != nil {
 		t.Fatal(err)
 	}
 	if s.HasAuthority(a, tg) {
@@ -126,20 +126,20 @@ func TestRevokeOnlyGrantorOrOwner(t *testing.T) {
 func TestMultipleChainsSurviveOneRevocation(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	owner := s.CreatePrincipal("owner")
-	a := s.CreatePrincipal("a")
-	b := s.CreatePrincipal("b")
-	leaf := s.CreatePrincipal("leaf")
-	tg, _ := s.CreateTag(owner, "t")
+	owner, _ := s.CreatePrincipal("owner")
+	a, _ := s.CreatePrincipal("a")
+	b, _ := s.CreatePrincipal("b")
+	leaf, _ := s.CreatePrincipal("leaf")
+	tg, _, _ := s.CreateTag(owner, "t")
 	for _, g := range []Principal{a, b} {
-		if err := s.Delegate(owner, g, tg); err != nil {
+		if _, err := s.Delegate(owner, g, tg); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Delegate(g, leaf, tg); err != nil {
+		if _, err := s.Delegate(g, leaf, tg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Revoke(a, leaf, tg); err != nil {
+	if _, err := s.Revoke(a, leaf, tg); err != nil {
 		t.Fatal(err)
 	}
 	if !s.HasAuthority(leaf, tg) {
@@ -151,10 +151,10 @@ func TestCompoundAuthority(t *testing.T) {
 	hier := label.NewHierarchy()
 	s := NewState(hier)
 	det(s)
-	app := s.CreatePrincipal("app")
-	alice := s.CreatePrincipal("alice")
-	all, _ := s.CreateTag(app, "all_drives")
-	at, err := s.CreateTag(alice, "alice_drives", all)
+	app, _ := s.CreatePrincipal("app")
+	alice, _ := s.CreatePrincipal("alice")
+	all, _, _ := s.CreateTag(app, "all_drives")
+	at, _, err := s.CreateTag(alice, "alice_drives", all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ func TestCompoundAuthority(t *testing.T) {
 		t.Fatal("member owner has compound authority")
 	}
 	// Delegating the compound delegates the members.
-	stats := s.CreatePrincipal("stats")
-	if err := s.Delegate(app, stats, all); err != nil {
+	stats, _ := s.CreatePrincipal("stats")
+	if _, err := s.Delegate(app, stats, all); err != nil {
 		t.Fatal(err)
 	}
 	if !s.HasAuthority(stats, at) {
@@ -179,10 +179,10 @@ func TestCompoundAuthority(t *testing.T) {
 func TestAuthorityForAndCanDeclassifyAll(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	p := s.CreatePrincipal("p")
-	t1, _ := s.CreateTag(p, "t1")
-	q := s.CreatePrincipal("q")
-	t2, _ := s.CreateTag(q, "t2")
+	p, _ := s.CreatePrincipal("p")
+	t1, _, _ := s.CreateTag(p, "t1")
+	q, _ := s.CreatePrincipal("q")
+	t2, _, _ := s.CreateTag(q, "t2")
 	l := label.New(t1, t2)
 	got := s.AuthorityFor(p, l)
 	if !got.Equal(label.New(t1)) {
@@ -199,21 +199,21 @@ func TestAuthorityForAndCanDeclassifyAll(t *testing.T) {
 func TestDelegationCycleDoesNotLoop(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	owner := s.CreatePrincipal("owner")
-	a := s.CreatePrincipal("a")
-	b := s.CreatePrincipal("b")
-	tg, _ := s.CreateTag(owner, "t")
-	if err := s.Delegate(owner, a, tg); err != nil {
+	owner, _ := s.CreatePrincipal("owner")
+	a, _ := s.CreatePrincipal("a")
+	b, _ := s.CreatePrincipal("b")
+	tg, _, _ := s.CreateTag(owner, "t")
+	if _, err := s.Delegate(owner, a, tg); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delegate(a, b, tg); err != nil {
+	if _, err := s.Delegate(a, b, tg); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delegate(b, a, tg); err != nil {
+	if _, err := s.Delegate(b, a, tg); err != nil {
 		t.Fatal(err)
 	}
 	// Sever the root; the a<->b cycle must not sustain authority.
-	if err := s.Revoke(owner, a, tg); err != nil {
+	if _, err := s.Revoke(owner, a, tg); err != nil {
 		t.Fatal(err)
 	}
 	if s.HasAuthority(a, tg) || s.HasAuthority(b, tg) {
@@ -224,13 +224,13 @@ func TestDelegationCycleDoesNotLoop(t *testing.T) {
 func TestClosureRegistry(t *testing.T) {
 	s := NewState(nil)
 	det(s)
-	owner := s.CreatePrincipal("owner")
-	bound := s.CreatePrincipal("bound")
-	tg, _ := s.CreateTag(owner, "t")
+	owner, _ := s.CreatePrincipal("owner")
+	bound, _ := s.CreatePrincipal("bound")
+	tg, _, _ := s.CreateTag(owner, "t")
 	reg := NewClosureRegistry(s)
 
 	// Creator must hold the authority being proved.
-	stranger := s.CreatePrincipal("stranger")
+	stranger, _ := s.CreatePrincipal("stranger")
 	if _, err := reg.Register("c1", stranger, bound, label.New(tg)); err == nil {
 		t.Fatal("closure laundered authority")
 	}
@@ -267,9 +267,9 @@ func TestClosureRegistry(t *testing.T) {
 
 func TestTagIDsFit32Bits(t *testing.T) {
 	s := NewState(nil)
-	p := s.CreatePrincipal("p") // real CSPRNG ids
+	p, _ := s.CreatePrincipal("p") // real CSPRNG ids
 	for i := 0; i < 50; i++ {
-		tg, err := s.CreateTag(p, "", label.Label{}...)
+		tg, _, err := s.CreateTag(p, "", label.Label{}...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ifdb/internal/catalog"
+	"ifdb/internal/exec"
 	"ifdb/internal/index"
 	"ifdb/internal/sql"
 	"ifdb/internal/storage"
@@ -13,6 +14,9 @@ import (
 // executeCreateTable builds a table from the AST: columns, primary
 // key, unique and foreign key constraints, and label constraints.
 func (s *Session) executeCreateTable(ct *sql.CreateTableStmt) error {
+	if err := refuseStoredSessionOnly(ct); err != nil {
+		return err
+	}
 	if _, exists := s.eng.cat.Table(ct.Name); exists {
 		if ct.IfNotExists || s.eng.replaying() {
 			// During recovery a table can already exist when a DDL
@@ -250,6 +254,9 @@ func (s *Session) executeCreateIndex(ci *sql.CreateIndexStmt) error {
 // bound — a view can never declassify more than its creator could
 // (paper §4.3).
 func (s *Session) executeCreateView(cv *sql.CreateViewStmt) error {
+	if err := refuseStoredSessionOnly(cv); err != nil {
+		return err
+	}
 	v := &catalog.View{
 		Name:    strings.ToLower(cv.Name),
 		Columns: cv.Columns,
@@ -282,6 +289,23 @@ func (s *Session) executeCreateView(cv *sql.CreateViewStmt) error {
 	}
 	s.eng.invalidatePlans()
 	return s.eng.cat.AddView(v)
+}
+
+// refuseStoredSessionOnly refuses DDL whose stored SQL — a view body,
+// a column DEFAULT, a CHECK or LABEL constraint — calls an
+// exec.SessionOnly function. Replay refuses it too: a datadir written
+// before these functions existed may store such a call to a procedure.
+func refuseStoredSessionOnly(st sql.Statement) error {
+	var name string
+	sql.WalkExprs(st, func(e sql.Expr) {
+		if fc, ok := e.(*sql.FuncCall); ok && name == "" && exec.SessionOnly(fc.Name) {
+			name = fc.Name
+		}
+	})
+	if name != "" {
+		return fmt.Errorf("%w: %s() may be called only in a session's own statement, not stored in a view or table definition", ErrAuthority, name)
+	}
+	return nil
 }
 
 // executeCreateTrigger attaches a registered stored procedure to a

@@ -271,7 +271,7 @@ func New(cfg Config) (*Engine, error) {
 		// Fresh database (or no durability): mint the administrator.
 		// With a WAL attached, the authority hook logs the principal so
 		// recovery restores the same id.
-		e.admin = auth.CreatePrincipal("admin")
+		e.admin, _ = auth.CreatePrincipal("admin")
 	}
 	if cfg.CheckpointEvery > 0 && e.wal != nil {
 		e.ckptStop = make(chan struct{})
@@ -320,33 +320,41 @@ func (e *Engine) TxnManager() *txn.Manager { return e.txns }
 
 // CreatePrincipal creates a principal with the given diagnostic name.
 func (e *Engine) CreatePrincipal(name string) authority.Principal {
-	return e.auth.CreatePrincipal(name)
+	p, _ := e.auth.CreatePrincipal(name)
+	return p
 }
 
 // CreateTag creates a named tag owned by owner, optionally as a member
 // of the named compound tags. Tag names are unique per engine; SQL
 // refers to tags by these names (e.g. in DECLASSIFYING clauses).
 func (e *Engine) CreateTag(owner authority.Principal, name string, compounds ...string) (label.Tag, error) {
+	t, _, err := e.createTag(owner, name, compounds...)
+	return t, err
+}
+
+// createTag is CreateTag, also returning the log position of the tag's
+// record (0 when nothing was logged).
+func (e *Engine) createTag(owner authority.Principal, name string, compounds ...string) (label.Tag, uint64, error) {
 	e.tagMu.Lock()
 	defer e.tagMu.Unlock()
 	if _, dup := e.tagNames[name]; dup {
-		return label.InvalidTag, fmt.Errorf("engine: tag %q already exists", name)
+		return label.InvalidTag, 0, fmt.Errorf("engine: tag %q already exists", name)
 	}
 	var parents []label.Tag
 	for _, cn := range compounds {
 		ct, ok := e.tagNames[cn]
 		if !ok {
-			return label.InvalidTag, fmt.Errorf("engine: unknown compound tag %q", cn)
+			return label.InvalidTag, 0, fmt.Errorf("engine: unknown compound tag %q", cn)
 		}
 		parents = append(parents, ct)
 	}
-	t, err := e.auth.CreateTag(owner, name, parents...)
+	t, at, err := e.auth.CreateTag(owner, name, parents...)
 	if err != nil {
-		return label.InvalidTag, err
+		return label.InvalidTag, 0, err
 	}
 	e.tagNames[name] = t
 	e.nameOf[t] = name
-	return t, nil
+	return t, at, nil
 }
 
 // LookupTag resolves a tag name.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ifdb/internal/authority"
 	"ifdb/internal/exec"
 	"ifdb/internal/label"
 	"ifdb/internal/plan"
@@ -123,6 +124,48 @@ func (f sessionFuncs) CallFunc(name string, args []types.Value) (types.Value, er
 			return types.Null, err
 		}
 		return types.NewBool(s.HasAuthority(t)), nil
+	case "create_principal":
+		if len(args) != 1 || args[0].Kind() != types.KindText {
+			return types.Null, fmt.Errorf("engine: create_principal('name')")
+		}
+		p, err := s.CreatePrincipal(args[0].Text())
+		if err != nil {
+			return types.Null, err
+		}
+		return types.NewInt(int64(uint64(p))), nil
+	case "create_tag":
+		names := make([]string, len(args))
+		for i, a := range args {
+			if a.Kind() != types.KindText {
+				names = nil
+				break
+			}
+			names[i] = a.Text()
+		}
+		if len(names) == 0 {
+			return types.Null, fmt.Errorf("engine: create_tag('name', 'compound', ...)")
+		}
+		t, err := s.CreateTag(names[0], names[1:]...)
+		if err != nil {
+			return types.Null, err
+		}
+		return types.NewInt(int64(uint64(t))), nil
+	case "delegate", "revoke":
+		if len(args) != 2 || args[0].Kind() != types.KindInt {
+			return types.Null, fmt.Errorf("engine: %s(grantee, tag)", name)
+		}
+		t, err := tagArg(1)
+		if err != nil {
+			return types.Null, err
+		}
+		change := s.Delegate
+		if name == "revoke" {
+			change = s.Revoke
+		}
+		if err := change(authority.Principal(uint64(args[0].Int())), t); err != nil {
+			return types.Null, err
+		}
+		return types.NewBool(true), nil
 	case "current_principal":
 		return types.NewInt(int64(uint64(s.principal))), nil
 	case "now":

@@ -131,26 +131,27 @@ func (e *Engine) logSeqVal(name, key string, value int64) {
 // changes are rare and security-critical, so each is synced.
 type authLogger struct{ e *Engine }
 
-func (a authLogger) append(rec *wal.Record) error {
-	if _, err := a.e.wal.Append(rec); err != nil {
-		return err
+func (a authLogger) append(rec *wal.Record) (uint64, error) {
+	lsn, err := a.e.wal.Append(rec)
+	if err != nil {
+		return 0, err
 	}
-	return a.e.wal.Sync()
+	return uint64(lsn), a.e.wal.Sync()
 }
 
-func (a authLogger) LogPrincipal(id uint64, name string) error {
+func (a authLogger) LogPrincipal(id uint64, name string) (uint64, error) {
 	return a.append(&wal.Record{Type: wal.RecPrincipal, Principal: id, Text: name})
 }
 
-func (a authLogger) LogTag(id, owner uint64, name string, parents []uint64) error {
+func (a authLogger) LogTag(id, owner uint64, name string, parents []uint64) (uint64, error) {
 	return a.append(&wal.Record{Type: wal.RecTag, Tag: id, Owner: owner, Text: name, Parents: parents})
 }
 
-func (a authLogger) LogDelegate(tag, grantor, grantee uint64) error {
+func (a authLogger) LogDelegate(tag, grantor, grantee uint64) (uint64, error) {
 	return a.append(&wal.Record{Type: wal.RecDelegate, Tag: tag, From: grantor, To: grantee})
 }
 
-func (a authLogger) LogRevoke(tag, revoker, grantee uint64) error {
+func (a authLogger) LogRevoke(tag, revoker, grantee uint64) (uint64, error) {
 	return a.append(&wal.Record{Type: wal.RecRevoke, Tag: tag, From: revoker, To: grantee})
 }
 

@@ -113,7 +113,7 @@ func TestRecoveryIFCState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Authority().Delegate(alice, bob, tag); err != nil {
+	if _, err := e1.Authority().Delegate(alice, bob, tag); err != nil {
 		t.Fatal(err)
 	}
 
@@ -461,15 +461,15 @@ func TestRecoveryWithRetainedLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Authority().Delegate(owner, mid, tag); err != nil {
+	if _, err := e1.Authority().Delegate(owner, mid, tag); err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.Authority().Delegate(mid, leaf, tag); err != nil {
+	if _, err := e1.Authority().Delegate(mid, leaf, tag); err != nil {
 		t.Fatal(err)
 	}
 	// Non-owner revoke: the replay shape Revoke() rejects when the
 	// edge is already gone.
-	if err := e1.Authority().Revoke(mid, leaf, tag); err != nil {
+	if _, err := e1.Authority().Revoke(mid, leaf, tag); err != nil {
 		t.Fatal(err)
 	}
 

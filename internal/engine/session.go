@@ -242,50 +242,53 @@ func (s *Session) requireWritable() error {
 	return nil
 }
 
-// CreateTag creates a tag owned by the session's principal. Tag
-// creation mutates the authority state, so it requires an empty label.
-func (s *Session) CreateTag(name string, compounds ...string) (label.Tag, error) {
+// changeAuthority runs fn, a change to the authority state, which
+// returns the log position of the change's record. The authority state
+// is an object with an empty label, so the change requires an empty
+// label (§3.3), and a writable node. The record joins the session's
+// commit token, as DDL does (logDDLNoted), so a replica read of a tag
+// the session created waits for that tag.
+func (s *Session) changeAuthority(fn func() (uint64, error)) error {
 	if err := s.requireWritable(); err != nil {
-		return label.InvalidTag, err
+		return err
 	}
 	if err := s.requireEmptyLabel(); err != nil {
-		return label.InvalidTag, err
+		return err
 	}
-	return s.eng.CreateTag(s.principal, name, compounds...)
+	at, err := fn()
+	if err == nil && wal.LSN(at) > s.lastCommit {
+		s.lastCommit = wal.LSN(at)
+	}
+	return err
 }
 
-// CreatePrincipal creates a new principal; requires an empty label.
-func (s *Session) CreatePrincipal(name string) (authority.Principal, error) {
-	if err := s.requireWritable(); err != nil {
-		return authority.NoPrincipal, err
-	}
-	if err := s.requireEmptyLabel(); err != nil {
-		return authority.NoPrincipal, err
-	}
-	return s.eng.CreatePrincipal(name), nil
+// CreateTag creates a tag owned by the session's principal.
+func (s *Session) CreateTag(name string, compounds ...string) (t label.Tag, err error) {
+	err = s.changeAuthority(func() (at uint64, err error) {
+		t, at, err = s.eng.createTag(s.principal, name, compounds...)
+		return at, err
+	})
+	return t, err
+}
+
+// CreatePrincipal creates a new principal.
+func (s *Session) CreatePrincipal(name string) (p authority.Principal, err error) {
+	err = s.changeAuthority(func() (at uint64, err error) {
+		p, at = s.eng.auth.CreatePrincipal(name)
+		return at, nil
+	})
+	return p, err
 }
 
 // Delegate grants authority for tag t from the session's principal to
-// grantee; requires an empty label.
+// grantee.
 func (s *Session) Delegate(grantee authority.Principal, t label.Tag) error {
-	if err := s.requireWritable(); err != nil {
-		return err
-	}
-	if err := s.requireEmptyLabel(); err != nil {
-		return err
-	}
-	return s.eng.auth.Delegate(s.principal, grantee, t)
+	return s.changeAuthority(func() (uint64, error) { return s.eng.auth.Delegate(s.principal, grantee, t) })
 }
 
-// Revoke withdraws a delegation; requires an empty label.
+// Revoke withdraws a delegation.
 func (s *Session) Revoke(grantee authority.Principal, t label.Tag) error {
-	if err := s.requireWritable(); err != nil {
-		return err
-	}
-	if err := s.requireEmptyLabel(); err != nil {
-		return err
-	}
-	return s.eng.auth.Revoke(s.principal, grantee, t)
+	return s.changeAuthority(func() (uint64, error) { return s.eng.auth.Revoke(s.principal, grantee, t) })
 }
 
 // HasAuthority reports whether the acting principal may declassify t.

@@ -39,7 +39,7 @@ func buildSnapshotState(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, to := range []authority.Principal{bob, carol} {
-		if err := e.Authority().Delegate(alice, to, med); err != nil {
+		if _, err := e.Authority().Delegate(alice, to, med); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func buildSnapshotState(t *testing.T, dir string) {
 	mustExec(t, s, `DELETE FROM accts WHERE id = 2`)
 	mustExec(t, s, `INSERT INTO ledger VALUES (3, 'after')`)
 	mustExec(t, s, `INSERT INTO tickets VALUES (nextval('ids'), 'admin')`)
-	if err := e.Authority().Revoke(alice, carol, med); err != nil {
+	if _, err := e.Authority().Revoke(alice, carol, med); err != nil {
 		t.Fatal(err)
 	}
 	// In flight at the crash.
@@ -307,7 +307,7 @@ func TestCheckpointDeterministic(t *testing.T) {
 		}
 		tags = append(tags, tag)
 		for _, to := range owners[i+1:] {
-			if err := e.Authority().Delegate(owners[i], to, tag); err != nil {
+			if _, err := e.Authority().Delegate(owners[i], to, tag); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -29,14 +29,18 @@ const (
 	// nothing, so a call LIMIT skips is not missed.
 	EnginePure
 	// EngineEffect is computed by the engine and changes the session's
-	// labels or the database: the paper's label functions (§7.1) and
-	// sequences. A statement calling one runs on the primary.
+	// labels or the database: the paper's label functions (§7.1), the
+	// authority mutations and sequences. A statement calling one runs
+	// on the primary.
 	EngineEffect
 )
 
 type funcDef struct {
 	kind FuncKind
 	call func(args []types.Value) (types.Value, error) // Builtin only
+	// sessionOnly marks a call accepted only in a session's own
+	// statement text (SessionOnly).
+	sessionOnly bool
 }
 
 // funcs is every SQL-callable name the system defines, with its kind;
@@ -48,16 +52,16 @@ var funcs = map[string]funcDef{
 	"min":   {kind: Aggregate},
 	"max":   {kind: Aggregate},
 
-	"lower": {Builtin, unary("lower", func(v types.Value) (types.Value, error) {
+	"lower": {kind: Builtin, call: unary("lower", func(v types.Value) (types.Value, error) {
 		return types.NewText(strings.ToLower(v.Text())), nil
 	})},
-	"upper": {Builtin, unary("upper", func(v types.Value) (types.Value, error) {
+	"upper": {kind: Builtin, call: unary("upper", func(v types.Value) (types.Value, error) {
 		return types.NewText(strings.ToUpper(v.Text())), nil
 	})},
-	"length": {Builtin, unary("length", func(v types.Value) (types.Value, error) {
+	"length": {kind: Builtin, call: unary("length", func(v types.Value) (types.Value, error) {
 		return types.NewInt(int64(len(v.Text()))), nil
 	})},
-	"abs": {Builtin, unary("abs", func(v types.Value) (types.Value, error) {
+	"abs": {kind: Builtin, call: unary("abs", func(v types.Value) (types.Value, error) {
 		switch v.Kind() {
 		case types.KindInt:
 			n := v.Int()
@@ -74,7 +78,7 @@ var funcs = map[string]funcDef{
 		}
 		return types.Null, fmt.Errorf("exec: abs on %s", v.Kind())
 	})},
-	"coalesce": {Builtin, func(args []types.Value) (types.Value, error) {
+	"coalesce": {kind: Builtin, call: func(args []types.Value) (types.Value, error) {
 		for _, a := range args {
 			if !a.IsNull() {
 				return a, nil
@@ -84,7 +88,7 @@ var funcs = map[string]funcDef{
 	}},
 	// label_contains(_label, tagid) — explicit label predicates (paper
 	// §4.2: queries may refer to the _label column).
-	"label_contains": {Builtin, func(args []types.Value) (types.Value, error) {
+	"label_contains": {kind: Builtin, call: func(args []types.Value) (types.Value, error) {
 		if len(args) != 2 {
 			return types.Null, fmt.Errorf("exec: label_contains takes 2 arguments")
 		}
@@ -96,7 +100,7 @@ var funcs = map[string]funcDef{
 		}
 		return types.NewBool(args[0].Label().Has(label.Tag(uint64(args[1].Int())))), nil
 	}},
-	"label_size": {Builtin, unary("label_size", func(v types.Value) (types.Value, error) {
+	"label_size": {kind: Builtin, call: unary("label_size", func(v types.Value) (types.Value, error) {
 		if v.Kind() != types.KindLabel {
 			return types.Null, fmt.Errorf("exec: label_size(label)")
 		}
@@ -117,6 +121,11 @@ var funcs = map[string]funcDef{
 	"dropintegrity":   {kind: EngineEffect},
 	"nextval":         {kind: EngineEffect},
 	"create_sequence": {kind: EngineEffect},
+
+	"create_principal": {kind: EngineEffect, sessionOnly: true},
+	"create_tag":       {kind: EngineEffect, sessionOnly: true},
+	"delegate":         {kind: EngineEffect, sessionOnly: true},
+	"revoke":           {kind: EngineEffect, sessionOnly: true},
 }
 
 // unary is a one-argument builtin that maps NULL to NULL.
@@ -134,6 +143,14 @@ func unary(name string, fn func(types.Value) (types.Value, error)) func([]types.
 
 // FuncKindOf is the kind of the function called name (lower-case).
 func FuncKindOf(name string) FuncKind { return funcs[name].kind }
+
+// SessionOnly reports whether a call of name is accepted only in a
+// session's own statement text: the authority mutations. Stored SQL —
+// a view body, a column DEFAULT, a CHECK or LABEL constraint — runs in
+// the session of whoever reads or writes through it, under that
+// session's principal, so a stored delegate() would spend the reader's
+// authority on the definer's behalf.
+func SessionOnly(name string) bool { return funcs[name].sessionOnly }
 
 // FuncNames lists the functions of kind k, sorted.
 func FuncNames(k FuncKind) []string {

@@ -34,8 +34,11 @@ func TestFuncTableReproducesNameLists(t *testing.T) {
 		{"gatewayFns", builtins,
 			func(k FuncKind) bool { return k == Builtin }},
 		// client.sideEffectFuncs, less "call": what keeps a statement
-		// off replicas and out of shard-key routing.
-		{"sideEffectFuncs", []string{"addsecrecy", "create_sequence", "declassify", "dropintegrity", "endorse", "nextval"},
+		// off replicas and out of shard-key routing. The authority
+		// mutations are EngineEffect, so they keep a statement off
+		// replicas too.
+		{"sideEffectFuncs", []string{"addsecrecy", "create_principal", "create_sequence", "create_tag", "declassify",
+			"delegate", "dropintegrity", "endorse", "nextval", "revoke"},
 			func(k FuncKind) bool { return k == EngineEffect }},
 	}
 	for _, l := range lists {

@@ -319,7 +319,7 @@ func dial(t testing.TB, addr string, principal uint64, tags []label.Tag) *client
 	return c
 }
 
-// provisionWire provisions through control frames on every address,
+// provisionWire provisions through the authority functions on every address,
 // and requires the nodes to hand out the same ids.
 func provisionWire(t testing.TB, sc *scenario, addrs ...string) (map[string]uint64, map[string][]label.Tag, tagNames) {
 	t.Helper()

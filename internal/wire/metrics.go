@@ -10,7 +10,7 @@ var (
 	mFramesIn = obs.NewCounter("ifdb_server_frames_in_total",
 		"Protocol frames read from clients on established sessions.")
 	mFramesOut = obs.NewCounter("ifdb_server_frames_out_total",
-		"Protocol frames written to clients (results, chunks, control replies).")
+		"Protocol frames written to clients (result chunks and the other replies).")
 	mWrites = obs.NewCounter("ifdb_server_writes_total",
 		"Writes to client sockets: one per reply frame that fits the 4 KiB write buffer (a result's last rows and its trailer share a frame), two for a larger frame.")
 	mRowsBytes = obs.NewCounter("ifdb_wire_rows_bytes_total",

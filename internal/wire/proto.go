@@ -39,11 +39,11 @@ import (
 
 // Message type bytes.
 const (
-	MsgHello   byte = 'H' // client → server: token, principal
-	MsgHelloOK byte = 'h' // server → client
-	MsgControl byte = 'C' // client → server: authority-state operation
-	MsgCtrlRes byte = 'c' // server → client: control result
-	MsgClose   byte = 'X' // client → server: goodbye
+	MsgHello    byte = 'H' // client → server: token, principal
+	MsgHelloOK  byte = 'h' // server → client (a bad token: a trailer-only ROWS frame)
+	MsgStats    byte = 'G' // client → server: last statement's timing
+	MsgStatsRes byte = 'g' // server → client: Stats
+	MsgClose    byte = 'X' // client → server: goodbye
 )
 
 // MaxFrame bounds a single protocol frame (64 MiB).
@@ -202,101 +202,36 @@ func DecodeHello(buf []byte) (*Hello, error) {
 	return &h, nil
 }
 
-// --- Control -------------------------------------------------------------
+// --- Stats -------------------------------------------------------------
 
-// Control performs authority-state operations over the wire. Args and
-// reply are string/u64 pairs kept deliberately simple; the platform's
-// trusted setup code is the only caller.
-type Control struct {
-	Op   string // create_principal, create_tag, delegate, revoke, has_authority, lookup_tag, declassify_check
-	Strs []string
-	Nums []uint64
+// Stats is the reply to a STATS request, which has no payload: the
+// server-side timing breakdown of the session's most recent statement,
+// five fixed u64 fields. Asking runs no statement, so it does not
+// overwrite the breakdown it reads.
+type Stats struct {
+	// TraceID echoes the ID the client stamped on the statement.
+	TraceID uint64
+	// ParseNs is parser time (0 for prepared executions — they never
+	// parse); PlanNs is server-side admission (label sync, shard
+	// fencing, read-your-writes waits); ExecNs is engine execution;
+	// StreamNs is result encoding and streaming.
+	ParseNs, PlanNs, ExecNs, StreamNs int64
 }
 
-// Encode marshals c.
-func (c *Control) Encode() []byte {
-	buf := appendString(nil, c.Op)
-	buf = binary.AppendUvarint(buf, uint64(len(c.Strs)))
-	for _, s := range c.Strs {
-		buf = appendString(buf, s)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(c.Nums)))
-	for _, n := range c.Nums {
-		buf = appendU64(buf, n)
+// Encode marshals s.
+func (s *Stats) Encode() []byte {
+	buf := appendU64(nil, s.TraceID)
+	for _, ns := range [...]int64{s.ParseNs, s.PlanNs, s.ExecNs, s.StreamNs} {
+		buf = appendU64(buf, uint64(ns))
 	}
 	return buf
 }
 
-// DecodeControl unmarshals a Control payload.
-func DecodeControl(buf []byte) (*Control, error) {
-	var c Control
-	var err error
-	c.Op, buf, err = readString(buf)
-	if err != nil {
-		return nil, err
+// DecodeStats unmarshals a Stats payload.
+func DecodeStats(buf []byte) (*Stats, error) {
+	if len(buf) != 5*8 {
+		return nil, fmt.Errorf("wire: bad stats (%d bytes)", len(buf))
 	}
-	ns, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("wire: bad control")
-	}
-	buf = buf[sz:]
-	c.Strs = make([]string, ns)
-	for i := range c.Strs {
-		c.Strs[i], buf, err = readString(buf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	nn, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("wire: bad control nums")
-	}
-	buf = buf[sz:]
-	c.Nums = make([]uint64, nn)
-	for i := range c.Nums {
-		c.Nums[i], buf, err = readU64(buf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &c, nil
-}
-
-// CtrlRes is the reply to a Control message.
-type CtrlRes struct {
-	Err  string
-	Nums []uint64
-}
-
-// Encode marshals c.
-func (c *CtrlRes) Encode() []byte {
-	buf := appendString(nil, c.Err)
-	buf = binary.AppendUvarint(buf, uint64(len(c.Nums)))
-	for _, n := range c.Nums {
-		buf = appendU64(buf, n)
-	}
-	return buf
-}
-
-// DecodeCtrlRes unmarshals a CtrlRes payload.
-func DecodeCtrlRes(buf []byte) (*CtrlRes, error) {
-	var c CtrlRes
-	var err error
-	c.Err, buf, err = readString(buf)
-	if err != nil {
-		return nil, err
-	}
-	nn, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("wire: bad ctrlres")
-	}
-	buf = buf[sz:]
-	c.Nums = make([]uint64, nn)
-	for i := range c.Nums {
-		c.Nums[i], buf, err = readU64(buf)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &c, nil
+	f := func(i int) uint64 { return binary.LittleEndian.Uint64(buf[8*i:]) }
+	return &Stats{TraceID: f(0), ParseNs: int64(f(1)), PlanNs: int64(f(2)), ExecNs: int64(f(3)), StreamNs: int64(f(4))}, nil
 }

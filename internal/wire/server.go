@@ -16,7 +16,6 @@ import (
 
 	"ifdb/internal/authority"
 	"ifdb/internal/engine"
-	"ifdb/internal/label"
 	"ifdb/internal/obs"
 	"ifdb/internal/wal"
 )
@@ -255,8 +254,10 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	if s.token != "" && subtle.ConstantTimeCompare([]byte(hello.Token), []byte(s.token)) != 1 {
 		// Reject untrusted platforms (§2: only trusted runtimes may
-		// connect).
-		_ = reply(MsgCtrlRes, (&CtrlRes{Err: "wire: bad platform token"}).Encode())
+		// connect), with the trailer-only ROWS frame a failed
+		// statement gets.
+		_ = rows.writeChunk(&RowsChunk{First: true, Done: true, Err: "wire: bad platform token"})
+		_ = w.Flush()
 		return
 	}
 	sess := s.eng.NewSession(authority.Principal(hello.Principal))
@@ -332,13 +333,10 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			s.noteStmtDone(sess, time.Since(t0))
-		case MsgControl:
-			c, err := DecodeControl(payload)
-			if err != nil {
-				s.logger().Warn("wire: bad control", "err", err)
-				return
-			}
-			if err := reply(MsgCtrlRes, s.runControl(sess, c).Encode()); err != nil {
+		case MsgStats:
+			st := sess.LastStmtStats()
+			res := &Stats{TraceID: st.TraceID, ParseNs: st.ParseNs, PlanNs: st.PlanNs, ExecNs: st.ExecNs, StreamNs: st.StreamNs}
+			if err := reply(MsgStatsRes, res.Encode()); err != nil {
 				return
 			}
 		case MsgStatus:
@@ -671,74 +669,4 @@ func (rw *rowsWriter) writeChunk(c *RowsChunk) error {
 		return err
 	}
 	return rw.writeChunk(right)
-}
-
-func (s *Server) runControl(sess *engine.Session, c *Control) *CtrlRes {
-	fail := func(err error) *CtrlRes { return &CtrlRes{Err: err.Error()} }
-	switch c.Op {
-	case "create_principal":
-		if len(c.Strs) != 1 {
-			return fail(errors.New("create_principal(name)"))
-		}
-		p, err := sess.CreatePrincipal(c.Strs[0])
-		if err != nil {
-			return fail(err)
-		}
-		return &CtrlRes{Nums: []uint64{uint64(p)}}
-	case "create_tag":
-		if len(c.Strs) < 1 {
-			return fail(errors.New("create_tag(name, compounds...)"))
-		}
-		t, err := sess.CreateTag(c.Strs[0], c.Strs[1:]...)
-		if err != nil {
-			return fail(err)
-		}
-		return &CtrlRes{Nums: []uint64{uint64(t)}}
-	case "lookup_tag":
-		if len(c.Strs) != 1 {
-			return fail(errors.New("lookup_tag(name)"))
-		}
-		t, ok := s.eng.LookupTag(c.Strs[0])
-		if !ok {
-			return fail(fmt.Errorf("no tag %q", c.Strs[0]))
-		}
-		return &CtrlRes{Nums: []uint64{uint64(t)}}
-	case "delegate":
-		if len(c.Nums) != 2 {
-			return fail(errors.New("delegate(grantee, tag)"))
-		}
-		if err := sess.Delegate(authority.Principal(c.Nums[0]), label.Tag(c.Nums[1])); err != nil {
-			return fail(err)
-		}
-		return &CtrlRes{}
-	case "revoke":
-		if len(c.Nums) != 2 {
-			return fail(errors.New("revoke(grantee, tag)"))
-		}
-		if err := sess.Revoke(authority.Principal(c.Nums[0]), label.Tag(c.Nums[1])); err != nil {
-			return fail(err)
-		}
-		return &CtrlRes{}
-	case "has_authority":
-		if len(c.Nums) != 1 {
-			return fail(errors.New("has_authority(tag)"))
-		}
-		v := uint64(0)
-		if sess.HasAuthority(label.Tag(c.Nums[0])) {
-			v = 1
-		}
-		return &CtrlRes{Nums: []uint64{v}}
-	case "stats":
-		// Per-statement timing breakdown of the session's most recent
-		// statement (ifdb-cli \stats): trace ID, then nanoseconds spent
-		// in parse, plan (server-side admission), execute, and stream.
-		st := sess.LastStmtStats()
-		return &CtrlRes{Nums: []uint64{
-			st.TraceID,
-			uint64(st.ParseNs), uint64(st.PlanNs),
-			uint64(st.ExecNs), uint64(st.StreamNs),
-		}}
-	default:
-		return fail(fmt.Errorf("wire: unknown control op %q", c.Op))
-	}
 }

@@ -138,22 +138,6 @@ func TestRowsChunkRoundTrip(t *testing.T) {
 	}
 }
 
-func TestControlRoundTrip(t *testing.T) {
-	c := &Control{Op: "delegate", Strs: []string{"x"}, Nums: []uint64{1, 2}}
-	got, err := DecodeControl(c.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Op != "delegate" || len(got.Strs) != 1 || len(got.Nums) != 2 {
-		t.Fatalf("control: %+v", got)
-	}
-	cr := &CtrlRes{Err: "", Nums: []uint64{9}}
-	gotr, err := DecodeCtrlRes(cr.Encode())
-	if err != nil || gotr.Nums[0] != 9 {
-		t.Fatalf("ctrlres: %+v %v", gotr, err)
-	}
-}
-
 // Property: random results round-trip byte-exactly.
 func TestQuickRowsChunkRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
