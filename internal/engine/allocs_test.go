@@ -65,13 +65,13 @@ func TestStatementAllocBudget(t *testing.T) {
 				{"select", 3, 600, `SELECT s_quantity, s_ytd, s_order_cnt FROM stock WHERE s_w_id = $1 AND s_i_id = $2`,
 					make([]types.Value, 2),
 					func(p []types.Value) { p[0], p[1] = types.NewInt(1), types.NewInt(1+next%50) }},
-				{"update", 8, 2000, `UPDATE stock SET s_quantity = $3, s_ytd = $4, s_order_cnt = $5 WHERE s_w_id = $1 AND s_i_id = $2`,
+				{"update", 8, 1500, `UPDATE stock SET s_quantity = $3, s_ytd = $4, s_order_cnt = $5 WHERE s_w_id = $1 AND s_i_id = $2`,
 					make([]types.Value, 5),
 					func(p []types.Value) {
 						p[0], p[1] = types.NewInt(1), types.NewInt(1+next%50)
 						p[2], p[3], p[4] = types.NewInt(40), types.NewInt(next), types.NewInt(next)
 					}},
-				{"insert", 6, 1394, `INSERT INTO new_order VALUES ($1, $2, $3)`,
+				{"insert", 6, 1000, `INSERT INTO new_order VALUES ($1, $2, $3)`,
 					make([]types.Value, 3),
 					func(p []types.Value) { p[0], p[1], p[2] = types.NewInt(1), types.NewInt(1), types.NewInt(next) }},
 			}

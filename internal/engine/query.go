@@ -33,7 +33,9 @@ type Result struct {
 // strip (exec.Subqueries). A statement's own qctx is a frame of its
 // session (Session.frame), kept from statement to statement.
 type qctx struct {
-	s      *Session
+	s *Session
+	// params are the statement's parameters: a frame's own copy
+	// (Session.frame), shared with its subqueries.
 	params []types.Value
 	// strip is the set of tags declassified by enclosing declassifying
 	// views (§4.3); tags covered by it are removed from tuple labels
@@ -47,18 +49,19 @@ type qctx struct {
 	targets []target
 }
 
-// bind points qc at the query of s with params under strip.
-func (qc *qctx) bind(s *Session, params []types.Value, strip label.Label) {
-	qc.s, qc.params, qc.strip = s, params, strip
+// bind points qc, holding its query's parameters, at the query of s
+// under strip.
+func (qc *qctx) bind(s *Session, strip label.Label) {
+	qc.s, qc.strip = s, strip
 	qc.rt = s.rt
-	qc.rt.Params, qc.rt.Subqs = params, qc
+	qc.rt.Params, qc.rt.Subqs = qc.params, qc
 }
 
 // SubqueryRunner returns the context subqueries met under strip run in:
 // the statement's parameters, that strip.
 func (qc *qctx) SubqueryRunner(strip label.Label) exec.SubqueryRunner {
-	sub := new(qctx)
-	sub.bind(qc.s, qc.params, strip)
+	sub := &qctx{params: qc.params}
+	sub.bind(qc.s, strip)
 	return sub
 }
 

@@ -62,7 +62,7 @@ type Session struct {
 	canceled atomic.Bool
 
 	// stats is the most recent statement's timing breakdown and trace
-	// ID (see metrics.go); read back through the wire server's stats op.
+	// ID (see metrics.go); read back through the wire's STATS frame.
 	stats StmtStats
 
 	// rt holds the plan.Runtime hooks that are the same for every
@@ -490,10 +490,13 @@ func (s *Session) exitStmt(t *txn.Txn, scope stmtScope, err error) error {
 
 // frame returns a statement frame for a query with params — one a
 // finished statement released, or a new one — with its Runtime bound
-// (qctx.bind). The statement holds it until it hands it back with
-// release: a buffered statement until it returns, a cursor until it
-// ends. A statement nested inside it (a trigger, a stored procedure)
-// takes a frame of its own.
+// (qctx.bind). The frame runs on its own copy of params, so the
+// caller's slice is the caller's again when frame returns: a cursor
+// that outlives the call does not see it rewritten, and a variadic
+// call's arguments stay on the caller's stack. The statement holds the
+// frame until it hands it back with release: a buffered statement
+// until it returns, a cursor until it ends. A statement nested inside
+// it (a trigger, a stored procedure) takes a frame of its own.
 func (s *Session) frame(params []types.Value) *qctx {
 	var qc *qctx
 	if n := len(s.frames); n > 0 {
@@ -501,15 +504,18 @@ func (s *Session) frame(params []types.Value) *qctx {
 	} else {
 		qc = new(qctx)
 	}
-	qc.bind(s, params, nil)
+	qc.params = append(qc.params, params...)
+	qc.bind(s, nil)
 	return qc
 }
 
 // release hands a statement's frame back for the session's next
-// statement, dropping what it points to but its targets' storage.
+// statement, dropping what it points to but the storage of its
+// parameters and targets.
 func (s *Session) release(qc *qctx) {
+	clear(qc.params)
 	clear(qc.targets)
-	*qc = qctx{targets: qc.targets[:0]}
+	*qc = qctx{params: qc.params[:0], targets: qc.targets[:0]}
 	s.frames = append(s.frames, qc)
 }
 

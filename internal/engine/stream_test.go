@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ifdb/internal/types"
 )
 
 // seedBig fills table big with n single-column rows via multi-row
@@ -181,5 +183,72 @@ func TestCursorLifecycle(t *testing.T) {
 	}
 	if _, err := s.Exec(`ROLLBACK`); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCursorOwnsItsParams: a cursor runs on its own copy of the
+// parameters it opened with. A caller that rewrites its slice after
+// ExecStream or ExecPreparedStream returns — the way a loop reuses one
+// slice for every execution — does not change the rows the rest of the
+// stream yields.
+func TestCursorOwnsItsParams(t *testing.T) {
+	const rows = 20_000
+	e := MustNew(Config{})
+	s := e.NewSession(e.Admin())
+	mustExec(t, s, `CREATE TABLE kv (k BIGINT PRIMARY KEY, v BIGINT)`)
+	var b strings.Builder
+	for lo := 0; lo < rows; lo += 1000 {
+		b.Reset()
+		b.WriteString(`INSERT INTO kv VALUES `)
+		for k := lo; k < lo+1000; k++ {
+			if k > lo {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "(%d, %d)", k, k%4)
+		}
+		mustExec(t, s, b.String())
+	}
+	const q = `SELECT k, v FROM kv WHERE v = $1`
+	p, err := s.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []struct {
+		name string
+		fn   func(params []types.Value) (*Cursor, error)
+	}{
+		{"ExecStream", func(params []types.Value) (*Cursor, error) { return s.ExecStream(q, params...) }},
+		{"ExecPreparedStream", func(params []types.Value) (*Cursor, error) { return s.ExecPreparedStream(p, params...) }},
+	} {
+		t.Run(open.name, func(t *testing.T) {
+			params := []types.Value{types.NewInt(3)}
+			c, err := open.fn(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !c.Streaming() {
+				t.Fatal("the SELECT did not open a streaming cursor")
+			}
+			params[0] = types.NewInt(2)
+			n := 0
+			for {
+				batch, _, err := c.NextBatch(100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(batch) == 0 {
+					break
+				}
+				for _, r := range batch {
+					if r[1].Int() != 3 {
+						t.Fatalf("row k=%d does not match v = 3", r[0].Int())
+					}
+				}
+				n += len(batch)
+			}
+			if n != rows/4 {
+				t.Fatalf("%d rows, want %d", n, rows/4)
+			}
+		})
 	}
 }

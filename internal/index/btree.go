@@ -124,7 +124,7 @@ func (t *Btree) Insert(key Key, tid storage.TID) {
 	}
 	if len(t.root.entries) >= btreeOrder {
 		old := t.root
-		left, sep, right := splitNode(old)
+		left, sep, right := splitNode(old, &e)
 		t.root = &node{entries: []entry{sep}, children: []*node{left, right}}
 	}
 }
@@ -146,7 +146,7 @@ func (t *Btree) insertInto(n *node, e entry) bool {
 	child := n.children[lo]
 	added := t.insertInto(child, e)
 	if len(child.entries) >= btreeOrder {
-		left, sep, right := splitNode(child)
+		left, sep, right := splitNode(child, &e)
 		n.entries = append(n.entries, entry{})
 		copy(n.entries[lo+1:], n.entries[lo:])
 		n.entries[lo] = sep
@@ -158,16 +158,28 @@ func (t *Btree) insertInto(n *node, e entry) bool {
 	return added
 }
 
-func splitNode(n *node) (left *node, sep entry, right *node) {
+// splitNode splits n, which the insert of e filled, into n itself, cut
+// short, a separator, and a new right node. It splits about the middle
+// entry, or about e when e is n's last entry: an ascending run of
+// inserts then leaves full nodes behind it, not half-full ones, and
+// goes on in the empty right node. Both nodes have room for btreeOrder
+// entries (and children), which a node holds before it splits again,
+// so no insert into either grows its arrays.
+func splitNode(n *node, e *entry) (left *node, sep entry, right *node) {
 	mid := len(n.entries) / 2
-	sep = n.entries[mid]
-	left = &node{entries: append([]entry(nil), n.entries[:mid]...)}
-	right = &node{entries: append([]entry(nil), n.entries[mid+1:]...)}
-	if !n.leaf() {
-		left.children = append([]*node(nil), n.children[:mid+1]...)
-		right.children = append([]*node(nil), n.children[mid+1:]...)
+	if last := len(n.entries) - 1; entryCmp(&n.entries[last], e) == 0 {
+		mid = last
 	}
-	return left, sep, right
+	sep = n.entries[mid]
+	right = &node{entries: append(make([]entry, 0, btreeOrder), n.entries[mid+1:]...)}
+	clear(n.entries[mid:])
+	n.entries = n.entries[:mid]
+	if !n.leaf() {
+		right.children = append(make([]*node, 0, btreeOrder+1), n.children[mid+1:]...)
+		clear(n.children[mid+1:])
+		n.children = n.children[:mid+1]
+	}
+	return n, sep, right
 }
 
 // Delete removes (key, tid) if present, reporting whether it was found.

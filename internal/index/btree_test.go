@@ -119,6 +119,18 @@ func TestLargeOrderedInsertAndSplits(t *testing.T) {
 	if prev != n-1 {
 		t.Fatalf("visited up to %d", prev)
 	}
+	// An ascending run leaves full nodes behind it: every node off the
+	// rightmost path holds btreeOrder-1 entries.
+	var walk func(nd *node, rightmost bool)
+	walk = func(nd *node, rightmost bool) {
+		if !rightmost && len(nd.entries) != btreeOrder-1 {
+			t.Fatalf("a node off the rightmost path holds %d entries, want %d", len(nd.entries), btreeOrder-1)
+		}
+		for i, c := range nd.children {
+			walk(c, rightmost && i == len(nd.children)-1)
+		}
+	}
+	walk(tr.root, true)
 }
 
 func TestMixedTypeKeys(t *testing.T) {

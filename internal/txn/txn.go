@@ -54,6 +54,11 @@ type Manager struct {
 	activeKey uint64
 	active    map[uint64]uint64 // token -> snapshot seq
 
+	// spare holds the cleared write-set arrays of finished transactions
+	// (finish), each handed to the next transaction that may write
+	// (register). Guarded by activeMu, which both already take.
+	spare [][]writeRec
+
 	// wal, when attached, receives commit/abort records for
 	// transactions that logged at least one write. The commit record is
 	// appended while commitMu is held, so log order equals
@@ -84,6 +89,10 @@ const (
 	wInsert writeKind = iota
 	wDelete           // xmax stamp (also the "old version" half of update)
 )
+
+// maxSpareWrites bounds the write set finish recycles, in records: a
+// bulk load's array is let go rather than kept for the process's life.
+const maxSpareWrites = 1024
 
 // Txn is one transaction. Not safe for concurrent use by multiple
 // goroutines (like a database session).
@@ -129,14 +138,18 @@ func (m *Manager) BeginReadOnly(mode Mode) *Txn {
 	return m.register(&Txn{m: m, xid: storage.InvalidXID, snapSeq: m.seq.Load(), mode: mode})
 }
 
-// register enters t's snapshot into active. Callers hold commitMu since
-// taking it, so no commit can land between and let OldestSnapshot pass
-// a snapshot not yet counted (vacuum would drop versions it sees).
+// register enters t's snapshot into active, and gives a t that may
+// write a finished transaction's write-set array. Callers hold commitMu
+// since taking it, so no commit can land between and let OldestSnapshot
+// pass a snapshot not yet counted (vacuum would drop versions it sees).
 func (m *Manager) register(t *Txn) *Txn {
 	m.activeMu.Lock()
 	m.activeKey++
 	t.akey = m.activeKey
 	m.active[t.akey] = t.snapSeq
+	if n := len(m.spare); n > 0 && t.xid != storage.InvalidXID {
+		t.writes, m.spare = m.spare[n-1], m.spare[:n-1]
+	}
 	m.activeMu.Unlock()
 	return t
 }
@@ -220,26 +233,6 @@ func (t *Txn) Delete(h storage.Heap, tid storage.TID, l, il label.Label) error {
 // Defer queues fn to run at commit time, before the commit becomes
 // visible. Used for deferred triggers and constraint checks.
 func (t *Txn) Defer(fn func() error) { t.deferred = append(t.deferred, fn) }
-
-// WriteSetLabels returns the distinct labels of tuples written by this
-// transaction (inserts and deletes both count: aborting a delete also
-// signals through the deleted tuple).
-func (t *Txn) WriteSetLabels() []label.Label {
-	var out []label.Label
-	for _, w := range t.writes {
-		dup := false
-		for _, l := range out {
-			if l.Equal(w.label) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, w.label)
-		}
-	}
-	return out
-}
 
 // CheckCommitLabel enforces the commit-label rules. For secrecy, the
 // commit label must flow to every written tuple's label (§5.1). For
@@ -345,11 +338,23 @@ func (t *Txn) Abort() {
 	t.finish()
 }
 
+// finish ends t. Its write set, cleared, goes to the next transaction
+// that may write (register); t keeps no reference to it, so nothing
+// done with a finished Txn reaches the records of a later one.
 func (t *Txn) finish() {
 	t.done = true
 	t.deferred = nil
+	w := t.writes
+	t.writes = nil
+	keep := cap(w) > 0 && cap(w) <= maxSpareWrites
+	if keep {
+		clear(w)
+	}
 	t.m.activeMu.Lock()
 	delete(t.m.active, t.akey)
+	if keep {
+		t.m.spare = append(t.m.spare, w[:0])
+	}
 	t.m.activeMu.Unlock()
 }
 

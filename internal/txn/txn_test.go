@@ -247,18 +247,101 @@ func TestTxnDoneErrors(t *testing.T) {
 	tx.Abort() // no-op
 }
 
-func TestWriteSetLabelsDedup(t *testing.T) {
+// TestRecycledWriteSetUnreachable: a finished transaction's write set
+// is the next writer's, and nothing done with the finished Txn — a
+// second Abort or Commit — reaches it: the later transaction's xmax
+// stamp survives, and its commit deletes the row.
+func TestRecycledWriteSetUnreachable(t *testing.T) {
 	m := NewManager()
 	h := storage.NewMemHeap()
-	tx := m.Begin(SnapshotIsolation)
-	insert(h, tx, 1, label.New(1))
-	insert(h, tx, 2, label.New(1))
-	insert(h, tx, 3, label.New(2))
-	ls := tx.WriteSetLabels()
-	if len(ls) != 2 {
-		t.Fatalf("labels: %v", ls)
+	setup := m.Begin(SnapshotIsolation)
+	r1, r2 := insert(h, setup, 1, nil), insert(h, setup, 2, nil)
+	if err := setup.Commit(nil, nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	tx.Abort()
+
+	a := m.Begin(SnapshotIsolation)
+	if err := a.Delete(h, r1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if a.writes != nil {
+		t.Fatal("a committed Txn still holds its write set")
+	}
+	b := m.Begin(SnapshotIsolation)
+	if cap(b.writes) == 0 {
+		t.Fatal("the next writer did not get the finished write set")
+	}
+	if err := b.Delete(h, r2, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	a.Abort()
+	if err := a.Commit(nil, nil, nil); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("second commit: %v", err)
+	}
+	if tv, _ := h.Get(r2); tv.Xmax != b.XID() {
+		t.Fatalf("b's xmax stamp on row 2 is %d, want %d", tv.Xmax, b.XID())
+	}
+	if err := b.Commit(nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	r := m.Begin(SnapshotIsolation)
+	defer r.Abort()
+	for _, tid := range []storage.TID{r1, r2} {
+		if tv, _ := h.Get(tid); r.Visible(tv.Xmin, tv.Xmax) {
+			t.Errorf("row %d is visible after its delete committed", tv.Row[0].Int())
+		}
+	}
+}
+
+// TestRecycledWriteSetsAcrossGoroutines: write sets pass from one
+// session's finished transaction to another's under the manager, and
+// each rollback still undoes exactly its own writes — its inserts
+// invisible, its delete stamps cleared.
+func TestRecycledWriteSetsAcrossGoroutines(t *testing.T) {
+	m := NewManager()
+	const workers, rounds = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := storage.NewMemHeap()
+			setup := m.Begin(SnapshotIsolation)
+			base := insert(h, setup, -1, nil)
+			if err := setup.Commit(nil, nil, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			for r := 0; r < rounds; r++ {
+				tx := m.Begin(SnapshotIsolation)
+				var tids []storage.TID
+				for i := 0; i <= (w+r)%7; i++ {
+					tids = append(tids, insert(h, tx, int64(r), nil))
+				}
+				if err := tx.Delete(h, base, nil, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				tx.Abort()
+				if tv, _ := h.Get(base); tv.Xmax != storage.InvalidXID {
+					t.Errorf("worker %d round %d: rollback left xmax %d on the base row", w, r, tv.Xmax)
+					return
+				}
+				rd := m.Begin(SnapshotIsolation)
+				for _, tid := range tids {
+					if tv, _ := h.Get(tid); rd.Visible(tv.Xmin, tv.Xmax) {
+						t.Errorf("worker %d round %d: a rolled-back insert is visible", w, r)
+					}
+				}
+				rd.Abort()
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestOldestSnapshotAndVacuumHorizon(t *testing.T) {

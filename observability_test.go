@@ -13,9 +13,9 @@ import (
 
 // TestTraceIDPropagation drives a statement through the full stack —
 // client EXECUTE frame with a client-generated trace ID, server-side
-// per-statement timing — and reads the breakdown back over the "stats"
-// control op, checking the ID the server recorded is the ID the client
-// sent.
+// per-statement timing — and reads the breakdown back with a STATS
+// frame (client.Conn.Stats), checking the ID the server recorded is the
+// ID the client sent.
 func TestTraceIDPropagation(t *testing.T) {
 	db := ifdb.MustOpen(ifdb.Config{})
 	defer db.Close()
