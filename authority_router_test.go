@@ -2,14 +2,11 @@ package ifdb_test
 
 import (
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
 	"ifdb"
 	"ifdb/client"
-	"ifdb/internal/repl"
-	"ifdb/internal/wire"
 )
 
 // TestRouterAuthorityCalls: an unsharded Router runs the authority
@@ -23,30 +20,13 @@ func TestRouterAuthorityCalls(t *testing.T) {
 	}
 	defer prim.Close()
 	owner := prim.CreatePrincipal("owner")
-	primRepl := repl.NewPrimary(prim.Engine(), "")
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go primRepl.Serve(replLn)
-	defer primRepl.Close()
-	replica, err := ifdb.Open(ifdb.Config{IFC: true, DataDir: t.TempDir(), ReplicaOf: replLn.Addr().String()})
+	primAddr, _, _ := serveNode(t, prim, "")
+	replica, err := ifdb.Open(ifdb.Config{IFC: true, DataDir: t.TempDir(), ReplicaOf: primAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer replica.Close()
-
-	serve := func(db *ifdb.DB) string {
-		srv := wire.NewServer(db.Engine(), "")
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(ln)
-		t.Cleanup(func() { srv.Close() })
-		return ln.Addr().String()
-	}
-	primAddr, replAddr := serve(prim), serve(replica)
+	replAddr, _, _ := serveNode(t, replica, "")
 	router, err := client.OpenRouter(client.RouterConfig{
 		Addrs: []string{primAddr, replAddr}, Principal: uint64(owner),
 		FailoverTimeout: 10 * time.Second,

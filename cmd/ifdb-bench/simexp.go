@@ -135,7 +135,7 @@ func expReplicaRead() {
 	}))
 	fmt.Printf("(%s)\n", describeSched(sched))
 
-	// Primary: durable engine, client server, replication listener.
+	// Primary: durable engine behind one server for clients and followers.
 	primDir, err := os.MkdirTemp("", "ifdb-bench-prim")
 	check(err)
 	defer os.RemoveAll(primDir)
@@ -153,23 +153,20 @@ func expReplicaRead() {
 		}
 	}
 	primSrv := wire.NewServer(db.Engine(), "")
+	primSrv.Replicate = repl.NewPrimary(db.Engine(), "").Stream
 	primLn, err := net.Listen("tcp", "127.0.0.1:0")
 	check(err)
 	go primSrv.Serve(primLn)
 	defer primSrv.Close()
-	replPrim := repl.NewPrimary(db.Engine(), "")
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	check(err)
-	go replPrim.Serve(replLn)
-	defer replPrim.Close()
 
-	// Replicas: followers over the stream, each with a client server.
+	// Replicas: followers over the primary's client port, each with a
+	// client server.
 	addrs := []string{primLn.Addr().String()}
 	for i := 0; i < *replicasFlag; i++ {
 		dir, err := os.MkdirTemp("", "ifdb-bench-repl")
 		check(err)
 		defer os.RemoveAll(dir)
-		f, err := repl.Open(repl.Config{Addr: replLn.Addr().String(), DataDir: dir, SyncMode: "off"})
+		f, err := repl.Open(repl.Config{Addr: addrs[0], DataDir: dir, SyncMode: "off"})
 		check(err)
 		defer f.Close()
 		srv := wire.NewServer(f.Engine(), "")

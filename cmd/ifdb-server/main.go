@@ -4,7 +4,7 @@
 //
 //	ifdb-server -addr :5433 -token secret [-no-ifc] [-datadir /var/lib/ifdb]
 //	            [-sync group|commit|off] [-checkpoint-interval 1m]
-//	            [-repl-listen :5434] [-replica-of primary:5434]
+//	            [-replica-of primary:5433] [-repl-token secret]
 //	            [-repl-retain 64MB] [-cluster a:5433,b:5433] [-auto-failover]
 //	            [-shard-id 0 -shard-map shards.conf]
 //	            [-metrics-listen :9090] [-log-level info] [-slow-query 100ms]
@@ -22,21 +22,23 @@
 // periodically, and SIGINT/SIGTERM trigger a clean shutdown (final
 // checkpoint, WAL close).
 //
-// Replication: -repl-listen makes this server a primary, serving its
-// WAL to followers on the given address; -replica-of makes it a
-// read-only replica of the named primary — it bootstraps (or resumes)
-// from the primary's stream and serves queries, rejecting writes.
-// -repl-token authenticates followers (defaults to -token).
+// Replication: a durable server (-datadir) serves its WAL to followers
+// on its client address — a connection whose first frame is a
+// replication hello gets the stream. -replica-of makes it a read-only
+// replica of the primary at the named client address — it bootstraps
+// (or resumes) from the primary's stream and serves queries, rejecting
+// writes. -repl-token authenticates followers (defaults to -token).
 // -repl-retain caps how many WAL bytes a lagging replica may pin
 // against checkpoint truncation (0 = unlimited).
 //
 // Failover: a replica accepts the PROMOTE command over the client
 // protocol (ifdb-cli \promote, or the cluster coordinator) and turns
 // into a writable primary under a bumped WAL epoch; a stale primary is
-// fenced and can only rejoin by re-bootstrapping as a replica. When
-// both -replica-of and -repl-listen are given, the replication
-// listener starts at the moment of promotion, so fenced peers can
-// rejoin as replicas of the new primary. -cluster names every node's
+// fenced and can only rejoin by re-bootstrapping as a replica. A
+// replica refuses followers until it is promoted and serves them from
+// then on, so fenced peers rejoin at the new primary's client address,
+// the one the coordinator and shard map already know. -cluster names
+// every node's
 // client address and runs the health-checking coordinator in-process;
 // with -auto-failover it promotes the most-caught-up replica after the
 // primary has been unreachable for -fail-after probes.
@@ -64,7 +66,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -89,8 +90,7 @@ func main() {
 		initSQL  = flag.String("init", "", "path to a SQL script to run at startup")
 		vacuum   = flag.Duration("vacuum-interval", time.Minute, "autovacuum period (0 disables)")
 
-		replListen = flag.String("repl-listen", "", "serve the WAL to replicas on this address (on a replica: armed, starts at promotion)")
-		replicaOf  = flag.String("replica-of", "", "run as a read-only replica of the primary at this address (requires -datadir)")
+		replicaOf  = flag.String("replica-of", "", "run as a read-only replica of the primary at this client address (requires -datadir)")
 		replToken  = flag.String("repl-token", "", "replication token (defaults to -token)")
 		replRetain = flag.Int64("repl-retain", 0, "retained-WAL budget in bytes a lagging replica may pin (0 = unlimited)")
 
@@ -236,36 +236,14 @@ func main() {
 		die("-shard-id requires -shard-map")
 	}
 
-	// Primary side of replication: serve the WAL to followers. On a
-	// replica with -repl-listen the listener is armed but deferred to
-	// promotion: a replica must not serve a stream (no cascading
-	// replication), but the moment it is promoted, fenced peers need
-	// somewhere to rejoin.
-	var (
-		primaryMu sync.Mutex
-		primary   *repl.Primary
-	)
-	startReplListener := func() {
-		primaryMu.Lock()
-		defer primaryMu.Unlock()
-		if primary != nil || *replListen == "" {
-			return
-		}
+	// Primary side of replication: a durable node serves its WAL to
+	// followers on the client port. A replica's Primary refuses them
+	// (no cascading replication) until PROMOTE, then serves fenced
+	// peers rejoining at this address.
+	if *dataDir != "" {
 		p := repl.NewPrimary(db.Engine(), *replToken)
 		p.Logger = logger
-		primary = p
-		go func() {
-			if err := p.ListenAndServe(*replListen); err != nil {
-				die("repl listener failed", "err", err)
-			}
-		}()
-		logger.Info("serving replication", "addr", *replListen)
-	}
-	if *replListen != "" && !db.IsReplica() {
-		if *dataDir == "" {
-			die("-repl-listen requires -datadir (no WAL to ship without one)")
-		}
-		startReplListener()
+		srv.Replicate = p.Stream
 	}
 
 	// Failover: replicas honor PROMOTE over the client protocol.
@@ -275,7 +253,6 @@ func main() {
 				return err
 			}
 			logger.Warn("promoted to primary", "epoch", db.Epoch())
-			startReplListener()
 			return nil
 		}
 	}
@@ -320,14 +297,6 @@ func main() {
 		close(shuttingDown)
 		close(stopVacuum)
 		close(stopCoord)
-		primaryMu.Lock()
-		p := primary
-		primaryMu.Unlock()
-		if p != nil {
-			if err := p.Close(); err != nil {
-				logger.Warn("close repl listener failed", "err", err)
-			}
-		}
 		if err := srv.Close(); err != nil {
 			logger.Warn("close listener failed", "err", err)
 		}

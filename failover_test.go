@@ -9,8 +9,6 @@ import (
 
 	"ifdb"
 	"ifdb/client"
-	"ifdb/internal/repl"
-	"ifdb/internal/wire"
 )
 
 // TestClusterFailoverEndToEnd drives the whole failover story over
@@ -25,63 +23,30 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	const token = "tok"
 	primDir := t.TempDir()
 
-	// --- Old primary: durable DB, wire server, replication listener.
+	// --- Old primary: durable DB behind one wire server, which serves
+	// clients and followers alike.
 	prim, err := ifdb.Open(ifdb.Config{IFC: true, DataDir: primDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	primSrv := wire.NewServer(prim.Engine(), token)
-	primLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primAddr := primLn.Addr().String()
-	go primSrv.Serve(primLn)
-	primRepl := repl.NewPrimary(prim.Engine(), token)
-	primReplLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go primRepl.Serve(primReplLn)
+	primAddr, primSrv, _ := serveNode(t, prim, token)
 
 	if _, err := prim.AdminSession().Exec(`CREATE TABLE t (id BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 
-	// --- Replica: follows the primary; its wire server honors PROMOTE
-	// and starts serving replication the moment it is promoted (what
-	// ifdb-server does with -replica-of + -repl-listen).
+	// --- Replica: follows the primary at its client address; its
+	// server honors PROMOTE and, from the promotion on, serves followers
+	// on that same address (what ifdb-server does with -replica-of).
 	replica, err := ifdb.Open(ifdb.Config{
 		IFC: true, DataDir: t.TempDir(),
-		ReplicaOf: primReplLn.Addr().String(), ReplToken: token,
+		ReplicaOf: primAddr, ReplToken: token,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer replica.Close()
-	replSrv := wire.NewServer(replica.Engine(), token)
-	replSrv.StatusErr = replica.ReplicationErr
-	var newRepl *repl.Primary
-	var newReplAddr string
-	replSrv.Promote = func() error {
-		if err := replica.Promote(); err != nil {
-			return err
-		}
-		newRepl = repl.NewPrimary(replica.Engine(), token)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		newReplAddr = ln.Addr().String()
-		go newRepl.Serve(ln)
-		return nil
-	}
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	replAddr := replLn.Addr().String()
-	go replSrv.Serve(replLn)
+	replAddr, replSrv, newRepl := serveNode(t, replica, token)
 	defer replSrv.Close()
 
 	// --- Router over both nodes.
@@ -152,9 +117,8 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 		t.Fatalf("replica status before failover: %+v", st)
 	}
 
-	// --- Crash the primary: client listener, repl listener, process.
+	// --- Crash the primary: its server (clients and stream), process.
 	primSrv.Close()
-	primRepl.Close()
 	prim.Crash()
 
 	// --- Manual failover over the wire (what ifdb-cli \promote or the
@@ -174,11 +138,6 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	if replica.IsReplica() || replica.Epoch() != 2 {
 		t.Fatalf("replica DB not promoted: replica=%v epoch=%d", replica.IsReplica(), replica.Epoch())
 	}
-	defer func() {
-		if newRepl != nil {
-			newRepl.Close()
-		}
-	}()
 
 	// --- The Router redirects writes to the new primary.
 	if _, err := router.Exec(`INSERT INTO t VALUES (1000, 'after-failover')`); err != nil {
@@ -193,12 +152,13 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	}
 
 	// --- The fenced old primary rejoins as a replica of the new
-	// primary (same DataDir, same client address — a restart on its
-	// host), re-bootstrapping across the epoch boundary.
+	// primary at the client address the Router already knows (same
+	// DataDir, same address of its own — a restart on its host),
+	// re-bootstrapping across the epoch boundary.
 	before := newRepl.Basebackups.Load()
 	rejoined, err := ifdb.Open(ifdb.Config{
 		IFC: true, DataDir: primDir,
-		ReplicaOf: newReplAddr, ReplToken: token,
+		ReplicaOf: replAddr, ReplToken: token,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +167,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	if got := newRepl.Basebackups.Load(); got != before+1 {
 		t.Fatalf("old primary rejoined without re-bootstrapping (%d → %d basebackups)", before, got)
 	}
-	rejoinedSrv := wire.NewServer(rejoined.Engine(), token)
-	rejoinedSrv.StatusErr = rejoined.ReplicationErr
+	rejoinedSrv, _ := nodeServer(rejoined, token)
 	rejoinedLn := relisten(t, primAddr)
 	go rejoinedSrv.Serve(rejoinedLn)
 	defer rejoinedSrv.Close()

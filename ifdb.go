@@ -130,12 +130,12 @@ type Config struct {
 	CheckpointEvery time.Duration
 
 	// ReplicaOf makes this database a read-only replica of the primary
-	// whose replication listener is at the given address. Requires
-	// DataDir. Open bootstraps (or resumes) the replica and streams
-	// the primary's WAL continuously in the background; queries see
-	// the replicated state with full IFC label enforcement, and every
-	// write is rejected with ErrReadOnlyReplica. Serve a primary's
-	// stream with ifdb-server -repl-listen (or repl.NewPrimary).
+	// whose client address is given. Requires DataDir. Open bootstraps
+	// (or resumes) the replica and streams the primary's WAL
+	// continuously in the background; queries see the replicated state
+	// with full IFC label enforcement, and every write is rejected with
+	// ErrReadOnlyReplica. A durable ifdb-server serves the stream on
+	// its client port.
 	ReplicaOf string
 
 	// ReplToken authenticates this replica to the primary (replicas
@@ -223,9 +223,8 @@ func (db *DB) IsReplica() bool { return db.eng.IsReplica() }
 // stream stops, in-flight replicated transactions abort, the WAL
 // epoch is bumped durably — fencing the old primary, whose stale
 // streams every node refuses from here on — and writes open. Open
-// sessions stay valid. To let fenced peers rejoin as replicas of this
-// node, serve its WAL with repl.NewPrimary(db.Engine()) (what
-// ifdb-server's -repl-listen does after promotion).
+// sessions stay valid. From here on the node's repl.Primary serves
+// followers, so fenced peers rejoin at this node's client address.
 func (db *DB) Promote() error {
 	if db.follower == nil {
 		return engine.ErrNotReplica

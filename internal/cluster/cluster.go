@@ -2,9 +2,10 @@
 // replicated IFDB deployment: a health checker that probes every
 // node's replication role over the client protocol's STATUS frames,
 // detects primary failure, and orchestrates promotion of the
-// most-caught-up replica — manually (PromoteBest, what ifdb-cli's
-// \promote and operators' runbooks call) or automatically (Config
-// .AutoPromote, after FailAfter consecutive failed primary probes).
+// most-caught-up replica — manually (PromoteBest, what operators'
+// runbooks call; ifdb-cli's \promote instead sends PROMOTE to the node
+// it is connected to) or automatically (Config.AutoPromote, after
+// FailAfter consecutive failed primary probes).
 //
 // The coordinator is deliberately an *observer with one verb*: all
 // safety lives below it. Promotion bumps the WAL epoch on the promoted

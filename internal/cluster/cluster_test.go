@@ -13,9 +13,9 @@ import (
 	"ifdb/internal/wire"
 )
 
-// node is one in-process cluster member: an engine, its client-facing
-// wire server, and (for replicas) the follower whose promotion the
-// server's PROMOTE handler triggers.
+// node is one in-process cluster member: an engine, its wire server
+// (clients and followers share its one address), and (for replicas)
+// the follower whose promotion the server's PROMOTE handler triggers.
 type node struct {
 	eng  *engine.Engine
 	srv  *wire.Server
@@ -26,6 +26,7 @@ type node struct {
 func startNode(t *testing.T, eng *engine.Engine, f *repl.Follower) *node {
 	t.Helper()
 	srv := wire.NewServer(eng, "")
+	srv.Replicate = repl.NewPrimary(eng, "").Stream
 	if f != nil {
 		srv.Promote = f.Promote
 		srv.StatusErr = f.Err
@@ -39,22 +40,15 @@ func startNode(t *testing.T, eng *engine.Engine, f *repl.Follower) *node {
 	return &node{eng: eng, srv: srv, addr: ln.Addr().String(), f: f}
 }
 
-// startCluster brings up a durable primary with its replication
-// listener and n replicas, all converged.
-func startCluster(t *testing.T, replicas int) (*node, *repl.Primary, []*node) {
+// startCluster brings up a durable primary and n replicas following
+// it at its address, all converged.
+func startCluster(t *testing.T, replicas int) (*node, []*node) {
 	t.Helper()
 	eng, err := engine.New(engine.Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	rp := repl.NewPrimary(eng, "")
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rp.Serve(rln)
-	t.Cleanup(func() { rp.Close() })
 	prim := startNode(t, eng, nil)
 
 	s := eng.NewSession(eng.Admin())
@@ -70,7 +64,7 @@ func startCluster(t *testing.T, replicas int) (*node, *repl.Primary, []*node) {
 	var reps []*node
 	for i := 0; i < replicas; i++ {
 		f, err := repl.Open(repl.Config{
-			Addr: rln.Addr().String(), DataDir: t.TempDir(),
+			Addr: prim.addr, DataDir: t.TempDir(),
 			RetryInterval: 20 * time.Millisecond,
 		})
 		if err != nil {
@@ -93,7 +87,7 @@ func startCluster(t *testing.T, replicas int) (*node, *repl.Primary, []*node) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	return prim, rp, reps
+	return prim, reps
 }
 
 func addrs(prim *node, reps []*node) []string {
@@ -106,7 +100,7 @@ func addrs(prim *node, reps []*node) []string {
 
 // TestProbeSweep: the coordinator sees roles, epochs, and lag.
 func TestProbeSweep(t *testing.T) {
-	prim, _, reps := startCluster(t, 2)
+	prim, reps := startCluster(t, 2)
 	c, err := New(Config{Nodes: addrs(prim, reps), DialTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +159,7 @@ func TestPickBest(t *testing.T) {
 // FailAfter sweeps and promotes the most-caught-up replica, which then
 // accepts writes at epoch 2 while the other node stays a replica.
 func TestAutoFailover(t *testing.T) {
-	prim, rp, reps := startCluster(t, 2)
+	prim, reps := startCluster(t, 2)
 	c, err := New(Config{
 		Nodes:         addrs(prim, reps),
 		ProbeInterval: 20 * time.Millisecond,
@@ -188,9 +182,8 @@ func TestAutoFailover(t *testing.T) {
 		}
 	}
 
-	// Kill the primary: client server, repl listener, engine.
+	// Kill the primary: its server (clients and streams), its engine.
 	prim.srv.Close()
-	rp.Close()
 	prim.eng.Crash()
 
 	deadline := time.Now().Add(10 * time.Second)

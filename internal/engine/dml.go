@@ -462,12 +462,9 @@ func (s *Session) checkConstraints(t *catalog.Table, row []types.Value, lw label
 // confinement — the declaration is precisely what vouches for that
 // read.
 func (s *Session) checkForeignKeyInsert(t *catalog.Table, fk *catalog.ForeignKey, row []types.Value, lw label.Label, declTags label.Label) error {
-	key := make([]types.Value, len(fk.Cols))
-	for i, c := range fk.Cols {
-		key[i] = row[c]
-		if key[i].IsNull() {
-			return nil // SQL: NULL FK values are not checked
-		}
+	key, ok := fkKey(row, fk.Cols)
+	if !ok {
+		return nil
 	}
 	ref, ok := s.eng.cat.Table(fk.RefTable)
 	if !ok {
@@ -566,6 +563,19 @@ func (s *Session) executeUpdate(up *sql.UpdateStmt, qc *qctx) (int, error) {
 	return n, nil
 }
 
+// fkKey is row's values at cols, or false when one of them is NULL:
+// SQL checks no foreign key through a NULL, on either side.
+func fkKey(row []types.Value, cols []int) ([]types.Value, bool) {
+	key := make([]types.Value, len(cols))
+	for i, c := range cols {
+		if row[c].IsNull() {
+			return nil, false
+		}
+		key[i] = row[c]
+	}
+	return key, true
+}
+
 // checkReferencersOnKeyChange refuses an UPDATE that changes a key
 // other tables still reference, as a delete of the old key would be.
 func (s *Session) checkReferencersOnKeyChange(t *catalog.Table, oldRow, newRow []types.Value) error {
@@ -573,9 +583,9 @@ func (s *Session) checkReferencersOnKeyChange(t *catalog.Table, oldRow, newRow [
 		if !colsChanged(rf.FK.RefCols, oldRow, newRow) {
 			continue
 		}
-		key := make([]types.Value, len(rf.FK.RefCols))
-		for i, c := range rf.FK.RefCols {
-			key[i] = oldRow[c]
+		key, ok := fkKey(oldRow, rf.FK.RefCols)
+		if !ok {
+			continue
 		}
 		found := false
 		if err := s.lookupByColsTID(rf.Table, rf.FK.Cols, key, func(storage.TID, *storage.TupleVersion) { found = true }); err != nil {
@@ -630,15 +640,8 @@ func (s *Session) deleteOne(t *catalog.Table, tg target, qc *qctx) error {
 	}
 	// Referential integrity on the delete side.
 	for _, rf := range s.eng.cat.ReferencingFKs(t.Name) {
-		key := make([]types.Value, len(rf.FK.RefCols))
-		skip := false
-		for i, c := range rf.FK.RefCols {
-			key[i] = tg.tv.Row[c]
-			if key[i].IsNull() {
-				skip = true
-			}
-		}
-		if skip {
+		key, ok := fkKey(tg.tv.Row, rf.FK.RefCols)
+		if !ok {
 			continue
 		}
 		// Another (polyinstantiated) version of this key may remain;

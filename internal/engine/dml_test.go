@@ -128,6 +128,24 @@ func TestForeignKeyRestrict(t *testing.T) {
 	mustExec(t, s, `UPDATE emp SET did = 2 WHERE eid = 1`)
 }
 
+// TestKeyChangeIgnoresNullReferences: a child whose foreign key is
+// NULL references nothing, so it must not pin a parent whose NULL key
+// an UPDATE sets; a child holding the parent's real key still does.
+func TestKeyChangeIgnoresNullReferences(t *testing.T) {
+	e := MustNew(Config{})
+	s := e.NewSession(e.Admin())
+	mustExec(t, s, `CREATE TABLE p (id BIGINT PRIMARY KEY, code BIGINT UNIQUE)`)
+	mustExec(t, s, `CREATE TABLE c (id BIGINT PRIMARY KEY, pcode BIGINT REFERENCES p (code))`)
+	mustExec(t, s, `INSERT INTO p VALUES (1, NULL)`)
+	mustExec(t, s, `INSERT INTO c VALUES (1, NULL)`)
+	mustExec(t, s, `UPDATE p SET code = 5 WHERE id = 1`)
+	expectRows(t, mustExec(t, s, `SELECT code FROM p`), "5")
+	mustExec(t, s, `INSERT INTO c VALUES (2, 5)`)
+	if _, err := s.Exec(`UPDATE p SET code = 6 WHERE id = 1`); !errors.Is(err, ErrForeignKey) {
+		t.Fatalf("changing a referenced key: err = %v, want ErrForeignKey", err)
+	}
+}
+
 func TestForeignKeyCascade(t *testing.T) {
 	e := MustNew(Config{})
 	s := e.NewSession(e.Admin())

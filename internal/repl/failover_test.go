@@ -9,20 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"ifdb/client"
 	"ifdb/internal/engine"
+	"ifdb/internal/wire"
 )
-
-// servePrimary exposes eng's WAL on a loopback listener.
-func servePrimary(t *testing.T, eng *engine.Engine) (*Primary, string) {
-	t.Helper()
-	p := NewPrimary(eng, "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p.Serve(ln)
-	return p, ln.Addr().String()
-}
 
 // TestPromoteOpensWritesAndBumpsEpoch: promotion ends replica mode,
 // bumps the epoch durably, and the promoted engine accepts writes that
@@ -66,8 +56,8 @@ func TestPromoteOpensWritesAndBumpsEpoch(t *testing.T) {
 	}
 
 	// A fresh follower of the new primary converges on its state.
-	p2, addr2 := servePrimary(t, ne)
-	defer p2.Close()
+	_, srv2, addr2 := servePrimary(t, ne, "127.0.0.1:0")
+	defer srv2.Close()
 	f2 := openFollower(t, addr2, t.TempDir(), false)
 	defer f2.Close()
 	waitConverge(t, ne, f2)
@@ -125,7 +115,7 @@ func TestOldPrimaryRejoinsViaBasebackup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldPrim, addr := servePrimary(t, oldEng)
+	_, oldSrv, addr := servePrimary(t, oldEng, "127.0.0.1:0")
 	s := oldEng.NewSession(oldEng.Admin())
 	mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, v TEXT)`)
 	mustExec(t, s, `INSERT INTO t VALUES (1, 'shipped')`)
@@ -133,9 +123,9 @@ func TestOldPrimaryRejoinsViaBasebackup(t *testing.T) {
 	f := openFollower(t, addr, t.TempDir(), false)
 	waitConverge(t, oldEng, f)
 
-	// The old primary commits a write that never ships (its repl
-	// listener closes first), then crashes: the classic lost tail.
-	if err := oldPrim.Close(); err != nil {
+	// The old primary commits a write that never ships (its server
+	// closes first), then crashes: the classic lost tail.
+	if err := oldSrv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, s, `INSERT INTO t VALUES (2, 'lost-tail')`)
@@ -149,8 +139,8 @@ func TestOldPrimaryRejoinsViaBasebackup(t *testing.T) {
 	ne := f.Engine()
 	ns := ne.NewSession(ne.Admin())
 	mustExec(t, ns, `INSERT INTO t VALUES (3, 'new-epoch')`)
-	newPrim, newAddr := servePrimary(t, ne)
-	defer newPrim.Close()
+	newPrim, newSrv, newAddr := servePrimary(t, ne, "127.0.0.1:0")
+	defer newSrv.Close()
 
 	// The old primary rejoins as a replica. Its position is ahead of
 	// anything it shipped (the lost tail), and its epoch is stale —
@@ -181,5 +171,65 @@ func TestOldPrimaryRejoinsViaBasebackup(t *testing.T) {
 	}
 	if len(res.Rows) != 2 || res.Rows[0][0].Text() != "shipped" || res.Rows[1][0].Text() != "new-epoch" {
 		t.Fatalf("rejoined rows: %v", res.Rows)
+	}
+}
+
+// TestReplicaServesFollowersOncePromoted: a node has one address. While
+// its engine is a replica, a follower's hello there is refused with a
+// ReplErr that says why (no cascading replication); after PROMOTE sent
+// to that same address, a fresh follower bootstraps from it and
+// converges.
+func TestReplicaServesFollowersOncePromoted(t *testing.T) {
+	eng, _, addr := startPrimary(t, false)
+	s := eng.NewSession(eng.Admin())
+	mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, v TEXT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 'replicated')`)
+	f := openFollower(t, addr, t.TempDir(), false)
+	t.Cleanup(func() { f.Close() })
+	waitConverge(t, eng, f)
+
+	// The replica's node, wired as ifdb-server wires a durable replica:
+	// hooks installed before the server accepts.
+	ne := f.Engine()
+	p := NewPrimary(ne, "")
+	srv := wire.NewServer(ne, "")
+	srv.Replicate = p.Stream
+	srv.Promote = f.Promote
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	nodeAddr := ln.Addr().String()
+
+	_, err = Open(Config{Addr: nodeAddr, DataDir: t.TempDir(), RetryInterval: 20 * time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "replica") {
+		t.Fatalf("follower of a replica: err = %v, want a refusal naming the replica", err)
+	}
+
+	c, err := client.Dial(nodeAddr, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.PromoteNode()
+	c.Close()
+	if err != nil || st.Replica || st.Epoch != 2 {
+		t.Fatalf("PROMOTE: status %+v, err %v", st, err)
+	}
+	ns := ne.NewSession(ne.Admin())
+	mustExec(t, ns, `INSERT INTO t VALUES (2, 'new-epoch')`)
+
+	f2 := openFollower(t, nodeAddr, t.TempDir(), false)
+	defer f2.Close()
+	waitConverge(t, ne, f2)
+	if got := p.Basebackups.Load(); got != 1 {
+		t.Fatalf("basebackups served after promotion = %d, want 1", got)
+	}
+	if got := f2.Engine().Epoch(); got != 2 {
+		t.Fatalf("follower of the promoted node: epoch %d, want 2", got)
+	}
+	if a, b := dumpState(ne), dumpState(f2.Engine()); a != b {
+		t.Fatalf("state diverged:\npromoted:\n%s\nfollower:\n%s", a, b)
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // Config configures a follower.
 type Config struct {
-	// Addr is the primary's replication listener address.
+	// Addr is the primary's client address.
 	Addr string
 	// Token authenticates this follower to the primary.
 	Token string
@@ -28,9 +28,9 @@ type Config struct {
 	DataDir string
 
 	// Engine knobs, mirroring ifdb.Config. ReplRetainBudget matters
-	// the moment this follower is *promoted*: its armed replication
-	// service inherits the engine, and a rejoining laggard must not
-	// pin the new primary's log unboundedly.
+	// the moment this follower is *promoted*: the node's Primary then
+	// serves followers from this engine, and a rejoining laggard must
+	// not pin the new primary's log unboundedly.
 	IFC              bool
 	SyncMode         string
 	CheckpointEvery  time.Duration
@@ -169,8 +169,8 @@ func (f *Follower) Close() error {
 // a writable primary under a bumped, durably-persisted WAL epoch (see
 // engine.Promote for the fencing argument). The follower's engine —
 // shared with every open session — is the promoted primary; Close
-// still owns its shutdown. After Promote the caller typically starts a
-// repl.Primary over Engine() so fenced peers can rejoin as replicas.
+// still owns its shutdown. From here on a Primary over Engine() serves
+// followers, so fenced peers rejoin at this node's client address.
 func (f *Follower) Promote() error {
 	f.mu.Lock()
 	if f.closed {

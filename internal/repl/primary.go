@@ -2,13 +2,13 @@
 // an IFDB primary to read-only followers over the wire layer's framed
 // protocol.
 //
-// Primary side (this file): a listener that serves the write-ahead
-// log from whatever LSN a follower presents — reading retained log
-// bytes from disk, then tailing live appends through a wal
-// subscription. A follower whose position has been truncated away (or
-// a fresh one, position 0) first receives a basebackup: the checkpoint
-// snapshot plus every disk table's checksummed pages, produced under
-// the checkpoint lock.
+// Primary side (this file): wire.Server's Replicate hook on a node's
+// client port, serving the write-ahead log from whatever LSN a
+// follower presents — reading retained log bytes from disk, then
+// tailing live appends through a wal subscription. A follower whose
+// position has been truncated away (or a fresh one, position 0) first
+// receives a basebackup: the checkpoint snapshot plus every disk
+// table's checksummed pages, produced under the checkpoint lock.
 //
 // Follower side (follower.go): opens its own DataDir, recovers, and
 // applies the stream continuously through the engine's replica mode.
@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,15 +54,11 @@ const sendChunk = 1 << 20
 // checks (subscription signals normally wake it much sooner).
 const tailPoll = 250 * time.Millisecond
 
-// Primary serves the replication stream over an engine's WAL.
+// Primary serves the replication stream over an engine's WAL. It owns
+// no listener: Stream is the Replicate hook of the node's wire.Server.
 type Primary struct {
 	eng   *engine.Engine
 	token string
-
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	conns  map[net.Conn]bool
 
 	// Logger, when set, receives connection and stream diagnostics.
 	Logger *slog.Logger
@@ -74,76 +69,12 @@ type Primary struct {
 	Basebackups atomic.Int64
 }
 
-// NewPrimary creates a replication server over eng (which must have a
-// DataDir). token guards connections, like the platform token: a
+// NewPrimary creates a replication handler over eng (which must have a
+// DataDir). token guards the stream, like the platform token: a
 // replica receives every tuple regardless of label, so it must be part
 // of the trusted base. Empty accepts anyone (tests, local examples).
 func NewPrimary(eng *engine.Engine, token string) *Primary {
-	return &Primary{eng: eng, token: token, conns: make(map[net.Conn]bool)}
-}
-
-// Serve accepts follower connections on ln until Close.
-func (p *Primary) Serve(ln net.Listener) error {
-	p.mu.Lock()
-	p.ln = ln
-	p.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		p.mu.Lock()
-		if p.closed {
-			// Close already swept conns; don't leak a handler whose
-			// subscription would pin the WAL.
-			p.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		p.conns[conn] = true
-		p.mu.Unlock()
-		go p.handle(conn)
-	}
-}
-
-// ListenAndServe listens on addr and serves.
-func (p *Primary) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return p.Serve(ln)
-}
-
-// Addr returns the bound listener address (nil before Serve).
-func (p *Primary) Addr() net.Addr {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ln == nil {
-		return nil
-	}
-	return p.ln.Addr()
-}
-
-// Close stops accepting and tears down live streams.
-func (p *Primary) Close() error {
-	p.mu.Lock()
-	p.closed = true
-	ln := p.ln
-	for c := range p.conns {
-		c.Close()
-	}
-	p.mu.Unlock()
-	if ln != nil {
-		return ln.Close()
-	}
-	return nil
+	return &Primary{eng: eng, token: token}
 }
 
 func (p *Primary) logger() *slog.Logger {
@@ -159,26 +90,12 @@ func bail(w *bufio.Writer, msg string) {
 	_ = w.Flush()
 }
 
-func (p *Primary) handle(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		p.mu.Lock()
-		delete(p.conns, conn)
-		p.mu.Unlock()
-	}()
-	r := bufio.NewReader(conn)
+// Stream serves one follower whose hello has been read from r, until
+// the connection drops; the caller owns conn and closes it. A replica
+// refuses (no cascading replication) until it is promoted, and from
+// then on serves on the same address.
+func (p *Primary) Stream(conn net.Conn, r *bufio.Reader, hello *wire.ReplHello) {
 	w := bufio.NewWriterSize(conn, 64<<10)
-
-	typ, payload, err := wire.ReadFrame(r)
-	if err != nil || typ != wire.MsgReplHello {
-		p.logger().Warn("repl: expected ReplHello", "got", wire.ReplFrameName(typ), "err", err)
-		return
-	}
-	hello, err := wire.DecodeReplHello(payload)
-	if err != nil {
-		p.logger().Warn("repl: bad hello", "err", err)
-		return
-	}
 	if p.token != "" && subtle.ConstantTimeCompare([]byte(hello.Token), []byte(p.token)) != 1 {
 		bail(w, "repl: bad token")
 		return
@@ -188,8 +105,12 @@ func (p *Primary) handle(conn net.Conn) {
 		bail(w, "repl: primary has no WAL (no DataDir)")
 		return
 	}
+	if p.eng.IsReplica() {
+		bail(w, "repl: this node is a replica; it serves followers once promoted")
+		return
+	}
 	// Epoch fencing. A primary's epoch is fixed for its lifetime
-	// (promotion happens on a *follower*, before it serves), so read it
+	// (promotion bumps it before the replica flag clears), so read it
 	// once and stamp every frame with it.
 	epoch := wlog.Epoch()
 	from := wal.LSN(hello.From)
@@ -235,9 +156,8 @@ func (p *Primary) handle(conn net.Conn) {
 	connDone := make(chan struct{})
 	go func() {
 		defer close(connDone)
-		buf := make([]byte, 1)
 		for {
-			if _, err := conn.Read(buf); err != nil {
+			if _, err := r.ReadByte(); err != nil {
 				return
 			}
 		}

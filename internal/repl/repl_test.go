@@ -18,6 +18,7 @@ import (
 	"ifdb/internal/engine"
 	"ifdb/internal/storage"
 	"ifdb/internal/wal"
+	"ifdb/internal/wire"
 )
 
 func mustExec(t *testing.T, s *engine.Session, q string) {
@@ -25,6 +26,24 @@ func mustExec(t *testing.T, s *engine.Session, q string) {
 	if _, err := s.Exec(q); err != nil {
 		t.Fatalf("%s: %v", q, err)
 	}
+}
+
+// servePrimary serves eng's WAL as a durable node does: on its client
+// port, a wire.Server whose Replicate hook is a Primary's Stream.
+// addr "127.0.0.1:0" picks a free port. Closing the server ends every
+// stream; the test's cleanup closes it too.
+func servePrimary(t *testing.T, eng *engine.Engine, addr string) (*Primary, *wire.Server, string) {
+	t.Helper()
+	p := NewPrimary(eng, "")
+	srv := wire.NewServer(eng, "")
+	srv.Replicate = p.Stream
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return p, srv, ln.Addr().String()
 }
 
 // startPrimary opens a durable primary engine and serves replication
@@ -35,17 +54,9 @@ func startPrimary(t *testing.T, ifc bool) (*engine.Engine, *Primary, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPrimary(eng, "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p.Serve(ln)
-	t.Cleanup(func() {
-		p.Close()
-		eng.Close()
-	})
-	return eng, p, ln.Addr().String()
+	t.Cleanup(func() { eng.Close() })
+	p, _, addr := servePrimary(t, eng, "127.0.0.1:0")
+	return eng, p, addr
 }
 
 func openFollower(t *testing.T, addr, dir string, ifc bool) *Follower {
@@ -551,13 +562,7 @@ func TestPrimaryRestartReplicaResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPrimary(eng, "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	go p.Serve(ln)
+	_, srv, addr := servePrimary(t, eng, "127.0.0.1:0")
 
 	s := eng.NewSession(eng.Admin())
 	mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY)`)
@@ -568,7 +573,7 @@ func TestPrimaryRestartReplicaResumes(t *testing.T) {
 	waitConverge(t, eng, f)
 
 	// Clean primary restart: Close checkpoints and truncates the log.
-	if err := p.Close(); err != nil {
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Close(); err != nil {
@@ -582,13 +587,8 @@ func TestPrimaryRestartReplicaResumes(t *testing.T) {
 	if end, applied := eng2.WAL().End(), f.AppliedLSN(); end < applied {
 		t.Fatalf("logical LSNs regressed across restart: end %d < replica applied %d", end, applied)
 	}
-	p2 := NewPrimary(eng2, "")
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p2.Serve(ln2)
-	defer p2.Close()
+	p2, srv2, _ := servePrimary(t, eng2, addr)
+	defer srv2.Close()
 
 	s2 := eng2.NewSession(eng2.Admin())
 	mustExec(t, s2, `INSERT INTO t VALUES (2)`)
@@ -646,19 +646,11 @@ func TestSyncOffFollowerReachesWALEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPrimary(eng, "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p.Serve(ln)
-	defer func() {
-		p.Close()
-		eng.Close()
-	}()
+	t.Cleanup(func() { eng.Close() })
+	_, _, addr := servePrimary(t, eng, "127.0.0.1:0")
 	s := eng.NewSession(eng.Admin())
 	mustExec(t, s, `CREATE TABLE t (a BIGINT PRIMARY KEY)`)
-	f := openFollower(t, ln.Addr().String(), t.TempDir(), false)
+	f := openFollower(t, addr, t.TempDir(), false)
 	defer f.Close()
 
 	reach := func(what string) {

@@ -293,10 +293,15 @@ func (d *inProcess) buffered(res *engine.Result, err error) outcome {
 // wire: client.Conn against one server
 
 // serve puts a wire server in front of node and returns its address.
+// A durable node also serves its WAL there, to followers presenting
+// replToken, as ifdb-server does.
 func serve(t testing.TB, node *ifdb.DB, shardMap func() *wire.ShardMap) string {
 	t.Helper()
 	srv := wire.NewServer(node.Engine(), "")
 	srv.ShardMap = shardMap
+	if node.Engine().WAL() != nil {
+		srv.Replicate = repl.NewPrimary(node.Engine(), replToken).Stream
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -388,24 +393,19 @@ type replicated struct {
 	lsn        uint64 // the primary's WAL position after its last statement
 }
 
+// replToken gates the replication stream of the suite's durable nodes.
+const replToken = "suite"
+
 func openReplica(t testing.TB, sc *scenario) db {
-	const token = "suite"
 	prim, err := ifdb.Open(ifdb.Config{IFC: true, DataDir: t.TempDir(), SyncMode: "off", BufferPoolPages: poolPages})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sequentialIDs(prim.Engine())
 	primAddr := serve(t, prim, nil)
-	feed := repl.NewPrimary(prim.Engine(), token)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go feed.Serve(ln)
-	t.Cleanup(func() { feed.Close() })
 
 	replica, err := ifdb.Open(ifdb.Config{IFC: true, DataDir: t.TempDir(), SyncMode: "off", BufferPoolPages: poolPages,
-		ReplicaOf: ln.Addr().String(), ReplToken: token})
+		ReplicaOf: primAddr, ReplToken: replToken})
 	if err != nil {
 		t.Fatal(err)
 	}

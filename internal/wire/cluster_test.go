@@ -1,6 +1,13 @@
 package wire
 
-import "testing"
+import (
+	"bufio"
+	"net"
+	"strings"
+	"testing"
+
+	"ifdb/internal/engine"
+)
 
 // TestStatusRoundTrip: the STATUS payload survives encode/decode in
 // both roles, including the error field.
@@ -44,5 +51,42 @@ func TestReplEpochRoundTrip(t *testing.T) {
 	grr, err := DecodeReplRecs(rr.Encode())
 	if err != nil || grr.From != 1 || grr.To != 9 || grr.Epoch != 6 || string(grr.Data) != "frames" {
 		t.Fatalf("recs: %+v %v", grr, err)
+	}
+}
+
+// TestReplHelloWithoutReplicate: the client port routes a connection
+// by its first frame. A server with no Replicate hook (an in-memory
+// node: no WAL to ship) answers a follower's ReplHello with a ReplErr
+// that says so, rather than hanging up without a word.
+func TestReplHelloWithoutReplicate(t *testing.T) {
+	eng, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng, "")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	w := bufio.NewWriter(nc)
+	if err := WriteFrame(w, MsgReplHello, (&ReplHello{Epoch: 1}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := ReadFrame(bufio.NewReader(nc))
+	if err != nil || typ != MsgReplErr {
+		t.Fatalf("reply to ReplHello: %s, err %v; want ReplErr", ReplFrameName(typ), err)
+	}
+	if e, err := DecodeReplErr(payload); err != nil || !strings.Contains(e.Msg, "replication") {
+		t.Fatalf("ReplErr %+v, err %v; want it to name replication", e, err)
 	}
 }

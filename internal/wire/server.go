@@ -75,6 +75,12 @@ type Server struct {
 	// engine).
 	StatusErr func() error
 
+	// Replicate, when set, streams the WAL to a connection whose first
+	// frame is a ReplHello, until it drops (repl.Primary.Stream); r is
+	// the connection's reader, past the hello. Nil answers a ReplHello
+	// with a ReplErr.
+	Replicate func(conn net.Conn, r *bufio.Reader, hello *ReplHello)
+
 	// ShardMap, when set, supplies this node's current view of the
 	// cluster shard map (typically the coordinator's live copy, or the
 	// static -shard-map file). It answers MsgShardMap probes, and every
@@ -241,6 +247,20 @@ func (s *Server) handle(conn net.Conn) {
 		if c, err := DecodeCancel(payload); err == nil {
 			s.cancelSession(c)
 		}
+		return
+	}
+	if typ == MsgReplHello {
+		// A follower: the WAL stream shares the client port.
+		hello, err := DecodeReplHello(payload)
+		if err != nil {
+			s.logger().Warn("wire: bad repl hello", "err", err)
+			return
+		}
+		if s.Replicate == nil {
+			_ = reply(MsgReplErr, (&ReplErr{Msg: "repl: this server serves no replication stream (no WAL)"}).Encode())
+			return
+		}
+		s.Replicate(conn, r, hello)
 		return
 	}
 	if typ != MsgHello {

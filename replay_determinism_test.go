@@ -3,7 +3,6 @@ package ifdb_test
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"ifdb"
-	"ifdb/internal/repl"
 )
 
 // TestWALReplayDeterminism is the property both crash recovery and
@@ -31,14 +29,9 @@ func TestWALReplayDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := repl.NewPrimary(db.Engine(), "")
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			go p.Serve(ln)
-			defer p.Close()
-			follower, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir(), ReplicaOf: ln.Addr().String()})
+			addr, srv, _ := serveNode(t, db, "")
+			defer srv.Close()
+			follower, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir(), ReplicaOf: addr})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,13 +8,54 @@ import (
 
 	"ifdb"
 	"ifdb/internal/repl"
+	"ifdb/internal/wire"
 )
 
+// nodeServer is a wire.Server over db, wired as ifdb-server wires a
+// node: a durable node serves its WAL on the client port to followers
+// presenting token (through the returned Primary; nil in memory), and
+// a replica reports its stream and honours PROMOTE. Install any other
+// hook, then Serve.
+func nodeServer(db *ifdb.DB, token string) (*wire.Server, *repl.Primary) {
+	srv := wire.NewServer(db.Engine(), token)
+	var p *repl.Primary
+	if db.Engine().WAL() != nil {
+		p = repl.NewPrimary(db.Engine(), token)
+		srv.Replicate = p.Stream
+	}
+	if db.IsReplica() {
+		srv.StatusErr = db.ReplicationErr
+		srv.Promote = db.Promote
+	}
+	return srv, p
+}
+
+// serveNode serves nodeServer(db, token) on a free loopback port until
+// the test ends, and returns its address.
+func serveNode(t *testing.T, db *ifdb.DB, token string) (string, *wire.Server, *repl.Primary) {
+	t.Helper()
+	srv, p := nodeServer(db, token)
+	ln := listenLocal(t)
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return ln.Addr().String(), srv, p
+}
+
+// listenLocal binds a free loopback port.
+func listenLocal(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
 // TestReplicaOfPublicAPI drives replication through the public
-// surface: a durable primary DB serving its WAL via repl.NewPrimary
-// (what ifdb-server -repl-listen does), and a replica opened with
-// Config.ReplicaOf that converges, answers queries, and rejects
-// writes with ifdb.ErrReadOnlyReplica.
+// surface: a durable primary DB serving its WAL on its client port
+// (as every durable ifdb-server does), and a replica opened with
+// Config.ReplicaOf naming that address that converges, answers
+// queries, and rejects writes with ifdb.ErrReadOnlyReplica.
 func TestReplicaOfPublicAPI(t *testing.T) {
 	db, err := ifdb.Open(ifdb.Config{IFC: true, DataDir: t.TempDir()})
 	if err != nil {
@@ -29,25 +70,19 @@ func TestReplicaOfPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := repl.NewPrimary(db.Engine(), "s3cret")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p.Serve(ln)
-	defer p.Close()
+	addr, _, _ := serveNode(t, db, "s3cret")
 
 	// Wrong token is refused.
 	if _, err := ifdb.Open(ifdb.Config{
 		IFC: true, DataDir: t.TempDir(),
-		ReplicaOf: ln.Addr().String(), ReplToken: "wrong",
+		ReplicaOf: addr, ReplToken: "wrong",
 	}); err == nil {
 		t.Fatal("replica with wrong token connected")
 	}
 
 	replica, err := ifdb.Open(ifdb.Config{
 		IFC: true, DataDir: t.TempDir(),
-		ReplicaOf: ln.Addr().String(), ReplToken: "s3cret",
+		ReplicaOf: addr, ReplToken: "s3cret",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"ifdb"
 	"ifdb/client"
 	"ifdb/internal/distplan"
-	"ifdb/internal/repl"
 	"ifdb/internal/types"
 	"ifdb/internal/wire"
 )
@@ -374,34 +373,22 @@ func TestRouterSessionReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer prim.Close()
-	primSrv := wire.NewServer(prim.Engine(), token)
-	primLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primAddr := primLn.Addr().String()
-	primRepl := repl.NewPrimary(prim.Engine(), token)
-	primReplLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go primRepl.Serve(primReplLn)
-	go primSrv.Serve(primLn)
+	primAddr, primSrv, _ := serveNode(t, prim, token)
 	defer primSrv.Close()
+	// The replica follows a second server over the primary, so closing
+	// that one cuts its stream while the primary keeps serving clients.
+	feedAddr, feedSrv, _ := serveNode(t, prim, token)
 
 	replica, err := ifdb.Open(ifdb.Config{
-		DataDir: t.TempDir(), ReplicaOf: primReplLn.Addr().String(), ReplToken: token,
+		DataDir: t.TempDir(), ReplicaOf: feedAddr, ReplToken: token,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer replica.Close()
-	replSrv := wire.NewServer(replica.Engine(), token)
+	replSrv, _ := nodeServer(replica, token)
 	replSrv.WaitTimeout = 250 * time.Millisecond
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	replLn := listenLocal(t)
 	go replSrv.Serve(replLn)
 	defer replSrv.Close()
 	replAddr := replLn.Addr().String()
@@ -429,7 +416,7 @@ func TestRouterSessionReadYourWrites(t *testing.T) {
 	}
 
 	// Freeze the replica where it stands: no further WAL reaches it.
-	primRepl.Close()
+	feedSrv.Close()
 
 	sessA := router.Session()
 	sessB := router.Session()

@@ -3,8 +3,9 @@
 #
 # CI runs this after build: it extracts the quickstart session and the
 # shard-map example straight out of README.md (between the HTML marker
-# comments), runs them against live servers, and asserts the outcomes
-# the prose promises. Editing the README without keeping the commands
+# comments) and the read-replica addresses from their section, runs
+# them against live servers, and asserts the outcomes the prose
+# promises. Editing the README without keeping the commands
 # working fails the job; editing server flags without updating the
 # README fails the flag-drift check.
 set -euo pipefail
@@ -83,6 +84,46 @@ if echo "$explout" | grep -q "error:"; then
   echo "docs_smoke: EXPLAIN session reported an error" >&2
   exit 1
 fi
+
+# --- 1d. The "Read replicas" walkthrough: one address per node. In
+# the README's block the replica's -replica-of is the primary's -addr;
+# live, a replica follows a durable primary at its client address, and
+# a row inserted on the primary reads back through the replica.
+replblock=$(awk '/^## Read replicas/{f=1} f && /^```sh$/{g=1;next} g && /^```/{exit} g' README.md)
+primaddr=$(echo "$replblock" | grep -oE -- '-addr [0-9.:]+' | head -1 | cut -d' ' -f2)
+replicaof=$(echo "$replblock" | grep -oE -- '-replica-of [0-9.:]+' | cut -d' ' -f2)
+if [ -z "$primaddr" ] || [ "$replicaof" != "$primaddr" ]; then
+  echo "docs_smoke: README replica follows '$replicaof', not its primary's -addr '$primaddr'" >&2
+  exit 1
+fi
+"$workdir/bin/ifdb-server" -addr 127.0.0.1:15438 -token demo -datadir "$workdir/prim" \
+  >"$workdir/server-prim.log" 2>&1 &
+for i in $(seq 1 50); do
+  if "$workdir/bin/ifdb-cli" -addr 127.0.0.1:15438 -token demo </dev/null >/dev/null 2>&1; then
+    break
+  fi
+  sleep 0.1
+done
+"$workdir/bin/ifdb-server" -addr 127.0.0.1:15439 -token demo -datadir "$workdir/repl" \
+  -replica-of 127.0.0.1:15438 >"$workdir/server-repl.log" 2>&1 &
+for i in $(seq 1 50); do
+  if "$workdir/bin/ifdb-cli" -addr 127.0.0.1:15439 -token demo </dev/null >/dev/null 2>&1; then
+    break
+  fi
+  sleep 0.1
+done
+printf "CREATE TABLE r (k BIGINT PRIMARY KEY, v TEXT);\nINSERT INTO r VALUES (1, 'replicated');\n" \
+  | "$workdir/bin/ifdb-cli" -addr 127.0.0.1:15438 -token demo >/dev/null
+replout=""
+for i in $(seq 1 100); do
+  replout=$(echo 'SELECT v FROM r WHERE k = 1;' | "$workdir/bin/ifdb-cli" -addr 127.0.0.1:15439 -token demo 2>&1 || true)
+  if echo "$replout" | grep -qx 'replicated'; then
+    break
+  fi
+  sleep 0.1
+done
+echo "$replout" | grep -qx 'replicated' \
+  || { echo "docs_smoke: the primary's row never reached the replica"; cat "$workdir/server-repl.log"; exit 1; }
 
 # --- 2. The sharded-cluster walkthrough's map file parses and serves.
 awk '/# shards.conf/{f=1;next} /^```/{if(f)exit} f' README.md > "$workdir/shards.conf"
@@ -188,4 +229,4 @@ for f in $flags; do
     || { echo "docs_smoke: README mentions flag -$f, not found in any binary's -h"; exit 1; }
 done
 
-echo "docs_smoke: README quickstart, shard map, scatter walkthrough, metrics scrape, and flags all check out"
+echo "docs_smoke: README quickstart, read replica, shard map, scatter walkthrough, metrics scrape, and flags all check out"

@@ -16,7 +16,6 @@ import (
 	"ifdb/internal/catalog"
 	"ifdb/internal/cluster"
 	"ifdb/internal/engine"
-	"ifdb/internal/repl"
 	"ifdb/internal/types"
 	"ifdb/internal/wire"
 )
@@ -291,17 +290,12 @@ func TestFencedPrimaryRejectsWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := repl.NewPrimary(db.Engine(), "tok")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go p.Serve(ln)
-	defer p.Close()
+	addr, _, _ := serveNode(t, db, "tok")
 
-	// A follower that streamed under epoch+1 says hello: this primary
-	// is the stale side of a failover it never heard about.
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	// A follower that streamed under epoch+1 says hello on the client
+	// port: this primary is the stale side of a failover it never heard
+	// about.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,49 +342,10 @@ func TestFencedPrimaryRejectsWrites(t *testing.T) {
 func TestRouterShardFailoverPerShard(t *testing.T) {
 	const token = "tok"
 
-	// --- Shard 0: durable primary + streaming replica.
-	prim, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	primSrv := wire.NewServer(prim.Engine(), token)
-	primLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	primAddr := primLn.Addr().String()
-	primRepl := repl.NewPrimary(prim.Engine(), token)
-	primReplLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go primRepl.Serve(primReplLn)
-
-	replica, err := ifdb.Open(ifdb.Config{
-		DataDir: t.TempDir(), ReplicaOf: primReplLn.Addr().String(), ReplToken: token,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer replica.Close()
-	replSrv := wire.NewServer(replica.Engine(), token)
-	replSrv.StatusErr = replica.ReplicationErr
-	replSrv.Promote = replica.Promote
-	replLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	replAddr := replLn.Addr().String()
-
-	// --- Shard 1: lone in-memory primary.
-	other := ifdb.MustOpen(ifdb.Config{})
-	defer other.Close()
-	otherSrv := wire.NewServer(other.Engine(), token)
-	otherLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherAddr := otherLn.Addr().String()
+	// Every node's address is bound first: the shard map names them
+	// all, and each server gets the map before it accepts.
+	primLn, replLn, otherLn := listenLocal(t), listenLocal(t), listenLocal(t)
+	primAddr, replAddr, otherAddr := primLn.Addr().String(), replLn.Addr().String(), otherLn.Addr().String()
 
 	// --- Shard map + coordinator (per-shard health and failover).
 	smap := &wire.ShardMap{
@@ -412,16 +367,35 @@ func TestRouterShardFailoverPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapFn := coord.ShardMap
-	for _, s := range []*wire.Server{primSrv, replSrv, otherSrv} {
-		s.ShardMap = mapFn
+	// serve installs the hooks, then serves: handlers must not race
+	// hook installation.
+	serve := func(db *ifdb.DB, ln net.Listener) *wire.Server {
+		srv, _ := nodeServer(db, token)
+		srv.ShardMap = coord.ShardMap
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		return srv
 	}
-	// Hooks installed; now serve.
-	go primSrv.Serve(primLn)
-	go replSrv.Serve(replLn)
-	defer replSrv.Close()
-	go otherSrv.Serve(otherLn)
-	defer otherSrv.Close()
+
+	// --- Shard 0: durable primary + a replica streaming from its
+	// client address.
+	prim, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primSrv := serve(prim, primLn)
+	replica, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir(), ReplicaOf: primAddr, ReplToken: token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	serve(replica, replLn)
+
+	// --- Shard 1: lone in-memory primary.
+	other := ifdb.MustOpen(ifdb.Config{})
+	defer other.Close()
+	serve(other, otherLn)
+
 	stopCoord := make(chan struct{})
 	defer close(stopCoord)
 	go coord.Run(stopCoord)
@@ -469,7 +443,6 @@ func TestRouterShardFailoverPerShard(t *testing.T) {
 
 	// --- Crash shard 0's primary.
 	primSrv.Close()
-	primRepl.Close()
 	prim.Crash()
 
 	// The coordinator notices, promotes the replica within shard 0, and
