@@ -122,6 +122,11 @@ type Conn struct {
 	// pinned to it until the stream is drained or closed.
 	stream *connRows
 
+	// chunk is what every ROWS frame of every stream on this connection
+	// is decoded into (wire.DecodeRowsChunkInto): a stream's rows are
+	// valid until its next Next.
+	chunk wire.RowsChunk
+
 	// frame is the buffer every ROWS frame of every stream on this
 	// connection is read into: it grows to the largest chunk received
 	// and stays. held is this connection's share of gStreamBuffered.
@@ -406,7 +411,7 @@ func (c *Conn) ExecShard(waitLSN, shardVer uint64, sql string, params ...Value) 
 // are owned by the returned stream and are guaranteed to run exactly
 // once whenever it ends, including on every failure path of this
 // call.
-func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64, params []Value, chunkRows uint32, stopWatch func(), onClose func(error)) (*connRows, error) {
+func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64, params []Value, stopWatch func(), onClose func(error)) (*connRows, error) {
 	finish := func(err error) error {
 		if stopWatch != nil {
 			stopWatch()
@@ -424,7 +429,7 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 	}
 	e := &wire.Execute{
 		StmtID: stmtID, SQL: sqlText, Params: params,
-		WaitLSN: waitLSN, ShardVer: shardVer, ChunkRows: chunkRows,
+		WaitLSN: waitLSN, ShardVer: shardVer,
 		TraceID: obs.NewTraceID(),
 	}
 	c.lastTraceID = e.TraceID

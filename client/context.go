@@ -108,7 +108,7 @@ func (c *Conn) startExecCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer u
 		stmtID, sqlText = stmt.id, ""
 	}
 	stop := c.watchCancel(ctx)
-	rows, err := c.startExec(stmtID, sqlText, waitLSN, shardVer, params, 0, stop, onClose)
+	rows, err := c.startExec(stmtID, sqlText, waitLSN, shardVer, params, stop, onClose)
 	if err != nil {
 		return nil, ctxErrOr(ctx, err)
 	}

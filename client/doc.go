@@ -41,6 +41,12 @@
 //     a commit and its Result re-executes the statement. Route
 //     non-idempotent writes through idempotent SQL where double-apply
 //     matters.
+//   - A streamed row lives until the next Next: Rows.Row's slice and
+//     Rows.RowLabel's label are overwritten when the connection
+//     decodes its next chunk (one buffer per Conn, reused from chunk to
+//     chunk and statement to statement). Copy what you keep; Exec's
+//     Result and the Router's gateway already do. TEXT strings are
+//     never overwritten: each stays valid and pins its chunk's payload.
 //   - Sharded statements are version-fenced: the Router stamps each
 //     statement with its shard-map version, and a server holding a
 //     newer map refuses it with the new map attached, which the

@@ -1,7 +1,8 @@
 // Streaming results: the client half of the chunked ROWS frames of
 // API v2. A Rows is an iterator over a statement's result set that
-// holds at most one wire chunk in memory, so a large read no longer
-// materializes client-side. See doc.go for the package overview.
+// holds at most one wire chunk in memory — its connection's, which
+// every chunk is decoded into — so a large read no longer materializes
+// client-side. See doc.go for the package overview.
 
 package client
 
@@ -17,19 +18,22 @@ import (
 
 // Rows iterates a streaming result: call Next until it returns false,
 // then check Err; Close releases the statement's connection (and must
-// be called — an unclosed Rows pins its connection). Row and RowLabel
-// are valid until the next call to Next. Implemented by Conn streams
-// and by the Router's lazy fan-out merge.
+// be called — an unclosed Rows pins its connection). The slice Row
+// returns and the label RowLabel returns are valid until the next call
+// to Next: a connection decodes every chunk into one buffer it reuses,
+// so a caller that keeps a row copies it (Exec's Result does). A TEXT
+// value's string stays valid for good, and pins the chunk it came in.
+// Implemented by Conn streams and by the Router's lazy fan-out merge.
 type Rows interface {
 	// Columns returns the result's column names.
 	Columns() []string
 	// Next advances to the next row, fetching the next wire chunk as
 	// needed. It returns false at the end of the set or on error.
 	Next() bool
-	// Row returns the current row's values.
+	// Row returns the current row's values, valid until the next Next.
 	Row() []Value
 	// RowLabel returns the current row's IFC label (nil when IFC is
-	// off).
+	// off), valid until the next Next.
 	RowLabel() Label
 	// Scan copies the current row into dest pointers (see ScanValue
 	// for conversions).
@@ -45,8 +49,8 @@ type Rows interface {
 type connRows struct {
 	c     *Conn
 	cols  []string
-	chunk *wire.RowsChunk
-	i     int // index of the current row within chunk
+	chunk *wire.RowsChunk // the connection's chunk; nil once the connection is free
+	i     int             // index of the current row within chunk
 
 	// ctx is the statement's context. A stream that dies while ctx is
 	// already over reports an error wrapping ctx's — the caller asked
@@ -106,11 +110,11 @@ func (r *connRows) Next() bool {
 	return true
 }
 
-// fetch reads the next ROWS frame into r.chunk. Returns false on a
-// terminal condition (error; a Done frame with no rows also yields
-// false via the caller's loop). The Done frame may carry the result's
-// last rows: the trailer is taken at once, the rows as Next reaches
-// them.
+// fetch decodes the next ROWS frame into the connection's chunk.
+// Returns false on a terminal condition (error; a Done frame with no
+// rows also yields false via the caller's loop). The Done frame may
+// carry the result's last rows: the trailer is taken at once, the rows
+// as Next reaches them.
 func (r *connRows) fetch() bool {
 	typ, payload, buf, err := wire.ReadFrameInto(r.c.r, r.c.frame)
 	r.c.frame = buf
@@ -122,8 +126,8 @@ func (r *connRows) fetch() bool {
 		r.transportFail(fmt.Errorf("client: unexpected frame %c in result stream", typ))
 		return false
 	}
-	ch, err := wire.DecodeRowsChunk(payload)
-	if err != nil {
+	ch := &r.c.chunk
+	if err := wire.DecodeRowsChunkInto(ch, payload); err != nil {
 		r.transportFail(err)
 		return false
 	}
@@ -143,10 +147,12 @@ func (r *connRows) fetch() bool {
 		r.affected = ch.Affected
 		r.epoch, r.lsn = ch.Epoch, ch.LSN
 		if len(ch.Rows) == 0 {
-			// The rows have run out, so the connection is free. A Done
-			// chunk that carries rows keeps it busy until they have been
-			// read or the stream closed (release).
+			// The rows have run out, so the connection is free, and its
+			// next statement may decode into the chunk. A Done chunk that
+			// carries rows keeps it busy until they have been read or the
+			// stream closed (release).
 			r.c.stream = nil
+			r.chunk = nil
 		}
 		if ch.Err != "" {
 			r.err = ctxErrOr(r.ctx, &serverError{msg: ch.Err, shardMap: ch.ShardMap})
@@ -171,6 +177,9 @@ func (r *connRows) release() {
 		return
 	}
 	r.closed = true
+	// The chunk is the connection's, and its next statement decodes
+	// into it.
+	r.chunk = nil
 	if r.c.stream == r {
 		r.c.stream = nil
 	}
@@ -228,16 +237,14 @@ func drain(rows Rows) (*Result, error) {
 	defer rows.Close()
 	cr, _ := rows.(*connRows)
 	res := &Result{}
+	// A row and its label are valid only until the next Next (a
+	// connection decodes every chunk into one buffer): the Result keeps
+	// copies.
+	var keep types.Keeper
 	for rows.Next() {
-		row := rows.Row()
-		if cr == nil {
-			// Row is only valid until the next Next; a connection's
-			// chunk, though, is decoded afresh per frame and never
-			// reused, so its rows can be kept as they are.
-			row = append([]Value(nil), row...)
-		}
+		row, lbl := keep.Keep(rows.Row(), rows.RowLabel())
 		res.Rows = append(res.Rows, row)
-		if lbl := rows.RowLabel(); lbl != nil || res.RowLabels != nil {
+		if lbl != nil || res.RowLabels != nil {
 			if res.RowLabels == nil {
 				// First label of the set: the rows before it had none.
 				res.RowLabels = make([]Label, len(res.Rows)-1, len(res.Rows))

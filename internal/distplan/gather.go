@@ -93,9 +93,13 @@ func (f *feed) run(cfg *Config, stop <-chan struct{}) {
 	}
 	f.cols = s.Columns()
 	close(f.ready)
+	// A stream's row is valid until its next Next, and the channel and
+	// the merge hold rows longer: each is copied as it is sent.
+	var keep types.Keeper
 	for s.Next() {
+		vals, lbl := keep.Keep(s.Row(), s.RowLabel())
 		select {
-		case f.ch <- feedRow{s.Row(), s.RowLabel()}:
+		case f.ch <- feedRow{vals, lbl}:
 		case <-stop:
 			s.Close()
 			return

@@ -139,7 +139,7 @@ func (it *scanIter) accept(tid storage.TID, tv *storage.TupleVersion) error {
 		it.env.Row = tv.Row
 		if enc != nil {
 			var err error
-			if it.scratch, _, err = types.DecodeRowInto(it.scratch, enc); err != nil {
+			if it.scratch, _, err = types.DecodeRowInto(it.scratch, enc, ""); err != nil {
 				return err
 			}
 			it.env.Row = it.scratch

@@ -157,8 +157,9 @@ func (tn tagNames) drained(rows client.Rows, err error) outcome {
 	var vals [][]types.Value
 	var labels []label.Label
 	for rows.Next() {
+		// A row and its label are valid until the next Next.
 		vals = append(vals, append([]types.Value(nil), rows.Row()...))
-		labels = append(labels, rows.RowLabel())
+		labels = append(labels, rows.RowLabel().Clone())
 	}
 	if err := rows.Close(); err != nil {
 		return failed(err)

@@ -39,7 +39,12 @@ func AppendEncode(buf []byte, v Value) ([]byte, error) {
 
 // DecodeValue reads one value from the front of buf, returning it and
 // the number of bytes consumed.
-func DecodeValue(buf []byte) (Value, int, error) {
+func DecodeValue(buf []byte) (Value, int, error) { return decodeValue(buf, "") }
+
+// decodeValue is DecodeValue with a TEXT value cut from text, when text
+// is not empty: text is then string(buf), so the value shares its
+// string instead of copying its bytes.
+func decodeValue(buf []byte, text string) (Value, int, error) {
 	if len(buf) < 1 {
 		return Null, 0, fmt.Errorf("types: short buffer")
 	}
@@ -55,15 +60,17 @@ func DecodeValue(buf []byte) (Value, int, error) {
 		n := int64(binary.LittleEndian.Uint64(rest))
 		return Value{kind: k, n: n}, 9, nil
 	case KindText:
-		ln, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return Null, 0, fmt.Errorf("types: bad text length")
+		sz, ln, err := textSpan(rest)
+		if err != nil {
+			return Null, 0, err
 		}
-		if uint64(len(rest)-sz) < ln {
-			return Null, 0, fmt.Errorf("types: truncated text")
+		var s string
+		if text != "" {
+			s = text[1+sz : 1+sz+ln]
+		} else {
+			s = string(rest[sz : sz+ln])
 		}
-		s := string(rest[sz : sz+int(ln)])
-		return Value{kind: KindText, s: s}, 1 + sz + int(ln), nil
+		return Value{kind: KindText, s: s}, 1 + sz + ln, nil
 	case KindLabel:
 		l, n, err := label.Decode(rest)
 		if err != nil {
@@ -118,7 +125,7 @@ func DecodeRowArena(a *Arena, buf []byte) ([]Value, int, error) {
 		return nil, 0, err
 	}
 	row := a.Take(n)
-	if off, err = decodeValues(row, buf, off); err != nil {
+	if off, err = decodeValues(row, buf, off, ""); err != nil {
 		return nil, 0, err
 	}
 	return row, off, nil
@@ -127,17 +134,20 @@ func DecodeRowArena(a *Arena, buf []byte) ([]Value, int, error) {
 // DecodeRowInto is DecodeRow into dst's storage, which is grown only
 // when it holds fewer values than the row: a caller that decodes row
 // after row into one scratch row allocates nothing but their strings.
-// The row is valid until the caller's next decode into dst.
-func DecodeRowInto(dst []Value, buf []byte) ([]Value, int, error) {
+// The row is valid until the caller's next decode into dst. When text
+// is not empty it must be string(buf), and every TEXT value is a
+// substring of it: a caller that decodes many rows out of one buffer
+// makes that one string instead of one per value.
+func DecodeRowInto(dst []Value, buf []byte, text string) ([]Value, int, error) {
 	n, off, err := rowHeader(buf)
 	if err != nil {
 		return dst, 0, err
 	}
-	if cap(dst) < n {
+	if dst == nil || cap(dst) < n {
 		dst = make([]Value, n)
 	}
 	dst = dst[:n]
-	if off, err = decodeValues(dst, buf, off); err != nil {
+	if off, err = decodeValues(dst, buf, off, text); err != nil {
 		return dst, 0, err
 	}
 	return dst, off, nil
@@ -175,10 +185,14 @@ func rowHeader(buf []byte) (n, off int, err error) {
 }
 
 // decodeValues decodes len(row) values from buf at off into row and
-// returns the offset past them.
-func decodeValues(row []Value, buf []byte, off int) (int, error) {
+// returns the offset past them; text is empty or string(buf).
+func decodeValues(row []Value, buf []byte, off int, text string) (int, error) {
 	for i := range row {
-		v, used, err := DecodeValue(buf[off:])
+		t := text
+		if t != "" {
+			t = t[off:]
+		}
+		v, used, err := decodeValue(buf[off:], t)
 		if err != nil {
 			return 0, fmt.Errorf("types: row col %d: %w", i, err)
 		}
@@ -205,20 +219,28 @@ func valueLen(buf []byte) (int, error) {
 		}
 		return 9, nil
 	case KindText:
-		ln, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return 0, fmt.Errorf("types: bad text length")
-		}
-		if uint64(len(rest)-sz) < ln {
-			return 0, fmt.Errorf("types: truncated text")
-		}
-		return 1 + sz + int(ln), nil
+		sz, ln, err := textSpan(rest)
+		return 1 + sz + ln, err
 	case KindLabel:
 		_, n, err := label.Decode(rest) // rare: a label column
 		return 1 + n, err
 	default:
 		return 0, fmt.Errorf("types: unknown kind byte %d", buf[0])
 	}
+}
+
+// textSpan reads the length in front of a TEXT value's bytes and
+// returns the length's size and the value's, which the rest of buf is
+// long enough to hold.
+func textSpan(buf []byte) (sz, n int, err error) {
+	ln, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return 0, 0, fmt.Errorf("types: bad text length")
+	}
+	if uint64(len(buf)-sz) < ln {
+		return 0, 0, fmt.Errorf("types: truncated text")
+	}
+	return sz, int(ln), nil
 }
 
 // Arena hands out rows carved from shared backing arrays, so a producer
@@ -235,15 +257,6 @@ type Arena struct {
 
 const arenaMaxRows = 256
 
-// Reserve makes room for rows more rows of n values in one block, for
-// a producer that knows how many are coming.
-func (a *Arena) Reserve(rows, n int) {
-	if len(a.free) < rows*n {
-		a.free = make([]Value, rows*n)
-		a.rows = min(max(rows, 1), arenaMaxRows)
-	}
-}
-
 // Take returns a zeroed row of n values whose capacity is n, so an
 // append by the holder cannot run into a neighbouring row.
 func (a *Arena) Take(n int) []Value {
@@ -257,6 +270,35 @@ func (a *Arena) Take(n int) []Value {
 	row := a.free[:n:n]
 	a.free = a.free[n:]
 	return row
+}
+
+// Keeper copies rows and their labels out of a stream whose rows are
+// valid only until its next row, for a consumer that keeps them: the
+// values into an Arena, the labels into tag blocks that grow the same
+// way, so keeping a result allocates once per block, not once per row
+// or label. Copies are never handed out twice. The zero Keeper is ready
+// to use.
+type Keeper struct {
+	vals Arena
+	tags []label.Tag
+	n    int // tags in the current tag block
+}
+
+// Keep returns copies of row and l. An empty l is returned as it is.
+func (k *Keeper) Keep(row []Value, l label.Label) ([]Value, label.Label) {
+	kept := k.vals.Take(len(row))
+	copy(kept, row)
+	if len(l) == 0 {
+		return kept, l
+	}
+	if len(k.tags) < len(l) {
+		k.n = max(min(4*k.n, arenaMaxRows*len(l)), len(l))
+		k.tags = make([]label.Tag, k.n)
+	}
+	lc := label.Label(k.tags[:len(l):len(l)])
+	copy(lc, l)
+	k.tags = k.tags[len(l):]
+	return kept, lc
 }
 
 // Float64FromBits is a helper for tests exercising float edge cases.

@@ -310,6 +310,14 @@ type RowsChunk struct {
 	// client adopts it and re-routes without an extra round trip. Nil
 	// otherwise.
 	ShardMap *ShardMap
+
+	// What DecodeRowsChunkInto reuses beside Rows: the value block the
+	// rows are carved from (its length is what the last decode used),
+	// the RowLabels slice kept while a chunk has none, and the tag block
+	// the row labels are carved from.
+	vals  []types.Value
+	spare []label.Label
+	tags  []label.Tag
 }
 
 // Chunk flag bits.
@@ -422,14 +430,39 @@ func (c *RowsChunk) AppendEncode(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRowsChunk unmarshals a RowsChunk payload.
+// DecodeRowsChunk unmarshals a RowsChunk payload into a chunk of its
+// own.
 func DecodeRowsChunk(buf []byte) (*RowsChunk, error) {
-	if len(buf) < 1 {
-		return nil, fmt.Errorf("wire: truncated rows chunk")
+	c := new(RowsChunk)
+	if err := DecodeRowsChunkInto(c, buf); err != nil {
+		return nil, err
 	}
-	c := &RowsChunk{
+	return c, nil
+}
+
+// DecodeRowsChunkInto unmarshals a RowsChunk payload into c, reusing
+// the row table, value block, label slice and tag block an earlier
+// decode into c left. A receiver that decodes every chunk of its
+// streams into one RowsChunk allocates one string a chunk, which each
+// TEXT value of the chunk's rows is a substring of: the rows and row
+// labels are valid until the next decode into c, and a kept string
+// stays valid and pins its chunk's payload. Cols, the trailer's labels
+// and ShardMap are never reused. Every field the payload does not set
+// is reset; after an error c's rows are not to be read.
+func DecodeRowsChunkInto(c *RowsChunk, buf []byte) error {
+	if len(buf) < 1 {
+		return fmt.Errorf("wire: truncated rows chunk")
+	}
+	// The value block's length is what the last decode used of it: the
+	// values past this decode's rows are cleared, so the block pins no
+	// string of an earlier chunk.
+	vals, stale := c.vals[:cap(c.vals)], len(c.vals)
+	*c = RowsChunk{
 		First: buf[0]&chunkFirst != 0,
 		Done:  buf[0]&chunkDone != 0,
+		Rows:  c.Rows[:0],
+		spare: c.spare,
+		tags:  c.tags[:0],
 	}
 	hasLabels := buf[0]&chunkLabels != 0
 	hasMap := buf[0]&chunkShardMap != 0
@@ -438,94 +471,116 @@ func DecodeRowsChunk(buf []byte) (*RowsChunk, error) {
 	if c.First {
 		ncols, sz := binary.Uvarint(buf)
 		if sz <= 0 || ncols > uint64(len(buf)) {
-			return nil, fmt.Errorf("wire: bad rows chunk cols")
+			return fmt.Errorf("wire: bad rows chunk cols")
 		}
 		buf = buf[sz:]
 		c.Cols = make([]string, ncols)
 		for i := range c.Cols {
 			c.Cols[i], buf, err = readString(buf)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	nrows, sz := binary.Uvarint(buf)
 	if sz <= 0 || nrows > uint64(len(buf)) {
-		return nil, fmt.Errorf("wire: bad rows chunk rows")
+		return fmt.Errorf("wire: bad rows chunk rows")
 	}
 	buf = buf[sz:]
-	c.Rows = make([][]types.Value, nrows)
+	if c.Rows == nil || uint64(cap(c.Rows)) < nrows {
+		c.Rows = make([][]types.Value, 0, nrows)
+	}
 	// One block holds the chunk's values when its rows are as wide as
 	// the first (a value takes at least a byte, so a count the payload
 	// cannot hold reserves no more than the payload is long).
-	var vals types.Arena
-	if ncols, sz := binary.Uvarint(buf); sz > 0 && ncols <= uint64(len(buf)) && nrows*ncols <= uint64(len(buf)) {
-		vals.Reserve(int(nrows), int(ncols))
+	if ncols, sz := binary.Uvarint(buf); sz > 0 && ncols <= uint64(len(buf)) && nrows*ncols <= uint64(len(buf)) && nrows*ncols > uint64(len(vals)) {
+		vals, stale = make([]types.Value, nrows*ncols), 0
 	}
-	for i := range c.Rows {
-		row, n, err := types.DecodeRowArena(&vals, buf)
+	var text string
+	if nrows > 0 {
+		text = string(buf)
+	}
+	used, off := 0, 0
+	for range nrows {
+		row, n, err := types.DecodeRowInto(vals[used:], buf[off:], text[off:])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		c.Rows[i] = row
-		buf = buf[n:]
+		if w := len(row); w <= len(vals)-used {
+			row = row[:w:w]
+			used += w
+		}
+		c.Rows = append(c.Rows, row)
+		off += n
 	}
+	buf = buf[off:]
+	if stale > used {
+		clear(vals[used:stale])
+	}
+	c.vals = vals[:used]
 	if hasLabels {
-		c.RowLabels = make([]label.Label, nrows)
-		// The row labels share one array, sized when it runs out to
-		// every tag the rest of the payload could still carry.
-		var tags []label.Tag
+		if c.spare == nil || uint64(cap(c.spare)) < nrows {
+			c.spare = make([]label.Label, nrows)
+		}
+		c.RowLabels = c.spare[:nrows]
+		// The row labels share one array. One the previous chunk left
+		// too small is replaced, when it runs out, by one sized to the
+		// tags already read and every tag the rest of the payload could
+		// still carry.
+		tags := c.tags
 		for i := range c.RowLabels {
 			var n int
 			if n, buf, err = readLabelLen(buf); err != nil {
-				return nil, err
+				return err
 			}
 			if n == 0 {
+				c.RowLabels[i] = nil
 				continue
 			}
 			if cap(tags)-len(tags) < n {
-				tags = make([]label.Tag, 0, len(buf)/8)
+				tags = make([]label.Tag, 0, len(tags)+len(buf)/8)
 			}
 			end := len(tags) + n
 			c.RowLabels[i], buf = fillLabel(label.Label(tags[len(tags):end:end]), buf)
 			tags = tags[:end]
 		}
+		c.tags = tags
 	}
 	if c.Done {
 		c.Err, buf, err = readString(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var aff uint64
 		aff, buf, err = readU64(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.Affected = int64(aff)
 		c.Label, buf, err = readLabel(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.ILabel, buf, err = readLabel(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.Epoch, buf, err = readU64(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c.LSN, buf, err = readU64(buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if hasMap {
 			c.ShardMap, err = DecodeShardMap(buf)
 			if err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // CloseStmt drops a statement handle. Fire-and-forget: the server

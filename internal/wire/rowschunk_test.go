@@ -66,8 +66,10 @@ func TestRowsChunkEncodeForms(t *testing.T) {
 }
 
 // TestRowsChunkAllocBudget: a warm encode buffer takes a chunk with no
-// allocation, and decoding one allocates per text value, not per row
-// or per label.
+// allocation; decoding one into a chunk of its own allocates per text
+// value, not per row or per label; and decoding it into a chunk that
+// has decoded one before allocates the one string the chunk's text
+// values share.
 func TestRowsChunkAllocBudget(t *testing.T) {
 	c := fullChunk(false, false)
 	buf, err := c.AppendEncode(nil)
@@ -86,6 +88,17 @@ func TestRowsChunkAllocBudget(t *testing.T) {
 	})
 	if per := n / DefaultChunkRows; per > 1.05 {
 		t.Fatalf("DecodeRowsChunk: %.2f allocs a row with one text column, budget 1.05", per)
+	}
+	var warm RowsChunk
+	if err := DecodeRowsChunkInto(&warm, buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := DecodeRowsChunkInto(&warm, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("DecodeRowsChunkInto a warm chunk: %v allocs a chunk, budget 1", n)
 	}
 }
 
@@ -107,6 +120,19 @@ func BenchmarkDecodeRowsChunk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeRowsChunk(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeRowsChunkInto(b *testing.B) {
+	buf, _ := fullChunk(false, false).Encode()
+	var c RowsChunk
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeRowsChunkInto(&c, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

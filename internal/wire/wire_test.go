@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +185,139 @@ func TestQuickRowsChunkRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randomChunk is a chunk as a server may send one: header or not,
+// trailer or not (an error, a shard map), labelled rows or not, and
+// from zero rows to more than a full chunk of one random width.
+func randomChunk(r *rand.Rand) *RowsChunk {
+	c := &RowsChunk{First: r.Intn(2) == 0, Done: r.Intn(2) == 0}
+	ncols := r.Intn(5)
+	if c.First {
+		for i := 0; i < ncols; i++ {
+			c.Cols = append(c.Cols, string(rune('a'+i)))
+		}
+	}
+	labelled := r.Intn(2) == 0
+	nrows := r.Intn(DefaultChunkRows + 40)
+	if r.Intn(4) == 0 {
+		nrows = 0
+	}
+	for i := 0; i < nrows; i++ {
+		row := make([]types.Value, ncols)
+		for j := range row {
+			switch r.Intn(5) {
+			case 0:
+				row[j] = types.NewInt(r.Int63())
+			case 1:
+				row[j] = types.NewText(strings.Repeat(string(rune('a'+r.Intn(26))), r.Intn(50)))
+			case 2:
+				row[j] = types.NewFloat(r.Float64())
+			case 3:
+				row[j] = types.NewLabel(label.New(label.Tag(r.Intn(9))))
+			default:
+				row[j] = types.Null
+			}
+		}
+		c.Rows = append(c.Rows, row)
+		if labelled {
+			var l label.Label
+			for k := r.Intn(4); k > 0; k-- {
+				l = l.Add(label.Tag(1 + r.Intn(1<<20)))
+			}
+			c.RowLabels = append(c.RowLabels, l)
+		}
+	}
+	if labelled && c.RowLabels == nil {
+		c.RowLabels = []label.Label{}
+	}
+	if c.Done {
+		c.Affected, c.Epoch, c.LSN = r.Int63n(100), uint64(r.Intn(3)), r.Uint64()
+		c.Label, c.ILabel = label.New(label.Tag(r.Intn(5))), label.New()
+		if r.Intn(3) == 0 {
+			c.Err = "boom"
+		}
+		if r.Intn(3) == 0 {
+			c.ShardMap = &ShardMap{Version: uint64(1 + r.Intn(9)), Keys: map[string]string{"t": "k"}, Shards: []Shard{{ID: 0, Primary: "a:1"}}}
+		}
+	}
+	return c
+}
+
+// sameChunk reports whether two decoded chunks agree on every exported
+// field, and names the first that differs.
+func sameChunk(a, b *RowsChunk) (string, bool) {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if f := va.Type().Field(i); f.IsExported() && !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return f.Name, false
+		}
+	}
+	return "", true
+}
+
+// Property: a payload decoded into one RowsChunk carried from case to
+// case — a connection's — decodes to exactly what a fresh chunk gets,
+// however the previous payload left it; a damaged payload fails there
+// exactly as it fails cold; and a string kept from an earlier decode
+// is unchanged by later ones.
+func TestQuickRowsChunkWarmDecode(t *testing.T) {
+	var warm RowsChunk
+	type kept struct{ s, want string }
+	var keeps []kept
+	decodeBoth := func(payload []byte) bool {
+		cold, cerr := DecodeRowsChunk(payload)
+		werr := DecodeRowsChunkInto(&warm, payload)
+		if (cerr == nil) != (werr == nil) || (cerr != nil && cerr.Error() != werr.Error()) {
+			t.Logf("cold error %v, warm error %v", cerr, werr)
+			return false
+		}
+		if cerr != nil {
+			return true
+		}
+		if field, ok := sameChunk(cold, &warm); !ok {
+			t.Logf("%s differs: cold %+v, warm %+v", field, cold, &warm)
+			return false
+		}
+		for _, row := range warm.Rows {
+			for _, v := range row {
+				if v.Kind() == types.KindText {
+					keeps = append(keeps, kept{v.Text(), strings.Clone(v.Text())})
+				}
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		enc, err := randomChunk(r).Encode()
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		if !decodeBoth(enc) {
+			return false
+		}
+		// Cut short, and one byte overwritten.
+		if !decodeBoth(enc[:r.Intn(len(enc))]) {
+			return false
+		}
+		bad := bytes.Clone(enc)
+		bad[r.Intn(len(bad))] = byte(r.Intn(256))
+		if !decodeBoth(bad) {
+			return false
+		}
+		for _, k := range keeps {
+			if k.s != k.want {
+				t.Logf("a kept string changed: %q, decoded as %q", k.s, k.want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -160,7 +160,7 @@ func TestCommitLabelRule(t *testing.T) {
 	}
 }
 
-func mustExec(t *testing.T, s *ifdb.Session, q string, params ...ifdb.Value) *ifdb.Result {
+func mustExec(t testing.TB, s *ifdb.Session, q string, params ...ifdb.Value) *ifdb.Result {
 	t.Helper()
 	res, err := s.Exec(q, params...)
 	if err != nil {
