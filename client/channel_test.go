@@ -100,8 +100,8 @@ func TestLabelCallsParseOnce(t *testing.T) {
 }
 
 // TestBadTokenIsServerError: a refused handshake is the server's
-// answer, not a broken connection, so AutoReconnect's redial gives up
-// at once instead of retrying it.
+// answer, not a transport error, so a pool that dials afresh after a
+// transport error does not mistake it for one.
 func TestBadTokenIsServerError(t *testing.T) {
 	_, addr := startServer(t, "right")
 	_, err := client.Dial(addr, "wrong", 0)

@@ -59,7 +59,12 @@ type Status struct {
 	Err string
 }
 
-// Config configures a connection.
+// Config configures a connection. A Conn dials once: after a transport
+// error it stays broken, and its owner replaces it with a fresh dial —
+// the database/sql pool through the driver's IsValid, the Router
+// through release. A fresh connection starts from the owner's labels
+// and syncs them with its first statement, so no client-library path
+// ever resends a statement the server may have committed.
 type Config struct {
 	// Addr is the server address; Token attests that this client is a
 	// trusted platform (§2); Principal is the acting principal
@@ -68,30 +73,8 @@ type Config struct {
 	Token     string
 	Principal uint64
 
-	// DialTimeout bounds each connection attempt (0 = no timeout).
+	// DialTimeout bounds the connection attempt (0 = no timeout).
 	DialTimeout time.Duration
-
-	// AutoReconnect redials transparently when the connection breaks
-	// mid-use, re-syncing the client's label and principal before the
-	// statement is retried — the client-side label state (the paper's
-	// libpq design, §7.2) is exactly what makes this safe: the client
-	// owns the authoritative view, so a fresh server session can be
-	// brought back to it with one lazy sync. A statement is retried at
-	// most once, on a connection error only (never on a server-reported
-	// error); an explicit transaction that was open at the break is
-	// gone, and the retried statement runs in a fresh autocommit
-	// context. The retry is at-least-once: when the break lands
-	// between the server's commit and the client reading the Result,
-	// the retry re-executes an already-committed statement, so a
-	// non-idempotent write (v = v + 1) can apply twice. Keep
-	// AutoReconnect off where either distinction matters.
-	AutoReconnect bool
-
-	// RedialTimeout bounds the total time AutoReconnect spends trying
-	// to reach the server again (default 10s); RedialInterval paces the
-	// attempts (default 100ms).
-	RedialTimeout  time.Duration
-	RedialInterval time.Duration
 }
 
 // Conn is one connection to an IFDB server. Not safe for concurrent
@@ -113,11 +96,6 @@ type Conn struct {
 	sessID    uint64
 	cancelKey uint64
 
-	// gen counts successful handshakes. Server-side prepared handles
-	// die with their connection, so a Stmt records the gen it was
-	// prepared under and re-prepares itself when the conn redialed.
-	gen int
-
 	// stream is the open streaming result, if any: the connection is
 	// pinned to it until the stream is drained or closed.
 	stream *connRows
@@ -137,10 +115,16 @@ type Conn struct {
 	// is at most wire.MaxKeptFrame.
 	out []byte
 
-	// broken marks a connection whose stream died mid-frame: the
-	// socket position is undefined, so every later operation fails
-	// (retryably — AutoReconnect redials) instead of desynchronizing.
+	// broken marks a connection that had a transport error: the socket
+	// position is undefined, so every later operation fails with
+	// errBroken instead of desynchronizing.
 	broken bool
+
+	// closing holds the handles of Stmts closed since the last frame:
+	// their CLOSESTMT frames ride ahead of the connection's next frame,
+	// so a Stmt closed while another statement streams still drops its
+	// server-side handle.
+	closing []uint64
 
 	// stmts caches prepared statements by text for the Router, which
 	// multiplexes statements over pooled conns and wants each conn to
@@ -155,9 +139,8 @@ type Conn struct {
 
 // serverError marks an error the server reported (SQL errors, a
 // refused handshake): the connection is healthy and the statement
-// definitively failed, so AutoReconnect must not retry it. shardMap
-// carries the server's current shard map when the refusal was a
-// stale-shard-map fence (see StaleShardMap).
+// definitively failed. shardMap carries the server's current shard
+// map when the refusal was a stale-shard-map fence (see StaleShardMap).
 type serverError struct {
 	msg      string
 	shardMap *wire.ShardMap
@@ -166,25 +149,28 @@ type serverError struct {
 func (e *serverError) Error() string { return e.msg }
 
 // clientError marks a local usage error (e.g. a statement issued
-// while a streaming result is still open): the connection did not
-// fail and redialing cannot help, so AutoReconnect must not retry.
+// while a streaming result is still open): nothing was sent and the
+// connection did not fail.
 type clientError struct{ msg string }
 
 func (e *clientError) Error() string { return e.msg }
 
-// errBroken is returned for every operation on a connection whose
-// stream died mid-frame. It is retryable: a redial resets the
-// connection to a clean frame boundary.
-var errBroken = errors.New("client: connection broken by an aborted result stream")
+// errBroken is returned for every operation on a connection that had a
+// transport error. It is a transport error itself: the connection's
+// owner discards it and dials a fresh one.
+var errBroken = errors.New("client: connection broken by an earlier transport error")
 
 // IsTransportError reports whether err was a connection-level failure
 // (broken socket, unexpected frame) rather than a server-reported
 // statement error or a local usage error. After a transport error the
-// connection's state is unknown: the statement may or may not have
-// executed, and the conn should be discarded (or left to
-// AutoReconnect). The database/sql driver uses this to retire pooled
-// connections.
-func IsTransportError(err error) bool { return retryable(err) }
+// statement may or may not have executed, and the connection is
+// broken for good: the database/sql driver retires it from the pool,
+// and the Router closes it and dials afresh.
+func IsTransportError(err error) bool {
+	var se *serverError
+	var ce *clientError
+	return err != nil && !errors.As(err, &se) && !errors.As(err, &ce)
+}
 
 // StaleShardMap extracts the fresh shard map a server attached to a
 // stale-map refusal, or nil if err was anything else. The Router
@@ -204,112 +190,49 @@ func Dial(addr, token string, principal uint64) (*Conn, error) {
 	return DialConfig(Config{Addr: addr, Token: token, Principal: principal})
 }
 
-// DialConfig connects with explicit configuration (timeouts,
-// auto-reconnect).
+// DialConfig connects with explicit configuration and performs the
+// Hello handshake.
 func DialConfig(cfg Config) (*Conn, error) {
-	if cfg.RedialTimeout <= 0 {
-		cfg.RedialTimeout = 10 * time.Second
+	nc, err := net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.RedialInterval <= 0 {
-		cfg.RedialInterval = 100 * time.Millisecond
-	}
-	c := &Conn{cfg: cfg, principal: cfg.Principal}
-	if err := c.handshake(); err != nil {
+	c := &Conn{cfg: cfg, principal: cfg.Principal, c: nc, r: bufio.NewReader(nc), w: bufio.NewWriter(nc)}
+	if err := c.hello(); err != nil {
+		nc.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// handshake dials and performs Hello as the connection's *current*
-// principal (which SetPrincipal may have moved past cfg.Principal).
-func (c *Conn) handshake() error {
-	var nc net.Conn
-	var err error
-	if c.cfg.DialTimeout > 0 {
-		nc, err = net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
-	} else {
-		nc, err = net.Dial("tcp", c.cfg.Addr)
-	}
-	if err != nil {
-		return err
-	}
-	r := bufio.NewReader(nc)
-	w := bufio.NewWriter(nc)
+// hello performs the Hello handshake on a fresh socket.
+func (c *Conn) hello() error {
 	h := &wire.Hello{Token: c.cfg.Token, Principal: c.principal}
-	if err := wire.WriteFrame(w, wire.MsgHello, h.Encode()); err != nil {
-		nc.Close()
+	if err := c.send(wire.MsgHello, h.Encode()); err != nil {
 		return err
 	}
-	if err := w.Flush(); err != nil {
-		nc.Close()
-		return err
-	}
-	typ, payload, err := wire.ReadFrame(r)
+	typ, payload, err := wire.ReadFrame(c.r)
 	if err != nil {
-		nc.Close()
 		return err
 	}
 	switch typ {
 	case wire.MsgHelloOK:
-		ok, derr := wire.DecodeHelloOK(payload)
-		if derr != nil {
-			nc.Close()
-			return derr
+		ok, err := wire.DecodeHelloOK(payload)
+		if err != nil {
+			return err
 		}
-		c.c, c.r, c.w = nc, r, w
 		c.sessID, c.cancelKey = ok.SessionID, ok.CancelKey
-		c.gen++
-		c.broken = false
-		c.stream = nil
 		return nil
 	case wire.MsgRows:
 		// Refused (a bad platform token): a trailer-only ROWS frame.
-		res, derr := wire.DecodeRowsChunk(payload)
-		nc.Close()
-		if derr != nil {
-			return derr
+		res, err := wire.DecodeRowsChunk(payload)
+		if err != nil {
+			return err
 		}
 		return &serverError{msg: res.Err}
 	default:
-		nc.Close()
 		return fmt.Errorf("client: unexpected handshake frame %c", typ)
 	}
-}
-
-// redial re-establishes a broken connection within the redial budget
-// and marks the label/principal state dirty so the next statement
-// re-syncs it (the fresh server session starts empty).
-func (c *Conn) redial() error {
-	if c.c != nil {
-		c.c.Close()
-	}
-	deadline := time.Now().Add(c.cfg.RedialTimeout)
-	for {
-		err := c.handshake()
-		if err == nil {
-			c.dirty = true
-			return nil
-		}
-		var se *serverError
-		if errors.As(err, &se) {
-			// The server is back but refuses us (e.g. token changed):
-			// retrying cannot help.
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("client: reconnect to %s failed: %w", c.cfg.Addr, err)
-		}
-		time.Sleep(c.cfg.RedialInterval)
-	}
-}
-
-// retryable reports whether err warrants a redial-and-retry: any
-// transport-level failure qualifies; server-reported errors and local
-// usage errors never do.
-func retryable(err error) bool {
-	var se *serverError
-	var ce *clientError
-	return err != nil && !errors.As(err, &se) && !errors.As(err, &ce)
 }
 
 // Close says goodbye and closes the socket.
@@ -381,9 +304,7 @@ func (c *Conn) Declassify(t Tag) error {
 // Exec sends one statement (with lazily-coalesced label sync) and
 // returns the result. The connection adopts the server's post-
 // statement label, which reflects any addsecrecy()/declassify() the
-// statement performed. With AutoReconnect, a broken connection is
-// redialed, the label/principal re-synced, and the statement retried
-// once.
+// statement performed.
 func (c *Conn) Exec(sql string, params ...Value) (*Result, error) {
 	return c.ExecWait(0, sql, params...)
 }
@@ -421,11 +342,8 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 		}
 		return err
 	}
-	if c.broken {
-		return nil, finish(errBroken)
-	}
-	if c.stream != nil {
-		return nil, finish(&clientError{msg: "client: a streaming result is still open on this connection"})
+	if err := c.ready(); err != nil {
+		return nil, finish(err)
 	}
 	e := &wire.Execute{
 		StmtID: stmtID, SQL: sqlText, Params: params,
@@ -446,10 +364,7 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 	if cap(payload) <= wire.MaxKeptFrame {
 		c.out = payload
 	}
-	if err := wire.WriteFrame(c.w, wire.MsgExecute, payload); err != nil {
-		return nil, finish(err)
-	}
-	if err := c.w.Flush(); err != nil {
+	if err := c.send(wire.MsgExecute, payload); err != nil {
 		return nil, finish(err)
 	}
 	rows := &connRows{c: c, i: -1, stopWatch: stopWatch, onClose: onClose}
@@ -465,26 +380,55 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 	return rows, nil
 }
 
-// roundTrip sends one frame and reads one expected response frame.
-func (c *Conn) roundTrip(typ byte, payload []byte, wantTyp byte) ([]byte, error) {
+// ready reports whether the connection can carry a new frame: it is
+// not broken and no stream holds it.
+func (c *Conn) ready() error {
 	if c.broken {
-		return nil, errBroken
+		return errBroken
 	}
 	if c.stream != nil {
-		return nil, &clientError{msg: "client: a streaming result is still open on this connection"}
+		return &clientError{msg: "client: a streaming result is still open on this connection"}
 	}
+	return nil
+}
+
+// send writes one frame, preceded by the CLOSESTMT frames of Stmts
+// closed since the last one, and flushes. A failure breaks the
+// connection.
+func (c *Conn) send(typ byte, payload []byte) (err error) {
+	defer func() {
+		if err != nil {
+			c.broken = true
+		}
+	}()
+	for _, id := range c.closing {
+		if err := wire.WriteFrame(c.w, wire.MsgCloseStmt, (&wire.CloseStmt{StmtID: id}).Encode()); err != nil {
+			return err
+		}
+	}
+	c.closing = c.closing[:0]
 	if err := wire.WriteFrame(c.w, typ, payload); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// roundTrip sends one frame and reads one expected response frame. A
+// transport failure breaks the connection.
+func (c *Conn) roundTrip(typ byte, payload []byte, wantTyp byte) ([]byte, error) {
+	if err := c.ready(); err != nil {
 		return nil, err
 	}
-	if err := c.w.Flush(); err != nil {
+	if err := c.send(typ, payload); err != nil {
 		return nil, err
 	}
 	gotTyp, resp, err := wire.ReadFrame(c.r)
-	if err != nil {
-		return nil, err
+	if err == nil && gotTyp != wantTyp {
+		err = fmt.Errorf("client: unexpected frame %c", gotTyp)
 	}
-	if gotTyp != wantTyp {
-		return nil, fmt.Errorf("client: unexpected frame %c", gotTyp)
+	if err != nil {
+		c.broken = true
+		return nil, err
 	}
 	return resp, nil
 }
@@ -505,17 +449,6 @@ func (c *Conn) PromoteNode() (*Status, error) {
 
 func (c *Conn) statusRequest(typ byte) (*Status, error) {
 	resp, err := c.roundTrip(typ, nil, wire.MsgStatusRes)
-	// STATUS is idempotent and safe to retry; PROMOTE is not — a break
-	// after the server promoted but before the reply would re-send the
-	// command (and report failure for a promotion that succeeded),
-	// tempting the caller into promoting a second node. The caller
-	// resolves an ambiguous PROMOTE with a fresh Status probe instead.
-	if typ == wire.MsgStatus && retryable(err) && c.cfg.AutoReconnect {
-		if rerr := c.redial(); rerr != nil {
-			return nil, rerr
-		}
-		resp, err = c.roundTrip(typ, nil, wire.MsgStatusRes)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -621,9 +554,8 @@ type StmtStats = wire.Stats
 
 // Stats fetches the server's timing breakdown for the most recent
 // statement on this connection (ifdb-cli's \stats). It deliberately
-// bypasses the label sync and reconnect machinery: both would run a
-// statement of their own and overwrite the very breakdown being asked
-// for.
+// bypasses the label sync: it would run a statement of its own and
+// overwrite the very breakdown being asked for.
 func (c *Conn) Stats() (*StmtStats, error) {
 	resp, err := c.roundTrip(wire.MsgStats, nil, wire.MsgStatsRes)
 	if err != nil {

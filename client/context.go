@@ -47,20 +47,8 @@ func (c *Conn) QueryContext(ctx context.Context, sqlText string, params ...Value
 	return c.queryCtx(ctx, nil, 0, 0, sqlText, params, nil)
 }
 
-// execCtx is the shared buffered-execution path (text or prepared),
-// with the AutoReconnect retry.
+// execCtx is the shared buffered-execution path (text or prepared).
 func (c *Conn) execCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer uint64, sqlText string, params []Value) (*Result, error) {
-	res, err := c.execCtxOnce(ctx, stmt, waitLSN, shardVer, sqlText, params)
-	if err == nil || !c.cfg.AutoReconnect || !retryable(err) || ctxDone(ctx) {
-		return res, err
-	}
-	if rerr := c.redial(); rerr != nil {
-		return nil, rerr
-	}
-	return c.execCtxOnce(ctx, stmt, waitLSN, shardVer, sqlText, params)
-}
-
-func (c *Conn) execCtxOnce(ctx context.Context, stmt *Stmt, waitLSN, shardVer uint64, sqlText string, params []Value) (*Result, error) {
 	rows, err := c.startExecCtx(ctx, stmt, waitLSN, shardVer, sqlText, params, nil)
 	if err != nil {
 		return nil, err
@@ -69,17 +57,10 @@ func (c *Conn) execCtxOnce(ctx context.Context, stmt *Stmt, waitLSN, shardVer ui
 	return res, ctxErrOr(ctx, err)
 }
 
-// queryCtx is the shared streaming-execution path. Only the start is
-// retried (with AutoReconnect): once rows flow, a failure surfaces
-// through the Rows.
+// queryCtx is the shared streaming-execution path: once rows flow, a
+// failure surfaces through the Rows.
 func (c *Conn) queryCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer uint64, sqlText string, params []Value, onClose func(error)) (Rows, error) {
 	rows, err := c.startExecCtx(ctx, stmt, waitLSN, shardVer, sqlText, params, onClose)
-	if err != nil && c.cfg.AutoReconnect && retryable(err) && !ctxDone(ctx) {
-		if rerr := c.redial(); rerr != nil {
-			return nil, rerr
-		}
-		rows, err = c.startExecCtx(ctx, stmt, waitLSN, shardVer, sqlText, params, onClose)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +80,8 @@ func (c *Conn) startExecCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer u
 	}
 	var stmtID uint64
 	if stmt != nil {
-		if err := stmt.ensure(); err != nil {
+		if stmt.closed {
+			err := &clientError{msg: "client: statement is closed"}
 			if onClose != nil {
 				onClose(err)
 			}

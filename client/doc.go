@@ -6,9 +6,11 @@
 //   - Conn is one connection to one server. It keeps the process
 //     label and acting principal client-side and transmits changes
 //     lazily, coalesced with the next statement, exactly as the
-//     paper's protocol does — which is also what makes AutoReconnect
-//     sound: the client owns the authoritative label state, so a
-//     fresh server session is brought back to it with one sync.
+//     paper's protocol does. A Conn never redials: after a transport
+//     error it stays broken, and the pool that owns it (the Router's,
+//     or database/sql's through ifdb/driver) dials a fresh one. The
+//     client owns the authoritative label state, so the fresh server
+//     session is brought to it with one sync on its first statement.
 //   - Router is a concurrency-safe pool over per-node Conns for
 //     replicated and sharded clusters: writes go to the primary (per
 //     shard, when a shard map is in play), reads load-balance across

@@ -12,16 +12,15 @@ import (
 )
 
 // Stmt is a prepared statement on one Conn. Like the Conn it is not
-// safe for concurrent use. A Stmt survives AutoReconnect: server-side
-// handles die with their connection, so the Stmt transparently
-// re-prepares itself on the fresh connection before executing.
+// safe for concurrent use. Its server-side handle lives as long as the
+// connection: a Stmt of a broken Conn fails as the Conn does, and its
+// owner prepares the statement again on the Conn that replaces it.
 type Stmt struct {
 	c       *Conn
 	sqlText string
 
 	id        uint64
 	numParams int
-	gen       int // conn generation the handle was prepared under
 
 	// plan is the Router's prepare-time analysis (classification and
 	// shard-key derivation via the real SQL parser); nil for plain
@@ -36,52 +35,20 @@ type Stmt struct {
 }
 
 // Prepare parses and pins a statement server-side, returning its
-// handle. With AutoReconnect, a broken connection is redialed and the
-// prepare retried once (preparing is idempotent).
+// handle.
 func (c *Conn) Prepare(sqlText string) (*Stmt, error) {
-	s := &Stmt{c: c, sqlText: sqlText}
-	err := s.prepare()
-	if err != nil && c.cfg.AutoReconnect && retryable(err) {
-		if rerr := c.redial(); rerr != nil {
-			return nil, rerr
-		}
-		err = s.prepare()
-	}
+	resp, err := c.roundTrip(wire.MsgPrepare, (&wire.Prepare{SQL: sqlText}).Encode(), wire.MsgPrepareRes)
 	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// prepare round-trips a PREPARE frame and adopts the handle.
-func (s *Stmt) prepare() error {
-	resp, err := s.c.roundTrip(wire.MsgPrepare, (&wire.Prepare{SQL: s.sqlText}).Encode(), wire.MsgPrepareRes)
-	if err != nil {
-		return err
-	}
 	res, err := wire.DecodePrepareRes(resp)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if res.Err != "" {
-		return &serverError{msg: res.Err}
+		return nil, &serverError{msg: res.Err}
 	}
-	s.id = res.StmtID
-	s.numParams = int(res.NumParams)
-	s.gen = s.c.gen
-	return nil
-}
-
-// ensure re-prepares the statement when the connection was redialed
-// since the handle was issued (handles are connection-scoped).
-func (s *Stmt) ensure() error {
-	if s.closed {
-		return &clientError{msg: "client: statement is closed"}
-	}
-	if s.gen == s.c.gen {
-		return nil
-	}
-	return s.prepare()
+	return &Stmt{c: c, sqlText: sqlText, id: res.StmtID, numParams: int(res.NumParams)}, nil
 }
 
 // SQL returns the statement's text.
@@ -113,23 +80,17 @@ func (s *Stmt) QueryContext(ctx context.Context, params ...Value) (Rows, error) 
 	return s.c.queryCtx(ctx, s, 0, 0, "", params, nil)
 }
 
-// Close drops the server-side handle. Fire-and-forget (no reply
-// frame); safe to call twice. Statements owned by the conn's cache
-// ignore Close — the next borrower reuses them.
+// Close drops the server-side handle: its CLOSESTMT frame (which has
+// no reply) rides ahead of the connection's next frame. Safe to call
+// twice. Statements owned by the conn's cache ignore Close — the next
+// borrower reuses them.
 func (s *Stmt) Close() error {
 	if s.cached || s.closed {
 		return nil
 	}
 	s.closed = true
-	// Only the generation that issued the handle can close it; after
-	// a redial there is nothing server-side to drop.
-	if s.gen != s.c.gen || s.c.broken || s.c.stream != nil {
-		return nil
-	}
-	if err := wire.WriteFrame(s.c.w, wire.MsgCloseStmt, (&wire.CloseStmt{StmtID: s.id}).Encode()); err != nil {
-		return err
-	}
-	return s.c.w.Flush()
+	s.c.closing = append(s.c.closing, s.id)
+	return nil
 }
 
 // preparedStmtCacheCap bounds the per-conn statement cache the Router

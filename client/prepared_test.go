@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -127,8 +126,9 @@ func TestStreamingRows(t *testing.T) {
 		t.Fatalf("iterated %d rows", want)
 	}
 
-	// A second statement while a stream is open is refused (and is not
-	// a retryable failure), then works after Close drains the stream.
+	// A second statement while a stream is open is refused (a usage
+	// error, not a transport error), then works after Close drains the
+	// stream.
 	rows, err = conn.Query(`SELECT k FROM nums`)
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +144,41 @@ func TestStreamingRows(t *testing.T) {
 	}
 	if _, err := conn.Exec(`SELECT 1`); err != nil {
 		t.Fatalf("conn unusable after early Close: %v", err)
+	}
+}
+
+// TestStmtCloseDuringStream: a Stmt closed while another statement's
+// stream holds the connection still drops its server-side handle, so a
+// loop that prepares and closes one statement per pass never reaches
+// the server's per-connection cap.
+func TestStmtCloseDuringStream(t *testing.T) {
+	db, addr := startServer(t, "")
+	if _, err := db.AdminSession().Exec(`CREATE TABLE two (k BIGINT PRIMARY KEY); INSERT INTO two VALUES (1), (2)`); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.Dial(addr, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < wire.MaxSessionStmts+5; i++ {
+		a, err := conn.Prepare(`SELECT k FROM two WHERE k = $1`)
+		if err != nil {
+			t.Fatalf("prepare %d: %v", i+1, err)
+		}
+		b, err := conn.Query(`SELECT k FROM two`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !b.Next() {
+			t.Fatalf("no first row: %v", b.Err())
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -193,74 +228,5 @@ func TestConnContextCancel(t *testing.T) {
 	// connection and the statement failed gracefully on this one.
 	if _, err := conn.Exec(`SELECT COUNT(*) FROM big`); err != nil {
 		t.Fatalf("conn dead after cancel: %v", err)
-	}
-}
-
-// TestPreparedSurvivesReconnect: server-side statement handles die
-// with their connection; an AutoReconnect Stmt re-prepares itself on
-// the fresh connection transparently.
-func TestPreparedSurvivesReconnect(t *testing.T) {
-	dir := t.TempDir()
-	db, err := ifdb.Open(ifdb.Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.NewServer(db.Engine(), "")
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	go srv.Serve(ln)
-	if _, err := db.AdminSession().Exec(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-
-	conn, err := client.DialConfig(client.Config{
-		Addr: addr, AutoReconnect: true,
-		RedialTimeout: 10 * time.Second, RedialInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	st, err := conn.Prepare(`INSERT INTO kv VALUES ($1, $2)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Exec(client.Value(ifdb.Int(1)), client.Value(ifdb.Text("pre"))); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill and restart the server on the same port.
-	srv.Close()
-	db.Close()
-	db2, err := ifdb.Open(ifdb.Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	srv2 := wire.NewServer(db2.Engine(), "")
-	var ln2 net.Listener
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		ln2, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("relisten: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	go srv2.Serve(ln2)
-	defer srv2.Close()
-
-	// The handle is gone server-side; the Stmt must re-prepare.
-	if _, err := st.Exec(client.Value(ifdb.Int(2)), client.Value(ifdb.Text("post"))); err != nil {
-		t.Fatalf("prepared exec across restart: %v", err)
-	}
-	res, err := conn.Exec(`SELECT COUNT(*) FROM kv`)
-	if err != nil || res.Rows[0][0].Int() != 2 {
-		t.Fatalf("post-restart state: %+v %v", res, err)
 	}
 }

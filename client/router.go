@@ -709,7 +709,7 @@ func (r *Router) release(addr string, c *Conn, err error) {
 		// Closing the conn ends the session, so a late CANCEL targets
 		// nothing.
 		c.Close()
-	case err == nil || !retryable(err):
+	case err == nil || !IsTransportError(err):
 		// Finished, or a server-reported error: the connection is
 		// healthy (and its label state already re-synced).
 		r.checkin(addr, c)
@@ -744,7 +744,7 @@ func (r *Router) open(ctx context.Context, rs routedStmt, addr string, waitLSN, 
 		return nil, err
 	}
 	rows, err := start(c)
-	if err != nil && retryable(err) && pooled && !ctxDone(ctx) {
+	if err != nil && IsTransportError(err) && pooled && !ctxDone(ctx) {
 		// The pooled connection likely went stale while idle (server
 		// restart, dropped keepalive) — and if one did, its poolmates
 		// did too: flush them all and retry once on a genuinely fresh
@@ -921,7 +921,7 @@ func (r *Router) write(ctx context.Context, rs routedStmt, to target, params []V
 				}
 				// The node is behind our map (mid-reconfiguration): the
 				// deadline loop below retries until it catches up.
-			} else if !retryable(err) && !isReadOnlyReplicaErr(err) && !isFencedErr(err) {
+			} else if !IsTransportError(err) && !isReadOnlyReplicaErr(err) && !isFencedErr(err) {
 				return nil, err // real SQL error: routing can't help
 			}
 		} else if lastErr == nil {
@@ -1006,7 +1006,7 @@ func (r *Router) read(ctx context.Context, rs routedStmt, to target, params []Va
 				// can execute it.
 				continue
 			}
-			if !retryable(err) && !isWaitTimeoutErr(err) {
+			if !IsTransportError(err) && !isWaitTimeoutErr(err) {
 				return nil, err // genuine SQL error: every node agrees
 			}
 			// Unreachable, or a replica too far behind (or its stream
@@ -1018,7 +1018,7 @@ func (r *Router) read(ctx context.Context, rs routedStmt, to target, params []Va
 			if !lastResort {
 				r.setDown(addr)
 			}
-			if retryable(err) {
+			if IsTransportError(err) {
 				r.maybeReprobe()
 			}
 		}

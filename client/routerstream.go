@@ -107,7 +107,7 @@ func (r *Router) Prepare(sqlText string) (*RouterStmt, error) {
 		if c, _, err := r.checkout(addr); err == nil {
 			_, perr := c.preparedFor(sqlText)
 			r.release(addr, c, perr)
-			if perr != nil && !retryable(perr) {
+			if perr != nil && !IsTransportError(perr) {
 				return nil, perr
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,38 +94,57 @@ func streamBuffered() int64 {
 		obs.NewGauge("ifdb_client_stream_buffered_bytes", "").Value()
 }
 
-// stallListener hands the server connections whose writes stop after
+// faultListener hands the server connections whose writes a test can
+// stall or cut, and counts the connections it accepted.
+//
+// Stall (stalled and release set): a connection's writes stop after
 // stallAfter bytes until the test lets them go. Without it the server
 // can park a whole 2 MB result in the loopback socket's buffers and
 // give its share of the gauge back before the client has looked: with
 // the other packages' tests competing for two CPUs that happened one
 // run in four, and the materialized result then read as the two ends'
 // idle buffers.
-type stallListener struct {
+//
+// Cut (cutNext): the next write of any of its connections closes that
+// socket instead — a reply the client never reads, for a statement the
+// server has already committed.
+type faultListener struct {
 	net.Listener
+	accepted atomic.Int64
+
 	stalled chan struct{} // closed when a write first reaches the limit
 	release chan struct{} // closed by the test
 	once    sync.Once
+
+	cut atomic.Bool
 }
 
 const stallAfter = 64 << 10
 
-func (l *stallListener) Accept() (net.Conn, error) {
+// cutNext arms the cut: the next server-side write closes its socket.
+func (l *faultListener) cutNext() { l.cut.Store(true) }
+
+func (l *faultListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return &stallConn{Conn: c, l: l}, nil
+	l.accepted.Add(1)
+	return &faultConn{Conn: c, l: l}, nil
 }
 
-type stallConn struct {
+type faultConn struct {
 	net.Conn
-	l       *stallListener
+	l       *faultListener
 	written int
 }
 
-func (c *stallConn) Write(p []byte) (int, error) {
-	if c.written += len(p); c.written > stallAfter {
+func (c *faultConn) Write(p []byte) (int, error) {
+	if c.l.cut.CompareAndSwap(true, false) {
+		c.Conn.Close()
+		return 0, net.ErrClosed
+	}
+	if c.written += len(p); c.l.stalled != nil && c.written > stallAfter {
 		c.l.once.Do(func() { close(c.l.stalled) })
 		<-c.l.release
 	}
@@ -142,7 +162,7 @@ func drainWatching(t *testing.T, db *ifdb.DB, query string, wantRows int) (buffe
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := &stallListener{Listener: ln, stalled: make(chan struct{}), release: make(chan struct{})}
+	sl := &faultListener{Listener: ln, stalled: make(chan struct{}), release: make(chan struct{})}
 	srv := wire.NewServer(db.Engine(), "")
 	go srv.Serve(sl)
 	defer srv.Close()

@@ -34,8 +34,13 @@
 //	              process integrity label at connect (requires
 //	              authority for each tag)
 //	dial-timeout  per-connection dial timeout (Go duration)
-//	reconnect     "1"/"true" arms the client's AutoReconnect (see
-//	              client.Config for its at-least-once caveat)
+//
+// Any other option is refused at sql.Open.
+//
+// A connection that has a transport error is never redialed: the
+// statement fails (it may or may not have executed), the pool retires
+// the connection, and the next statement runs on a fresh one that
+// establishes the DSN's labels anew.
 //
 // # IFC labels
 //
@@ -122,6 +127,13 @@ func ParseDSN(dsn string) (*Connector, error) {
 		c.cfg.Token = u.User.Username()
 	}
 	q := u.Query()
+	for k := range q {
+		switch k {
+		case "token", "principal", "secrecy", "endorse", "dial-timeout":
+		default:
+			return nil, fmt.Errorf("ifdb: unknown DSN option %q", k)
+		}
+	}
 	if v := q.Get("token"); v != "" {
 		c.cfg.Token = v
 	}
@@ -138,9 +150,6 @@ func ParseDSN(dsn string) (*Connector, error) {
 			return nil, fmt.Errorf("ifdb: bad dial-timeout %q", v)
 		}
 		c.cfg.DialTimeout = d
-	}
-	if v := q.Get("reconnect"); v == "1" || strings.EqualFold(v, "true") {
-		c.cfg.AutoReconnect = true
 	}
 	c.secrecy = splitTags(q["secrecy"])
 	c.endorse = splitTags(q["endorse"])
@@ -204,10 +213,10 @@ type conn struct {
 	bad bool // a transport error happened: state unknown, retire
 }
 
-// errIfBad returns ErrBadConn for a conn already known broken —
-// before anything was sent, so database/sql's retry on another conn
-// cannot double-execute — and records fresh transport failures. The
-// fresh failure itself is returned verbatim: the statement may have
+// noteErr records a transport failure, so the conn's next call
+// returns ErrBadConn — before anything was sent, so database/sql's
+// retry on another conn cannot double-execute — and IsValid retires
+// it. The failure itself is returned verbatim: the statement may have
 // executed, and only the caller can decide whether to retry.
 func (c *conn) noteErr(err error) error {
 	if err != nil && client.IsTransportError(err) {

@@ -4,12 +4,13 @@ import (
 	"context"
 	"database/sql"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
 
 	"ifdb"
-	_ "ifdb/driver"
+	"ifdb/driver"
 	"ifdb/internal/wire"
 )
 
@@ -254,5 +255,23 @@ func TestDriverLabelsViaDSN(t *testing.T) {
 	}
 	if body != "secret" {
 		t.Fatalf("body: %q", body)
+	}
+}
+
+// TestDSNRefusesUnknownOptions: sql.Open fails on a DSN option the
+// driver does not know — a typo or a retired option — instead of
+// ignoring it, and accepts every option it documents.
+func TestDSNRefusesUnknownOptions(t *testing.T) {
+	for key, dsn := range map[string]string{
+		"reconnect": "ifdb://127.0.0.1:1?reconnect=1",
+		"principle": "ifdb://127.0.0.1:1?token=tok&principle=3",
+	} {
+		_, err := sql.Open("ifdb", dsn)
+		if want := fmt.Sprintf("ifdb: unknown DSN option %q", key); err == nil || err.Error() != want {
+			t.Errorf("sql.Open(%q): %v; want %s", dsn, err, want)
+		}
+	}
+	if _, err := driver.ParseDSN("ifdb://127.0.0.1:1?token=tok&principal=3&secrecy=a,b&endorse=c&dial-timeout=1s"); err != nil {
+		t.Errorf("documented options refused: %v", err)
 	}
 }

@@ -159,11 +159,6 @@ type Execute struct {
 	// ownership guard protects misdirected writes.
 	ShardVer uint64
 
-	// ChunkRows asks the server to bound each ROWS frame to that many
-	// rows (0 = server default). The server may send smaller chunks —
-	// frames are also bounded by MaxFrame — but never larger ones.
-	ChunkRows uint32
-
 	// TraceID is the client-generated statement trace ID, stamped into
 	// the server's slow-query/audit log lines and \stats timing
 	// breakdowns so one statement can be followed across tiers. Optional
@@ -199,7 +194,6 @@ func (e *Execute) AppendEncode(buf []byte) ([]byte, error) {
 	}
 	buf = appendU64(buf, e.WaitLSN)
 	buf = appendU64(buf, e.ShardVer)
-	buf = binary.LittleEndian.AppendUint32(buf, e.ChunkRows)
 	return appendU64(buf, e.TraceID), nil
 }
 
@@ -250,11 +244,6 @@ func DecodeExecute(buf []byte) (*Execute, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("wire: truncated execute")
-	}
-	e.ChunkRows = binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
 	// Optional trailing trace ID (absent from pre-observability
 	// clients; zero means untraced).
 	if len(buf) >= 8 {

@@ -35,7 +35,7 @@ func TestPreparedFrameRoundTrips(t *testing.T) {
 	e := &Execute{
 		StmtID: 3, Params: []types.Value{types.NewInt(42), types.NewText("x")},
 		SyncLabel: true, Label: label.New(1, 2), ILabel: label.New(3),
-		Principal: 9, WaitLSN: 100, ShardVer: 5, ChunkRows: 64,
+		Principal: 9, WaitLSN: 100, ShardVer: 5,
 	}
 	enc, err := e.Encode()
 	if err != nil {
@@ -47,7 +47,7 @@ func TestPreparedFrameRoundTrips(t *testing.T) {
 	}
 	if e2.StmtID != 3 || len(e2.Params) != 2 || !e2.SyncLabel ||
 		!e2.Label.Equal(e.Label) || e2.Principal != 9 || e2.WaitLSN != 100 ||
-		e2.ShardVer != 5 || e2.ChunkRows != 64 {
+		e2.ShardVer != 5 {
 		t.Fatalf("Execute: %+v", e2)
 	}
 
@@ -96,7 +96,7 @@ func TestCorruptFrameFuzz(t *testing.T) {
 		StmtID: 3, SQL: "SELECT * FROM kv",
 		Params:    []types.Value{types.NewInt(42), types.NewText("xyz")},
 		SyncLabel: true, Label: label.New(1, 2), ILabel: label.New(3),
-		Principal: 9, WaitLSN: 100, ShardVer: 5, ChunkRows: 64,
+		Principal: 9, WaitLSN: 100, ShardVer: 5,
 	}
 	execEnc, err := exec.Encode()
 	if err != nil {

@@ -117,7 +117,7 @@ func TestReplyWrites(t *testing.T) {
 	// The first ten rows carry a label; the rest none, which keeps a
 	// chunk of DefaultChunkRows keys within the server's 4 KiB write
 	// buffer. Row 5000 is wider than that buffer.
-	for k := 1; k <= DefaultChunkRows+1; k++ {
+	for k := 1; k <= 2*DefaultChunkRows; k++ {
 		if k == 11 {
 			load.SetLabelUnsafe(nil)
 		} else if k == 1 {
@@ -178,10 +178,10 @@ func TestReplyWrites(t *testing.T) {
 		{"one row wider than the write buffer", Execute{SQL: `SELECT v FROM t WHERE k = 5000`}, "", 2, []int{1}},
 		// Each batch of a live stream fills before the iterator reports
 		// its end, so the end arrives in a chunk of its own.
-		{"3 rows streamed, ChunkRows 1", Execute{SQL: `SELECT k, v FROM t WHERE k <= 3`, ChunkRows: 1}, "", 4, []int{1, 1, 1, 0}},
+		{"two full chunks streamed", Execute{SQL: fmt.Sprintf(`SELECT k FROM t WHERE k <= %d`, 2*DefaultChunkRows)}, "", 3, []int{DefaultChunkRows, DefaultChunkRows, 0}},
 		// A materialized result (the last statement of a batch) knows its
 		// end with its last rows.
-		{"3 rows materialized, ChunkRows 1", Execute{SQL: `SELECT 1; SELECT k, v FROM t WHERE k <= 3`, ChunkRows: 1}, "", 3, []int{1, 1, 1}},
+		{"two full chunks materialized", Execute{SQL: fmt.Sprintf(`SELECT 1; SELECT k FROM t WHERE k <= %d`, 2*DefaultChunkRows)}, "", 2, []int{DefaultChunkRows, DefaultChunkRows}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c.t = t

@@ -20,8 +20,8 @@ import (
 	"ifdb/internal/wal"
 )
 
-// DefaultChunkRows is the server's default bound on rows per
-// streaming ROWS frame when the Execute did not ask for one.
+// DefaultChunkRows is the server's bound on rows per streaming ROWS
+// frame.
 const DefaultChunkRows = 256
 
 // MaxSessionStmts bounds one connection's prepared-statement table.
@@ -478,7 +478,7 @@ func (s *Server) waitApplied(lsn uint64) error {
 // runExecute services one EXECUTE, the statement path: shard-map
 // fencing and the read-your-writes wait, then the prepared handle (or
 // the inline one-shot SQL), its result streamed back as chunked ROWS
-// frames — each bounded by the requested chunk size and by MaxFrame —
+// frames — each bounded by DefaultChunkRows and by MaxFrame —
 // with the statement trailer on the final chunk. A returned error means
 // the connection is broken; statement failures travel inside the
 // stream.
@@ -546,7 +546,7 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 		return w.writeChunk(&c)
 	}
 	streamT0 := time.Now()
-	serr := s.streamCursor(sess, w, cur, e.ChunkRows, trailer)
+	serr := s.streamCursor(sess, w, cur, trailer)
 	sess.NoteStreamNs(time.Since(streamT0).Nanoseconds())
 	return serr
 }
@@ -555,8 +555,8 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 // as a ROWS chunk. A single SELECT streams end to end: the engine's
 // iterator produces one scan batch at a time, so neither the server
 // nor the client ever holds the full result, and each chunk is flushed
-// as it is pulled. Chunks are bounded by the requested chunk size and
-// by MaxFrame.
+// as it is pulled. Chunks are bounded by DefaultChunkRows and by
+// MaxFrame.
 //
 // The batch that ends the result carries the statement trailer: the
 // cursor has resolved the statement by the time it returns that batch,
@@ -569,13 +569,9 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 // CANCEL lands within one batch — the cursor aborts the statement's
 // transaction and the stream terminates with an ErrCanceled trailer
 // instead of scanning (or shipping) the rest of the result.
-func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.Cursor, chunkRows uint32, trailer func(string, *ShardMap) RowsChunk) error {
+func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.Cursor, trailer func(string, *ShardMap) RowsChunk) error {
 	defer cur.Close()
 	defer w.account(0)
-	chunk := int(chunkRows)
-	if chunk <= 0 || chunk > 1<<20 {
-		chunk = DefaultChunkRows
-	}
 	first := true
 	for {
 		if !first && sess.Canceled() {
@@ -586,7 +582,7 @@ func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.C
 			t := trailer(engine.ErrCanceled.Error(), nil)
 			return w.writeChunk(&t)
 		}
-		rows, stored, labels, err := cur.NextEncoded(chunk)
+		rows, stored, labels, err := cur.NextEncoded(DefaultChunkRows)
 		if err != nil {
 			t := trailer(err.Error(), nil)
 			t.First = first

@@ -27,7 +27,7 @@ func TestExecuteTraceIDRoundTrip(t *testing.T) {
 // end where the old format ended; chopping the trailing eight bytes
 // must still decode, with TraceID zero ("untraced").
 func TestTraceIDBackwardTolerant(t *testing.T) {
-	e := &Execute{SQL: "SELECT 1", WaitLSN: 42, ShardVer: 3, ChunkRows: 9, TraceID: 0x2222}
+	e := &Execute{SQL: "SELECT 1", WaitLSN: 42, ShardVer: 3, TraceID: 0x2222}
 	buf, err := e.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestTraceIDBackwardTolerant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("old-format execute frame rejected: %v", err)
 	}
-	if gotE.TraceID != 0 || gotE.ChunkRows != 9 || gotE.WaitLSN != 42 || gotE.ShardVer != 3 {
+	if gotE.TraceID != 0 || gotE.WaitLSN != 42 || gotE.ShardVer != 3 {
 		t.Fatalf("old-format execute decoded as %+v", gotE)
 	}
 }
