@@ -92,9 +92,11 @@ type Conn struct {
 	dirty     bool // label/principal changed since last sync
 
 	// Cancellation identity from the HelloOK handshake: the session id
-	// and the key that authorizes an out-of-band CANCEL for it.
+	// and the key that authorizes an out-of-band CANCEL for it; seq is
+	// the number of the last EXECUTE sent, by which a CANCEL names it.
 	sessID    uint64
 	cancelKey uint64
+	seq       uint64
 
 	// stream is the open streaming result, if any: the connection is
 	// pinned to it until the stream is drained or closed.
@@ -325,30 +327,39 @@ func (c *Conn) ExecShard(waitLSN, shardVer uint64, sql string, params ...Value) 
 	return c.execCtx(context.Background(), nil, waitLSN, shardVer, sql, params)
 }
 
-// startExec sends one EXECUTE frame — a prepared handle (stmtID != 0)
-// or inline one-shot SQL — and reads the stream's first frame, so a
-// statement failure (including a stale-shard-map refusal) surfaces
-// here rather than mid-iteration. stopWatch and onClose, when set,
-// are owned by the returned stream and are guaranteed to run exactly
-// once whenever it ends, including on every failure path of this
-// call.
-func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64, params []Value, stopWatch func(), onClose func(error)) (*connRows, error) {
-	finish := func(err error) error {
-		if stopWatch != nil {
-			stopWatch()
-		}
+// queryCtx sends one EXECUTE frame — stmt's handle, or sqlText inline
+// as one-shot SQL when stmt is nil — under the connection's next
+// statement number, arms the watcher that cancels it when ctx ends,
+// and reads the stream's first frame, so a statement failure (a
+// stale-shard-map refusal too) surfaces here; once rows flow, a failure
+// surfaces through the Rows. onClose, when set, is owned by the
+// returned stream and runs exactly once whenever it ends, including on
+// every failure path of this call.
+func (c *Conn) queryCtx(ctx context.Context, stmt *Stmt, waitLSN, shardVer uint64, sqlText string, params []Value, onClose func()) (Rows, error) {
+	finish := func(err error) (Rows, error) {
 		if onClose != nil {
-			onClose(err)
+			onClose()
 		}
-		return err
+		return nil, ctxErrOr(ctx, err)
+	}
+	if err := ctxErr(ctx); err != nil {
+		return finish(err)
+	}
+	var stmtID uint64
+	if stmt != nil {
+		if stmt.closed {
+			return finish(&clientError{msg: "client: statement is closed"})
+		}
+		stmtID, sqlText = stmt.id, ""
 	}
 	if err := c.ready(); err != nil {
-		return nil, finish(err)
+		return finish(err)
 	}
+	c.seq++
 	e := &wire.Execute{
 		StmtID: stmtID, SQL: sqlText, Params: params,
 		WaitLSN: waitLSN, ShardVer: shardVer,
-		TraceID: obs.NewTraceID(),
+		TraceID: obs.NewTraceID(), Seq: c.seq,
 	}
 	c.lastTraceID = e.TraceID
 	if c.dirty {
@@ -359,22 +370,19 @@ func (c *Conn) startExec(stmtID uint64, sqlText string, waitLSN, shardVer uint64
 	}
 	payload, err := e.AppendEncode(c.out[:0])
 	if err != nil {
-		return nil, finish(err)
+		return finish(err)
 	}
 	if cap(payload) <= wire.MaxKeptFrame {
 		c.out = payload
 	}
 	if err := c.send(wire.MsgExecute, payload); err != nil {
-		return nil, finish(err)
+		return finish(err)
 	}
-	rows := &connRows{c: c, i: -1, stopWatch: stopWatch, onClose: onClose}
+	rows := &connRows{c: c, i: -1, ctx: ctx, stopWatch: c.watchCancel(ctx, e.Seq), onClose: onClose}
 	c.stream = rows
 	if !rows.fetch() {
 		// First frame failed: a transport error (stream released, conn
 		// marked broken) or a single-chunk statement error.
-		return nil, rows.err
-	}
-	if rows.err != nil {
 		return nil, rows.err
 	}
 	return rows, nil

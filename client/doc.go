@@ -24,9 +24,12 @@
 // per-shard streams lazily); ExecContext/QueryContext propagate
 // context deadlines and cancellation as an out-of-band wire CANCEL
 // that aborts the statement — and its transaction — server-side. A
-// Router-prepared statement's shard-key derivation is computed once
-// at prepare time by the SQL parser and applied to each execution's
-// parameters. The classic text Exec is a shim over the same frames.
+// CANCEL names its statement by the number every EXECUTE carries, so
+// one that lands after the statement ended is dropped: the sender
+// waits for nothing, and a canceled statement's connection, its reply
+// read, goes back to its pool. A Router-prepared statement's shard-key
+// derivation is computed once at prepare time by the SQL parser and
+// applied to each execution's parameters. The classic text Exec is a shim over the same frames.
 // For stdlib integration, the ifdb/driver package wraps all of this
 // as a database/sql driver.
 //

@@ -22,11 +22,6 @@ type Stmt struct {
 	id        uint64
 	numParams int
 
-	// plan is the Router's prepare-time analysis (classification and
-	// shard-key derivation via the real SQL parser); nil for plain
-	// Conn statements. See shardkey.go.
-	plan *stmtPlan
-
 	// cached marks a Stmt owned by the conn's preparedFor cache:
 	// Close keeps it alive for the next borrower.
 	cached bool

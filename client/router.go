@@ -699,23 +699,16 @@ func (r *Router) checkin(addr string, c *Conn) {
 	c.Close()
 }
 
-// release ends a borrowed connection's statement; err is how it ended.
-func (r *Router) release(addr string, c *Conn, err error) {
-	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// Not repooled even when the server answered cleanly: the
-		// out-of-band CANCEL may still be in flight and could land after
-		// the session moves on, killing the next borrower's statement.
-		// Closing the conn ends the session, so a late CANCEL targets
-		// nothing.
+// release ends a borrowed connection's statement. A connection that
+// had a transport error is broken and closed; any other goes back to
+// the pool — a canceled statement's too: a CANCEL still in flight names
+// that statement, and the server drops it once the statement is over.
+func (r *Router) release(addr string, c *Conn) {
+	if c.broken {
 		c.Close()
-	case err == nil || !IsTransportError(err):
-		// Finished, or a server-reported error: the connection is
-		// healthy (and its label state already re-synced).
-		r.checkin(addr, c)
-	default:
-		c.Close() // transport-level failure: the connection is broken
+		return
 	}
+	r.checkin(addr, c)
 }
 
 // open is the one way a routed statement reaches a node: borrow a
@@ -728,12 +721,12 @@ func (r *Router) release(addr string, c *Conn, err error) {
 // before any row is handed out.
 func (r *Router) open(ctx context.Context, rs routedStmt, addr string, waitLSN, shardVer uint64, params []Value) (Rows, error) {
 	start := func(c *Conn) (Rows, error) {
-		done := func(err error) { r.release(addr, c, err) }
+		done := func() { r.release(addr, c) }
 		var st *Stmt
 		if rs.prepared {
 			var err error
 			if st, err = c.preparedFor(rs.sqlText); err != nil {
-				done(err)
+				done()
 				return nil, err
 			}
 		}

@@ -106,7 +106,7 @@ func (r *Router) Prepare(sqlText string) (*RouterStmt, error) {
 	if addr := r.primaryOf(g); addr != "" {
 		if c, _, err := r.checkout(addr); err == nil {
 			_, perr := c.preparedFor(sqlText)
-			r.release(addr, c, perr)
+			r.release(addr, c)
 			if perr != nil && !IsTransportError(perr) {
 				return nil, perr
 			}

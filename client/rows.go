@@ -69,9 +69,10 @@ type connRows struct {
 
 	// onClose, when set, is called exactly once when the stream
 	// finishes (Close or terminal error): the Router uses it to check
-	// the connection back into its pool — or close it — based on err.
-	onClose func(err error)
-	// stopWatch stops the context watcher tied to this stream.
+	// the connection back into its pool, or close it if it broke.
+	onClose func()
+	// stopWatch stops the context watcher tied to this stream, at the
+	// stream's final frame or its end, whichever comes first.
 	stopWatch func()
 }
 
@@ -138,6 +139,9 @@ func (r *connRows) fetch() bool {
 	}
 	if ch.Done {
 		r.recvDone = true
+		// The reply is whole, so the statement is over: there is
+		// nothing left to cancel.
+		r.stopWatch()
 		// Adopt the server's post-statement labels (the statement may
 		// have contaminated or declassified the process) and mark the
 		// lazy label sync clean.
@@ -184,11 +188,11 @@ func (r *connRows) release() {
 		r.c.stream = nil
 	}
 	r.c.account(0)
-	if r.stopWatch != nil {
-		r.stopWatch()
+	if !r.recvDone {
+		r.stopWatch() // else stopped at the final frame
 	}
 	if r.onClose != nil {
-		r.onClose(r.err)
+		r.onClose()
 	}
 }
 

@@ -26,14 +26,16 @@ func (s *Session) Exec(query string, params ...types.Value) (*Result, error) {
 
 // statements resolves a batch to run: a prepared handle's pinned AST,
 // or else the text through the parse cache. top reports a top-level
-// statement, whose timing breakdown it starts (ParseNs stays zero for a
-// pinned batch: that it never parses is what the breakdown should
-// show). Nested statements (triggers, stored procedures, QueryEach
-// fan-out) run inside the enclosing statement and must not clobber its
+// statement, which it numbers (see Cancel) and whose timing breakdown
+// it starts (ParseNs stays zero for a pinned batch: that it never
+// parses is what the breakdown should show). Nested statements
+// (triggers, stored procedures, QueryEach fan-out) run inside the
+// enclosing statement: they keep its number and must not clobber its
 // breakdown.
 func (s *Session) statements(text string, pinned []sql.Statement) (stmts []sql.Statement, top bool, err error) {
 	top = s.stmtTx == nil || s.stmtTx.Done()
 	if top {
+		s.stmtNo.Add(1)
 		s.beginStmtStats(text)
 	}
 	if pinned != nil {

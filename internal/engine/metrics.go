@@ -25,8 +25,6 @@ var (
 		"aborted transactions, including failed commits")
 	mStmtRetries = obs.NewCounter("ifdb_txn_statement_retries_total",
 		"autocommit statements run again on a fresh snapshot after a serialization failure")
-	mCancels = obs.NewCounter("ifdb_stmt_cancels_total",
-		"statements interrupted by out-of-band cancel")
 	mLabelDenials = obs.NewCounter("ifdb_ifc_label_denials_total",
 		"tuples hidden by Query by Label (secrecy or integrity)")
 	mDeclass = obs.NewCounter("ifdb_ifc_declassifications_total",

@@ -81,36 +81,47 @@ func (s *Session) ExecPrepared(p *Prepared, params ...types.Value) (*Result, err
 // ---------------------------------------------------------------------------
 // Cancellation
 
-// Cancel interrupts the session's currently running statement: the
-// statement fails with ErrCanceled at its next check point (per-row
-// in scans, per-slice in sleep()), and the failure aborts its
-// transaction through the ordinary error path. Safe to call from any
-// goroutine — it is the one session operation that is: the wire
-// server invokes it from an out-of-band cancel connection.
-//
-// Cancellation is flag-based, so a cancel that arrives between
-// statements marks the *next* statement (the same benign race
-// PostgreSQL's cancel protocol has); ResetCancel clears the flag
-// before a new statement when the caller can bound the race.
-func (s *Session) Cancel() {
-	s.canceled.Store(true)
-	mCancels.Inc()
+// Cancel interrupts the statement the session runs now: it fails with
+// ErrCanceled at its next check point (per-row in scans, per-slice in
+// sleep()), and the failure aborts its transaction through the ordinary
+// error path. A cancel between statements names the one that finished,
+// never the next. Safe to call from any goroutine.
+func (s *Session) Cancel() { s.CancelStatement(s.stmtNo.Load()) }
+
+// CancelStatement interrupts the statement numbered n: at its next
+// check point if it runs now, as it starts if it has not started, and
+// never once a later statement has started. It returns the number of
+// the statement the session runs now, or ran last, by which the caller
+// tells the three apart. Safe to call from any goroutine: the wire
+// server calls it for a CANCEL frame.
+func (s *Session) CancelStatement(n uint64) (current uint64) {
+	for old := s.cancelNo.Load(); n > old && !s.cancelNo.CompareAndSwap(old, n); old = s.cancelNo.Load() {
+	}
+	return s.stmtNo.Load()
 }
 
-// ResetCancel clears a pending cancel. The wire server calls it as
-// each statement arrives, bounding the cancel's scope to the
-// statement that was actually running when it was sent.
-func (s *Session) ResetCancel() { s.canceled.Store(false) }
+// NumberNext makes n, when not zero, the number of the session's next
+// top-level statement, which otherwise takes the one after the last:
+// the wire server numbers each EXECUTE's statement as the client did,
+// which is how a CANCEL names it. Numbers only grow.
+func (s *Session) NumberNext(n uint64) {
+	if n > 0 {
+		s.stmtNo.Store(n - 1) // the statement's start adds one
+	}
+}
 
-// Canceled reports whether a cancel is pending. The wire server polls
-// it between ROWS chunks so a cancel that lands after execution but
-// mid-stream still cuts the response short instead of pushing the
-// rest of a large result at an uninterested client.
-func (s *Session) Canceled() bool { return s.canceled.Load() }
+// Canceled reports whether a cancel named the running statement. The
+// wire server polls it between ROWS chunks so a cancel that lands after
+// execution but mid-stream still cuts the response short instead of
+// pushing the rest of a large result at an uninterested client.
+func (s *Session) Canceled() bool {
+	n := s.cancelNo.Load()
+	return n != 0 && n == s.stmtNo.Load()
+}
 
 // checkCanceled is the statement-side check point.
 func (s *Session) checkCanceled() error {
-	if s.canceled.Load() {
+	if s.Canceled() {
 		return ErrCanceled
 	}
 	return nil

@@ -55,11 +55,13 @@ type Session struct {
 	// logged commit (see CommitToken).
 	lastCommit wal.LSN
 
-	// canceled interrupts the running statement (see Cancel in
-	// prepare.go). The one concurrently-touched field of a session:
-	// the wire server's out-of-band cancel path sets it from another
-	// goroutine.
-	canceled atomic.Bool
+	// stmtNo is the number of the top-level statement running now, or
+	// of the last one; cancelNo is the largest number a cancel named,
+	// and a statement it names fails at its next check point (see Cancel
+	// in prepare.go). The concurrently-touched fields of a session: the
+	// wire server's out-of-band cancel path reads and sets them from
+	// another goroutine.
+	stmtNo, cancelNo atomic.Uint64
 
 	// stats is the most recent statement's timing breakdown and trace
 	// ID (see metrics.go); read back through the wire's STATS frame.

@@ -38,7 +38,7 @@ func seedBig(t *testing.T, s *Session, n int) {
 
 // TestCursorCancelWithinOneBatch: a cancel that lands mid-stream must
 // interrupt the scan within one iterator refill batch — the scan polls
-// the cancel flag per tuple, so after the rows already buffered (at
+// for a cancel per tuple, so after the rows already buffered (at
 // most one batch) drain, the very next refill fails with ErrCanceled.
 func TestCursorCancelWithinOneBatch(t *testing.T) {
 	const rows = 200_000
@@ -83,15 +83,42 @@ func TestCursorCancelWithinOneBatch(t *testing.T) {
 		t.Fatalf("cancel-to-error latency %v", lat)
 	}
 
-	// The failed statement's autocommit transaction was aborted and the
-	// session recovers once the flag clears.
+	// The failed statement's autocommit transaction was aborted, and the
+	// cancel named that statement, not the session's next one.
 	if s.InTxn() {
 		t.Fatal("statement transaction still open after canceled stream")
 	}
-	s.ResetCancel()
 	if _, err := s.Exec(`SELECT COUNT(*) FROM big WHERE k = 0`); err != nil {
 		t.Fatalf("session dead after canceled cursor: %v", err)
 	}
+}
+
+// TestCancelNamesItsStatement: a cancel interrupts the statement it
+// names and no other — not the next one after a cancel that came late,
+// and not the one running when a cancel names the next.
+func TestCancelNamesItsStatement(t *testing.T) {
+	e := MustNew(Config{})
+	s := e.NewSession(e.Admin())
+	mustExec(t, s, `SELECT 1`)
+	s.Cancel() // between statements: names the finished one
+	mustExec(t, s, `SELECT 1`)
+
+	s.NumberNext(41)
+	mustExec(t, s, `SELECT 1`)
+	if cur := s.CancelStatement(40); cur != 41 {
+		t.Fatalf("CancelStatement(40) reports statement %d running, want 41", cur)
+	}
+	s.NumberNext(42)
+	mustExec(t, s, `SELECT 1`)
+
+	if cur := s.CancelStatement(43); cur != 42 {
+		t.Fatalf("CancelStatement(43) reports statement %d running, want 42", cur)
+	}
+	s.CancelStatement(40) // a stale cancel after it keeps it
+	if _, err := s.Exec(`SELECT sleep(5000)`); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("statement 43 after its early cancel: %v, want ErrCanceled", err)
+	}
+	mustExec(t, s, `SELECT 1`)
 }
 
 // TestCursorLifecycle covers the cursor's transaction handling around

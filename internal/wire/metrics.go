@@ -19,6 +19,8 @@ var (
 		"Bytes result streaming holds: every connection's chunk encode buffer, plus the result rows open cursors hold at their encoded size (one chunk of a streamed result, all of a materialized one).")
 	mSlowQueries = obs.NewCounter("ifdb_server_slow_queries_total",
 		"Statements whose total server-side time exceeded the slow-query threshold.")
+	mCancels = obs.NewCounterVec("ifdb_wire_cancels_total",
+		"CANCEL frames by outcome: applied (named the running statement), stale (named a finished one), early (arrived before its EXECUTE), refused (unknown session or bad key).", "outcome")
 	mStmtSeconds = obs.NewDurationHistogram("ifdb_server_stmt_seconds",
 		"Total server-side statement time (admission + parse + execute + stream).")
 )

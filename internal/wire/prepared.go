@@ -27,10 +27,12 @@ import (
 // CANCEL is out-of-band, Postgres-style: the HelloOK handshake reply
 // hands the client a session id and a random cancel key; a CANCEL
 // frame opens a *fresh* connection, sends the pair as its first (and
-// only) frame, and the server interrupts that session's running
-// statement, aborting its transaction. The key — never sent on the
-// wire again — is what authorizes the cancel; the canceled statement
-// itself fails on its own connection with the engine's cancel error.
+// only) frame, and the server interrupts the statement it names by the
+// number every EXECUTE carries, aborting its transaction: a CANCEL for
+// a finished statement is dropped, and an early one cancels its
+// statement as it starts. The key — never sent on the wire again — is
+// what authorizes the cancel; the canceled statement itself fails on
+// its own connection with the engine's cancel error.
 //
 // See ARCHITECTURE.md § Client API v2 for the frame formats and the
 // statement-handle lifecycle.
@@ -40,7 +42,7 @@ const (
 	MsgExecute    byte = 'e' // client → server: handle (or inline SQL) + params
 	MsgRows       byte = 'w' // server → client: one chunk of a streaming result
 	MsgCloseStmt  byte = 'k' // client → server: drop a statement handle (no reply)
-	MsgCancel     byte = 'N' // first frame on a fresh conn: cancel a session's statement
+	MsgCancel     byte = 'N' // first frame on a fresh conn: cancel one statement of a session
 )
 
 // HelloOK is the handshake reply payload. SessionID names the session
@@ -161,9 +163,13 @@ type Execute struct {
 
 	// TraceID is the client-generated statement trace ID, stamped into
 	// the server's slow-query/audit log lines and \stats timing
-	// breakdowns so one statement can be followed across tiers. Optional
-	// trailing field; zero means untraced.
+	// breakdowns so one statement can be followed across tiers; zero
+	// means untraced.
 	TraceID uint64
+
+	// Seq is the connection's statement number, larger than every
+	// earlier EXECUTE's: a CANCEL names the statement it interrupts by it.
+	Seq uint64
 }
 
 // Encode marshals e.
@@ -194,7 +200,8 @@ func (e *Execute) AppendEncode(buf []byte) ([]byte, error) {
 	}
 	buf = appendU64(buf, e.WaitLSN)
 	buf = appendU64(buf, e.ShardVer)
-	return appendU64(buf, e.TraceID), nil
+	buf = appendU64(buf, e.TraceID)
+	return binary.AppendUvarint(buf, e.Seq), nil
 }
 
 // DecodeExecute unmarshals an Execute payload.
@@ -244,10 +251,13 @@ func DecodeExecute(buf []byte) (*Execute, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Optional trailing trace ID (absent from pre-observability
-	// clients; zero means untraced).
-	if len(buf) >= 8 {
-		e.TraceID, _, _ = readU64(buf)
+	e.TraceID, buf, err = readU64(buf)
+	if err != nil {
+		return nil, err
+	}
+	e.Seq, _, err = readUvarint(buf)
+	if err != nil {
+		return nil, err
 	}
 	return &e, nil
 }
@@ -595,21 +605,23 @@ func DecodeCloseStmt(buf []byte) (*CloseStmt, error) {
 	return &c, nil
 }
 
-// Cancel interrupts another session's running statement. It must be
-// the first frame on a fresh connection (in place of Hello); the
-// server verifies the key, cancels, and closes the connection without
-// replying — exactly the Postgres cancel-request shape, so a client
-// blocked reading its own statement's reply never deadlocks on the
-// cancel path.
+// Cancel interrupts another session's statement: the one whose
+// EXECUTE carried Seq. It must be the first frame on a fresh connection
+// (in place of Hello); the server verifies the key, cancels, and closes
+// the connection without replying — exactly the Postgres cancel-request
+// shape, so a client blocked reading its own statement's reply never
+// deadlocks on the cancel path.
 type Cancel struct {
 	SessionID uint64
 	CancelKey uint64
+	Seq       uint64
 }
 
 // Encode marshals c.
 func (c *Cancel) Encode() []byte {
 	buf := appendU64(nil, c.SessionID)
-	return appendU64(buf, c.CancelKey)
+	buf = appendU64(buf, c.CancelKey)
+	return binary.AppendUvarint(buf, c.Seq)
 }
 
 // DecodeCancel unmarshals a Cancel payload.
@@ -620,7 +632,11 @@ func DecodeCancel(buf []byte) (*Cancel, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.CancelKey, _, err = readU64(buf)
+	c.CancelKey, buf, err = readU64(buf)
+	if err != nil {
+		return nil, err
+	}
+	c.Seq, _, err = readUvarint(buf)
 	if err != nil {
 		return nil, err
 	}

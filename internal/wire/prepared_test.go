@@ -35,7 +35,7 @@ func TestPreparedFrameRoundTrips(t *testing.T) {
 	e := &Execute{
 		StmtID: 3, Params: []types.Value{types.NewInt(42), types.NewText("x")},
 		SyncLabel: true, Label: label.New(1, 2), ILabel: label.New(3),
-		Principal: 9, WaitLSN: 100, ShardVer: 5,
+		Principal: 9, WaitLSN: 100, ShardVer: 5, Seq: 12,
 	}
 	enc, err := e.Encode()
 	if err != nil {
@@ -47,7 +47,7 @@ func TestPreparedFrameRoundTrips(t *testing.T) {
 	}
 	if e2.StmtID != 3 || len(e2.Params) != 2 || !e2.SyncLabel ||
 		!e2.Label.Equal(e.Label) || e2.Principal != 9 || e2.WaitLSN != 100 ||
-		e2.ShardVer != 5 {
+		e2.ShardVer != 5 || e2.Seq != 12 {
 		t.Fatalf("Execute: %+v", e2)
 	}
 
@@ -78,7 +78,7 @@ func TestPreparedFrameRoundTrips(t *testing.T) {
 		t.Fatalf("CloseStmt: %+v %v", cs2, err)
 	}
 
-	cn := &Cancel{SessionID: 5, CancelKey: 0xfeed}
+	cn := &Cancel{SessionID: 5, CancelKey: 0xfeed, Seq: 12}
 	cn2, err := DecodeCancel(cn.Encode())
 	if err != nil || !reflect.DeepEqual(cn2, cn) {
 		t.Fatalf("Cancel: %+v %v", cn2, err)
@@ -96,7 +96,7 @@ func TestCorruptFrameFuzz(t *testing.T) {
 		StmtID: 3, SQL: "SELECT * FROM kv",
 		Params:    []types.Value{types.NewInt(42), types.NewText("xyz")},
 		SyncLabel: true, Label: label.New(1, 2), ILabel: label.New(3),
-		Principal: 9, WaitLSN: 100, ShardVer: 5,
+		Principal: 9, WaitLSN: 100, ShardVer: 5, Seq: 12,
 	}
 	execEnc, err := exec.Encode()
 	if err != nil {
@@ -132,7 +132,7 @@ func TestCorruptFrameFuzz(t *testing.T) {
 			func(b []byte) (any, error) { return DecodeRowsChunk(b) }},
 		{"closestmt", (&CloseStmt{StmtID: 4}).Encode(),
 			func(b []byte) (any, error) { return DecodeCloseStmt(b) }},
-		{"cancel", (&Cancel{SessionID: 1, CancelKey: 2}).Encode(),
+		{"cancel", (&Cancel{SessionID: 1, CancelKey: 2, Seq: 3}).Encode(),
 			func(b []byte) (any, error) { return DecodeCancel(b) }},
 	}
 

@@ -119,6 +119,14 @@ func readString(buf []byte) (string, []byte, error) {
 	return string(buf[sz : sz+int(n)]), buf[sz+int(n):], nil
 }
 
+func readUvarint(buf []byte) (uint64, []byte, error) {
+	v, sz := binary.Uvarint(buf)
+	if sz <= 0 {
+		return 0, nil, fmt.Errorf("wire: bad varint")
+	}
+	return v, buf[sz:], nil
+}
+
 func appendU64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(buf, v) }
 
 func readU64(buf []byte) (uint64, []byte, error) {

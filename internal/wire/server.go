@@ -55,9 +55,9 @@ type Server struct {
 	SlowQuery time.Duration
 
 	// Cancellation registry: session id → (cancel key, session). A
-	// CANCEL frame on a fresh connection names a session and proves
-	// knowledge of its key (handed out once, in HelloOK); the server
-	// interrupts that session's running statement. Keys never recross
+	// CANCEL frame on a fresh connection names a session and one of its
+	// statements and proves knowledge of its key (handed out once, in
+	// HelloOK); the server interrupts that statement. Keys never recross
 	// the wire after the handshake.
 	sessMu   sync.Mutex
 	sessions map[uint64]*cancelTarget
@@ -107,26 +107,27 @@ func NewServer(eng *engine.Engine, token string) *Server {
 
 // cancelTarget is one registered session as the cancel path sees it.
 type cancelTarget struct {
-	key  uint64
-	sess *engine.Session
+	id, key uint64
+	sess    *engine.Session
+	// replied is the number of the last statement whose reply has been
+	// written whole: a CANCEL naming it, or an earlier one, is stale.
+	replied atomic.Uint64
 }
 
 // registerSession assigns a session id and a random cancel key.
-func (s *Server) registerSession(sess *engine.Session) (id, key uint64) {
-	id = s.sessSeq.Add(1)
+func (s *Server) registerSession(sess *engine.Session) *cancelTarget {
+	t := &cancelTarget{id: s.sessSeq.Add(1), sess: sess}
 	var kb [8]byte
 	if _, err := rand.Read(kb[:]); err == nil {
-		key = binary.LittleEndian.Uint64(kb[:])
-	} else {
-		// No entropy: leave the key zero rather than fail the
-		// handshake; cancellation degrades, queries don't.
-		key = 0
+		t.key = binary.LittleEndian.Uint64(kb[:])
 	}
+	// With no entropy the key stays zero rather than fail the
+	// handshake: cancellation degrades, queries don't.
 	s.sessMu.Lock()
-	s.sessions[id] = &cancelTarget{key: key, sess: sess}
+	s.sessions[t.id] = t
 	s.sessMu.Unlock()
 	gActiveSessions.Add(1)
-	return id, key
+	return t
 }
 
 func (s *Server) unregisterSession(id uint64) {
@@ -137,22 +138,31 @@ func (s *Server) unregisterSession(id uint64) {
 }
 
 // cancelSession services a CANCEL frame: constant-time key check,
-// then interrupt the target session's statement. Unknown ids and bad
-// keys are silently ignored (the requester is unauthenticated).
+// then interrupt the statement it names, and count the outcome. Unknown
+// ids and bad keys are ignored (the requester is unauthenticated), and
+// so is a CANCEL for a statement whose reply has been sent.
 func (s *Server) cancelSession(c *Cancel) {
 	s.sessMu.Lock()
 	t := s.sessions[c.SessionID]
 	s.sessMu.Unlock()
-	if t == nil {
-		return
-	}
+	outcome := "refused"
 	var want, got [8]byte
-	binary.LittleEndian.PutUint64(want[:], t.key)
 	binary.LittleEndian.PutUint64(got[:], c.CancelKey)
-	if subtle.ConstantTimeCompare(want[:], got[:]) != 1 {
-		return
+	if t != nil {
+		binary.LittleEndian.PutUint64(want[:], t.key)
 	}
-	t.sess.Cancel()
+	if t != nil && subtle.ConstantTimeCompare(want[:], got[:]) == 1 {
+		outcome = "stale"
+		if c.Seq > t.replied.Load() {
+			switch cur := t.sess.CancelStatement(c.Seq); {
+			case c.Seq == cur:
+				outcome = "applied"
+			case c.Seq > cur:
+				outcome = "early"
+			}
+		}
+	}
+	mCancels.With(outcome).Inc()
 }
 
 // Serve accepts connections on ln until Close.
@@ -281,9 +291,9 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	sess := s.eng.NewSession(authority.Principal(hello.Principal))
-	sid, skey := s.registerSession(sess)
-	defer s.unregisterSession(sid)
-	if err := reply(MsgHelloOK, (&HelloOK{SessionID: sid, CancelKey: skey}).Encode()); err != nil {
+	target := s.registerSession(sess)
+	defer s.unregisterSession(target.id)
+	if err := reply(MsgHelloOK, (&HelloOK{SessionID: target.id, CancelKey: target.key}).Encode()); err != nil {
 		return
 	}
 
@@ -352,6 +362,7 @@ func (s *Server) handle(conn net.Conn) {
 			if err := w.Flush(); err != nil {
 				return
 			}
+			target.replied.Store(e.Seq)
 			s.noteStmtDone(sess, time.Since(t0))
 		case MsgStats:
 			st := sess.LastStmtStats()
@@ -483,10 +494,7 @@ func (s *Server) waitApplied(lsn uint64) error {
 // the connection is broken; statement failures travel inside the
 // stream.
 func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepared, e *Execute, w *rowsWriter) error {
-	// A cancel can only be meant for the statement that was running
-	// when it was sent; don't let a late one kill this fresh statement
-	// before it starts.
-	sess.ResetCancel()
+	sess.NumberNext(e.Seq)
 	planT0 := time.Now()
 	if e.SyncLabel {
 		sess.SetLabelUnsafe(e.Label)
@@ -565,10 +573,10 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 // when the frame fits the connection's write buffer; a stream of k
 // chunks is k frames (k-1 flushed here, the last by handle).
 //
-// Between chunks it polls the session's cancel flag: an out-of-band
-// CANCEL lands within one batch — the cursor aborts the statement's
-// transaction and the stream terminates with an ErrCanceled trailer
-// instead of scanning (or shipping) the rest of the result.
+// Between chunks it polls whether the statement is canceled: an
+// out-of-band CANCEL lands within one batch — the cursor aborts the
+// statement's transaction and the stream terminates with an ErrCanceled
+// trailer instead of scanning (or shipping) the rest of the result.
 func (s *Server) streamCursor(sess *engine.Session, w *rowsWriter, cur *engine.Cursor, trailer func(string, *ShardMap) RowsChunk) error {
 	defer cur.Close()
 	defer w.account(0)

@@ -448,3 +448,59 @@ func TestRouterSessionReadYourWrites(t *testing.T) {
 		t.Fatalf("session A read %d rows, want its own write visible (read-your-writes)", got)
 	}
 }
+
+// TestRouterLimitThenGroupBy alternates a gateway ORDER BY … LIMIT,
+// whose merge closes its shard streams early, with a keyless GROUP BY
+// on one Router over 3 shards, so each statement borrows the pooled
+// connections the other just returned. No statement may fail for
+// another's cancellation, and every answer stays the first one.
+func TestRouterLimitThenGroupBy(t *testing.T) {
+	smap := &wire.ShardMap{Version: 1, Keys: map[string]string{"sales": "id"}}
+	mapFn := func() *wire.ShardMap { return smap }
+	var addrs []string
+	for sid := uint32(0); sid < 3; sid++ {
+		addr, _, _ := startShard(t, mapFn, sid)
+		addrs = append(addrs, addr)
+		smap.Shards = append(smap.Shards, wire.Shard{ID: sid, Primary: addr})
+	}
+	r, err := client.OpenRouter(client.RouterConfig{Addrs: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Exec(`CREATE TABLE sales (id BIGINT PRIMARY KEY, region TEXT, v BIGINT)`); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(0); id < 600; id++ {
+		if _, err := r.Exec(`INSERT INTO sales VALUES ($1, $2, $3)`,
+			ifdb.Int(id), ifdb.Text(fmt.Sprintf("r%d", id%12)), ifdb.Int(id*7919%1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	top, err := r.Prepare(`SELECT id, v FROM sales ORDER BY v DESC, id LIMIT 50`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := r.Prepare(`SELECT region, count(*), sum(v) FROM sales GROUP BY region`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [2]string
+	for i := 0; i < 500; i++ {
+		for j, st := range []*client.RouterStmt{top, agg} {
+			res, err := st.Exec()
+			if err != nil {
+				t.Fatalf("op %d, %s: %v", i, st.SQL(), err)
+			}
+			got := renderResult(res, j == 0, false)
+			if i == 0 {
+				want[j] = got
+			} else if got != want[j] {
+				t.Fatalf("op %d, %s answered\n%s\nwant\n%s", i, st.SQL(), got, want[j])
+			}
+		}
+	}
+	if n := len(strings.Split(want[0], "\n")); n < 50 {
+		t.Fatalf("LIMIT 50 answered %d lines:\n%s", n, want[0])
+	}
+}
