@@ -9,7 +9,6 @@ import (
 
 	"ifdb"
 	"ifdb/internal/label"
-	"ifdb/platform"
 )
 
 // BenchmarkAblationLabelCheck measures the raw visibility predicate:
@@ -49,13 +48,13 @@ func BenchmarkAblationLabelCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAuthorityCache contrasts authority checks through
-// the platform cache against direct authority-state walks — the
-// optimization the paper's PHP-IF needed shared memory for (§7.2).
-func BenchmarkAblationAuthorityCache(b *testing.B) {
+// BenchmarkAblationAuthorityChain measures one authority check at the
+// end of an 8-link delegation chain: what every declassification pays,
+// through a session or a platform Process alike.
+func BenchmarkAblationAuthorityChain(b *testing.B) {
 	db := ifdb.MustOpen(ifdb.Config{IFC: true})
 	owner := db.CreatePrincipal("owner")
-	// A delegation chain so the uncached walk has real work to do.
+	// A delegation chain so the walk has real work to do.
 	tg, err := db.CreateTag(owner, "deep_tag")
 	if err != nil {
 		b.Fatal(err)
@@ -73,14 +72,6 @@ func BenchmarkAblationAuthorityCache(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if !db.HasAuthority(leaf, tg) {
-				b.Fatal("authority lost")
-			}
-		}
-	})
-	cache := platform.NewAuthorityCache(db)
-	b.Run("cached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if !cache.Has(leaf, tg) {
 				b.Fatal("authority lost")
 			}
 		}

@@ -42,7 +42,7 @@ func (a *App) GetCars(pr *platform.Process, _ map[string]string) error {
 	if err := pr.AddSecrecy(u.LocTag); err != nil {
 		return err
 	}
-	res, err := pr.Session().Exec(
+	res, err := pr.Exec(
 		`SELECT c.carid, ll.lat, ll.lon, ll.ts
 		 FROM cars c JOIN locationslatest ll ON c.carid = ll.carid
 		 WHERE c.userid = $1`, ifdb.Int(u.ID))
@@ -71,7 +71,7 @@ func (a *App) Cars(pr *platform.Process, _ map[string]string) error {
 	if err := pr.AddSecrecy(u.LocTag); err != nil {
 		return err
 	}
-	res, err := pr.Session().Exec(
+	res, err := pr.Exec(
 		`SELECT c.carid, c.plate, ll.lat, ll.lon, ll.ts
 		 FROM cars c LEFT JOIN locationslatest ll ON c.carid = ll.carid
 		 WHERE c.userid = $1 ORDER BY c.carid`, ifdb.Int(u.ID))
@@ -114,7 +114,7 @@ func (a *App) Drives(pr *platform.Process, args map[string]string) error {
 			}
 		}
 	} else {
-		res, err := pr.Session().Exec(
+		res, err := pr.Exec(
 			`SELECT userid FROM friends WHERE frienduserid = $1`, ifdb.Int(u.ID))
 		if err != nil {
 			return err
@@ -133,7 +133,7 @@ func (a *App) Drives(pr *platform.Process, args map[string]string) error {
 		}
 	}
 	for _, id := range ids {
-		res, err := pr.Session().Exec(
+		res, err := pr.Exec(
 			`SELECT d.driveid, d.start_ts, d.end_ts, d.distance
 			 FROM cars c JOIN drives d ON d.carid = c.carid
 			 WHERE c.userid = $1 ORDER BY d.start_ts DESC LIMIT 20`, ifdb.Int(id))
@@ -167,7 +167,7 @@ func (a *App) DrivesTop(pr *platform.Process, _ map[string]string) error {
 		if err := pr.AddSecrecy(a.allDrives); err != nil {
 			return err
 		}
-		res, err := pr.Session().Exec(
+		res, err := pr.Exec(
 			`SELECT npoints, COUNT(*) AS n, AVG(distance) AS avg_km
 			 FROM drives GROUP BY npoints ORDER BY n DESC LIMIT 10`)
 		if err != nil {
@@ -198,7 +198,7 @@ func (a *App) Friends(pr *platform.Process, args map[string]string) error {
 			pr.Printf("added friend %s\n", name)
 		}
 	}
-	res, err := pr.Session().Exec(
+	res, err := pr.Exec(
 		`SELECT u.username FROM friends f JOIN users u ON f.userid = u.userid
 		 WHERE f.frienduserid = $1 ORDER BY u.username`, ifdb.Int(u.ID))
 	if err != nil {
@@ -219,13 +219,13 @@ func (a *App) EditAccount(pr *platform.Process, args map[string]string) error {
 		return nil
 	}
 	if email, ok := args["email"]; ok {
-		if _, err := pr.Session().Exec(
+		if _, err := pr.Exec(
 			`UPDATE users SET email = $2 WHERE userid = $1`,
 			ifdb.Int(u.ID), ifdb.Text(email)); err != nil {
 			return err
 		}
 	}
-	row, _, err := pr.Session().QueryRow(
+	row, _, err := pr.QueryRow(
 		`SELECT username, email FROM users WHERE userid = $1`, ifdb.Int(u.ID))
 	if err != nil {
 		return err

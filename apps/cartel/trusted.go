@@ -248,6 +248,5 @@ func (a *App) Befriend(owner, friend *User) error {
 		ifdb.Int(owner.ID), ifdb.Int(friend.ID)); err != nil {
 		return err
 	}
-	a.RT.Cache().Invalidate()
 	return nil
 }

@@ -15,7 +15,7 @@ import (
 // info for all users (§6.2) is structurally impossible because the
 // view projects two columns and strips all_contacts only for them.
 func (a *App) PCListPage(pr *platform.Process, _ map[string]string) error {
-	res, err := pr.Session().Exec(`SELECT firstname, lastname FROM pcmembers ORDER BY lastname`)
+	res, err := pr.Exec(`SELECT firstname, lastname FROM pcmembers ORDER BY lastname`)
 	if err != nil {
 		return err
 	}
@@ -44,7 +44,7 @@ func (a *App) ReviewsPage(pr *platform.Process, args map[string]string) error {
 			return err
 		}
 	}
-	res, err := pr.Session().Exec(
+	res, err := pr.Exec(
 		`SELECT reviewid, score, comments FROM reviews WHERE paperid = $1 ORDER BY reviewid`,
 		ifdb.Int(paperID))
 	if err != nil {
@@ -68,7 +68,7 @@ func (a *App) SearchPage(pr *platform.Process, args map[string]string) error {
 	if _, ok := a.userOf(pr); !ok {
 		return nil
 	}
-	res, err := pr.Session().Exec(
+	res, err := pr.Exec(
 		`SELECT p.paperid, p.title, d.outcome
 		 FROM papers p LEFT JOIN decisions d ON p.paperid = d.paperid
 		 ORDER BY d.outcome DESC, p.paperid`)
@@ -83,7 +83,7 @@ func (a *App) SearchPage(pr *platform.Process, args map[string]string) error {
 
 // DecisionsPage shows released decisions (public copies).
 func (a *App) DecisionsPage(pr *platform.Process, _ map[string]string) error {
-	res, err := pr.Session().Exec(`SELECT paperid, outcome FROM decisions_public ORDER BY paperid`)
+	res, err := pr.Exec(`SELECT paperid, outcome FROM decisions_public ORDER BY paperid`)
 	if err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func (a *App) ContactPage(pr *platform.Process, _ map[string]string) error {
 	if err := pr.AddSecrecy(u.ContactTag); err != nil {
 		return err
 	}
-	res, err := pr.Session().Exec(
+	res, err := pr.Exec(
 		`SELECT firstname, lastname, email, phone, affiliation FROM contactinfo WHERE contactid = $1`,
 		ifdb.Int(u.ID))
 	if err != nil {

@@ -224,7 +224,6 @@ func (a *App) SubmitReview(reviewID, paperID int64, reviewer *User, score int64,
 	a.mu.Lock()
 	a.reviews[reviewID] = r
 	a.mu.Unlock()
-	a.RT.Cache().Invalidate()
 	return r, nil
 }
 
@@ -265,7 +264,6 @@ func (a *App) DelegateReviews() error {
 			}
 		}
 	}
-	a.RT.Cache().Invalidate()
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"ifdb"
 	"ifdb/client"
+	"ifdb/internal/engine"
 	"ifdb/internal/obs"
 	"ifdb/internal/wire"
 )
@@ -53,7 +54,7 @@ func TestPointReadIsOneWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admin.SetLabelUnsafe(client.Label{tag})
+	engine.SyncLabel(admin, client.Label{tag}, nil, db.Engine().Admin())
 	for _, q := range []string{`INSERT INTO kv VALUES (1, 'one')`, `INSERT INTO kv VALUES (2, 'two')`} {
 		if _, err := admin.Exec(q); err != nil {
 			t.Fatal(err)

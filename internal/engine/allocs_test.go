@@ -41,7 +41,7 @@ func TestStatementAllocBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.SetLabelUnsafe(label.New(tag))
+				SyncLabel(s, label.New(tag), nil, e.Admin())
 			}
 			for i := int64(1); i <= 50; i++ {
 				mustExec(t, s, `INSERT INTO stock VALUES (1, $1, 50, 0, 0)`, types.NewInt(i))
@@ -142,10 +142,10 @@ func TestDiskDrainAllocBudget(t *testing.T) {
 			}
 			fmt.Fprintf(&q, "(%d, %d, %d, 'p%039d')", i, k/batch%2, i*7919, i)
 		}
-		s.SetLabelUnsafe(tags[k/batch%2])
+		SyncLabel(s, tags[k/batch%2], nil, e.Admin())
 		mustExec(t, s, q.String())
 	}
-	s.SetLabelUnsafe(tags[0])
+	SyncLabel(s, tags[0], nil, e.Admin())
 	drain := func() int {
 		cur, err := s.ExecStream(`SELECT k, tenant, v, pad FROM big`)
 		if err != nil {

@@ -47,7 +47,7 @@ func TestPointReadAllocBudget(t *testing.T) {
 				if tag, err = e.CreateTag(e.Admin(), "tenant"); err != nil {
 					t.Fatal(err)
 				}
-				admin.SetLabelUnsafe(label.New(tag))
+				engine.SyncLabel(admin, label.New(tag), nil, e.Admin())
 			}
 			for i := int64(0); i < 50; i++ {
 				if _, err := admin.Exec(`INSERT INTO kv VALUES ($1, 0, $2, $3)`, types.NewInt(i), types.NewInt(i*7), types.NewText(fmt.Sprintf("p%039d", i))); err != nil {

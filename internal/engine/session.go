@@ -89,26 +89,25 @@ func (e *Engine) NewSession(p authority.Principal) *Session {
 	return s
 }
 
-// Engine returns the engine this session talks to.
-func (s *Session) Engine() *Engine { return s.eng }
-
 // Principal returns the session's acting principal.
 func (s *Session) Principal() authority.Principal { return s.principal }
 
 // Label returns the process label (a copy).
 func (s *Session) Label() label.Label { return s.plabel.Clone() }
 
-// SetLabelUnsafe replaces the process label without any checks. It is
-// the low-level hook the wire protocol uses to synchronize the label
-// the *platform* already vetted (the platform and engine share one
-// logical process label, §7.2). Application code must use AddSecrecy
-// and Declassify.
-func (s *Session) SetLabelUnsafe(l label.Label) { s.plabel = l.Clone() }
-
-// SetPrincipalUnsafe switches the acting principal without checks;
-// used by the wire protocol (authentication happens in the platform's
-// trusted code) and by closure invocation.
-func (s *Session) SetPrincipalUnsafe(p authority.Principal) { s.principal = p }
+// SyncLabel replaces s's secrecy label, integrity label and principal
+// without any checks. It is the hook the wire protocol uses to adopt
+// what the *platform* already vetted: the platform and the engine share
+// one logical process label (§7.2), and authentication happens in the
+// platform's trusted code. It is a function of this internal package,
+// not a method, so that the Session method set ifdb.Session re-exports
+// offers no unchecked setter; application code uses AddSecrecy,
+// Declassify, Endorse and DropIntegrity.
+func SyncLabel(s *Session, secrecy, integrity label.Label, p authority.Principal) {
+	s.plabel = secrecy.Clone()
+	s.pilabel = integrity.Clone()
+	s.principal = p
+}
 
 // Integrity returns the process integrity label (a copy).
 //
@@ -120,10 +119,6 @@ func (s *Session) SetPrincipalUnsafe(p authority.Principal) { s.principal = p }
 // integrity label, dropping integrity is free, and raising it
 // ("endorsement") requires authority.
 func (s *Session) Integrity() label.Label { return s.pilabel.Clone() }
-
-// SetIntegrityUnsafe replaces the integrity label without checks (wire
-// protocol only).
-func (s *Session) SetIntegrityUnsafe(l label.Label) { s.pilabel = l.Clone() }
 
 // Endorse adds tag t to the process integrity label. Claiming
 // integrity is like declassifying secrecy: it needs authority for t.

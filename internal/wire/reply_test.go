@@ -119,9 +119,9 @@ func TestReplyWrites(t *testing.T) {
 	// buffer. Row 5000 is wider than that buffer.
 	for k := 1; k <= 2*DefaultChunkRows; k++ {
 		if k == 11 {
-			load.SetLabelUnsafe(nil)
+			engine.SyncLabel(load, nil, nil, admin)
 		} else if k == 1 {
-			load.SetLabelUnsafe(reader)
+			engine.SyncLabel(load, reader, nil, admin)
 		}
 		if _, err := load.Exec(`INSERT INTO t VALUES ($1, $2)`, types.NewInt(int64(k)), types.NewText(fmt.Sprintf("v%d", k))); err != nil {
 			t.Fatal(err)
@@ -215,7 +215,7 @@ func TestReplyWrites(t *testing.T) {
 			if oracle == "" {
 				oracle = e.SQL
 			}
-			ref.SetLabelUnsafe(reader)
+			engine.SyncLabel(ref, reader, nil, admin)
 			want, werr := ref.Exec(oracle, e.Params...)
 			done := chunks[len(chunks)-1]
 			if werr != nil {

@@ -497,9 +497,7 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 	sess.NumberNext(e.Seq)
 	planT0 := time.Now()
 	if e.SyncLabel {
-		sess.SetLabelUnsafe(e.Label)
-		sess.SetIntegrityUnsafe(e.ILabel)
-		sess.SetPrincipalUnsafe(authority.Principal(e.Principal))
+		engine.SyncLabel(sess, e.Label, e.ILabel, authority.Principal(e.Principal))
 	}
 	trailer := func(errMsg string, m *ShardMap) RowsChunk {
 		return RowsChunk{

@@ -115,7 +115,7 @@ func TestStreamStoredRows(t *testing.T) {
 	exec(`CREATE TABLE many (k BIGINT PRIMARY KEY, v BIGINT, pad TEXT) USING DISK`)
 	exec(`CREATE TABLE two (k BIGINT PRIMARY KEY, v TEXT) USING DISK`)
 	exec(`CREATE TABLE mem (k BIGINT PRIMARY KEY, v TEXT)`)
-	load.SetLabelUnsafe(reader)
+	engine.SyncLabel(load, reader, nil, admin)
 	for k := int64(0); k < 10; k++ {
 		exec(`INSERT INTO one VALUES ($1, $2)`, types.NewInt(k), types.NewText(fmt.Sprintf("one-%d", k)))
 		exec(`INSERT INTO mem VALUES ($1, $2)`, types.NewInt(k), types.NewText(fmt.Sprintf("mem-%d", k)))
@@ -130,10 +130,10 @@ func TestStreamStoredRows(t *testing.T) {
 		if k%2 == 1 {
 			l = label.New(other)
 		}
-		load.SetLabelUnsafe(l)
+		engine.SyncLabel(load, l, nil, admin)
 		exec(`INSERT INTO two VALUES ($1, $2)`, types.NewInt(k), types.NewText(fmt.Sprintf("two-%d", k)))
 	}
-	load.SetLabelUnsafe(nil)
+	engine.SyncLabel(load, nil, nil, admin)
 	exec(`CREATE VIEW pub AS SELECT * FROM two WITH DECLASSIFYING (other)`)
 
 	c := dialRaw(t, eng)
@@ -151,7 +151,7 @@ func TestStreamStoredRows(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c.t = t
-			ref.SetLabelUnsafe(reader)
+			engine.SyncLabel(ref, reader, nil, admin)
 			want := pullDecoded(ref, tc.sql)
 			if want.err != "" || len(want.rows) == 0 {
 				t.Fatalf("decoded path: %d rows, error %q", len(want.rows), want.err)

@@ -10,12 +10,14 @@
 //     missing authentication checks into harmless blank pages rather
 //     than data breaches (§6.1);
 //   - authority closures and reduced-authority calls for the Principle
-//     of Least Privilege (§3.3); and
-//   - a cache of authority-state lookups, the optimization the paper's
-//     PHP-IF used shared memory for (§7.2).
+//     of Least Privilege (§3.3).
 //
 // The platform and the DBMS are both part of the trusted base; all
-// application code above them is not.
+// application code above them is not. A script's only database handle
+// is its Process: it offers statements and the checked label
+// operations, and no way to set the label or the principal unchecked.
+// Every authority check a Process makes is the engine's own, counted
+// and audited like a session's.
 package platform
 
 import (
@@ -23,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"ifdb"
 )
@@ -33,79 +34,24 @@ import (
 // label, so the flow is forbidden (§3.2).
 var ErrContaminatedOutput = errors.New("platform: process is too contaminated to release output")
 
-// AuthorityCache memoizes HasAuthority lookups. The paper found this
-// cache important because the platform checks release authority on
-// every response (§7.2). Entries are invalidated wholesale on
-// delegation changes made through the platform.
-type AuthorityCache struct {
-	mu    sync.RWMutex
-	db    *ifdb.DB
-	cache map[authKey]bool
-
-	// Hits and Misses are cache statistics for the benchmarks.
-	Hits, Misses int64
-}
-
-type authKey struct {
-	p ifdb.Principal
-	t ifdb.Tag
-}
-
-// NewAuthorityCache creates a cache over db's authority state.
-func NewAuthorityCache(db *ifdb.DB) *AuthorityCache {
-	return &AuthorityCache{db: db, cache: make(map[authKey]bool)}
-}
-
-// Has reports whether p can declassify t, consulting the cache first.
-func (c *AuthorityCache) Has(p ifdb.Principal, t ifdb.Tag) bool {
-	k := authKey{p, t}
-	c.mu.RLock()
-	v, ok := c.cache[k]
-	c.mu.RUnlock()
-	if ok {
-		c.mu.Lock()
-		c.Hits++
-		c.mu.Unlock()
-		return v
-	}
-	v = c.db.HasAuthority(p, t)
-	c.mu.Lock()
-	c.Misses++
-	c.cache[k] = v
-	c.mu.Unlock()
-	return v
-}
-
-// Invalidate clears the cache (called after delegations/revocations).
-func (c *AuthorityCache) Invalidate() {
-	c.mu.Lock()
-	c.cache = make(map[authKey]bool)
-	c.mu.Unlock()
-}
-
 // Runtime is one application platform instance bound to a database.
+// It is trusted code: it opens processes and serves requests, and a
+// script never sees it.
 type Runtime struct {
-	db    *ifdb.DB
-	cache *AuthorityCache
+	db *ifdb.DB
 }
 
 // New creates a platform runtime over db.
-func New(db *ifdb.DB) *Runtime {
-	return &Runtime{db: db, cache: NewAuthorityCache(db)}
-}
+func New(db *ifdb.DB) *Runtime { return &Runtime{db: db} }
 
 // DB returns the underlying database.
 func (rt *Runtime) DB() *ifdb.DB { return rt.db }
-
-// Cache returns the shared authority cache.
-func (rt *Runtime) Cache() *AuthorityCache { return rt.cache }
 
 // Process is one DIFC-tracked unit of execution — in the web setting,
 // one request. It owns a database session (whose label is the process
 // label) and an output buffer that is only released to the outside
 // writer if the process ends uncontaminated.
 type Process struct {
-	rt   *Runtime
 	sess *ifdb.Session
 	out  bytes.Buffer
 }
@@ -113,12 +59,20 @@ type Process struct {
 // NewProcess starts a process acting as principal p with an empty
 // label.
 func (rt *Runtime) NewProcess(p ifdb.Principal) *Process {
-	return &Process{rt: rt, sess: rt.db.NewSession(p)}
+	return &Process{sess: rt.db.NewSession(p)}
 }
 
-// Session exposes the process's database session. The platform and
-// the session share one label (§7.2).
-func (pr *Process) Session() *ifdb.Session { return pr.sess }
+// Exec runs SQL under the process label, which the platform and the
+// database share (§7.2): a statement sees only the rows that label
+// admits, and its writes carry it.
+func (pr *Process) Exec(query string, params ...ifdb.Value) (*ifdb.Result, error) {
+	return pr.sess.Exec(query, params...)
+}
+
+// QueryRow runs a query and returns its first row (ok=false if none).
+func (pr *Process) QueryRow(query string, params ...ifdb.Value) ([]ifdb.Value, bool, error) {
+	return pr.sess.QueryRow(query, params...)
+}
 
 // Label returns the current process label.
 func (pr *Process) Label() ifdb.Label { return pr.sess.Label() }
@@ -129,21 +83,17 @@ func (pr *Process) Principal() ifdb.Principal { return pr.sess.Principal() }
 // AddSecrecy contaminates the process with t.
 func (pr *Process) AddSecrecy(t ifdb.Tag) error { return pr.sess.AddSecrecy(t) }
 
-// Declassify removes t, requiring authority. The platform consults its
-// cache first to avoid hitting the authority state for the common
-// "does this principal own its own tags" checks.
-func (pr *Process) Declassify(t ifdb.Tag) error {
-	if !pr.rt.cache.Has(pr.sess.Principal(), t) {
-		return fmt.Errorf("%w: declassify tag %d", ifdb.ErrAuthority, t)
-	}
-	return pr.sess.Declassify(t)
-}
+// Declassify removes t, requiring authority for it. The check is the
+// session's, against the current authority state, so a delegation made
+// anywhere (trusted code, SQL delegate()) counts at once, and a denial
+// is counted and audited.
+func (pr *Process) Declassify(t ifdb.Tag) error { return pr.sess.Declassify(t) }
 
 // DeclassifyAll removes every tag the principal has authority for;
 // it returns the tags that remain.
 func (pr *Process) DeclassifyAll() ifdb.Label {
 	for _, t := range pr.sess.Label() {
-		if pr.rt.cache.Has(pr.sess.Principal(), t) {
+		if pr.sess.HasAuthority(t) {
 			_ = pr.sess.Declassify(t)
 		}
 	}

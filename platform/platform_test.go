@@ -3,10 +3,14 @@ package platform_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"log/slog"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ifdb"
+	"ifdb/internal/obs"
 	"ifdb/platform"
 )
 
@@ -30,7 +34,7 @@ func TestOutputInterposition(t *testing.T) {
 	if err := pr.AddSecrecy(tg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.Session().Exec(`INSERT INTO diary VALUES (1, 'dear diary')`); err != nil {
+	if _, err := pr.Exec(`INSERT INTO diary VALUES (1, 'dear diary')`); err != nil {
 		t.Fatal(err)
 	}
 	pr.Printf("the diary says: %s", "dear diary")
@@ -62,7 +66,7 @@ func TestOutputInterposition(t *testing.T) {
 	}
 }
 
-func TestDeclassifyRequiresAuthorityThroughCache(t *testing.T) {
+func TestDeclassifyRequiresAuthority(t *testing.T) {
 	rt, _, tg := setup(t)
 	mallory := rt.DB().CreatePrincipal("mallory")
 	pr := rt.NewProcess(mallory)
@@ -72,31 +76,148 @@ func TestDeclassifyRequiresAuthorityThroughCache(t *testing.T) {
 	if err := pr.Declassify(tg); !errors.Is(err, ifdb.ErrAuthority) {
 		t.Fatalf("declassify: %v", err)
 	}
-	// Cache stats recorded the lookup; a repeat is a hit.
-	c := rt.Cache()
-	before := c.Hits
-	_ = c.Has(mallory, tg)
-	if c.Hits != before+1 {
-		t.Fatalf("cache hits: %d -> %d", before, c.Hits)
+}
+
+// TestPlatformDenialIsCounted: a declassification the platform refuses
+// is the engine's refusal, so it shows in
+// ifdb_ifc_authority_denials_total and on the audit channel exactly as
+// the same refusal made through a session does.
+func TestPlatformDenialIsCounted(t *testing.T) {
+	rt, _, tg := setup(t)
+	var audit bytes.Buffer
+	obs.SetAudit(slog.New(slog.NewTextHandler(&audit, nil)))
+	defer obs.SetAudit(nil)
+	denials := func() int64 {
+		return obs.Default.Snapshot().Counters["ifdb_ifc_authority_denials_total"]
+	}
+	mallory := rt.DB().CreatePrincipal("mallory")
+	pr := rt.NewProcess(mallory)
+	if err := pr.AddSecrecy(tg); err != nil {
+		t.Fatal(err)
+	}
+	before := denials()
+	if err := pr.Declassify(tg); !errors.Is(err, ifdb.ErrAuthority) {
+		t.Fatalf("declassify: %v", err)
+	}
+	if got := denials() - before; got != 1 {
+		t.Errorf("authority denials counted: %d, want 1", got)
+	}
+	for _, want := range []string{"op=declassify", fmt.Sprintf("principal=%d tag=%d", mallory, tg)} {
+		if !strings.Contains(audit.String(), want) {
+			t.Errorf("audit log %q lacks %q", audit.String(), want)
+		}
 	}
 }
 
-func TestCacheInvalidation(t *testing.T) {
+// TestDeclassifyAfterOutsideDelegation: authority granted outside the
+// platform — by trusted code through db.Delegate, or by the owner's
+// SQL delegate() — holds for the grantee's next process at once, for
+// Declassify and DeclassifyAll alike, even after a refusal.
+func TestDeclassifyAfterOutsideDelegation(t *testing.T) {
 	rt, alice, tg := setup(t)
-	bob := rt.DB().CreatePrincipal("bob")
-	if rt.Cache().Has(bob, tg) {
-		t.Fatal("bob has authority already")
+	db := rt.DB()
+	for _, g := range []struct {
+		name  string
+		grant func(p ifdb.Principal) error
+	}{
+		{"db.Delegate", func(p ifdb.Principal) error { return db.Delegate(alice, p, tg) }},
+		{"SQL delegate()", func(p ifdb.Principal) error {
+			_, err := db.NewSession(alice).Exec(`SELECT delegate($1, 'alice_diary')`, ifdb.Int(int64(p)))
+			return err
+		}},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			grantee := db.CreatePrincipal("grantee " + g.name)
+			refused := rt.NewProcess(grantee)
+			if err := refused.AddSecrecy(tg); err != nil {
+				t.Fatal(err)
+			}
+			if err := refused.Declassify(tg); !errors.Is(err, ifdb.ErrAuthority) {
+				t.Fatalf("declassify before the grant: %v", err)
+			}
+			if err := g.grant(grantee); err != nil {
+				t.Fatal(err)
+			}
+			if !db.HasAuthority(grantee, tg) {
+				t.Fatal("grant did not reach the authority state")
+			}
+			pr := rt.NewProcess(grantee)
+			if err := pr.AddSecrecy(tg); err != nil {
+				t.Fatal(err)
+			}
+			if err := pr.Declassify(tg); err != nil {
+				t.Fatalf("declassify after the grant: %v", err)
+			}
+			all := rt.NewProcess(grantee)
+			if err := all.AddSecrecy(tg); err != nil {
+				t.Fatal(err)
+			}
+			if rest := all.DeclassifyAll(); !rest.IsEmpty() {
+				t.Fatalf("DeclassifyAll after the grant left %v", rest)
+			}
+		})
 	}
-	// Delegate; the stale cache still answers false until invalidated.
-	if err := rt.DB().NewSession(alice).Delegate(bob, tg); err != nil {
+}
+
+// TestScriptCannotLowerItsLabel: a script running as a principal with
+// no authority for alice's tag reads her row, then tries each way its
+// Process offers to drop the tag. None works, so ServeRequest releases
+// nothing. The method sets of the Process and of ifdb.Session are
+// pinned, so no method that could set a label or principal without a
+// check appears without this list being edited.
+func TestScriptCannotLowerItsLabel(t *testing.T) {
+	rt, alice, tg := setup(t)
+	db := rt.DB()
+	owner := db.NewSession(alice)
+	if err := owner.AddSecrecy(tg); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Cache().Has(bob, tg) {
-		t.Fatal("cache should still be stale")
+	if _, err := owner.Exec(`INSERT INTO diary VALUES (1, 'secret')`); err != nil {
+		t.Fatal(err)
 	}
-	rt.Cache().Invalidate()
-	if !rt.Cache().Has(bob, tg) {
-		t.Fatal("cache not refreshed")
+	script := func(pr *platform.Process, _ map[string]string) error {
+		if err := pr.AddSecrecy(tg); err != nil {
+			return err
+		}
+		row, ok, err := pr.QueryRow(`SELECT text FROM diary WHERE id = 1`)
+		if err != nil || !ok {
+			return fmt.Errorf("read alice's row: ok=%v err=%v", ok, err)
+		}
+		pr.Printf("%v", row[0])
+		_ = pr.Declassify(tg)
+		_ = pr.DeclassifyAll()
+		_ = pr.WithReducedAuthority(func() error { return pr.Declassify(tg) })
+		_ = pr.CallClosure("nosuch", func() error { return pr.Declassify(tg) })
+		if !pr.Label().Equal(ifdb.NewLabel(tg)) {
+			return fmt.Errorf("label lowered to %v", pr.Label())
+		}
+		return nil
+	}
+	var out bytes.Buffer
+	if err := rt.ServeRequest(db.CreatePrincipal("mallory"), script, nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("released: %q", out.String())
+	}
+
+	methods := func(v interface{}) string {
+		typ := reflect.TypeOf(v)
+		names := make([]string, typ.NumMethod())
+		for i := range names {
+			names[i] = typ.Method(i).Name
+		}
+		return strings.Join(names, " ")
+	}
+	for _, c := range []struct{ typ, got, want string }{
+		{"*platform.Process", methods((*platform.Process)(nil)),
+			"AddSecrecy CallClosure Declassify DeclassifyAll Exec Label OutputLen Principal Printf QueryRow Release WithReducedAuthority Write"},
+		{"*ifdb.Session", methods((*ifdb.Session)(nil)),
+			"Abort AddSecrecy Begin CallClosure CallProc Cancel CancelStatement Canceled Commit CommitToken CreatePrincipal CreateTag Declassify Delegate DropIntegrity Endorse Exec ExecPrepared ExecPreparedStream ExecStmt ExecStream HasAuthority InTxn Integrity Label LastStmtStats NotePlanNs NoteStreamNs NumberNext Prepare Principal Query QueryEach QueryRow Revoke SetTraceID TraceID TriggerContext WithReducedAuthority"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s methods:\n got  %s\n want %s", c.typ, c.got, c.want)
+		}
 	}
 }
 
@@ -172,7 +293,7 @@ func TestClosureThroughPlatform(t *testing.T) {
 	}
 	// Inside the closure, the worker's authority applies.
 	if err := pr.CallClosure("summary", func() error {
-		return pr.Session().Declassify(tg)
+		return pr.Declassify(tg)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +301,14 @@ func TestClosureThroughPlatform(t *testing.T) {
 		t.Fatalf("label: %v", pr.Label())
 	}
 	// Outside, mallory is back to nothing.
-	if err := pr.Session().Declassify(tg); err != nil {
+	if err := pr.Declassify(tg); err != nil {
 		// expected no-op: tag already removed; re-add and check failure
 		t.Fatal(err)
 	}
 	if err := pr.AddSecrecy(tg); err != nil {
 		t.Fatal(err)
 	}
-	if err := pr.Session().Declassify(tg); err == nil {
+	if err := pr.Declassify(tg); err == nil {
 		t.Fatal("mallory declassified outside the closure")
 	}
 	if err := pr.CallClosure("nosuch", func() error { return nil }); err == nil {
