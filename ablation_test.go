@@ -1,6 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// each isolates one mechanism so its cost (or saving) is visible,
-// complementing the paper-figure benchmarks in bench_test.go.
+// Ablation benchmarks for the design's mechanisms: each isolates one
+// so its cost (or saving) is visible, complementing the paper-figure
+// benchmarks in bench_test.go (the experiments E1–E7 of cmd/ifdb-bench's
+// package doc).
 package ifdb_test
 
 import (

@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure in the paper's
-// evaluation (§8). Each benchmark corresponds to one experiment in
-// DESIGN.md's experiment index:
+// evaluation (§8). Each benchmark corresponds to one experiment of the
+// index in cmd/ifdb-bench's package doc:
 //
 //	BenchmarkFig3Workload   — E1: the Fig. 3 request mix, exercised end to end
 //	BenchmarkFig4Web*       — E2: CarTel web throughput, db-bound and web-bound

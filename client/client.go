@@ -41,9 +41,16 @@ type Result struct {
 	// write as the read-your-writes token.
 	Epoch uint64
 	LSN   uint64
+
+	// Stats is the server's timing breakdown of the statement (zero
+	// for a Router's gateway merge).
+	Stats StmtStats
 }
 
-// Status is a node's replication role, as answered by a STATUS probe.
+// StmtStats is the server-side timing breakdown of one statement.
+type StmtStats = wire.Stats
+
+// Status is a node's replication role, its row of ifdb_node.
 type Status struct {
 	// Replica reports whether the node is a read-only replica.
 	Replica bool
@@ -135,7 +142,7 @@ type Conn struct {
 
 	// lastTraceID is the trace ID stamped on the most recent statement
 	// this connection sent; servers echo it in slow-query audit lines
-	// and the \stats breakdown, tying client and server views together.
+	// and each reply's breakdown, tying client and server views together.
 	lastTraceID uint64
 }
 
@@ -441,34 +448,34 @@ func (c *Conn) roundTrip(typ byte, payload []byte, wantTyp byte) ([]byte, error)
 	return resp, nil
 }
 
-// Status probes the server's replication role (replica?, epoch,
-// applied LSN, WAL end). The coordinator's health checks and the
-// Router's primary discovery are built on it.
+const nodeQuery = "SELECT role, epoch, applied_lsn, wal_end, stream_err FROM ifdb_node"
+
+// Status reads the server's replication role from the system table
+// ifdb_node. The coordinator's health checks and the Router's primary
+// discovery are built on it.
 func (c *Conn) Status() (*Status, error) {
-	return c.statusRequest(wire.MsgStatus)
+	res, err := c.Exec(nodeQuery)
+	if err != nil {
+		return nil, err
+	}
+	var role string
+	var epoch, applied, walEnd int64
+	st := &Status{}
+	if len(res.Rows) != 1 || scanRow(res.Rows[0], []any{&role, &epoch, &applied, &walEnd, &st.Err}) != nil {
+		return nil, fmt.Errorf("client: %s: malformed reply", nodeQuery)
+	}
+	st.Replica, st.Epoch, st.AppliedLSN, st.WALEnd = role == "replica", uint64(epoch), uint64(applied), uint64(walEnd)
+	return st, nil
 }
 
 // PromoteNode asks a replica server to promote itself to a writable
-// primary (failover). The returned status reflects the node after the
-// attempt; a non-nil error reports why promotion was refused.
+// primary (failover) with SELECT promote(), and returns its status
+// after the promotion.
 func (c *Conn) PromoteNode() (*Status, error) {
-	return c.statusRequest(wire.MsgPromote)
-}
-
-func (c *Conn) statusRequest(typ byte) (*Status, error) {
-	resp, err := c.roundTrip(typ, nil, wire.MsgStatusRes)
-	if err != nil {
+	if _, err := c.call(types.KindInt, "SELECT promote()"); err != nil {
 		return nil, err
 	}
-	st, err := wire.DecodeStatus(resp)
-	if err != nil {
-		return nil, err
-	}
-	out := &Status{Replica: st.Replica, Epoch: st.Epoch, AppliedLSN: st.AppliedLSN, WALEnd: st.WALEnd, Err: st.Err}
-	if typ == wire.MsgPromote && st.Err != "" {
-		return out, &serverError{msg: st.Err}
-	}
-	return out, nil
+	return c.Status()
 }
 
 // ShardMap fetches the server's current view of the cluster shard map
@@ -555,22 +562,6 @@ func (c *Conn) Revoke(grantee uint64, t Tag) error {
 // the server's audit/slow-query log for obs.TraceID-formatted IDs to
 // find the matching server-side lines.
 func (c *Conn) LastTraceID() uint64 { return c.lastTraceID }
-
-// StmtStats is the server-side timing breakdown of this connection's
-// most recent statement, as recorded by the server session.
-type StmtStats = wire.Stats
-
-// Stats fetches the server's timing breakdown for the most recent
-// statement on this connection (ifdb-cli's \stats). It deliberately
-// bypasses the label sync: it would run a statement of its own and
-// overwrite the very breakdown being asked for.
-func (c *Conn) Stats() (*StmtStats, error) {
-	resp, err := c.roundTrip(wire.MsgStats, nil, wire.MsgStatsRes)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeStats(resp)
-}
 
 // HasAuthority asks whether the acting principal can declassify t.
 func (c *Conn) HasAuthority(t Tag) (bool, error) {

@@ -17,6 +17,9 @@
 //     replicas, promotions are followed automatically, and
 //     read-your-writes is preserved through commit-LSN tokens.
 //
+// Node state is SQL (Conn.Status reads the table ifdb_node), and each
+// reply carries its statement's server-side timings (Result.Stats).
+//
 // Both speak API v2 (see ARCHITECTURE.md § Client API v2): Prepare
 // pins a statement's parsed AST server-side and executions ship only
 // a handle and parameters; Query/QueryContext stream results in

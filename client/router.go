@@ -433,10 +433,10 @@ func (r *Router) maybeReprobe() {
 }
 
 // Reprobe re-classifies every node — role, epoch, reachability — from
-// its STATUS. It elects nothing: each group's primary is derived from
-// the classification on demand (primaryOf). Called automatically when
-// a write can't reach the primary; callers may also invoke it after
-// known topology changes.
+// its ifdb_node row (Conn.Status). It elects nothing: each group's
+// primary is derived from the classification on demand (primaryOf).
+// Called automatically when a write can't reach the primary; callers
+// may also invoke it after known topology changes.
 func (r *Router) Reprobe() error {
 	r.lastProbe.Store(time.Now().UnixNano())
 	// Probe concurrently: a black-holed host costs one DialTimeout for
@@ -925,10 +925,13 @@ func (r *Router) write(ctx context.Context, rs routedStmt, to target, params []V
 		}
 		// Follow the promotion; rate-limited so a herd of blocked
 		// writers shares one probe sweep instead of each serially
-		// dialing every node per retry.
+		// dialing every node per retry; ctx's end cuts the pause short.
 		mRouterRetries.Inc()
 		r.maybeReprobe()
-		time.Sleep(100 * time.Millisecond)
+		select {
+		case <-ctx.Done():
+		case <-time.After(100 * time.Millisecond):
+		}
 	}
 }
 

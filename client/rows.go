@@ -66,6 +66,7 @@ type connRows struct {
 	// Trailer, valid once recvDone:
 	affected   int64
 	epoch, lsn uint64
+	stats      StmtStats
 
 	// onClose, when set, is called exactly once when the stream
 	// finishes (Close or terminal error): the Router uses it to check
@@ -149,7 +150,7 @@ func (r *connRows) fetch() bool {
 		r.c.plabel = ch.Label
 		r.c.pilabel = ch.ILabel
 		r.affected = ch.Affected
-		r.epoch, r.lsn = ch.Epoch, ch.LSN
+		r.epoch, r.lsn, r.stats = ch.Epoch, ch.LSN, ch.Stats
 		if len(ch.Rows) == 0 {
 			// The rows have run out, so the connection is free, and its
 			// next statement may decode into the chunk. A Done chunk that
@@ -235,8 +236,8 @@ func (r *connRows) Close() error {
 // drained Query. RowLabels follows one rule everywhere: nil unless some
 // row carried a non-empty label, else one entry per row. A
 // connection's stream also delivers the statement's trailer (rows
-// affected and the commit token); merged streams have none, matching
-// the engine's buffered SELECT results.
+// affected, the commit token and the timings); merged streams have
+// none, matching the engine's buffered SELECT results.
 func drain(rows Rows) (*Result, error) {
 	defer rows.Close()
 	cr, _ := rows.(*connRows)
@@ -261,7 +262,7 @@ func drain(rows Rows) (*Result, error) {
 	}
 	res.Cols = rows.Columns()
 	if cr != nil {
-		res.Affected, res.Epoch, res.LSN = cr.affected, cr.epoch, cr.lsn
+		res.Affected, res.Epoch, res.LSN, res.Stats = cr.affected, cr.epoch, cr.lsn, cr.stats
 	}
 	return res, nil
 }

@@ -5,15 +5,15 @@
 // file and compares no runs; the measurement of record, with its
 // comparator and bounds, is the benchmark/ module (benchmark/README.md).
 //
-// Usage:
+// Usage (E1–E7 are the experiment ids bench_test.go and the code cite):
 //
-//	ifdb-bench -fig 3        # Fig. 3: request mix (spec vs observed)
-//	ifdb-bench -fig 4        # Fig. 4: CarTel web throughput
-//	ifdb-bench -fig 5        # Fig. 5: per-script idle latency
-//	ifdb-bench -fig 6        # Fig. 6: DBT-2 NOTPM vs tags/label
-//	ifdb-bench -exp sensor   # §8.2.2: sensor ingest throughput
-//	ifdb-bench -exp space    # §8.3: bytes/tuple vs tags
-//	ifdb-bench -exp trustedbase  # §6.3: trusted-base accounting
+//	ifdb-bench -fig 3        # E1, Fig. 3: request mix (spec vs observed)
+//	ifdb-bench -fig 4        # E2, Fig. 4: CarTel web throughput
+//	ifdb-bench -fig 5        # E3, Fig. 5: per-script idle latency
+//	ifdb-bench -fig 6        # E5, Fig. 6: DBT-2 NOTPM vs tags/label
+//	ifdb-bench -exp sensor   # E4, §8.2.2: sensor ingest throughput
+//	ifdb-bench -exp space    # E7, §8.3: bytes/tuple vs tags
+//	ifdb-bench -exp trustedbase  # E6, §6.3: trusted-base accounting
 //	ifdb-bench -exp replica-read # read scale-out through the Router
 //	ifdb-bench -exp shard-write  # write scale-out across sharded primaries
 //	ifdb-bench -exp mixed-tenant # labeled tenant cohorts on one sharded cluster

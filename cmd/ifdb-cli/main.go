@@ -14,7 +14,7 @@
 //	\principal <name>      create a principal and switch to it
 //	\status                show the node's replication role, epoch, LSNs
 //	\stats                 show the last statement's timing breakdown and trace ID
-//	\promote               promote this replica to primary (failover)
+//	\promote               promote this replica to primary (SELECT promote())
 //	\shardmap              show the node's current shard map
 //	\q                     quit
 package main
@@ -46,6 +46,8 @@ func main() {
 	}
 	defer conn.Close()
 
+	// last is the timing breakdown the last statement's reply carried.
+	var last client.StmtStats
 	in := bufio.NewScanner(os.Stdin)
 	for {
 		fmt.Printf("ifdb%s> ", conn.Label())
@@ -57,7 +59,7 @@ func main() {
 			continue
 		}
 		if strings.HasPrefix(line, "\\") {
-			if quit := metaCommand(conn, line); quit {
+			if quit := metaCommand(conn, line, &last); quit {
 				return
 			}
 			continue
@@ -67,11 +69,12 @@ func main() {
 			fmt.Println("error:", err)
 			continue
 		}
+		last = res.Stats
 		printResult(res)
 	}
 }
 
-func metaCommand(conn *client.Conn, line string) (quit bool) {
+func metaCommand(conn *client.Conn, line string, last *client.StmtStats) (quit bool) {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case "\\q":
@@ -133,14 +136,9 @@ func metaCommand(conn *client.Conn, line string) (quit bool) {
 		}
 		printStatus(st)
 	case "\\stats":
-		st, err := conn.Stats()
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
 		fmt.Printf("trace=%s parse=%s plan=%s exec=%s stream=%s\n",
-			obs.TraceID(st.TraceID),
-			fmtNs(st.ParseNs), fmtNs(st.PlanNs), fmtNs(st.ExecNs), fmtNs(st.StreamNs))
+			obs.TraceID(last.TraceID),
+			fmtNs(last.ParseNs), fmtNs(last.PlanNs), fmtNs(last.ExecNs), fmtNs(last.StreamNs))
 	case "\\promote":
 		st, err := conn.PromoteNode()
 		if err != nil {

@@ -31,8 +31,8 @@
 // -repl-retain caps how many WAL bytes a lagging replica may pin
 // against checkpoint truncation (0 = unlimited).
 //
-// Failover: a replica accepts the PROMOTE command over the client
-// protocol (ifdb-cli \promote, or the cluster coordinator) and turns
+// Failover: a replica runs SELECT promote() from a client session
+// (ifdb-cli \promote, or the cluster coordinator) and turns
 // into a writable primary under a bumped WAL epoch; a stale primary is
 // fenced and can only rejoin by re-bootstrapping as a replica. A
 // replica refuses followers until it is promoted and serves them from
@@ -238,7 +238,7 @@ func main() {
 
 	// Primary side of replication: a durable node serves its WAL to
 	// followers on the client port. A replica's Primary refuses them
-	// (no cascading replication) until PROMOTE, then serves fenced
+	// (no cascading replication) until promote(), then serves fenced
 	// peers rejoining at this address.
 	if *dataDir != "" {
 		p := repl.NewPrimary(db.Engine(), *replToken)
@@ -246,7 +246,7 @@ func main() {
 		srv.Replicate = p.Stream
 	}
 
-	// Failover: replicas honor PROMOTE over the client protocol.
+	// Failover: a replica's sessions may run SELECT promote().
 	if db.IsReplica() {
 		srv.Promote = func() error {
 			if err := db.Promote(); err != nil {

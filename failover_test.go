@@ -1,6 +1,8 @@
 package ifdb_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -36,7 +38,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	}
 
 	// --- Replica: follows the primary at its client address; its
-	// server honors PROMOTE and, from the promotion on, serves followers
+	// server honors promote() and, from the promotion on, serves followers
 	// on that same address (what ifdb-server does with -replica-of).
 	replica, err := ifdb.Open(ifdb.Config{
 		IFC: true, DataDir: t.TempDir(),
@@ -188,7 +190,7 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 	}
 }
 
-// probeStatus dials addr and returns its STATUS.
+// probeStatus dials addr and returns its ifdb_node row.
 func probeStatus(t *testing.T, addr, token string) *client.Status {
 	t.Helper()
 	conn, err := client.Dial(addr, token, 0)
@@ -249,4 +251,42 @@ func dumpOverWire(t *testing.T, addr, token string) string {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("%v", res.Rows)
+}
+
+// TestRouterWriteWaitEndsWithContext: a write to a group with no
+// primary waits for a failover for up to FailoverTimeout, pausing
+// between probes; the statement's context ends the pause, so a write
+// under a 10 ms deadline returns the deadline's error at once, not
+// after a pause it can no longer use.
+func TestRouterWriteWaitEndsWithContext(t *testing.T) {
+	const token = "tok"
+	prim, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	primAddr, primSrv, _ := serveNode(t, prim, token)
+	replica, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir(), ReplicaOf: primAddr, ReplToken: token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	replAddr, _, _ := serveNode(t, replica, token)
+	router, err := client.OpenRouter(client.RouterConfig{
+		Addrs: []string{primAddr, replAddr}, Token: token, FailoverTimeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+
+	// The primary goes away, and nothing promotes the replica.
+	primSrv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	_, err = router.ExecContext(ctx, `CREATE TABLE t (id BIGINT PRIMARY KEY)`)
+	if took := time.Since(t0); !errors.Is(err, context.DeadlineExceeded) || took >= 60*time.Millisecond {
+		t.Fatalf("write with no primary: %v after %v; want %v in under 60ms", err, took, context.DeadlineExceeded)
+	}
 }

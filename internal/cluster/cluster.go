@@ -1,11 +1,11 @@
 // Package cluster implements the failover coordinator for a
 // replicated IFDB deployment: a health checker that probes every
-// node's replication role over the client protocol's STATUS frames,
-// detects primary failure, and orchestrates promotion of the
-// most-caught-up replica — manually (PromoteBest, what operators'
-// runbooks call; ifdb-cli's \promote instead sends PROMOTE to the node
-// it is connected to) or automatically (Config.AutoPromote, after
-// FailAfter consecutive failed primary probes).
+// node's replication role (its ifdb_node row), detects primary
+// failure, and promotes the most-caught-up replica (SELECT promote()) —
+// manually (PromoteBest, what operators' runbooks call; ifdb-cli's
+// \promote instead promotes the node it is connected to) or
+// automatically (Config.AutoPromote, after FailAfter consecutive failed
+// primary probes).
 //
 // The coordinator is deliberately an *observer with one verb*: all
 // safety lives below it. Promotion bumps the WAL epoch on the promoted
@@ -70,17 +70,13 @@ type Config struct {
 	ShardMap *wire.ShardMap
 }
 
-// NodeStatus is one node's health as seen by a probe sweep.
+// NodeStatus is one node's health as seen by a probe sweep: its row
+// of ifdb_node, whose Err is the probe's own error when !Ok.
 type NodeStatus struct {
 	Addr string
-	// Ok reports the probe reached the node and got a STATUS answer.
-	Ok  bool
-	Err string // dial/probe error, or the replica's fatal stream error
-
-	Replica    bool
-	Epoch      uint64
-	AppliedLSN uint64
-	WALEnd     uint64
+	// Ok reports the probe reached the node and read its ifdb_node row.
+	Ok bool
+	client.Status
 	// Lag is WALEnd(primary) - AppliedLSN(this replica), when a
 	// primary was reachable in the same sweep (LSN spaces only compare
 	// within one epoch, so it is set only for same-epoch replicas).
@@ -191,9 +187,7 @@ func (c *Coordinator) probeAddrs(addrs []string) []NodeStatus {
 				mProbeFailures.Inc()
 				return
 			}
-			ns.Ok = true
-			ns.Replica, ns.Epoch = st.Replica, st.Epoch
-			ns.AppliedLSN, ns.WALEnd, ns.Err = st.AppliedLSN, st.WALEnd, st.Err
+			ns.Ok, ns.Status = true, *st
 		}(i, addr)
 	}
 	wg.Wait()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ifdb/client"
 	"ifdb/internal/engine"
 	"ifdb/internal/repl"
 	"ifdb/internal/wire"
@@ -15,7 +16,7 @@ import (
 
 // node is one in-process cluster member: an engine, its wire server
 // (clients and followers share its one address), and (for replicas)
-// the follower whose promotion the server's PROMOTE handler triggers.
+// the follower whose promotion SELECT promote() triggers.
 type node struct {
 	eng  *engine.Engine
 	srv  *wire.Server
@@ -131,10 +132,10 @@ func TestProbeSweep(t *testing.T) {
 // and non-replica nodes.
 func TestPickBest(t *testing.T) {
 	sweep := []NodeStatus{
-		{Addr: "p", Ok: true, Replica: false, WALEnd: 900},
-		{Addr: "dead", Ok: false, Replica: true, AppliedLSN: 999},
-		{Addr: "b", Ok: true, Replica: true, Epoch: 1, AppliedLSN: 500},
-		{Addr: "a", Ok: true, Replica: true, Epoch: 1, AppliedLSN: 700},
+		{Addr: "p", Ok: true, Status: client.Status{WALEnd: 900}},
+		{Addr: "dead", Ok: false, Status: client.Status{Replica: true, AppliedLSN: 999}},
+		{Addr: "b", Ok: true, Status: client.Status{Replica: true, Epoch: 1, AppliedLSN: 500}},
+		{Addr: "a", Ok: true, Status: client.Status{Replica: true, Epoch: 1, AppliedLSN: 700}},
 	}
 	if best := pickBest(sweep); best == nil || best.Addr != "a" {
 		t.Fatalf("pickBest = %+v, want a", best)
@@ -146,7 +147,7 @@ func TestPickBest(t *testing.T) {
 	}
 	// A newer-epoch replica outranks a higher LSN from an older epoch
 	// (cross-epoch LSNs are incomparable).
-	sweep = append(sweep, NodeStatus{Addr: "z", Ok: true, Replica: true, Epoch: 2, AppliedLSN: 10})
+	sweep = append(sweep, NodeStatus{Addr: "z", Ok: true, Status: client.Status{Replica: true, Epoch: 2, AppliedLSN: 10}})
 	if best := pickBest(sweep); best == nil || best.Addr != "z" {
 		t.Fatalf("epoch pickBest = %+v, want z", best)
 	}

@@ -6,9 +6,9 @@ import "ifdb/internal/obs"
 // (at zero) from the first scrape.
 var (
 	mProbeFailures = obs.NewCounter("ifdb_cluster_probe_failures_total",
-		"Health probes that failed to reach a node or get a STATUS answer.")
+		"Health probes that failed to reach a node or read its ifdb_node row.")
 	mFailovers = obs.NewCounter("ifdb_cluster_failovers_total",
 		"Successful promotions orchestrated by this coordinator (manual or automatic).")
 	gEpoch = obs.NewGauge("ifdb_cluster_epoch",
-		"WAL epoch of the most recently promoted primary, as reported by its PROMOTE answer.")
+		"WAL epoch of the most recently promoted primary, as its ifdb_node row reports after promote().")
 )

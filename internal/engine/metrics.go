@@ -49,8 +49,9 @@ type StmtStats struct {
 	StreamNs int64
 }
 
-// SetTraceID stamps the trace ID carried by the next statement.
-func (s *Session) SetTraceID(id uint64) { s.stats.TraceID = id }
+// SetTraceID stamps the next statement's trace ID and starts its
+// breakdown afresh: one refused before it runs reports no older times.
+func (s *Session) SetTraceID(id uint64) { s.stats = StmtStats{TraceID: id} }
 
 // TraceID returns the current statement trace ID (0 = untraced).
 func (s *Session) TraceID() uint64 { return s.stats.TraceID }

@@ -117,6 +117,7 @@ func (s *Session) bindRuntime() {
 	s.rt = plan.Runtime{
 		Funcs: sessionFuncs{s},
 		Check: s.checkCanceled,
+		Node:  s.nodeRow,
 		OnScanned: func(visited, denied, stored int64) {
 			mRowsScanned.Add(visited)
 			mLabelDenials.Add(denied)

@@ -169,6 +169,8 @@ func (f sessionFuncs) CallFunc(name string, args []types.Value) (types.Value, er
 			return types.Null, err
 		}
 		return types.NewBool(true), nil
+	case "promote":
+		return s.promote()
 	case "current_principal":
 		return types.NewInt(int64(uint64(s.principal))), nil
 	case "now":

@@ -42,6 +42,8 @@ type Session struct {
 	// real) while the principal is restored.
 	closureDepth int
 
+	procDepth int // stored procedure bodies running (CallProc)
+
 	// trigCtx is the active trigger context while a trigger procedure
 	// runs (nil otherwise).
 	trigCtx *TriggerCtx
@@ -64,8 +66,10 @@ type Session struct {
 	stmtNo, cancelNo atomic.Uint64
 
 	// stats is the most recent statement's timing breakdown and trace
-	// ID (see metrics.go); read back through the wire's STATS frame.
+	// ID (see metrics.go); the wire sends it in the statement's trailer.
 	stats StmtStats
+
+	node *Node // the server serving the session (ServeNode); nil embedded
 
 	// rt holds the plan.Runtime hooks that are the same for every
 	// statement of the session (bindRuntime); each frame's Runtime
@@ -656,6 +660,8 @@ func (s *Session) CallProc(name string, args ...types.Value) (types.Value, error
 	if !ok {
 		return types.Null, fmt.Errorf("engine: no procedure %q", name)
 	}
+	s.procDepth++
+	defer func() { s.procDepth-- }()
 	if p.Closure != nil {
 		var out types.Value
 		err := s.runAs(p.Closure.Bound, func() error {

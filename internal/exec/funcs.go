@@ -126,6 +126,7 @@ var funcs = map[string]funcDef{
 	"create_tag":       {kind: EngineEffect, sessionOnly: true},
 	"delegate":         {kind: EngineEffect, sessionOnly: true},
 	"revoke":           {kind: EngineEffect, sessionOnly: true},
+	"promote":          {kind: EngineEffect, sessionOnly: true},
 }
 
 // unary is a one-argument builtin that maps NULL to NULL.
@@ -145,11 +146,11 @@ func unary(name string, fn func(types.Value) (types.Value, error)) func([]types.
 func FuncKindOf(name string) FuncKind { return funcs[name].kind }
 
 // SessionOnly reports whether a call of name is accepted only in a
-// session's own statement text: the authority mutations. Stored SQL —
-// a view body, a column DEFAULT, a CHECK or LABEL constraint — runs in
-// the session of whoever reads or writes through it, under that
-// session's principal, so a stored delegate() would spend the reader's
-// authority on the definer's behalf.
+// session's own statement text: the authority mutations and promote().
+// Stored SQL — a view body, a column DEFAULT, a CHECK or LABEL
+// constraint — runs in the session of whoever reads or writes through
+// it, under that session's principal, so a stored delegate() would
+// spend the reader's authority on the definer's behalf.
 func SessionOnly(name string) bool { return funcs[name].sessionOnly }
 
 // FuncNames lists the functions of kind k, sorted.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -126,8 +127,8 @@ func (lv *level) addJoinSource(jc *sql.JoinClause) error {
 	return nil
 }
 
-// buildTableRef compiles one table reference: derived table, base
-// table, or view, in that order — a table shadows a view of its name.
+// buildTableRef compiles one table reference: derived table, NodeTable,
+// base table, or view, in that order — a table shadows a view.
 func (lv *level) buildTableRef(tr *sql.TableRef, filter sql.Expr) (*source, error) {
 	if tr.Sub != nil {
 		child, err := buildSelect(lv.cat, tr.Sub, lv.strip)
@@ -137,6 +138,13 @@ func (lv *level) buildTableRef(tr *sql.TableRef, filter sql.Expr) (*source, erro
 		rn := &RenameNode{Child: child, Alias: tr.Alias}
 		rn.schema = aliasSchema(child.Schema(), tr.Alias)
 		return &source{node: rn, schema: rn.schema}, nil
+	}
+	if tr.Name == NodeTable {
+		n := &NodeTableNode{}
+		for _, c := range []string{"role", "epoch", "applied_lsn", "wal_end", "stream_err"} {
+			n.schema = append(n.schema, exec.ColMeta{Table: cmp.Or(tr.Alias, NodeTable), Name: c})
+		}
+		return &source{node: n, schema: n.schema}, nil
 	}
 	if t, ok := lv.cat.Table(tr.Name); ok {
 		alias := tr.Alias
@@ -490,7 +498,7 @@ func selectPure(cat *catalog.Catalog, sel *sql.SelectStmt, seen map[string]bool)
 // input.
 func hasBlocking(n Node) bool {
 	switch x := n.(type) {
-	case *ScanNode, *ValuesNode:
+	case *ScanNode, *ValuesNode, *NodeTableNode:
 		return false
 	case *RenameNode:
 		return hasBlocking(x.Child)

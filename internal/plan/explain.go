@@ -47,6 +47,8 @@ func describe(n Node) (string, []Node) {
 	switch x := n.(type) {
 	case *ValuesNode:
 		return "values (1 row)", nil
+	case *NodeTableNode:
+		return "system " + NodeTable, nil
 	case *SourceNode:
 		return strings.TrimSpace("source " + x.Name), nil
 	case *MergeNode:

@@ -33,7 +33,7 @@ func drainIter(it Iter) ([]Row, error) {
 
 type valuesIter struct {
 	done bool
-	row  Row // always empty
+	row  Row // empty for a ValuesNode; the node's row for a NodeTableNode
 }
 
 func (n *ValuesNode) open(rt *Runtime, old Iter) (Iter, error) {
@@ -51,6 +51,18 @@ func (it *valuesIter) Next() (*Row, error) {
 }
 
 func (it *valuesIter) Close() {}
+
+// open reads the node's row through rt.Node, so a cached plan never
+// binds one session's node.
+func (n *NodeTableNode) open(rt *Runtime, old Iter) (Iter, error) {
+	vals, err := rt.Node()
+	if err != nil {
+		return nil, err
+	}
+	it := recycle[valuesIter](old)
+	it.done, it.row = false, Row{Vals: vals}
+	return it, nil
+}
 
 // open hands out the source's live iterator: a tree over a SourceNode
 // runs once.

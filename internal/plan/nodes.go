@@ -51,6 +51,18 @@ type ValuesNode struct{}
 
 func (n *ValuesNode) Schema() exec.Schema { return nil }
 
+// NodeTable is the read-only system table of the node serving the
+// session: one unlabelled row (role, WAL epoch, the primary LSN a
+// replica has applied through, its own WAL end, a replica's fatal
+// stream error), which Runtime.Node supplies when the plan opens. It
+// is resolved before any table or view of its name.
+const NodeTable = "ifdb_node"
+
+// NodeTableNode is the leaf that reads NodeTable.
+type NodeTableNode struct{ schema exec.Schema }
+
+func (n *NodeTableNode) Schema() exec.Schema { return n.schema }
+
 // SourceNode is a leaf whose rows are produced outside the package:
 // the Router's gateway (internal/distplan) feeds shard streams through
 // it. It holds a live iterator, so a tree over it runs once. Cols is

@@ -125,6 +125,8 @@ type Runtime struct {
 	// Confinement hid, and the rows it sent on as their stored bytes
 	// (Handle.SendStored).
 	OnScanned func(visited, denied, stored int64)
+	// Node returns the session's row of NodeTable, or its refusal.
+	Node func() ([]types.Value, error)
 }
 
 func (rt *Runtime) check() error {

@@ -176,8 +176,8 @@ func TestOldPrimaryRejoinsViaBasebackup(t *testing.T) {
 
 // TestReplicaServesFollowersOncePromoted: a node has one address. While
 // its engine is a replica, a follower's hello there is refused with a
-// ReplErr that says why (no cascading replication); after PROMOTE sent
-// to that same address, a fresh follower bootstraps from it and
+// ReplErr that says why (no cascading replication); after SELECT
+// promote() at that same address, a fresh follower bootstraps from it and
 // converges.
 func TestReplicaServesFollowersOncePromoted(t *testing.T) {
 	eng, _, addr := startPrimary(t, false)

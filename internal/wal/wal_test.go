@@ -280,7 +280,9 @@ func TestCheckpointDuringGroupCommit(t *testing.T) {
 			}
 		}(g)
 	}
+	checkpointer := make(chan struct{})
 	go func() {
+		defer close(checkpointer)
 		for {
 			select {
 			case <-stop:
@@ -293,6 +295,12 @@ func TestCheckpointDuringGroupCommit(t *testing.T) {
 			}
 		}
 	}()
+	// The checkpointer is joined before the deferred Close, on every
+	// way out of the test.
+	defer func() {
+		close(stop)
+		<-checkpointer
+	}()
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()
 	select {
@@ -300,7 +308,6 @@ func TestCheckpointDuringGroupCommit(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("committers hung across a checkpoint")
 	}
-	close(stop)
 }
 
 // TestGroupCommitBatches drives concurrent committers through

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"strings"
 	"testing"
@@ -9,24 +12,53 @@ import (
 	"ifdb/internal/engine"
 )
 
-// TestStatusRoundTrip: the STATUS payload survives encode/decode in
-// both roles, including the error field.
-func TestStatusRoundTrip(t *testing.T) {
-	for _, st := range []Status{
-		{Replica: false, Epoch: 1, WALEnd: 12345},
-		{Replica: true, Epoch: 7, AppliedLSN: 999, WALEnd: 1000, Err: "stream died"},
-		{},
-	} {
-		got, err := DecodeStatus(st.Encode())
-		if err != nil {
-			t.Fatalf("%+v: %v", st, err)
-		}
-		if *got != st {
-			t.Fatalf("round trip: got %+v, want %+v", *got, st)
-		}
+// TestRetiredFramesRefused: node state and statement timings are SQL
+// and the statement's own trailer, so the STATUS ('T'), PROMOTE ('M')
+// and STATS ('G') request bytes are frames like any unknown one: after
+// HELLO the server logs "unexpected frame" and hangs up, answering
+// nothing.
+func TestRetiredFramesRefused(t *testing.T) {
+	eng, err := engine.New(engine.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := DecodeStatus(nil); err == nil {
-		t.Fatal("empty status decoded")
+	var log syncBuffer
+	srv := NewServer(eng, "")
+	srv.Logger = slog.New(slog.NewTextHandler(&log, nil))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	for _, typ := range []byte{'M', 'T', 'G'} {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, w := bufio.NewReader(nc), bufio.NewWriter(nc)
+		if err := WriteFrame(w, MsgHello, (&Hello{}).Encode()); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := ReadFrame(r); err != nil || got != MsgHelloOK {
+			t.Fatalf("handshake: %c, %v", got, err)
+		}
+		if err := WriteFrame(w, typ, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := ReadFrame(r); err != io.EOF {
+			t.Fatalf("frame %c: answered %c, %v; want the connection closed", typ, got, err)
+		}
+		nc.Close()
+		if got, want := log.next(), fmt.Sprintf("msg=\"wire: unexpected frame\" frame=%c", typ); !strings.Contains(got, want) {
+			t.Fatalf("frame %c: log %q lacks %q", typ, got, want)
+		}
 	}
 }
 

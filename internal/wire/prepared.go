@@ -16,9 +16,9 @@ import (
 // handle. EXECUTE then ships only the handle and the parameters, and
 // the server streams the result back as chunked ROWS frames — the
 // last chunk carries the result's last rows and the statement trailer
-// (error, affected count, label sync, commit token). CLOSESTMT drops a
-// handle; it is fire-and-forget (frames on one connection are processed
-// in order, so a following EXECUTE cannot observe the closed handle).
+// (RowsChunk). CLOSESTMT drops a handle; it is fire-and-forget (frames
+// on one connection are processed in order, so a following EXECUTE
+// cannot observe the closed handle).
 //
 // EXECUTE with statement id 0 carries the SQL text inline: the
 // one-shot form behind the client's text API. Either form streams, so a
@@ -265,12 +265,12 @@ func DecodeExecute(buf []byte) (*Execute, error) {
 // RowsChunk is one frame of a streaming result. The first chunk
 // carries the column names; the final one (Done) carries the result's
 // last rows and the statement trailer — the error, affected count, the
-// server's post-statement labels, the commit token, and (on a
-// stale-shard-map refusal) the server's current map. A result that fits
-// in one chunk is one chunk, both First and Done; a Done chunk has no
-// rows when the batch before it filled exactly, or when the statement
-// failed (a failure at open is a single chunk with Done set and Err
-// non-empty). Chunks after the first never repeat Cols.
+// server's post-statement labels, the commit token, the timings, and
+// (on a stale-shard-map refusal) the server's current map. A result
+// that fits in one chunk is one chunk, both First and Done; a Done
+// chunk has no rows when the batch before it filled exactly, or when
+// the statement failed (a failure at open is a single chunk with Done
+// set and Err non-empty). Chunks after the first never repeat Cols.
 type RowsChunk struct {
 	First     bool
 	Done      bool
@@ -304,6 +304,9 @@ type RowsChunk struct {
 	Epoch uint64
 	LSN   uint64
 
+	// Stats is the statement's server-side timing breakdown.
+	Stats Stats
+
 	// ShardMap rides along when the server refused the statement for a
 	// stale shard-map version (Err starts with StaleShardMapErr): the
 	// client adopts it and re-routes without an extra round trip. Nil
@@ -317,6 +320,21 @@ type RowsChunk struct {
 	vals  []types.Value
 	spare []label.Label
 	tags  []label.Tag
+}
+
+// Stats is a statement's server-side timing breakdown, sent in its
+// trailer as five fixed u64s (words), so that a reply's size does not
+// depend on how long it took: the trace ID the client stamped on it;
+// parser time (0 for prepared executions — they never parse);
+// admission (label sync, shard fencing, read-your-writes waits); engine
+// execution; and result encoding and streaming up to the trailer.
+type Stats struct {
+	TraceID                           uint64
+	ParseNs, PlanNs, ExecNs, StreamNs int64
+}
+
+func (s *Stats) words() [5]uint64 {
+	return [5]uint64{s.TraceID, uint64(s.ParseNs), uint64(s.PlanNs), uint64(s.ExecNs), uint64(s.StreamNs)}
 }
 
 // Chunk flag bits.
@@ -355,7 +373,7 @@ func (c *RowsChunk) encodedSize() int {
 		n += labelSize(l)
 	}
 	if c.Done {
-		n += uvarintLen(len(c.Err)) + len(c.Err) + 8 + 16
+		n += uvarintLen(len(c.Err)) + len(c.Err) + 8 + 16 + 40
 		n += labelSize(c.Label) + labelSize(c.ILabel)
 		if c.ShardMap != nil {
 			n += len(c.ShardMap.Encode())
@@ -422,6 +440,9 @@ func (c *RowsChunk) AppendEncode(buf []byte) ([]byte, error) {
 		buf = appendLabel(buf, c.ILabel)
 		buf = appendU64(buf, c.Epoch)
 		buf = appendU64(buf, c.LSN)
+		for _, v := range c.Stats.words() {
+			buf = appendU64(buf, v)
+		}
 		if c.ShardMap != nil {
 			buf = append(buf, c.ShardMap.Encode()...)
 		}
@@ -572,6 +593,13 @@ func DecodeRowsChunkInto(c *RowsChunk, buf []byte) error {
 		if err != nil {
 			return err
 		}
+		var v [5]uint64
+		for i := range v {
+			if v[i], buf, err = readU64(buf); err != nil {
+				return err
+			}
+		}
+		c.Stats = Stats{TraceID: v[0], ParseNs: int64(v[1]), PlanNs: int64(v[2]), ExecNs: int64(v[3]), StreamNs: int64(v[4])}
 		if hasMap {
 			c.ShardMap, err = DecodeShardMap(buf)
 			if err != nil {

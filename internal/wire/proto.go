@@ -4,12 +4,11 @@
 // paper's design for keeping the platform's and the DBMS's view of the
 // process label synchronized without extra round trips (§7.1–7.2).
 //
-// Beyond statements, the protocol carries the cluster-management
-// surface:
+// Node state is SQL: a session reads its node's role, epoch and LSNs as
+// the system table ifdb_node and promotes a replica with SELECT
+// promote() (engine.ServeNode). Beyond statements, the protocol carries
+// the cluster-management surface:
 //
-//   - STATUS/PROMOTE frames (cluster.go): role, epoch, and LSN probes
-//     — what the coordinator's health checks and the Router's primary
-//     discovery are built on — and replica promotion;
 //   - replication frames (repl.go): the WAL-shipping stream between a
 //     primary and its followers, epoch-stamped on every batch;
 //   - SHARDMAP frames (shard.go): the version-stamped shard map, plus
@@ -21,11 +20,11 @@
 //   - read-your-writes plumbing: Execute.WaitLSN delays a replica
 //     read until the replica has applied the client's last acknowledged
 //     write; the final ROWS chunk carries the (epoch, LSN) commit token
-//     that feeds it.
+//     that feeds it, and the statement's timing breakdown (Stats).
 //
 // See ARCHITECTURE.md § Replication (stream protocol), § Failover &
-// epochs (STATUS/PROMOTE and tokens), and § Sharding (map format and
-// version fencing).
+// epochs (ifdb_node, promote() and tokens), and § Sharding (map format
+// and version fencing).
 package wire
 
 import (
@@ -39,11 +38,9 @@ import (
 
 // Message type bytes.
 const (
-	MsgHello    byte = 'H' // client → server: token, principal
-	MsgHelloOK  byte = 'h' // server → client (a bad token: a trailer-only ROWS frame)
-	MsgStats    byte = 'G' // client → server: last statement's timing
-	MsgStatsRes byte = 'g' // server → client: Stats
-	MsgClose    byte = 'X' // client → server: goodbye
+	MsgHello   byte = 'H' // client → server: token, principal
+	MsgHelloOK byte = 'h' // server → client (a bad token: a trailer-only ROWS frame)
+	MsgClose   byte = 'X' // client → server: goodbye
 )
 
 // MaxFrame bounds a single protocol frame (64 MiB).
@@ -208,38 +205,4 @@ func DecodeHello(buf []byte) (*Hello, error) {
 		return nil, err
 	}
 	return &h, nil
-}
-
-// --- Stats -------------------------------------------------------------
-
-// Stats is the reply to a STATS request, which has no payload: the
-// server-side timing breakdown of the session's most recent statement,
-// five fixed u64 fields. Asking runs no statement, so it does not
-// overwrite the breakdown it reads.
-type Stats struct {
-	// TraceID echoes the ID the client stamped on the statement.
-	TraceID uint64
-	// ParseNs is parser time (0 for prepared executions — they never
-	// parse); PlanNs is server-side admission (label sync, shard
-	// fencing, read-your-writes waits); ExecNs is engine execution;
-	// StreamNs is result encoding and streaming.
-	ParseNs, PlanNs, ExecNs, StreamNs int64
-}
-
-// Encode marshals s.
-func (s *Stats) Encode() []byte {
-	buf := appendU64(nil, s.TraceID)
-	for _, ns := range [...]int64{s.ParseNs, s.PlanNs, s.ExecNs, s.StreamNs} {
-		buf = appendU64(buf, uint64(ns))
-	}
-	return buf
-}
-
-// DecodeStats unmarshals a Stats payload.
-func DecodeStats(buf []byte) (*Stats, error) {
-	if len(buf) != 5*8 {
-		return nil, fmt.Errorf("wire: bad stats (%d bytes)", len(buf))
-	}
-	f := func(i int) uint64 { return binary.LittleEndian.Uint64(buf[8*i:]) }
-	return &Stats{TraceID: f(0), ParseNs: int64(f(1)), PlanNs: int64(f(2)), ExecNs: int64(f(3)), StreamNs: int64(f(4))}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"crypto/subtle"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -63,16 +62,12 @@ type Server struct {
 	sessions map[uint64]*cancelTarget
 	sessSeq  atomic.Uint64
 
-	// Promote, when set, handles MsgPromote frames: it must stop the
-	// node's replication stream and promote the engine (typically
-	// repl.Follower.Promote via ifdb.DB.Promote — the server cannot
-	// reach the follower's socket loop through the engine alone). Nil
-	// rejects promotion requests.
-	Promote func() error
-
-	// StatusErr, when set, supplies the replica's fatal stream error
-	// for MsgStatus replies (the follower owns that state, not the
-	// engine).
+	// Promote and StatusErr are each session's node (engine.Node):
+	// what SELECT promote() runs on a replica — stop the replication
+	// stream and promote the engine (ifdb.DB.Promote: the server cannot
+	// reach the follower through the engine) — and the replica's fatal
+	// stream error, ifdb_node's stream_err. Nil refuses promotion.
+	Promote   func() error
 	StatusErr func() error
 
 	// Replicate, when set, streams the WAL to a connection whose first
@@ -291,6 +286,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	sess := s.eng.NewSession(authority.Principal(hello.Principal))
+	engine.ServeNode(sess, &engine.Node{StreamErr: s.StatusErr, Promote: s.Promote})
 	target := s.registerSession(sess)
 	defer s.unregisterSession(target.id)
 	if err := reply(MsgHelloOK, (&HelloOK{SessionID: target.id, CancelKey: target.key}).Encode()); err != nil {
@@ -364,16 +360,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			target.replied.Store(e.Seq)
 			s.noteStmtDone(sess, time.Since(t0))
-		case MsgStats:
-			st := sess.LastStmtStats()
-			res := &Stats{TraceID: st.TraceID, ParseNs: st.ParseNs, PlanNs: st.PlanNs, ExecNs: st.ExecNs, StreamNs: st.StreamNs}
-			if err := reply(MsgStatsRes, res.Encode()); err != nil {
-				return
-			}
-		case MsgStatus:
-			if err := reply(MsgStatusRes, s.status().Encode()); err != nil {
-				return
-			}
 		case MsgShardMap:
 			var payload []byte
 			if s.ShardMap != nil {
@@ -382,20 +368,6 @@ func (s *Server) handle(conn net.Conn) {
 				}
 			}
 			if err := reply(MsgShardMapRes, payload); err != nil {
-				return
-			}
-		case MsgPromote:
-			var perr error
-			if s.Promote != nil {
-				perr = s.Promote()
-			} else {
-				perr = errors.New("wire: this server does not support promotion")
-			}
-			st := s.status()
-			if perr != nil {
-				st.Err = perr.Error()
-			}
-			if err := reply(MsgStatusRes, st.Encode()); err != nil {
 				return
 			}
 		default:
@@ -440,23 +412,6 @@ func (s *Server) noteStmtDone(sess *engine.Session, total time.Duration) {
 	obs.Audit().Warn("slow query", attrs...)
 }
 
-// status snapshots this node's replication role for STATUS probes.
-func (s *Server) status() *Status {
-	st := &Status{Replica: s.eng.IsReplica(), Epoch: s.eng.Epoch()}
-	if st.Replica {
-		st.AppliedLSN = uint64(s.eng.ReplAppliedLSN())
-		if s.StatusErr != nil {
-			if err := s.StatusErr(); err != nil {
-				st.Err = err.Error()
-			}
-		}
-	}
-	if w := s.eng.WAL(); w != nil {
-		st.WALEnd = uint64(w.End())
-	}
-	return st
-}
-
 // waitApplied blocks until this replica has applied the primary's log
 // through lsn — the server half of the read-your-writes token flow. A
 // primary (including a just-promoted one) returns immediately: its own
@@ -499,11 +454,19 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 	if e.SyncLabel {
 		engine.SyncLabel(sess, e.Label, e.ILabel, authority.Principal(e.Principal))
 	}
+	// The trailer carries the statement's breakdown, streaming timed
+	// from streamT0.
+	var streamT0 time.Time
 	trailer := func(errMsg string, m *ShardMap) RowsChunk {
+		if !streamT0.IsZero() {
+			sess.NoteStreamNs(time.Since(streamT0).Nanoseconds())
+		}
+		st := sess.LastStmtStats()
 		return RowsChunk{
 			Done: true, Err: errMsg, ShardMap: m,
 			Label: sess.Label(), ILabel: sess.Integrity(),
 			Epoch: s.eng.Epoch(), LSN: sess.CommitToken(),
+			Stats: Stats{TraceID: st.TraceID, ParseNs: st.ParseNs, PlanNs: st.PlanNs, ExecNs: st.ExecNs, StreamNs: st.StreamNs},
 		}
 	}
 	// Shard-map version fencing: a statement routed under an outdated
@@ -520,6 +483,7 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 	if s.ShardMap != nil && e.ShardVer != 0 {
 		if m := s.ShardMap(); m != nil && e.ShardVer < m.Version {
 			msg := fmt.Sprintf("%s: statement routed under version %d, server at version %d", StaleShardMapErr, e.ShardVer, m.Version)
+			sess.NotePlanNs(time.Since(planT0).Nanoseconds())
 			c := trailer(msg, m)
 			c.First = true
 			return w.writeChunk(&c)
@@ -527,6 +491,7 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 	}
 	if e.WaitLSN > 0 {
 		if err := s.waitApplied(e.WaitLSN); err != nil {
+			sess.NotePlanNs(time.Since(planT0).Nanoseconds())
 			c := trailer(err.Error(), nil)
 			c.First = true
 			return w.writeChunk(&c)
@@ -551,10 +516,8 @@ func (s *Server) runExecute(sess *engine.Session, stmts map[uint64]*engine.Prepa
 		c.First = true
 		return w.writeChunk(&c)
 	}
-	streamT0 := time.Now()
-	serr := s.streamCursor(sess, w, cur, trailer)
-	sess.NoteStreamNs(time.Since(streamT0).Nanoseconds())
-	return serr
+	streamT0 = time.Now()
+	return s.streamCursor(sess, w, cur, trailer)
 }
 
 // streamCursor pulls the statement cursor batch by batch, writing each
@@ -678,7 +641,7 @@ func (rw *rowsWriter) writeChunk(c *RowsChunk) error {
 		Rows: c.Rows[half:],
 		Done: c.Done, Err: c.Err, Affected: c.Affected,
 		Label: c.Label, ILabel: c.ILabel, Epoch: c.Epoch, LSN: c.LSN,
-		ShardMap: c.ShardMap,
+		Stats: c.Stats, ShardMap: c.ShardMap,
 	}
 	if c.RowLabels != nil {
 		left.RowLabels = c.RowLabels[:half]

@@ -11,7 +11,7 @@ import (
 )
 
 // Shard-map protocol messages, spoken on ordinary client connections
-// like STATUS: a SHARDMAP probe answers with the node's current view
+// after HELLO: a SHARDMAP probe answers with the node's current view
 // of the cluster's shard map (empty payload when the deployment is
 // unsharded). Writes carry the map version they were routed under
 // (Execute.ShardVer); a server holding a newer map refuses the statement

@@ -190,8 +190,9 @@ func TestQuickRowsChunkRoundTrip(t *testing.T) {
 }
 
 // randomChunk is a chunk as a server may send one: header or not,
-// trailer or not (an error, a shard map), labelled rows or not, and
-// from zero rows to more than a full chunk of one random width.
+// trailer or not (an error, a shard map, timings from zero to the full
+// 64 bits), labelled rows or not, and from zero rows to more than a
+// full chunk of one random width.
 func randomChunk(r *rand.Rand) *RowsChunk {
 	c := &RowsChunk{First: r.Intn(2) == 0, Done: r.Intn(2) == 0}
 	ncols := r.Intn(5)
@@ -236,6 +237,11 @@ func randomChunk(r *rand.Rand) *RowsChunk {
 	if c.Done {
 		c.Affected, c.Epoch, c.LSN = r.Int63n(100), uint64(r.Intn(3)), r.Uint64()
 		c.Label, c.ILabel = label.New(label.Tag(r.Intn(5))), label.New()
+		ns := func() int64 { return int64(r.Uint64() >> r.Intn(64)) }
+		c.Stats = Stats{TraceID: r.Uint64() >> r.Intn(64), ParseNs: ns(), PlanNs: ns(), ExecNs: ns(), StreamNs: ns()}
+		if r.Intn(4) == 0 {
+			c.Stats.ExecNs = -1
+		}
 		if r.Intn(3) == 0 {
 			c.Err = "boom"
 		}
@@ -292,12 +298,21 @@ func TestQuickRowsChunkWarmDecode(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		enc, err := randomChunk(r).Encode()
+		c := randomChunk(r)
+		enc, err := c.Encode()
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		if !decodeBoth(enc) {
+			return false
+		}
+		if n := c.encodedSize(); n != len(enc) {
+			t.Logf("encodedSize %d, encoding %d bytes", n, len(enc))
+			return false
+		}
+		if warm.Stats != c.Stats {
+			t.Logf("timings %+v decoded as %+v", c.Stats, warm.Stats)
 			return false
 		}
 		// Cut short, and one byte overwritten.

@@ -11,12 +11,16 @@ import (
 	"ifdb/internal/wire"
 )
 
-// TestTraceIDPropagation drives a statement through the full stack —
+// TestTraceIDPropagation drives statements through the full stack —
 // client EXECUTE frame with a client-generated trace ID, server-side
-// per-statement timing — and reads the breakdown back with a STATS
-// frame (client.Conn.Stats), checking the ID the server recorded is the
-// ID the client sent.
+// per-statement timing — and reads each breakdown from the statement's
+// own reply (client.Result.Stats): statement A, then B, on one Conn.
+// B's reply carries B's trace ID, and B is one frame each way: no
+// second request asks for the breakdown.
 func TestTraceIDPropagation(t *testing.T) {
+	// The registry hands back the series the server registered.
+	framesIn := obs.NewCounter("ifdb_server_frames_in_total", "")
+	framesOut := obs.NewCounter("ifdb_server_frames_out_total", "")
 	db := ifdb.MustOpen(ifdb.Config{})
 	defer db.Close()
 	admin := db.AdminSession()
@@ -38,40 +42,38 @@ func TestTraceIDPropagation(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.Exec(`INSERT INTO kv VALUES ($1, $2)`, ifdb.Int(1), ifdb.Int(2)); err != nil {
+	a, err := c.Exec(`INSERT INTO kv VALUES ($1, $2)`, ifdb.Int(1), ifdb.Int(2))
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := c.LastTraceID()
 	if want == 0 {
 		t.Fatal("client did not stamp a trace ID")
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TraceID != want {
+	if st := a.Stats; st.TraceID != want {
 		t.Fatalf("server recorded trace %016x, client sent %016x", st.TraceID, want)
 	}
-	if st.ParseNs <= 0 || st.ExecNs <= 0 {
+	if st := a.Stats; st.ParseNs <= 0 || st.ExecNs <= 0 {
 		t.Fatalf("timing breakdown not filled: %+v", st)
 	}
-	if st.PlanNs < 0 || st.StreamNs < 0 {
+	if st := a.Stats; st.PlanNs < 0 || st.StreamNs < 0 {
 		t.Fatalf("negative timing: %+v", st)
 	}
 
-	// A second statement gets a fresh ID, and \stats tracks the latest.
-	if _, err := c.Exec(`SELECT v FROM kv WHERE k = $1`, ifdb.Int(1)); err != nil {
+	// A second statement gets a fresh ID, and its reply carries it.
+	in0, out0 := framesIn.Value(), framesOut.Value()
+	b, err := c.Exec(`SELECT v FROM kv WHERE k = $1`, ifdb.Int(1))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.LastTraceID() == want {
 		t.Fatal("trace ID reused across statements")
 	}
-	st2, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if b.Stats.TraceID != c.LastTraceID() {
+		t.Fatalf("stats trace %016x, want latest %016x", b.Stats.TraceID, c.LastTraceID())
 	}
-	if st2.TraceID != c.LastTraceID() {
-		t.Fatalf("stats trace %016x, want latest %016x", st2.TraceID, c.LastTraceID())
+	if in, out := framesIn.Value()-in0, framesOut.Value()-out0; in != 1 || out != 1 {
+		t.Fatalf("statement B took %d frames in and %d out, want 1 and 1", in, out)
 	}
 }
 

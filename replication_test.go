@@ -14,7 +14,7 @@ import (
 // nodeServer is a wire.Server over db, wired as ifdb-server wires a
 // node: a durable node serves its WAL on the client port to followers
 // presenting token (through the returned Primary; nil in memory), and
-// a replica reports its stream and honours PROMOTE. Install any other
+// a replica reports its stream and honours promote(). Install any other
 // hook, then Serve.
 func nodeServer(db *ifdb.DB, token string) (*wire.Server, *repl.Primary) {
 	srv := wire.NewServer(db.Engine(), token)

@@ -40,6 +40,8 @@ echo "$out" | grep -q "Alice | flu" || { echo "docs_smoke: labeled read missing"
 # ...and invisible again after declassification (Query by Label).
 echo "$out" | grep -q "(0 rows)" || { echo "docs_smoke: post-declassify confinement missing"; exit 1; }
 echo "$out" | grep -q "tag alice_medical" || { echo "docs_smoke: tag creation missing"; exit 1; }
+# The node's row of ifdb_node: an in-memory primary at epoch 0.
+echo "$out" | grep -q "primary | 0" || { echo "docs_smoke: ifdb_node row missing"; exit 1; }
 if echo "$out" | grep -q "error:"; then
   echo "docs_smoke: quickstart session reported an error" >&2
   exit 1
