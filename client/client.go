@@ -478,19 +478,25 @@ func (c *Conn) PromoteNode() (*Status, error) {
 	return c.Status()
 }
 
-// ShardMap fetches the server's current view of the cluster shard map
-// (nil when the deployment is unsharded). The Router calls it at open
-// to discover the topology; operators can watch it via ifdb-cli
-// \shardmap.
+// ShardMap reads the server's current view of the cluster shard map
+// with SELECT shard_map(), which answers the map's text (nil when the
+// deployment is unsharded). The Router calls it at open to discover
+// the topology; operators can watch it via ifdb-cli \shardmap.
 func (c *Conn) ShardMap() (*ShardMap, error) {
-	resp, err := c.roundTrip(wire.MsgShardMap, nil, wire.MsgShardMapRes)
+	const q = "SELECT shard_map()"
+	res, err := c.Exec(q)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp) == 0 {
-		return nil, nil
+	if len(res.Rows) == 1 && len(res.Rows[0]) == 1 {
+		switch v := res.Rows[0][0]; v.Kind() {
+		case types.KindNull:
+			return nil, nil
+		case types.KindText:
+			return wire.ParseShardMap(v.Text())
+		}
 	}
-	return wire.DecodeShardMap(resp)
+	return nil, fmt.Errorf("client: %s: malformed reply", q)
 }
 
 // call runs one IFDB function (§7.1) as a statement: a fixed text

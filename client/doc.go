@@ -17,7 +17,8 @@
 //     replicas, promotions are followed automatically, and
 //     read-your-writes is preserved through commit-LSN tokens.
 //
-// Node state is SQL (Conn.Status reads the table ifdb_node), and each
+// Node state is SQL (Conn.Status reads the table ifdb_node, and
+// Conn.ShardMap parses SELECT shard_map(), the map's text), and each
 // reply carries its statement's server-side timings (Result.Stats).
 //
 // Both speak API v2 (see ARCHITECTURE.md § Client API v2): Prepare

@@ -93,10 +93,10 @@ type RouterConfig struct {
 	AllowStaleReads bool
 
 	// ShardMap shards the Router explicitly (see shard.go and
-	// ARCHITECTURE.md § Sharding). Nil asks every configured address
-	// for its SHARDMAP at open and adopts the first answer; when no
-	// node is sharded either, the Router runs in the classic
-	// one-replication-group mode.
+	// ARCHITECTURE.md § Sharding). Nil asks the configured addresses
+	// for their map at open (SELECT shard_map(), Conn.ShardMap) and
+	// adopts the first one a node has; when no node is sharded either,
+	// the Router runs in the classic one-replication-group mode.
 	ShardMap *ShardMap
 
 	// MaxFanout bounds how many shard streams a fan-out read holds in
@@ -377,7 +377,7 @@ func (r *Router) register(addrs ...string) {
 }
 
 // discoverShardMap asks each configured address for its shard map and
-// adopts the first answer (unsharded nodes answer "none").
+// adopts the first answer (an unsharded node's shard_map() is NULL).
 func (r *Router) discoverShardMap() {
 	for _, addr := range r.addrs() {
 		conn, err := r.dial(addr)

@@ -1,7 +1,7 @@
 // Shard routing: the client half of horizontal sharding (see
 // ARCHITECTURE.md § Sharding).
 //
-// A shard map — fetched from any node's SHARDMAP frame, or supplied
+// A shard map — read from any node with SELECT shard_map(), or supplied
 // in RouterConfig — assigns the keyspace to shards, each an ordinary
 // epoch-fenced replication group. The Router derives the shard key
 // from a single-table statement's AST (shardkey.go), hashes it, and

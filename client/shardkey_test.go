@@ -104,6 +104,7 @@ func TestClassifier(t *testing.T) {
 	}{
 		{`SELECT * FROM kv`, true, false, false},
 		{`SELECT sleep(10)`, true, false, false},
+		{`SELECT shard_map()`, true, false, false},
 		{`INSERT INTO kv VALUES (1, 'x')`, false, false, false},
 		{`BEGIN`, false, true, false},
 		{`COMMIT`, false, true, false},

@@ -45,7 +45,7 @@
 //
 // Sharding: -shard-map names a shard map file (see the README's
 // sharded-cluster walkthrough for the format) and makes this server
-// shard-aware: it serves the map over SHARDMAP frames and refuses
+// shard-aware: it answers SELECT shard_map() with the map and refuses
 // statements routed under a stale map version. -shard-id additionally
 // pins the server to one shard: inserts whose shard key hashes to a
 // different shard are refused (defense against misrouted or
@@ -100,7 +100,7 @@ func main() {
 		failAfter    = flag.Int("fail-after", 3, "with -cluster: consecutive failed primary probes before automatic failover")
 
 		shardID      = flag.Int("shard-id", -1, "this server's shard id (with -shard-map): refuse rows owned by other shards")
-		shardMapFile = flag.String("shard-map", "", "shard map file: serve SHARDMAP frames and fence stale-map statements")
+		shardMapFile = flag.String("shard-map", "", "shard map file: answer shard_map() and fence stale-map statements")
 
 		metricsListen = flag.String("metrics-listen", "", "serve Prometheus /metrics and /debug/pprof on this address")
 		logLevel      = flag.String("log-level", "info", "log level: debug|info|warn|error")
@@ -184,7 +184,7 @@ func main() {
 	srv.SlowQuery = *slowQuery
 	srv.StatusErr = db.ReplicationErr
 
-	// Sharding: parse the map, serve it over SHARDMAP frames (the
+	// Sharding: parse the map, answer shard_map() with it (the
 	// coordinator's live copy once one runs — its failovers bump the
 	// version), and pin this server to its shard. The coordinator is
 	// created below, before the server accepts its first connection, so

@@ -1,6 +1,6 @@
 // Command scatter is the README's sharded-cluster walkthrough: a
 // client.Router pointed at one node of a sharded cluster discovers
-// the topology, routes keyed writes to their owning shards, and runs
+// the topology (SELECT shard_map()), routes keyed writes to their owning shards, and runs
 // a cluster-wide GROUP BY aggregate as a scatter-gather plan — each
 // shard aggregates its slice and ships one partial row per group;
 // the gateway merges SUM-of-COUNTs. EXPLAIN shows the split.
@@ -21,8 +21,8 @@ func main() {
 	token := flag.String("token", "demo", "platform token")
 	flag.Parse()
 
-	// One address is enough: the Router asks the node for its
-	// SHARDMAP and discovers every shard's primary from the map.
+	// One address is enough: the Router asks the node for its map
+	// (SELECT shard_map()) and discovers every shard's primary from it.
 	router, err := client.OpenRouter(client.RouterConfig{
 		Addrs: []string{*addr}, Token: *token,
 	})

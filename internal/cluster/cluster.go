@@ -17,20 +17,22 @@
 // a node's history. (It is also a single observer: see ARCHITECTURE.md
 // § Failover & epochs, "Known limitations", before running two.)
 //
-// With Config.ShardMap the coordinator watches a *sharded* cluster:
-// each shard is an independent epoch-fenced replication group, health
-// is tracked per shard, and a failover promotes the most-caught-up
-// replica *within the dead primary's shard* — then bumps the shard
-// map's version with the new primary recorded, so routers following
-// the map (served through wire.Server's SHARDMAP frame) re-route that
-// shard while every other shard keeps its assignment. Version fencing
-// of statements mirrors epoch fencing one level up; see
-// ARCHITECTURE.md § Sharding.
+// The coordinator watches replication groups, as the Router routes
+// over them: an unsharded cluster is one group of Config.Nodes, and
+// with Config.ShardMap each shard is its own epoch-fenced group. Health
+// is tracked per group, and a failover promotes the most-caught-up
+// replica *within the dead primary's group*. A shard's failover then
+// bumps the shard map's version with the new primary recorded, so
+// routers following the map (which nodes serve as SQL's shard_map())
+// re-route that shard while every other shard keeps its assignment.
+// Version fencing of statements mirrors epoch fencing one level up;
+// see ARCHITECTURE.md § Sharding.
 package cluster
 
 import (
 	"fmt"
 	"log/slog"
+	"strconv"
 	"sync"
 	"time"
 
@@ -89,16 +91,14 @@ type NodeStatus struct {
 type Coordinator struct {
 	cfg Config
 
-	// failedSweeps counts consecutive sweeps with no reachable
-	// primary (unsharded mode); shardFails is its per-shard analog.
-	// Touched only by the Run goroutine.
-	failedSweeps int
-	shardFails   map[uint32]int
+	// shardFails counts consecutive sweeps with no reachable primary,
+	// per group slot. Touched only by the Run goroutine.
+	shardFails map[int]int
 
 	// smap is the live shard map: copy-on-write (a failover installs
 	// an edited clone under mu), so ShardMap callers — the wire
-	// server's SHARDMAP frames — can hold a returned pointer without
-	// observing a half-edit.
+	// server's shard_map() and stale-map fences — can hold a returned
+	// pointer without observing a half-edit.
 	mu   sync.Mutex
 	smap *wire.ShardMap
 }
@@ -128,7 +128,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
-	c := &Coordinator{cfg: cfg, shardFails: make(map[uint32]int)}
+	c := &Coordinator{cfg: cfg, shardFails: make(map[int]int)}
 	if cfg.ShardMap != nil {
 		c.smap = cfg.ShardMap.Clone()
 	}
@@ -161,8 +161,8 @@ func (c *Coordinator) Probe() []NodeStatus {
 	return c.probeAddrs(c.cfg.Nodes)
 }
 
-// probeAddrs is Probe over an explicit address set (a shard's members
-// in sharded mode).
+// probeAddrs is Probe over an explicit address set (a group's
+// members).
 func (c *Coordinator) probeAddrs(addrs []string) []NodeStatus {
 	out := make([]NodeStatus, len(addrs))
 	var wg sync.WaitGroup
@@ -258,6 +258,38 @@ func pickBest(sweep []NodeStatus) *NodeStatus {
 	return best
 }
 
+// group is one replication group the coordinator watches: a shard of
+// the map, or the whole unsharded cluster (slot wholeCluster), which
+// is the group of cfg.Nodes. Health, failure counts and promotion are
+// each written once, over a group.
+type group struct {
+	slot    int      // the shard id, or wholeCluster
+	members []string // a shard's map-assigned primary first
+}
+
+// wholeCluster is the slot of the unsharded cluster.
+const wholeCluster = -1
+
+func (g group) String() string {
+	if g.slot == wholeCluster {
+		return "the cluster"
+	}
+	return "shard " + strconv.Itoa(g.slot)
+}
+
+// groups lists the groups to watch under the current map.
+func (c *Coordinator) groups() []group {
+	m := c.ShardMap()
+	if m == nil {
+		return []group{{slot: wholeCluster, members: c.cfg.Nodes}}
+	}
+	gs := make([]group, len(m.Shards))
+	for i, sh := range m.Shards {
+		gs[i] = group{slot: int(sh.ID), members: append([]string{sh.Primary}, sh.Replicas...)}
+	}
+	return gs
+}
+
 // PromoteBest promotes the most-caught-up healthy replica (ties broken
 // by address, for determinism) and returns its address. It refuses to
 // act while a primary is still reachable, unless force is set — the
@@ -265,18 +297,37 @@ func pickBest(sweep []NodeStatus) *NodeStatus {
 // old primary themselves. In sharded mode use PromoteBestShard: "the
 // cluster" has no single primary to reason about.
 func (c *Coordinator) PromoteBest(force bool) (string, error) {
-	if c.ShardMap() != nil {
+	g := c.groups()[0]
+	if g.slot != wholeCluster {
 		return "", fmt.Errorf("cluster: sharded coordinator: promote per shard with PromoteBestShard")
 	}
-	sweep := c.Probe()
-	if !force && hasPrimary(sweep) {
-		return "", fmt.Errorf("cluster: a primary is still reachable; not promoting (use force for a planned switchover)")
-	}
-	return c.promoteFrom(sweep)
+	return c.promoteGroup(g, force)
 }
 
-// promoteFrom promotes the best candidate of one sweep.
-func (c *Coordinator) promoteFrom(sweep []NodeStatus) (string, error) {
+// PromoteBestShard promotes the most-caught-up healthy replica of one
+// shard and rewrites the shard map: the promoted node becomes the
+// shard's primary, the old primary is kept as a (future) replica —
+// it rejoins by re-bootstrapping under the new epoch — and the map
+// version is bumped so routers re-route on their next statement.
+func (c *Coordinator) PromoteBestShard(sid uint32, force bool) (string, error) {
+	gs := c.groups()
+	if gs[0].slot == wholeCluster || int(sid) >= len(gs) {
+		return "", fmt.Errorf("cluster: no shard %d", sid)
+	}
+	return c.promoteGroup(gs[sid], force)
+}
+
+// promoteGroup promotes the best candidate of a fresh sweep of g,
+// unless (without force) g still has a reachable primary. A shard
+// group records its new primary in the map.
+func (c *Coordinator) promoteGroup(g group, force bool) (string, error) {
+	sweep := c.probeAddrs(g.members)
+	if !force && hasPrimary(sweep) {
+		if g.slot == wholeCluster {
+			return "", fmt.Errorf("cluster: a primary is still reachable; not promoting (use force for a planned switchover)")
+		}
+		return "", fmt.Errorf("cluster: shard %d still has a reachable primary; not promoting", g.slot)
+	}
 	best := pickBest(sweep)
 	if best == nil {
 		return "", fmt.Errorf("cluster: no healthy replica to promote")
@@ -295,35 +346,10 @@ func (c *Coordinator) promoteFrom(sweep []NodeStatus) (string, error) {
 	mFailovers.Inc()
 	gEpoch.Set(int64(st.Epoch))
 	c.logger().Info("cluster: promoted replica to primary", "addr", best.Addr, "epoch", st.Epoch)
+	if g.slot != wholeCluster {
+		c.recordShardPrimary(uint32(g.slot), best.Addr)
+	}
 	return best.Addr, nil
-}
-
-// shardMembers lists one shard's member addresses, static primary
-// first.
-func shardMembers(sh *wire.Shard) []string {
-	return append([]string{sh.Primary}, sh.Replicas...)
-}
-
-// PromoteBestShard promotes the most-caught-up healthy replica of one
-// shard and rewrites the shard map: the promoted node becomes the
-// shard's primary, the old primary is kept as a (future) replica —
-// it rejoins by re-bootstrapping under the new epoch — and the map
-// version is bumped so routers re-route on their next statement.
-func (c *Coordinator) PromoteBestShard(sid uint32, force bool) (string, error) {
-	m := c.ShardMap()
-	if m == nil || int(sid) >= len(m.Shards) {
-		return "", fmt.Errorf("cluster: no shard %d", sid)
-	}
-	sweep := c.probeAddrs(shardMembers(&m.Shards[sid]))
-	if !force && hasPrimary(sweep) {
-		return "", fmt.Errorf("cluster: shard %d still has a reachable primary; not promoting", sid)
-	}
-	addr, err := c.promoteFrom(sweep)
-	if err != nil {
-		return "", err
-	}
-	c.recordShardPrimary(sid, addr)
-	return addr, nil
 }
 
 // recordShardPrimary installs a fresh map clone with addr as shard
@@ -333,7 +359,7 @@ func (c *Coordinator) recordShardPrimary(sid uint32, addr string) {
 	defer c.mu.Unlock()
 	m := c.smap.Clone()
 	sh := &m.Shards[sid]
-	members := shardMembers(sh)
+	members := append([]string{sh.Primary}, sh.Replicas...)
 	sh.Primary = addr
 	sh.Replicas = sh.Replicas[:0]
 	for _, a := range members {
@@ -347,9 +373,10 @@ func (c *Coordinator) recordShardPrimary(sid uint32, addr string) {
 }
 
 // Run probes on the configured interval until stop closes, counting
-// consecutive primary-less sweeps — per shard in sharded mode — and
-// (with AutoPromote) promoting the most-caught-up replica of the
-// affected group once FailAfter is reached.
+// each group's consecutive primary-less sweeps and (with AutoPromote)
+// promoting the most-caught-up replica of a group once FailAfter is
+// reached. Groups fail independently: one shard mid-failover never
+// blocks another's health accounting.
 func (c *Coordinator) Run(stop <-chan struct{}) {
 	t := time.NewTicker(c.cfg.ProbeInterval)
 	defer t.Stop()
@@ -359,55 +386,24 @@ func (c *Coordinator) Run(stop <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		if m := c.ShardMap(); m != nil {
-			c.sweepShards(m)
-			continue
+		for _, g := range c.groups() {
+			if hasPrimary(c.probeAddrs(g.members)) {
+				c.shardFails[g.slot] = 0
+				continue
+			}
+			c.shardFails[g.slot]++
+			c.logger().Warn("cluster: no reachable primary", "group", g,
+				"sweeps", c.shardFails[g.slot], "fail_after", c.cfg.FailAfter)
+			if !c.cfg.AutoPromote || c.shardFails[g.slot] < c.cfg.FailAfter {
+				continue
+			}
+			addr, err := c.promoteGroup(g, false)
+			if err != nil {
+				c.logger().Error("cluster: automatic failover failed", "group", g, "err", err)
+				continue
+			}
+			c.logger().Warn("cluster: automatic failover complete", "group", g, "primary", addr)
+			c.shardFails[g.slot] = 0
 		}
-		sweep := c.Probe()
-		if hasPrimary(sweep) {
-			c.failedSweeps = 0
-			continue
-		}
-		c.failedSweeps++
-		c.logger().Warn("cluster: no reachable primary",
-			"sweeps", c.failedSweeps, "fail_after", c.cfg.FailAfter)
-		if !c.cfg.AutoPromote || c.failedSweeps < c.cfg.FailAfter {
-			continue
-		}
-		addr, err := c.PromoteBest(false)
-		if err != nil {
-			c.logger().Error("cluster: automatic failover failed", "err", err)
-			continue
-		}
-		c.logger().Warn("cluster: automatic failover complete", "primary", addr)
-		c.failedSweeps = 0
-	}
-}
-
-// sweepShards runs one health pass over every shard, promoting within
-// any shard whose primary has been gone FailAfter sweeps. Shards fail
-// independently: one shard mid-failover never blocks another's health
-// accounting.
-func (c *Coordinator) sweepShards(m *wire.ShardMap) {
-	for i := range m.Shards {
-		sid := m.Shards[i].ID
-		sweep := c.probeAddrs(shardMembers(&m.Shards[i]))
-		if hasPrimary(sweep) {
-			c.shardFails[sid] = 0
-			continue
-		}
-		c.shardFails[sid]++
-		c.logger().Warn("cluster: shard has no reachable primary",
-			"shard", sid, "sweeps", c.shardFails[sid], "fail_after", c.cfg.FailAfter)
-		if !c.cfg.AutoPromote || c.shardFails[sid] < c.cfg.FailAfter {
-			continue
-		}
-		addr, err := c.PromoteBestShard(sid, false)
-		if err != nil {
-			c.logger().Error("cluster: shard automatic failover failed", "shard", sid, "err", err)
-			continue
-		}
-		c.logger().Warn("cluster: shard automatic failover complete", "shard", sid, "primary", addr)
-		c.shardFails[sid] = 0
 	}
 }

@@ -127,6 +127,46 @@ func TestProbeSweep(t *testing.T) {
 	}
 }
 
+// TestPromoteRefusals: the unsharded cluster and each shard are groups
+// promoted by one path, and each entry point keeps its own refusal.
+// None of them promotes, and a shard refusal leaves the map unchanged.
+func TestPromoteRefusals(t *testing.T) {
+	prim, reps := startCluster(t, 1)
+	whole, err := New(Config{Nodes: addrs(prim, reps), DialTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := New(Config{DialTimeout: time.Second, ShardMap: &wire.ShardMap{
+		Version: 1, Shards: []wire.Shard{{ID: 0, Primary: prim.addr, Replicas: []string{reps[0].addr}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what string
+		run  func() (string, error)
+		want string
+	}{
+		{"PromoteBest, primary up", func() (string, error) { return whole.PromoteBest(false) },
+			"cluster: a primary is still reachable; not promoting (use force for a planned switchover)"},
+		{"PromoteBestShard, unsharded", func() (string, error) { return whole.PromoteBestShard(0, false) },
+			"cluster: no shard 0"},
+		{"PromoteBest, sharded", func() (string, error) { return sharded.PromoteBest(false) },
+			"cluster: sharded coordinator: promote per shard with PromoteBestShard"},
+		{"PromoteBestShard, no such shard", func() (string, error) { return sharded.PromoteBestShard(1, false) },
+			"cluster: no shard 1"},
+		{"PromoteBestShard, primary up", func() (string, error) { return sharded.PromoteBestShard(0, false) },
+			"cluster: shard 0 still has a reachable primary; not promoting"},
+	} {
+		if addr, err := c.run(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: %q, %v; want the refusal %q", c.what, addr, err, c.want)
+		}
+	}
+	if v := sharded.ShardMap().Version; v != 1 || !reps[0].eng.IsReplica() {
+		t.Fatalf("a refusal promoted: map version %d, replica still a replica: %v", v, reps[0].eng.IsReplica())
+	}
+}
+
 // TestPickBest: selection prefers the highest applied LSN at the
 // newest replica epoch, breaking ties by address, skipping unhealthy
 // and non-replica nodes.

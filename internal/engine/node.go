@@ -9,9 +9,14 @@ import (
 )
 
 // Node is the server a session is served by: StreamErr reports a
-// replica's fatal stream error for its row of plan.NodeTable, and
-// Promote (ifdb.DB.Promote; nil refuses) is what promote() runs.
-type Node struct{ StreamErr, Promote func() error }
+// replica's fatal stream error for its row of plan.NodeTable, Promote
+// (ifdb.DB.Promote; nil refuses) is what promote() runs, and ShardMap
+// (nil or "" when unsharded) is the node's shard map in the -shard-map
+// text format, what shard_map() returns.
+type Node struct {
+	StreamErr, Promote func() error
+	ShardMap           func() string
+}
 
 // ServeNode makes n the node s is served by. The wire server calls it
 // for each session it creates once the peer proved the platform token:
@@ -70,4 +75,18 @@ func (s *Session) promote() (types.Value, error) {
 		return types.Null, err
 	}
 	return types.NewInt(int64(s.eng.Epoch())), nil
+}
+
+// shardMap is SQL's shard_map(): the map of the node serving the
+// session, as text, or NULL when the node is unsharded.
+func (s *Session) shardMap() (types.Value, error) {
+	if s.node == nil {
+		return types.Null, errNotServed("shard_map()")
+	}
+	if s.node.ShardMap != nil {
+		if text := s.node.ShardMap(); text != "" {
+			return types.NewText(text), nil
+		}
+	}
+	return types.Null, nil
 }

@@ -171,6 +171,11 @@ func (f sessionFuncs) CallFunc(name string, args []types.Value) (types.Value, er
 		return types.NewBool(true), nil
 	case "promote":
 		return s.promote()
+	case "shard_map":
+		if len(args) != 0 {
+			return types.Null, fmt.Errorf("engine: shard_map() takes no arguments")
+		}
+		return s.shardMap()
 	case "current_principal":
 		return types.NewInt(int64(uint64(s.principal))), nil
 	case "now":

@@ -114,6 +114,7 @@ var funcs = map[string]funcDef{
 	"current_principal": {kind: EnginePure},
 	"now":               {kind: EnginePure},
 	"sleep":             {kind: EnginePure},
+	"shard_map":         {kind: EnginePure},
 
 	"addsecrecy":      {kind: EngineEffect},
 	"declassify":      {kind: EngineEffect},

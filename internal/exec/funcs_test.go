@@ -26,9 +26,10 @@ func TestFuncTableReproducesNameLists(t *testing.T) {
 		{"callBuiltin", builtins,
 			func(k FuncKind) bool { return k == Builtin }},
 		// plan.pureScalarFuncs: with the aggregates, what lets LIMIT
-		// stop early.
+		// stop early. shard_map(), which came after the lists, reads
+		// node state and changes nothing, so it is one of them.
 		{"pureScalarFuncs", []string{"abs", "coalesce", "current_principal", "getintegrity", "getlabel",
-			"has_authority", "label_contains", "label_size", "length", "lower", "now", "sleep", "tag", "upper"},
+			"has_authority", "label_contains", "label_size", "length", "lower", "now", "shard_map", "sleep", "tag", "upper"},
 			func(k FuncKind) bool { return k == Builtin || k == EnginePure }},
 		// distplan.gatewayFns: the calls gateway glue may hold.
 		{"gatewayFns", builtins,

@@ -61,6 +61,7 @@ type Follower struct {
 	released bool // engine closed + lock dropped (Close ran to the end)
 	fatal    error
 	done     chan struct{}
+	stop     chan struct{} // closed with closed: ends a reconnect wait
 	started  bool
 }
 
@@ -90,7 +91,7 @@ func Open(cfg Config) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{cfg: cfg, lock: lock, done: make(chan struct{})}
+	f := &Follower{cfg: cfg, lock: lock, done: make(chan struct{}), stop: make(chan struct{})}
 	if f.eng, err = f.openEngine(); err != nil {
 		_ = lock.Release()
 		return nil, err
@@ -148,6 +149,7 @@ func (f *Follower) Close() error {
 	f.released = true
 	f.mu.Unlock()
 	if !wasClosed {
+		close(f.stop)
 		if conn != nil {
 			conn.Close()
 		}
@@ -180,6 +182,7 @@ func (f *Follower) Promote() error {
 	f.closed = true // stops the apply/reconnect loop for good
 	conn := f.conn
 	f.mu.Unlock()
+	close(f.stop)
 	if conn != nil {
 		conn.Close()
 	}
@@ -422,9 +425,12 @@ func (f *Follower) run(conn net.Conn, r *bufio.Reader, pos wal.LSN) {
 		// Reconnect with backoff; the persisted barrier is the resume
 		// position.
 		for {
-			time.Sleep(f.cfg.RetryInterval)
-			if f.isClosed() {
+			t := time.NewTimer(f.cfg.RetryInterval)
+			select {
+			case <-f.stop:
+				t.Stop()
 				return
+			case <-t.C:
 			}
 			mReconnects.Inc()
 			var cerr error

@@ -681,3 +681,40 @@ func TestSyncOffFollowerReachesWALEnd(t *testing.T) {
 		t.Fatalf("replica rows %v, err %v: want the committed row only", res, err)
 	}
 }
+
+// TestStopEndsReconnectWait: a follower whose primary has gone waits
+// RetryInterval (1 s by default) between reconnects. Close and Promote
+// end that wait rather than sit it out.
+func TestStopEndsReconnectWait(t *testing.T) {
+	eng, err := engine.New(engine.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	_, srv, addr := servePrimary(t, eng, "127.0.0.1:0")
+	closing, err := Open(Config{Addr: addr, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoting, err := Open(Config{Addr: addr, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoting.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	for _, stop := range []struct {
+		name string
+		fn   func() error
+	}{{"Close", closing.Close}, {"Promote", promoting.Promote}} {
+		t0 := time.Now()
+		if err := stop.fn(); err != nil {
+			t.Fatalf("%s: %v", stop.name, err)
+		}
+		if d := time.Since(t0); d > 200*time.Millisecond {
+			t.Errorf("%s took %v with the primary gone; want under 200ms", stop.name, d)
+		}
+	}
+}

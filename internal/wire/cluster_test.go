@@ -12,11 +12,11 @@ import (
 	"ifdb/internal/engine"
 )
 
-// TestRetiredFramesRefused: node state and statement timings are SQL
-// and the statement's own trailer, so the STATUS ('T'), PROMOTE ('M')
-// and STATS ('G') request bytes are frames like any unknown one: after
-// HELLO the server logs "unexpected frame" and hangs up, answering
-// nothing.
+// TestRetiredFramesRefused: node state, the shard map and statement
+// timings are SQL and the statement's own trailer, so the STATUS ('T'),
+// PROMOTE ('M'), STATS ('G') and SHARDMAP ('D') request bytes are
+// frames like any unknown one: after HELLO the server logs "unexpected
+// frame" and hangs up, answering nothing.
 func TestRetiredFramesRefused(t *testing.T) {
 	eng, err := engine.New(engine.Config{})
 	if err != nil {
@@ -31,7 +31,7 @@ func TestRetiredFramesRefused(t *testing.T) {
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	for _, typ := range []byte{'M', 'T', 'G'} {
+	for _, typ := range []byte{'M', 'T', 'G', 'D'} {
 		nc, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)

@@ -309,7 +309,8 @@ type RowsChunk struct {
 
 	// ShardMap rides along when the server refused the statement for a
 	// stale shard-map version (Err starts with StaleShardMapErr): the
-	// client adopts it and re-routes without an extra round trip. Nil
+	// client adopts it and re-routes without an extra round trip. It
+	// travels in the map's text format (Format, ParseShardMap). Nil
 	// otherwise.
 	ShardMap *ShardMap
 
@@ -376,7 +377,8 @@ func (c *RowsChunk) encodedSize() int {
 		n += uvarintLen(len(c.Err)) + len(c.Err) + 8 + 16 + 40
 		n += labelSize(c.Label) + labelSize(c.ILabel)
 		if c.ShardMap != nil {
-			n += len(c.ShardMap.Encode())
+			text := c.ShardMap.Format()
+			n += uvarintLen(len(text)) + len(text)
 		}
 	}
 	return n
@@ -444,7 +446,7 @@ func (c *RowsChunk) AppendEncode(buf []byte) ([]byte, error) {
 			buf = appendU64(buf, v)
 		}
 		if c.ShardMap != nil {
-			buf = append(buf, c.ShardMap.Encode()...)
+			buf = appendString(buf, c.ShardMap.Format())
 		}
 	}
 	return buf, nil
@@ -601,8 +603,11 @@ func DecodeRowsChunkInto(c *RowsChunk, buf []byte) error {
 		}
 		c.Stats = Stats{TraceID: v[0], ParseNs: int64(v[1]), PlanNs: int64(v[2]), ExecNs: int64(v[3]), StreamNs: int64(v[4])}
 		if hasMap {
-			c.ShardMap, err = DecodeShardMap(buf)
-			if err != nil {
+			var text string
+			if text, _, err = readString(buf); err != nil {
+				return err
+			}
+			if c.ShardMap, err = ParseShardMap(text); err != nil {
 				return err
 			}
 		}

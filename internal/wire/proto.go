@@ -5,15 +5,15 @@
 // process label synchronized without extra round trips (§7.1–7.2).
 //
 // Node state is SQL: a session reads its node's role, epoch and LSNs as
-// the system table ifdb_node and promotes a replica with SELECT
-// promote() (engine.ServeNode). Beyond statements, the protocol carries
-// the cluster-management surface:
+// the system table ifdb_node, its shard map as SELECT shard_map(), and
+// promotes a replica with SELECT promote() (engine.ServeNode). Beyond
+// statements, the protocol carries the cluster-management surface:
 //
 //   - replication frames (repl.go): the WAL-shipping stream between a
 //     primary and its followers, epoch-stamped on every batch;
-//   - SHARDMAP frames (shard.go): the version-stamped shard map, plus
-//     version fencing — a statement routed under a stale map version
-//     is refused with the current map attached to the reply;
+//   - shard-map version fencing (shard.go): a statement routed under a
+//     stale map version is refused with the current map, in its text
+//     format, attached to the reply;
 //   - API v2 frames (prepared.go): PREPARE/EXECUTE statement handles
 //     that pin the parsed AST server-side, chunked ROWS streaming,
 //     and out-of-band CANCEL keyed by the HelloOK handshake;
@@ -23,8 +23,8 @@
 //     that feeds it, and the statement's timing breakdown (Stats).
 //
 // See ARCHITECTURE.md § Replication (stream protocol), § Failover &
-// epochs (ifdb_node, promote() and tokens), and § Sharding (map format
-// and version fencing).
+// epochs (ifdb_node, promote() and tokens), and § Sharding (map format,
+// shard_map() and version fencing).
 package wire
 
 import (

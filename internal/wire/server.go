@@ -78,11 +78,11 @@ type Server struct {
 
 	// ShardMap, when set, supplies this node's current view of the
 	// cluster shard map (typically the coordinator's live copy, or the
-	// static -shard-map file). It answers MsgShardMap probes, and every
-	// EXECUTE carrying a non-zero, older ShardVer is refused with
-	// the current map attached — version fencing, so a router holding
-	// an outdated map re-routes instead of writing to the wrong shard.
-	// Nil means unsharded.
+	// static -shard-map file). SQL's shard_map() answers it as the map's
+	// text, and every EXECUTE carrying a non-zero, older ShardVer is
+	// refused with the current map attached — version fencing, so a
+	// router holding an outdated map re-routes instead of writing to
+	// the wrong shard. Nil means unsharded.
 	ShardMap func() *ShardMap
 
 	// WaitTimeout bounds a replica's read-your-writes wait (EXECUTE
@@ -213,6 +213,17 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// shardMapText is each session's engine.Node.ShardMap: the map's text,
+// "" when the node is unsharded.
+func (s *Server) shardMapText() string {
+	if s.ShardMap != nil {
+		if m := s.ShardMap(); m != nil {
+			return m.Format()
+		}
+	}
+	return ""
+}
+
 func (s *Server) logger() *slog.Logger {
 	if s.Logger != nil {
 		return s.Logger
@@ -286,7 +297,7 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	sess := s.eng.NewSession(authority.Principal(hello.Principal))
-	engine.ServeNode(sess, &engine.Node{StreamErr: s.StatusErr, Promote: s.Promote})
+	engine.ServeNode(sess, &engine.Node{StreamErr: s.StatusErr, Promote: s.Promote, ShardMap: s.shardMapText})
 	target := s.registerSession(sess)
 	defer s.unregisterSession(target.id)
 	if err := reply(MsgHelloOK, (&HelloOK{SessionID: target.id, CancelKey: target.key}).Encode()); err != nil {
@@ -360,16 +371,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			target.replied.Store(e.Seq)
 			s.noteStmtDone(sess, time.Since(t0))
-		case MsgShardMap:
-			var payload []byte
-			if s.ShardMap != nil {
-				if m := s.ShardMap(); m != nil {
-					payload = m.Encode()
-				}
-			}
-			if err := reply(MsgShardMapRes, payload); err != nil {
-				return
-			}
 		default:
 			s.logger().Warn("wire: unexpected frame", "frame", string(typ))
 			return

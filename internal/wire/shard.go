@@ -10,17 +10,14 @@ import (
 	"ifdb/internal/types"
 )
 
-// Shard-map protocol messages, spoken on ordinary client connections
-// after HELLO: a SHARDMAP probe answers with the node's current view
-// of the cluster's shard map (empty payload when the deployment is
-// unsharded). Writes carry the map version they were routed under
-// (Execute.ShardVer); a server holding a newer map refuses the statement
-// and attaches the new map to the trailer — version fencing, mirroring
-// epoch fencing one level up (see ARCHITECTURE.md § Sharding).
-const (
-	MsgShardMap    byte = 'D' // client → server: fetch the current shard map
-	MsgShardMapRes byte = 'd' // server → client: encoded ShardMap (empty = unsharded)
-)
+// A shard map has one format, the text ParseShardMap reads and Format
+// writes: the -shard-map file an operator writes, what SQL's
+// shard_map() answers on a sharded node (the Router's discovery), and
+// what rides a stale-map refusal. Writes carry the map version they
+// were routed under (Execute.ShardVer); a server holding a newer map
+// refuses the statement and attaches the new map to the trailer —
+// version fencing, mirroring epoch fencing one level up (see
+// ARCHITECTURE.md § Sharding).
 
 // StaleShardMapErr is the error prefix a server reports for a
 // statement routed under an outdated shard-map version. The current
@@ -103,9 +100,13 @@ func (m *ShardMap) Clone() *ShardMap {
 	return out
 }
 
-// Validate checks structural invariants: at least one shard, ids
-// exactly 0..n-1 in order, every shard with a primary.
+// Validate checks structural invariants: a version of at least 1 (the
+// text format has no version 0), at least one shard, ids exactly
+// 0..n-1 in order, every shard with a primary.
 func (m *ShardMap) Validate() error {
+	if m.Version == 0 {
+		return fmt.Errorf("wire: shard map version must be at least 1")
+	}
 	if len(m.Shards) == 0 {
 		return fmt.Errorf("wire: shard map has no shards")
 	}
@@ -118,84 +119,6 @@ func (m *ShardMap) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Encode marshals m.
-func (m *ShardMap) Encode() []byte {
-	buf := appendU64(nil, m.Version)
-	// Deterministic key order keeps encodings comparable in tests.
-	tables := make([]string, 0, len(m.Keys))
-	for t := range m.Keys {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	buf = appendU64(buf, uint64(len(tables)))
-	for _, t := range tables {
-		buf = appendString(buf, t)
-		buf = appendString(buf, m.Keys[t])
-	}
-	buf = appendU64(buf, uint64(len(m.Shards)))
-	for _, s := range m.Shards {
-		buf = appendU64(buf, uint64(s.ID))
-		buf = appendString(buf, s.Primary)
-		buf = appendU64(buf, uint64(len(s.Replicas)))
-		for _, r := range s.Replicas {
-			buf = appendString(buf, r)
-		}
-	}
-	return buf
-}
-
-// DecodeShardMap unmarshals a ShardMap payload.
-func DecodeShardMap(buf []byte) (*ShardMap, error) {
-	m := &ShardMap{Keys: make(map[string]string)}
-	var err error
-	if m.Version, buf, err = readU64(buf); err != nil {
-		return nil, err
-	}
-	var n uint64
-	if n, buf, err = readU64(buf); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var t, k string
-		if t, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if k, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		m.Keys[t] = k
-	}
-	if n, buf, err = readU64(buf); err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var s Shard
-		var id, nr uint64
-		if id, buf, err = readU64(buf); err != nil {
-			return nil, err
-		}
-		s.ID = uint32(id)
-		if s.Primary, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if nr, buf, err = readU64(buf); err != nil {
-			return nil, err
-		}
-		for j := uint64(0); j < nr; j++ {
-			var r string
-			if r, buf, err = readString(buf); err != nil {
-				return nil, err
-			}
-			s.Replicas = append(s.Replicas, r)
-		}
-		m.Shards = append(m.Shards, s)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // ParseShardMap reads the operator-facing text format of a shard map

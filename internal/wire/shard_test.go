@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,28 +20,10 @@ func sampleMap() *ShardMap {
 	}
 }
 
-func TestShardMapEncodeDecodeRoundTrip(t *testing.T) {
-	m := sampleMap()
-	got, err := DecodeShardMap(m.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != m.Version || len(got.Shards) != len(m.Shards) {
-		t.Fatalf("round trip: %+v", got)
-	}
-	for i := range m.Shards {
-		if got.Shards[i].Primary != m.Shards[i].Primary {
-			t.Fatalf("shard %d primary %q, want %q", i, got.Shards[i].Primary, m.Shards[i].Primary)
-		}
-		if len(got.Shards[i].Replicas) != len(m.Shards[i].Replicas) {
-			t.Fatalf("shard %d replicas %v", i, got.Shards[i].Replicas)
-		}
-	}
-	if got.Keys["orders"] != "customer_id" {
-		t.Fatalf("keys: %v", got.Keys)
-	}
-}
-
+// TestShardMapParseFormatRoundTrip: Format is the one encoding of a
+// map (the -shard-map file, shard_map()'s answer, the stale-map
+// trailer), so every valid map reads back through ParseShardMap as
+// itself.
 func TestShardMapParseFormatRoundTrip(t *testing.T) {
 	text := `
 # test map
@@ -60,12 +43,18 @@ shard 0 primary a:1 replicas a:2,a:3
 	if m.Shards[0].ID != 0 || m.Shards[0].Primary != "a:1" || len(m.Shards[0].Replicas) != 2 {
 		t.Fatalf("shard 0: %+v", m.Shards[0])
 	}
-	again, err := ParseShardMap(m.Format())
-	if err != nil {
-		t.Fatalf("reparse of Format output: %v\n%s", err, m.Format())
-	}
-	if again.Format() != m.Format() {
-		t.Fatalf("format not stable:\n%s\nvs\n%s", m.Format(), again.Format())
+	for _, want := range []*ShardMap{m, sampleMap(),
+		{Version: 1, Keys: map[string]string{}, Shards: []Shard{{ID: 0, Primary: "a:1"}}}} {
+		got, err := ParseShardMap(want.Format())
+		if err != nil {
+			t.Fatalf("reparse of Format output: %v\n%s", err, want.Format())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip: %+v, want %+v", got, want)
+		}
+		if got.Format() != want.Format() {
+			t.Fatalf("format not stable:\n%s\nvs\n%s", want.Format(), got.Format())
+		}
 	}
 }
 
@@ -81,6 +70,12 @@ func TestShardMapValidate(t *testing.T) {
 	}
 	if _, err := ParseShardMap("bogus line\n"); err == nil {
 		t.Fatal("unknown directive accepted")
+	}
+	// A version-0 map has no text form, so no server may serve one.
+	m := sampleMap()
+	m.Version = 0
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("version 0: %v, want a refusal naming the version", err)
 	}
 }
 

@@ -145,6 +145,9 @@ done
 shardout=$(echo '\shardmap' | "$workdir/bin/ifdb-cli" -addr 127.0.0.1:15434 -token demo)
 echo "$shardout" | grep -q "shard 1 primary 127.0.0.1:5435" \
   || { echo "docs_smoke: served shard map does not match the README example"; exit 1; }
+sqlout=$(echo 'SELECT shard_map();' | "$workdir/bin/ifdb-cli" -addr 127.0.0.1:15434 -token demo)
+echo "$sqlout" | grep -q "127.0.0.1:5435" \
+  || { echo "docs_smoke: SELECT shard_map() does not answer the README's map"; echo "$sqlout"; exit 1; }
 
 # --- 2b. The scatter-gather walkthrough: a real two-shard cluster,
 # the examples/scatter program against it, and its output diffed

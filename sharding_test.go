@@ -18,6 +18,7 @@ import (
 	"ifdb/internal/engine"
 	"ifdb/internal/types"
 	"ifdb/internal/wire"
+	"ifdb/platform"
 )
 
 // shardGuardFor builds the per-server ownership guard ifdb-server
@@ -92,7 +93,7 @@ func TestShardedRouterRoutesByKey(t *testing.T) {
 	}
 	defer router.Close()
 
-	// The Router discovered the map from a node's SHARDMAP frame (no
+	// The Router discovered the map from a node's SELECT shard_map() (no
 	// cfg.ShardMap was given): DDL must fan out to both shards.
 	if _, err := router.Exec(`CREATE TABLE kv (k BIGINT PRIMARY KEY, v TEXT)`); err != nil {
 		t.Fatal(err)
@@ -611,5 +612,133 @@ func TestShardedPreparedStatements(t *testing.T) {
 	// routes under it without another refusal round trip.
 	if _, err := ins.Exec(ifdb.Int(int64(rows)), ifdb.Text("post-bump")); err != nil {
 		t.Fatalf("prepared write after adopted map: %v", err)
+	}
+}
+
+// TestShardMapIsSQL: a node's shard map is SQL. Over a wire Conn,
+// SELECT shard_map() answers the map its server's hook holds, in the
+// -shard-map text format, and NULL on an unsharded node; an embedded
+// session and a platform script are refused it by name; a sharded
+// Router runs it as a read; and a coordinator's failover shows in it as
+// the bumped version.
+func TestShardMapIsSQL(t *testing.T) {
+	const token = "tok"
+	primLn, replLn, otherLn := listenLocal(t), listenLocal(t), listenLocal(t)
+	primAddr, replAddr, otherAddr := primLn.Addr().String(), replLn.Addr().String(), otherLn.Addr().String()
+	coord, err := cluster.New(cluster.Config{
+		Token: token, DialTimeout: time.Second,
+		ShardMap: &wire.ShardMap{
+			Version: 1,
+			Keys:    map[string]string{"kv": "k"},
+			Shards: []wire.Shard{
+				{ID: 0, Primary: primAddr, Replicas: []string{replAddr}},
+				{ID: 1, Primary: otherAddr},
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(db *ifdb.DB, ln net.Listener) {
+		srv, _ := nodeServer(db, token)
+		srv.ShardMap = coord.ShardMap
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+	}
+	prim, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prim.Close()
+	serve(prim, primLn)
+	replica, err := ifdb.Open(ifdb.Config{DataDir: t.TempDir(), ReplicaOf: primAddr, ReplToken: token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	serve(replica, replLn)
+	other := ifdb.MustOpen(ifdb.Config{})
+	defer other.Close()
+	serve(other, otherLn)
+	unsharded := ifdb.MustOpen(ifdb.Config{})
+	defer unsharded.Close()
+	unshardedAddr, _, _ := serveNode(t, unsharded, token)
+
+	shardMapOf := func(addr string) ifdb.Value {
+		t.Helper()
+		conn, err := client.Dial(addr, token, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		res, err := conn.Exec(`SELECT shard_map()`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
+			t.Fatalf("%s: SELECT shard_map() gave %v", addr, res.Rows)
+		}
+		return res.Rows[0][0]
+	}
+	for _, addr := range []string{primAddr, replAddr, otherAddr} {
+		if got, want := shardMapOf(addr), coord.ShardMap().Format(); got.Kind() != types.KindText || got.Text() != want {
+			t.Fatalf("%s: shard_map() = %v, want\n%s", addr, got, want)
+		}
+	}
+	if got := shardMapOf(unshardedAddr); !got.IsNull() {
+		t.Fatalf("unsharded node: shard_map() = %v, want NULL", got)
+	}
+
+	// Only a connection that proved the token sees the map.
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "shard_map()") {
+			t.Fatalf("%s: %v, want a refusal naming shard_map()", what, err)
+		}
+	}
+	_, err = other.AdminSession().Exec(`SELECT shard_map()`)
+	refused("embedded session", err)
+	err = platform.New(other).ServeRequest(other.Admin(), func(pr *platform.Process, _ map[string]string) error {
+		_, _, err := pr.QueryRow(`SELECT shard_map()`)
+		return err
+	}, nil, &strings.Builder{})
+	refused("platform script", err)
+
+	// A Router that discovered the map runs the call as a read: a
+	// sharded Router refuses a tableless write, and fans a read out to
+	// every shard, each answering one row.
+	router, err := client.OpenRouter(client.RouterConfig{Addrs: []string{otherAddr}, Token: token})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	res, err := router.Exec(`SELECT shard_map()`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("Router: shard_map() gave %d rows over 2 shards", len(res.Rows))
+	}
+	for _, row := range res.Rows {
+		if row[0].Text() != coord.ShardMap().Format() {
+			t.Fatalf("Router: shard_map() = %v", row[0])
+		}
+	}
+
+	// A failover in shard 0 bumps the map, and every node answers it.
+	if addr, err := coord.PromoteBestShard(0, true); err != nil || addr != replAddr {
+		t.Fatalf("PromoteBestShard: %q, %v; want %s", addr, err, replAddr)
+	}
+	conn, err := client.Dial(otherAddr, token, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	m, err := conn.ShardMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != 2 || m.Shards[0].Primary != replAddr || m.Format() != coord.ShardMap().Format() {
+		t.Fatalf("after the failover: %+v, want version 2 with shard 0 at %s", m, replAddr)
 	}
 }
